@@ -8,13 +8,20 @@ without a mismatch certifies that the assignment is path independent.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import StructuralError, TheoremViolationError
-from .rigid import MaximalRigid, complements, enumerate_maximal_rigid
-from .tube import TubeObject, canonical_key
+from .rigid import (
+    MaximalRigid,
+    bit_indices,
+    complements,
+    enumerate_maximal_rigid,
+    rigid_table,
+)
+from .tube import TubeObject
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -72,13 +79,38 @@ def is_sign_skew_symmetric(rows) -> bool:
     """sign(b_ij) == -sign(b_ji) for all i, j."""
     if isinstance(rows, ExchangeMatrix):
         rows = rows.entries
-    k = len(rows)
-    for i in range(k):
-        for j in range(k):
-            a, b = rows[i][j], rows[j][i]
-            if (a > 0) != (b < 0) or (a < 0) != (b > 0):
-                return False
-    return True
+    signs = [tuple((v > 0) - (v < 0) for v in row) for row in rows]
+    return all(
+        row == tuple(-v for v in col) for row, col in zip(signs, zip(*signs))
+    )
+
+
+def _mutate_rows(b: Rows, k: int) -> Rows:
+    """Fomin-Zelevinsky mutation at ``k`` of a square matrix of rows.
+
+    Row and column k change sign; another row changes only where its
+    column-k entry is nonzero.
+    """
+    bk = b[k]
+    new = []
+    for i, row in enumerate(b):
+        c = row[k]
+        if i == k:
+            new.append(tuple(-v for v in row))
+        elif c == 0:
+            new.append(row)
+        else:
+            changed = [v + (abs(c) * w + c * abs(w)) // 2 for v, w in zip(row, bk)]
+            changed[k] = -c
+            new.append(tuple(changed))
+    return tuple(new)
+
+
+def _move(seq: tuple, k: int, p: int) -> tuple:
+    """``seq`` with its item at position ``k`` moved to position ``p``."""
+    if p >= k:
+        return seq[:k] + seq[k + 1 : p + 1] + seq[k : k + 1] + seq[p + 1 :]
+    return seq[:p] + seq[k : k + 1] + seq[p:k] + seq[k + 1 :]
 
 
 def fz_mutate(mat: ExchangeMatrix, k: int) -> ExchangeMatrix:
@@ -90,17 +122,7 @@ def fz_mutate(mat: ExchangeMatrix, k: int) -> ExchangeMatrix:
     size = len(mat.order)
     if not 0 <= k < size:
         raise IndexError(f"mutation index {k} out of range for size {size}")
-    b = mat.entries
-    new = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            if i == k or j == k:
-                row.append(-b[i][j])
-            else:
-                row.append(b[i][j] + (abs(b[i][k]) * b[k][j] + b[i][k] * abs(b[k][j])) // 2)
-        new.append(tuple(row))
-    return ExchangeMatrix(mat.order, tuple(new))
+    return ExchangeMatrix(mat.order, _mutate_rows(mat.entries, k))
 
 
 def cartan_counterpart(mat) -> Rows:
@@ -147,53 +169,71 @@ def exchange(t: MaximalRigid, k: int) -> tuple[MaximalRigid, int]:
     return t2, t2.summands.index(other)
 
 
-def _canonicalize(order: tuple[TubeObject, ...], rows: Rows) -> ExchangeMatrix:
-    perm = sorted(range(len(order)), key=lambda i: canonical_key(order[i]))
-    new_order = tuple(order[i] for i in perm)
-    new_rows = tuple(tuple(rows[i][j] for j in perm) for i in perm)
-    return ExchangeMatrix(new_order, new_rows)
-
-
 class ExchangeGraph:
     """All seeds at rank n, with B-matrices propagated by BFS.
 
     ``nodes`` maps each maximal rigid object to its canonical-order
-    matrix; ``edges`` holds every directed triple (t, k, t').
+    matrix; ``edges`` holds every directed triple (t, k, t').  The
+    search runs on the masks of :func:`~clustertube.rigid.rigid_table`,
+    where canonical order is ascending index order.
     """
 
     def __init__(self, n: int):
         self.n = n
+        table = rigid_table(n)
         seed = initial_seed(n)
-        self.nodes: dict[MaximalRigid, ExchangeMatrix] = {seed.object: seed.matrix}
-        self.edges: list[tuple[MaximalRigid, int, MaximalRigid]] = []
-        queue = deque([seed.object])
+        start = table.mask_of(seed.object.summands)
+        rows: dict[int, Rows] = {start: seed.matrix.entries}
+        edges: list[tuple[int, int, int]] = []
+        queue = deque([start])
         while queue:
-            t = queue.popleft()
-            mat = self.nodes[t]
-            for k in range(n - 1):
-                t2, _ = exchange(t, k)
-                mutated = fz_mutate(mat, k)
-                new_summand = next(x for x in t2.summands if x not in t.summands)
-                order = mat.order[:k] + (new_summand,) + mat.order[k + 1 :]
-                mat2 = _canonicalize(order, mutated.entries)
-                if any(abs(v) > _ENTRY_BOUND for row in mat2.entries for v in row):
+            mask = queue.popleft()
+            order = bit_indices(mask)
+            b = rows[mask]
+            for k, removed in enumerate(order):
+                tbar = mask & ~(1 << removed)
+                first, second = table.complement_pair(tbar)
+                if removed not in (first, second):
                     raise TheoremViolationError(
-                        f"entry out of range in the matrix at {t2}: {mat2.entries}"
+                        f"{table.objects[removed]} does not complete "
+                        f"{table.objects_of(tbar)}"
                     )
-                if not is_sign_skew_symmetric(mat2):
-                    raise TheoremViolationError(
-                        f"matrix at {t2} is not sign-skew-symmetric: {mat2.entries}"
-                    )
-                if t2 in self.nodes:
-                    if self.nodes[t2].entries != mat2.entries:
+                new = second if first == removed else first
+                mask2 = tbar | 1 << new
+                # canonical order of the new seed: the new summand's index
+                # sorts into position p among the indices kept
+                p = bisect(order, new) - (removed < new)
+                mutated = _mutate_rows(b, k)
+                b2 = _move(tuple(_move(row, k, p) for row in mutated), k, p)
+                seen = rows.get(mask2)
+                if seen is None:
+                    # checked on the first visit; every revisit must then
+                    # reproduce this matrix exactly
+                    if max(map(max, b2)) > _ENTRY_BOUND or min(map(min, b2)) < -_ENTRY_BOUND:
                         raise TheoremViolationError(
-                            f"path-independence failure at {t2}: "
-                            f"{self.nodes[t2].entries} vs {mat2.entries}"
+                            f"entry out of range in the matrix at "
+                            f"{table.objects_of(mask2)}: {b2}"
                         )
-                else:
-                    self.nodes[t2] = mat2
-                    queue.append(t2)
-                self.edges.append((t, k, t2))
+                    if not is_sign_skew_symmetric(b2):
+                        raise TheoremViolationError(
+                            f"matrix at {table.objects_of(mask2)} is not "
+                            f"sign-skew-symmetric: {b2}"
+                        )
+                    rows[mask2] = b2
+                    queue.append(mask2)
+                elif seen != b2:
+                    raise TheoremViolationError(
+                        f"path-independence failure at {table.objects_of(mask2)}: "
+                        f"{seen} vs {b2}"
+                    )
+                edges.append((mask, k, mask2))
+        objects = {m: MaximalRigid(n, table.objects_of(m)) for m in rows}
+        self.nodes: dict[MaximalRigid, ExchangeMatrix] = {
+            objects[m]: ExchangeMatrix(objects[m].summands, b) for m, b in rows.items()
+        }
+        self.edges: list[tuple[MaximalRigid, int, MaximalRigid]] = [
+            (objects[m], k, objects[m2]) for m, k, m2 in edges
+        ]
         missing = set(enumerate_maximal_rigid(n)) - set(self.nodes)
         if missing:
             raise TheoremViolationError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import StructuralError, TheoremViolationError
-from .rigid import MaximalRigid
+from .rigid import MaximalRigid, bit_indices, maximal_cliques
 from .tube import TubeObject, is_rigid_indec
 
 
@@ -225,24 +225,27 @@ def flip_graph(n: int) -> FlipGraph:
 
 @lru_cache(maxsize=None)
 def _all_triangulations(n: int) -> tuple[CsTriangulation, ...]:
-    import networkx as nx
-
-    g = nx.Graph()
+    """Maximal cliques of the non-crossing graph on ``all_cs_pairs(n)``;
+    every clique must have exactly n-1 pairs."""
     pairs = all_cs_pairs(n)
-    g.add_nodes_from(pairs)
+    adj = [0] * len(pairs)
     for i, a in enumerate(pairs):
-        for b in pairs[i + 1 :]:
-            if crossing_points(a, b) == 0:
-                g.add_edge(a, b)
-    tris = []
-    for clique in nx.find_cliques(g):
-        if len(clique) != n - 1:
+        for j in range(i + 1, len(pairs)):
+            if crossing_points(a, pairs[j]) == 0:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    cliques = maximal_cliques(adj)
+    for clique in cliques:
+        if clique.bit_count() != n - 1:
             raise TheoremViolationError(
-                f"non-crossing clique of size {len(clique)} at rank {n}"
+                f"non-crossing clique of size {clique.bit_count()} at rank {n}"
             )
-        tris.append(CsTriangulation(n, frozenset(clique)))
-    tris.sort(key=lambda t: [_pair_key(p) for p in t.sorted_pairs()])
-    return tuple(tris)
+    # pairs are in _pair_key order, so ascending indices sort triangulations
+    cliques.sort(key=bit_indices)
+    return tuple(
+        CsTriangulation(n, frozenset(pairs[i] for i in bit_indices(c)))
+        for c in cliques
+    )
 
 
 def graphs_isomorphic_via_delta(eg, fg: FlipGraph) -> bool:

@@ -1,4 +1,11 @@
-"""Maximal rigid objects: enumeration, structure, complements, witnesses."""
+"""Maximal rigid objects: enumeration, structure, complements, witnesses.
+
+The rigid indecomposables of one rank are numbered in canonical order
+(:class:`RigidTable`), so a set of them is an int bitmask whose bits, read
+upwards, list it in canonical summand order.  Enumeration, complements
+and the exchange graph run on these masks; :class:`MaximalRigid` and
+:class:`~clustertube.tube.TubeObject` are the boundary types.
+"""
 
 from __future__ import annotations
 
@@ -6,25 +13,164 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-import networkx as nx
-
 from .errors import StructuralError, TheoremViolationError
-from .tube import (
-    TubeObject,
-    canonical_key,
-    ext_dim_cluster,
-    is_rigid_indec,
-    wing_contains,
-)
+from .tube import TubeObject, canonical_key, ext_dim_cluster, tau, wing_contains
+
+
+def bit_indices(mask: int) -> list[int]:
+    """The set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def maximal_cliques(adj: Sequence[int]) -> list[int]:
+    """Maximal cliques, as masks, of the graph on ``0..len(adj)-1`` whose
+    vertex ``v`` has neighbour mask ``adj[v]`` (no self-loops).
+
+    Bron-Kerbosch with pivoting: from the candidates ``p`` only the
+    non-neighbours of a pivot that covers most of ``p`` are branched on.
+    """
+    cliques: list[int] = []
+
+    def expand(r: int, p: int, x: int) -> None:
+        if not p:
+            if not x:
+                cliques.append(r)
+            return
+        pivot = max(bit_indices(p | x), key=lambda u: (adj[u] & p).bit_count())
+        for v in bit_indices(p & ~adj[pivot]):
+            bit = 1 << v
+            expand(r | bit, p & adj[v], x & adj[v])
+            p &= ~bit
+            x |= bit
+
+    if adj:
+        expand(0, (1 << len(adj)) - 1, 0)
+    return cliques
+
+
+@dataclass(frozen=True)
+class RigidTable:
+    """The n(n-1) rigid indecomposables of rank n, indexed in canonical
+    order, with Ext-compatibility and wing membership as bitmasks."""
+
+    n: int
+    objects: tuple[TubeObject, ...]
+    index: dict[TubeObject, int]
+    # bit j of compat[i]: j != i and Ext^1(objects[i], objects[j]) = 0
+    compat: tuple[int, ...]
+    # the n tops (quasi-length n-1), and the wing mask of each top index
+    tops: int
+    wings: dict[int, int]
+
+    def mask_of(self, objs: Iterable[TubeObject]) -> int:
+        """The mask of distinct rigid indecomposables of this rank."""
+        objs = tuple(objs)
+        mask = 0
+        for x in objs:
+            i = self.index.get(x)
+            if i is None:
+                raise StructuralError(
+                    f"{x} is not a rigid indecomposable of rank {self.n}"
+                )
+            mask |= 1 << i
+        if mask.bit_count() != len(objs):
+            raise StructuralError(f"repeated summands in {objs}")
+        return mask
+
+    def objects_of(self, mask: int) -> tuple[TubeObject, ...]:
+        """The summands of ``mask`` in canonical order."""
+        return tuple(self.objects[i] for i in bit_indices(mask))
+
+    def is_rigid(self, mask: int) -> bool:
+        """Ext^1 vanishes between any two summands of ``mask``."""
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if mask & ~self.compat[low.bit_length() - 1] != low:
+                return False
+            rest ^= low
+        return True
+
+    def defect(self, mask: int) -> str:
+        """Why ``mask`` is not a maximal rigid object; empty if it is.
+
+        A maximal rigid object has n-1 pairwise compatible summands,
+        exactly one top, and all summands inside that top's wing.
+        """
+        size = mask.bit_count()
+        if size != self.n - 1:
+            return f"has {size} summands, expected {self.n - 1}"
+        if not self.is_rigid(mask):
+            return "is not rigid"
+        top = mask & self.tops
+        if top.bit_count() != 1:
+            return f"has {top.bit_count()} summands of quasi-length {self.n - 1}"
+        outside = mask & ~self.wings[top.bit_length() - 1]
+        if outside:
+            return f"has {self.objects_of(outside)} outside the wing of its top"
+        return ""
+
+    def complement_pair(self, tbar: int) -> tuple[int, int]:
+        """The two indices completing the almost complete mask ``tbar``,
+        which must be rigid; any other count falsifies unique exchange."""
+        candidates = (1 << len(self.objects)) - 1
+        for i in bit_indices(tbar):
+            candidates &= self.compat[i]
+        found = [
+            i for i in bit_indices(candidates & ~tbar)
+            if not self.defect(tbar | 1 << i)
+        ]
+        if len(found) != 2:
+            raise TheoremViolationError(
+                f"{self.objects_of(tbar)} has {len(found)} completions: "
+                f"{[self.objects[i] for i in found]}"
+            )
+        return found[0], found[1]
+
+
+@lru_cache(maxsize=None)
+def rigid_table(n: int) -> RigidTable:
+    """The integer table of rank ``n``.
+
+    Ext is swept once, for the objects of socle 1.  Ext is invariant
+    under tau, which in canonical order shifts every index by n-1, so the
+    row of any other object is the row of its tau rotated by n-1 bits.
+    """
+    objs = enumerate_rigid_indecs(n)
+    index = {x: i for i, x in enumerate(objs)}
+    size, step = len(objs), n - 1
+    compat: list[int] = []
+    for i, x in enumerate(objs):
+        if x.a == 1:
+            row = sum(
+                1 << j
+                for j, y in enumerate(objs)
+                if j != i and ext_dim_cluster(x, y) == 0
+            )
+        else:
+            row = compat[index[tau(x)]]
+            row = (row << step | row >> (size - step)) & ((1 << size) - 1)
+        compat.append(row)
+    tops = {i: x for i, x in enumerate(objs) if x.b == n - 1}
+    wings = {
+        i: sum(1 << j for j, y in enumerate(objs) if wing_contains(top, y))
+        for i, top in tops.items()
+    }
+    return RigidTable(n, objs, index, tuple(compat), sum(1 << i for i in tops), wings)
 
 
 @dataclass(frozen=True)
 class MaximalRigid:
     """A maximal rigid object, as its canonically ordered summand list.
 
-    Construction validates everything: n-1 distinct pairwise compatible
-    rigid summands, a unique top of quasi-length n-1, and containment of
-    all summands in the top's wing.
+    Construction validates everything (:meth:`RigidTable.defect`): n-1
+    distinct pairwise compatible rigid summands, a unique top of
+    quasi-length n-1, and containment of all summands in the top's wing.
     """
 
     n: int
@@ -33,26 +179,10 @@ class MaximalRigid:
     def __post_init__(self) -> None:
         objs = tuple(sorted(self.summands, key=canonical_key))
         object.__setattr__(self, "summands", objs)
-        if len(objs) != self.n - 1:
-            raise StructuralError(
-                f"expected {self.n - 1} summands at rank {self.n}, got {len(objs)}"
-            )
-        if len(set(objs)) != len(objs):
-            raise StructuralError(f"repeated summands in {objs}")
-        for x in objs:
-            if x.n != self.n:
-                raise StructuralError(f"summand {x} has rank {x.n}, not {self.n}")
-        if not is_rigid_set(objs):
-            raise StructuralError(f"{objs} is not rigid")
-        tops = [x for x in objs if x.b == self.n - 1]
-        if len(tops) != 1:
-            raise StructuralError(
-                f"{objs} has {len(tops)} summands of quasi-length {self.n - 1}"
-            )
-        top = tops[0]
-        for x in objs:
-            if not wing_contains(top, x):
-                raise StructuralError(f"summand {x} outside the wing of {top}")
+        table = rigid_table(self.n)
+        defect = table.defect(table.mask_of(objs))
+        if defect:
+            raise StructuralError(f"{objs} {defect}")
 
     @property
     def top(self) -> TubeObject:
@@ -93,13 +223,12 @@ def enumerate_rigid_indecs(n: int) -> tuple[TubeObject, ...]:
     return tuple(sorted(objs, key=canonical_key))
 
 
-@lru_cache(maxsize=None)
 def compatibility(n: int) -> dict[TubeObject, frozenset[TubeObject]]:
     """Adjacency of the Ext-vanishing graph on rigid indecomposables."""
-    objs = enumerate_rigid_indecs(n)
+    table = rigid_table(n)
     return {
-        x: frozenset(y for y in objs if y != x and ext_dim_cluster(x, y) == 0)
-        for x in objs
+        x: frozenset(table.objects_of(table.compat[i]))
+        for i, x in enumerate(table.objects)
     }
 
 
@@ -107,19 +236,16 @@ def compatibility(n: int) -> dict[TubeObject, frozenset[TubeObject]]:
 def enumerate_maximal_rigid(n: int) -> tuple[MaximalRigid, ...]:
     """All maximal rigid objects, via maximal cliques of the
     compatibility graph; every clique must have exactly n-1 vertices."""
-    g = nx.Graph()
-    g.add_nodes_from(enumerate_rigid_indecs(n))
-    for x, nbrs in compatibility(n).items():
-        g.add_edges_from((x, y) for y in nbrs)
-    result = []
-    for clique in nx.find_cliques(g):
-        if len(clique) != n - 1:
+    table = rigid_table(n)
+    cliques = maximal_cliques(table.compat)
+    for clique in cliques:
+        if clique.bit_count() != n - 1:
             raise TheoremViolationError(
-                f"maximal clique of size {len(clique)} at rank {n}: {clique}"
+                f"maximal clique of size {clique.bit_count()} at rank {n}: "
+                f"{table.objects_of(clique)}"
             )
-        result.append(MaximalRigid(n, tuple(clique)))
-    result.sort(key=lambda t: tuple(canonical_key(x) for x in t.summands))
-    return tuple(result)
+    cliques.sort(key=bit_indices)
+    return tuple(MaximalRigid(n, table.objects_of(c)) for c in cliques)
 
 
 def top_summand(t: MaximalRigid) -> TubeObject:
@@ -147,9 +273,10 @@ def from_tilting_datum(d: TiltingDatum) -> MaximalRigid:
 def complements(tbar: Sequence[TubeObject], n: int | None = None) -> tuple[TubeObject, TubeObject]:
     """The two indecomposables completing an almost complete object.
 
-    ``tbar`` must have n-2 pairwise compatible rigid summands (rank can
-    be passed explicitly for the empty set at n=2).  Anything other than
-    exactly two completions falsifies the unique-exchange axiom.
+    ``tbar`` must have n-2 distinct pairwise compatible rigid summands of
+    rank n, or it is a :class:`StructuralError` (rank can be passed
+    explicitly for the empty set at n=2).  Anything other than exactly
+    two completions falsifies the unique-exchange axiom.
     """
     tbar = tuple(tbar)
     if n is None:
@@ -160,28 +287,12 @@ def complements(tbar: Sequence[TubeObject], n: int | None = None) -> tuple[TubeO
         raise StructuralError(
             f"almost complete object at rank {n} needs {n - 2} summands, got {len(tbar)}"
         )
-    adj = compatibility(n)
-    if tbar:
-        candidates = frozenset.intersection(*(adj[x] for x in tbar))
-        candidates = candidates - set(tbar)
-    else:
-        candidates = frozenset(enumerate_rigid_indecs(n))
-    found = sorted(
-        (x for x in candidates if _completes(tbar, x, n)), key=canonical_key
-    )
-    if len(found) != 2:
-        raise TheoremViolationError(
-            f"{tbar} has {len(found)} completions: {found}"
-        )
-    return found[0], found[1]
-
-
-def _completes(tbar: tuple[TubeObject, ...], x: TubeObject, n: int) -> bool:
-    try:
-        MaximalRigid(n, tbar + (x,))
-    except StructuralError:
-        return False
-    return True
+    table = rigid_table(n)
+    mask = table.mask_of(tbar)
+    if not table.is_rigid(mask):
+        raise StructuralError(f"{tbar} is not rigid")
+    first, second = table.complement_pair(mask)
+    return table.objects[first], table.objects[second]
 
 
 def cluster_tilting_witness(t: MaximalRigid, k: int) -> TubeObject:

@@ -26,6 +26,11 @@ class TubeObject:
     n: int
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "n"):
+            value = getattr(self, name)
+            # exact type: bool is an int subclass, and floats hash equal to ints
+            if type(value) is not int:
+                raise ValueError(f"coordinate {name} must be an int, got {value!r}")
         if self.n < 2:
             raise ValueError(f"tube rank must be >= 2, got {self.n}")
         if not 1 <= self.a <= self.n:

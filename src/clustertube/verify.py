@@ -7,6 +7,7 @@ tests.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 
@@ -247,12 +248,11 @@ def suite_mutation(n: int) -> list[CheckResult]:
 
     want_nodes = comb(2 * n - 2, n - 1)
     undirected = graph.undirected_edges()
+    degree = Counter(t for e in undirected for t in e)
     shape_ok = (
         len(graph.nodes) == want_nodes
         and len(undirected) == want_nodes * (n - 1) // 2
-        and all(
-            sum(1 for e in undirected if t in e) == n - 1 for t in graph.nodes
-        )
+        and all(degree[t] == n - 1 for t in graph.nodes)
     )
     checks.append(
         CheckResult(

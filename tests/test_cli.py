@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -169,6 +170,16 @@ class TestMutate:
         assert err
 
 
+    @pytest.mark.parametrize(
+        "rank,objects,at",
+        [("3", "1,3;1,1", "1,1"), ("4", "1,1;2,1;1,3", "1,3")],
+    )
+    def test_non_rigid_input(self, rank, objects, at):
+        code, _, err = run("mutate", "--rank", rank, "--object", objects, "--at", at)
+        assert code == 2
+        assert err.startswith("error:")
+
+
 class TestPolygon:
     def test_triangulation(self):
         code, out, _ = run("polygon", "--rank", "3", "--object", "1,2;1,1")
@@ -197,6 +208,40 @@ class TestVerify:
         code, _, err = run("verify", "--rank", "7", "--suite", "hom")
         assert code == 2
         assert err
+
+
+# sha256 of stdout, captured before the enumeration and the exchange
+# graph moved onto integer masks; the CLI output must stay byte-identical
+GOLDEN = [
+    (
+        ["enumerate", "--rank", "7", "--format", "json"],
+        "6ba70d71b089a0b24f049ec3421c3a0d830b3d70871d9710116965519ddb553c",
+    ),
+    (
+        ["exchange-graph", "--rank", "6", "--format", "json"],
+        "1dcaa76e37bdbd85d94558017e15c7d8980675c69da0d78f0b853d3cf70f1401",
+    ),
+    (
+        ["exchange-graph", "--rank", "5", "--format", "dot"],
+        "d95582070cd8dbe21894138c742e0eb7413f1a2afc8211c72f52c6eedd7d2a60",
+    ),
+    (
+        ["bmatrix", "--rank", "7", "--object", "3,6;4,5;4,4;4,3;4,2;5,1", "--cartan"],
+        "f8325f27b337152bc540ae0284bf81e8feb5b47243d8a6d51099fe3f2a5835fe",
+    ),
+    (
+        ["mutate", "--rank", "7", "--object", "2,6;2,5;3,4;4,3;4,2;5,1", "--at", "4,3"],
+        "fd1b656c508444ab92d74616e9db6f983f70dd6028cb8ac6ff03859f74839588",
+    ),
+]
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[g[0][0] + g[0][2] for g in GOLDEN])
+    def test_byte_identical(self, argv, digest):
+        code, out, _ = run(*argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestInProcessEntryPoint:

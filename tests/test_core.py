@@ -1,0 +1,191 @@
+"""Cross-checks of the integer-indexed core against independent references.
+
+The references here are deliberately naive: a full pairwise Ext sweep, a
+brute-force clique search, a constructive enumeration by wings, and a
+complement search through ``is_rigid_set`` and ``wing_contains``.
+"""
+
+import hashlib
+from itertools import combinations
+from math import comb
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from clustertube import (
+    StructuralError,
+    TubeObject,
+    all_cs_pairs,
+    complements,
+    enumerate_maximal_rigid,
+    enumerate_rigid_indecs,
+    ext_dim_cluster,
+    is_rigid_set,
+    triangulation_of,
+    wing_contains,
+)
+from clustertube.polygon import _all_triangulations, _pair_key
+from clustertube.rigid import maximal_cliques, rigid_table
+
+
+def wing_tilting_sets(a, m, n):
+    """Tilting sets of the wing with apex (a, m): the apex together with
+    tilting sets of the two sub-wings left of and right of a split point
+    (the Catalan recursion)."""
+    if m == 0:
+        return [frozenset()]
+    apex = TubeObject((a - 1) % n + 1, m, n)
+    return [
+        left | right | {apex}
+        for j in range(m)
+        for left in wing_tilting_sets(a, j, n)
+        for right in wing_tilting_sets(a + j + 1, m - 1 - j, n)
+    ]
+
+
+def brute_complements(tbar, n):
+    """Every rigid x outside tbar that completes it to a rigid set with one
+    top of quasi-length n-1 whose wing holds every summand."""
+    found = []
+    for x in enumerate_rigid_indecs(n):
+        t = tbar + (x,)
+        if x in tbar or not is_rigid_set(t):
+            continue
+        tops = [y for y in t if y.b == n - 1]
+        if len(tops) == 1 and all(wing_contains(tops[0], y) for y in t):
+            found.append(x)
+    return found
+
+
+@st.composite
+def almost_complete(draw, max_rank=10):
+    """A maximal rigid object built from a random top and random split
+    points of its wing, minus one random summand."""
+    n = draw(st.integers(2, max_rank))
+
+    def wing(a, m):
+        if m == 0:
+            return []
+        j = draw(st.integers(0, m - 1))
+        apex = TubeObject((a - 1) % n + 1, m, n)
+        return [apex] + wing(a, j) + wing(a + j + 1, m - 1 - j)
+
+    summands = wing(draw(st.integers(1, n)), n - 1)
+    k = draw(st.integers(0, n - 2))
+    return n, tuple(summands[:k] + summands[k + 1 :])
+
+
+class TestTable:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_compat_masks_equal_full_ext_sweep(self, n):
+        table = rigid_table(n)
+        objs = enumerate_rigid_indecs(n)
+        assert table.objects == objs
+        for i, x in enumerate(objs):
+            want = sum(
+                1 << j
+                for j, y in enumerate(objs)
+                if j != i and ext_dim_cluster(x, y) == 0
+            )
+            assert table.compat[i] == want, x
+
+    def test_tops_and_wings(self):
+        n = 5
+        table = rigid_table(n)
+        objs = table.objects
+        assert table.objects_of(table.tops) == tuple(x for x in objs if x.b == n - 1)
+        for i, wing in table.wings.items():
+            assert table.objects_of(wing) == tuple(
+                y for y in objs if wing_contains(objs[i], y)
+            )
+
+
+@st.composite
+def graphs(draw, max_vertices=8):
+    """Neighbour masks of a random simple graph."""
+    adj = [0] * draw(st.integers(0, max_vertices))
+    for i, j in combinations(range(len(adj)), 2):
+        if draw(st.booleans()):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+class TestMaximalCliques:
+    @given(graphs())
+    def test_matches_brute_force(self, adj):
+        v = len(adj)
+
+        def is_clique(s):
+            return all(adj[i] >> j & 1 for i, j in combinations(s, 2))
+
+        cliques = [
+            s for r in range(1, v + 1) for s in combinations(range(v), r)
+            if is_clique(s)
+        ]
+        maximal = {
+            sum(1 << i for i in s)
+            for s in cliques
+            if not any(set(s) < set(c) for c in cliques)
+        }
+        found = maximal_cliques(adj)
+        assert len(found) == len(set(found))
+        assert set(found) == maximal
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_constructive_wing_enumeration(self, n):
+        constructed = [
+            s for a in range(1, n + 1) for s in wing_tilting_sets(a, n - 1, n)
+        ]
+        enumerated = {frozenset(t.summands) for t in enumerate_maximal_rigid(n)}
+        assert len(constructed) == len(set(constructed)) == comb(2 * n - 2, n - 1)
+        assert set(constructed) == enumerated
+
+
+class TestComplements:
+    @settings(max_examples=150, deadline=None)
+    @given(almost_complete())
+    def test_equal_brute_force(self, case):
+        n, tbar = case
+        assert list(complements(tbar, n)) == brute_complements(tbar, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(3, 10).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.sampled_from(enumerate_rigid_indecs(n)),
+                 min_size=n - 2, max_size=n - 2, unique=True),
+    )))
+    def test_rejects_exactly_the_non_rigid(self, case):
+        n, tbar = case
+        if is_rigid_set(tbar):
+            assert list(complements(tbar, n)) == brute_complements(tuple(tbar), n)
+        else:
+            with pytest.raises(StructuralError):
+                complements(tbar, n)
+
+
+# sha256 of the repr of each triangulation's sorted pair keys, in the
+# order _all_triangulations returns them, as the clique search through
+# networkx produced them
+TRIANGULATION_ORDER = {
+    2: "4fed272280c33b6ef86192252ae9f59c0ce2f12a7873dbf3f69c06002c32edfa",
+    3: "ee25240d9ce7de9d8c51c02a3d51e39c092c36b9bcf9fa541c3c15018e12e489",
+    4: "5795c93fac163f82b078660f53f816de1be304b5387417c3a66e0c01fd2b3d70",
+    5: "5870329317f749ea9565b3c63808322f9525ef322f5d7fee6dca70163dde0d87",
+    6: "67308b0bea3e223a464d3f813b838a3f0dc52e637327b5e802ab08fe6070e1d3",
+    7: "7421a070b987957d991103361056fa75bc569771006f5c51e8b13ba5b5f847fc",
+}
+
+
+class TestTriangulations:
+    @pytest.mark.parametrize("n", sorted(TRIANGULATION_ORDER))
+    def test_count_and_order_unchanged(self, n):
+        tris = _all_triangulations(n)
+        keys = [[_pair_key(p) for p in t.sorted_pairs()] for t in tris]
+        assert len(tris) == comb(2 * n - 2, n - 1)
+        assert keys == sorted(keys)
+        assert hashlib.sha256(repr(keys).encode()).hexdigest() == TRIANGULATION_ORDER[n]
+        assert set(tris) == {triangulation_of(t) for t in enumerate_maximal_rigid(n)}
+        assert {p for t in tris for p in t.pairs} == set(all_cs_pairs(n))

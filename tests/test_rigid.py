@@ -73,6 +73,14 @@ class TestMaximalRigidType:
         with pytest.raises(StructuralError):
             mr(3, (1, 1), (2, 1))
 
+    def test_rejects_summand_of_other_rank(self):
+        with pytest.raises(StructuralError):
+            MaximalRigid(3, (obj(1, 2, 3), obj(1, 1, 4)))
+
+    def test_rejects_repeated_summand(self):
+        with pytest.raises(StructuralError):
+            MaximalRigid(3, (obj(1, 2, 3), obj(1, 2, 3)))
+
     def test_rejects_wrong_count(self):
         with pytest.raises(StructuralError):
             mr(4, (1, 3), (1, 1))
@@ -110,6 +118,22 @@ class TestComplements:
 
     def test_empty_at_rank_two(self):
         assert set(complements([], n=2)) == {obj(1, 1, 2), obj(2, 1, 2)}
+
+    def test_summand_not_rigid(self):
+        with pytest.raises(StructuralError):
+            complements((obj(1, 3, 3),), 3)
+
+    def test_summand_of_other_rank(self):
+        with pytest.raises(StructuralError):
+            complements((obj(1, 1, 4),), 3)
+
+    def test_repeated_summand(self):
+        with pytest.raises(StructuralError):
+            complements((obj(1, 1, 4), obj(1, 1, 4)), 4)
+
+    def test_almost_complete_not_rigid(self):
+        with pytest.raises(StructuralError):
+            complements((obj(1, 1, 4), obj(2, 1, 4)), 4)
 
     def test_always_exactly_two(self):
         for n in (2, 3, 4):

@@ -34,6 +34,13 @@ class TestCoordinates:
         with pytest.raises(ValueError):
             obj(1, 1, 1)
 
+    @pytest.mark.parametrize(
+        "coords", [(True, 2, 3), (1.5, 2, 3), (1, 2.0, 3), (1, 2, True), ("1", 2, 3)]
+    )
+    def test_rejects_non_int_coordinates(self, coords):
+        with pytest.raises(ValueError):
+            TubeObject(*coords)
+
     def test_tau_wraps_first_coordinate(self):
         assert tau(obj(1, 1, 3)) == obj(3, 1, 3)
 
