@@ -6,7 +6,6 @@ from .mutation import (
     ExchangeMatrix,
     MiddleTerms,
     Seed,
-    b_matrix,
     build_exchange_graph,
     cartan_counterpart,
     exchange,
@@ -40,7 +39,6 @@ from .rigid import (
     from_tilting_datum,
     is_rigid_set,
     to_tilting_datum,
-    top_summand,
 )
 from .tube import (
     TubeObject,

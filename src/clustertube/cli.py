@@ -17,6 +17,11 @@ from .rigid import MaximalRigid, enumerate_maximal_rigid
 from .tube import TubeObject, ext_dim_cluster, hom_dim_cluster, hom_dim_tube
 from .verify import run_suite
 
+# Largest --rank of the commands that build a rank's tables or its whole
+# exchange graph; at rank 10 the exchange graph takes about 15 s and 206 MB.
+# hom is O(1) and verify keeps its own range.
+RANK_CEILING = 10
+
 
 def parse_object(text: str, n: int) -> TubeObject:
     """Parse "a,b" (whitespace-insensitive)."""
@@ -178,13 +183,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, bounded=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--rank", type=int, required=True, help="tube rank n >= 2")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, bounded=bounded)
         return p
 
-    p = add("hom", cmd_hom, help="Hom/Ext dimensions between two indecomposables")
+    p = add(
+        "hom", cmd_hom, bounded=False,
+        help="Hom/Ext dimensions between two indecomposables",
+    )
     p.add_argument("--from", dest="src", required=True, metavar="A,B")
     p.add_argument("--to", dest="dst", required=True, metavar="A,B")
 
@@ -206,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("polygon", cmd_polygon, help="centrally symmetric triangulation of an object")
     p.add_argument("--object", required=True, metavar="A,B;A,B;...")
 
-    p = add("verify", cmd_verify, help="run a verification suite")
+    p = add("verify", cmd_verify, bounded=False, help="run a verification suite")
     p.add_argument(
         "--suite",
         choices=("all", "hom", "counts", "mutation", "polygon", "no-ct"),
@@ -222,6 +230,10 @@ def main(argv=None) -> int:
     try:
         if args.rank < 2:
             raise ValueError(f"rank must be >= 2, got {args.rank}")
+        if args.bounded and args.rank > RANK_CEILING:
+            raise ValueError(
+                f"{args.command} supports ranks 2..{RANK_CEILING}, got {args.rank}"
+            )
         return args.func(args, sys.stdout)
     except TheoremViolationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

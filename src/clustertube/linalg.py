@@ -1,74 +1,33 @@
 """Exact rank computation for integer matrices.
 
-Fraction-free (Bareiss) elimination in int64 with an overflow guard; if
-intermediate entries ever get large we redo the computation with exact
-rationals.  No floating point is used anywhere.
+Fraction-free (Bareiss) elimination on Python ints, which are exact and
+cannot overflow.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-import numpy as np
-
-# Entries are bounded by minors of the input; with this guard the update
-# products stay far inside int64.
-_GUARD = 1 << 25
-
 
 def integer_rank(rows) -> int:
-    """Rank over the rationals of an integer matrix (list of rows)."""
-    mat = [list(r) for r in rows]
-    if not mat or not mat[0]:
-        return 0
-    try:
-        return _bareiss_rank(np.array(mat, dtype=np.int64))
-    except OverflowError:
-        return _fraction_rank(mat)
+    """Rank over the rationals of an integer matrix (list of rows).
 
-
-def _bareiss_rank(a: np.ndarray) -> int:
-    m, ncols = a.shape
-    rank = 0
-    prev = 1
+    After each pivot the rows below are cross-multiplied by it and divided
+    by the previous pivot; Bareiss' identity makes that division exact.
+    """
+    a = [list(r) for r in rows]
+    ncols = len(a[0]) if a else 0
+    rank, prev = 0, 1
     for col in range(ncols):
-        piv = None
-        for r in range(rank, m):
-            if a[r, col] != 0:
-                piv = r
-                break
+        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
         if piv is None:
             continue
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        if int(np.abs(a).max()) > _GUARD:
-            raise OverflowError("entries too large for int64 elimination")
-        p = int(a[rank, col])
-        below = a[rank + 1 :]
-        if below.size:
-            below[:] = (below * p - np.outer(below[:, col], a[rank])) // prev
+        a[rank], a[piv] = a[piv], a[rank]
+        top = a[rank]
+        p = top[col]
+        for r in range(rank + 1, len(a)):
+            c = a[r][col]
+            a[r] = [(v * p - c * w) // prev for v, w in zip(a[r], top)]
         prev = p
         rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def _fraction_rank(mat: list[list[int]]) -> int:
-    rows = [[Fraction(v) for v in r] for r in mat]
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][col] / pivot
-            if factor:
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
+        if rank == len(a):
             break
     return rank

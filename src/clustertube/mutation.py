@@ -263,8 +263,3 @@ class ExchangeGraph:
 @lru_cache(maxsize=None)
 def build_exchange_graph(n: int) -> ExchangeGraph:
     return ExchangeGraph(n)
-
-
-def b_matrix(t: MaximalRigid) -> ExchangeMatrix:
-    """Canonical-order B-matrix of ``t`` (builds the graph for its rank)."""
-    return build_exchange_graph(t.n).b_matrix(t)

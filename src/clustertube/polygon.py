@@ -6,6 +6,11 @@ to centrally symmetric triangulations, and exchange corresponds to
 flipping.  Crossing counts here are the geometric side of the Ext
 dimension formula: crossing_points(dX, dY) = 2 dim Ext^1(X, Y).
 
+The pairs of one rank are numbered in :func:`all_cs_pairs` order
+(:class:`PolygonTable`), with one non-crossing bitmask per pair, so a
+triangulation is a mask and a flip is an AND of the rows of the pairs
+kept.
+
 Corners are labelled clockwise 1..2n; all corner arithmetic is reduced
 into that range.
 """
@@ -16,7 +21,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import StructuralError, TheoremViolationError
-from .rigid import MaximalRigid, bit_indices, maximal_cliques
+from .rigid import (
+    MaximalRigid,
+    bit_indices,
+    common_neighbours,
+    enumerate_rigid_indecs,
+    maximal_cliques,
+    rigid_table,
+)
 from .tube import TubeObject, is_rigid_indec
 
 
@@ -120,6 +132,10 @@ class CsTriangulation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pairs", frozenset(self.pairs))
+        if any(p.n != self.n for p in self.pairs):
+            raise StructuralError(
+                f"pairs of another polygon than the {2 * self.n}-gon"
+            )
         if len(self.pairs) != self.n - 1:
             raise StructuralError(
                 f"expected {self.n - 1} pairs, got {len(self.pairs)}"
@@ -182,37 +198,86 @@ def triangulation_of(t: MaximalRigid) -> CsTriangulation:
     return CsTriangulation(t.n, frozenset(delta(x) for x in t.summands))
 
 
+@dataclass(frozen=True)
+class PolygonTable:
+    """The n(n-1) cs pairs of rank n, indexed in :func:`all_cs_pairs`
+    order, with non-crossing as bitmasks; a set of pairs is a mask."""
+
+    n: int
+    pairs: tuple[CsPair, ...]
+    index: dict[CsPair, int]
+    # bit j of noncross[i]: j != i and crossing_points(pairs[i], pairs[j]) = 0
+    noncross: tuple[int, ...]
+    # delta_index[i]: the pair index of delta of the rigid indecomposable
+    # with canonical index i
+    delta_index: tuple[int, ...]
+
+    def mask_of(self, tri: CsTriangulation) -> int:
+        return sum(1 << self.index[p] for p in tri.pairs)
+
+    def triangulation(self, mask: int) -> CsTriangulation:
+        return CsTriangulation(
+            self.n, frozenset(self.pairs[i] for i in bit_indices(mask))
+        )
+
+    def flip(self, mask: int, i: int) -> int:
+        """The triangulation ``mask`` with pair ``i`` replaced by the one
+        other pair that crosses none of the rest."""
+        rest = mask & ~(1 << i)
+        new = common_neighbours(self.noncross, rest) & ~(1 << i)
+        if new.bit_count() != 1:
+            raise TheoremViolationError(
+                f"flip of {self.pairs[i]} has {new.bit_count()} replacements"
+            )
+        return rest | new
+
+
+@lru_cache(maxsize=None)
+def polygon_table(n: int) -> PolygonTable:
+    """The integer table of rank ``n``.
+
+    Non-crossing is read off :func:`crossing_points` alone, never off Ext,
+    so crossing = 2 Ext and flip = exchange stay checks between two
+    independent routes.
+    """
+    pairs = all_cs_pairs(n)
+    noncross = [0] * len(pairs)
+    for i, a in enumerate(pairs):
+        for j in range(i + 1, len(pairs)):
+            if crossing_points(a, pairs[j]) == 0:
+                noncross[i] |= 1 << j
+                noncross[j] |= 1 << i
+    index = {p: i for i, p in enumerate(pairs)}
+    delta_index = tuple(index[delta(x)] for x in enumerate_rigid_indecs(n))
+    return PolygonTable(n, pairs, index, tuple(noncross), delta_index)
+
+
 def flip(tri: CsTriangulation, p: CsPair) -> CsTriangulation:
-    """Replace ``p`` by the unique other pair keeping a valid
-    triangulation, found by search over all CsPairs."""
+    """Replace ``p`` by the unique other pair keeping a triangulation."""
     if p not in tri.pairs:
         raise ValueError(f"{p} is not in the triangulation")
-    rest = tri.pairs - {p}
-    found = []
-    for q in all_cs_pairs(tri.n):
-        if q == p or q in rest:
-            continue
-        try:
-            found.append(CsTriangulation(tri.n, rest | {q}))
-        except StructuralError:
-            continue
-    if len(found) != 1:
-        raise TheoremViolationError(
-            f"flip of {p} has {len(found)} replacements"
-        )
-    return found[0]
+    table = polygon_table(tri.n)
+    return table.triangulation(table.flip(table.mask_of(tri), table.index[p]))
 
 
 class FlipGraph:
-    """All centrally symmetric triangulations, with flip edges."""
+    """All centrally symmetric triangulations, with flip edges.
+
+    A flip of n-1 pairwise non-crossing pairs gives n-1 such pairs again,
+    which is a maximal clique since every maximal clique has n-1 pairs;
+    so every flip lands on a node.
+    """
 
     def __init__(self, n: int):
         self.n = n
+        table = polygon_table(n)
         self.nodes: tuple[CsTriangulation, ...] = _all_triangulations(n)
-        self.edges: list[tuple[CsTriangulation, CsPair, CsTriangulation]] = []
-        for tri in self.nodes:
-            for p in tri.sorted_pairs():
-                self.edges.append((tri, p, flip(tri, p)))
+        node = {table.mask_of(tri): tri for tri in self.nodes}
+        self.edges: list[tuple[CsTriangulation, CsPair, CsTriangulation]] = [
+            (tri, table.pairs[i], node[table.flip(mask, i)])
+            for mask, tri in node.items()
+            for i in bit_indices(mask)
+        ]
 
     def undirected_edges(self) -> set[frozenset[CsTriangulation]]:
         return {frozenset((a, b)) for a, _, b in self.edges}
@@ -225,16 +290,10 @@ def flip_graph(n: int) -> FlipGraph:
 
 @lru_cache(maxsize=None)
 def _all_triangulations(n: int) -> tuple[CsTriangulation, ...]:
-    """Maximal cliques of the non-crossing graph on ``all_cs_pairs(n)``;
+    """Maximal cliques of the non-crossing graph of :func:`polygon_table`;
     every clique must have exactly n-1 pairs."""
-    pairs = all_cs_pairs(n)
-    adj = [0] * len(pairs)
-    for i, a in enumerate(pairs):
-        for j in range(i + 1, len(pairs)):
-            if crossing_points(a, pairs[j]) == 0:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    cliques = maximal_cliques(adj)
+    table = polygon_table(n)
+    cliques = maximal_cliques(table.noncross)
     for clique in cliques:
         if clique.bit_count() != n - 1:
             raise TheoremViolationError(
@@ -242,25 +301,28 @@ def _all_triangulations(n: int) -> tuple[CsTriangulation, ...]:
             )
     # pairs are in _pair_key order, so ascending indices sort triangulations
     cliques.sort(key=bit_indices)
-    return tuple(
-        CsTriangulation(n, frozenset(pairs[i] for i in bit_indices(c)))
-        for c in cliques
-    )
+    return tuple(table.triangulation(c) for c in cliques)
 
 
 def graphs_isomorphic_via_delta(eg, fg: FlipGraph) -> bool:
     """Does T -> triangulation_of(T) carry the exchange graph onto the
-    flip graph, edge by edge?"""
+    flip graph, edge by edge?  Delta is read off the table per index."""
     if eg.n != fg.n:
         return False
-    image = {t: triangulation_of(t) for t in eg.nodes}
-    if len(set(image.values())) != len(image) or set(image.values()) != set(fg.nodes):
+    table, rigid = polygon_table(eg.n), rigid_table(eg.n)
+    image = {
+        t: sum(1 << table.delta_index[rigid.index[x]] for x in t.summands)
+        for t in eg.nodes
+    }
+    images = {table.triangulation(m) for m in image.values()}
+    if len(images) != len(image) or images != set(fg.nodes):
         return False
-    flip_edges = fg.undirected_edges()
+    flip_edges = {
+        frozenset((table.mask_of(a), table.mask_of(b))) for a, _, b in fg.edges
+    }
     for t, k, t2 in eg.edges:
-        flipped = delta(t.summands[k])
-        if flip(image[t], flipped) != image[t2]:
-            return False
-        if frozenset((image[t], image[t2])) not in flip_edges:
+        m = image[t]
+        m2 = table.flip(m, table.delta_index[rigid.index[t.summands[k]]])
+        if m2 != image[t2] or frozenset((m, m2)) not in flip_edges:
             return False
     return True

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import RankMismatchError
 from .linalg import integer_rank
 from .tube import TubeObject, _mod_coord
@@ -49,22 +47,27 @@ class NilpotentRep:
         return sum(self.dims)
 
     def cycle_is_nilpotent(self) -> bool:
-        """Composite of n consecutive arrows, iterated, eventually zero."""
+        """Composite of n consecutive arrows, iterated, eventually zero:
+        from each vertex, the path of n * (total_dim + 1) arrows is zero."""
         for start in range(1, self.n + 1):
-            m = np.eye(self.dims[start - 1], dtype=np.int64)
+            d = self.dims[start - 1]
+            m = [[int(i == j) for j in range(d)] for i in range(d)]
             v = start
-            for _ in range(self.n):
-                arrow = np.array(self.arrow_maps[v - 1], dtype=np.int64).reshape(
-                    self.dims[v - 2], self.dims[v - 1]
-                )
-                m = arrow @ m
+            for _ in range(self.n * (self.total_dim + 1)):
+                m = _compose(self.arrow_maps[v - 1], m, d)
                 v = _mod_coord(v - 1, self.n)
-            power = np.eye(self.dims[start - 1], dtype=np.int64)
-            for _ in range(self.total_dim + 1):
-                power = m @ power
-            if power.any():
+            if any(any(row) for row in m):
                 return False
         return True
+
+
+def _compose(a, b, cols: int) -> list[list[int]]:
+    """The product ``a @ b`` of integer matrices, ``b`` having ``cols``
+    columns (kept explicit, since ``b`` may have no rows)."""
+    return [
+        [sum(x * b[t][j] for t, x in enumerate(row) if x) for j in range(cols)]
+        for row in a
+    ]
 
 
 def build_rep(x: TubeObject) -> NilpotentRep:

@@ -27,6 +27,15 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
+def common_neighbours(adj: Sequence[int], mask: int) -> int:
+    """The vertices outside ``mask`` adjacent to every vertex of ``mask``,
+    in the graph whose vertex ``v`` has neighbour mask ``adj[v]``."""
+    out = (1 << len(adj)) - 1
+    for i in bit_indices(mask):
+        out &= adj[i]
+    return out & ~mask
+
+
 def maximal_cliques(adj: Sequence[int]) -> list[int]:
     """Maximal cliques, as masks, of the graph on ``0..len(adj)-1`` whose
     vertex ``v`` has neighbour mask ``adj[v]`` (no self-loops).
@@ -118,11 +127,8 @@ class RigidTable:
     def complement_pair(self, tbar: int) -> tuple[int, int]:
         """The two indices completing the almost complete mask ``tbar``,
         which must be rigid; any other count falsifies unique exchange."""
-        candidates = (1 << len(self.objects)) - 1
-        for i in bit_indices(tbar):
-            candidates &= self.compat[i]
         found = [
-            i for i in bit_indices(candidates & ~tbar)
+            i for i in bit_indices(common_neighbours(self.compat, tbar))
             if not self.defect(tbar | 1 << i)
         ]
         if len(found) != 2:
@@ -186,6 +192,7 @@ class MaximalRigid:
 
     @property
     def top(self) -> TubeObject:
+        """The unique summand of quasi-length n-1."""
         return next(x for x in self.summands if x.b == self.n - 1)
 
     def __repr__(self) -> str:
@@ -246,11 +253,6 @@ def enumerate_maximal_rigid(n: int) -> tuple[MaximalRigid, ...]:
             )
     cliques.sort(key=bit_indices)
     return tuple(MaximalRigid(n, table.objects_of(c)) for c in cliques)
-
-
-def top_summand(t: MaximalRigid) -> TubeObject:
-    """The unique summand of quasi-length n-1."""
-    return t.top
 
 
 def to_tilting_datum(t: MaximalRigid) -> TiltingDatum:

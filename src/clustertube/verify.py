@@ -79,6 +79,11 @@ class VerifyReport:
         return out
 
 
+def _counterexample(name: str, bad, prefix: str = "at") -> CheckResult:
+    """Passes when no counterexample ``bad`` was found, else names it."""
+    return CheckResult(name, bad is None, "" if bad is None else f"{prefix} {bad}")
+
+
 def _catalan(m: int) -> int:
     return comb(2 * m, m) // (m + 1)
 
@@ -102,22 +107,12 @@ def suite_hom(n: int) -> list[CheckResult]:
         ),
         None,
     )
-    checks.append(
-        CheckResult(
-            "formula-vs-oracle",
-            bad is None,
-            "" if bad is None else f"disagree on {bad}",
-        )
-    )
+    checks.append(_counterexample("formula-vs-oracle", bad, "disagree on"))
 
     bad = next(
         ((x) for x in objs if (ext_dim_cluster(x, x) == 0) != (x.b <= n - 1)), None
     )
-    checks.append(
-        CheckResult(
-            "rigidity-boundary", bad is None, "" if bad is None else f"at {bad}"
-        )
-    )
+    checks.append(_counterexample("rigidity-boundary", bad))
 
     bad = next(
         (
@@ -128,9 +123,7 @@ def suite_hom(n: int) -> list[CheckResult]:
         ),
         None,
     )
-    checks.append(
-        CheckResult("ext-symmetry", bad is None, "" if bad is None else f"at {bad}")
-    )
+    checks.append(_counterexample("ext-symmetry", bad))
 
     bad = next(
         (
@@ -141,13 +134,7 @@ def suite_hom(n: int) -> list[CheckResult]:
         ),
         None,
     )
-    checks.append(
-        CheckResult(
-            "cluster-hom-contains-tube-hom",
-            bad is None,
-            "" if bad is None else f"at {bad}",
-        )
-    )
+    checks.append(_counterexample("cluster-hom-contains-tube-hom", bad))
 
     bad = next(
         (
@@ -161,11 +148,7 @@ def suite_hom(n: int) -> list[CheckResult]:
         ),
         None,
     )
-    checks.append(
-        CheckResult(
-            "hammock-consistency", bad is None, "" if bad is None else f"at {bad}"
-        )
-    )
+    checks.append(_counterexample("hammock-consistency", bad))
     return checks
 
 
@@ -205,20 +188,12 @@ def suite_counts(n: int) -> list[CheckResult]:
     bad = next(
         (t for t in maximal if from_tilting_datum(to_tilting_datum(t)) != t), None
     )
-    checks.append(
-        CheckResult(
-            "tilting-roundtrip", bad is None, "" if bad is None else f"at {bad}"
-        )
-    )
+    checks.append(_counterexample("tilting-roundtrip", bad))
 
     bad = next(
         (t for t in maximal if hom_dim_cluster(t.top, t.top) != 2), None
     )
-    checks.append(
-        CheckResult(
-            "top-loop-dimension", bad is None, "" if bad is None else f"at {bad}"
-        )
-    )
+    checks.append(_counterexample("top-loop-dimension", bad))
     return checks
 
 
@@ -240,11 +215,7 @@ def suite_mutation(n: int) -> list[CheckResult]:
         ),
         None,
     )
-    checks.append(
-        CheckResult(
-            "matrix-invariants", bad is None, "" if bad is None else f"at {bad}"
-        )
-    )
+    checks.append(_counterexample("matrix-invariants", bad))
 
     want_nodes = comb(2 * n - 2, n - 1)
     undirected = graph.undirected_edges()
@@ -290,11 +261,7 @@ def suite_mutation(n: int) -> list[CheckResult]:
                 break
         if bad:
             break
-    checks.append(
-        CheckResult(
-            "unique-exchange", bad is None, "" if bad is None else f"at {bad}"
-        )
-    )
+    checks.append(_counterexample("unique-exchange", bad))
     return checks
 
 
@@ -322,13 +289,7 @@ def suite_polygon(n: int) -> list[CheckResult]:
         ),
         None,
     )
-    checks.append(
-        CheckResult(
-            "crossing-equals-twice-ext",
-            bad is None,
-            "" if bad is None else f"at {bad}",
-        )
-    )
+    checks.append(_counterexample("crossing-equals-twice-ext", bad))
 
     eg = build_exchange_graph(n)
     fg = flip_graph(n)
@@ -363,11 +324,7 @@ def suite_no_ct(n: int) -> list[CheckResult]:
                 break
         if bad:
             break
-    checks.append(
-        CheckResult(
-            "witnesses", bad is None, "" if bad is None else f"at {bad}"
-        )
-    )
+    checks.append(_counterexample("witnesses", bad))
     return checks
 
 

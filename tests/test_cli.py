@@ -2,10 +2,11 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from clustertube.cli import main
+from clustertube.cli import RANK_CEILING, main
 
 
 def run(*args):
@@ -242,6 +243,57 @@ class TestGoldenOutput:
         code, out, _ = run(*argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+ZIGZAG_10 = "1,9;1,8;2,7;2,6;3,5;3,4;4,3;4,2;5,1"
+
+
+class TestRankCeiling:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate"],
+            ["exchange-graph"],
+            ["bmatrix", "--object", "1,1"],
+            ["mutate", "--object", "1,1", "--at", "1,1"],
+            ["polygon", "--object", "1,1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_above_ceiling_exits_two(self, argv):
+        code, out, err = run(*argv, "--rank", str(RANK_CEILING + 1))
+        assert code == 2
+        assert not out
+        assert f"2..{RANK_CEILING}" in err
+
+    def test_polygon_at_ceiling(self):
+        assert RANK_CEILING == 10
+        code, out, _ = run("polygon", "--rank", "10", "--object", ZIGZAG_10)
+        assert code == 0
+        assert json.loads(out)["rank"] == 10
+
+    def test_hom_is_unbounded(self):
+        code, out, _ = run("hom", "--rank", "2000", "--from", "1,1", "--to", "1,1")
+        assert code == 0
+        assert json.loads(out)["tube"] == 1
+
+
+class TestNoRuntimeDependencies:
+    def test_cli_import_loads_no_numpy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, clustertube.cli; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_pyproject_lists_no_dependencies(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text())["project"]
+        assert project["dependencies"] == []
 
 
 class TestInProcessEntryPoint:

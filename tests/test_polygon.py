@@ -1,4 +1,7 @@
+import hashlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clustertube import (
     CsTriangulation,
@@ -13,10 +16,12 @@ from clustertube import (
     delta_inv,
     diagonals_cross,
     enumerate_rigid_indecs,
+    exchange,
     ext_dim_cluster,
     flip,
     flip_graph,
     graphs_isomorphic_via_delta,
+    initial_seed,
     triangulation_of,
 )
 from clustertube.polygon import CsPair
@@ -126,6 +131,11 @@ class TestTriangulations:
         with pytest.raises(StructuralError):
             CsTriangulation(3, frozenset({pair(1, 4, 3), pair(2, 5, 3)}))
 
+    def test_pairs_of_another_polygon_rejected(self):
+        # a valid octagon triangulation, offered as one of the hexagon
+        with pytest.raises(StructuralError):
+            CsTriangulation(3, frozenset({pair(1, 5, 4), pair(2, 4, 4)}))
+
 
 class TestFlips:
     def test_flip_diameter(self):
@@ -158,6 +168,75 @@ class TestFlipGraph:
         assert len(g.nodes) == nodes
         assert len(g.undirected_edges()) == edges
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(2, 8))
     def test_isomorphic_to_exchange_graph(self, n):
         assert graphs_isomorphic_via_delta(build_exchange_graph(n), flip_graph(n))
+
+
+def reference_flip(tri, p):
+    """The flip by search: every other cs pair, validated by
+    CsTriangulation; exactly one must complete the rest."""
+    rest = tri.pairs - {p}
+    found = []
+    for q in all_cs_pairs(tri.n):
+        if q == p or q in rest:
+            continue
+        try:
+            found.append(CsTriangulation(tri.n, rest | {q}))
+        except StructuralError:
+            continue
+    assert len(found) == 1, (tri, p, found)
+    return found[0]
+
+
+def digests(g):
+    index = {t: i for i, t in enumerate(g.nodes)}
+    nodes = "\n".join(repr(t.sorted_pairs()) for t in g.nodes)
+    edges = "\n".join(f"{index[a]} {p!r} {index[b]}" for a, p, b in g.edges)
+    return (
+        hashlib.sha256(nodes.encode()).hexdigest(),
+        hashlib.sha256(edges.encode()).hexdigest(),
+    )
+
+
+# sha256 of flip_graph(n) nodes and edges, taken while flips were still
+# found by search over all cs pairs
+FLIP_GRAPH_DIGESTS = {
+    6: (
+        "2d629c6f35b9fe5c0896e98672b12f9e5fa746c0d4238a5e9916ca40f527c33a",
+        "064d886761deebdd30ad0317185ffa96d8f2b71a712823980dce079dacaaaa6d",
+    ),
+    7: (
+        "2fdf01b0413ffcb844781e695f12c3c2fc6bcde359e550753a099402595ab6e0",
+        "82e28af50dbec222f2f549c2c86b7174bc83936652f9eca8ba451ff845f97fd2",
+    ),
+}
+
+
+class TestMaskFlips:
+    @pytest.mark.parametrize("n", sorted(FLIP_GRAPH_DIGESTS))
+    def test_flip_graph_matches_search_digests(self, n):
+        assert digests(flip_graph(n)) == FLIP_GRAPH_DIGESTS[n]
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_agrees_with_search_on_every_pair(self, n):
+        for tri in flip_graph(n).nodes:
+            for p in tri.sorted_pairs():
+                assert flip(tri, p) == reference_flip(tri, p), (tri, p)
+
+    def test_isomorphism_mismatch_is_false(self):
+        assert not graphs_isomorphic_via_delta(build_exchange_graph(3), flip_graph(4))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(8, 14), st.lists(st.integers(0, 12), min_size=1, max_size=10))
+    def test_random_walk_flip_is_exchange(self, n, steps):
+        t = initial_seed(n).object
+        for step in steps:
+            k = step % (n - 1)
+            tri = triangulation_of(t)
+            t2, _ = exchange(t, k)
+            tri2 = flip(tri, delta(t.summands[k]))
+            assert tri2 == triangulation_of(t2)
+            (new,) = tri2.pairs - tri.pairs
+            assert flip(tri2, new) == tri
+            t = t2

@@ -1,6 +1,15 @@
-import pytest
+from fractions import Fraction
 
-from clustertube import TubeObject, build_rep, hom_dim_oracle, hom_dim_tube
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from clustertube import (
+    NilpotentRep,
+    TubeObject,
+    build_rep,
+    hom_dim_oracle,
+    hom_dim_tube,
+)
 from clustertube.errors import RankMismatchError
 from clustertube.linalg import integer_rank
 
@@ -9,7 +18,46 @@ def obj(a, b, n):
     return TubeObject(a, b, n)
 
 
+def fraction_rank(rows):
+    """Rank by Gaussian elimination over Fraction."""
+    rows = [[Fraction(v) for v in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def integer_matrices(draw):
+    """Random shapes with entries up to 10**30, and rows built as
+    combinations of earlier ones so that rank deficiency is common."""
+    m, k = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    big = st.integers(-(10**30), 10**30)
+    entry = st.one_of(st.integers(-3, 3), big)
+    rows = []
+    for _ in range(m):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(big), draw(big)
+            rows.append([x * u + y * v for u, v in zip(a, b)])
+        else:
+            rows.append([draw(entry) for _ in range(k)])
+    return rows
+
+
 class TestIntegerRank:
+    @settings(max_examples=300, deadline=None)
+    @given(integer_matrices())
+    def test_equals_fraction_elimination(self, rows):
+        assert integer_rank(rows) == fraction_rank(rows)
+
     def test_empty(self):
         assert integer_rank([]) == 0
 
@@ -48,6 +96,14 @@ class TestBuildRep:
     def test_cycle_nilpotent(self):
         for x in [obj(1, 1, 2), obj(2, 5, 3), obj(3, 8, 4)]:
             assert build_rep(x).cycle_is_nilpotent()
+
+    def test_cycle_not_nilpotent(self):
+        # a one-dimensional space at each vertex, every arrow the identity
+        rep = NilpotentRep(2, (1, 1), (((1,),), ((1,),)))
+        assert not rep.cycle_is_nilpotent()
+        # identity arrows, but every path passes the zero space at vertex 2
+        rep = NilpotentRep(3, (1, 0, 1), (((1,),), ((),), ()))
+        assert rep.cycle_is_nilpotent()
 
 
 class TestOracle:

@@ -12,7 +12,6 @@ from clustertube import (
     from_tilting_datum,
     is_rigid_set,
     to_tilting_datum,
-    top_summand,
     wing_contains,
 )
 
@@ -66,8 +65,8 @@ class TestMaximalRigidType:
         assert t.summands == (obj(1, 2, 3), obj(1, 1, 3))
 
     def test_top(self):
-        assert top_summand(mr(3, (1, 2), (1, 1))) == obj(1, 2, 3)
-        assert top_summand(mr(4, (1, 3), (1, 2), (1, 1))) == obj(1, 3, 4)
+        assert mr(3, (1, 2), (1, 1)).top == obj(1, 2, 3)
+        assert mr(4, (1, 3), (1, 2), (1, 1)).top == obj(1, 3, 4)
 
     def test_rejects_incompatible(self):
         with pytest.raises(StructuralError):
