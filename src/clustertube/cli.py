@@ -14,7 +14,13 @@ from .errors import RankMismatchError, StructuralError, TheoremViolationError
 from .mutation import build_exchange_graph, cartan_counterpart, exchange
 from .polygon import triangulation_of
 from .rigid import MaximalRigid, enumerate_maximal_rigid
-from .tube import TubeObject, ext_dim_cluster, hom_dim_cluster, hom_dim_tube
+from .tube import (
+    TubeObject,
+    canonical_key,
+    ext_dim_cluster,
+    hom_dim_cluster,
+    hom_dim_tube,
+)
 from .verify import run_suite
 
 # Largest --rank of the commands that build a rank's tables or its whole
@@ -81,9 +87,15 @@ def cmd_enumerate(args, out) -> int:
     return 0
 
 
+def _numbered(graph):
+    """The nodes of ``graph`` sorted by their summands, and each node's
+    position in that list."""
+    nodes = sorted(graph.nodes, key=lambda t: [canonical_key(x) for x in t.summands])
+    return nodes, {t: i for i, t in enumerate(nodes)}
+
+
 def _graph_dot(graph) -> str:
-    nodes = sorted(graph.nodes, key=lambda t: [(x.a, -x.b) for x in t.summands])
-    index = {t: i for i, t in enumerate(nodes)}
+    nodes, index = _numbered(graph)
     lines = ["graph exchange {"]
     for t in nodes:
         lines.append(f'  n{index[t]} [label="{_fmt_objects(t.summands)}"];')
@@ -100,8 +112,7 @@ def _graph_dot(graph) -> str:
 
 
 def _graph_json(graph) -> str:
-    nodes = sorted(graph.nodes, key=lambda t: [(x.a, -x.b) for x in t.summands])
-    index = {t: i for i, t in enumerate(nodes)}
+    nodes, index = _numbered(graph)
     node_payload = []
     for t in nodes:
         mat = graph.nodes[t]

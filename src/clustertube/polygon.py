@@ -9,7 +9,8 @@ dimension formula: crossing_points(dX, dY) = 2 dim Ext^1(X, Y).
 The pairs of one rank are numbered in :func:`all_cs_pairs` order
 (:class:`PolygonTable`), with one non-crossing bitmask per pair, so a
 triangulation is a mask and a flip is an AND of the rows of the pairs
-kept.
+kept: :func:`~clustertube.rigid.completions`, the same exchange step as
+for rigid objects.
 
 Corners are labelled clockwise 1..2n; all corner arithmetic is reduced
 into that range.
@@ -20,13 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import StructuralError, TheoremViolationError
+from .errors import StructuralError
 from .rigid import (
     MaximalRigid,
     bit_indices,
-    common_neighbours,
+    clusters,
+    completions,
     enumerate_rigid_indecs,
-    maximal_cliques,
     rigid_table,
 )
 from .tube import TubeObject, is_rigid_indec
@@ -148,9 +149,6 @@ class CsTriangulation:
         diameters = [p for p in pairs if p.degenerate]
         if len(diameters) != 1:
             raise StructuralError(f"{len(diameters)} diameters in {pairs}")
-        distinct = {d for p in pairs for d in p.diagonals}
-        if len(distinct) != 2 * self.n - 3:
-            raise StructuralError(f"expected {2 * self.n - 3} diagonals")
 
     def sorted_pairs(self) -> list[CsPair]:
         return sorted(self.pairs, key=_pair_key)
@@ -224,12 +222,7 @@ class PolygonTable:
         """The triangulation ``mask`` with pair ``i`` replaced by the one
         other pair that crosses none of the rest."""
         rest = mask & ~(1 << i)
-        new = common_neighbours(self.noncross, rest) & ~(1 << i)
-        if new.bit_count() != 1:
-            raise TheoremViolationError(
-                f"flip of {self.pairs[i]} has {new.bit_count()} replacements"
-            )
-        return rest | new
+        return rest | completions(self.noncross, rest) & ~(1 << i)
 
 
 @lru_cache(maxsize=None)
@@ -290,18 +283,11 @@ def flip_graph(n: int) -> FlipGraph:
 
 @lru_cache(maxsize=None)
 def _all_triangulations(n: int) -> tuple[CsTriangulation, ...]:
-    """Maximal cliques of the non-crossing graph of :func:`polygon_table`;
-    every clique must have exactly n-1 pairs."""
+    """The :func:`~clustertube.rigid.clusters` of the non-crossing graph
+    of :func:`polygon_table`."""
     table = polygon_table(n)
-    cliques = maximal_cliques(table.noncross)
-    for clique in cliques:
-        if clique.bit_count() != n - 1:
-            raise TheoremViolationError(
-                f"non-crossing clique of size {clique.bit_count()} at rank {n}"
-            )
     # pairs are in _pair_key order, so ascending indices sort triangulations
-    cliques.sort(key=bit_indices)
-    return tuple(table.triangulation(c) for c in cliques)
+    return tuple(table.triangulation(c) for c in clusters(table.noncross, n))
 
 
 def graphs_isomorphic_via_delta(eg, fg: FlipGraph) -> bool:

@@ -3,8 +3,10 @@
 The rigid indecomposables of one rank are numbered in canonical order
 (:class:`RigidTable`), so a set of them is an int bitmask whose bits, read
 upwards, list it in canonical summand order.  Enumeration, complements
-and the exchange graph run on these masks; :class:`MaximalRigid` and
-:class:`~clustertube.tube.TubeObject` are the boundary types.
+and the exchange graph run on these masks, through :func:`clusters` and
+:func:`completions`, which the polygon model shares.
+:class:`MaximalRigid` and :class:`~clustertube.tube.TubeObject` are the
+boundary types.
 """
 
 from __future__ import annotations
@@ -60,6 +62,33 @@ def maximal_cliques(adj: Sequence[int]) -> list[int]:
     if adj:
         expand(0, (1 << len(adj)) - 1, 0)
     return cliques
+
+
+def clusters(adj: Sequence[int], n: int) -> list[int]:
+    """The maximal cliques of ``adj``, sorted by their bit indices; at
+    rank ``n`` every one must have exactly n-1 vertices."""
+    cliques = maximal_cliques(adj)
+    for clique in cliques:
+        if clique.bit_count() != n - 1:
+            raise TheoremViolationError(
+                f"maximal clique of size {clique.bit_count()} at rank {n}: "
+                f"{bit_indices(clique)}"
+            )
+    cliques.sort(key=bit_indices)
+    return cliques
+
+
+def completions(adj: Sequence[int], tbar: int) -> int:
+    """The mask of the vertices completing the almost complete clique
+    ``tbar`` of ``adj`` (Ext-compatibility or non-crossing); any count
+    other than two falsifies unique exchange."""
+    found = common_neighbours(adj, tbar)
+    if found.bit_count() != 2:
+        raise TheoremViolationError(
+            f"{bit_indices(tbar)} has {found.bit_count()} completions: "
+            f"{bit_indices(found)}"
+        )
+    return found
 
 
 @dataclass(frozen=True)
@@ -123,20 +152,6 @@ class RigidTable:
         if outside:
             return f"has {self.objects_of(outside)} outside the wing of its top"
         return ""
-
-    def complement_pair(self, tbar: int) -> tuple[int, int]:
-        """The two indices completing the almost complete mask ``tbar``,
-        which must be rigid; any other count falsifies unique exchange."""
-        found = [
-            i for i in bit_indices(common_neighbours(self.compat, tbar))
-            if not self.defect(tbar | 1 << i)
-        ]
-        if len(found) != 2:
-            raise TheoremViolationError(
-                f"{self.objects_of(tbar)} has {len(found)} completions: "
-                f"{[self.objects[i] for i in found]}"
-            )
-        return found[0], found[1]
 
 
 @lru_cache(maxsize=None)
@@ -241,17 +256,10 @@ def compatibility(n: int) -> dict[TubeObject, frozenset[TubeObject]]:
 
 @lru_cache(maxsize=None)
 def enumerate_maximal_rigid(n: int) -> tuple[MaximalRigid, ...]:
-    """All maximal rigid objects, via maximal cliques of the
-    compatibility graph; every clique must have exactly n-1 vertices."""
+    """All maximal rigid objects: the :func:`clusters` of the
+    compatibility graph."""
     table = rigid_table(n)
-    cliques = maximal_cliques(table.compat)
-    for clique in cliques:
-        if clique.bit_count() != n - 1:
-            raise TheoremViolationError(
-                f"maximal clique of size {clique.bit_count()} at rank {n}: "
-                f"{table.objects_of(clique)}"
-            )
-    cliques.sort(key=bit_indices)
+    cliques = clusters(table.compat, n)
     return tuple(MaximalRigid(n, table.objects_of(c)) for c in cliques)
 
 
@@ -293,7 +301,7 @@ def complements(tbar: Sequence[TubeObject], n: int | None = None) -> tuple[TubeO
     mask = table.mask_of(tbar)
     if not table.is_rigid(mask):
         raise StructuralError(f"{tbar} is not rigid")
-    first, second = table.complement_pair(mask)
+    first, second = bit_indices(completions(table.compat, mask))
     return table.objects[first], table.objects[second]
 
 

@@ -45,6 +45,10 @@ SUITES = ("hom", "counts", "mutation", "polygon", "no-ct")
 _EXHAUSTIVE_MAX = 6
 _MAX_RANK = 8
 
+# Mutation-finite type B entries never leave this band; anything outside
+# means the propagation went off the rails.
+_ENTRY_BOUND = 2
+
 
 @dataclass
 class CheckResult:
@@ -211,7 +215,7 @@ def suite_mutation(n: int) -> list[CheckResult]:
             for t, mat in graph.nodes.items()
             if not is_sign_skew_symmetric(mat)
             or any(mat.entries[i][i] != 0 for i in range(n - 1))
-            or any(abs(v) > 2 for row in mat.entries for v in row)
+            or any(abs(v) > _ENTRY_BOUND for row in mat.entries for v in row)
         ),
         None,
     )

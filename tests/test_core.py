@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from clustertube import (
     StructuralError,
+    TheoremViolationError,
     TubeObject,
     all_cs_pairs,
     complements,
@@ -25,7 +26,13 @@ from clustertube import (
     wing_contains,
 )
 from clustertube.polygon import _all_triangulations, _pair_key
-from clustertube.rigid import maximal_cliques, rigid_table
+from clustertube.rigid import (
+    bit_indices,
+    clusters,
+    completions,
+    maximal_cliques,
+    rigid_table,
+)
 
 
 def wing_tilting_sets(a, m, n):
@@ -131,6 +138,54 @@ class TestMaximalCliques:
         found = maximal_cliques(adj)
         assert len(found) == len(set(found))
         assert set(found) == maximal
+
+
+def graph_of(v, edges):
+    """Neighbour masks of the graph on ``0..v-1`` with the given edges."""
+    adj = [0] * v
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj
+
+
+class TestClusterStructure:
+    def test_completions_of_a_clique_are_two(self):
+        # the path 0 - 1 - 2: vertex 1 alone is completed by 0 and by 2
+        assert completions(graph_of(3, [(0, 1), (1, 2)]), 0b010) == 0b101
+
+    def test_one_completion_is_a_theorem_violation(self):
+        edge = graph_of(2, [(0, 1)])
+        with pytest.raises(TheoremViolationError, match=r"has 1 completions: \[0\]"):
+            completions(edge, 0b10)
+
+    def test_three_completions_are_a_theorem_violation(self):
+        # the star with centre 0 and leaves 1, 2, 3
+        star = graph_of(4, [(0, 1), (0, 2), (0, 3)])
+        with pytest.raises(TheoremViolationError, match=r"3 completions: \[1, 2, 3\]"):
+            completions(star, 0b0001)
+
+    def test_clusters_sorted_by_indices(self):
+        # two triangles sharing the edge 1 - 2, at rank 4
+        adj = graph_of(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+        assert clusters(adj, 4) == [0b0111, 0b1110]
+
+    def test_clique_of_the_wrong_size_is_a_theorem_violation(self):
+        # a triangle and a pendant edge: maximal cliques of sizes 3 and 2
+        adj = graph_of(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        with pytest.raises(TheoremViolationError, match=r"size 2 at rank 4: \[2, 3\]"):
+            clusters(adj, 4)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_maximal_rigid_completion_is_maximal_rigid(self, n):
+        # the fact that lets complements skip the maximal-rigid filter
+        table = rigid_table(n)
+        for mask in clusters(table.compat, n):
+            for removed in bit_indices(mask):
+                tbar = mask & ~(1 << removed)
+                pair = bit_indices(completions(table.compat, tbar))
+                assert len(pair) == 2 and removed in pair
+                assert all(table.defect(tbar | 1 << i) == "" for i in pair)
 
 
 class TestEnumeration:

@@ -1,8 +1,12 @@
+import copy
+
 import pytest
 
 from clustertube import (
+    ExchangeMatrix,
     MaximalRigid,
     StructuralError,
+    TheoremViolationError,
     TubeObject,
     build_exchange_graph,
     cartan_counterpart,
@@ -11,6 +15,8 @@ from clustertube import (
     initial_seed,
     is_sign_skew_symmetric,
 )
+from clustertube import verify
+from clustertube.cli import main
 
 
 def obj(a, b, n):
@@ -183,3 +189,50 @@ class TestSignSkewSymmetry:
     def test_counterexamples(self):
         assert not is_sign_skew_symmetric([[0, 1], [1, 0]])
         assert is_sign_skew_symmetric([[0, 0], [0, 0]])
+
+
+class TestVerifyFailures:
+    """The ``mutation`` suite is the one home of the matrix invariants, so
+    its failure paths are exercised on a doctored copy of the graph."""
+
+    @staticmethod
+    def doctored(monkeypatch, entries):
+        """Make the suite see the rank-5 graph with one node's matrix
+        replaced by ``entries``; the cached graph is left untouched."""
+        graph = build_exchange_graph(5)
+        t = next(t for t in graph.nodes if t != initial_seed(5).object)
+        fake = copy.copy(graph)
+        fake.nodes = dict(graph.nodes)
+        fake.nodes[t] = ExchangeMatrix(t.summands, entries)
+        monkeypatch.setattr(verify, "build_exchange_graph", lambda n: fake)
+
+    def expect_failure(self, capsys, check):
+        report = verify.run_suite("mutation", 5)
+        assert [c.name for c in report.checks if not c.ok] == [check]
+        assert main(["verify", "--rank", "5", "--suite", "mutation"]) == 1
+        assert f"FAIL mutation/{check}" in capsys.readouterr().out
+
+    def test_entry_out_of_bound(self, monkeypatch, capsys):
+        zero = (0, 0, 0, 0)
+        self.doctored(monkeypatch, ((0, 3, 0, 0), (-1, 0, 0, 0), zero, zero))
+        self.expect_failure(capsys, "matrix-invariants")
+
+    def test_sign_skew_broken(self, monkeypatch, capsys):
+        zero = (0, 0, 0, 0)
+        self.doctored(monkeypatch, ((0, 1, 0, 0), (1, 0, 0, 0), zero, zero))
+        self.expect_failure(capsys, "matrix-invariants")
+
+    def test_build_failure_is_path_independence(self, monkeypatch, capsys):
+        def broken(n):
+            raise TheoremViolationError("path-independence failure at somewhere")
+
+        monkeypatch.setattr(verify, "build_exchange_graph", broken)
+        report = verify.run_suite("mutation", 5)
+        assert [(c.name, c.ok, c.detail) for c in report.checks] == [
+            ("path-independence", False, "path-independence failure at somewhere")
+        ]
+        assert main(["verify", "--rank", "5", "--suite", "mutation"]) == 1
+        assert (
+            "FAIL mutation/path-independence: path-independence failure at somewhere"
+            in capsys.readouterr().out
+        )

@@ -1,4 +1,5 @@
 import hashlib
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,7 @@ from clustertube import (
     initial_seed,
     triangulation_of,
 )
-from clustertube.polygon import CsPair
+from clustertube.polygon import CsPair, polygon_table
 
 
 def obj(a, b, n):
@@ -135,6 +136,19 @@ class TestTriangulations:
         # a valid octagon triangulation, offered as one of the hexagon
         with pytest.raises(StructuralError):
             CsTriangulation(3, frozenset({pair(1, 5, 4), pair(2, 4, 4)}))
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_accepts_exactly_the_cliques_with_one_diameter(self, n):
+        table = polygon_table(n)
+        for chosen in combinations(range(len(table.pairs)), n - 1):
+            pairs = frozenset(table.pairs[i] for i in chosen)
+            clique = all(table.noncross[i] >> j & 1 for i, j in combinations(chosen, 2))
+            diameters = sum(p.degenerate for p in pairs)
+            if clique and diameters == 1:
+                assert CsTriangulation(n, pairs).pairs == pairs
+            else:
+                with pytest.raises(StructuralError):
+                    CsTriangulation(n, pairs)
 
 
 class TestFlips:
