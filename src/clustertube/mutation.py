@@ -20,9 +20,9 @@ from .rigid import (
     MaximalRigid,
     bit_indices,
     complements,
-    completions,
     enumerate_maximal_rigid,
     rigid_table,
+    swap,
 )
 from .tube import TubeObject
 
@@ -174,7 +174,9 @@ class ExchangeGraph:
     ``nodes`` maps each maximal rigid object to its canonical-order
     matrix; ``edges`` holds every directed triple (t, k, t').  The
     search runs on the masks of :func:`~clustertube.rigid.rigid_table`,
-    where canonical order is ascending index order.
+    where canonical order is ascending index order.  The masks reached
+    must be exactly those of :func:`enumerate_maximal_rigid`, whose
+    objects become the nodes.
     """
 
     def __init__(self, n: int):
@@ -190,12 +192,8 @@ class ExchangeGraph:
             order = bit_indices(mask)
             b = rows[mask]
             for k, removed in enumerate(order):
-                tbar = mask & ~(1 << removed)
-                # every mask here is a clique, so ``removed`` is one of the
-                # two completions and ``new`` is the other
-                pair = completions(table.compat, tbar)
-                new = (pair & ~(1 << removed)).bit_length() - 1
-                mask2 = tbar | 1 << new
+                mask2 = swap(table.compat, mask, removed)
+                new = (mask2 & ~mask).bit_length() - 1
                 # canonical order of the new seed: the new summand's index
                 # sorts into position p among the indices kept
                 p = bisect(order, new) - (removed < new)
@@ -211,18 +209,18 @@ class ExchangeGraph:
                         f"{seen} vs {b2}"
                     )
                 edges.append((mask, k, mask2))
-        objects = {m: MaximalRigid(n, table.objects_of(m)) for m in rows}
+        objects = {table.mask_of(t.summands): t for t in enumerate_maximal_rigid(n)}
+        if objects.keys() != rows.keys():
+            raise TheoremViolationError(
+                f"exchange graph at rank {n} reaches {len(rows)} objects, "
+                f"the enumeration has {len(objects)}"
+            )
         self.nodes: dict[MaximalRigid, ExchangeMatrix] = {
             objects[m]: ExchangeMatrix(objects[m].summands, b) for m, b in rows.items()
         }
         self.edges: list[tuple[MaximalRigid, int, MaximalRigid]] = [
             (objects[m], k, objects[m2]) for m, k, m2 in edges
         ]
-        missing = set(enumerate_maximal_rigid(n)) - set(self.nodes)
-        if missing:
-            raise TheoremViolationError(
-                f"exchange graph at rank {n} misses {len(missing)} objects"
-            )
 
     def b_matrix(self, t: MaximalRigid) -> ExchangeMatrix:
         try:

@@ -8,9 +8,8 @@ dimension formula: crossing_points(dX, dY) = 2 dim Ext^1(X, Y).
 
 The pairs of one rank are numbered in :func:`all_cs_pairs` order
 (:class:`PolygonTable`), with one non-crossing bitmask per pair, so a
-triangulation is a mask and a flip is an AND of the rows of the pairs
-kept: :func:`~clustertube.rigid.completions`, the same exchange step as
-for rigid objects.
+triangulation is a mask and a flip is :func:`~clustertube.rigid.swap`
+on the non-crossing rows, the same exchange step as for rigid objects.
 
 Corners are labelled clockwise 1..2n; all corner arithmetic is reduced
 into that range.
@@ -26,9 +25,9 @@ from .rigid import (
     MaximalRigid,
     bit_indices,
     clusters,
-    completions,
     enumerate_rigid_indecs,
     rigid_table,
+    swap,
 )
 from .tube import TubeObject, is_rigid_indec
 
@@ -218,12 +217,6 @@ class PolygonTable:
             self.n, frozenset(self.pairs[i] for i in bit_indices(mask))
         )
 
-    def flip(self, mask: int, i: int) -> int:
-        """The triangulation ``mask`` with pair ``i`` replaced by the one
-        other pair that crosses none of the rest."""
-        rest = mask & ~(1 << i)
-        return rest | completions(self.noncross, rest) & ~(1 << i)
-
 
 @lru_cache(maxsize=None)
 def polygon_table(n: int) -> PolygonTable:
@@ -250,7 +243,8 @@ def flip(tri: CsTriangulation, p: CsPair) -> CsTriangulation:
     if p not in tri.pairs:
         raise ValueError(f"{p} is not in the triangulation")
     table = polygon_table(tri.n)
-    return table.triangulation(table.flip(table.mask_of(tri), table.index[p]))
+    mask = swap(table.noncross, table.mask_of(tri), table.index[p])
+    return table.triangulation(mask)
 
 
 class FlipGraph:
@@ -267,7 +261,7 @@ class FlipGraph:
         self.nodes: tuple[CsTriangulation, ...] = _all_triangulations(n)
         node = {table.mask_of(tri): tri for tri in self.nodes}
         self.edges: list[tuple[CsTriangulation, CsPair, CsTriangulation]] = [
-            (tri, table.pairs[i], node[table.flip(mask, i)])
+            (tri, table.pairs[i], node[swap(table.noncross, mask, i)])
             for mask, tri in node.items()
             for i in bit_indices(mask)
         ]
@@ -292,7 +286,8 @@ def _all_triangulations(n: int) -> tuple[CsTriangulation, ...]:
 
 def graphs_isomorphic_via_delta(eg, fg: FlipGraph) -> bool:
     """Does T -> triangulation_of(T) carry the exchange graph onto the
-    flip graph, edge by edge?  Delta is read off the table per index."""
+    flip graph, edge by edge and label by label?  Delta is read off the
+    table per index; the flips are the flip graph's own edges."""
     if eg.n != fg.n:
         return False
     table, rigid = polygon_table(eg.n), rigid_table(eg.n)
@@ -300,15 +295,13 @@ def graphs_isomorphic_via_delta(eg, fg: FlipGraph) -> bool:
         t: sum(1 << table.delta_index[rigid.index[x]] for x in t.summands)
         for t in eg.nodes
     }
-    images = {table.triangulation(m) for m in image.values()}
-    if len(images) != len(image) or images != set(fg.nodes):
+    mask = {tri: table.mask_of(tri) for tri in fg.nodes}
+    images = set(image.values())
+    if len(images) != len(image) or images != set(mask.values()):
         return False
-    flip_edges = {
-        frozenset((table.mask_of(a), table.mask_of(b))) for a, _, b in fg.edges
-    }
-    for t, k, t2 in eg.edges:
-        m = image[t]
-        m2 = table.flip(m, table.delta_index[rigid.index[t.summands[k]]])
-        if m2 != image[t2] or frozenset((m, m2)) not in flip_edges:
-            return False
-    return True
+    flips = {(mask[a], table.index[p]): mask[b] for a, p, b in fg.edges}
+    return len(fg.edges) == len(eg.edges) and all(
+        flips.get((image[t], table.delta_index[rigid.index[t.summands[k]]]))
+        == image[t2]
+        for t, k, t2 in eg.edges
+    )

@@ -3,8 +3,8 @@
 The rigid indecomposables of one rank are numbered in canonical order
 (:class:`RigidTable`), so a set of them is an int bitmask whose bits, read
 upwards, list it in canonical summand order.  Enumeration, complements
-and the exchange graph run on these masks, through :func:`clusters` and
-:func:`completions`, which the polygon model shares.
+and the exchange graph run on these masks, through :func:`clusters`,
+:func:`completions` and :func:`swap`, which the polygon model shares.
 :class:`MaximalRigid` and :class:`~clustertube.tube.TubeObject` are the
 boundary types.
 """
@@ -89,6 +89,13 @@ def completions(adj: Sequence[int], tbar: int) -> int:
             f"{bit_indices(found)}"
         )
     return found
+
+
+def swap(adj: Sequence[int], mask: int, i: int) -> int:
+    """The maximal clique ``mask`` of ``adj`` with vertex ``i`` exchanged
+    for the other completion of the rest: exchange, and flip."""
+    rest = mask & ~(1 << i)
+    return rest | completions(adj, rest) & ~(1 << i)
 
 
 @dataclass(frozen=True)

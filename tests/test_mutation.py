@@ -15,7 +15,7 @@ from clustertube import (
     initial_seed,
     is_sign_skew_symmetric,
 )
-from clustertube import verify
+from clustertube import mutation, verify
 from clustertube.cli import main
 
 
@@ -91,6 +91,24 @@ class TestExchange:
             assert back == t
 
 
+class TestExchangeMatrix:
+    """The constructor is the one home of the shape and zero-diagonal
+    checks; no graph node can carry a matrix that fails them."""
+
+    ORDER = (obj(1, 2, 3), obj(1, 1, 3))
+
+    def test_nonzero_diagonal(self):
+        with pytest.raises(StructuralError, match="diagonal"):
+            ExchangeMatrix(self.ORDER, ((1, 1), (-1, 0)))
+
+    @pytest.mark.parametrize(
+        "entries", [((0, 1),), ((0, 1), (-1, 0), (0, 0)), ((0, 1), (-1,))]
+    )
+    def test_mismatched_shape(self, entries):
+        with pytest.raises(StructuralError, match="order"):
+            ExchangeMatrix(self.ORDER, entries)
+
+
 class TestExchangeGraph:
     @pytest.mark.parametrize("n,nodes,edges", [(2, 2, 1), (3, 6, 6), (4, 20, 30)])
     def test_shape(self, n, nodes, edges):
@@ -123,6 +141,12 @@ class TestExchangeGraph:
             for mat in g.nodes.values():
                 assert all(abs(v) <= 2 for row in mat.entries for v in row)
                 assert is_sign_skew_symmetric(mat)
+
+    def test_nodes_must_equal_the_enumeration(self, monkeypatch):
+        real = mutation.enumerate_maximal_rigid
+        monkeypatch.setattr(mutation, "enumerate_maximal_rigid", lambda n: real(n)[1:])
+        with pytest.raises(TheoremViolationError, match="reaches 70 objects.* 69"):
+            mutation.ExchangeGraph(5)
 
     def test_seed_matrix_matches_involution(self):
         g = build_exchange_graph(4)
@@ -236,3 +260,8 @@ class TestVerifyFailures:
             "FAIL mutation/path-independence: path-independence failure at somewhere"
             in capsys.readouterr().out
         )
+
+    def test_unique_exchange_counts_enumerated_clusters(self, monkeypatch, capsys):
+        real = verify.clusters
+        monkeypatch.setattr(verify, "clusters", lambda adj, n: real(adj, n)[1:])
+        self.expect_failure(capsys, "unique-exchange")

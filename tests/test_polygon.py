@@ -1,3 +1,4 @@
+import copy
 import hashlib
 from itertools import combinations
 
@@ -26,10 +27,17 @@ from clustertube import (
     triangulation_of,
 )
 from clustertube.polygon import CsPair, polygon_table
+from clustertube.rigid import rigid_table, swap
 
 
 def obj(a, b, n):
     return TubeObject(a, b, n)
+
+
+def rigid_pairs(n):
+    """Two rigid indecomposables of rank ``n``."""
+    x = st.builds(obj, st.integers(1, n), st.integers(1, n - 1), st.just(n))
+    return st.tuples(x, x)
 
 
 def mr(n, *pairs):
@@ -108,6 +116,12 @@ class TestCrossingPoints:
                 assert crossing_points(delta(x), delta(y)) == 2 * ext_dim_cluster(
                     x, y
                 ), (x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 30).flatmap(rigid_pairs))
+    def test_equals_twice_ext_beyond_the_exhaustive_ranks(self, pair):
+        x, y = pair
+        assert crossing_points(delta(x), delta(y)) == 2 * ext_dim_cluster(x, y)
 
 
 class TestTriangulations:
@@ -227,6 +241,29 @@ FLIP_GRAPH_DIGESTS = {
 }
 
 
+def retarget(edges):
+    a, p, b = edges[0]
+    edges[0] = (a, p, next(t for t in flip_graph(4).nodes if t not in (a, b)))
+
+
+def relabel(edges):
+    a, p, b = edges[0]
+    edges[0] = (a, next(q for q in a.sorted_pairs() if q != p), b)
+
+
+def drop(edges):
+    edges.pop()
+
+
+def extra(edges):
+    a, _, b = edges[0]
+    edges.append((a, next(q for q in all_cs_pairs(4) if q not in a.pairs), b))
+
+
+# edits of flip_graph(4).edges, each of which breaks the isomorphism
+DOCTORINGS = (retarget, relabel, drop, extra)
+
+
 class TestMaskFlips:
     @pytest.mark.parametrize("n", sorted(FLIP_GRAPH_DIGESTS))
     def test_flip_graph_matches_search_digests(self, n):
@@ -241,6 +278,13 @@ class TestMaskFlips:
     def test_isomorphism_mismatch_is_false(self):
         assert not graphs_isomorphic_via_delta(build_exchange_graph(3), flip_graph(4))
 
+    @pytest.mark.parametrize("edit", DOCTORINGS, ids=lambda f: f.__name__)
+    def test_isomorphism_sees_a_doctored_edge_list(self, edit):
+        fake = copy.copy(flip_graph(4))
+        fake.edges = list(fake.edges)
+        edit(fake.edges)
+        assert not graphs_isomorphic_via_delta(build_exchange_graph(4), fake)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(8, 14), st.lists(st.integers(0, 12), min_size=1, max_size=10))
     def test_random_walk_flip_is_exchange(self, n, steps):
@@ -248,9 +292,15 @@ class TestMaskFlips:
         for step in steps:
             k = step % (n - 1)
             tri = triangulation_of(t)
-            t2, _ = exchange(t, k)
+            t2, k2 = exchange(t, k)
             tri2 = flip(tri, delta(t.summands[k]))
             assert tri2 == triangulation_of(t2)
             (new,) = tri2.pairs - tri.pairs
             assert flip(tri2, new) == tri
+            assert exchange(t2, k2) == (t, k)
+            table = rigid_table(n)
+            mask = table.mask_of(t.summands)
+            mask2 = swap(table.compat, mask, table.index[t.summands[k]])
+            assert mask2 == table.mask_of(t2.summands)
+            assert swap(table.compat, mask2, table.index[t2.summands[k2]]) == mask
             t = t2

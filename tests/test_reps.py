@@ -18,6 +18,12 @@ def obj(a, b, n):
     return TubeObject(a, b, n)
 
 
+def object_pairs(n):
+    """Two indecomposables of rank ``n``, of quasi-length at most 2n."""
+    x = st.builds(obj, st.integers(1, n), st.integers(1, 2 * n), st.just(n))
+    return st.tuples(x, x)
+
+
 def fraction_rank(rows):
     """Rank by Gaussian elimination over Fraction."""
     rows = [[Fraction(v) for v in r] for r in rows]
@@ -121,6 +127,12 @@ class TestOracle:
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatchError):
             hom_dim_oracle(obj(1, 1, 3), obj(1, 1, 4))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 12).flatmap(object_pairs))
+    def test_agrees_with_formula_beyond_the_exhaustive_ranks(self, pair):
+        x, y = pair
+        assert hom_dim_oracle(x, y) == hom_dim_tube(x, y)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_exhaustive_small(self, n):
