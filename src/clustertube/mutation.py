@@ -143,7 +143,6 @@ def initial_seed(n: int) -> Seed:
         raise ValueError(f"rank must be >= 2, got {n}")
     summands = tuple(TubeObject((j + 1) // 2, n - j, n) for j in range(1, n))
     obj = MaximalRigid(n, summands)
-    assert obj.summands == summands, "zig-zag object is not in canonical order"
     size = n - 1
     rows = [[0] * size for _ in range(size)]
     if size >= 2:
@@ -223,10 +222,9 @@ class ExchangeGraph:
         ]
 
     def b_matrix(self, t: MaximalRigid) -> ExchangeMatrix:
-        try:
-            return self.nodes[t]
-        except KeyError:
-            raise StructuralError(f"unknown node {t}") from None
+        if t not in self.nodes:
+            raise StructuralError(f"unknown node {t}")
+        return self.nodes[t]
 
     def middle_terms(self, t: MaximalRigid, i: int) -> MiddleTerms:
         mat = self.b_matrix(t)

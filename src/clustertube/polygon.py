@@ -10,6 +10,9 @@ The pairs of one rank are numbered in :func:`all_cs_pairs` order
 (:class:`PolygonTable`), with one non-crossing bitmask per pair, so a
 triangulation is a mask and a flip is :func:`~clustertube.rigid.swap`
 on the non-crossing rows, the same exchange step as for rigid objects.
+The two node verdicts of ``verify``'s polygon suite (triangulation
+bijection, isomorphism) read one map from maximal rigid objects to their
+delta-image masks (:meth:`PolygonTable.image_mask`) against the flip graph's.
 
 Corners are labelled clockwise 1..2n; all corner arithmetic is reduced
 into that range.
@@ -212,6 +215,11 @@ class PolygonTable:
     def mask_of(self, tri: CsTriangulation) -> int:
         return sum(1 << self.index[p] for p in tri.pairs)
 
+    def image_mask(self, t: MaximalRigid) -> int:
+        """The mask of delta's image of ``t``, read off ``delta_index``."""
+        index = rigid_table(self.n).index
+        return sum(1 << self.delta_index[index[x]] for x in t.summands)
+
     def triangulation(self, mask: int) -> CsTriangulation:
         return CsTriangulation(
             self.n, frozenset(self.pairs[i] for i in bit_indices(mask))
@@ -275,7 +283,6 @@ def flip_graph(n: int) -> FlipGraph:
     return FlipGraph(n)
 
 
-@lru_cache(maxsize=None)
 def _all_triangulations(n: int) -> tuple[CsTriangulation, ...]:
     """The :func:`~clustertube.rigid.clusters` of the non-crossing graph
     of :func:`polygon_table`."""
@@ -291,10 +298,7 @@ def graphs_isomorphic_via_delta(eg, fg: FlipGraph) -> bool:
     if eg.n != fg.n:
         return False
     table, rigid = polygon_table(eg.n), rigid_table(eg.n)
-    image = {
-        t: sum(1 << table.delta_index[rigid.index[x]] for x in t.summands)
-        for t in eg.nodes
-    }
+    image = {t: table.image_mask(t) for t in eg.nodes}
     mask = {tri: table.mask_of(tri) for tri in fg.nodes}
     images = set(image.values())
     if len(images) != len(image) or images != set(mask.values()):

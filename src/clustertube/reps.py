@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import RankMismatchError
 from .linalg import integer_rank
-from .tube import TubeObject, _mod_coord
+from .tube import TubeObject, _mod_coord, _same_rank
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -96,9 +95,7 @@ def hom_dim_oracle(x: TubeObject, y: TubeObject) -> int:
     Unknowns are the per-vertex blocks f_v of a morphism build_rep(x) ->
     build_rep(y); each arrow contributes Y_v f_v - f_{v-1} X_v = 0.
     """
-    if x.n != y.n:
-        raise RankMismatchError(f"rank mismatch: {x.n} vs {y.n}")
-    n = x.n
+    n = _same_rank(x, y)
     rx, ry = build_rep(x), build_rep(y)
 
     offsets = []

@@ -25,7 +25,7 @@ from .polygon import (
     delta_inv,
     flip_graph,
     graphs_isomorphic_via_delta,
-    triangulation_of,
+    polygon_table,
 )
 from .reps import hom_dim_oracle
 from .rigid import (
@@ -178,9 +178,7 @@ def suite_counts(n: int) -> list[CheckResult]:
         )
     )
 
-    per_top: dict[int, int] = {}
-    for t in maximal:
-        per_top[t.top.a] = per_top.get(t.top.a, 0) + 1
+    per_top = dict(Counter(t.top.a for t in maximal))
     cat = _catalan(n - 1)
     checks.append(
         CheckResult(
@@ -272,10 +270,11 @@ def suite_mutation(n: int) -> list[CheckResult]:
 def suite_polygon(n: int) -> list[CheckResult]:
     checks = []
     rigids = enumerate_rigid_indecs(n)
+    pair = {x: delta(x) for x in rigids}
 
-    image = {delta(x) for x in rigids}
+    image = set(pair.values())
     pairs = set(all_cs_pairs(n))
-    inv_ok = all(delta_inv(delta(x)) == x for x in rigids)
+    inv_ok = all(delta_inv(p) == x for x, p in pair.items())
     checks.append(
         CheckResult(
             "delta-bijection",
@@ -289,7 +288,7 @@ def suite_polygon(n: int) -> list[CheckResult]:
             (x, y)
             for x in rigids
             for y in rigids
-            if crossing_points(delta(x), delta(y)) != 2 * ext_dim_cluster(x, y)
+            if crossing_points(pair[x], pair[y]) != 2 * ext_dim_cluster(x, y)
         ),
         None,
     )
@@ -297,11 +296,13 @@ def suite_polygon(n: int) -> list[CheckResult]:
 
     eg = build_exchange_graph(n)
     fg = flip_graph(n)
-    images = {triangulation_of(t) for t in eg.nodes}
+    table = polygon_table(n)
+    images = {table.image_mask(t) for t in eg.nodes}
     checks.append(
         CheckResult(
             "triangulation-bijection",
-            len(images) == len(eg.nodes) and images == set(fg.nodes),
+            len(images) == len(eg.nodes)
+            and images == {table.mask_of(tri) for tri in fg.nodes},
             f"{len(images)} triangulations of {len(eg.nodes)} objects",
         )
     )

@@ -237,12 +237,30 @@ GOLDEN = [
 ]
 
 
+# sha256 of `verify --suite all` stdout by rank; every rank exits 0
+VERIFY_ALL_GOLDEN = {
+    2: "96b41a2b117564eb68a46301fec44b00cbfb462fabdcaf8169a7ae8457a3c736",
+    3: "48fffe9daeae883d954ee390154166c5eaacb6aa3965a85f3bcd45d7f243e4b1",
+    4: "e89374c57474a34e1a144aed009270320fda9c30fda4a51859572907f8df87ff",
+    5: "2d54c1452638e9938f2493fe8675c130c121706426d9c04cb8fe77d1083bb7c3",
+    6: "0b010847e92a19ca2f5a3235e28149250647fcf02081298e8d502942cbfd60c7",
+    7: "440340ff301a818dbb8a38126e42f9767dd5888637a994b49e32b375604755e7",
+    8: "e06013fd9498b14a200529aee9093f0894f84706c7cbbf4075f7e0bb99ddedda",
+}
+
+
 class TestGoldenOutput:
     @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[g[0][0] + g[0][2] for g in GOLDEN])
     def test_byte_identical(self, argv, digest):
         code, out, _ = run(*argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("rank", sorted(VERIFY_ALL_GOLDEN))
+    def test_verify_all_byte_identical(self, rank):
+        code, out, _ = run("verify", "--rank", str(rank), "--suite", "all")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_GOLDEN[rank]
 
 
 ZIGZAG_10 = "1,9;1,8;2,7;2,6;3,5;3,4;4,3;4,2;5,1"

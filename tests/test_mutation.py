@@ -132,7 +132,7 @@ class TestExchangeGraph:
 
     def test_unknown_node(self):
         g = build_exchange_graph(3)
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match="^unknown node "):
             g.b_matrix(mr(4, (1, 3), (1, 2), (2, 1)))
 
     def test_matrix_entries_bounded(self):

@@ -1,6 +1,8 @@
 import copy
 import hashlib
+import sys
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +28,8 @@ from clustertube import (
     initial_seed,
     triangulation_of,
 )
+from clustertube import verify
+from clustertube.cli import main
 from clustertube.polygon import CsPair, polygon_table
 from clustertube.rigid import rigid_table, swap
 
@@ -304,3 +308,51 @@ class TestMaskFlips:
             assert mask2 == table.mask_of(t2.summands)
             assert swap(table.compat, mask2, table.index[t2.summands[k2]]) == mask
             t = t2
+
+
+def clear_package_caches():
+    """A cold start: empty every ``lru_cache`` of the package."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "clustertube":
+            for fn in vars(module).values():
+                if hasattr(fn, "cache_clear"):
+                    fn.cache_clear()
+
+
+class TestDeltaImageMask:
+    """Both node verdicts of the ``polygon`` suite read
+    ``PolygonTable.image_mask``; the flip graph's node validation is the
+    one place a triangulation object is built per node."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_equals_the_mask_of_triangulation_of(self, n):
+        table = polygon_table(n)
+        for t in build_exchange_graph(n).nodes:
+            assert table.image_mask(t) == table.mask_of(triangulation_of(t)), t
+
+    @pytest.mark.parametrize("n", range(4, 7))
+    def test_cold_suite_builds_one_triangulation_per_node(self, n, monkeypatch):
+        built = []
+        validate = CsTriangulation.__post_init__
+
+        def counted(tri):
+            built.append(tri)
+            validate(tri)
+
+        clear_package_caches()
+        monkeypatch.setattr(CsTriangulation, "__post_init__", counted)
+        assert all(c.ok for c in verify.suite_polygon(n))
+        assert len(built) == comb(2 * n - 2, n - 1)
+
+    def test_dropped_flip_graph_node_fails_the_bijection(self, monkeypatch, capsys):
+        fake = copy.copy(flip_graph(4))
+        fake.nodes = fake.nodes[1:]
+        monkeypatch.setattr(verify, "flip_graph", lambda n: fake)
+        report = verify.run_suite("polygon", 4)
+        assert [c.name for c in report.checks if not c.ok] == [
+            "triangulation-bijection",
+            "flip-graph-isomorphism",
+        ]
+        assert main(["verify", "--rank", "4", "--suite", "polygon"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL polygon/triangulation-bijection: 20 triangulations" in out

@@ -125,7 +125,7 @@ class TestOracle:
         assert hom_dim_oracle(obj(1, 6, 3), obj(1, 6, 3)) == 2
 
     def test_rank_mismatch(self):
-        with pytest.raises(RankMismatchError):
+        with pytest.raises(RankMismatchError, match="^rank mismatch: 3 vs 4$"):
             hom_dim_oracle(obj(1, 1, 3), obj(1, 1, 4))
 
     @settings(max_examples=200, deadline=None)
