@@ -10,7 +10,6 @@ checked once, by the ``mutation`` suite of :mod:`clustertube.verify`.
 
 from __future__ import annotations
 
-from bisect import bisect
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -84,32 +83,33 @@ def is_sign_skew_symmetric(rows) -> bool:
     )
 
 
-def _mutate_rows(b: Rows, k: int) -> Rows:
-    """Fomin-Zelevinsky mutation at ``k`` of a square matrix of rows.
+def _mutate_rows(b: Rows, k: int, p: int) -> Rows:
+    """Fomin-Zelevinsky mutation at ``k`` of a square matrix of rows,
+    with index ``k`` written at position ``p`` and the others kept in
+    order around it.
 
     Row and column k change sign; another row changes only where its
     column-k entry is nonzero.
     """
+    perm = [*range(k), *range(k + 1, len(b))]
+    perm.insert(p, k)
     bk = b[k]
     new = []
-    for i, row in enumerate(b):
+    for i in perm:
+        row = b[i]
         c = row[k]
         if i == k:
-            new.append(tuple(-v for v in row))
+            new.append(tuple(-row[j] for j in perm))
         elif c == 0:
-            new.append(row)
+            new.append(tuple(row[j] for j in perm))
         else:
-            changed = [v + (abs(c) * w + c * abs(w)) // 2 for v, w in zip(row, bk)]
-            changed[k] = -c
-            new.append(tuple(changed))
+            new.append(
+                tuple(
+                    -c if j == k else row[j] + (abs(c) * bk[j] + c * abs(bk[j])) // 2
+                    for j in perm
+                )
+            )
     return tuple(new)
-
-
-def _move(seq: tuple, k: int, p: int) -> tuple:
-    """``seq`` with its item at position ``k`` moved to position ``p``."""
-    if p >= k:
-        return seq[:k] + seq[k + 1 : p + 1] + seq[k : k + 1] + seq[p + 1 :]
-    return seq[:p] + seq[k : k + 1] + seq[p:k] + seq[k + 1 :]
 
 
 def fz_mutate(mat: ExchangeMatrix, k: int) -> ExchangeMatrix:
@@ -121,7 +121,7 @@ def fz_mutate(mat: ExchangeMatrix, k: int) -> ExchangeMatrix:
     size = len(mat.order)
     if not 0 <= k < size:
         raise IndexError(f"mutation index {k} out of range for size {size}")
-    return ExchangeMatrix(mat.order, _mutate_rows(mat.entries, k))
+    return ExchangeMatrix(mat.order, _mutate_rows(mat.entries, k, k))
 
 
 def cartan_counterpart(mat) -> Rows:
@@ -171,11 +171,13 @@ class ExchangeGraph:
     """All seeds at rank n, with B-matrices propagated by BFS.
 
     ``nodes`` maps each maximal rigid object to its canonical-order
-    matrix; ``edges`` holds every directed triple (t, k, t').  The
-    search runs on the masks of :func:`~clustertube.rigid.rigid_table`,
-    where canonical order is ascending index order.  The masks reached
-    must be exactly those of :func:`enumerate_maximal_rigid`, whose
-    objects become the nodes.
+    matrix, in :func:`enumerate_maximal_rigid` order; ``edges`` holds
+    every directed triple (t, k, t').  The search runs on the masks of
+    :func:`~clustertube.rigid.rigid_table`, where canonical order is bit
+    order, so each mutation step writes the new summand straight into
+    its position: the number of kept bits below its index.  The masks
+    reached must be exactly those of the enumeration, whose objects
+    become the nodes.
     """
 
     def __init__(self, n: int):
@@ -188,16 +190,11 @@ class ExchangeGraph:
         queue = deque([start])
         while queue:
             mask = queue.popleft()
-            order = bit_indices(mask)
             b = rows[mask]
-            for k, removed in enumerate(order):
+            for k, removed in enumerate(bit_indices(mask)):
                 mask2 = swap(table.compat, mask, removed)
                 new = (mask2 & ~mask).bit_length() - 1
-                # canonical order of the new seed: the new summand's index
-                # sorts into position p among the indices kept
-                p = bisect(order, new) - (removed < new)
-                mutated = _mutate_rows(b, k)
-                b2 = _move(tuple(_move(row, k, p) for row in mutated), k, p)
+                b2 = _mutate_rows(b, k, (mask2 & ((1 << new) - 1)).bit_count())
                 seen = rows.get(mask2)
                 if seen is None:
                     rows[mask2] = b2
@@ -215,7 +212,7 @@ class ExchangeGraph:
                 f"the enumeration has {len(objects)}"
             )
         self.nodes: dict[MaximalRigid, ExchangeMatrix] = {
-            objects[m]: ExchangeMatrix(objects[m].summands, b) for m, b in rows.items()
+            t: ExchangeMatrix(t.summands, rows[m]) for m, t in objects.items()
         }
         self.edges: list[tuple[MaximalRigid, int, MaximalRigid]] = [
             (objects[m], k, objects[m2]) for m, k, m2 in edges

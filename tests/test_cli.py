@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from clustertube.cli import RANK_CEILING, main
+from clustertube.cli import RANK_CEILING, build_parser, main
+from clustertube.verify import SUITES
 
 
 def run(*args):
@@ -210,6 +212,12 @@ class TestVerify:
         assert code == 2
         assert err
 
+    def test_suite_choices_are_the_suites(self):
+        actions = build_parser()._actions
+        sub = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
+        suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+        assert suite.choices == ("all",) + SUITES
+
 
 # sha256 of stdout, captured before the enumeration and the exchange
 # graph moved onto integer masks; the CLI output must stay byte-identical
@@ -225,6 +233,14 @@ GOLDEN = [
     (
         ["exchange-graph", "--rank", "5", "--format", "dot"],
         "d95582070cd8dbe21894138c742e0eb7413f1a2afc8211c72f52c6eedd7d2a60",
+    ),
+    (
+        ["exchange-graph", "--rank", "7", "--format", "dot"],
+        "c09ada9eb333fe9df241957bb20785a9a095f0984f5c837ad431c502da09d260",
+    ),
+    (
+        ["exchange-graph", "--rank", "7", "--format", "json"],
+        "304e696d39e8696069426c3fc2b32b5f1c2df6177122eddbca782434b69c9e72",
     ),
     (
         ["bmatrix", "--rank", "7", "--object", "3,6;4,5;4,4;4,3;4,2;5,1", "--cartan"],

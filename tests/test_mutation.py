@@ -10,6 +10,7 @@ from clustertube import (
     TubeObject,
     build_exchange_graph,
     cartan_counterpart,
+    enumerate_maximal_rigid,
     exchange,
     fz_mutate,
     initial_seed,
@@ -156,6 +157,42 @@ class TestExchangeGraph:
             back, _ = exchange(t2, k2)
             assert back == t
             assert g.b_matrix(back).entries == g.b_matrix(t).entries
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_nodes_in_enumeration_order(self, n):
+        # the CLI numbers the nodes by this order
+        assert list(build_exchange_graph(n).nodes) == list(enumerate_maximal_rigid(n))
+
+
+def mutate_then_move(b, k, p):
+    """Reference for the folded step: mutate at ``k`` in place, then move
+    row and column ``k`` to position ``p``."""
+    bk = b[k]
+    mutated = []
+    for i, row in enumerate(b):
+        c = row[k]
+        if i == k:
+            mutated.append(tuple(-v for v in row))
+        else:
+            changed = [v + (abs(c) * w + c * abs(w)) // 2 for v, w in zip(row, bk)]
+            changed[k] = -c
+            mutated.append(tuple(changed))
+
+    def move(seq):
+        rest = seq[:k] + seq[k + 1 :]
+        return rest[:p] + seq[k : k + 1] + rest[p:]
+
+    return move(tuple(move(row) for row in mutated))
+
+
+class TestFoldedMutation:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_mutate_then_move(self, n):
+        for mat in build_exchange_graph(n).nodes.values():
+            b = mat.entries
+            for k in range(n - 1):
+                for p in range(n - 1):
+                    assert mutation._mutate_rows(b, k, p) == mutate_then_move(b, k, p)
 
 
 class TestMiddleTerms:
