@@ -33,5 +33,10 @@ for k in range(N - 1):
 
 print(f"\nwhole graph: {len(graph.nodes)} seeds, "
       f"{len(graph.undirected_edges())} exchange edges")
+nodes = tuple(graph.nodes)  # seeds are numbered in enumeration order
+i, k, j = graph.edges[0]
+print(f"edges are node-number triples: {(i, k, j)} exchanges summand {k} "
+      f"of seed {i} to reach seed {j}")
+assert exchange(nodes[i], k)[0] == nodes[j]
 print("every B-matrix was propagated by mutation and re-checked on every")
 print("revisit, so the assignment seed -> matrix is path independent.")

@@ -14,7 +14,7 @@ from .errors import StructuralError, TheoremViolationError
 from .mutation import build_exchange_graph, cartan_counterpart, exchange
 from .polygon import triangulation_of
 from .rigid import MaximalRigid, enumerate_maximal_rigid
-from .tube import TubeObject, ext_dim_cluster, hom_dim_cluster, hom_dim_tube
+from .tube import TubeObject, check_rank, ext_dim_cluster, hom_dim_cluster, hom_dim_tube
 from .verify import SUITES, run_suite
 
 # Largest --rank of the commands that build a rank's tables or its whole
@@ -83,25 +83,21 @@ def cmd_enumerate(args, out) -> int:
 
 
 def _graph_dot(graph, out) -> None:
-    index = {t: i for i, t in enumerate(graph.nodes)}
+    objects = tuple(graph.nodes)
     out.write("graph exchange {\n")
-    for t, i in index.items():
+    for i, t in enumerate(objects):
         out.write(f'  n{i} [label="{_fmt_objects(t.summands)}"];\n')
-    seen = set()
-    for t, k, t2 in graph.edges:
-        i, j = index[t], index[t2]
-        key = (i, j) if i < j else (j, i)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.write(f'  n{i} -- n{j} [label="{_fmt_object(t.summands[k])}"];\n')
+    first = set()  # each edge's first direction, in search order
+    for i, k, j in graph.edges:
+        if (j, i) not in first:
+            first.add((i, j))
+            out.write(f'  n{i} -- n{j} [label="{_fmt_object(objects[i].summands[k])}"];\n')
     out.write("}\n")
 
 
 def _graph_json(graph, out) -> None:
     # one json.dumps per node streams the text through the C encoder;
     # json.dump would stream it through the slower pure-Python one
-    index = {t: i for i, t in enumerate(graph.nodes)}
     out.write(f'{{"rank": {graph.n}, "nodes": [')
     sep = ""
     for t, mat in graph.nodes.items():
@@ -112,8 +108,7 @@ def _graph_json(graph, out) -> None:
         }
         out.write(sep + json.dumps(node))
         sep = ", "
-    edges = sorted((index[t], k, index[t2]) for t, k, t2 in graph.edges)
-    out.write(f'], "edges": {json.dumps(edges)}}}\n')
+    out.write(f'], "edges": {json.dumps(sorted(graph.edges))}}}\n')
 
 
 def cmd_exchange_graph(args, out) -> int:
@@ -226,8 +221,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.rank < 2:
-            raise ValueError(f"rank must be >= 2, got {args.rank}")
+        check_rank(args.rank)
         if args.bounded and args.rank > RANK_CEILING:
             raise ValueError(
                 f"{args.command} supports ranks 2..{RANK_CEILING}, got {args.rank}"

@@ -139,8 +139,6 @@ def initial_seed(n: int) -> Seed:
     Summand j (1-based, quasi-length n-j) is (ceil(j/2), n-j); the matrix
     has b_12 = -2, b_21 = 1 and alternating +-1 off-diagonal pairs below.
     """
-    if n < 2:
-        raise ValueError(f"rank must be >= 2, got {n}")
     summands = tuple(TubeObject((j + 1) // 2, n - j, n) for j in range(1, n))
     obj = MaximalRigid(n, summands)
     size = n - 1
@@ -171,13 +169,13 @@ class ExchangeGraph:
     """All seeds at rank n, with B-matrices propagated by BFS.
 
     ``nodes`` maps each maximal rigid object to its canonical-order
-    matrix, in :func:`enumerate_maximal_rigid` order; ``edges`` holds
-    every directed triple (t, k, t').  The search runs on the masks of
-    :func:`~clustertube.rigid.rigid_table`, where canonical order is bit
-    order, so each mutation step writes the new summand straight into
-    its position: the number of kept bits below its index.  The masks
-    reached must be exactly those of the enumeration, whose objects
-    become the nodes.
+    matrix, numbered in :func:`enumerate_maximal_rigid` order; ``edges``
+    holds, in search order, every triple (i, k, j) of node numbers where
+    exchanging summand ``k`` of node ``i`` gives node ``j``.  The search
+    runs on the masks of :func:`~clustertube.rigid.rigid_table`, where
+    canonical order is bit order, so each mutation step writes the new
+    summand straight into its position: the number of kept bits below
+    its index.  The masks reached must be exactly the enumeration's.
     """
 
     def __init__(self, n: int):
@@ -185,11 +183,14 @@ class ExchangeGraph:
         table = rigid_table(n)
         seed = initial_seed(n)
         start = table.mask_of(seed.object.summands)
+        objects = enumerate_maximal_rigid(n)
+        number = {table.mask_of(t.summands): i for i, t in enumerate(objects)}
         rows: dict[int, Rows] = {start: seed.matrix.entries}
         edges: list[tuple[int, int, int]] = []
         queue = deque([start])
         while queue:
             mask = queue.popleft()
+            i = number.get(mask)
             b = rows[mask]
             for k, removed in enumerate(bit_indices(mask)):
                 mask2 = swap(table.compat, mask, removed)
@@ -204,19 +205,16 @@ class ExchangeGraph:
                         f"path-independence failure at {table.objects_of(mask2)}: "
                         f"{seen} vs {b2}"
                     )
-                edges.append((mask, k, mask2))
-        objects = {table.mask_of(t.summands): t for t in enumerate_maximal_rigid(n)}
-        if objects.keys() != rows.keys():
+                edges.append((i, k, number.get(mask2)))
+        if number.keys() != rows.keys():
             raise TheoremViolationError(
                 f"exchange graph at rank {n} reaches {len(rows)} objects, "
-                f"the enumeration has {len(objects)}"
+                f"the enumeration has {len(number)}"
             )
         self.nodes: dict[MaximalRigid, ExchangeMatrix] = {
-            t: ExchangeMatrix(t.summands, rows[m]) for m, t in objects.items()
+            t: ExchangeMatrix(t.summands, rows[m]) for m, t in zip(number, objects)
         }
-        self.edges: list[tuple[MaximalRigid, int, MaximalRigid]] = [
-            (objects[m], k, objects[m2]) for m, k, m2 in edges
-        ]
+        self.edges = edges
 
     def b_matrix(self, t: MaximalRigid) -> ExchangeMatrix:
         if t not in self.nodes:
@@ -225,6 +223,8 @@ class ExchangeGraph:
 
     def middle_terms(self, t: MaximalRigid, i: int) -> MiddleTerms:
         mat = self.b_matrix(t)
+        if not 0 <= i < len(mat.order):
+            raise IndexError(f"summand index {i} out of range")
         row = mat.entries[i]
         u: list[TubeObject] = []
         u_prime: list[TubeObject] = []
@@ -233,8 +233,8 @@ class ExchangeGraph:
             u_prime.extend([mat.order[j]] * max(v, 0))
         return MiddleTerms(tuple(u), tuple(u_prime))
 
-    def undirected_edges(self) -> set[frozenset[MaximalRigid]]:
-        return {frozenset((t, t2)) for t, _, t2 in self.edges}
+    def undirected_edges(self) -> set[tuple[int, int]]:
+        return {(i, j) if i < j else (j, i) for i, _, j in self.edges}
 
 
 @lru_cache(maxsize=None)

@@ -10,9 +10,8 @@ The pairs of one rank are numbered in :func:`all_cs_pairs` order
 (:class:`PolygonTable`), with one non-crossing bitmask per pair, so a
 triangulation is a mask and a flip is :func:`~clustertube.rigid.swap`
 on the non-crossing rows, the same exchange step as for rigid objects.
-The two node verdicts of ``verify``'s polygon suite (triangulation
-bijection, isomorphism) read one map from maximal rigid objects to their
-delta-image masks (:meth:`PolygonTable.image_mask`) against the flip graph's.
+Graph edges are node-number triples, and both node verdicts of the
+``verify`` polygon suite read one node map, :func:`delta_node_map`.
 
 Corners are labelled clockwise 1..2n; all corner arithmetic is reduced
 into that range.
@@ -32,7 +31,7 @@ from .rigid import (
     rigid_table,
     swap,
 )
-from .tube import TubeObject, is_rigid_indec
+from .tube import TubeObject, check_coordinates, check_rank, is_rigid_indec
 
 
 def _mod_corner(c: int, n: int) -> int:
@@ -48,6 +47,7 @@ class Diagonal:
     n: int
 
     def __post_init__(self) -> None:
+        check_coordinates(self, ("p", "q", "n"))
         p, q = _mod_corner(self.p, self.n), _mod_corner(self.q, self.n)
         if p > q:
             p, q = q, p
@@ -184,6 +184,7 @@ def delta_inv(p: CsPair) -> TubeObject:
 @lru_cache(maxsize=None)
 def all_cs_pairs(n: int) -> tuple[CsPair, ...]:
     """All centrally symmetric pairs of the 2n-gon; there are n(n-1)."""
+    check_rank(n)
     pairs = set()
     for p in range(1, 2 * n + 1):
         for q in range(p + 2, 2 * n + 1):
@@ -256,8 +257,9 @@ def flip(tri: CsTriangulation, p: CsPair) -> CsTriangulation:
 
 
 class FlipGraph:
-    """All centrally symmetric triangulations, with flip edges.
-
+    """All centrally symmetric triangulations, with flip edges: ``masks``
+    holds each node's pair mask, and ``edges`` every triple (a, p, b) of
+    node numbers where flipping pair ``p`` of node ``a`` gives node ``b``.
     A flip of n-1 pairwise non-crossing pairs gives n-1 such pairs again,
     which is a maximal clique since every maximal clique has n-1 pairs;
     so every flip lands on a node.
@@ -267,15 +269,16 @@ class FlipGraph:
         self.n = n
         table = polygon_table(n)
         self.nodes: tuple[CsTriangulation, ...] = _all_triangulations(n)
-        node = {table.mask_of(tri): tri for tri in self.nodes}
-        self.edges: list[tuple[CsTriangulation, CsPair, CsTriangulation]] = [
-            (tri, table.pairs[i], node[swap(table.noncross, mask, i)])
-            for mask, tri in node.items()
-            for i in bit_indices(mask)
+        self.masks: tuple[int, ...] = tuple(table.mask_of(t) for t in self.nodes)
+        number = {mask: a for a, mask in enumerate(self.masks)}
+        self.edges: list[tuple[int, int, int]] = [
+            (a, p, number[swap(table.noncross, mask, p)])
+            for a, mask in enumerate(self.masks)
+            for p in bit_indices(mask)
         ]
 
-    def undirected_edges(self) -> set[frozenset[CsTriangulation]]:
-        return {frozenset((a, b)) for a, _, b in self.edges}
+    def undirected_edges(self) -> set[tuple[int, int]]:
+        return {(a, b) if a < b else (b, a) for a, _, b in self.edges}
 
 
 @lru_cache(maxsize=None)
@@ -291,21 +294,24 @@ def _all_triangulations(n: int) -> tuple[CsTriangulation, ...]:
     return tuple(table.triangulation(c) for c in clusters(table.noncross, n))
 
 
+def delta_node_map(eg, fg: FlipGraph) -> list[int] | None:
+    """The flip-graph number of each exchange-graph node's delta image,
+    or None unless this is a bijection (graphs of two ranks differ in
+    size): the one comparison of the two graphs' nodes."""
+    table = polygon_table(eg.n)
+    number = {mask: b for b, mask in enumerate(fg.masks)}
+    image = [number.get(table.image_mask(t)) for t in eg.nodes]
+    bijective = None not in image and len(set(image)) == len(image) == len(fg.masks)
+    return image if bijective else None
+
+
 def graphs_isomorphic_via_delta(eg, fg: FlipGraph) -> bool:
     """Does T -> triangulation_of(T) carry the exchange graph onto the
-    flip graph, edge by edge and label by label?  Delta is read off the
-    table per index; the flips are the flip graph's own edges."""
-    if eg.n != fg.n:
-        return False
+    flip graph, edge by edge and label by label?  Nodes and labels are
+    renumbered by delta; the flips are the flip graph's own edges."""
+    node = delta_node_map(eg, fg)
     table, rigid = polygon_table(eg.n), rigid_table(eg.n)
-    image = {t: table.image_mask(t) for t in eg.nodes}
-    mask = {tri: table.mask_of(tri) for tri in fg.nodes}
-    images = set(image.values())
-    if len(images) != len(image) or images != set(mask.values()):
-        return False
-    flips = {(mask[a], table.index[p]): mask[b] for a, p, b in fg.edges}
-    return len(fg.edges) == len(eg.edges) and all(
-        flips.get((image[t], table.delta_index[rigid.index[t.summands[k]]]))
-        == image[t2]
-        for t, k, t2 in eg.edges
+    label = [[table.delta_index[rigid.index[x]] for x in t.summands] for t in eg.nodes]
+    return node is not None and sorted(fg.edges) == sorted(
+        (node[i], label[i][k], node[j]) for i, k, j in eg.edges
     )

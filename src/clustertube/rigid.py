@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import StructuralError, TheoremViolationError
-from .tube import TubeObject, canonical_key, ext_dim_cluster, tau, wing_contains
+from .tube import TubeObject, canonical_key, check_rank, ext_dim_cluster, tau, wing_contains
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -248,6 +248,7 @@ def is_rigid_set(objs: Iterable[TubeObject]) -> bool:
 @lru_cache(maxsize=None)
 def enumerate_rigid_indecs(n: int) -> tuple[TubeObject, ...]:
     """All n(n-1) rigid indecomposables, in canonical order."""
+    check_rank(n)
     objs = [TubeObject(a, b, n) for a in range(1, n + 1) for b in range(1, n)]
     return tuple(sorted(objs, key=canonical_key))
 

@@ -17,6 +17,24 @@ from functools import lru_cache
 from .errors import RankMismatchError
 
 
+def check_rank(n: int) -> None:
+    """Ranks start at 2; the rank-1 tube has no rigid indecomposables."""
+    if n < 2:
+        raise ValueError(f"rank must be >= 2, got {n}")
+
+
+def check_coordinates(obj, names: tuple[str, ...]) -> None:
+    """The fields ``names`` of ``obj`` are exact ints, and its rank
+    ``obj.n`` is at least 2."""
+    for name in names:
+        value = getattr(obj, name)
+        # exact type: bool is an int subclass, and floats hash equal to ints
+        if type(value) is not int:
+            raise ValueError(f"coordinate {name} must be an int, got {value!r}")
+    if obj.n < 2:
+        raise ValueError(f"tube rank must be >= 2, got {obj.n}")
+
+
 @dataclass(frozen=True)
 class TubeObject:
     """Indecomposable object of the rank-``n`` tube, as coordinates."""
@@ -26,13 +44,7 @@ class TubeObject:
     n: int
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "n"):
-            value = getattr(self, name)
-            # exact type: bool is an int subclass, and floats hash equal to ints
-            if type(value) is not int:
-                raise ValueError(f"coordinate {name} must be an int, got {value!r}")
-        if self.n < 2:
-            raise ValueError(f"tube rank must be >= 2, got {self.n}")
+        check_coordinates(self, ("a", "b", "n"))
         if not 1 <= self.a <= self.n:
             raise ValueError(f"first coordinate {self.a} not in 1..{self.n}")
         if self.b < 1:

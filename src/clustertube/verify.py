@@ -23,6 +23,7 @@ from .polygon import (
     crossing_points,
     delta,
     delta_inv,
+    delta_node_map,
     flip_graph,
     graphs_isomorphic_via_delta,
     polygon_table,
@@ -222,11 +223,11 @@ def suite_mutation(n: int) -> list[CheckResult]:
 
     want_nodes = comb(2 * n - 2, n - 1)
     undirected = graph.undirected_edges()
-    degree = Counter(t for e in undirected for t in e)
+    degree = Counter(i for e in undirected for i in e)
     shape_ok = (
         len(graph.nodes) == want_nodes
         and len(undirected) == want_nodes * (n - 1) // 2
-        and all(degree[t] == n - 1 for t in graph.nodes)
+        and all(degree[i] == n - 1 for i in range(len(graph.nodes)))
     )
     checks.append(
         CheckResult(
@@ -296,13 +297,13 @@ def suite_polygon(n: int) -> list[CheckResult]:
 
     eg = build_exchange_graph(n)
     fg = flip_graph(n)
-    table = polygon_table(n)
-    images = {table.image_mask(t) for t in eg.nodes}
+    bijective = delta_node_map(eg, fg) is not None
+    # a bijection has one image per object; only a failure counts them
+    images = eg.nodes if bijective else {polygon_table(n).image_mask(t) for t in eg.nodes}
     checks.append(
         CheckResult(
             "triangulation-bijection",
-            len(images) == len(eg.nodes)
-            and images == {table.mask_of(tri) for tri in fg.nodes},
+            bijective,
             f"{len(images)} triangulations of {len(eg.nodes)} objects",
         )
     )

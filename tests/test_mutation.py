@@ -66,6 +66,11 @@ class TestInitialSeed:
         assert s.object == mr(2, (1, 1))
         assert s.matrix.entries == ((0,),)
 
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_rank_below_two(self, n):
+        with pytest.raises(ValueError, match=f"^rank must be >= 2, got {n}$"):
+            initial_seed(n)
+
     def test_quasi_lengths_decrease_along_order(self):
         for n in range(2, 9):
             qls = [x.b for x in initial_seed(n).object.summands]
@@ -120,7 +125,7 @@ class TestExchangeGraph:
     def test_rank_three_is_a_hexagon(self):
         g = build_exchange_graph(3)
         und = g.undirected_edges()
-        degrees = {t: sum(1 for e in und if t in e) for t in g.nodes}
+        degrees = {i: sum(1 for e in und if i in e) for i in range(len(g.nodes))}
         assert all(d == 2 for d in degrees.values())
         # connected 2-regular with 6 nodes is a single 6-cycle
         assert len(und) == 6
@@ -162,6 +167,21 @@ class TestExchangeGraph:
     def test_nodes_in_enumeration_order(self, n):
         # the CLI numbers the nodes by this order
         assert list(build_exchange_graph(n).nodes) == list(enumerate_maximal_rigid(n))
+
+
+class TestNumberedEdges:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_edge_is_an_exchange(self, n):
+        g = build_exchange_graph(n)
+        nodes = tuple(g.nodes)
+        assert all(type(v) is int for e in g.edges for v in e)
+        assert len(g.edges) == len(nodes) * (n - 1)
+        for i, k, j in g.edges:
+            assert exchange(nodes[i], k)[0] == nodes[j], (i, k, j)
+
+    def test_undirected_edges_are_ordered_pairs(self):
+        g = build_exchange_graph(4)
+        assert all(i < j for i, j in g.undirected_edges())
 
 
 def mutate_then_move(b, k, p):
@@ -225,6 +245,12 @@ class TestMiddleTerms:
                 assert not (set(m.u) & set(m.u_prime))
                 others = set(t.summands) - {t.summands[i]}
                 assert set(m.u) | set(m.u_prime) <= others
+
+    @pytest.mark.parametrize("i", [-1, 3, 4])
+    def test_index_out_of_range(self, i):
+        g = build_exchange_graph(4)
+        with pytest.raises(IndexError, match=f"^summand index {i} out of range$"):
+            g.middle_terms(initial_seed(4).object, i)
 
 
 class TestCartan:
@@ -297,6 +323,24 @@ class TestVerifyFailures:
             "FAIL mutation/path-independence: path-independence failure at somewhere"
             in capsys.readouterr().out
         )
+
+    @staticmethod
+    def retarget(edges):
+        i, k, j = edges[0]
+        edges[0] = (i, k, next(c for c in range(70) if c not in (i, j)))
+
+    @staticmethod
+    def drop(edges):
+        i, _, j = edges[0]
+        edges[:] = [e for e in edges if {e[0], e[2]} != {i, j}]
+
+    @pytest.mark.parametrize("edit", ["retarget", "drop"])
+    def test_doctored_edges_fail_graph_shape(self, monkeypatch, capsys, edit):
+        fake = copy.copy(build_exchange_graph(5))
+        fake.edges = list(fake.edges)
+        getattr(self, edit)(fake.edges)
+        monkeypatch.setattr(verify, "build_exchange_graph", lambda n: fake)
+        self.expect_failure(capsys, "graph-shape")
 
     def test_unique_exchange_counts_enumerated_clusters(self, monkeypatch, capsys):
         real = verify.clusters

@@ -30,8 +30,8 @@ from clustertube import (
 )
 from clustertube import verify
 from clustertube.cli import main
-from clustertube.polygon import CsPair, polygon_table
-from clustertube.rigid import rigid_table, swap
+from clustertube.polygon import CsPair, delta_node_map, polygon_table
+from clustertube.rigid import bit_indices, rigid_table, swap
 
 
 def obj(a, b, n):
@@ -63,6 +63,14 @@ class TestDiagonals:
             Diagonal(1, 2, 3)
         with pytest.raises(StructuralError):
             Diagonal(1, 6, 3)
+
+    @pytest.mark.parametrize(
+        "corners",
+        [(1, 3, 0), (1, 3, 1), (1.0, 3, 4), (1, 3.0, 4), (True, 3, 4), (1, 3, 4.0)],
+    )
+    def test_rejects_bad_input_like_tube_objects(self, corners):
+        with pytest.raises(ValueError):
+            Diagonal(*corners)
 
     def test_crossing(self):
         assert diagonals_cross(Diagonal(1, 3, 3), Diagonal(2, 4, 3))
@@ -204,6 +212,23 @@ class TestFlipGraph:
     def test_isomorphic_to_exchange_graph(self, n):
         assert graphs_isomorphic_via_delta(build_exchange_graph(n), flip_graph(n))
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_edge_is_a_flip(self, n):
+        g, table = flip_graph(n), polygon_table(n)
+        assert all(type(v) is int for e in g.edges for v in e)
+        assert len(g.edges) == len(g.nodes) * (n - 1)
+        assert g.masks == tuple(table.mask_of(tri) for tri in g.nodes)
+        for a, p, b in g.edges:
+            assert flip(g.nodes[a], table.pairs[p]) == g.nodes[b], (a, p, b)
+        assert all(a < b for a, b in g.undirected_edges())
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_rank_below_two(self, n):
+        with pytest.raises(ValueError, match=f"^rank must be >= 2, got {n}$"):
+            all_cs_pairs(n)
+        with pytest.raises(ValueError, match=f"^rank must be >= 2, got {n}$"):
+            flip_graph(n)
+
 
 def reference_flip(tri, p):
     """The flip by search: every other cs pair, validated by
@@ -222,9 +247,9 @@ def reference_flip(tri, p):
 
 
 def digests(g):
-    index = {t: i for i, t in enumerate(g.nodes)}
+    pairs = polygon_table(g.n).pairs
     nodes = "\n".join(repr(t.sorted_pairs()) for t in g.nodes)
-    edges = "\n".join(f"{index[a]} {p!r} {index[b]}" for a, p, b in g.edges)
+    edges = "\n".join(f"{a} {pairs[p]!r} {b}" for a, p, b in g.edges)
     return (
         hashlib.sha256(nodes.encode()).hexdigest(),
         hashlib.sha256(edges.encode()).hexdigest(),
@@ -247,12 +272,14 @@ FLIP_GRAPH_DIGESTS = {
 
 def retarget(edges):
     a, p, b = edges[0]
-    edges[0] = (a, p, next(t for t in flip_graph(4).nodes if t not in (a, b)))
+    others = (c for c in range(len(flip_graph(4).nodes)) if c not in (a, b))
+    edges[0] = (a, p, next(others))
 
 
 def relabel(edges):
     a, p, b = edges[0]
-    edges[0] = (a, next(q for q in a.sorted_pairs() if q != p), b)
+    others = (q for q in bit_indices(flip_graph(4).masks[a]) if q != p)
+    edges[0] = (a, next(others), b)
 
 
 def drop(edges):
@@ -261,7 +288,9 @@ def drop(edges):
 
 def extra(edges):
     a, _, b = edges[0]
-    edges.append((a, next(q for q in all_cs_pairs(4) if q not in a.pairs), b))
+    mask = flip_graph(4).masks[a]
+    outside = (q for q in range(len(all_cs_pairs(4))) if not mask >> q & 1)
+    edges.append((a, next(outside), b))
 
 
 # edits of flip_graph(4).edges, each of which breaks the isomorphism
@@ -320,15 +349,31 @@ def clear_package_caches():
 
 
 class TestDeltaImageMask:
-    """Both node verdicts of the ``polygon`` suite read
-    ``PolygonTable.image_mask``; the flip graph's node validation is the
-    one place a triangulation object is built per node."""
+    """Both node verdicts of the ``polygon`` suite read ``delta_node_map``,
+    which maps ``PolygonTable.image_mask`` onto the flip graph's node
+    numbers; the flip graph's node validation is the one place a
+    triangulation object is built per node."""
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_equals_the_mask_of_triangulation_of(self, n):
         table = polygon_table(n)
         for t in build_exchange_graph(n).nodes:
             assert table.image_mask(t) == table.mask_of(triangulation_of(t)), t
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_node_map_numbers_the_triangulation_of_each_node(self, n):
+        fg = flip_graph(n)
+        node = delta_node_map(build_exchange_graph(n), fg)
+        assert sorted(node) == list(range(len(fg.nodes)))
+        for i, t in enumerate(build_exchange_graph(n).nodes):
+            assert fg.nodes[node[i]] == triangulation_of(t), t
+
+    def test_node_map_is_none_unless_a_bijection(self):
+        eg, fg = build_exchange_graph(4), flip_graph(4)
+        assert delta_node_map(build_exchange_graph(3), fg) is None
+        doubled = copy.copy(fg)
+        doubled.masks = (fg.masks[1],) + fg.masks[1:]
+        assert delta_node_map(eg, doubled) is None
 
     @pytest.mark.parametrize("n", range(4, 7))
     def test_cold_suite_builds_one_triangulation_per_node(self, n, monkeypatch):
@@ -346,7 +391,7 @@ class TestDeltaImageMask:
 
     def test_dropped_flip_graph_node_fails_the_bijection(self, monkeypatch, capsys):
         fake = copy.copy(flip_graph(4))
-        fake.nodes = fake.nodes[1:]
+        fake.nodes, fake.masks = fake.nodes[1:], fake.masks[1:]
         monkeypatch.setattr(verify, "flip_graph", lambda n: fake)
         report = verify.run_suite("polygon", 4)
         assert [c.name for c in report.checks if not c.ok] == [

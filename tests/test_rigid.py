@@ -44,6 +44,13 @@ class TestEnumeration:
     def test_maximal_rigid_count(self, n, count):
         assert len(enumerate_maximal_rigid(n)) == count
 
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_rank_below_two(self, n):
+        with pytest.raises(ValueError, match=f"^rank must be >= 2, got {n}$"):
+            enumerate_rigid_indecs(n)
+        with pytest.raises(ValueError, match=f"^rank must be >= 2, got {n}$"):
+            enumerate_maximal_rigid(n)
+
     def test_rank_two_objects(self):
         assert {t.summands for t in enumerate_maximal_rigid(2)} == {
             (obj(1, 1, 2),),
