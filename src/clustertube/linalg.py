@@ -1,33 +1,35 @@
 """Exact rank computation for integer matrices.
 
-Fraction-free (Bareiss) elimination on Python ints, which are exact and
+Sparse, gcd-normalised elimination on Python ints, which are exact and
 cannot overflow.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 
 def integer_rank(rows) -> int:
     """Rank over the rationals of an integer matrix (list of rows).
 
-    After each pivot the rows below are cross-multiplied by it and divided
-    by the previous pivot; Bareiss' identity makes that division exact.
+    Each row, as a ``{column: entry}`` dict of its nonzeros, is reduced
+    against the echelon rows kept so far, keyed by their first column:
+    cross-multiplying clears that column, then the row is divided by the
+    gcd of its entries.  Row scaling keeps the rank, so this is exact.
     """
-    a = [list(r) for r in rows]
-    ncols = len(a[0]) if a else 0
-    rank, prev = 0, 1
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        top = a[rank]
-        p = top[col]
-        for r in range(rank + 1, len(a)):
-            c = a[r][col]
-            a[r] = [(v * p - c * w) // prev for v, w in zip(a[r], top)]
-        prev = p
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
+    echelon: dict[int, dict[int, int]] = {}
+    for dense in rows:
+        row = {c: v for c, v in enumerate(dense) if v}
+        while row:
+            col = min(row)
+            top = echelon.get(col)
+            if top is None:
+                echelon[col] = row
+                break
+            p, c = top[col], row[col]
+            row = {k: p * v for k, v in row.items()}
+            for k, w in top.items():
+                row[k] = row.get(k, 0) - c * w
+            g = gcd(*row.values())
+            row = {k: v // g for k, v in row.items() if v}
+    return len(echelon)

@@ -58,10 +58,6 @@ class Diagonal:
         if q - p == 1 or q - p == 2 * self.n - 1:
             raise StructuralError(f"[{p},{q}] is an edge of the {2 * self.n}-gon")
 
-    @property
-    def is_diameter(self) -> bool:
-        return self.q - self.p == self.n
-
     def shifted(self) -> "Diagonal":
         return Diagonal(self.p + self.n, self.q + self.n, self.n)
 

@@ -12,6 +12,7 @@ exact integer arithmetic.  This never consults the closed formula in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .linalg import integer_rank
 from .tube import TubeObject, _mod_coord, _same_rank
@@ -69,8 +70,11 @@ def _compose(a, b, cols: int) -> list[list[int]]:
     ]
 
 
+# one ``suite_hom`` sweep at rank 6 visits 2n² = 72 objects
+@lru_cache(maxsize=72)
 def build_rep(x: TubeObject) -> NilpotentRep:
-    """Explicit uniserial representation of the indecomposable ``x``."""
+    """Explicit uniserial representation of the indecomposable ``x``;
+    cached, since the oracle asks for it once per pair it is in."""
     n = x.n
     # basis index j runs a .. a+b-1; per vertex, basis ordered by j
     per_vertex: list[list[int]] = [[] for _ in range(n)]

@@ -222,10 +222,13 @@ def suite_mutation(n: int) -> list[CheckResult]:
     checks.append(_counterexample("matrix-invariants", bad))
 
     want_nodes = comb(2 * n - 2, n - 1)
+    directed = {(i, j) for i, _, j in graph.edges}
     undirected = graph.undirected_edges()
     degree = Counter(i for e in undirected for i in e)
     shape_ok = (
         len(graph.nodes) == want_nodes
+        and len(graph.edges) == want_nodes * (n - 1)
+        and all((j, i) in directed for i, j in directed)
         and len(undirected) == want_nodes * (n - 1) // 2
         and all(degree[i] == n - 1 for i in range(len(graph.nodes)))
     )

@@ -334,7 +334,18 @@ class TestVerifyFailures:
         i, _, j = edges[0]
         edges[:] = [e for e in edges if {e[0], e[2]} != {i, j}]
 
-    @pytest.mark.parametrize("edit", ["retarget", "drop"])
+    @staticmethod
+    def drop_one_direction(edges):
+        del edges[0]
+
+    @staticmethod
+    def duplicate(edges):
+        # same count and undirected set, but edges[0] loses its reverse
+        edges[0] = edges[1]
+
+    @pytest.mark.parametrize(
+        "edit", ["retarget", "drop", "drop_one_direction", "duplicate"]
+    )
     def test_doctored_edges_fail_graph_shape(self, monkeypatch, capsys, edit):
         fake = copy.copy(build_exchange_graph(5))
         fake.edges = list(fake.edges)

@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,8 @@ from clustertube import (
     hom_dim_oracle,
     hom_dim_tube,
 )
+from clustertube import reps, verify
+from clustertube.cli import main
 from clustertube.errors import RankMismatchError
 from clustertube.linalg import integer_rank
 
@@ -58,11 +62,49 @@ def integer_matrices(draw):
     return rows
 
 
+@st.composite
+def wide_sparse_matrices(draw):
+    """Up to 30 columns, wider than any oracle matrix at rank 6: mostly
+    rows of at most two nonzeros of +-1, as the intertwiner equations
+    are, mixed with rows of entries up to 10**30 and with combinations
+    of earlier rows."""
+    m, k = draw(st.integers(0, 30)), draw(st.integers(1, 30))
+    big = st.integers(-(10**30), 10**30)
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["sparse", "sparse", "big", "combination"]))
+        if kind == "sparse":
+            row = [0] * k
+            for col in draw(st.lists(st.integers(0, k - 1), max_size=2, unique=True)):
+                row[col] = draw(st.sampled_from([-1, 1]))
+        elif kind == "big" or not rows:
+            row = [draw(st.one_of(st.just(0), big)) for _ in range(k)]
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(big), draw(big)
+            row = [x * u + y * v for u, v in zip(a, b)]
+        rows.append(row)
+    return rows
+
+
 class TestIntegerRank:
     @settings(max_examples=300, deadline=None)
     @given(integer_matrices())
     def test_equals_fraction_elimination(self, rows):
         assert integer_rank(rows) == fraction_rank(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_sparse_matrices())
+    def test_wide_sparse_equals_fraction_elimination(self, rows):
+        assert integer_rank(rows) == fraction_rank(rows)
+
+    def test_cycle_of_differences(self):
+        # x0-x1, x1-x2, ..., x29-x0: the last row is minus the sum of the
+        # others, so a cycle of 30 such rows has rank 29
+        rows = [[0] * 30 for _ in range(30)]
+        for i, row in enumerate(rows):
+            row[i], row[(i + 1) % 30] = 1, -1
+        assert integer_rank(rows) == 29
 
     def test_empty(self):
         assert integer_rank([]) == 0
@@ -134,6 +176,36 @@ class TestOracle:
         x, y = pair
         assert hom_dim_oracle(x, y) == hom_dim_tube(x, y)
 
+    @pytest.mark.parametrize("n", range(3, 6))
+    def test_cold_suite_builds_each_rep_once(self, n, monkeypatch):
+        built = []
+        validate = NilpotentRep.__post_init__
+
+        def counted(rep):
+            built.append(rep)
+            validate(rep)
+
+        build_rep.cache_clear()
+        monkeypatch.setattr(NilpotentRep, "__post_init__", counted)
+        assert all(c.ok for c in verify.suite_hom(n))
+        assert len(built) == len(set(built)) == 2 * n * n
+
+    def test_doctored_rank_fails_formula_vs_oracle(self, monkeypatch, capsys):
+        """A rank off by one on the seventh pair, ``(1,1)@3`` against
+        ``(2,1)@3``, is reported as that pair, with exit 1."""
+        calls = []
+
+        def off_by_one_once(rows):
+            calls.append(rows)
+            return integer_rank(rows) + (len(calls) == 7)
+
+        monkeypatch.setattr(reps, "integer_rank", off_by_one_once)
+        assert main(["verify", "--suite", "hom", "--rank", "3"]) == 1
+        out = capsys.readouterr().out
+        pair = (obj(1, 1, 3), obj(2, 1, 3))
+        assert f"FAIL hom/formula-vs-oracle: disagree on {pair}\n" in out
+        assert out.endswith("FAIL suite=hom rank=3\n")
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_exhaustive_small(self, n):
         objs = [
@@ -142,3 +214,20 @@ class TestOracle:
         for x in objs:
             for y in objs:
                 assert hom_dim_oracle(x, y) == hom_dim_tube(x, y), (x, y)
+
+
+FORMULAS = {"hom_dim_tube", "hom_dim_cluster", "ext_dim_cluster"}
+
+
+@pytest.mark.parametrize("module", ["reps.py", "linalg.py"])
+def test_oracle_never_names_the_closed_formulas(module):
+    """The oracle is an independent route only if it never consults the
+    formulas it checks: no import, attribute or name refers to them."""
+    tree = ast.parse(Path(reps.__file__).with_name(module).read_text())
+    names = {
+        getattr(node, attr)
+        for node in ast.walk(tree)
+        for attr in ("id", "attr", "name")
+        if isinstance(getattr(node, attr, None), str)
+    }
+    assert not names & FORMULAS

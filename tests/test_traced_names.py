@@ -37,3 +37,13 @@ def test_traced_function_resolves(mod, name):
 def test_counted_class_resolves(mod, name):
     module = importlib.import_module(f"{tracing.PACKAGE}.{mod}")
     assert hasattr(getattr(module, name), "__post_init__")
+
+
+def test_build_rep_cache_is_cleared_between_units():
+    """Every in-process unit starts from ``clear_caches()``, so the
+    oracle's representation cache must be among the caches it finds."""
+    reps = importlib.import_module(f"{tracing.PACKAGE}.reps")
+    reps.build_rep(reps.TubeObject(1, 2, 3))
+    assert tracing.package_caches()["reps.build_rep"] is reps.build_rep
+    tracing.clear_caches()
+    assert reps.build_rep.cache_info().currsize == 0
