@@ -10,16 +10,17 @@ from math import gcd
 
 
 def integer_rank(rows) -> int:
-    """Rank over the rationals of an integer matrix (list of rows).
+    """Rank over the rationals of an integer matrix, given as its rows,
+    each a ``{column: entry}`` dict (zero entries may be left out).
 
-    Each row, as a ``{column: entry}`` dict of its nonzeros, is reduced
-    against the echelon rows kept so far, keyed by their first column:
-    cross-multiplying clears that column, then the row is divided by the
-    gcd of its entries.  Row scaling keeps the rank, so this is exact.
+    Each row's nonzeros are reduced against the echelon rows kept so
+    far, keyed by their first column: cross-multiplying clears that
+    column, then the row is divided by the gcd of its entries.  Row
+    scaling keeps the rank, so this is exact.
     """
     echelon: dict[int, dict[int, int]] = {}
-    for dense in rows:
-        row = {c: v for c, v in enumerate(dense) if v}
+    for given in rows:
+        row = {c: v for c, v in given.items() if v}
         while row:
             col = min(row)
             top = echelon.get(col)

@@ -9,7 +9,8 @@ dimension formula: crossing_points(dX, dY) = 2 dim Ext^1(X, Y).
 The pairs of one rank are numbered in :func:`all_cs_pairs` order
 (:class:`PolygonTable`), with one non-crossing bitmask per pair, so a
 triangulation is a mask and a flip is :func:`~clustertube.rigid.swap`
-on the non-crossing rows, the same exchange step as for rigid objects.
+on the non-crossing rows, the same exchange step as for rigid objects
+(:func:`~clustertube.rigid.exchanges` gives all flips of a node at once).
 Graph edges are node-number triples, and both node verdicts of the
 ``verify`` polygon suite read one node map, :func:`delta_node_map`.
 
@@ -28,6 +29,7 @@ from .rigid import (
     bit_indices,
     clusters,
     enumerate_rigid_indecs,
+    exchanges,
     rigid_table,
     swap,
 )
@@ -268,9 +270,9 @@ class FlipGraph:
         self.masks: tuple[int, ...] = tuple(table.mask_of(t) for t in self.nodes)
         number = {mask: a for a, mask in enumerate(self.masks)}
         self.edges: list[tuple[int, int, int]] = [
-            (a, p, number[swap(table.noncross, mask, p)])
+            (a, p, number[mask ^ 1 << p | 1 << q])
             for a, mask in enumerate(self.masks)
-            for p in bit_indices(mask)
+            for p, q in exchanges(table.noncross, mask)
         ]
 
     def undirected_edges(self) -> set[tuple[int, int]]:
@@ -305,7 +307,12 @@ def graphs_isomorphic_via_delta(eg, fg: FlipGraph) -> bool:
     """Does T -> triangulation_of(T) carry the exchange graph onto the
     flip graph, edge by edge and label by label?  Nodes and labels are
     renumbered by delta; the flips are the flip graph's own edges."""
-    node = delta_node_map(eg, fg)
+    return edges_match(eg, fg, delta_node_map(eg, fg))
+
+
+def edges_match(eg, fg: FlipGraph, node: list[int] | None) -> bool:
+    """:func:`graphs_isomorphic_via_delta` on the node map ``node`` of
+    :func:`delta_node_map`, for a caller that already holds it."""
     table, rigid = polygon_table(eg.n), rigid_table(eg.n)
     label = [[table.delta_index[rigid.index[x]] for x in t.summands] for t in eg.nodes]
     return node is not None and sorted(fg.edges) == sorted(

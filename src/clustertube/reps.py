@@ -112,21 +112,19 @@ def hom_dim_oracle(x: TubeObject, y: TubeObject) -> int:
         # entry (row, col) of f_{v+1}: row indexes y's basis, col x's
         return offsets[v] + row * rx.dims[v] + col
 
-    rows: list[list[int]] = []
+    # {column: entry} rows; blocks f_v and f_{v-1} differ as n >= 2
+    rows: list[dict[int, int]] = []
     for v in range(1, n + 1):
         w = _mod_coord(v - 1, n)
         xa = rx.arrow_maps[v - 1]
         ya = ry.arrow_maps[v - 1]
         for i in range(ry.dims[w - 1]):
             for j in range(rx.dims[v - 1]):
-                eq = [0] * total
-                for t in range(ry.dims[v - 1]):
-                    if ya[i][t]:
-                        eq[var(v - 1, t, j)] += ya[i][t]
+                eq = {var(v - 1, t, j): e for t, e in enumerate(ya[i]) if e}
                 for s in range(rx.dims[w - 1]):
                     if xa[s][j]:
-                        eq[var(w - 1, i, s)] -= xa[s][j]
-                if any(eq):
+                        eq[var(w - 1, i, s)] = -xa[s][j]
+                if eq:
                     rows.append(eq)
     return total - integer_rank(rows)
 

@@ -24,8 +24,8 @@ from .polygon import (
     delta,
     delta_inv,
     delta_node_map,
+    edges_match,
     flip_graph,
-    graphs_isomorphic_via_delta,
     polygon_table,
 )
 from .reps import hom_dim_oracle
@@ -300,7 +300,8 @@ def suite_polygon(n: int) -> list[CheckResult]:
 
     eg = build_exchange_graph(n)
     fg = flip_graph(n)
-    bijective = delta_node_map(eg, fg) is not None
+    node = delta_node_map(eg, fg)
+    bijective = node is not None
     # a bijection has one image per object; only a failure counts them
     images = eg.nodes if bijective else {polygon_table(n).image_mask(t) for t in eg.nodes}
     checks.append(
@@ -312,7 +313,7 @@ def suite_polygon(n: int) -> list[CheckResult]:
     )
     checks.append(
         CheckResult(
-            "flip-graph-isomorphism", graphs_isomorphic_via_delta(eg, fg)
+            "flip-graph-isomorphism", edges_match(eg, fg, node)
         )
     )
     return checks

@@ -25,13 +25,15 @@ from clustertube import (
     triangulation_of,
     wing_contains,
 )
-from clustertube.polygon import _all_triangulations, _pair_key
+from clustertube.polygon import _all_triangulations, _pair_key, polygon_table
 from clustertube.rigid import (
     bit_indices,
     clusters,
     completions,
+    exchanges,
     maximal_cliques,
     rigid_table,
+    swap,
 )
 
 
@@ -164,6 +166,36 @@ class TestClusterStructure:
         star = graph_of(4, [(0, 1), (0, 2), (0, 3)])
         with pytest.raises(TheoremViolationError, match=r"3 completions: \[1, 2, 3\]"):
             completions(star, 0b0001)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_exchanges_equal_swap(self, n):
+        for adj in (rigid_table(n).compat, polygon_table(n).noncross):
+            for mask in clusters(adj, n):
+                pairs = exchanges(adj, mask)
+                assert [removed for removed, _ in pairs] == bit_indices(mask)
+                for removed, new in pairs:
+                    assert swap(adj, mask, removed) == mask & ~(1 << removed) | 1 << new
+
+    @pytest.mark.parametrize(
+        "adj, mask, text",
+        [
+            # the edge 0 - 1: the rest {1} is completed by 0 alone
+            (graph_of(2, [(0, 1)]), 0b11, r"^\[1\] has 1 completions: \[0\]$"),
+            # the star with centre 1: the rest {1} has three completions
+            (
+                graph_of(4, [(1, 0), (1, 2), (1, 3)]),
+                0b0011,
+                r"^\[1\] has 3 completions: \[0, 2, 3\]$",
+            ),
+        ],
+    )
+    def test_exchanges_fail_as_completions(self, adj, mask, text):
+        with pytest.raises(TheoremViolationError, match=text) as single:
+            for removed in bit_indices(mask):
+                completions(adj, mask & ~(1 << removed))
+        with pytest.raises(TheoremViolationError, match=text) as at_once:
+            exchanges(adj, mask)
+        assert str(at_once.value) == str(single.value)
 
     def test_clusters_sorted_by_indices(self):
         # two triangles sharing the edge 1 - 2, at rank 4

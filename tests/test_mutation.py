@@ -1,6 +1,7 @@
 import copy
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clustertube import (
     ExchangeMatrix,
@@ -16,7 +17,7 @@ from clustertube import (
     initial_seed,
     is_sign_skew_symmetric,
 )
-from clustertube import mutation, verify
+from clustertube import mutation, rigid, verify
 from clustertube.cli import main
 
 
@@ -163,6 +164,43 @@ class TestExchangeGraph:
             assert back == t
             assert g.b_matrix(back).entries == g.b_matrix(t).entries
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_one_exchanges_call_per_node(self, n, monkeypatch):
+        calls = []
+
+        def counted(adj, mask):
+            calls.append(mask)
+            return rigid.exchanges(adj, mask)
+
+        monkeypatch.setattr(mutation, "exchanges", counted)
+        g = mutation.ExchangeGraph(n)
+        assert len(calls) == len(set(calls)) == len(g.nodes)
+
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_every_edge_is_compared(self, n, monkeypatch):
+        # each node has n-1 >= 2 incoming edges, so a wrong matrix on any
+        # one edge, discovering or revisiting, meets a revisit
+        real = mutation._mutate_rows
+        for bad in range(len(build_exchange_graph(n).edges)):
+            calls = []
+
+            def tampered(b, k, p):
+                b2 = real(b, k, p)
+                calls.append(None)
+                if len(calls) - 1 != bad:
+                    return b2
+                return b2[:-1] + ((b2[-1][0] + 7,) + b2[-1][1:],)
+
+            monkeypatch.setattr(mutation, "_mutate_rows", tampered)
+            with pytest.raises(TheoremViolationError, match="^path-independence failure at "):
+                mutation.ExchangeGraph(n)
+
+    def test_rank_eight_rows_are_shared(self):
+        # each distinct row is one tuple, the seed's rows included
+        rows = [r for m in build_exchange_graph(8).nodes.values() for r in m.entries]
+        assert len(rows) == 3432 * 7
+        assert len({id(r) for r in rows}) == len(set(rows)) == 234
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_nodes_in_enumeration_order(self, n):
         # the CLI numbers the nodes by this order
@@ -205,6 +243,21 @@ def mutate_then_move(b, k, p):
     return move(tuple(move(row) for row in mutated))
 
 
+@st.composite
+def sign_skew_symmetric(draw):
+    """Square matrices of size 1..12 with sign(b_ij) = -sign(b_ji), a
+    zero diagonal and entries up to 4 in size."""
+    size = draw(st.integers(1, 12))
+    rows = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            sign = draw(st.sampled_from([-1, 0, 0, 1]))
+            if sign:
+                rows[i][j] = sign * draw(st.integers(1, 4))
+                rows[j][i] = -sign * draw(st.integers(1, 4))
+    return tuple(tuple(r) for r in rows)
+
+
 class TestFoldedMutation:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_matches_mutate_then_move(self, n):
@@ -213,6 +266,23 @@ class TestFoldedMutation:
             for k in range(n - 1):
                 for p in range(n - 1):
                     assert mutation._mutate_rows(b, k, p) == mutate_then_move(b, k, p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sign_skew_symmetric())
+    def test_matches_mutate_then_move_on_random_matrices(self, b):
+        assert is_sign_skew_symmetric(b)
+        for k in range(len(b)):
+            for p in range(len(b)):
+                assert mutation._mutate_rows(b, k, p) == mutate_then_move(b, k, p)
+
+    def test_size_one(self):
+        # rank 2: one summand, a 1x1 matrix
+        assert mutation._mutate_rows(((0,),), 0, 0) == ((0,),)
+        b = ((3,),)
+        assert mutation._mutate_rows(b, 0, 0) == ((-3,),) == mutate_then_move(b, 0, 0)
+        seed = initial_seed(2).matrix
+        assert seed.entries == ((0,),)
+        assert fz_mutate(seed, 0) == seed
 
 
 class TestMiddleTerms:

@@ -28,7 +28,7 @@ from clustertube import (
     initial_seed,
     triangulation_of,
 )
-from clustertube import verify
+from clustertube import polygon, rigid, verify
 from clustertube.cli import main
 from clustertube.polygon import CsPair, delta_node_map, polygon_table
 from clustertube.rigid import bit_indices, rigid_table, swap
@@ -222,6 +222,17 @@ class TestFlipGraph:
             assert flip(g.nodes[a], table.pairs[p]) == g.nodes[b], (a, p, b)
         assert all(a < b for a, b in g.undirected_edges())
 
+    def test_one_exchanges_call_per_node(self, monkeypatch):
+        calls = []
+
+        def counted(adj, mask):
+            calls.append(mask)
+            return rigid.exchanges(adj, mask)
+
+        monkeypatch.setattr(polygon, "exchanges", counted)
+        g = polygon.FlipGraph(5)
+        assert len(calls) == len(set(calls)) == len(g.nodes) == 70
+
     @pytest.mark.parametrize("n", [1, 0])
     def test_rank_below_two(self, n):
         with pytest.raises(ValueError, match=f"^rank must be >= 2, got {n}$"):
@@ -388,6 +399,24 @@ class TestDeltaImageMask:
         monkeypatch.setattr(CsTriangulation, "__post_init__", counted)
         assert all(c.ok for c in verify.suite_polygon(n))
         assert len(built) == comb(2 * n - 2, n - 1)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_suite_computes_the_node_map_once(self, n, monkeypatch):
+        maps = []
+
+        def counted(eg, fg):
+            maps.append(n)
+            return delta_node_map(eg, fg)
+
+        monkeypatch.setattr(verify, "delta_node_map", counted)
+        monkeypatch.setattr(polygon, "delta_node_map", counted)
+        assert all(c.ok for c in verify.suite_polygon(n))
+        assert maps == [n]
+
+    def test_edges_match_needs_a_node_map(self):
+        eg, fg = build_exchange_graph(4), flip_graph(4)
+        assert polygon.edges_match(eg, fg, delta_node_map(eg, fg))
+        assert not polygon.edges_match(eg, fg, None)
 
     def test_dropped_flip_graph_node_fails_the_bijection(self, monkeypatch, capsys):
         fake = copy.copy(flip_graph(4))

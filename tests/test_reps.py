@@ -28,8 +28,13 @@ def object_pairs(n):
     return st.tuples(x, x)
 
 
+def sparse(rows):
+    """The ``{column: entry}`` rows that ``integer_rank`` takes."""
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
 def fraction_rank(rows):
-    """Rank by Gaussian elimination over Fraction."""
+    """Rank by Gaussian elimination over Fraction, on dense rows."""
     rows = [[Fraction(v) for v in r] for r in rows]
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
@@ -91,12 +96,34 @@ class TestIntegerRank:
     @settings(max_examples=300, deadline=None)
     @given(integer_matrices())
     def test_equals_fraction_elimination(self, rows):
-        assert integer_rank(rows) == fraction_rank(rows)
+        assert integer_rank(sparse(rows)) == fraction_rank(rows)
 
     @settings(max_examples=200, deadline=None)
     @given(wide_sparse_matrices())
     def test_wide_sparse_equals_fraction_elimination(self, rows):
-        assert integer_rank(rows) == fraction_rank(rows)
+        assert integer_rank(sparse(rows)) == fraction_rank(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_matrices())
+    def test_zero_entries_may_be_given(self, rows):
+        full = [dict(enumerate(row)) for row in rows]
+        assert integer_rank(full) == fraction_rank(rows)
+
+    def test_oracle_equations_are_sparse(self, monkeypatch):
+        seen = []
+
+        def record(rows):
+            seen.extend(rows)
+            return integer_rank(rows)
+
+        monkeypatch.setattr(reps, "integer_rank", record)
+        assert hom_dim_oracle(obj(1, 4, 3), obj(2, 5, 3)) == hom_dim_tube(
+            obj(1, 4, 3), obj(2, 5, 3)
+        )
+        assert seen and all(
+            type(row) is dict and 0 < len(row) <= 2 and all(row.values())
+            for row in seen
+        )
 
     def test_cycle_of_differences(self):
         # x0-x1, x1-x2, ..., x29-x0: the last row is minus the sum of the
@@ -104,21 +131,21 @@ class TestIntegerRank:
         rows = [[0] * 30 for _ in range(30)]
         for i, row in enumerate(rows):
             row[i], row[(i + 1) % 30] = 1, -1
-        assert integer_rank(rows) == 29
+        assert integer_rank(sparse(rows)) == 29
 
     def test_empty(self):
         assert integer_rank([]) == 0
 
     def test_identity(self):
-        assert integer_rank([[1, 0], [0, 1]]) == 2
+        assert integer_rank(sparse([[1, 0], [0, 1]])) == 2
 
     def test_dependent_rows(self):
-        assert integer_rank([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 2
+        assert integer_rank(sparse([[1, 2, 3], [2, 4, 6], [0, 1, 1]])) == 2
 
     def test_needs_exact_arithmetic(self):
         # ill-conditioned for floats, exact for us
         m = [[10**9, 1], [10**9 - 1, 1]]
-        assert integer_rank(m) == 2
+        assert integer_rank(sparse(m)) == 2
 
 
 class TestBuildRep:
