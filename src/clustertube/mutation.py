@@ -21,6 +21,7 @@ from .rigid import (
     complements,
     enumerate_maximal_rigid,
     exchanges,
+    maximal_rigid_masks,
     rigid_table,
 )
 from .tube import TubeObject
@@ -167,14 +168,14 @@ def exchange(t: MaximalRigid, k: int) -> tuple[MaximalRigid, int]:
 class ExchangeGraph:
     """All seeds at rank n, with B-matrices propagated by BFS.
 
-    ``nodes`` maps each maximal rigid object to its canonical-order
-    matrix, numbered in :func:`enumerate_maximal_rigid` order; ``edges``
-    holds, in search order, every triple (i, k, j) of node numbers where
-    exchanging summand ``k`` of node ``i`` gives node ``j``.  The search
-    runs on the masks of :func:`~clustertube.rigid.rigid_table`, where
-    canonical order is bit order, so each mutation step writes the new
-    summand straight into its position: the number of kept bits below
-    its index.  The masks reached must be exactly the enumeration's.
+    ``masks`` holds each node's mask, numbered in
+    :func:`~clustertube.rigid.maximal_rigid_masks` order; ``nodes`` maps
+    each maximal rigid object, in the same order, to its canonical-order
+    matrix; ``edges`` holds, in search order, every triple (i, k, j) of
+    node numbers where exchanging summand ``k`` of node ``i`` gives node
+    ``j``.  Canonical order is bit order, so each mutation step writes
+    the new summand straight into its position: the number of kept bits
+    below its index.  The masks reached must be exactly the enumeration's.
 
     One :func:`~clustertube.rigid.exchanges` call gives a node's n-1
     exchanges, and equal rows are one tuple (234 among 24 024 at rank 8):
@@ -186,8 +187,8 @@ class ExchangeGraph:
         table = rigid_table(n)
         seed = initial_seed(n)
         start = table.mask_of(seed.object.summands)
-        objects = enumerate_maximal_rigid(n)
-        number = {table.mask_of(t.summands): i for i, t in enumerate(objects)}
+        self.masks = maximal_rigid_masks(n)
+        number = {mask: i for i, mask in enumerate(self.masks)}
         shared: dict[tuple[int, ...], tuple[int, ...]] = {}
         rows = {start: tuple(shared.setdefault(r, r) for r in seed.matrix.entries)}
         edges: list[tuple[int, int, int]] = []
@@ -215,7 +216,8 @@ class ExchangeGraph:
                 f"the enumeration has {len(number)}"
             )
         self.nodes: dict[MaximalRigid, ExchangeMatrix] = {
-            t: ExchangeMatrix(t.summands, rows[m]) for m, t in zip(number, objects)
+            t: ExchangeMatrix(t.summands, rows[m])
+            for m, t in zip(self.masks, enumerate_maximal_rigid(n))
         }
         self.edges = edges
 

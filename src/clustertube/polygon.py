@@ -11,8 +11,8 @@ The pairs of one rank are numbered in :func:`all_cs_pairs` order
 triangulation is a mask and a flip is :func:`~clustertube.rigid.swap`
 on the non-crossing rows, the same exchange step as for rigid objects
 (:func:`~clustertube.rigid.exchanges` gives all flips of a node at once).
-Graph edges are node-number triples, and both node verdicts of the
-``verify`` polygon suite read one node map, :func:`delta_node_map`.
+Graph nodes are masks and edges node-number triples, and both node
+verdicts of the ``verify`` polygon suite read one map, :func:`delta_node_map`.
 
 Corners are labelled clockwise 1..2n; all corner arithmetic is reduced
 into that range.
@@ -23,14 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import StructuralError
+from .errors import StructuralError, TheoremViolationError
 from .rigid import (
     MaximalRigid,
     bit_indices,
     clusters,
     enumerate_rigid_indecs,
     exchanges,
-    rigid_table,
     swap,
 )
 from .tube import TubeObject, check_coordinates, check_rank, is_rigid_indec
@@ -77,6 +76,8 @@ class CsPair:
     n: int
 
     def __post_init__(self) -> None:
+        if self.d1.n != self.n:
+            raise StructuralError(f"{self.d1} is not a diagonal of the {2 * self.n}-gon")
         if self.d1.shifted() != self.d2:
             raise StructuralError(f"{self.d2} is not the half-turn of {self.d1}")
         if (self.d2.p, self.d2.q) < (self.d1.p, self.d1.q):
@@ -210,14 +211,15 @@ class PolygonTable:
     # delta_index[i]: the pair index of delta of the rigid indecomposable
     # with canonical index i
     delta_index: tuple[int, ...]
+    # the n diameters (degenerate pairs)
+    diameters: int
 
     def mask_of(self, tri: CsTriangulation) -> int:
         return sum(1 << self.index[p] for p in tri.pairs)
 
-    def image_mask(self, t: MaximalRigid) -> int:
-        """The mask of delta's image of ``t``, read off ``delta_index``."""
-        index = rigid_table(self.n).index
-        return sum(1 << self.delta_index[index[x]] for x in t.summands)
+    def image_mask(self, mask: int) -> int:
+        """The pair mask of delta's image of the rigid mask ``mask``."""
+        return sum(1 << self.delta_index[i] for i in bit_indices(mask))
 
     def triangulation(self, mask: int) -> CsTriangulation:
         return CsTriangulation(
@@ -242,7 +244,8 @@ def polygon_table(n: int) -> PolygonTable:
                 noncross[j] |= 1 << i
     index = {p: i for i, p in enumerate(pairs)}
     delta_index = tuple(index[delta(x)] for x in enumerate_rigid_indecs(n))
-    return PolygonTable(n, pairs, index, tuple(noncross), delta_index)
+    diameters = sum(1 << i for i, p in enumerate(pairs) if p.degenerate)
+    return PolygonTable(n, pairs, index, tuple(noncross), delta_index, diameters)
 
 
 def flip(tri: CsTriangulation, p: CsPair) -> CsTriangulation:
@@ -255,8 +258,8 @@ def flip(tri: CsTriangulation, p: CsPair) -> CsTriangulation:
 
 
 class FlipGraph:
-    """All centrally symmetric triangulations, with flip edges: ``masks``
-    holds each node's pair mask, and ``edges`` every triple (a, p, b) of
+    """All centrally symmetric triangulations, with flip edges: ``nodes``
+    holds each one's pair mask, and ``edges`` every triple (a, p, b) of
     node numbers where flipping pair ``p`` of node ``a`` gives node ``b``.
     A flip of n-1 pairwise non-crossing pairs gives n-1 such pairs again,
     which is a maximal clique since every maximal clique has n-1 pairs;
@@ -266,12 +269,11 @@ class FlipGraph:
     def __init__(self, n: int):
         self.n = n
         table = polygon_table(n)
-        self.nodes: tuple[CsTriangulation, ...] = _all_triangulations(n)
-        self.masks: tuple[int, ...] = tuple(table.mask_of(t) for t in self.nodes)
-        number = {mask: a for a, mask in enumerate(self.masks)}
+        self.nodes: tuple[int, ...] = _all_triangulations(n)
+        number = {mask: a for a, mask in enumerate(self.nodes)}
         self.edges: list[tuple[int, int, int]] = [
             (a, p, number[mask ^ 1 << p | 1 << q])
-            for a, mask in enumerate(self.masks)
+            for a, mask in enumerate(self.nodes)
             for p, q in exchanges(table.noncross, mask)
         ]
 
@@ -284,12 +286,18 @@ def flip_graph(n: int) -> FlipGraph:
     return FlipGraph(n)
 
 
-def _all_triangulations(n: int) -> tuple[CsTriangulation, ...]:
-    """The :func:`~clustertube.rigid.clusters` of the non-crossing graph
-    of :func:`polygon_table`."""
+def _all_triangulations(n: int) -> tuple[int, ...]:
+    """The pair masks of the :func:`~clustertube.rigid.clusters` of the
+    non-crossing graph of :func:`polygon_table`, each with one diameter."""
     table = polygon_table(n)
     # pairs are in _pair_key order, so ascending indices sort triangulations
-    return tuple(table.triangulation(c) for c in clusters(table.noncross, n))
+    masks = tuple(clusters(table.noncross, n))
+    for mask in masks:
+        found = (mask & table.diameters).bit_count()
+        if found != 1:
+            pairs = [table.pairs[i] for i in bit_indices(mask)]
+            raise TheoremViolationError(f"{found} diameters in {pairs}")
+    return masks
 
 
 def delta_node_map(eg, fg: FlipGraph) -> list[int] | None:
@@ -297,9 +305,9 @@ def delta_node_map(eg, fg: FlipGraph) -> list[int] | None:
     or None unless this is a bijection (graphs of two ranks differ in
     size): the one comparison of the two graphs' nodes."""
     table = polygon_table(eg.n)
-    number = {mask: b for b, mask in enumerate(fg.masks)}
-    image = [number.get(table.image_mask(t)) for t in eg.nodes]
-    bijective = None not in image and len(set(image)) == len(image) == len(fg.masks)
+    number = {mask: b for b, mask in enumerate(fg.nodes)}
+    image = [number.get(table.image_mask(m)) for m in eg.masks]
+    bijective = None not in image and len(set(image)) == len(image) == len(fg.nodes)
     return image if bijective else None
 
 
@@ -313,8 +321,8 @@ def graphs_isomorphic_via_delta(eg, fg: FlipGraph) -> bool:
 def edges_match(eg, fg: FlipGraph, node: list[int] | None) -> bool:
     """:func:`graphs_isomorphic_via_delta` on the node map ``node`` of
     :func:`delta_node_map`, for a caller that already holds it."""
-    table, rigid = polygon_table(eg.n), rigid_table(eg.n)
-    label = [[table.delta_index[rigid.index[x]] for x in t.summands] for t in eg.nodes]
+    table = polygon_table(eg.n)
+    label = [[table.delta_index[i] for i in bit_indices(m)] for m in eg.masks]
     return node is not None and sorted(fg.edges) == sorted(
         (node[i], label[i][k], node[j]) for i, k, j in eg.edges
     )

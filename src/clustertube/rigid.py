@@ -278,12 +278,16 @@ def compatibility(n: int) -> dict[TubeObject, frozenset[TubeObject]]:
 
 
 @lru_cache(maxsize=None)
+def maximal_rigid_masks(n: int) -> tuple[int, ...]:
+    """The masks of all maximal rigid objects: :func:`clusters` of ``compat``."""
+    return tuple(clusters(rigid_table(n).compat, n))
+
+
+@lru_cache(maxsize=None)
 def enumerate_maximal_rigid(n: int) -> tuple[MaximalRigid, ...]:
-    """All maximal rigid objects: the :func:`clusters` of the
-    compatibility graph."""
+    """All maximal rigid objects, in :func:`maximal_rigid_masks` order."""
     table = rigid_table(n)
-    cliques = clusters(table.compat, n)
-    return tuple(MaximalRigid(n, table.objects_of(c)) for c in cliques)
+    return tuple(MaximalRigid(n, table.objects_of(c)) for c in maximal_rigid_masks(n))
 
 
 def to_tilting_datum(t: MaximalRigid) -> TiltingDatum:

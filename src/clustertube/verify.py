@@ -32,10 +32,10 @@ from .reps import hom_dim_oracle
 from .rigid import (
     bit_indices,
     cluster_tilting_witness,
-    clusters,
     enumerate_maximal_rigid,
     enumerate_rigid_indecs,
     from_tilting_datum,
+    maximal_rigid_masks,
     rigid_table,
     to_tilting_datum,
 )
@@ -262,7 +262,7 @@ def suite_mutation(n: int) -> list[CheckResult]:
     # complete object, the enumerated clusters that contain it
     table = rigid_table(n)
     found = Counter(
-        c & ~(1 << i) for c in clusters(table.compat, n) for i in bit_indices(c)
+        c & ~(1 << i) for c in maximal_rigid_masks(n) for i in bit_indices(c)
     )
     bad = next(
         (f"{table.objects_of(m)}: {k}" for m, k in found.items() if k != 2), None
@@ -303,7 +303,7 @@ def suite_polygon(n: int) -> list[CheckResult]:
     node = delta_node_map(eg, fg)
     bijective = node is not None
     # a bijection has one image per object; only a failure counts them
-    images = eg.nodes if bijective else {polygon_table(n).image_mask(t) for t in eg.nodes}
+    images = eg.nodes if bijective else {polygon_table(n).image_mask(m) for m in eg.masks}
     checks.append(
         CheckResult(
             "triangulation-bijection",
@@ -311,11 +311,7 @@ def suite_polygon(n: int) -> list[CheckResult]:
             f"{len(images)} triangulations of {len(eg.nodes)} objects",
         )
     )
-    checks.append(
-        CheckResult(
-            "flip-graph-isomorphism", edges_match(eg, fg, node)
-        )
-    )
+    checks.append(CheckResult("flip-graph-isomorphism", edges_match(eg, fg, node)))
     return checks
 
 

@@ -150,8 +150,8 @@ class TestExchangeGraph:
                 assert is_sign_skew_symmetric(mat)
 
     def test_nodes_must_equal_the_enumeration(self, monkeypatch):
-        real = mutation.enumerate_maximal_rigid
-        monkeypatch.setattr(mutation, "enumerate_maximal_rigid", lambda n: real(n)[1:])
+        real = mutation.maximal_rigid_masks
+        monkeypatch.setattr(mutation, "maximal_rigid_masks", lambda n: real(n)[1:])
         with pytest.raises(TheoremViolationError, match="reaches 70 objects.* 69"):
             mutation.ExchangeGraph(5)
 
@@ -205,6 +205,28 @@ class TestExchangeGraph:
     def test_nodes_in_enumeration_order(self, n):
         # the CLI numbers the nodes by this order
         assert list(build_exchange_graph(n).nodes) == list(enumerate_maximal_rigid(n))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_masks_are_the_enumeration_masks(self, n):
+        g, table = build_exchange_graph(n), rigid.rigid_table(n)
+        assert g.masks == rigid.maximal_rigid_masks(n)
+        assert [table.mask_of(t.summands) for t in g.nodes] == list(g.masks)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_one_mask_of_call_for_the_seed(self, n, monkeypatch):
+        seed = mutation.initial_seed(n)
+        enumerate_maximal_rigid(n)
+        calls = []
+        real = rigid.RigidTable.mask_of
+
+        def counted(table, objs):
+            calls.append(tuple(objs))
+            return real(table, calls[-1])
+
+        monkeypatch.setattr(mutation, "initial_seed", lambda n: seed)
+        monkeypatch.setattr(rigid.RigidTable, "mask_of", counted)
+        mutation.ExchangeGraph(n)
+        assert calls == [seed.object.summands]
 
 
 class TestNumberedEdges:
@@ -424,6 +446,6 @@ class TestVerifyFailures:
         self.expect_failure(capsys, "graph-shape")
 
     def test_unique_exchange_counts_enumerated_clusters(self, monkeypatch, capsys):
-        real = verify.clusters
-        monkeypatch.setattr(verify, "clusters", lambda adj, n: real(adj, n)[1:])
+        real = verify.maximal_rigid_masks
+        monkeypatch.setattr(verify, "maximal_rigid_masks", lambda n: real(n)[1:])
         self.expect_failure(capsys, "unique-exchange")

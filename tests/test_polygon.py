@@ -1,8 +1,8 @@
 import copy
+import dataclasses
 import hashlib
 import sys
 from itertools import combinations
-from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +12,7 @@ from clustertube import (
     Diagonal,
     MaximalRigid,
     StructuralError,
+    TheoremViolationError,
     TubeObject,
     all_cs_pairs,
     build_exchange_graph,
@@ -76,6 +77,13 @@ class TestDiagonals:
         assert diagonals_cross(Diagonal(1, 3, 3), Diagonal(2, 4, 3))
         assert not diagonals_cross(Diagonal(1, 3, 3), Diagonal(3, 5, 3))
         assert diagonals_cross(Diagonal(1, 4, 3), Diagonal(2, 5, 3))
+
+
+class TestCsPairs:
+    def test_rejects_diagonals_of_another_rank(self):
+        with pytest.raises(StructuralError, match=r"^\[1,3\] is not a diagonal of the 8-gon$"):
+            CsPair(Diagonal(1, 3, 3), Diagonal(4, 6, 3), 4)
+        assert CsPair(Diagonal(1, 3, 3), Diagonal(4, 6, 3), 3) == pair(1, 3, 3)
 
 
 class TestDelta:
@@ -217,9 +225,9 @@ class TestFlipGraph:
         g, table = flip_graph(n), polygon_table(n)
         assert all(type(v) is int for e in g.edges for v in e)
         assert len(g.edges) == len(g.nodes) * (n - 1)
-        assert g.masks == tuple(table.mask_of(tri) for tri in g.nodes)
+        tris = [table.triangulation(mask) for mask in g.nodes]
         for a, p, b in g.edges:
-            assert flip(g.nodes[a], table.pairs[p]) == g.nodes[b], (a, p, b)
+            assert flip(tris[a], table.pairs[p]) == tris[b], (a, p, b)
         assert all(a < b for a, b in g.undirected_edges())
 
     def test_one_exchanges_call_per_node(self, monkeypatch):
@@ -232,6 +240,37 @@ class TestFlipGraph:
         monkeypatch.setattr(polygon, "exchanges", counted)
         g = polygon.FlipGraph(5)
         assert len(calls) == len(set(calls)) == len(g.nodes) == 70
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_node_is_a_valid_triangulation(self, n):
+        # the reference for the node checks FlipGraph leaves to clusters
+        # and to one AND with the diameter mask
+        g, table = flip_graph(n), polygon_table(n)
+        assert not hasattr(g, "masks")
+        assert all(type(mask) is int for mask in g.nodes)
+        for mask in g.nodes:
+            assert table.mask_of(table.triangulation(mask)) == mask
+
+    def test_node_without_a_diameter_is_a_theorem_violation(self, monkeypatch, capsys):
+        real = polygon.polygon_table
+
+        def doctored(n):
+            table = real(n)
+            low = table.diameters & -table.diameters
+            return dataclasses.replace(table, diameters=table.diameters ^ low)
+
+        monkeypatch.setattr(polygon, "polygon_table", doctored)
+        polygon.flip_graph.cache_clear()
+        try:
+            with pytest.raises(TheoremViolationError, match="^0 diameters in "):
+                flip_graph(4)
+            assert main(["verify", "--rank", "4", "--suite", "polygon"]) == 1
+        finally:
+            polygon.flip_graph.cache_clear()
+        assert capsys.readouterr().err.startswith("verification failure: 0 diameters in ")
+
+    def test_polygon_reads_no_rigid_table(self):
+        assert not hasattr(polygon, "rigid_table")
 
     @pytest.mark.parametrize("n", [1, 0])
     def test_rank_below_two(self, n):
@@ -258,9 +297,9 @@ def reference_flip(tri, p):
 
 
 def digests(g):
-    pairs = polygon_table(g.n).pairs
-    nodes = "\n".join(repr(t.sorted_pairs()) for t in g.nodes)
-    edges = "\n".join(f"{a} {pairs[p]!r} {b}" for a, p, b in g.edges)
+    table = polygon_table(g.n)
+    nodes = "\n".join(repr(table.triangulation(m).sorted_pairs()) for m in g.nodes)
+    edges = "\n".join(f"{a} {table.pairs[p]!r} {b}" for a, p, b in g.edges)
     return (
         hashlib.sha256(nodes.encode()).hexdigest(),
         hashlib.sha256(edges.encode()).hexdigest(),
@@ -289,7 +328,7 @@ def retarget(edges):
 
 def relabel(edges):
     a, p, b = edges[0]
-    others = (q for q in bit_indices(flip_graph(4).masks[a]) if q != p)
+    others = (q for q in bit_indices(flip_graph(4).nodes[a]) if q != p)
     edges[0] = (a, next(others), b)
 
 
@@ -299,7 +338,7 @@ def drop(edges):
 
 def extra(edges):
     a, _, b = edges[0]
-    mask = flip_graph(4).masks[a]
+    mask = flip_graph(4).nodes[a]
     outside = (q for q in range(len(all_cs_pairs(4))) if not mask >> q & 1)
     edges.append((a, next(outside), b))
 
@@ -315,7 +354,8 @@ class TestMaskFlips:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_agrees_with_search_on_every_pair(self, n):
-        for tri in flip_graph(n).nodes:
+        for mask in flip_graph(n).nodes:
+            tri = polygon_table(n).triangulation(mask)
             for p in tri.sorted_pairs():
                 assert flip(tri, p) == reference_flip(tri, p), (tri, p)
 
@@ -361,15 +401,15 @@ def clear_package_caches():
 
 class TestDeltaImageMask:
     """Both node verdicts of the ``polygon`` suite read ``delta_node_map``,
-    which maps ``PolygonTable.image_mask`` onto the flip graph's node
-    numbers; the flip graph's node validation is the one place a
-    triangulation object is built per node."""
+    which maps ``PolygonTable.image_mask`` of the exchange graph's masks
+    onto the flip graph's node masks; no triangulation object is built
+    per node."""
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_equals_the_mask_of_triangulation_of(self, n):
-        table = polygon_table(n)
-        for t in build_exchange_graph(n).nodes:
-            assert table.image_mask(t) == table.mask_of(triangulation_of(t)), t
+        table, eg = polygon_table(n), build_exchange_graph(n)
+        for mask, t in zip(eg.masks, eg.nodes):
+            assert table.image_mask(mask) == table.mask_of(triangulation_of(t)), t
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_node_map_numbers_the_triangulation_of_each_node(self, n):
@@ -377,17 +417,18 @@ class TestDeltaImageMask:
         node = delta_node_map(build_exchange_graph(n), fg)
         assert sorted(node) == list(range(len(fg.nodes)))
         for i, t in enumerate(build_exchange_graph(n).nodes):
-            assert fg.nodes[node[i]] == triangulation_of(t), t
+            tri = polygon_table(n).triangulation(fg.nodes[node[i]])
+            assert tri == triangulation_of(t), t
 
     def test_node_map_is_none_unless_a_bijection(self):
         eg, fg = build_exchange_graph(4), flip_graph(4)
         assert delta_node_map(build_exchange_graph(3), fg) is None
         doubled = copy.copy(fg)
-        doubled.masks = (fg.masks[1],) + fg.masks[1:]
+        doubled.nodes = (fg.nodes[1],) + fg.nodes[1:]
         assert delta_node_map(eg, doubled) is None
 
     @pytest.mark.parametrize("n", range(4, 7))
-    def test_cold_suite_builds_one_triangulation_per_node(self, n, monkeypatch):
+    def test_cold_suite_builds_no_triangulation(self, n, monkeypatch):
         built = []
         validate = CsTriangulation.__post_init__
 
@@ -398,7 +439,7 @@ class TestDeltaImageMask:
         clear_package_caches()
         monkeypatch.setattr(CsTriangulation, "__post_init__", counted)
         assert all(c.ok for c in verify.suite_polygon(n))
-        assert len(built) == comb(2 * n - 2, n - 1)
+        assert built == []
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_suite_computes_the_node_map_once(self, n, monkeypatch):
@@ -420,7 +461,7 @@ class TestDeltaImageMask:
 
     def test_dropped_flip_graph_node_fails_the_bijection(self, monkeypatch, capsys):
         fake = copy.copy(flip_graph(4))
-        fake.nodes, fake.masks = fake.nodes[1:], fake.masks[1:]
+        fake.nodes = fake.nodes[1:]
         monkeypatch.setattr(verify, "flip_graph", lambda n: fake)
         report = verify.run_suite("polygon", 4)
         assert [c.name for c in report.checks if not c.ok] == [
