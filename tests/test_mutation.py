@@ -176,12 +176,13 @@ class TestExchangeGraph:
         g = mutation.ExchangeGraph(n)
         assert len(calls) == len(set(calls)) == len(g.nodes)
 
-    @pytest.mark.parametrize("n", (3, 4))
-    def test_every_edge_is_compared(self, n, monkeypatch):
-        # each node has n-1 >= 2 incoming edges, so a wrong matrix on any
-        # one edge, discovering or revisiting, meets a revisit
+    @pytest.mark.parametrize("n", (3, 4, 5))
+    def test_every_mutation_step_is_checked(self, n, monkeypatch):
+        # a wrong comparison step fails at once; a wrong discovery matrix
+        # spreads, by bijections, over one side of a cut, and each node has
+        # n-1 >= 2 edges, so some edge across the cut is compared
         real = mutation._mutate_rows
-        for bad in range(len(build_exchange_graph(n).edges)):
+        for bad in range(len(build_exchange_graph(n).undirected_edges())):
             calls = []
 
             def tampered(b, k, p):
@@ -194,6 +195,31 @@ class TestExchangeGraph:
             monkeypatch.setattr(mutation, "_mutate_rows", tampered)
             with pytest.raises(TheoremViolationError, match="^path-independence failure at "):
                 mutation.ExchangeGraph(n)
+            assert bad < len(calls)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_one_mutation_per_undirected_edge(self, n, monkeypatch):
+        calls = []
+        real = mutation._mutate_rows
+
+        def counted(b, k, p):
+            calls.append(None)
+            return real(b, k, p)
+
+        monkeypatch.setattr(mutation, "_mutate_rows", counted)
+        g = mutation.ExchangeGraph(n)
+        assert len(calls) == len(g.undirected_edges()) == len(g.nodes) * (n - 1) // 2
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_directed_edge_mutates_to_its_target(self, n):
+        # the BFS mutates one direction of each edge; the other holds too
+        g = build_exchange_graph(n)
+        nodes = tuple(g.nodes)
+        rows = [mat.entries for mat in g.nodes.values()]
+        for i, k, j in g.edges:
+            t2, p = exchange(nodes[i], k)
+            assert t2 == nodes[j]
+            assert mutation._mutate_rows(rows[i], k, p) == rows[j], (i, k, j)
 
     def test_rank_eight_rows_are_shared(self):
         # each distinct row is one tuple, the seed's rows included
@@ -213,6 +239,27 @@ class TestExchangeGraph:
         assert [table.mask_of(t.summands) for t in g.nodes] == list(g.masks)
 
     @pytest.mark.parametrize("n", range(2, 7))
+    def test_cold_graph_builds_only_the_seed(self, n, monkeypatch):
+        built, enumerated = [], []
+        for cls in (rigid.MaximalRigid, ExchangeMatrix):
+
+            def counted(self, real=cls.__post_init__):
+                built.append(type(self).__name__)
+                real(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        real = mutation.enumerate_maximal_rigid
+        monkeypatch.setattr(
+            mutation, "enumerate_maximal_rigid", lambda n: enumerated.append(n) or real(n)
+        )
+        g = mutation.ExchangeGraph(n)
+        assert built == ["MaximalRigid", "ExchangeMatrix"] and not enumerated
+        t = list(g.nodes)[-1]
+        built.clear()
+        assert g.b_matrix(t).order == t.summands
+        assert built == ["ExchangeMatrix"]
+
+    @pytest.mark.parametrize("n", range(2, 7))
     def test_one_mask_of_call_for_the_seed(self, n, monkeypatch):
         seed = mutation.initial_seed(n)
         enumerate_maximal_rigid(n)
@@ -227,6 +274,36 @@ class TestExchangeGraph:
         monkeypatch.setattr(rigid.RigidTable, "mask_of", counted)
         mutation.ExchangeGraph(n)
         assert calls == [seed.object.summands]
+
+
+class TestNodeView:
+    """``ExchangeGraph.nodes`` is a read-only mapping built from the BFS
+    rows; it reads like the dict it replaces."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_items_and_values_agree_with_lookup(self, n):
+        nodes = build_exchange_graph(n).nodes
+        pairs = [(t, nodes[t]) for t in nodes]
+        assert list(nodes.items()) == pairs
+        assert list(nodes.values()) == [mat for _, mat in pairs]
+        assert list(nodes.keys()) == list(enumerate_maximal_rigid(n))
+        assert len(nodes) == len(pairs) and all(t in nodes for t, _ in pairs)
+        assert dict(nodes) == dict(pairs)
+        assert all(mat.order == t.summands for t, mat in pairs)
+
+    def test_foreign_keys_are_absent(self):
+        nodes = build_exchange_graph(3).nodes
+        for key in (mr(4, (1, 3), (1, 2), (2, 1)), initial_seed(3).matrix, "x", None, []):
+            assert key not in nodes
+            with pytest.raises(KeyError):
+                nodes[key]
+            assert nodes.get(key) is None
+
+    def test_read_only(self):
+        nodes = build_exchange_graph(3).nodes
+        t = next(iter(nodes))
+        with pytest.raises(TypeError):
+            nodes[t] = nodes[t]
 
 
 class TestNumberedEdges:
@@ -281,6 +358,14 @@ def sign_skew_symmetric(draw):
 
 
 class TestFoldedMutation:
+    @settings(max_examples=150, deadline=None)
+    @given(sign_skew_symmetric())
+    def test_involution(self, b):
+        # the exchange-graph BFS mutates each undirected edge once on this
+        for k in range(len(b)):
+            for p in range(len(b)):
+                assert mutation._mutate_rows(mutation._mutate_rows(b, k, p), p, k) == b
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_matches_mutate_then_move(self, n):
         for mat in build_exchange_graph(n).nodes.values():
