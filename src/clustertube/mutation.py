@@ -7,7 +7,9 @@ undirected edge; the reverse direction holds because mutation is an
 involution, so finishing without a mismatch certifies that the
 assignment is path independent.
 The entry bound and sign-skew symmetry of every node's matrix are
-checked once, by the ``mutation`` suite of :mod:`clustertube.verify`.
+checked once, by the ``mutation`` suite of :mod:`clustertube.verify`, on
+the graph's raw ``rows``: no :class:`ExchangeMatrix` is built there, and
+sign-skew symmetry alone forces a zero diagonal (``b_ii = -b_ii``).
 """
 
 from __future__ import annotations
@@ -170,12 +172,13 @@ def exchange(t: MaximalRigid, k: int) -> tuple[MaximalRigid, int]:
 
 class NodeMatrices(Mapping):
     """Read-only map from each maximal rigid object of rank ``n``, in
-    ``masks`` order, to its matrix; the :class:`ExchangeMatrix` is built
-    when the node is read.  Any other key, another rank's object
-    included, is simply absent."""
+    ``masks`` order, to its matrix; it reads the graph's ``rows`` through
+    the search's mask-to-number map, and builds the
+    :class:`ExchangeMatrix` when the node is read.  Any other key, another
+    rank's object included, is simply absent."""
 
-    def __init__(self, n: int, masks: tuple[int, ...], rows: dict[int, Rows]):
-        self._n, self._masks, self._rows = n, masks, rows
+    def __init__(self, n: int, rows: tuple[Rows, ...], number: dict[int, int]):
+        self._n, self._rows, self._number = n, rows, number
 
     def _mask(self, t) -> int | None:
         if isinstance(t, MaximalRigid) and t.n == self._n:
@@ -183,19 +186,19 @@ class NodeMatrices(Mapping):
         return None
 
     def __getitem__(self, t: MaximalRigid) -> ExchangeMatrix:
-        rows = self._rows.get(self._mask(t))
-        if rows is None:
+        i = self._number.get(self._mask(t))
+        if i is None:
             raise KeyError(t)
-        return ExchangeMatrix(t.summands, rows)
+        return ExchangeMatrix(t.summands, self._rows[i])
 
     def __contains__(self, t) -> bool:
-        return self._mask(t) in self._rows
+        return self._mask(t) in self._number
 
     def __iter__(self):
         return iter(enumerate_maximal_rigid(self._n))
 
     def __len__(self) -> int:
-        return len(self._masks)
+        return len(self._rows)
 
     def items(self) -> ItemsView:
         return _Items(self)
@@ -203,19 +206,20 @@ class NodeMatrices(Mapping):
 
 class _Items(ItemsView):
     def __iter__(self):
-        # objects and masks side by side: no mask lookup per node
+        # objects and rows side by side: no mask lookup per node
         nodes = self._mapping
-        for t, mask in zip(enumerate_maximal_rigid(nodes._n), nodes._masks):
-            yield t, ExchangeMatrix(t.summands, nodes._rows[mask])
+        for t, rows in zip(enumerate_maximal_rigid(nodes._n), nodes._rows):
+            yield t, ExchangeMatrix(t.summands, rows)
 
 
 class ExchangeGraph:
     """All seeds at rank n, with B-matrices propagated by BFS.
 
     ``masks`` holds each node's mask, numbered in
-    :func:`~clustertube.rigid.maximal_rigid_masks` order; ``nodes`` maps
-    each maximal rigid object, in the same order, to its canonical-order
-    matrix, built when read (:class:`NodeMatrices`); ``edges`` holds, in
+    :func:`~clustertube.rigid.maximal_rigid_masks` order, and ``rows``
+    each node's canonical-order matrix as a tuple of rows, in the same
+    order; ``nodes`` maps each maximal rigid object to that matrix, built
+    from ``rows`` when read (:class:`NodeMatrices`); ``edges`` holds, in
     search order, every triple (i, k, j) of node numbers where exchanging
     summand ``k`` of node ``i`` gives node ``j``.  Canonical order is bit
     order, so each mutation step writes the new summand straight into its
@@ -267,8 +271,9 @@ class ExchangeGraph:
                 f"exchange graph at rank {n} reaches {len(rows)} objects, "
                 f"the enumeration has {len(number)}"
             )
+        self.rows: tuple[Rows, ...] = tuple(rows[mask] for mask in self.masks)
         self.nodes: Mapping[MaximalRigid, ExchangeMatrix] = NodeMatrices(
-            n, self.masks, rows
+            n, self.rows, number
         )
         self.edges = edges
 

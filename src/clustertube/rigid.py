@@ -5,7 +5,9 @@ The rigid indecomposables of one rank are numbered in canonical order
 upwards, list it in canonical summand order.  Enumeration, complements
 and the exchange graph run on these masks, through :func:`clusters`,
 :func:`completions`, :func:`swap` and :func:`exchanges`, which the
-polygon model shares.  :class:`MaximalRigid` and
+polygon model shares; so do tilting data and cluster-tilting witnesses
+(:func:`tilting_datum_of`, :func:`cluster_of_tilting_datum`,
+:func:`tilting_witness`).  :class:`MaximalRigid` and
 :class:`~clustertube.tube.TubeObject` are the boundary types.
 """
 
@@ -27,6 +29,16 @@ def bit_indices(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def rotate(mask: int, shift: int, size: int) -> int:
+    """The ``size``-bit ``mask`` rotated up by ``shift`` bits (mod ``size``).
+
+    In canonical order tau shifts every index by n-1, so rotating a mask
+    of rigid indecomposables by n-1 bits applies tau to each of them.
+    """
+    shift %= size
+    return (mask << shift | mask >> (size - shift)) & ((1 << size) - 1)
 
 
 def maximal_cliques(adj: Sequence[int]) -> list[int]:
@@ -196,8 +208,7 @@ def rigid_table(n: int) -> RigidTable:
                 if j != i and ext_dim_cluster(x, y) == 0
             )
         else:
-            row = compat[index[tau(x)]]
-            row = (row << step | row >> (size - step)) & ((1 << size) - 1)
+            row = rotate(compat[index[tau(x)]], step, size)
         compat.append(row)
     tops = {i: x for i, x in enumerate(objs) if x.b == n - 1}
     wings = {
@@ -290,15 +301,34 @@ def enumerate_maximal_rigid(n: int) -> tuple[MaximalRigid, ...]:
     return tuple(MaximalRigid(n, table.objects_of(c)) for c in maximal_rigid_masks(n))
 
 
+def tilting_datum_of(table: RigidTable, mask: int) -> tuple[int, int]:
+    """The tilting datum of the maximal rigid ``mask``, on indices: the
+    index ``t`` of its top, and its other summands rotated down by ``t``
+    bits.  That rotation is a power of tau taking the top to socle 1, so
+    bit ``j`` of the second stands for the object ``table.objects[j]``,
+    whose coordinates ``(offset + 1, quasi_length)`` give the wing
+    position ``(offset, quasi_length)``."""
+    top = mask & table.tops
+    t = top.bit_length() - 1
+    return t, rotate(mask ^ top, -t, len(table.objects))
+
+
+def cluster_of_tilting_datum(table: RigidTable, t: int, wing: int) -> int:
+    """The mask whose tilting datum on indices is ``(t, wing)``: the
+    inverse of :func:`tilting_datum_of`."""
+    return 1 << t | rotate(wing, t, len(table.objects))
+
+
 def to_tilting_datum(t: MaximalRigid) -> TiltingDatum:
-    top = t.top
-    positions = frozenset(
-        ((x.a - top.a) % t.n, x.b) for x in t.summands if x != top
-    )
-    return TiltingDatum(t.n, top.a, positions)
+    table = rigid_table(t.n)
+    top, wing = tilting_datum_of(table, table.mask_of(t.summands))
+    positions = frozenset((x.a - 1, x.b) for x in table.objects_of(wing))
+    return TiltingDatum(t.n, table.objects[top].a, positions)
 
 
 def from_tilting_datum(d: TiltingDatum) -> MaximalRigid:
+    # positions are arbitrary input, so each is parsed as the object it
+    # names and a bogus datum is rejected as MaximalRigid rejects it
     n = d.n
     top = TubeObject(d.top_coordinate, n - 1, n)
     summands = [top]
@@ -332,9 +362,17 @@ def complements(tbar: Sequence[TubeObject], n: int | None = None) -> tuple[TubeO
     return table.objects[first], table.objects[second]
 
 
-def cluster_tilting_witness(t: MaximalRigid, k: int) -> TubeObject:
-    """A non-summand with Ext^1(t, -) = 0 but nonzero self-extensions,
-    certifying that maximal rigid does not imply cluster-tilting."""
+def tilting_witness(table: RigidTable, top: int, k: int) -> TubeObject:
+    """The witness ``(a, kn-1)`` of every maximal rigid object whose top,
+    of index ``top``, has socle ``a``: a non-summand with no Ext^1 to the
+    object but with nonzero self-extensions."""
     if k < 2:
         raise ValueError(f"witness index must be >= 2, got {k}")
-    return TubeObject(t.top.a, k * t.n - 1, t.n)
+    return TubeObject(table.objects[top].a, k * table.n - 1, table.n)
+
+
+def cluster_tilting_witness(t: MaximalRigid, k: int) -> TubeObject:
+    """The witness of :func:`tilting_witness` for ``t``, certifying that
+    maximal rigid does not imply cluster-tilting."""
+    table = rigid_table(t.n)
+    return tilting_witness(table, table.index[t.top], k)

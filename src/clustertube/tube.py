@@ -5,8 +5,9 @@ same indecomposables) are written as pairs ``(a, b)``: ``a`` in ``1..n``
 is the position of the socle, ``b >= 1`` is the quasi-length.  The AR
 translate shifts the first coordinate down by one, cyclically.
 
-All dimension counts here are closed-form; the independent linear-algebra
-oracle lives in :mod:`clustertube.reps`.
+All dimension counts here are closed-form, through one formula on
+coordinates; the independent linear-algebra oracle lives in
+:mod:`clustertube.reps`.
 """
 
 from __future__ import annotations
@@ -81,35 +82,40 @@ def tau_inv(x: TubeObject) -> TubeObject:
     return TubeObject(_mod_coord(x.a + 1, x.n), x.b, x.n)
 
 
+def _hom(a: int, b: int, c: int, d: int, n: int) -> int:
+    """dim Hom in the tube from ``(a, b)`` to ``(c, d)``, on coordinates.
+
+    A morphism between uniserials factors as a quotient of ``(a, b)``
+    mapping onto a submodule of ``(c, d)``; the common uniserial of length
+    ``e`` needs socle ``c`` and top ``a+b-1``, which pins ``e = a+b-c``
+    modulo ``n``.  So we count ``e`` in ``1..min(b, d)`` congruent to
+    ``a+b-c``.  Socles are read modulo ``n``, so ``c - k`` stands for the
+    socle of the k-th translate.
+    """
+    m = min(b, d)
+    r = (a + b - c - 1) % n + 1
+    return 0 if m < r else (m - r) // n + 1
+
+
 @lru_cache(maxsize=None)
 def hom_dim_tube(x: TubeObject, y: TubeObject) -> int:
-    """dim Hom in the tube itself.
-
-    A morphism between uniserials factors as a quotient of ``x`` mapping
-    onto a submodule of ``y``; the common uniserial of length ``e`` needs
-    socle ``c`` and top ``a+b-1``, which pins ``e = a+b-c`` modulo ``n``.
-    So we count ``e`` in ``1..min(b, d)`` congruent to ``a+b-c``.
-    """
-    n = _same_rank(x, y)
-    m = min(x.b, y.b)
-    r = _mod_coord(x.a + x.b - y.a, n)
-    if m < r:
-        return 0
-    return (m - r) // n + 1
+    """dim Hom in the tube itself."""
+    return _hom(x.a, x.b, y.a, y.b, _same_rank(x, y))
 
 
 def hom_dim_cluster(x: TubeObject, y: TubeObject) -> int:
     """dim Hom in the cluster tube: tube maps plus the degree-shift part,
-    which is dual to tube maps into the double translate."""
-    _same_rank(x, y)
-    return hom_dim_tube(y, tau(tau(x))) + hom_dim_tube(x, y)
+    which is dual to tube maps from ``y`` into the double translate of ``x``."""
+    n = _same_rank(x, y)
+    return _hom(y.a, y.b, x.a - 2, x.b, n) + _hom(x.a, x.b, y.a, y.b, n)
 
 
 @lru_cache(maxsize=None)
 def ext_dim_cluster(x: TubeObject, y: TubeObject) -> int:
-    """dim Ext^1 in the cluster tube; symmetric in its arguments (2-CY)."""
-    _same_rank(x, y)
-    return hom_dim_tube(y, tau(x)) + hom_dim_tube(x, tau(y))
+    """dim Ext^1 in the cluster tube, ``Hom(y, tau x) + Hom(x, tau y)``;
+    symmetric in its arguments (2-CY)."""
+    n = _same_rank(x, y)
+    return _hom(y.a, y.b, x.a - 1, x.b, n) + _hom(x.a, x.b, y.a - 1, y.b, n)
 
 
 def is_rigid_indec(x: TubeObject) -> bool:

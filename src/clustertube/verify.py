@@ -30,14 +30,15 @@ from .polygon import (
 )
 from .reps import hom_dim_oracle
 from .rigid import (
+    MaximalRigid,
+    RigidTable,
     bit_indices,
-    cluster_tilting_witness,
-    enumerate_maximal_rigid,
+    cluster_of_tilting_datum,
     enumerate_rigid_indecs,
-    from_tilting_datum,
     maximal_rigid_masks,
     rigid_table,
-    to_tilting_datum,
+    tilting_datum_of,
+    tilting_witness,
 )
 from .tube import TubeObject, ext_dim_cluster, hom_dim_cluster, hom_dim_tube
 
@@ -89,6 +90,18 @@ class VerifyReport:
 def _counterexample(name: str, bad, prefix: str = "at") -> CheckResult:
     """Passes when no counterexample ``bad`` was found, else names it."""
     return CheckResult(name, bad is None, "" if bad is None else f"{prefix} {bad}")
+
+
+def _node(table: RigidTable, mask: int):
+    """A node's counterexample text: its :class:`MaximalRigid`, built only
+    here, or its summands and why they are not one."""
+    objs = table.objects_of(mask)
+    defect = table.defect(mask)
+    return f"{objs} {defect}" if defect else MaximalRigid(table.n, objs)
+
+
+def _bad_node(name: str, table: RigidTable, mask: int | None) -> CheckResult:
+    return _counterexample(name, None if mask is None else _node(table, mask))
 
 
 def _catalan(m: int) -> int:
@@ -160,6 +173,8 @@ def suite_hom(n: int) -> list[CheckResult]:
 
 
 def suite_counts(n: int) -> list[CheckResult]:
+    """Counts and tilting data of the enumeration's masks; each node is
+    validated once, by :meth:`RigidTable.defect` in ``tilting-roundtrip``."""
     checks = []
     rigids = enumerate_rigid_indecs(n)
     checks.append(
@@ -169,7 +184,8 @@ def suite_counts(n: int) -> list[CheckResult]:
             f"got {len(rigids)}, want {n * (n - 1)}",
         )
     )
-    maximal = enumerate_maximal_rigid(n)
+    table = rigid_table(n)
+    maximal = maximal_rigid_masks(n)
     want = comb(2 * n - 2, n - 1)
     checks.append(
         CheckResult(
@@ -179,7 +195,12 @@ def suite_counts(n: int) -> list[CheckResult]:
         )
     )
 
-    per_top = dict(Counter(t.top.a for t in maximal))
+    # per top, the nodes that contain it, in order of first appearance
+    per_top: dict[int, int] = {}
+    for tops, count in Counter(mask & table.tops for mask in maximal).items():
+        for i in bit_indices(tops):
+            a = table.objects[i].a
+            per_top[a] = per_top.get(a, 0) + count
     cat = _catalan(n - 1)
     checks.append(
         CheckResult(
@@ -191,14 +212,23 @@ def suite_counts(n: int) -> list[CheckResult]:
     )
 
     bad = next(
-        (t for t in maximal if from_tilting_datum(to_tilting_datum(t)) != t), None
+        (
+            mask
+            for mask in maximal
+            if table.defect(mask)
+            or cluster_of_tilting_datum(table, *tilting_datum_of(table, mask)) != mask
+        ),
+        None,
     )
-    checks.append(_counterexample("tilting-roundtrip", bad))
+    checks.append(_bad_node("tilting-roundtrip", table, bad))
 
-    bad = next(
-        (t for t in maximal if hom_dim_cluster(t.top, t.top) != 2), None
-    )
-    checks.append(_counterexample("top-loop-dimension", bad))
+    # keyed by the top's bit: a node without exactly one top has no loop
+    loops = {
+        1 << i: hom_dim_cluster(table.objects[i], table.objects[i])
+        for i in bit_indices(table.tops)
+    }
+    bad = next((mask for mask in maximal if loops.get(mask & table.tops) != 2), None)
+    checks.append(_bad_node("top-loop-dimension", table, bad))
     return checks
 
 
@@ -210,16 +240,18 @@ def suite_mutation(n: int) -> list[CheckResult]:
         return [CheckResult("path-independence", False, str(exc))]
     checks.append(CheckResult("path-independence", True))
 
+    # on the BFS rows: sign-skew symmetry also forces a zero diagonal
     bad = next(
         (
-            t
-            for t, mat in graph.nodes.items()
-            if not is_sign_skew_symmetric(mat)
-            or any(abs(v) > _ENTRY_BOUND for row in mat.entries for v in row)
+            mask
+            for mask, rows in zip(graph.masks, graph.rows)
+            if not is_sign_skew_symmetric(rows)
+            or any(abs(v) > _ENTRY_BOUND for row in rows for v in row)
         ),
         None,
     )
-    checks.append(_counterexample("matrix-invariants", bad))
+    table = rigid_table(n)
+    checks.append(_bad_node("matrix-invariants", table, bad))
 
     want_nodes = comb(2 * n - 2, n - 1)
     directed = {(i, j) for i, _, j in graph.edges}
@@ -260,7 +292,6 @@ def suite_mutation(n: int) -> list[CheckResult]:
 
     # independent of the BFS's exchange step: count, for every almost
     # complete object, the enumerated clusters that contain it
-    table = rigid_table(n)
     found = Counter(
         c & ~(1 << i) for c in maximal_rigid_masks(n) for i in bit_indices(c)
     )
@@ -316,22 +347,33 @@ def suite_polygon(n: int) -> list[CheckResult]:
 
 
 def suite_no_ct(n: int) -> list[CheckResult]:
-    checks = []
-    bad = None
-    for t in enumerate_maximal_rigid(n):
+    """Every node's two witnesses, on masks: the n tops share 2n
+    witnesses, so each witness's Ext-orthogonal mask of rigid
+    indecomposables is computed once and ANDed with every node."""
+    table = rigid_table(n)
+    witnesses = {}
+    for i in bit_indices(table.tops):
         for k in (2, 3):
-            w = cluster_tilting_witness(t, k)
-            if (
-                any(ext_dim_cluster(s, w) != 0 for s in t.summands)
-                or w in t.summands
-                or ext_dim_cluster(w, w) == 0
-            ):
-                bad = (t, k, w)
+            w = tilting_witness(table, i, k)
+            orthogonal = sum(
+                1 << j for j, s in enumerate(table.objects) if ext_dim_cluster(s, w) == 0
+            )
+            summand = 1 << table.index[w] if w in table.index else 0
+            witnesses[1 << i, k] = (w, orthogonal, summand, ext_dim_cluster(w, w) == 0)
+    bad = None
+    for mask in maximal_rigid_masks(n):
+        top = mask & table.tops
+        if (top, 2) not in witnesses:  # no unique top, so no witness
+            bad = _node(table, mask)
+            break
+        for k in (2, 3):
+            w, orthogonal, summand, rigid = witnesses[top, k]
+            if mask & ~orthogonal or mask & summand or rigid:
+                bad = (_node(table, mask), k, w)
                 break
         if bad:
             break
-    checks.append(_counterexample("witnesses", bad))
-    return checks
+    return [_counterexample("witnesses", bad)]
 
 
 _SUITE_FUNCS = {

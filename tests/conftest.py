@@ -1,4 +1,5 @@
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,3 +15,17 @@ def _src_importable_in_subprocesses():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", path)
         yield
+
+
+@pytest.fixture
+def clear_package_caches():
+    """A callable that empties every ``lru_cache`` of the package: a cold start."""
+
+    def clear():
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "clustertube":
+                for fn in vars(module).values():
+                    if hasattr(fn, "cache_clear"):
+                        fn.cache_clear()
+
+    return clear

@@ -233,6 +233,14 @@ class TestExchangeGraph:
         assert list(build_exchange_graph(n).nodes) == list(enumerate_maximal_rigid(n))
 
     @pytest.mark.parametrize("n", range(2, 9))
+    def test_rows_are_the_node_matrices_in_mask_order(self, n):
+        g = build_exchange_graph(n)
+        assert [mat.entries for mat in g.nodes.values()] == list(g.rows)
+        assert len(g.rows) == len(g.masks)
+        # one store: the view reads the graph's rows, not a copy
+        assert g.nodes._rows is g.rows
+
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_masks_are_the_enumeration_masks(self, n):
         g, table = build_exchange_graph(n), rigid.rigid_table(n)
         assert g.masks == rigid.maximal_rigid_masks(n)
@@ -461,30 +469,40 @@ class TestVerifyFailures:
 
     @staticmethod
     def doctored(monkeypatch, entries):
-        """Make the suite see the rank-5 graph with one node's matrix
-        replaced by ``entries``; the cached graph is left untouched."""
+        """Make the suite see the rank-5 graph with one node's rows
+        replaced by ``entries``; the cached graph is left untouched.
+        ``matrix-invariants`` reads ``rows`` and builds no matrix, so the
+        rows may be ones ``ExchangeMatrix`` would reject.  Returns the
+        doctored node."""
         graph = build_exchange_graph(5)
-        t = next(t for t in graph.nodes if t != initial_seed(5).object)
+        seed = rigid.rigid_table(5).mask_of(initial_seed(5).object.summands)
+        i = next(i for i, mask in enumerate(graph.masks) if mask != seed)
         fake = copy.copy(graph)
-        fake.nodes = dict(graph.nodes)
-        fake.nodes[t] = ExchangeMatrix(t.summands, entries)
+        fake.rows = graph.rows[:i] + (entries,) + graph.rows[i + 1 :]
         monkeypatch.setattr(verify, "build_exchange_graph", lambda n: fake)
+        return list(graph.nodes)[i]
 
-    def expect_failure(self, capsys, check):
+    def expect_failure(self, capsys, check, detail=""):
         report = verify.run_suite("mutation", 5)
         assert [c.name for c in report.checks if not c.ok] == [check]
         assert main(["verify", "--rank", "5", "--suite", "mutation"]) == 1
-        assert f"FAIL mutation/{check}" in capsys.readouterr().out
+        assert f"FAIL mutation/{check}{detail}" in capsys.readouterr().out
 
     def test_entry_out_of_bound(self, monkeypatch, capsys):
         zero = (0, 0, 0, 0)
-        self.doctored(monkeypatch, ((0, 3, 0, 0), (-1, 0, 0, 0), zero, zero))
-        self.expect_failure(capsys, "matrix-invariants")
+        t = self.doctored(monkeypatch, ((0, 3, 0, 0), (-1, 0, 0, 0), zero, zero))
+        self.expect_failure(capsys, "matrix-invariants", f": at {t}\n")
 
     def test_sign_skew_broken(self, monkeypatch, capsys):
         zero = (0, 0, 0, 0)
-        self.doctored(monkeypatch, ((0, 1, 0, 0), (1, 0, 0, 0), zero, zero))
-        self.expect_failure(capsys, "matrix-invariants")
+        t = self.doctored(monkeypatch, ((0, 1, 0, 0), (1, 0, 0, 0), zero, zero))
+        self.expect_failure(capsys, "matrix-invariants", f": at {t}\n")
+
+    def test_nonzero_diagonal(self, monkeypatch, capsys):
+        # no ExchangeMatrix rejects it any more: sign-skew symmetry does
+        zero = (0, 0, 0, 0)
+        t = self.doctored(monkeypatch, ((1, 0, 0, 0), zero, zero, zero))
+        self.expect_failure(capsys, "matrix-invariants", f": at {t}\n")
 
     def test_build_failure_is_path_independence(self, monkeypatch, capsys):
         def broken(n):

@@ -1,7 +1,6 @@
 import copy
 import dataclasses
 import hashlib
-import sys
 from itertools import combinations
 
 import pytest
@@ -390,15 +389,6 @@ class TestMaskFlips:
             t = t2
 
 
-def clear_package_caches():
-    """A cold start: empty every ``lru_cache`` of the package."""
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "clustertube":
-            for fn in vars(module).values():
-                if hasattr(fn, "cache_clear"):
-                    fn.cache_clear()
-
-
 class TestDeltaImageMask:
     """Both node verdicts of the ``polygon`` suite read ``delta_node_map``,
     which maps ``PolygonTable.image_mask`` of the exchange graph's masks
@@ -428,7 +418,9 @@ class TestDeltaImageMask:
         assert delta_node_map(eg, doubled) is None
 
     @pytest.mark.parametrize("n", range(4, 7))
-    def test_cold_suite_builds_no_triangulation(self, n, monkeypatch):
+    def test_cold_suite_builds_no_triangulation(
+        self, n, monkeypatch, clear_package_caches
+    ):
         built = []
         validate = CsTriangulation.__post_init__
 

@@ -14,6 +14,7 @@ from clustertube import (
     to_tilting_datum,
     wing_contains,
 )
+from clustertube import rigid
 
 
 def obj(a, b, n):
@@ -115,6 +116,39 @@ class TestTiltingDatum:
             from_tilting_datum(bad)
 
 
+class TestTiltingDatumOnIndices:
+    """``tilting_datum_of`` and ``cluster_of_tilting_datum`` are the maps
+    the ``counts`` suite runs on masks; the object maps wrap them."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_positions_are_socle_distances_from_the_top(self, n):
+        # the object definition: socle distance from the top, cyclically
+        for t in enumerate_maximal_rigid(n):
+            top = t.top
+            want = frozenset(((x.a - top.a) % n, x.b) for x in t.summands if x != top)
+            d = to_tilting_datum(t)
+            assert (d.top_coordinate, d.wing_positions) == (top.a, want)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_index_maps_are_inverse_and_agree_with_the_object_maps(self, n):
+        table = rigid.rigid_table(n)
+        for mask, t in zip(rigid.maximal_rigid_masks(n), enumerate_maximal_rigid(n)):
+            top, wing = rigid.tilting_datum_of(table, mask)
+            assert table.objects[top] == t.top and not wing & 1
+            assert rigid.cluster_of_tilting_datum(table, top, wing) == mask
+            back = from_tilting_datum(to_tilting_datum(t))
+            assert table.mask_of(back.summands) == mask
+
+    def test_witness_on_indices(self):
+        table = rigid.rigid_table(4)
+        for t in enumerate_maximal_rigid(4):
+            for k in (2, 3, 5):
+                w = rigid.tilting_witness(table, table.index[t.top], k)
+                assert w == cluster_tilting_witness(t, k) == obj(t.top.a, 4 * k - 1, 4)
+        with pytest.raises(ValueError, match="^witness index must be >= 2, got 1$"):
+            rigid.tilting_witness(table, 0, 1)
+
+
 class TestComplements:
     def test_single_simple(self):
         assert set(complements([obj(1, 1, 3)])) == {obj(1, 2, 3), obj(3, 2, 3)}
@@ -165,5 +199,5 @@ class TestWitnesses:
         assert cluster_tilting_witness(mr(3, (1, 2), (1, 1)), 3) == obj(1, 8, 3)
 
     def test_k_must_be_at_least_two(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^witness index must be >= 2, got 1$"):
             cluster_tilting_witness(mr(3, (1, 2), (1, 1)), 1)

@@ -116,6 +116,50 @@ class TestExtCluster:
         assert (ext_dim_cluster(x, x) == 0) == (x.b <= x.n - 1)
 
 
+# the sweeps bypass the caches, which they would otherwise fill
+hom_uncached = hom_dim_tube.__wrapped__
+ext_uncached = ext_dim_cluster.__wrapped__
+
+
+def hom_cluster_by_tau(x, y):
+    """The definition by tau-composition: tube maps plus the dual of tube
+    maps from ``y`` into the double translate of ``x``."""
+    return hom_uncached(y, tau(tau(x))) + hom_uncached(x, y)
+
+
+def ext_cluster_by_tau(x, y):
+    """Ext^1 by tau-composition: ``Hom(y, tau x) + Hom(x, tau y)``."""
+    return hom_uncached(y, tau(x)) + hom_uncached(x, tau(y))
+
+
+class TestCoordinateHelper:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_equals_tau_composition(self, n):
+        objs = [obj(a, b, n) for a in range(1, n + 1) for b in range(1, 3 * n + 1)]
+        for x in objs:
+            for y in objs:
+                assert hom_dim_cluster(x, y) == hom_cluster_by_tau(x, y), (x, y)
+                assert ext_uncached(x, y) == ext_cluster_by_tau(x, y), (x, y)
+
+    @given(
+        st.integers(2, 40).flatmap(
+            lambda n: st.tuples(
+                *[st.tuples(st.integers(1, n), st.integers(1, 3 * n), st.just(n))] * 2
+            )
+        )
+    )
+    def test_equals_tau_composition_up_to_rank_40(self, pair):
+        x, y = (TubeObject(*t) for t in pair)
+        assert hom_dim_cluster(x, y) == hom_cluster_by_tau(x, y)
+        assert ext_uncached(x, y) == ext_cluster_by_tau(x, y)
+
+    def test_rank_mismatch(self):
+        with pytest.raises(RankMismatchError):
+            hom_dim_cluster(obj(1, 1, 3), obj(1, 1, 4))
+        with pytest.raises(RankMismatchError):
+            ext_dim_cluster(obj(1, 1, 3), obj(1, 1, 4))
+
+
 class TestRigidAndWing:
     def test_is_rigid(self):
         assert is_rigid_indec(obj(1, 2, 3))
