@@ -5,7 +5,13 @@ watch the B-matrix mutate; the graph has C(6,3) = 20 seeds and is
 3-regular.
 """
 
-from clustertube import build_exchange_graph, cartan_counterpart, exchange, initial_seed
+from clustertube import (
+    build_exchange_graph,
+    cartan_counterpart,
+    enumerate_maximal_rigid,
+    exchange,
+    initial_seed,
+)
 
 
 def show(label, obj, mat):
@@ -33,7 +39,7 @@ for k in range(N - 1):
 
 print(f"\nwhole graph: {len(graph.nodes)} seeds, "
       f"{len(graph.undirected_edges())} exchange edges")
-nodes = tuple(graph.nodes)  # seeds are numbered in enumeration order
+nodes = enumerate_maximal_rigid(N)  # the graph numbers its seeds in this order
 i, k, j = graph.edges[0]
 print(f"edges are node-number triples: {(i, k, j)} exchanges summand {k} "
       f"of seed {i} to reach seed {j}")

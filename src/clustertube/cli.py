@@ -13,13 +13,13 @@ import sys
 from .errors import StructuralError, TheoremViolationError
 from .mutation import build_exchange_graph, cartan_counterpart, exchange
 from .polygon import triangulation_of
-from .rigid import MaximalRigid, enumerate_maximal_rigid
+from .rigid import MaximalRigid, enumerate_maximal_rigid, rigid_table
 from .tube import TubeObject, check_rank, ext_dim_cluster, hom_dim_cluster, hom_dim_tube
 from .verify import SUITES, run_suite
 
 # Largest --rank of the commands that build a rank's tables or its whole
-# exchange graph; at rank 10, exchange-graph --format dot takes 5.8-6.4 s and
-# 96 MB peak RSS on 2 vCPU (json 6.5-7.2 s, 93 MB). hom is O(1) and
+# exchange graph; at rank 10, exchange-graph --format dot takes 5.1-5.3 s and
+# 90 MB peak RSS on 2 vCPU (json 6.0-6.1 s, 81 MB). hom is O(1) and
 # verify keeps its own range.
 RANK_CEILING = 10
 
@@ -83,28 +83,32 @@ def cmd_enumerate(args, out) -> int:
 
 
 def _graph_dot(graph, out) -> None:
-    objects = tuple(graph.nodes)
+    table = rigid_table(graph.n)
+    objects = [table.objects_of(mask) for mask in graph.nodes]
     out.write("graph exchange {\n")
-    for i, t in enumerate(objects):
-        out.write(f'  n{i} [label="{_fmt_objects(t.summands)}"];\n')
+    for i, summands in enumerate(objects):
+        out.write(f'  n{i} [label="{_fmt_objects(summands)}"];\n')
     first = set()  # each edge's first direction, in search order
     for i, k, j in graph.edges:
         if (j, i) not in first:
             first.add((i, j))
-            out.write(f'  n{i} -- n{j} [label="{_fmt_object(objects[i].summands[k])}"];\n')
+            out.write(f'  n{i} -- n{j} [label="{_fmt_object(objects[i][k])}"];\n')
     out.write("}\n")
 
 
 def _graph_json(graph, out) -> None:
     # one json.dumps per node streams the text through the C encoder;
     # json.dump would stream it through the slower pure-Python one
+    table = rigid_table(graph.n)
     out.write(f'{{"rank": {graph.n}, "nodes": [')
     sep = ""
-    for t, mat in graph.nodes.items():
+    for mask, rows in zip(graph.nodes, graph.rows):
+        # a node's matrix is indexed by its summands in canonical order
+        summands = [[x.a, x.b] for x in table.objects_of(mask)]
         node = {
-            "object": [[x.a, x.b] for x in t.summands],
-            "order": [[x.a, x.b] for x in mat.order],
-            "matrix": [v for row in mat.entries for v in row],
+            "object": summands,
+            "order": summands,
+            "matrix": [v for row in rows for v in row],
         }
         out.write(sep + json.dumps(node))
         sep = ", "

@@ -6,6 +6,10 @@ exchange graph.  BFS mutates and compares the matrix once on each
 undirected edge; the reverse direction holds because mutation is an
 involution, so finishing without a mismatch certifies that the
 assignment is path independent.
+The graph's ``nodes`` are masks, in enumeration order, as the flip
+graph's are, and its ``rows`` the matrices in the same order;
+:meth:`ExchangeGraph.b_matrix` is the one lookup from an object to its
+matrix.
 The entry bound and sign-skew symmetry of every node's matrix are
 checked once, by the ``mutation`` suite of :mod:`clustertube.verify`, on
 the graph's raw ``rows``: no :class:`ExchangeMatrix` is built there, and
@@ -15,7 +19,6 @@ sign-skew symmetry alone forces a zero diagonal (``b_ii = -b_ii``).
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter, neg
@@ -24,7 +27,6 @@ from .errors import StructuralError, TheoremViolationError
 from .rigid import (
     MaximalRigid,
     complements,
-    enumerate_maximal_rigid,
     exchanges,
     maximal_rigid_masks,
     rigid_table,
@@ -170,61 +172,20 @@ def exchange(t: MaximalRigid, k: int) -> tuple[MaximalRigid, int]:
     return t2, t2.summands.index(other)
 
 
-class NodeMatrices(Mapping):
-    """Read-only map from each maximal rigid object of rank ``n``, in
-    ``masks`` order, to its matrix; it reads the graph's ``rows`` through
-    the search's mask-to-number map, and builds the
-    :class:`ExchangeMatrix` when the node is read.  Any other key, another
-    rank's object included, is simply absent."""
-
-    def __init__(self, n: int, rows: tuple[Rows, ...], number: dict[int, int]):
-        self._n, self._rows, self._number = n, rows, number
-
-    def _mask(self, t) -> int | None:
-        if isinstance(t, MaximalRigid) and t.n == self._n:
-            return rigid_table(self._n).mask_of(t.summands)
-        return None
-
-    def __getitem__(self, t: MaximalRigid) -> ExchangeMatrix:
-        i = self._number.get(self._mask(t))
-        if i is None:
-            raise KeyError(t)
-        return ExchangeMatrix(t.summands, self._rows[i])
-
-    def __contains__(self, t) -> bool:
-        return self._mask(t) in self._number
-
-    def __iter__(self):
-        return iter(enumerate_maximal_rigid(self._n))
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def items(self) -> ItemsView:
-        return _Items(self)
-
-
-class _Items(ItemsView):
-    def __iter__(self):
-        # objects and rows side by side: no mask lookup per node
-        nodes = self._mapping
-        for t, rows in zip(enumerate_maximal_rigid(nodes._n), nodes._rows):
-            yield t, ExchangeMatrix(t.summands, rows)
-
-
 class ExchangeGraph:
     """All seeds at rank n, with B-matrices propagated by BFS.
 
-    ``masks`` holds each node's mask, numbered in
-    :func:`~clustertube.rigid.maximal_rigid_masks` order, and ``rows``
-    each node's canonical-order matrix as a tuple of rows, in the same
-    order; ``nodes`` maps each maximal rigid object to that matrix, built
-    from ``rows`` when read (:class:`NodeMatrices`); ``edges`` holds, in
-    search order, every triple (i, k, j) of node numbers where exchanging
-    summand ``k`` of node ``i`` gives node ``j``.  Canonical order is bit
-    order, so each mutation step writes the new summand straight into its
-    position: the number of kept bits below its index.  The masks reached
-    must be exactly the enumeration's.
+    ``nodes`` holds each node's mask, in
+    :func:`~clustertube.rigid.maximal_rigid_masks` order, as
+    :attr:`FlipGraph.nodes <clustertube.polygon.FlipGraph.nodes>` does;
+    ``rows`` holds each node's canonical-order matrix as a tuple of rows,
+    in the same order; ``edges`` holds, in search order, every triple
+    (i, k, j) of node numbers where exchanging summand ``k`` of node ``i``
+    gives node ``j``.  :meth:`b_matrix` is the one lookup from a
+    :class:`MaximalRigid` to its :class:`ExchangeMatrix`.  Canonical order
+    is bit order, so each mutation step writes the new summand straight
+    into its position: the number of kept bits below its index.  The
+    masks reached must be exactly the enumeration's.
 
     An edge into a node already popped was mutated and compared from that
     node, so it is recorded without a step: one mutation per undirected
@@ -239,8 +200,8 @@ class ExchangeGraph:
         table = rigid_table(n)
         seed = initial_seed(n)
         start = table.mask_of(seed.object.summands)
-        self.masks = maximal_rigid_masks(n)
-        number = {mask: i for i, mask in enumerate(self.masks)}
+        self.nodes: tuple[int, ...] = maximal_rigid_masks(n)
+        self._number = number = {mask: i for i, mask in enumerate(self.nodes)}
         shared: dict[tuple[int, ...], tuple[int, ...]] = {}
         rows = {start: tuple(shared.setdefault(r, r) for r in seed.matrix.entries)}
         popped: set[int] = set()
@@ -271,16 +232,17 @@ class ExchangeGraph:
                 f"exchange graph at rank {n} reaches {len(rows)} objects, "
                 f"the enumeration has {len(number)}"
             )
-        self.rows: tuple[Rows, ...] = tuple(rows[mask] for mask in self.masks)
-        self.nodes: Mapping[MaximalRigid, ExchangeMatrix] = NodeMatrices(
-            n, self.rows, number
-        )
+        self.rows: tuple[Rows, ...] = tuple(rows[mask] for mask in self.nodes)
         self.edges = edges
 
     def b_matrix(self, t: MaximalRigid) -> ExchangeMatrix:
-        if t not in self.nodes:
+        """The matrix of node ``t``, built from its ``rows``."""
+        i = None
+        if isinstance(t, MaximalRigid) and t.n == self.n:
+            i = self._number.get(rigid_table(self.n).mask_of(t.summands))
+        if i is None:
             raise StructuralError(f"unknown node {t}")
-        return self.nodes[t]
+        return ExchangeMatrix(t.summands, self.rows[i])
 
     def middle_terms(self, t: MaximalRigid, i: int) -> MiddleTerms:
         mat = self.b_matrix(t)

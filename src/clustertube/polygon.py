@@ -306,7 +306,7 @@ def delta_node_map(eg, fg: FlipGraph) -> list[int] | None:
     size): the one comparison of the two graphs' nodes."""
     table = polygon_table(eg.n)
     number = {mask: b for b, mask in enumerate(fg.nodes)}
-    image = [number.get(table.image_mask(m)) for m in eg.masks]
+    image = [number.get(table.image_mask(m)) for m in eg.nodes]
     bijective = None not in image and len(set(image)) == len(image) == len(fg.nodes)
     return image if bijective else None
 
@@ -322,7 +322,7 @@ def edges_match(eg, fg: FlipGraph, node: list[int] | None) -> bool:
     """:func:`graphs_isomorphic_via_delta` on the node map ``node`` of
     :func:`delta_node_map`, for a caller that already holds it."""
     table = polygon_table(eg.n)
-    label = [[table.delta_index[i] for i in bit_indices(m)] for m in eg.masks]
+    label = [[table.delta_index[i] for i in bit_indices(m)] for m in eg.nodes]
     return node is not None and sorted(fg.edges) == sorted(
         (node[i], label[i][k], node[j]) for i, k, j in eg.edges
     )

@@ -244,7 +244,7 @@ def suite_mutation(n: int) -> list[CheckResult]:
     bad = next(
         (
             mask
-            for mask, rows in zip(graph.masks, graph.rows)
+            for mask, rows in zip(graph.nodes, graph.rows)
             if not is_sign_skew_symmetric(rows)
             or any(abs(v) > _ENTRY_BOUND for row in rows for v in row)
         ),
@@ -334,7 +334,7 @@ def suite_polygon(n: int) -> list[CheckResult]:
     node = delta_node_map(eg, fg)
     bijective = node is not None
     # a bijection has one image per object; only a failure counts them
-    images = eg.nodes if bijective else {polygon_table(n).image_mask(m) for m in eg.masks}
+    images = eg.nodes if bijective else {polygon_table(n).image_mask(m) for m in eg.nodes}
     checks.append(
         CheckResult(
             "triangulation-bijection",

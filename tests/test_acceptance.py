@@ -28,6 +28,7 @@ from clustertube import (
     is_sign_skew_symmetric,
     wing_contains,
 )
+from clustertube.rigid import maximal_rigid_masks
 
 
 def catalan(m):
@@ -122,10 +123,10 @@ def test_criterion_06_initial_seed():
 def test_criterion_07_path_independence():
     for n in range(2, 9):
         graph = build_exchange_graph(n)  # raises on any revisit mismatch
-        for mat in graph.nodes.values():
-            assert is_sign_skew_symmetric(mat)
-            assert all(mat.entries[i][i] == 0 for i in range(n - 1))
-            assert all(abs(v) <= 2 for row in mat.entries for v in row)
+        for rows in graph.rows:
+            assert is_sign_skew_symmetric(rows)
+            assert all(rows[i][i] == 0 for i in range(n - 1))
+            assert all(abs(v) <= 2 for row in rows for v in row)
     report(7, "B-matrix propagation path independent; all matrices "
               "sign-skew-symmetric, zero diagonal, entries in -2..2, n in 2..8")
 
@@ -143,7 +144,7 @@ def test_criterion_08_graph_shape():
                 degrees[i] += 1
         assert set(degrees.values()) == {n - 1}
         # BFS construction reached every node, so the graph is connected
-        assert set(graph.nodes) == set(enumerate_maximal_rigid(n))
+        assert graph.nodes == maximal_rigid_masks(n)
     report(8, "exchange graph connected, (n-1)-regular, with C(2n-2,n-1) nodes, n in 2..8")
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from clustertube import ExchangeMatrix, MaximalRigid
 from clustertube.cli import RANK_CEILING, build_parser, main
 from clustertube.verify import SUITES
 
@@ -112,6 +113,25 @@ class TestExchangeGraph:
         )
         assert code == 2
         assert err
+
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_cold_export_builds_only_the_seed(
+        self, n, fmt, monkeypatch, capsys, clear_package_caches
+    ):
+        # nodes are written from their masks and the graph's rows
+        built = []
+        for cls in (MaximalRigid, ExchangeMatrix):
+
+            def counted(self, real=cls.__post_init__):
+                built.append(type(self).__name__)
+                real(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        clear_package_caches()
+        assert main(["exchange-graph", "--rank", str(n), "--format", fmt]) == 0
+        assert capsys.readouterr().out
+        assert built == ["MaximalRigid", "ExchangeMatrix"]
 
 
 class TestBmatrix:

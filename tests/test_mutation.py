@@ -29,6 +29,12 @@ def mr(n, *pairs):
     return MaximalRigid(n, tuple(obj(a, b, n) for a, b in pairs))
 
 
+def node_objects(g):
+    """The graph's nodes as objects, in node order."""
+    table = rigid.rigid_table(g.n)
+    return [MaximalRigid(g.n, table.objects_of(mask)) for mask in g.nodes]
+
+
 INITIAL_N4 = ((0, -2, 0), (1, 0, 1), (0, -1, 0))
 
 
@@ -145,9 +151,10 @@ class TestExchangeGraph:
     def test_matrix_entries_bounded(self):
         for n in (2, 3, 4, 5):
             g = build_exchange_graph(n)
-            for mat in g.nodes.values():
-                assert all(abs(v) <= 2 for row in mat.entries for v in row)
-                assert is_sign_skew_symmetric(mat)
+            for rows in g.rows:
+                assert all(len(row) == n - 1 for row in rows) and len(rows) == n - 1
+                assert all(abs(v) <= 2 for row in rows for v in row)
+                assert is_sign_skew_symmetric(rows)
 
     def test_nodes_must_equal_the_enumeration(self, monkeypatch):
         real = mutation.maximal_rigid_masks
@@ -214,8 +221,7 @@ class TestExchangeGraph:
     def test_every_directed_edge_mutates_to_its_target(self, n):
         # the BFS mutates one direction of each edge; the other holds too
         g = build_exchange_graph(n)
-        nodes = tuple(g.nodes)
-        rows = [mat.entries for mat in g.nodes.values()]
+        nodes, rows = node_objects(g), g.rows
         for i, k, j in g.edges:
             t2, p = exchange(nodes[i], k)
             assert t2 == nodes[j]
@@ -223,32 +229,36 @@ class TestExchangeGraph:
 
     def test_rank_eight_rows_are_shared(self):
         # each distinct row is one tuple, the seed's rows included
-        rows = [r for m in build_exchange_graph(8).nodes.values() for r in m.entries]
+        rows = [r for b in build_exchange_graph(8).rows for r in b]
         assert len(rows) == 3432 * 7
         assert len({id(r) for r in rows}) == len(set(rows)) == 234
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_nodes_in_enumeration_order(self, n):
         # the CLI numbers the nodes by this order
-        assert list(build_exchange_graph(n).nodes) == list(enumerate_maximal_rigid(n))
+        g = build_exchange_graph(n)
+        assert node_objects(g) == list(enumerate_maximal_rigid(n))
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_rows_are_the_node_matrices_in_mask_order(self, n):
         g = build_exchange_graph(n)
-        assert [mat.entries for mat in g.nodes.values()] == list(g.rows)
-        assert len(g.rows) == len(g.masks)
-        # one store: the view reads the graph's rows, not a copy
-        assert g.nodes._rows is g.rows
+        assert len(g.rows) == len(g.nodes)
+        matrices = [g.b_matrix(t) for t in enumerate_maximal_rigid(n)]
+        assert [mat.entries for mat in matrices] == list(g.rows)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_masks_are_the_enumeration_masks(self, n):
         g, table = build_exchange_graph(n), rigid.rigid_table(n)
-        assert g.masks == rigid.maximal_rigid_masks(n)
-        assert [table.mask_of(t.summands) for t in g.nodes] == list(g.masks)
+        assert type(g.nodes) is tuple and all(type(m) is int for m in g.nodes)
+        assert g.nodes == rigid.maximal_rigid_masks(n)
+        masks = [table.mask_of(t.summands) for t in enumerate_maximal_rigid(n)]
+        assert masks == list(g.nodes)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_cold_graph_builds_only_the_seed(self, n, monkeypatch):
-        built, enumerated = [], []
+        # the object enumeration is not even imported
+        assert not hasattr(mutation, "enumerate_maximal_rigid")
+        built = []
         for cls in (rigid.MaximalRigid, ExchangeMatrix):
 
             def counted(self, real=cls.__post_init__):
@@ -256,13 +266,9 @@ class TestExchangeGraph:
                 real(self)
 
             monkeypatch.setattr(cls, "__post_init__", counted)
-        real = mutation.enumerate_maximal_rigid
-        monkeypatch.setattr(
-            mutation, "enumerate_maximal_rigid", lambda n: enumerated.append(n) or real(n)
-        )
         g = mutation.ExchangeGraph(n)
-        assert built == ["MaximalRigid", "ExchangeMatrix"] and not enumerated
-        t = list(g.nodes)[-1]
+        assert built == ["MaximalRigid", "ExchangeMatrix"]
+        t = MaximalRigid(n, rigid.rigid_table(n).objects_of(g.nodes[-1]))
         built.clear()
         assert g.b_matrix(t).order == t.summands
         assert built == ["ExchangeMatrix"]
@@ -284,41 +290,31 @@ class TestExchangeGraph:
         assert calls == [seed.object.summands]
 
 
-class TestNodeView:
-    """``ExchangeGraph.nodes`` is a read-only mapping built from the BFS
-    rows; it reads like the dict it replaces."""
+class TestBMatrix:
+    """``b_matrix`` is the one lookup from an object to its matrix; it
+    reads the graph's ``rows`` by the node's mask."""
 
-    @pytest.mark.parametrize("n", range(2, 7))
-    def test_items_and_values_agree_with_lookup(self, n):
-        nodes = build_exchange_graph(n).nodes
-        pairs = [(t, nodes[t]) for t in nodes]
-        assert list(nodes.items()) == pairs
-        assert list(nodes.values()) == [mat for _, mat in pairs]
-        assert list(nodes.keys()) == list(enumerate_maximal_rigid(n))
-        assert len(nodes) == len(pairs) and all(t in nodes for t, _ in pairs)
-        assert dict(nodes) == dict(pairs)
-        assert all(mat.order == t.summands for t, mat in pairs)
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_round_trip(self, n):
+        g, table = build_exchange_graph(n), rigid.rigid_table(n)
+        for i, mask in enumerate(g.nodes):
+            summands = table.objects_of(mask)
+            mat = g.b_matrix(MaximalRigid(n, summands))
+            assert mat.order == summands
+            assert mat.entries == g.rows[i]
 
-    def test_foreign_keys_are_absent(self):
-        nodes = build_exchange_graph(3).nodes
+    def test_foreign_keys_are_unknown_nodes(self):
+        g = build_exchange_graph(3)
         for key in (mr(4, (1, 3), (1, 2), (2, 1)), initial_seed(3).matrix, "x", None, []):
-            assert key not in nodes
-            with pytest.raises(KeyError):
-                nodes[key]
-            assert nodes.get(key) is None
-
-    def test_read_only(self):
-        nodes = build_exchange_graph(3).nodes
-        t = next(iter(nodes))
-        with pytest.raises(TypeError):
-            nodes[t] = nodes[t]
+            with pytest.raises(StructuralError, match="^unknown node "):
+                g.b_matrix(key)
 
 
 class TestNumberedEdges:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_every_edge_is_an_exchange(self, n):
         g = build_exchange_graph(n)
-        nodes = tuple(g.nodes)
+        nodes = node_objects(g)
         assert all(type(v) is int for e in g.edges for v in e)
         assert len(g.edges) == len(nodes) * (n - 1)
         for i, k, j in g.edges:
@@ -376,8 +372,7 @@ class TestFoldedMutation:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_matches_mutate_then_move(self, n):
-        for mat in build_exchange_graph(n).nodes.values():
-            b = mat.entries
+        for b in build_exchange_graph(n).rows:
             for k in range(n - 1):
                 for p in range(n - 1):
                     assert mutation._mutate_rows(b, k, p) == mutate_then_move(b, k, p)
@@ -424,7 +419,7 @@ class TestMiddleTerms:
 
     def test_disjoint_and_supported_on_summands(self):
         g = build_exchange_graph(4)
-        for t in g.nodes:
+        for t in node_objects(g):
             for i in range(3):
                 m = g.middle_terms(t, i)
                 assert not (set(m.u) & set(m.u_prime))
@@ -476,11 +471,11 @@ class TestVerifyFailures:
         doctored node."""
         graph = build_exchange_graph(5)
         seed = rigid.rigid_table(5).mask_of(initial_seed(5).object.summands)
-        i = next(i for i, mask in enumerate(graph.masks) if mask != seed)
+        i = next(i for i, mask in enumerate(graph.nodes) if mask != seed)
         fake = copy.copy(graph)
         fake.rows = graph.rows[:i] + (entries,) + graph.rows[i + 1 :]
         monkeypatch.setattr(verify, "build_exchange_graph", lambda n: fake)
-        return list(graph.nodes)[i]
+        return node_objects(graph)[i]
 
     def expect_failure(self, capsys, check, detail=""):
         report = verify.run_suite("mutation", 5)

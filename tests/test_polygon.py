@@ -398,7 +398,8 @@ class TestDeltaImageMask:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_equals_the_mask_of_triangulation_of(self, n):
         table, eg = polygon_table(n), build_exchange_graph(n)
-        for mask, t in zip(eg.masks, eg.nodes):
+        for mask in eg.nodes:
+            t = MaximalRigid(n, rigid_table(n).objects_of(mask))
             assert table.image_mask(mask) == table.mask_of(triangulation_of(t)), t
 
     @pytest.mark.parametrize("n", range(2, 8))
@@ -406,7 +407,8 @@ class TestDeltaImageMask:
         fg = flip_graph(n)
         node = delta_node_map(build_exchange_graph(n), fg)
         assert sorted(node) == list(range(len(fg.nodes)))
-        for i, t in enumerate(build_exchange_graph(n).nodes):
+        for i, mask in enumerate(build_exchange_graph(n).nodes):
+            t = MaximalRigid(n, rigid_table(n).objects_of(mask))
             tri = polygon_table(n).triangulation(fg.nodes[node[i]])
             assert tri == triangulation_of(t), t
 
