@@ -13,7 +13,7 @@ import sys
 from .errors import StructuralError, TheoremViolationError
 from .mutation import build_exchange_graph, cartan_counterpart, exchange
 from .polygon import triangulation_of
-from .rigid import MaximalRigid, enumerate_maximal_rigid, rigid_table
+from .rigid import MaximalRigid, maximal_rigid_masks, rigid_table
 from .tube import TubeObject, check_rank, ext_dim_cluster, hom_dim_cluster, hom_dim_tube
 from .verify import SUITES, run_suite
 
@@ -69,16 +69,17 @@ def cmd_hom(args, out) -> int:
 
 
 def cmd_enumerate(args, out) -> int:
-    objects = enumerate_maximal_rigid(args.rank)
+    table = rigid_table(args.rank)
+    objects = [table.objects_of(mask) for mask in maximal_rigid_masks(args.rank)]
     if args.format == "json":
         payload = {
             "rank": args.rank,
-            "objects": [[[x.a, x.b] for x in t.summands] for t in objects],
+            "objects": [[[x.a, x.b] for x in summands] for summands in objects],
         }
         print(json.dumps(payload), file=out)
     else:
-        for t in objects:
-            print(_fmt_objects(t.summands), file=out)
+        for summands in objects:
+            print(_fmt_objects(summands), file=out)
     return 0
 
 

@@ -114,7 +114,6 @@ def diagonals_cross(d: Diagonal, e: Diagonal) -> bool:
     return (d.p < e.p < d.q) != (d.p < e.q < d.q)
 
 
-@lru_cache(maxsize=None)
 def crossing_points(p1: CsPair, p2: CsPair) -> int:
     """Crossings over the 2x2 grid of representatives (diameters doubled)."""
     return sum(
@@ -180,7 +179,6 @@ def delta_inv(p: CsPair) -> TubeObject:
     return candidates.pop()
 
 
-@lru_cache(maxsize=None)
 def all_cs_pairs(n: int) -> tuple[CsPair, ...]:
     """All centrally symmetric pairs of the 2n-gon; there are n(n-1)."""
     check_rank(n)

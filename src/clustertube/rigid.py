@@ -271,7 +271,6 @@ def is_rigid_set(objs: Iterable[TubeObject]) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def enumerate_rigid_indecs(n: int) -> tuple[TubeObject, ...]:
     """All n(n-1) rigid indecomposables, in canonical order."""
     check_rank(n)
@@ -294,7 +293,6 @@ def maximal_rigid_masks(n: int) -> tuple[int, ...]:
     return tuple(clusters(rigid_table(n).compat, n))
 
 
-@lru_cache(maxsize=None)
 def enumerate_maximal_rigid(n: int) -> tuple[MaximalRigid, ...]:
     """All maximal rigid objects, in :func:`maximal_rigid_masks` order."""
     table = rigid_table(n)

@@ -13,7 +13,6 @@ coordinates; the independent linear-algebra oracle lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import RankMismatchError
 
@@ -32,8 +31,7 @@ def check_coordinates(obj, names: tuple[str, ...]) -> None:
         # exact type: bool is an int subclass, and floats hash equal to ints
         if type(value) is not int:
             raise ValueError(f"coordinate {name} must be an int, got {value!r}")
-    if obj.n < 2:
-        raise ValueError(f"tube rank must be >= 2, got {obj.n}")
+    check_rank(obj.n)
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,6 @@ def _hom(a: int, b: int, c: int, d: int, n: int) -> int:
     return 0 if m < r else (m - r) // n + 1
 
 
-@lru_cache(maxsize=None)
 def hom_dim_tube(x: TubeObject, y: TubeObject) -> int:
     """dim Hom in the tube itself."""
     return _hom(x.a, x.b, y.a, y.b, _same_rank(x, y))
@@ -110,7 +107,6 @@ def hom_dim_cluster(x: TubeObject, y: TubeObject) -> int:
     return _hom(y.a, y.b, x.a - 2, x.b, n) + _hom(x.a, x.b, y.a, y.b, n)
 
 
-@lru_cache(maxsize=None)
 def ext_dim_cluster(x: TubeObject, y: TubeObject) -> int:
     """dim Ext^1 in the cluster tube, ``Hom(y, tau x) + Hom(x, tau y)``;
     symmetric in its arguments (2-CY)."""

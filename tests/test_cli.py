@@ -75,6 +75,24 @@ class TestEnumerate:
         b = run("enumerate", "--rank", "4")
         assert a == b
 
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_cold_enumerate_builds_no_object(
+        self, n, fmt, monkeypatch, capsys, clear_package_caches
+    ):
+        # each node is printed from its mask
+        built = []
+
+        def counted(self, real=MaximalRigid.__post_init__):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(MaximalRigid, "__post_init__", counted)
+        clear_package_caches()
+        assert main(["enumerate", "--rank", str(n), "--format", fmt]) == 0
+        assert capsys.readouterr().out
+        assert built == []
+
 
 class TestExchangeGraph:
     def test_dot(self, tmp_path):

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from clustertube import (
+    Diagonal,
     RankMismatchError,
     TubeObject,
+    enumerate_rigid_indecs,
     ext_dim_cluster,
     hom_dim_cluster,
     hom_dim_tube,
@@ -33,6 +35,16 @@ class TestCoordinates:
             obj(1, 0, 3)
         with pytest.raises(ValueError):
             obj(1, 1, 1)
+
+    def test_one_rank_check(self):
+        # a diagonal belongs to a polygon, so no message names the tube
+        for build in (
+            lambda: TubeObject(1, 1, 1),
+            lambda: Diagonal(1, 3, 1),
+            lambda: enumerate_rigid_indecs(1),
+        ):
+            with pytest.raises(ValueError, match="^rank must be >= 2, got 1$"):
+                build()
 
     @pytest.mark.parametrize(
         "coords", [(True, 2, 3), (1.5, 2, 3), (1, 2.0, 3), (1, 2, True), ("1", 2, 3)]
@@ -116,20 +128,15 @@ class TestExtCluster:
         assert (ext_dim_cluster(x, x) == 0) == (x.b <= x.n - 1)
 
 
-# the sweeps bypass the caches, which they would otherwise fill
-hom_uncached = hom_dim_tube.__wrapped__
-ext_uncached = ext_dim_cluster.__wrapped__
-
-
 def hom_cluster_by_tau(x, y):
     """The definition by tau-composition: tube maps plus the dual of tube
     maps from ``y`` into the double translate of ``x``."""
-    return hom_uncached(y, tau(tau(x))) + hom_uncached(x, y)
+    return hom_dim_tube(y, tau(tau(x))) + hom_dim_tube(x, y)
 
 
 def ext_cluster_by_tau(x, y):
     """Ext^1 by tau-composition: ``Hom(y, tau x) + Hom(x, tau y)``."""
-    return hom_uncached(y, tau(x)) + hom_uncached(x, tau(y))
+    return hom_dim_tube(y, tau(x)) + hom_dim_tube(x, tau(y))
 
 
 class TestCoordinateHelper:
@@ -139,7 +146,7 @@ class TestCoordinateHelper:
         for x in objs:
             for y in objs:
                 assert hom_dim_cluster(x, y) == hom_cluster_by_tau(x, y), (x, y)
-                assert ext_uncached(x, y) == ext_cluster_by_tau(x, y), (x, y)
+                assert ext_dim_cluster(x, y) == ext_cluster_by_tau(x, y), (x, y)
 
     @given(
         st.integers(2, 40).flatmap(
@@ -151,7 +158,7 @@ class TestCoordinateHelper:
     def test_equals_tau_composition_up_to_rank_40(self, pair):
         x, y = (TubeObject(*t) for t in pair)
         assert hom_dim_cluster(x, y) == hom_cluster_by_tau(x, y)
-        assert ext_uncached(x, y) == ext_cluster_by_tau(x, y)
+        assert ext_dim_cluster(x, y) == ext_cluster_by_tau(x, y)
 
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatchError):
