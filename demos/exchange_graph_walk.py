@@ -38,9 +38,12 @@ for k in range(N - 1):
     assert back == t, "exchange is an involution"
 
 print(f"\nwhole graph: {len(graph.nodes)} seeds, "
-      f"{len(graph.undirected_edges())} exchange edges")
+      f"{len(graph.edges) // 2} exchange edges")
 nodes = enumerate_maximal_rigid(N)  # the graph numbers its seeds in this order
-i, k, j = graph.edges[0]
+# edges[i*(N-1)+k] is the seed reached by exchanging summand k of seed i;
+# the first seed popped by the search is the zig-zag one
+i, k = graph.order[0], 0
+j = graph.edges[i * (N - 1) + k]
 print(f"edges are node-number triples: {(i, k, j)} exchanges summand {k} "
       f"of seed {i} to reach seed {j}")
 assert exchange(nodes[i], k)[0] == nodes[j]

@@ -18,8 +18,8 @@ from .tube import TubeObject, check_rank, ext_dim_cluster, hom_dim_cluster, hom_
 from .verify import SUITES, run_suite
 
 # Largest --rank of the commands that build a rank's tables or its whole
-# exchange graph; at rank 10, exchange-graph --format dot takes 5.1-5.3 s and
-# 90 MB peak RSS on 2 vCPU (json 6.0-6.1 s, 81 MB). hom is O(1) and
+# exchange graph; at rank 10, exchange-graph --format dot takes 5.7-5.8 s and
+# 47 MB peak RSS on 2 vCPU (json 6.7 s, 82 MB). hom is O(1) and
 # verify keeps its own range.
 RANK_CEILING = 10
 
@@ -89,11 +89,12 @@ def _graph_dot(graph, out) -> None:
     out.write("graph exchange {\n")
     for i, summands in enumerate(objects):
         out.write(f'  n{i} [label="{_fmt_objects(summands)}"];\n')
-    first = set()  # each edge's first direction, in search order
-    for i, k, j in graph.edges:
-        if (j, i) not in first:
-            first.add((i, j))
-            out.write(f'  n{i} -- n{j} [label="{_fmt_object(objects[i][k])}"];\n')
+    # each edge once, in search order, from the end popped first
+    d, popped = graph.n - 1, {i: pos for pos, i in enumerate(graph.order)}
+    for i in graph.order:
+        for k, j in enumerate(graph.edges[i * d : i * d + d]):
+            if popped[i] < popped[j]:
+                out.write(f'  n{i} -- n{j} [label="{_fmt_object(objects[i][k])}"];\n')
     out.write("}\n")
 
 
@@ -113,7 +114,9 @@ def _graph_json(graph, out) -> None:
         }
         out.write(sep + json.dumps(node))
         sep = ", "
-    out.write(f'], "edges": {json.dumps(sorted(graph.edges))}}}\n')
+    d = graph.n - 1  # (i, k, j) in array order, which is sorted
+    edges = ", ".join(f"[{e // d}, {e % d}, {j}]" for e, j in enumerate(graph.edges))
+    out.write(f'], "edges": [{edges}]}}\n')
 
 
 def cmd_exchange_graph(args, out) -> int:

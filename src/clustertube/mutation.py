@@ -18,6 +18,7 @@ sign-skew symmetry alone forces a zero diagonal (``b_ii = -b_ii``).
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -177,22 +178,22 @@ class ExchangeGraph:
 
     ``nodes`` holds each node's mask, in
     :func:`~clustertube.rigid.maximal_rigid_masks` order, as
-    :attr:`FlipGraph.nodes <clustertube.polygon.FlipGraph.nodes>` does;
-    ``rows`` holds each node's canonical-order matrix as a tuple of rows,
-    in the same order; ``edges`` holds, in search order, every triple
-    (i, k, j) of node numbers where exchanging summand ``k`` of node ``i``
-    gives node ``j``.  :meth:`b_matrix` is the one lookup from a
-    :class:`MaximalRigid` to its :class:`ExchangeMatrix`.  Canonical order
-    is bit order, so each mutation step writes the new summand straight
-    into its position: the number of kept bits below its index.  The
-    masks reached must be exactly the enumeration's.
+    :attr:`FlipGraph.nodes <clustertube.polygon.FlipGraph.nodes>` does, and
+    ``rows`` each one's canonical-order matrix as a tuple of rows;
+    ``edges[i*(n-1)+k]``, one flat array, is the node reached by exchanging
+    summand ``k`` (bit order) of node ``i``, and ``order`` the pop order.
+    :meth:`b_matrix` is the one lookup from a :class:`MaximalRigid` to its
+    :class:`ExchangeMatrix`.  Canonical order is bit order, so each
+    mutation step writes the new summand straight into its position: the
+    number of kept bits below its index.  The masks reached must be
+    exactly the enumeration's.
 
     An edge into a node already popped was mutated and compared from that
     node, so it is recorded without a step: one mutation per undirected
     edge.  One :func:`~clustertube.rigid.exchanges` call gives a node's
     n-1 exchanges, and equal rows are one tuple (234 among 24 024 at
-    rank 8): rank 10 takes about 3.6 s after the mask enumeration and peaks
-    at 68 MB (2 vCPU, Python 3.11.7).
+    rank 8): rank 10 takes about 3.8 s after the mask enumeration and
+    peaks at 43 MB (2 vCPU, Python 3.11.7).
     """
 
     def __init__(self, n: int):
@@ -205,16 +206,16 @@ class ExchangeGraph:
         shared: dict[tuple[int, ...], tuple[int, ...]] = {}
         rows = {start: tuple(shared.setdefault(r, r) for r in seed.matrix.entries)}
         popped: set[int] = set()
-        edges: list[tuple[int, int, int]] = []
+        order, found = array("l"), array("l")  # node numbers, -1 if not enumerated
         queue = deque([start])
         while queue:
             mask = queue.popleft()
             popped.add(mask)
-            i = number.get(mask)
+            order.append(number.get(mask, -1))
             b = rows[mask]
             for k, (removed, new) in enumerate(exchanges(table.compat, mask)):
                 mask2 = mask ^ 1 << removed | 1 << new
-                edges.append((i, k, number.get(mask2)))
+                found.append(number.get(mask2, -1))
                 if mask2 in popped:
                     continue
                 b2 = _mutate_rows(b, k, (mask2 & ((1 << new) - 1)).bit_count())
@@ -233,7 +234,11 @@ class ExchangeGraph:
                 f"the enumeration has {len(number)}"
             )
         self.rows: tuple[Rows, ...] = tuple(rows[mask] for mask in self.nodes)
-        self.edges = edges
+        # each popped node's block of n-1 neighbours, moved to node order
+        self.order, d = order, n - 1
+        self.edges = array("l", [0]) * len(found)
+        for pos, i in enumerate(order):
+            self.edges[i * d : i * d + d] = found[pos * d : pos * d + d]
 
     def b_matrix(self, t: MaximalRigid) -> ExchangeMatrix:
         """The matrix of node ``t``, built from its ``rows``."""
@@ -255,9 +260,6 @@ class ExchangeGraph:
             u.extend([mat.order[j]] * max(-v, 0))
             u_prime.extend([mat.order[j]] * max(v, 0))
         return MiddleTerms(tuple(u), tuple(u_prime))
-
-    def undirected_edges(self) -> set[tuple[int, int]]:
-        return {(i, j) if i < j else (j, i) for i, _, j in self.edges}
 
 
 @lru_cache(maxsize=None)

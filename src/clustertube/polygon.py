@@ -11,8 +11,9 @@ The pairs of one rank are numbered in :func:`all_cs_pairs` order
 triangulation is a mask and a flip is :func:`~clustertube.rigid.swap`
 on the non-crossing rows, the same exchange step as for rigid objects
 (:func:`~clustertube.rigid.exchanges` gives all flips of a node at once).
-Graph nodes are masks and edges node-number triples, and both node
-verdicts of the ``verify`` polygon suite read one map, :func:`delta_node_map`.
+Graph nodes are masks and each graph's edges one flat array of node
+numbers, n-1 per node; both node verdicts of the ``verify`` polygon
+suite read one map, :func:`delta_node_map`.
 
 Corners are labelled clockwise 1..2n; all corner arithmetic is reduced
 into that range.
@@ -20,6 +21,7 @@ into that range.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -257,8 +259,8 @@ def flip(tri: CsTriangulation, p: CsPair) -> CsTriangulation:
 
 class FlipGraph:
     """All centrally symmetric triangulations, with flip edges: ``nodes``
-    holds each one's pair mask, and ``edges`` every triple (a, p, b) of
-    node numbers where flipping pair ``p`` of node ``a`` gives node ``b``.
+    holds each one's pair mask, and ``edges[a*(n-1)+k]`` the node reached
+    by flipping the k-th lowest pair of node ``a``, in one flat array.
     A flip of n-1 pairwise non-crossing pairs gives n-1 such pairs again,
     which is a maximal clique since every maximal clique has n-1 pairs;
     so every flip lands on a node.
@@ -266,17 +268,11 @@ class FlipGraph:
 
     def __init__(self, n: int):
         self.n = n
-        table = polygon_table(n)
         self.nodes: tuple[int, ...] = _all_triangulations(n)
-        number = {mask: a for a, mask in enumerate(self.nodes)}
-        self.edges: list[tuple[int, int, int]] = [
-            (a, p, number[mask ^ 1 << p | 1 << q])
-            for a, mask in enumerate(self.nodes)
-            for p, q in exchanges(table.noncross, mask)
-        ]
-
-    def undirected_edges(self) -> set[tuple[int, int]]:
-        return {(a, b) if a < b else (b, a) for a, _, b in self.edges}
+        adj, number = polygon_table(n).noncross, {mask: a for a, mask in enumerate(self.nodes)}
+        self.edges = array(
+            "l", [number[m ^ 1 << p | 1 << q] for m in self.nodes for p, q in exchanges(adj, m)]
+        )
 
 
 @lru_cache(maxsize=None)
@@ -318,9 +314,13 @@ def graphs_isomorphic_via_delta(eg, fg: FlipGraph) -> bool:
 
 def edges_match(eg, fg: FlipGraph, node: list[int] | None) -> bool:
     """:func:`graphs_isomorphic_via_delta` on the node map ``node`` of
-    :func:`delta_node_map`, for a caller that already holds it."""
-    table = polygon_table(eg.n)
-    label = [[table.delta_index[i] for i in bit_indices(m)] for m in eg.nodes]
-    return node is not None and sorted(fg.edges) == sorted(
-        (node[i], label[i][k], node[j]) for i, k, j in eg.edges
-    )
+    :func:`delta_node_map`, for a caller that already holds it: the exchange
+    array, renumbered into flip-graph slots (pair order), equals the flip array."""
+    if node is None:
+        return False
+    table, d, renumbered = polygon_table(eg.n), eg.n - 1, [0] * len(eg.edges)
+    for i, mask in enumerate(eg.nodes):
+        pairs = [table.delta_index[c] for c in bit_indices(mask)]
+        a, block = node[i] * d, eg.edges[i * d : i * d + d]
+        renumbered[a : a + d] = [node[block[k]] for k in sorted(range(d), key=pairs.__getitem__)]
+    return array("l", renumbered) == fg.edges

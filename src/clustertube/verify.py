@@ -240,37 +240,32 @@ def suite_mutation(n: int) -> list[CheckResult]:
         return [CheckResult("path-independence", False, str(exc))]
     checks.append(CheckResult("path-independence", True))
 
-    # on the BFS rows: sign-skew symmetry also forces a zero diagonal
-    bad = next(
-        (
-            mask
-            for mask, rows in zip(graph.nodes, graph.rows)
-            if not is_sign_skew_symmetric(rows)
-            or any(abs(v) > _ENTRY_BOUND for row in rows for v in row)
-        ),
-        None,
-    )
+    # once per distinct BFS matrix, naming the first node with a bad one;
+    # sign-skew symmetry also forces a zero diagonal
+    broken = {
+        rows
+        for rows in set(graph.rows)
+        if not is_sign_skew_symmetric(rows)
+        or any(abs(v) > _ENTRY_BOUND for row in rows for v in row)
+    }
+    bad = None
+    if broken:
+        bad = next(mask for mask, rows in zip(graph.nodes, graph.rows) if rows in broken)
     table = rigid_table(n)
     checks.append(_bad_node("matrix-invariants", table, bad))
 
-    want_nodes = comb(2 * n - 2, n - 1)
-    directed = {(i, j) for i, _, j in graph.edges}
-    undirected = graph.undirected_edges()
-    degree = Counter(i for e in undirected for i in e)
+    nodes, edges, d = len(graph.nodes), graph.edges, n - 1
+    blocks = [edges[i * d : i * d + d] for i in range(nodes)]
     shape_ok = (
-        len(graph.nodes) == want_nodes
-        and len(graph.edges) == want_nodes * (n - 1)
-        and all((j, i) in directed for i, j in directed)
-        and len(undirected) == want_nodes * (n - 1) // 2
-        and all(degree[i] == n - 1 for i in range(len(graph.nodes)))
-    )
-    checks.append(
-        CheckResult(
-            "graph-shape",
-            shape_ok,
-            f"{len(graph.nodes)} nodes, {len(undirected)} edges",
+        nodes == comb(2 * n - 2, n - 1)
+        and len(edges) == nodes * d
+        and 0 <= min(edges) and max(edges) < nodes
+        and all(
+            len(set(block)) == d and i not in block and all(i in blocks[j] for j in block)
+            for i, block in enumerate(blocks)
         )
     )
+    checks.append(CheckResult("graph-shape", shape_ok, f"{nodes} nodes, {len(edges) // 2} edges"))
 
     seed = initial_seed(n)
     stored = graph.b_matrix(seed.object)

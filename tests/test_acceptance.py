@@ -135,9 +135,15 @@ def test_criterion_08_graph_shape():
     for n in range(2, 9):
         graph = build_exchange_graph(n)
         nodes = comb(2 * n - 2, n - 1)
-        und = graph.undirected_edges()
+        d = n - 1
         assert len(graph.nodes) == nodes
-        assert len(und) == nodes * (n - 1) // 2
+        assert len(graph.edges) == nodes * d
+        und = {
+            (i, j) if i < j else (j, i)
+            for i in range(nodes)
+            for j in graph.edges[i * d : i * d + d]
+        }
+        assert len(und) == nodes * d // 2
         degrees = {i: 0 for i in range(len(graph.nodes))}
         for e in und:
             for i in e:

@@ -288,6 +288,15 @@ GOLDEN = [
         ["mutate", "--rank", "7", "--object", "2,6;2,5;3,4;4,3;4,2;5,1", "--at", "4,3"],
         "fd1b656c508444ab92d74616e9db6f983f70dd6028cb8ac6ff03859f74839588",
     ),
+    # taken while both graphs still stored their edges as triple lists
+    (
+        ["exchange-graph", "--rank", "8", "--format", "dot"],
+        "421ff70b117109e162b16d50e11e2c408bcf878fb9cd98fe7aaf7e0e6e6ae915",
+    ),
+    (
+        ["exchange-graph", "--rank", "8", "--format", "json"],
+        "798376bf173ad49b23401e3641ecaf64bddeb75d3dbffbb517c49bd0268058cd",
+    ),
 ]
 
 

@@ -35,6 +35,18 @@ def node_objects(g):
     return [MaximalRigid(g.n, table.objects_of(mask)) for mask in g.nodes]
 
 
+def triples(g):
+    """The graph's flat ``edges`` as (i, k, j) in array order: exchanging
+    summand ``k`` of node ``i`` gives node ``j``."""
+    d = g.n - 1
+    return [(e // d, e % d, j) for e, j in enumerate(g.edges)]
+
+
+def undirected(g):
+    """The graph's edges as ordered node pairs, each once."""
+    return {(i, j) if i < j else (j, i) for i, _, j in triples(g)}
+
+
 INITIAL_N4 = ((0, -2, 0), (1, 0, 1), (0, -1, 0))
 
 
@@ -127,11 +139,12 @@ class TestExchangeGraph:
     def test_shape(self, n, nodes, edges):
         g = build_exchange_graph(n)
         assert len(g.nodes) == nodes
-        assert len(g.undirected_edges()) == edges
+        assert len(g.edges) == 2 * edges
+        assert len(undirected(g)) == edges
 
     def test_rank_three_is_a_hexagon(self):
         g = build_exchange_graph(3)
-        und = g.undirected_edges()
+        und = undirected(g)
         degrees = {i: sum(1 for e in und if i in e) for i in range(len(g.nodes))}
         assert all(d == 2 for d in degrees.values())
         # connected 2-regular with 6 nodes is a single 6-cycle
@@ -189,7 +202,7 @@ class TestExchangeGraph:
         # spreads, by bijections, over one side of a cut, and each node has
         # n-1 >= 2 edges, so some edge across the cut is compared
         real = mutation._mutate_rows
-        for bad in range(len(build_exchange_graph(n).undirected_edges())):
+        for bad in range(len(undirected(build_exchange_graph(n)))):
             calls = []
 
             def tampered(b, k, p):
@@ -215,14 +228,14 @@ class TestExchangeGraph:
 
         monkeypatch.setattr(mutation, "_mutate_rows", counted)
         g = mutation.ExchangeGraph(n)
-        assert len(calls) == len(g.undirected_edges()) == len(g.nodes) * (n - 1) // 2
+        assert len(calls) == len(undirected(g)) == len(g.nodes) * (n - 1) // 2
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_every_directed_edge_mutates_to_its_target(self, n):
         # the BFS mutates one direction of each edge; the other holds too
         g = build_exchange_graph(n)
         nodes, rows = node_objects(g), g.rows
-        for i, k, j in g.edges:
+        for i, k, j in triples(g):
             t2, p = exchange(nodes[i], k)
             assert t2 == nodes[j]
             assert mutation._mutate_rows(rows[i], k, p) == rows[j], (i, k, j)
@@ -315,14 +328,23 @@ class TestNumberedEdges:
     def test_every_edge_is_an_exchange(self, n):
         g = build_exchange_graph(n)
         nodes = node_objects(g)
-        assert all(type(v) is int for e in g.edges for v in e)
+        assert all(type(v) is int for v in g.edges)
         assert len(g.edges) == len(nodes) * (n - 1)
-        for i, k, j in g.edges:
+        for i, k, j in triples(g):
             assert exchange(nodes[i], k)[0] == nodes[j], (i, k, j)
 
-    def test_undirected_edges_are_ordered_pairs(self):
-        g = build_exchange_graph(4)
-        assert all(i < j for i, j in g.undirected_edges())
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_order_is_the_pop_order(self, n):
+        # a BFS from the seed: each node is popped once, and after the
+        # first every node has a neighbour popped before it
+        g = build_exchange_graph(n)
+        seed = rigid.rigid_table(n).mask_of(initial_seed(n).object.summands)
+        assert sorted(g.order) == list(range(len(g.nodes)))
+        assert g.nodes[g.order[0]] == seed
+        popped = {i: pos for pos, i in enumerate(g.order)}
+        d = n - 1
+        for pos, i in enumerate(g.order[1:], 1):
+            assert min(popped[j] for j in g.edges[i * d : i * d + d]) < pos
 
 
 def mutate_then_move(b, k, p):
@@ -514,15 +536,23 @@ class TestVerifyFailures:
             in capsys.readouterr().out
         )
 
+    # edits of the rank-5 array, 4 entries per node; node 0's first
+    # neighbour j lists node 0 at position back(edges)
+    @staticmethod
+    def back(edges):
+        return edges[4 * edges[0] : 4 * edges[0] + 4].index(0)
+
     @staticmethod
     def retarget(edges):
-        i, k, j = edges[0]
-        edges[0] = (i, k, next(c for c in range(70) if c not in (i, j)))
+        # onto a node that is not a neighbour yet, so only the reverse fails
+        edges[0] = next(c for c in range(1, 70) if c not in edges[:4])
 
     @staticmethod
     def drop(edges):
-        i, _, j = edges[0]
-        edges[:] = [e for e in edges if {e[0], e[2]} != {i, j}]
+        # both directions of one edge, so two blocks are truncated
+        j = edges[0]
+        del edges[4 * j + TestVerifyFailures.back(edges)]
+        del edges[0]
 
     @staticmethod
     def drop_one_direction(edges):
@@ -530,15 +560,31 @@ class TestVerifyFailures:
 
     @staticmethod
     def duplicate(edges):
-        # same count and undirected set, but edges[0] loses its reverse
+        # node 0 and its first neighbour j drop their edge and each list
+        # another neighbour twice, so every neighbour still lists its node back
+        j, back = edges[0], TestVerifyFailures.back(edges)
+        edges[4 * j + back] = edges[4 * j + (back + 1) % 4]
         edges[0] = edges[1]
 
+    @staticmethod
+    def self_loop(edges):
+        # both ends of one edge loop onto themselves, so every neighbour
+        # still lists its node back
+        j = edges[0]
+        edges[4 * j + TestVerifyFailures.back(edges)] = j
+        edges[0] = 0
+
+    @staticmethod
+    def out_of_range(edges):
+        edges[0] = 70
+
     @pytest.mark.parametrize(
-        "edit", ["retarget", "drop", "drop_one_direction", "duplicate"]
+        "edit",
+        ["retarget", "drop", "drop_one_direction", "duplicate", "self_loop", "out_of_range"],
     )
     def test_doctored_edges_fail_graph_shape(self, monkeypatch, capsys, edit):
         fake = copy.copy(build_exchange_graph(5))
-        fake.edges = list(fake.edges)
+        fake.edges = copy.copy(fake.edges)
         getattr(self, edit)(fake.edges)
         monkeypatch.setattr(verify, "build_exchange_graph", lambda n: fake)
         self.expect_failure(capsys, "graph-shape")

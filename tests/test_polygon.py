@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+from array import array
 import hashlib
 from itertools import combinations
 
@@ -213,7 +214,8 @@ class TestFlipGraph:
     def test_shape(self, n, nodes, edges):
         g = flip_graph(n)
         assert len(g.nodes) == nodes
-        assert len(g.undirected_edges()) == edges
+        assert len(g.edges) == 2 * edges
+        assert len({(a, b) if a < b else (b, a) for a, _, b in flips(g)}) == edges
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_isomorphic_to_exchange_graph(self, n):
@@ -222,12 +224,11 @@ class TestFlipGraph:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_every_edge_is_a_flip(self, n):
         g, table = flip_graph(n), polygon_table(n)
-        assert all(type(v) is int for e in g.edges for v in e)
+        assert all(type(v) is int for v in g.edges)
         assert len(g.edges) == len(g.nodes) * (n - 1)
         tris = [table.triangulation(mask) for mask in g.nodes]
-        for a, p, b in g.edges:
+        for a, p, b in flips(g):
             assert flip(tris[a], table.pairs[p]) == tris[b], (a, p, b)
-        assert all(a < b for a, b in g.undirected_edges())
 
     def test_one_exchanges_call_per_node(self, monkeypatch):
         calls = []
@@ -295,10 +296,19 @@ def reference_flip(tri, p):
     return found[0]
 
 
+def flips(g):
+    """The flip graph's flat ``edges`` as (a, p, b) in array order:
+    flipping pair ``p``, the k-th lowest of node ``a``, gives node ``b``."""
+    d = g.n - 1
+    return [
+        (e // d, bit_indices(g.nodes[e // d])[e % d], b) for e, b in enumerate(g.edges)
+    ]
+
+
 def digests(g):
     table = polygon_table(g.n)
     nodes = "\n".join(repr(table.triangulation(m).sorted_pairs()) for m in g.nodes)
-    edges = "\n".join(f"{a} {table.pairs[p]!r} {b}" for a, p, b in g.edges)
+    edges = "\n".join(f"{a} {table.pairs[p]!r} {b}" for a, p, b in flips(g))
     return (
         hashlib.sha256(nodes.encode()).hexdigest(),
         hashlib.sha256(edges.encode()).hexdigest(),
@@ -320,15 +330,13 @@ FLIP_GRAPH_DIGESTS = {
 
 
 def retarget(edges):
-    a, p, b = edges[0]
-    others = (c for c in range(len(flip_graph(4).nodes)) if c not in (a, b))
-    edges[0] = (a, p, next(others))
+    others = (c for c in range(len(flip_graph(4).nodes)) if c not in (0, edges[0]))
+    edges[0] = next(others)
 
 
 def relabel(edges):
-    a, p, b = edges[0]
-    others = (q for q in bit_indices(flip_graph(4).nodes[a]) if q != p)
-    edges[0] = (a, next(others), b)
+    # node 0's first two flips swap pairs
+    edges[0], edges[1] = edges[1], edges[0]
 
 
 def drop(edges):
@@ -336,14 +344,33 @@ def drop(edges):
 
 
 def extra(edges):
-    a, _, b = edges[0]
-    mask = flip_graph(4).nodes[a]
-    outside = (q for q in range(len(all_cs_pairs(4))) if not mask >> q & 1)
-    edges.append((a, next(outside), b))
+    edges.append(edges[0])
 
 
 # edits of flip_graph(4).edges, each of which breaks the isomorphism
 DOCTORINGS = (retarget, relabel, drop, extra)
+
+
+class TestFlatEdges:
+    """Both graphs store ``edges[i*(n-1)+k] = j``: node ``j`` is node
+    ``i`` with its k-th lowest bit swapped out."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize(
+        "graph,adj",
+        [
+            (build_exchange_graph, lambda n: rigid_table(n).compat),
+            (flip_graph, lambda n: polygon_table(n).noncross),
+        ],
+        ids=["exchange", "flip"],
+    )
+    def test_every_entry_is_a_swap(self, graph, adj, n):
+        g, rows, d = graph(n), adj(n), n - 1
+        assert type(g.edges) is array
+        assert len(g.edges) == len(g.nodes) * d
+        for i, mask in enumerate(g.nodes):
+            for k, v in enumerate(bit_indices(mask)):
+                assert g.nodes[g.edges[i * d + k]] == swap(rows, mask, v), (i, k)
 
 
 class TestMaskFlips:
@@ -364,7 +391,7 @@ class TestMaskFlips:
     @pytest.mark.parametrize("edit", DOCTORINGS, ids=lambda f: f.__name__)
     def test_isomorphism_sees_a_doctored_edge_list(self, edit):
         fake = copy.copy(flip_graph(4))
-        fake.edges = list(fake.edges)
+        fake.edges = copy.copy(fake.edges)
         edit(fake.edges)
         assert not graphs_isomorphic_via_delta(build_exchange_graph(4), fake)
 
