@@ -44,8 +44,10 @@ nodes = enumerate_maximal_rigid(N)  # the graph numbers its seeds in this order
 # the first seed popped by the search is the zig-zag one
 i, k = graph.order[0], 0
 j = graph.edges[i * (N - 1) + k]
-print(f"edges are node-number triples: {(i, k, j)} exchanges summand {k} "
-      f"of seed {i} to reach seed {j}")
+print(f"edges is one flat array of seed numbers, {N - 1} per seed:")
+print(f"edges[{i}*{N - 1}+{k}] = {j}: exchanging summand {k} of seed {i} reaches seed {j}")
 assert exchange(nodes[i], k)[0] == nodes[j]
-print("every B-matrix was propagated by mutation and re-checked on every")
-print("revisit, so the assignment seed -> matrix is path independent.")
+print(f"tau rotates the seeds in {len(graph.nodes) // N} orbits of {N}. Each B-matrix was")
+print("propagated by mutation on one seed per orbit and compared on every")
+print("edge between orbits and within one; rotation gives the rest, so the")
+print("assignment seed -> matrix is path independent.")

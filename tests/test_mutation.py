@@ -1,4 +1,5 @@
 import copy
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +46,57 @@ def triples(g):
 def undirected(g):
     """The graph's edges as ordered node pairs, each once."""
     return {(i, j) if i < j else (j, i) for i, _, j in triples(g)}
+
+
+def representative(table, mask):
+    """The rotation of ``mask`` that puts its one top at bit 0."""
+    t = (mask & table.tops).bit_length() - 1
+    return rigid.rotate(mask, -t, len(table.objects))
+
+
+def quotient_steps(g):
+    """The mutation steps of the tau-quotient search, read off the full
+    graph: one per undirected edge between two representatives' orbits,
+    and one per directed edge from a representative into its own orbit."""
+    table, d = rigid.rigid_table(g.n), g.n - 1
+    loops = across = 0
+    for i, mask in enumerate(g.nodes):
+        if mask & 1:  # a representative: its top is the lowest one
+            for j in g.edges[i * d : i * d + d]:
+                if representative(table, g.nodes[j]) == mask:
+                    loops += 1
+                else:
+                    across += 1
+    return loops + across // 2
+
+
+def full_bfs(n):
+    """Reference: the BFS over every node, mutating one direction of each
+    undirected edge and comparing on revisits.  Returns ``rows``,
+    ``edges`` and ``order`` as :class:`ExchangeGraph` stores them."""
+    table, seed = rigid.rigid_table(n), initial_seed(n)
+    start = table.mask_of(seed.object.summands)
+    number = {mask: i for i, mask in enumerate(rigid.maximal_rigid_masks(n))}
+    rows, popped, order, found = {start: seed.matrix.entries}, set(), [], []
+    queue = deque([start])
+    while queue:
+        mask = queue.popleft()
+        popped.add(mask)
+        order.append(number[mask])
+        for k, (removed, new) in enumerate(rigid.exchanges(table.compat, mask)):
+            mask2 = mask ^ 1 << removed | 1 << new
+            found.append(number[mask2])
+            if mask2 not in popped:
+                p = (mask2 & ((1 << new) - 1)).bit_count()
+                b2 = mutation._mutate_rows(rows[mask], k, p)
+                if mask2 not in rows:
+                    rows[mask2] = b2
+                    queue.append(mask2)
+                assert rows[mask2] == b2, table.objects_of(mask2)
+    d, edges = n - 1, [0] * len(found)
+    for pos, i in enumerate(order):
+        edges[i * d : i * d + d] = found[pos * d : pos * d + d]
+    return tuple(rows[mask] for mask in number), edges, order
 
 
 INITIAL_N4 = ((0, -2, 0), (1, 0, 1), (0, -1, 0))
@@ -186,6 +238,8 @@ class TestExchangeGraph:
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_one_exchanges_call_per_node(self, n, monkeypatch):
+        # the search pops tau-orbit representatives only: one per orbit
+        # of n nodes, each with its top at bit 0
         calls = []
 
         def counted(adj, mask):
@@ -194,7 +248,8 @@ class TestExchangeGraph:
 
         monkeypatch.setattr(mutation, "exchanges", counted)
         g = mutation.ExchangeGraph(n)
-        assert len(calls) == len(set(calls)) == len(g.nodes)
+        assert len(calls) == len(set(calls)) == len(g.nodes) // n
+        assert all(mask & 1 for mask in calls)
 
     @pytest.mark.parametrize("n", (3, 4, 5))
     def test_every_mutation_step_is_checked(self, n, monkeypatch):
@@ -202,7 +257,7 @@ class TestExchangeGraph:
         # spreads, by bijections, over one side of a cut, and each node has
         # n-1 >= 2 edges, so some edge across the cut is compared
         real = mutation._mutate_rows
-        for bad in range(len(undirected(build_exchange_graph(n)))):
+        for bad in range(quotient_steps(build_exchange_graph(n))):
             calls = []
 
             def tampered(b, k, p):
@@ -228,7 +283,10 @@ class TestExchangeGraph:
 
         monkeypatch.setattr(mutation, "_mutate_rows", counted)
         g = mutation.ExchangeGraph(n)
-        assert len(calls) == len(undirected(g)) == len(g.nodes) * (n - 1) // 2
+        assert len(calls) == quotient_steps(g)
+        assert len(undirected(g)) == len(g.nodes) * (n - 1) // 2
+        if n == 8:
+            assert (len(calls), len(undirected(g))) == (1504, 12012)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_every_directed_edge_mutates_to_its_target(self, n):
@@ -245,6 +303,9 @@ class TestExchangeGraph:
         rows = [r for b in build_exchange_graph(8).rows for r in b]
         assert len(rows) == 3432 * 7
         assert len({id(r) for r in rows}) == len(set(rows)) == 234
+        # so is each distinct matrix
+        matrices = build_exchange_graph(8).rows
+        assert len({id(b) for b in matrices}) == len(set(matrices)) == 1716
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_nodes_in_enumeration_order(self, n):
@@ -345,6 +406,83 @@ class TestNumberedEdges:
         d = n - 1
         for pos, i in enumerate(g.order[1:], 1):
             assert min(popped[j] for j in g.edges[i * d : i * d + d]) < pos
+
+
+class TestTauQuotient:
+    """The search mutates on tau-orbit representatives and expands the
+    orbits by rotation; the full BFS is the reference."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_matches_the_full_bfs(self, n):
+        g = mutation.ExchangeGraph(n)
+        rows, edges, order = full_bfs(n)
+        assert g.rows == rows
+        assert list(g.edges) == edges
+        assert list(g.order) == order
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_rows_are_tau_equivariant(self, n):
+        # tau^j moves the summand at position p of a node to position
+        # perm[p] of its image, so entry (p, q) moves to (perm[p], perm[q])
+        g, table = build_exchange_graph(n), rigid.rigid_table(n)
+        size, d = len(table.objects), n - 1
+        number = {mask: i for i, mask in enumerate(g.nodes)}
+        for i, mask in enumerate(g.nodes):
+            bits = rigid.bit_indices(mask)
+            for j in range(1, n):
+                image = rigid.rotate(mask, j * d, size)
+                at = {v: p for p, v in enumerate(rigid.bit_indices(image))}
+                perm = [at[(v + j * d) % size] for v in bits]
+                b, b2 = g.rows[i], g.rows[number[image]]
+                assert all(
+                    b2[perm[p]][perm[q]] == b[p][q] for p in range(d) for q in range(d)
+                ), (mask, j)
+
+    @pytest.mark.parametrize("n", (2, 4, 6, 8))
+    def test_loop_edges_are_compared(self, n, monkeypatch):
+        # a step from a representative into its own orbit only compares,
+        # and a wrong result there must fail; such steps occur at even
+        # ranks only (1, 1, 2 and 5 of them at n = 2, 4, 6, 8)
+        table, real = rigid.rigid_table(n), mutation._mutate_rows
+        popped, loops = [], []
+
+        def spy(adj, mask):
+            popped.append(mask)
+            return rigid.exchanges(adj, mask)
+
+        def tampered(b, k, p):
+            b2, r = real(b, k, p), popped[-1]
+            if representative(table, rigid.swap(table.compat, r, rigid.bit_indices(r)[k])) != r:
+                return b2
+            loops.append(None)
+            return b2[:-1] + ((b2[-1][0] + 7,) + b2[-1][1:],)
+
+        monkeypatch.setattr(mutation, "exchanges", spy)
+        monkeypatch.setattr(mutation, "_mutate_rows", tampered)
+        with pytest.raises(TheoremViolationError, match="^path-independence failure at "):
+            mutation.ExchangeGraph(n)
+        assert len(loops) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sampled_edges_mutate_to_their_targets_at_rank_ten(self, rank_ten, data):
+        # a second route beyond the exhaustive ranks: a directed edge of
+        # the expanded graph, mutated directly, gives its target's rows
+        g, table = rank_ten
+        i = data.draw(st.integers(0, len(g.nodes) - 1), label="node")
+        k = data.draw(st.integers(0, 8), label="summand")
+        j = g.edges[i * 9 + k]
+        mask, mask2 = g.nodes[i], g.nodes[j]
+        assert rigid.swap(table.compat, mask, rigid.bit_indices(mask)[k]) == mask2
+        new = (mask2 & ~mask).bit_length() - 1
+        p = (mask2 & ((1 << new) - 1)).bit_count()
+        assert mutation._mutate_rows(g.rows[i], k, p) == g.rows[j]
+
+
+@pytest.fixture(scope="module")
+def rank_ten():
+    # built outside the graph cache, so it is freed with this module
+    return mutation.ExchangeGraph(10), rigid.rigid_table(10)
 
 
 def mutate_then_move(b, k, p):
