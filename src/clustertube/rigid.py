@@ -2,13 +2,18 @@
 
 The rigid indecomposables of one rank are numbered in canonical order
 (:class:`RigidTable`), so a set of them is an int bitmask whose bits, read
-upwards, list it in canonical summand order.  Enumeration, complements
-and the exchange graph run on these masks, through :func:`clusters`,
-:func:`completions`, :func:`swap` and :func:`exchanges`, which the
-polygon model shares; so do tilting data and cluster-tilting witnesses
-(:func:`tilting_datum_of`, :func:`cluster_of_tilting_datum`,
-:func:`tilting_witness`).  :class:`MaximalRigid` and
-:class:`~clustertube.tube.TubeObject` are the boundary types.
+upwards, list it in canonical summand order.  Complements, the exchange
+graph, tilting data and cluster-tilting witnesses run on these masks,
+through :func:`completions`, :func:`swap`, :func:`exchanges`,
+:func:`tilting_datum_of`, :func:`cluster_of_tilting_datum` and
+:func:`tilting_witness`; the polygon model shares the first three and the
+full clique search :func:`clusters`.
+
+The enumeration :func:`maximal_rigid_masks` searches the tau-quotient
+only: the maximal cliques through the lowest top, one per orbit, which
+it rotates, after checking that no maximal clique lacks a top.
+:class:`MaximalRigid` and :class:`~clustertube.tube.TubeObject` are the
+boundary types.
 """
 
 from __future__ import annotations
@@ -41,12 +46,18 @@ def rotate(mask: int, shift: int, size: int) -> int:
     return (mask << shift | mask >> (size - shift)) & ((1 << size) - 1)
 
 
-def maximal_cliques(adj: Sequence[int]) -> list[int]:
+def maximal_cliques(adj: Sequence[int], seed: int = 0, excluded: int = 0) -> list[int]:
     """Maximal cliques, as masks, of the graph on ``0..len(adj)-1`` whose
-    vertex ``v`` has neighbour mask ``adj[v]`` (no self-loops).
+    vertex ``v`` has neighbour mask ``adj[v]`` (no self-loops): those
+    that contain the clique ``seed`` and avoid the vertices ``excluded``.
 
-    Bron-Kerbosch with pivoting: from the candidates ``p`` only the
-    non-neighbours of a pivot that covers most of ``p`` are branched on.
+    Bron-Kerbosch with pivoting, started from R = ``seed``, P = the
+    common neighbours of ``seed`` outside ``excluded`` and X = the
+    common neighbours inside it: a clique that could still grow into
+    ``excluded`` is not maximal in the whole graph, and is not reported.
+    With neither argument it is the full search.  From the candidates
+    ``p`` only the non-neighbours of a pivot that covers most of ``p``
+    are branched on.
     """
     cliques: list[int] = []
 
@@ -63,8 +74,24 @@ def maximal_cliques(adj: Sequence[int]) -> list[int]:
             x |= bit
 
     if adj:
-        expand(0, (1 << len(adj)) - 1, 0)
+        common = (1 << len(adj)) - 1
+        for v in bit_indices(seed):
+            common &= adj[v]
+        expand(seed, common & ~excluded, common & excluded)
     return cliques
+
+
+# byte -> its bits reversed and inverted, so that bytes read from bit 0 up
+# compare as index lists do
+_LOW_BITS_FIRST = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _sort_by_indices(masks: list[int], size: int) -> None:
+    """Sort ``masks`` of one popcount, below ``size`` bits, as
+    ``key=bit_indices`` would.  Between two such masks the lowest bit
+    where they differ decides: the mask that has it comes first."""
+    width = -(-size // 8)
+    masks.sort(key=lambda m: m.to_bytes(width, "little").translate(_LOW_BITS_FIRST))
 
 
 def clusters(adj: Sequence[int], n: int) -> list[int]:
@@ -77,7 +104,7 @@ def clusters(adj: Sequence[int], n: int) -> list[int]:
                 f"maximal clique of size {clique.bit_count()} at rank {n}: "
                 f"{bit_indices(clique)}"
             )
-    cliques.sort(key=bit_indices)
+    _sort_by_indices(cliques, len(adj))
     return cliques
 
 
@@ -289,8 +316,34 @@ def compatibility(n: int) -> dict[TubeObject, frozenset[TubeObject]]:
 
 @lru_cache(maxsize=None)
 def maximal_rigid_masks(n: int) -> tuple[int, ...]:
-    """The masks of all maximal rigid objects: :func:`clusters` of ``compat``."""
-    return tuple(clusters(rigid_table(n).compat, n))
+    """The masks of all maximal rigid objects, in :func:`clusters` order.
+
+    Tau rotates masks by n-1 bits and every maximal rigid object has
+    exactly one top, so its tau-orbit is free, of size n, and holds
+    exactly one mask through the lowest top ``t0``.  The cliques through
+    ``t0`` are therefore one representative per orbit: each must pass
+    :meth:`RigidTable.defect`, whose one-top test is also what keeps an
+    orbit from being listed twice.  A search seeded at ``t0`` cannot see
+    a maximal clique without a top, so a second search with every top
+    excluded must find none.  The n rotations of each representative
+    are maximal cliques, since ``compat`` is built by rotation.
+    """
+    table = rigid_table(n)
+    size, step = len(table.objects), n - 1
+    t0 = (table.tops & -table.tops).bit_length() - 1
+    reps = maximal_cliques(table.compat, seed=1 << t0)
+    for mask in reps:
+        defect = table.defect(mask)
+        if defect:
+            raise TheoremViolationError(f"{table.objects_of(mask)} {defect}")
+    topless = maximal_cliques(table.compat, excluded=table.tops)
+    if topless:
+        raise TheoremViolationError(
+            f"maximal rigid object without a top: {table.objects_of(topless[0])}"
+        )
+    masks = [rotate(mask, shift, size) for mask in reps for shift in range(0, size, step)]
+    _sort_by_indices(masks, size)
+    return tuple(masks)
 
 
 def enumerate_maximal_rigid(n: int) -> tuple[MaximalRigid, ...]:

@@ -16,7 +16,6 @@ from .mutation import (
     build_exchange_graph,
     cartan_counterpart,
     initial_seed,
-    is_sign_skew_symmetric,
 )
 from .polygon import (
     all_cs_pairs,
@@ -240,13 +239,21 @@ def suite_mutation(n: int) -> list[CheckResult]:
         return [CheckResult("path-independence", False, str(exc))]
     checks.append(CheckResult("path-independence", True))
 
-    # once per distinct BFS matrix, naming the first node with a bad one;
-    # sign-skew symmetry also forces a zero diagonal
+    # signs and the entry bound once per distinct row, sign-skew symmetry
+    # once per distinct matrix on those signs: column j must be row j's
+    # signs negated (so the diagonal is zero), and a row out of bound has
+    # no negated signs to match.  A FAIL names the first node with a bad
+    # matrix.
+    matrices = set(graph.rows)
+    signs, negated = {}, {}
+    for row in {row for rows in matrices for row in rows}:
+        signs[row] = tuple((v > 0) - (v < 0) for v in row)
+        if max(map(abs, row)) <= _ENTRY_BOUND:
+            negated[row] = tuple(-v for v in signs[row])
     broken = {
         rows
-        for rows in set(graph.rows)
-        if not is_sign_skew_symmetric(rows)
-        or any(abs(v) > _ENTRY_BOUND for row in rows for v in row)
+        for rows in matrices
+        if list(zip(*map(signs.get, rows))) != list(map(negated.get, rows))
     }
     bad = None
     if broken:

@@ -1,8 +1,13 @@
+import dataclasses
+from itertools import combinations
+
 import pytest
+from hypothesis import given, strategies as st
 
 from clustertube import (
     MaximalRigid,
     StructuralError,
+    TheoremViolationError,
     TubeObject,
     cluster_tilting_witness,
     complements,
@@ -15,6 +20,14 @@ from clustertube import (
     wing_contains,
 )
 from clustertube import rigid
+from clustertube.cli import main
+from clustertube.rigid import (
+    bit_indices,
+    clusters,
+    maximal_cliques,
+    maximal_rigid_masks,
+    rigid_table,
+)
 
 
 def obj(a, b, n):
@@ -65,6 +78,108 @@ class TestEnumeration:
                 top = t.top
                 assert top.b == n - 1
                 assert all(wing_contains(top, x) for x in t.summands)
+
+
+def full_maximal_cliques(adj):
+    """Every maximal clique of ``adj``, by brute force over vertex sets."""
+    v = len(adj)
+    cliques = [
+        sum(1 << i for i in s)
+        for r in range(1, v + 1)
+        for s in combinations(range(v), r)
+        if all(adj[i] >> j & 1 for i, j in combinations(s, 2))
+    ]
+    return {c for c in cliques if not any(c != d and c & d == c for d in cliques)}
+
+
+class TestOrbitEnumeration:
+    """``maximal_rigid_masks`` searches only through the lowest top and
+    rotates; the full search ``clusters`` is the reference."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_equals_the_full_search(self, n):
+        assert maximal_rigid_masks(n) == tuple(clusters(rigid_table(n).compat, n))
+
+    @given(
+        st.integers(1, 132).flatmap(
+            lambda size: st.tuples(
+                st.just(size),
+                st.integers(0, size).flatmap(
+                    lambda k: st.lists(
+                        st.sets(st.integers(0, size - 1), min_size=k, max_size=k).map(
+                            lambda bits: sum(1 << i for i in bits)
+                        ),
+                        max_size=30,
+                    )
+                ),
+            )
+        )
+    )
+    def test_sort_key_is_the_index_order(self, case):
+        size, masks = case
+        rigid._sort_by_indices(masks, size)
+        assert masks == sorted(masks, key=bit_indices)
+
+    # a 4-cycle 0-1-2-3 with the chord 0-2, and a pendant vertex 4 at 3
+    GRAPH = (0b01110, 0b00101, 0b01011, 0b10101, 0b01000)
+
+    def test_the_synthetic_graph(self):
+        assert full_maximal_cliques(self.GRAPH) == {0b00111, 0b01101, 0b11000}
+
+    @pytest.mark.parametrize("seed", [0, 0b1, 0b1000, 0b0101, 0b10000, 0b11000])
+    def test_seed_gives_the_cliques_that_contain_it(self, seed):
+        found = maximal_cliques(self.GRAPH, seed=seed)
+        assert len(found) == len(set(found))
+        assert set(found) == {c for c in full_maximal_cliques(self.GRAPH) if c & seed == seed}
+
+    @pytest.mark.parametrize("excluded", [0, 0b1, 0b100, 0b101, 0b1000, 0b11111])
+    def test_excluded_gives_the_cliques_that_avoid_it(self, excluded):
+        found = maximal_cliques(self.GRAPH, excluded=excluded)
+        assert len(found) == len(set(found))
+        assert set(found) == {c for c in full_maximal_cliques(self.GRAPH) if not c & excluded}
+
+
+def top_dropped(table):
+    """The highest top, not the lowest, left out of ``tops``: its
+    cliques have no top left, which only the completeness check sees."""
+    return dataclasses.replace(table, tops=table.tops ^ 1 << table.tops.bit_length() - 1)
+
+
+def non_top_added(table):
+    """A non-top compatible with the lowest top counted as a top: the
+    representatives through both have two tops."""
+    t0 = table.tops & -table.tops
+    extra = table.compat[t0.bit_length() - 1] & ~table.tops
+    return dataclasses.replace(table, tops=table.tops | extra & -extra)
+
+
+def wing_shrunk(table):
+    """The lowest top's wing without its lowest other member."""
+    t0 = (table.tops & -table.tops).bit_length() - 1
+    rest = table.wings[t0] & ~(1 << t0)
+    return dataclasses.replace(table, wings={**table.wings, t0: table.wings[t0] ^ rest & -rest})
+
+
+class TestDoctoredTables:
+    """A doctored table makes the enumeration raise, never shrink."""
+
+    @pytest.mark.parametrize("edit", [top_dropped, non_top_added, wing_shrunk])
+    def test_raises(self, monkeypatch, capsys, edit):
+        text = {
+            top_dropped: r"^maximal rigid object without a top: \(",
+            non_top_added: r"\) has 2 summands of quasi-length 4$",
+            wing_shrunk: r"\) has \(.*\) outside the wing of its top$",
+        }[edit]
+        real = rigid.rigid_table
+        monkeypatch.setattr(rigid, "rigid_table", lambda n: edit(real(n)))
+        maximal_rigid_masks.cache_clear()
+        try:
+            with pytest.raises(TheoremViolationError, match=text):
+                maximal_rigid_masks(5)
+            assert main(["verify", "--rank", "5", "--suite", "counts"]) == 1
+        finally:
+            maximal_rigid_masks.cache_clear()
+        assert capsys.readouterr().err.startswith("verification failure: ")
 
 
 class TestMaximalRigidType:
