@@ -29,11 +29,13 @@ from operator import itemgetter, neg
 from .errors import StructuralError, TheoremViolationError
 from .rigid import (
     MaximalRigid,
-    complements,
+    _of_mask,
+    bit_indices,
     exchanges,
     maximal_rigid_masks,
     rigid_table,
     rotate,
+    swap,
 )
 from .tube import TubeObject
 
@@ -73,16 +75,10 @@ class Seed:
 class MiddleTerms:
     """Middle-term multiplicities of the two exchange triangles at one
     summand, read off the B-matrix row: U from the negative entries,
-    U' from the positive ones."""
+    U' from the positive ones, so they never share a summand."""
 
     u: tuple[TubeObject, ...]
     u_prime: tuple[TubeObject, ...]
-
-    def __post_init__(self) -> None:
-        if set(self.u) & set(self.u_prime):
-            raise TheoremViolationError(
-                f"exchange triangle middle terms share a summand: {self}"
-            )
 
 
 def is_sign_skew_symmetric(rows) -> bool:
@@ -170,16 +166,15 @@ def initial_seed(n: int) -> Seed:
 
 
 def exchange(t: MaximalRigid, k: int) -> tuple[MaximalRigid, int]:
-    """Swap summand ``k`` for its unique complement; returns the new
+    """Swap summand ``k`` for its unique complement, by
+    :func:`~clustertube.rigid.swap` on ``t``'s mask; returns the new
     object and the index the new summand occupies in canonical order."""
     if not 0 <= k < len(t.summands):
         raise IndexError(f"summand index {k} out of range")
-    removed = t.summands[k]
-    tbar = t.summands[:k] + t.summands[k + 1 :]
-    first, second = complements(tbar, t.n)
-    other = second if first == removed else first
-    t2 = MaximalRigid(t.n, tbar + (other,))
-    return t2, t2.summands.index(other)
+    table = rigid_table(t.n)
+    mask = swap(table.compat, t.mask, bit_indices(t.mask)[k])
+    new = mask & ~t.mask
+    return _of_mask(table, mask), (mask & (new - 1)).bit_count()
 
 
 class ExchangeGraph:
@@ -222,7 +217,7 @@ class ExchangeGraph:
         self.n = n
         table = rigid_table(n)
         seed = initial_seed(n)
-        start = table.mask_of(seed.object.summands)
+        start = seed.object.mask
         self.nodes: tuple[int, ...] = maximal_rigid_masks(n)
         self._number = number = {mask: i for i, mask in enumerate(self.nodes)}
         size, d, tops = len(table.objects), n - 1, table.tops
@@ -315,7 +310,7 @@ class ExchangeGraph:
         """The matrix of node ``t``, built from its ``rows``."""
         i = None
         if isinstance(t, MaximalRigid) and t.n == self.n:
-            i = self._number.get(rigid_table(self.n).mask_of(t.summands))
+            i = self._number.get(t.mask)
         if i is None:
             raise StructuralError(f"unknown node {t}")
         return ExchangeMatrix(t.summands, self.rows[i])

@@ -6,14 +6,17 @@ to centrally symmetric triangulations, and exchange corresponds to
 flipping.  Crossing counts here are the geometric side of the Ext
 dimension formula: crossing_points(dX, dY) = 2 dim Ext^1(X, Y).
 
-The pairs of one rank are numbered in :func:`all_cs_pairs` order
-(:class:`PolygonTable`), with one non-crossing bitmask per pair, so a
+The pairs of one rank are numbered by delta (:class:`PolygonTable`):
+pair ``i`` is the image of the rigid indecomposable of canonical index
+``i``, and the pairs must be exactly :func:`all_cs_pairs`.  Each pair has
+one non-crossing bitmask, read off :func:`crossing_points` alone, so a
 triangulation is a mask and a flip is :func:`~clustertube.rigid.swap`
 on the non-crossing rows, the same exchange step as for rigid objects
 (:func:`~clustertube.rigid.exchanges` gives all flips of a node at once).
 Graph nodes are masks and each graph's edges one flat array of node
-numbers, n-1 per node; both node verdicts of the ``verify`` polygon
-suite read one map, :func:`delta_node_map`.
+numbers, n-1 per node; with one numbering for both models, delta carries
+the exchange graph onto the flip graph exactly when the two graphs are
+equal.
 
 Corners are labelled clockwise 1..2n; all corner arithmetic is reduced
 into that range.
@@ -200,26 +203,21 @@ def triangulation_of(t: MaximalRigid) -> CsTriangulation:
 
 @dataclass(frozen=True)
 class PolygonTable:
-    """The n(n-1) cs pairs of rank n, indexed in :func:`all_cs_pairs`
-    order, with non-crossing as bitmasks; a set of pairs is a mask."""
+    """The n(n-1) cs pairs of rank n, numbered by delta: ``pairs[i]`` is
+    delta of the rigid indecomposable of canonical index ``i``.  Non-crossing
+    is stored as bitmasks, so a set of pairs is a mask, and a rigid mask
+    and its image under delta are the same int."""
 
     n: int
     pairs: tuple[CsPair, ...]
     index: dict[CsPair, int]
     # bit j of noncross[i]: j != i and crossing_points(pairs[i], pairs[j]) = 0
     noncross: tuple[int, ...]
-    # delta_index[i]: the pair index of delta of the rigid indecomposable
-    # with canonical index i
-    delta_index: tuple[int, ...]
     # the n diameters (degenerate pairs)
     diameters: int
 
     def mask_of(self, tri: CsTriangulation) -> int:
         return sum(1 << self.index[p] for p in tri.pairs)
-
-    def image_mask(self, mask: int) -> int:
-        """The pair mask of delta's image of the rigid mask ``mask``."""
-        return sum(1 << self.delta_index[i] for i in bit_indices(mask))
 
     def triangulation(self, mask: int) -> CsTriangulation:
         return CsTriangulation(
@@ -231,11 +229,16 @@ class PolygonTable:
 def polygon_table(n: int) -> PolygonTable:
     """The integer table of rank ``n``.
 
-    Non-crossing is read off :func:`crossing_points` alone, never off Ext,
-    so crossing = 2 Ext and flip = exchange stay checks between two
-    independent routes.
+    The pairs are numbered by delta, but must be every cs pair of the
+    2n-gon, once each.  Non-crossing is read off :func:`crossing_points`
+    alone, never off Ext, so crossing = 2 Ext and flip = exchange stay
+    checks between two independent routes.
     """
-    pairs = all_cs_pairs(n)
+    pairs = tuple(delta(x) for x in enumerate_rigid_indecs(n))
+    cs_pairs = all_cs_pairs(n)
+    if sorted(pairs, key=_pair_key) != list(cs_pairs):
+        missed = [p for p in cs_pairs if p not in pairs]
+        raise TheoremViolationError(f"delta misses the cs pairs {missed} of the {2 * n}-gon")
     noncross = [0] * len(pairs)
     for i, a in enumerate(pairs):
         for j in range(i + 1, len(pairs)):
@@ -243,9 +246,8 @@ def polygon_table(n: int) -> PolygonTable:
                 noncross[i] |= 1 << j
                 noncross[j] |= 1 << i
     index = {p: i for i, p in enumerate(pairs)}
-    delta_index = tuple(index[delta(x)] for x in enumerate_rigid_indecs(n))
     diameters = sum(1 << i for i, p in enumerate(pairs) if p.degenerate)
-    return PolygonTable(n, pairs, index, tuple(noncross), delta_index, diameters)
+    return PolygonTable(n, pairs, index, tuple(noncross), diameters)
 
 
 def flip(tri: CsTriangulation, p: CsPair) -> CsTriangulation:
@@ -284,7 +286,8 @@ def _all_triangulations(n: int) -> tuple[int, ...]:
     """The pair masks of the :func:`~clustertube.rigid.clusters` of the
     non-crossing graph of :func:`polygon_table`, each with one diameter."""
     table = polygon_table(n)
-    # pairs are in _pair_key order, so ascending indices sort triangulations
+    # sorted by bit indices, as maximal_rigid_masks is; with pairs numbered
+    # by delta the two tuples are equal
     masks = tuple(clusters(table.noncross, n))
     for mask in masks:
         found = (mask & table.diameters).bit_count()
@@ -294,33 +297,9 @@ def _all_triangulations(n: int) -> tuple[int, ...]:
     return masks
 
 
-def delta_node_map(eg, fg: FlipGraph) -> list[int] | None:
-    """The flip-graph number of each exchange-graph node's delta image,
-    or None unless this is a bijection (graphs of two ranks differ in
-    size): the one comparison of the two graphs' nodes."""
-    table = polygon_table(eg.n)
-    number = {mask: b for b, mask in enumerate(fg.nodes)}
-    image = [number.get(table.image_mask(m)) for m in eg.nodes]
-    bijective = None not in image and len(set(image)) == len(image) == len(fg.nodes)
-    return image if bijective else None
-
-
 def graphs_isomorphic_via_delta(eg, fg: FlipGraph) -> bool:
     """Does T -> triangulation_of(T) carry the exchange graph onto the
-    flip graph, edge by edge and label by label?  Nodes and labels are
-    renumbered by delta; the flips are the flip graph's own edges."""
-    return edges_match(eg, fg, delta_node_map(eg, fg))
-
-
-def edges_match(eg, fg: FlipGraph, node: list[int] | None) -> bool:
-    """:func:`graphs_isomorphic_via_delta` on the node map ``node`` of
-    :func:`delta_node_map`, for a caller that already holds it: the exchange
-    array, renumbered into flip-graph slots (pair order), equals the flip array."""
-    if node is None:
-        return False
-    table, d, renumbered = polygon_table(eg.n), eg.n - 1, [0] * len(eg.edges)
-    for i, mask in enumerate(eg.nodes):
-        pairs = [table.delta_index[c] for c in bit_indices(mask)]
-        a, block = node[i] * d, eg.edges[i * d : i * d + d]
-        renumbered[a : a + d] = [node[block[k]] for k in sorted(range(d), key=pairs.__getitem__)]
-    return array("l", renumbered) == fg.edges
+    flip graph, edge by edge and label by label?  Both number their
+    vertices by delta and sort their nodes and edge labels by bit, so
+    that is plain equality of nodes and of edges."""
+    return eg.nodes == fg.nodes and eg.edges == fg.edges

@@ -18,7 +18,7 @@ boundary types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -55,30 +55,32 @@ def maximal_cliques(adj: Sequence[int], seed: int = 0, excluded: int = 0) -> lis
     common neighbours of ``seed`` outside ``excluded`` and X = the
     common neighbours inside it: a clique that could still grow into
     ``excluded`` is not maximal in the whole graph, and is not reported.
-    With neither argument it is the full search.  From the candidates
-    ``p`` only the non-neighbours of a pivot that covers most of ``p``
-    are branched on.
+    With neither argument it is the full search.
     """
     cliques: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if not p:
-            if not x:
-                cliques.append(r)
-            return
-        pivot = max(bit_indices(p | x), key=lambda u: (adj[u] & p).bit_count())
-        for v in bit_indices(p & ~adj[pivot]):
-            bit = 1 << v
-            expand(r | bit, p & adj[v], x & adj[v])
-            p &= ~bit
-            x |= bit
-
     if adj:
         common = (1 << len(adj)) - 1
         for v in bit_indices(seed):
             common &= adj[v]
-        expand(seed, common & ~excluded, common & excluded)
+        _expand(adj, cliques, seed, common & ~excluded, common & excluded)
     return cliques
+
+
+def _expand(adj: Sequence[int], cliques: list[int], r: int, p: int, x: int) -> None:
+    """One Bron-Kerbosch step: from the candidates ``p`` only the
+    non-neighbours of a pivot that covers most of ``p`` are branched on.
+    A module function, not a closure, so that a search leaves no
+    reference cycle holding ``cliques``."""
+    if not p:
+        if not x:
+            cliques.append(r)
+        return
+    pivot = max(bit_indices(p | x), key=lambda u: (adj[u] & p).bit_count())
+    for v in bit_indices(p & ~adj[pivot]):
+        bit = 1 << v
+        _expand(adj, cliques, r | bit, p & adj[v], x & adj[v])
+        p &= ~bit
+        x |= bit
 
 
 # byte -> its bits reversed and inverted, so that bytes read from bit 0 up
@@ -247,7 +249,8 @@ def rigid_table(n: int) -> RigidTable:
 
 @dataclass(frozen=True)
 class MaximalRigid:
-    """A maximal rigid object, as its canonically ordered summand list.
+    """A maximal rigid object, as its canonically ordered summand list,
+    with the mask it was checked on.
 
     Construction validates everything (:meth:`RigidTable.defect`): n-1
     distinct pairwise compatible rigid summands, a unique top of
@@ -256,14 +259,21 @@ class MaximalRigid:
 
     n: int
     summands: tuple[TubeObject, ...]
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        objs = tuple(sorted(self.summands, key=canonical_key))
-        object.__setattr__(self, "summands", objs)
         table = rigid_table(self.n)
-        defect = table.defect(table.mask_of(objs))
+        self._hold(table, table.mask_of(self.summands))
+
+    def _hold(self, table: RigidTable, mask: int) -> None:
+        """Keep ``mask`` and its summands, in canonical order, which is
+        bit order, once :meth:`RigidTable.defect` passes it."""
+        objs = table.objects_of(mask)
+        defect = table.defect(mask)
         if defect:
             raise StructuralError(f"{objs} {defect}")
+        object.__setattr__(self, "summands", objs)
+        object.__setattr__(self, "mask", mask)
 
     @property
     def top(self) -> TubeObject:
@@ -273,6 +283,15 @@ class MaximalRigid:
     def __repr__(self) -> str:
         inner = ";".join(f"{x.a},{x.b}" for x in self.summands)
         return f"MaximalRigid[{inner}]@{self.n}"
+
+
+def _of_mask(table: RigidTable, mask: int) -> MaximalRigid:
+    """The :class:`MaximalRigid` of ``mask``, checked as construction
+    checks it, without parsing its summands back into a mask."""
+    t = object.__new__(MaximalRigid)
+    object.__setattr__(t, "n", table.n)
+    t._hold(table, mask)
+    return t
 
 
 @dataclass(frozen=True)
@@ -349,7 +368,7 @@ def maximal_rigid_masks(n: int) -> tuple[int, ...]:
 def enumerate_maximal_rigid(n: int) -> tuple[MaximalRigid, ...]:
     """All maximal rigid objects, in :func:`maximal_rigid_masks` order."""
     table = rigid_table(n)
-    return tuple(MaximalRigid(n, table.objects_of(c)) for c in maximal_rigid_masks(n))
+    return tuple(_of_mask(table, mask) for mask in maximal_rigid_masks(n))
 
 
 def tilting_datum_of(table: RigidTable, mask: int) -> tuple[int, int]:
@@ -372,7 +391,7 @@ def cluster_of_tilting_datum(table: RigidTable, t: int, wing: int) -> int:
 
 def to_tilting_datum(t: MaximalRigid) -> TiltingDatum:
     table = rigid_table(t.n)
-    top, wing = tilting_datum_of(table, table.mask_of(t.summands))
+    top, wing = tilting_datum_of(table, t.mask)
     positions = frozenset((x.a - 1, x.b) for x in table.objects_of(wing))
     return TiltingDatum(t.n, table.objects[top].a, positions)
 

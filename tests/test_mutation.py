@@ -349,7 +349,8 @@ class TestExchangeGraph:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_one_mask_of_call_for_the_seed(self, n, monkeypatch):
-        seed = mutation.initial_seed(n)
+        # the seed's own construction; the graph reads the mask it kept
+        summands = mutation.initial_seed(n).object.summands
         enumerate_maximal_rigid(n)
         calls = []
         real = rigid.RigidTable.mask_of
@@ -358,10 +359,9 @@ class TestExchangeGraph:
             calls.append(tuple(objs))
             return real(table, calls[-1])
 
-        monkeypatch.setattr(mutation, "initial_seed", lambda n: seed)
         monkeypatch.setattr(rigid.RigidTable, "mask_of", counted)
         mutation.ExchangeGraph(n)
-        assert calls == [seed.object.summands]
+        assert calls == [summands]
 
 
 class TestBMatrix:

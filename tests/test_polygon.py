@@ -1,8 +1,10 @@
+import ast
 import copy
 import dataclasses
 from array import array
 import hashlib
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,8 +33,8 @@ from clustertube import (
 )
 from clustertube import polygon, rigid, verify
 from clustertube.cli import main
-from clustertube.polygon import CsPair, delta_node_map, polygon_table
-from clustertube.rigid import bit_indices, rigid_table, swap
+from clustertube.polygon import CsPair, polygon_table
+from clustertube.rigid import bit_indices, maximal_rigid_masks, rigid_table, swap
 
 
 def obj(a, b, n):
@@ -272,6 +274,20 @@ class TestFlipGraph:
     def test_polygon_reads_no_rigid_table(self):
         assert not hasattr(polygon, "rigid_table")
 
+    def test_polygon_names_no_ext(self):
+        # non-crossing comes from geometry alone, never from Hom or Ext
+        names = set()
+        for node in ast.walk(ast.parse(Path(polygon.__file__).read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert {"crossing_points", "noncross", "delta"} <= names
+        assert not {"ext_dim_cluster", "compat"} & names
+        assert not [name for name in names if name.startswith("hom_dim_")]
+
     @pytest.mark.parametrize("n", [1, 0])
     def test_rank_below_two(self, n):
         with pytest.raises(ValueError, match=f"^rank must be >= 2, got {n}$"):
@@ -306,9 +322,22 @@ def flips(g):
 
 
 def digests(g):
-    table = polygon_table(g.n)
-    nodes = "\n".join(repr(table.triangulation(m).sorted_pairs()) for m in g.nodes)
-    edges = "\n".join(f"{a} {table.pairs[p]!r} {b}" for a, p, b in flips(g))
+    """Hashes of the nodes and flips, each re-sorted into the order the
+    search produced, when pairs were numbered by ``_pair_key``: nodes by
+    their sorted pairs' keys, each node's flips by the flipped pair's key."""
+    table, key = polygon_table(g.n), polygon._pair_key
+    tris = [table.triangulation(m).sorted_pairs() for m in g.nodes]
+    order = sorted(range(len(tris)), key=lambda a: [key(p) for p in tris[a]])
+    number = {a: pos for pos, a in enumerate(order)}
+    out = {a: [] for a in order}
+    for a, p, b in flips(g):
+        out[a].append((table.pairs[p], number[b]))
+    nodes = "\n".join(repr(tris[a]) for a in order)
+    edges = "\n".join(
+        f"{number[a]} {p!r} {b}"
+        for a in order
+        for p, b in sorted(out[a], key=lambda pb: key(pb[0]))
+    )
     return (
         hashlib.sha256(nodes.encode()).hexdigest(),
         hashlib.sha256(edges.encode()).hexdigest(),
@@ -417,34 +446,38 @@ class TestMaskFlips:
 
 
 class TestDeltaImageMask:
-    """Both node verdicts of the ``polygon`` suite read ``delta_node_map``,
-    which maps ``PolygonTable.image_mask`` of the exchange graph's masks
-    onto the flip graph's node masks; no triangulation object is built
-    per node."""
+    """Cs pair ``i`` is delta of rigid indecomposable ``i``, so delta's
+    image of a rigid mask is the same int, the flip graph's nodes are the
+    enumeration's masks, and the isomorphism is equality of both graphs."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_pair_i_is_delta_of_object_i(self, n):
+        pairs = polygon_table(n).pairs
+        assert pairs == tuple(delta(x) for x in rigid_table(n).objects)
+        assert sorted(pairs, key=polygon._pair_key) == list(all_cs_pairs(n))
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_equals_the_mask_of_triangulation_of(self, n):
         table, eg = polygon_table(n), build_exchange_graph(n)
         for mask in eg.nodes:
             t = MaximalRigid(n, rigid_table(n).objects_of(mask))
-            assert table.image_mask(mask) == table.mask_of(triangulation_of(t)), t
+            assert table.mask_of(triangulation_of(t)) == mask, t
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_node_map_numbers_the_triangulation_of_each_node(self, n):
-        fg = flip_graph(n)
-        node = delta_node_map(build_exchange_graph(n), fg)
-        assert sorted(node) == list(range(len(fg.nodes)))
-        for i, mask in enumerate(build_exchange_graph(n).nodes):
+        # the node map is the identity: flip-graph node i is the
+        # triangulation of exchange-graph node i
+        fg, eg, table = flip_graph(n), build_exchange_graph(n), polygon_table(n)
+        assert len(fg.nodes) == len(eg.nodes)
+        for i, mask in enumerate(eg.nodes):
             t = MaximalRigid(n, rigid_table(n).objects_of(mask))
-            tri = polygon_table(n).triangulation(fg.nodes[node[i]])
-            assert tri == triangulation_of(t), t
+            assert table.triangulation(fg.nodes[i]) == triangulation_of(t), t
 
-    def test_node_map_is_none_unless_a_bijection(self):
-        eg, fg = build_exchange_graph(4), flip_graph(4)
-        assert delta_node_map(build_exchange_graph(3), fg) is None
-        doubled = copy.copy(fg)
-        doubled.nodes = (fg.nodes[1],) + fg.nodes[1:]
-        assert delta_node_map(eg, doubled) is None
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_flip_graph_nodes_are_the_rigid_masks(self, n):
+        fg = flip_graph(n)
+        assert fg.nodes == maximal_rigid_masks(n)
+        assert graphs_isomorphic_via_delta(build_exchange_graph(n), fg)
 
     @pytest.mark.parametrize("n", range(4, 7))
     def test_cold_suite_builds_no_triangulation(
@@ -463,22 +496,60 @@ class TestDeltaImageMask:
         assert built == []
 
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_suite_computes_the_node_map_once(self, n, monkeypatch):
-        maps = []
+    def test_suite_runs_the_isomorphism_once(self, n, monkeypatch):
+        # the public function, so that a span on it sees the suite's check
+        calls = []
 
         def counted(eg, fg):
-            maps.append(n)
-            return delta_node_map(eg, fg)
+            calls.append(n)
+            return graphs_isomorphic_via_delta(eg, fg)
 
-        monkeypatch.setattr(verify, "delta_node_map", counted)
-        monkeypatch.setattr(polygon, "delta_node_map", counted)
+        monkeypatch.setattr(verify, "graphs_isomorphic_via_delta", counted)
         assert all(c.ok for c in verify.suite_polygon(n))
-        assert maps == [n]
+        assert calls == [n]
 
-    def test_edges_match_needs_a_node_map(self):
-        eg, fg = build_exchange_graph(4), flip_graph(4)
-        assert polygon.edges_match(eg, fg, delta_node_map(eg, fg))
-        assert not polygon.edges_match(eg, fg, None)
+    @staticmethod
+    def doctor_delta(monkeypatch, images):
+        """Make ``polygon`` number its pairs by a delta whose images of
+        the rank-4 objects of canonical index 0 and 1 are ``images(a, b)``,
+        from their true images ``a`` and ``b``; caches are emptied."""
+        objects = rigid_table(4).objects
+
+        def doctored(x):
+            if x in objects[:2]:
+                return images(delta(objects[0]), delta(objects[1]))[objects.index(x)]
+            return delta(x)
+
+        monkeypatch.setattr(polygon, "delta", doctored)
+        polygon.polygon_table.cache_clear()
+        polygon.flip_graph.cache_clear()
+
+    def test_dropped_image_is_a_theorem_violation(self, monkeypatch, capsys):
+        self.doctor_delta(monkeypatch, lambda a, b: (a, a))
+        try:
+            missed = r"^delta misses the cs pairs \[\(\[1,4\],\[5,8\]\)\] of the 8-gon$"
+            with pytest.raises(TheoremViolationError, match=missed):
+                polygon_table(4)
+            assert main(["verify", "--rank", "4", "--suite", "polygon"]) == 1
+        finally:
+            polygon.polygon_table.cache_clear()
+            polygon.flip_graph.cache_clear()
+        assert capsys.readouterr().err.startswith("verification failure: delta misses ")
+
+    def test_swapped_images_fail_the_bijection(self, monkeypatch, capsys):
+        # every pair is still an image, so the table stands, but the
+        # numbering no longer matches the rigid one
+        self.doctor_delta(monkeypatch, lambda a, b: (b, a))
+        try:
+            assert polygon_table(4).pairs[:2] == (delta(obj(1, 2, 4)), delta(obj(1, 3, 4)))
+            assert not graphs_isomorphic_via_delta(build_exchange_graph(4), flip_graph(4))
+            assert main(["verify", "--rank", "4", "--suite", "polygon"]) == 1
+        finally:
+            polygon.polygon_table.cache_clear()
+            polygon.flip_graph.cache_clear()
+        out = capsys.readouterr().out
+        assert "FAIL polygon/triangulation-bijection: 20 triangulations of 20 objects" in out
+        assert "FAIL polygon/flip-graph-isomorphism" in out
 
     def test_dropped_flip_graph_node_fails_the_bijection(self, monkeypatch, capsys):
         fake = copy.copy(flip_graph(4))

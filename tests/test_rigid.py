@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 from itertools import combinations
 
 import pytest
@@ -137,6 +138,20 @@ class TestOrbitEnumeration:
         found = maximal_cliques(self.GRAPH, excluded=excluded)
         assert len(found) == len(set(found))
         assert set(found) == {c for c in full_maximal_cliques(self.GRAPH) if not c & excluded}
+
+    def test_searches_leave_no_reference_cycle(self):
+        # a cycle would keep each search's clique list alive until the
+        # cyclic collector runs
+        table = rigid_table(7)
+        gc.collect()
+        gc.disable()
+        try:
+            clusters(table.compat, 7)
+            assert gc.collect() == 0
+            maximal_rigid_masks.__wrapped__(7)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def top_dropped(table):
