@@ -32,10 +32,11 @@ from .rigid import (
     _of_mask,
     bit_indices,
     exchanges,
+    expand_orbits,
     maximal_rigid_masks,
     rigid_table,
-    rotate,
     swap,
+    to_representative,
 )
 from .tube import TubeObject
 
@@ -203,7 +204,7 @@ class ExchangeGraph:
     commutes with rotation, so these comparisons cover every tau-image
     of every edge.  The orbits are then expanded: node ``tau^j r`` gets
     ``r``'s rows turned back by its own ``w``, and its block of edges is
-    ``r``'s block turned by ``w`` and rotated by ``j``.  Every rotated
+    ``r``'s block turned by ``w`` and rotated by ``j`` (``expand_orbits``).  Every rotated
     mask must be enumerated, and one plain BFS over the finished array
     must reach every node: that gives ``order`` and certifies
     connectivity.  Equal rows are one tuple (234 among 24 024 at rank
@@ -221,13 +222,6 @@ class ExchangeGraph:
         self.nodes: tuple[int, ...] = maximal_rigid_masks(n)
         self._number = number = {mask: i for i, mask in enumerate(self.nodes)}
         size, d, tops = len(table.objects), n - 1, table.tops
-
-        def down(mask: int) -> tuple[int, int, int]:
-            """The representative of ``mask``, its top's tau power, and
-            the number of its bits below the top."""
-            t = (mask & tops).bit_length() - 1
-            return rotate(mask, -t, size), t // d, (mask & ((1 << t) - 1)).bit_count()
-
         shared: dict[tuple[int, ...], tuple[int, ...]] = {}
 
         def share(b: Rows) -> Rows:
@@ -236,7 +230,7 @@ class ExchangeGraph:
         # the quotient search: reps maps each representative reached to its
         # rows, blocks each one popped to its (target representative,
         # target's tau power) pair per exchange
-        r0, _, w0 = down(start)
+        r0, _, w0 = to_representative(start, tops, n)
         reps = {r0: share(_turn(seed.matrix.entries, w0))}
         blocks: dict[int, list[tuple[int, int]]] = {}
         queue = deque([r0])
@@ -246,7 +240,7 @@ class ExchangeGraph:
             blocks[r] = block
             for k, (removed, new) in enumerate(exchanges(table.compat, r)):
                 mask2 = r ^ 1 << removed | 1 << new
-                r2, j2, w2 = down(mask2)
+                r2, j2, w2 = to_representative(mask2, tops, n)
                 block.append((r2, j2))
                 if r2 in blocks and r2 != r:
                     continue
@@ -262,34 +256,16 @@ class ExchangeGraph:
                         f"{_turn(seen, -w2)} vs {_turn(b2, -w2)}"
                     )
 
-        def unreached(count: int) -> TheoremViolationError:
-            return TheoremViolationError(
-                f"exchange graph at rank {n} reaches {count} objects, "
-                f"the enumeration has {len(number)}"
-            )
-
-        # the expansion: each orbit's node numbers, twice over so that a
-        # tau power plus j needs no modulus
-        orbits: dict[int, list[int]] = {}
-        for r in reps:
-            nums = [number.get(rotate(r, j * d, size)) for j in range(n)]
-            if None in nums:
-                raise unreached(n * len(reps))
-            orbits[r] = nums + nums
+        # the expansion: rows turned back by each node's own w
+        orbits, self.edges = expand_orbits(blocks, number, n, "exchange graph")
         rows: list[Rows] = [()] * len(number)
-        self.edges = edges = array("l", [0]) * (len(number) * d)
         for r, b in reps.items():
-            nums = orbits[r]
-            targets = [(orbits[r2], j2) for r2, j2 in blocks[r]]
             turned_rows: dict[int, Rows] = {}  # rotations with equal w share a matrix
-            for j in range(n):
-                i = nums[j]
+            for j, i in enumerate(orbits[r][:n]):
                 w = (r >> (size - j * d)).bit_count()  # bits that wrap below the top
                 if w not in turned_rows:
                     turned_rows[w] = share(_turn(b, -w))
                 rows[i] = turned_rows[w]
-                turned = targets[-w:] + targets[:-w]
-                edges[i * d : i * d + d] = array("l", [o[j2 + j] for o, j2 in turned])
         self.rows: tuple[Rows, ...] = tuple(rows)
 
         # one plain BFS from the seed, in k order: the pop order, and a
@@ -299,12 +275,15 @@ class ExchangeGraph:
         reached[first] = 1
         self.order = order = array("l", [first])
         for i in order:  # the queue: read as it grows
-            for j in edges[i * d : i * d + d]:
+            for j in self.edges[i * d : i * d + d]:
                 if not reached[j]:
                     reached[j] = 1
                     order.append(j)
         if len(order) != len(number):
-            raise unreached(len(order))
+            raise TheoremViolationError(
+                f"exchange graph at rank {n} reaches {len(order)} objects, "
+                f"the enumeration has {len(number)}"
+            )
 
     def b_matrix(self, t: MaximalRigid) -> ExchangeMatrix:
         """The matrix of node ``t``, built from its ``rows``."""

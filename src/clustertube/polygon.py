@@ -8,15 +8,15 @@ dimension formula: crossing_points(dX, dY) = 2 dim Ext^1(X, Y).
 
 The pairs of one rank are numbered by delta (:class:`PolygonTable`):
 pair ``i`` is the image of the rigid indecomposable of canonical index
-``i``, and the pairs must be exactly :func:`all_cs_pairs`.  Each pair has
-one non-crossing bitmask, read off :func:`crossing_points` alone, so a
-triangulation is a mask and a flip is :func:`~clustertube.rigid.swap`
-on the non-crossing rows, the same exchange step as for rigid objects
-(:func:`~clustertube.rigid.exchanges` gives all flips of a node at once).
-Graph nodes are masks and each graph's edges one flat array of node
-numbers, n-1 per node; with one numbering for both models, delta carries
-the exchange graph onto the flip graph exactly when the two graphs are
-equal.
+``i``, the pairs must be exactly :func:`all_cs_pairs`, and turning the
+2n-gon by one corner rotates pair masks by n-1 bits, as tau does rigid
+masks.  Non-crossing is one bitmask per pair, read off
+:func:`crossing_points` alone, so a triangulation is a mask, a flip is
+:func:`~clustertube.rigid.swap`, and the flip graph is searched on one
+triangulation per turning orbit, as the exchange graph is.  Graph nodes
+are masks and each graph's edges one flat array of node numbers, n-1 per
+node; with one numbering for both models, delta carries the exchange
+graph onto the flip graph exactly when the two graphs are equal.
 
 Corners are labelled clockwise 1..2n; all corner arithmetic is reduced
 into that range.
@@ -32,10 +32,13 @@ from .errors import StructuralError, TheoremViolationError
 from .rigid import (
     MaximalRigid,
     bit_indices,
-    clusters,
     enumerate_rigid_indecs,
     exchanges,
+    expand_orbits,
+    orbit_cliques,
+    rotate,
     swap,
+    to_representative,
 )
 from .tube import TubeObject, check_coordinates, check_rank, is_rigid_indec
 
@@ -230,21 +233,28 @@ def polygon_table(n: int) -> PolygonTable:
     """The integer table of rank ``n``.
 
     The pairs are numbered by delta, but must be every cs pair of the
-    2n-gon, once each.  Non-crossing is read off :func:`crossing_points`
-    alone, never off Ext, so crossing = 2 Ext and flip = exchange stay
-    checks between two independent routes.
+    2n-gon, once each, and pair i+n-1 (mod n(n-1)) must be pair i turned
+    by one corner.  Non-crossing is read off :func:`crossing_points`
+    alone, never off Ext, for the n-1 pairs of socle 1, and rotated from
+    there, so crossing = 2 Ext and flip = exchange stay two routes.
     """
     pairs = tuple(delta(x) for x in enumerate_rigid_indecs(n))
     cs_pairs = all_cs_pairs(n)
     if sorted(pairs, key=_pair_key) != list(cs_pairs):
         missed = [p for p in cs_pairs if p not in pairs]
         raise TheoremViolationError(f"delta misses the cs pairs {missed} of the {2 * n}-gon")
-    noncross = [0] * len(pairs)
+    size, step = len(pairs), n - 1
     for i, a in enumerate(pairs):
-        for j in range(i + 1, len(pairs)):
-            if crossing_points(a, pairs[j]) == 0:
-                noncross[i] |= 1 << j
-                noncross[j] |= 1 << i
+        if pairs[(i + step) % size] != CsPair.of(Diagonal(a.d1.p + 1, a.d1.q + 1, n)):
+            raise TheoremViolationError(
+                f"delta does not commute with turning the {2 * n}-gon at {a}"
+            )
+    noncross = [
+        sum(1 << j for j, b in enumerate(pairs) if j != i and crossing_points(a, b) == 0)
+        for i, a in enumerate(pairs[:step])
+    ]
+    for i in range(step, size):
+        noncross.append(rotate(noncross[i - step], step, size))
     index = {p: i for i, p in enumerate(pairs)}
     diameters = sum(1 << i for i, p in enumerate(pairs) if p.degenerate)
     return PolygonTable(n, pairs, index, tuple(noncross), diameters)
@@ -263,6 +273,8 @@ class FlipGraph:
     """All centrally symmetric triangulations, with flip edges: ``nodes``
     holds each one's pair mask, and ``edges[a*(n-1)+k]`` the node reached
     by flipping the k-th lowest pair of node ``a``, in one flat array.
+    Only the triangulations through the lowest diameter, one per turning
+    orbit, are flipped, and their blocks expanded as the exchange graph's.
     A flip of n-1 pairwise non-crossing pairs gives n-1 such pairs again,
     which is a maximal clique since every maximal clique has n-1 pairs;
     so every flip lands on a node.
@@ -271,10 +283,14 @@ class FlipGraph:
     def __init__(self, n: int):
         self.n = n
         self.nodes: tuple[int, ...] = _all_triangulations(n)
-        adj, number = polygon_table(n).noncross, {mask: a for a, mask in enumerate(self.nodes)}
-        self.edges = array(
-            "l", [number[m ^ 1 << p | 1 << q] for m in self.nodes for p, q in exchanges(adj, m)]
-        )
+        adj, dia = polygon_table(n).noncross, polygon_table(n).diameters
+        blocks = {}
+        for r in self.nodes:
+            if r & dia & -dia:
+                moves = exchanges(adj, r)
+                blocks[r] = [to_representative(r ^ 1 << p | 1 << q, dia, n)[:2] for p, q in moves]
+        number = {mask: a for a, mask in enumerate(self.nodes)}
+        self.edges = expand_orbits(blocks, number, n, "flip graph")[1]
 
 
 @lru_cache(maxsize=None)
@@ -283,18 +299,20 @@ def flip_graph(n: int) -> FlipGraph:
 
 
 def _all_triangulations(n: int) -> tuple[int, ...]:
-    """The pair masks of the :func:`~clustertube.rigid.clusters` of the
-    non-crossing graph of :func:`polygon_table`, each with one diameter."""
+    """The pair masks of all cs triangulations, sorted by bit indices as
+    rigid masks are: :func:`~clustertube.rigid.orbit_cliques` of the
+    non-crossing table, diameters marked; each has n-1 pairs, one diameter."""
     table = polygon_table(n)
-    # sorted by bit indices, as maximal_rigid_masks is; with pairs numbered
-    # by delta the two tuples are equal
-    masks = tuple(clusters(table.noncross, n))
-    for mask in masks:
+
+    def defect(mask: int) -> str:
+        if mask.bit_count() != n - 1:
+            return f"maximal clique of size {mask.bit_count()} at rank {n}: {bit_indices(mask)}"
         found = (mask & table.diameters).bit_count()
         if found != 1:
-            pairs = [table.pairs[i] for i in bit_indices(mask)]
-            raise TheoremViolationError(f"{found} diameters in {pairs}")
-    return masks
+            return f"{found} diameters in {[table.pairs[i] for i in bit_indices(mask)]}"
+        return ""
+
+    return orbit_cliques(table.noncross, table.diameters, n, defect)
 
 
 def graphs_isomorphic_via_delta(eg, fg: FlipGraph) -> bool:

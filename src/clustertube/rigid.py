@@ -7,20 +7,20 @@ graph, tilting data and cluster-tilting witnesses run on these masks,
 through :func:`completions`, :func:`swap`, :func:`exchanges`,
 :func:`tilting_datum_of`, :func:`cluster_of_tilting_datum` and
 :func:`tilting_witness`; the polygon model shares the first three and the
-full clique search :func:`clusters`.
+orbit machinery.
 
-The enumeration :func:`maximal_rigid_masks` searches the tau-quotient
-only: the maximal cliques through the lowest top, one per orbit, which
-it rotates, after checking that no maximal clique lacks a top.
-:class:`MaximalRigid` and :class:`~clustertube.tube.TubeObject` are the
-boundary types.
+Tau, as turning the 2n-gon, rotates indices by n-1 bits, so both models
+search one clique per orbit (:func:`orbit_cliques`; :func:`maximal_rigid_masks`
+marks the tops) and expand graphs from representatives (:func:`expand_orbits`).
+:class:`MaximalRigid` and :class:`~clustertube.tube.TubeObject` are the boundary types.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import StructuralError, TheoremViolationError
 from .tube import TubeObject, canonical_key, check_rank, ext_dim_cluster, tau, wing_contains
@@ -96,18 +96,57 @@ def _sort_by_indices(masks: list[int], size: int) -> None:
     masks.sort(key=lambda m: m.to_bytes(width, "little").translate(_LOW_BITS_FIRST))
 
 
-def clusters(adj: Sequence[int], n: int) -> list[int]:
-    """The maximal cliques of ``adj``, sorted by their bit indices; at
-    rank ``n`` every one must have exactly n-1 vertices."""
-    cliques = maximal_cliques(adj)
-    for clique in cliques:
-        if clique.bit_count() != n - 1:
-            raise TheoremViolationError(
-                f"maximal clique of size {clique.bit_count()} at rank {n}: "
-                f"{bit_indices(clique)}"
-            )
-    _sort_by_indices(cliques, len(adj))
-    return cliques
+def orbit_cliques(
+    adj: Sequence[int], marked: int, n: int, defect: Callable[[int], str]
+) -> tuple[int, ...]:
+    """The maximal cliques of the rank-``n`` table ``adj``, built by
+    (n-1)-bit rotation, sorted by bit indices: those through the lowest
+    ``marked`` vertex (top, diameter), one per orbit, rotated.  A second
+    search, all marked vertices excluded, must find none.  ``defect`` is
+    the error text for a clique of either search, or ""; its test of
+    exactly one marked vertex keeps an orbit from being listed twice."""
+    size, step = len(adj), n - 1
+    reps = maximal_cliques(adj, seed=marked & -marked)
+    for mask in reps + maximal_cliques(adj, excluded=marked)[:1]:
+        text = defect(mask)
+        if text:
+            raise TheoremViolationError(text)
+    masks = [rotate(mask, shift, size) for mask in reps for shift in range(0, size, step)]
+    _sort_by_indices(masks, size)
+    return tuple(masks)
+
+
+def to_representative(mask: int, marked: int, n: int) -> tuple[int, int, int]:
+    """The representative of ``mask``'s orbit, the rotation that moves
+    its marked vertex down ``t`` bits onto the lowest one; ``mask``'s
+    power ``j`` of the (n-1)-bit rotation; and ``w``, its bits below ``t``."""
+    t = (mask & marked).bit_length() - (marked & -marked).bit_length()
+    return rotate(mask, -t, n * (n - 1)), t // (n - 1), (mask & ((1 << t) - 1)).bit_count()
+
+
+def expand_orbits(
+    blocks: dict[int, list[tuple[int, int]]], number: dict[int, int], n: int, name: str
+) -> tuple[dict[int, list[int]], array]:
+    """The flat edge array of graph ``name`` from its representatives'
+    ``blocks``, each exchange's ``(r, j)`` by :func:`to_representative`:
+    node ``j`` of orbit ``r`` gets ``r``'s block turned by ``w``, ``r``'s
+    bits that wrap, and shifted by ``j``.  Also each orbit's numbers in
+    ``number``, twice over so that a power plus ``j`` needs no modulus."""
+    size, d = n * (n - 1), n - 1
+    orbits = {r: [number.get(rotate(r, j * d, size)) for j in range(n)] * 2 for r in blocks}
+    if any(None in nums for nums in orbits.values()):
+        raise TheoremViolationError(
+            f"{name} at rank {n} reaches {n * len(blocks)} objects, "
+            f"the enumeration has {len(number)}"
+        )
+    edges = array("l", [0]) * (len(number) * d)
+    for r, block in blocks.items():
+        targets = [(orbits[r2], j2) for r2, j2 in block]
+        for j, i in enumerate(orbits[r][:n]):
+            w = (r >> (size - j * d)).bit_count()
+            turned = targets[-w:] + targets[:-w]
+            edges[i * d : i * d + d] = array("l", [o[j2 + j] for o, j2 in turned])
+    return orbits, edges
 
 
 def _two_completions(tbar: int, found: int) -> int:
@@ -335,34 +374,18 @@ def compatibility(n: int) -> dict[TubeObject, frozenset[TubeObject]]:
 
 @lru_cache(maxsize=None)
 def maximal_rigid_masks(n: int) -> tuple[int, ...]:
-    """The masks of all maximal rigid objects, in :func:`clusters` order.
-
-    Tau rotates masks by n-1 bits and every maximal rigid object has
-    exactly one top, so its tau-orbit is free, of size n, and holds
-    exactly one mask through the lowest top ``t0``.  The cliques through
-    ``t0`` are therefore one representative per orbit: each must pass
-    :meth:`RigidTable.defect`, whose one-top test is also what keeps an
-    orbit from being listed twice.  A search seeded at ``t0`` cannot see
-    a maximal clique without a top, so a second search with every top
-    excluded must find none.  The n rotations of each representative
-    are maximal cliques, since ``compat`` is built by rotation.
-    """
+    """The masks of all maximal rigid objects, sorted by their bit
+    indices: every one has exactly one top, so :func:`orbit_cliques`
+    with the tops marked, each checked by :meth:`RigidTable.defect`."""
     table = rigid_table(n)
-    size, step = len(table.objects), n - 1
-    t0 = (table.tops & -table.tops).bit_length() - 1
-    reps = maximal_cliques(table.compat, seed=1 << t0)
-    for mask in reps:
-        defect = table.defect(mask)
-        if defect:
-            raise TheoremViolationError(f"{table.objects_of(mask)} {defect}")
-    topless = maximal_cliques(table.compat, excluded=table.tops)
-    if topless:
-        raise TheoremViolationError(
-            f"maximal rigid object without a top: {table.objects_of(topless[0])}"
-        )
-    masks = [rotate(mask, shift, size) for mask in reps for shift in range(0, size, step)]
-    _sort_by_indices(masks, size)
-    return tuple(masks)
+
+    def defect(mask: int) -> str:
+        if not mask & table.tops:
+            return f"maximal rigid object without a top: {table.objects_of(mask)}"
+        text = table.defect(mask)
+        return text and f"{table.objects_of(mask)} {text}"
+
+    return orbit_cliques(table.compat, table.tops, n, defect)
 
 
 def enumerate_maximal_rigid(n: int) -> tuple[MaximalRigid, ...]:

@@ -28,7 +28,6 @@ from clustertube import (
 from clustertube.polygon import _all_triangulations, _pair_key, polygon_table
 from clustertube.rigid import (
     bit_indices,
-    clusters,
     completions,
     exchanges,
     maximal_cliques,
@@ -36,6 +35,7 @@ from clustertube.rigid import (
     rigid_table,
     swap,
 )
+from reference import clusters
 
 
 def wing_tilting_sets(a, m, n):

@@ -34,7 +34,8 @@ from clustertube import (
 from clustertube import polygon, rigid, verify
 from clustertube.cli import main
 from clustertube.polygon import CsPair, polygon_table
-from clustertube.rigid import bit_indices, maximal_rigid_masks, rigid_table, swap
+from clustertube.rigid import bit_indices, exchanges, maximal_rigid_masks, rigid_table, swap
+from reference import clusters
 
 
 def obj(a, b, n):
@@ -233,6 +234,8 @@ class TestFlipGraph:
             assert flip(tris[a], table.pairs[p]) == tris[b], (a, p, b)
 
     def test_one_exchanges_call_per_node(self, monkeypatch):
+        # one call per turning orbit, on its triangulation through the
+        # lowest diameter (pair 0)
         calls = []
 
         def counted(adj, mask):
@@ -240,8 +243,11 @@ class TestFlipGraph:
             return rigid.exchanges(adj, mask)
 
         monkeypatch.setattr(polygon, "exchanges", counted)
-        g = polygon.FlipGraph(5)
-        assert len(calls) == len(set(calls)) == len(g.nodes) == 70
+        for n in range(2, 8):
+            calls.clear()
+            g = polygon.FlipGraph(n)
+            assert len(calls) == len(set(calls)) == len(g.nodes) // n, n
+            assert all(mask & 1 for mask in calls), n
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_every_node_is_a_valid_triangulation(self, n):
@@ -509,15 +515,16 @@ class TestDeltaImageMask:
         assert calls == [n]
 
     @staticmethod
-    def doctor_delta(monkeypatch, images):
+    def doctor_delta(monkeypatch, images, socles=(1,)):
         """Make ``polygon`` number its pairs by a delta whose images of
-        the rank-4 objects of canonical index 0 and 1 are ``images(a, b)``,
-        from their true images ``a`` and ``b``; caches are emptied."""
-        objects = rigid_table(4).objects
+        the rank-4 objects ``(a, 3)`` and ``(a, 2)``, canonical indices
+        ``3a-3`` and ``3a-2``, are ``images(x, y)`` from their true images
+        ``x`` and ``y``, for each socle ``a`` in ``socles``; caches are
+        emptied."""
 
         def doctored(x):
-            if x in objects[:2]:
-                return images(delta(objects[0]), delta(objects[1]))[objects.index(x)]
+            if x.a in socles and x.b in (3, 2):
+                return images(delta(obj(x.a, 3, 4)), delta(obj(x.a, 2, 4)))[3 - x.b]
             return delta(x)
 
         monkeypatch.setattr(polygon, "delta", doctored)
@@ -536,13 +543,35 @@ class TestDeltaImageMask:
             polygon.flip_graph.cache_clear()
         assert capsys.readouterr().err.startswith("verification failure: delta misses ")
 
-    def test_swapped_images_fail_the_bijection(self, monkeypatch, capsys):
-        # every pair is still an image, so the table stands, but the
-        # numbering no longer matches the rigid one
+    def test_swapped_images_at_one_socle_fail_the_turn(self, monkeypatch, capsys):
+        # every pair is still an image, but pair 3, delta of (2, 3), is no
+        # longer pair 0 turned by one corner
         self.doctor_delta(monkeypatch, lambda a, b: (b, a))
+        try:
+            with pytest.raises(
+                TheoremViolationError,
+                match=r"^delta does not commute with turning the 8-gon at \(\[1,4\],\[5,8\]\)$",
+            ):
+                polygon_table(4)
+            assert main(["verify", "--rank", "4", "--suite", "polygon"]) == 1
+        finally:
+            polygon.polygon_table.cache_clear()
+            polygon.flip_graph.cache_clear()
+        assert capsys.readouterr().err.startswith("verification failure: delta does not commute")
+
+    def test_swapped_images_fail_the_bijection(self, monkeypatch, capsys):
+        # swapped at every socle, every pair is still an image and the
+        # numbering still commutes with the turn, so the table stands, but
+        # the numbering no longer matches the rigid one
+        self.doctor_delta(monkeypatch, lambda a, b: (b, a), socles=(1, 2, 3, 4))
         try:
             assert polygon_table(4).pairs[:2] == (delta(obj(1, 2, 4)), delta(obj(1, 3, 4)))
             assert not graphs_isomorphic_via_delta(build_exchange_graph(4), flip_graph(4))
+            report = verify.run_suite("polygon", 4)
+            assert [c.name for c in report.checks if not c.ok] == [
+                "triangulation-bijection",
+                "flip-graph-isomorphism",
+            ]
             assert main(["verify", "--rank", "4", "--suite", "polygon"]) == 1
         finally:
             polygon.polygon_table.cache_clear()
@@ -563,3 +592,74 @@ class TestDeltaImageMask:
         assert main(["verify", "--rank", "4", "--suite", "polygon"]) == 1
         out = capsys.readouterr().out
         assert "FAIL polygon/triangulation-bijection: 20 triangulations" in out
+
+
+def turned(p):
+    """The cs pair ``p`` turned by one corner of the 2n-gon."""
+    return pair(p.d1.p + 1, p.d1.q + 1, p.n)
+
+
+def full_flip_graph(n):
+    """The flip graph by full search: every maximal clique of the
+    non-crossing table, and every node's flips, each looked up by mask."""
+    adj = polygon_table(n).noncross
+    nodes = tuple(clusters(adj, n))
+    number = {mask: a for a, mask in enumerate(nodes)}
+    edges = [number[m ^ 1 << p | 1 << q] for m in nodes for p, q in exchanges(adj, m)]
+    return nodes, array("l", edges)
+
+
+class TestFlipQuotient:
+    """The flip graph searches and flips only the triangulations through
+    the lowest diameter, one per turning orbit, and expands the orbits;
+    ``polygon_table`` sweeps crossings only for the pairs of socle 1."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_equals_the_full_search(self, n):
+        g = flip_graph(n)
+        assert (g.nodes, g.edges) == full_flip_graph(n)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_noncross_equals_the_full_sweep(self, n):
+        pairs = polygon_table(n).pairs
+        sweep = tuple(
+            sum(1 << j for j, b in enumerate(pairs) if j != i and crossing_points(a, b) == 0)
+            for i, a in enumerate(pairs)
+        )
+        assert polygon_table(n).noncross == sweep
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_crossings_are_invariant_under_the_turn(self, n):
+        pairs = all_cs_pairs(n)
+        for p in pairs:
+            for q in pairs:
+                assert crossing_points(turned(p), turned(q)) == crossing_points(p, q), (p, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sampled_rank_ten_flips_are_swaps(self, data):
+        n, g, adj = 10, flip_graph(10), polygon_table(10).noncross
+        i = data.draw(st.integers(0, len(g.nodes) - 1))
+        k = data.draw(st.integers(0, n - 2))
+        mask = g.nodes[i]
+        assert swap(adj, mask, bit_indices(mask)[k]) == g.nodes[g.edges[i * (n - 1) + k]]
+
+    def test_dropped_diameter_is_a_theorem_violation(self, monkeypatch, capsys):
+        # the highest diameter left out: only the search with every
+        # diameter excluded sees its triangulations
+        real = polygon.polygon_table
+
+        def doctored(n):
+            table = real(n)
+            high = 1 << table.diameters.bit_length() - 1
+            return dataclasses.replace(table, diameters=table.diameters ^ high)
+
+        monkeypatch.setattr(polygon, "polygon_table", doctored)
+        polygon.flip_graph.cache_clear()
+        try:
+            with pytest.raises(TheoremViolationError, match="^0 diameters in "):
+                flip_graph(5)
+            assert main(["verify", "--rank", "5", "--suite", "polygon"]) == 1
+        finally:
+            polygon.flip_graph.cache_clear()
+        assert capsys.readouterr().err.startswith("verification failure: 0 diameters in ")

