@@ -11,7 +11,6 @@ from .mutation import (
     exchange,
     fz_mutate,
     initial_seed,
-    is_sign_skew_symmetric,
 )
 from .polygon import (
     CsPair,

@@ -4,10 +4,10 @@ The B-matrix of the zig-zag initial object is written down explicitly;
 every other B-matrix is defined operationally by mutation along the
 exchange graph.  Tau acts freely on the seeds and mutation commutes
 with permuting positions, so the search mutates on one seed per
-tau-orbit (:class:`ExchangeGraph`); the reverse of each step holds
-because mutation is an involution, so finishing without a mismatch,
-with every node reached, certifies that the assignment is path
-independent.
+tau-orbit of :func:`~clustertube.rigid.orbit_graph`
+(:class:`ExchangeGraph`); the reverse of each step holds because
+mutation is an involution, so finishing without a mismatch, with every
+node reached, certifies that the assignment is path independent.
 The graph's ``nodes`` are masks, in enumeration order, as the flip
 graph's are, and its ``rows`` the matrices in the same order;
 :meth:`ExchangeGraph.b_matrix` is the one lookup from an object to its
@@ -31,12 +31,10 @@ from .rigid import (
     MaximalRigid,
     _of_mask,
     bit_indices,
-    exchanges,
-    expand_orbits,
     maximal_rigid_masks,
+    orbit_graph,
     rigid_table,
     swap,
-    to_representative,
 )
 from .tube import TubeObject
 
@@ -80,16 +78,6 @@ class MiddleTerms:
 
     u: tuple[TubeObject, ...]
     u_prime: tuple[TubeObject, ...]
-
-
-def is_sign_skew_symmetric(rows) -> bool:
-    """sign(b_ij) == -sign(b_ji) for all i, j."""
-    if isinstance(rows, ExchangeMatrix):
-        rows = rows.entries
-    signs = [tuple((v > 0) - (v < 0) for v in row) for row in rows]
-    return all(
-        row == tuple(-v for v in col) for row, col in zip(signs, zip(*signs))
-    )
 
 
 def _mutate_rows(b: Rows, k: int, p: int) -> Rows:
@@ -191,60 +179,50 @@ class ExchangeGraph:
     order from the seed.  :meth:`b_matrix` is the one lookup from a
     :class:`MaximalRigid` to its :class:`ExchangeMatrix`.
 
-    Tau rotates a mask by n-1 bits, and every node has exactly one top,
-    so each tau-orbit has n nodes and one representative: the rotation
-    that puts its top at bit 0.  The search pops representatives only,
-    with one :func:`~clustertube.rigid.exchanges` call each.  It carries
-    each exchange target to its representative by one rotation, which
-    moves canonical positions cyclically by ``w``, the target's bits
-    below its top, so the mutated matrix is turned by ``w`` before it is
-    stored or compared.  An edge into another representative already
-    popped was mutated and compared from there; an edge into the
-    representative's own orbit is always mutated and compared.  Mutation
-    commutes with rotation, so these comparisons cover every tau-image
-    of every edge.  The orbits are then expanded: node ``tau^j r`` gets
-    ``r``'s rows turned back by its own ``w``, and its block of edges is
-    ``r``'s block turned by ``w`` and rotated by ``j`` (``expand_orbits``).  Every rotated
-    mask must be enumerated, and one plain BFS over the finished array
-    must reach every node: that gives ``order`` and certifies
-    connectivity.  Equal rows are one tuple (234 among 24 024 at rank
-    8), and so are equal matrices: the rotations of one representative
-    with equal ``w`` (1716 among 3432).  Rank 10 takes about 0.4 s after
-    the mask enumeration, against 1.4 s for a BFS over every node, and
-    the process peaks at 36 MB (2 vCPU, Python 3.11.7).
+    The edges, each node's representative (the tau-image with its top at
+    bit 0) and its turn come from :func:`~clustertube.rigid.orbit_graph`,
+    as the flip graph's edges do.  A node's turn moves canonical positions
+    cyclically, so the search, which pops representatives only, turns each
+    mutated matrix by its target's turn before it is stored or compared.
+    A step into another representative already popped was mutated and
+    compared from there; a step into the representative's own orbit is
+    always mutated and compared.  Mutation commutes with rotation, so
+    these comparisons cover every tau-image of every edge.  One plain BFS
+    over the edges must then reach every node: that gives ``order`` and
+    certifies connectivity.  Last, each node gets its representative's
+    rows turned back by its own turn.  Equal rows are one tuple (234 among
+    24 024 at rank 8), and so are the matrices of one representative's
+    rotations with equal turn (1716 among 3432).
     """
 
     def __init__(self, n: int):
         self.n = n
         table = rigid_table(n)
         seed = initial_seed(n)
-        start = seed.object.mask
         self.nodes: tuple[int, ...] = maximal_rigid_masks(n)
-        self._number = number = {mask: i for i, mask in enumerate(self.nodes)}
-        size, d, tops = len(table.objects), n - 1, table.tops
+        nodes, d = self.nodes, n - 1
+        self.edges, rep, turn = orbit_graph(table.compat, table.tops, n, nodes, "exchange graph")
+        self._number = number = {mask: i for i, mask in enumerate(nodes)}
+        first = number[seed.object.mask]
         shared: dict[tuple[int, ...], tuple[int, ...]] = {}
 
         def share(b: Rows) -> Rows:
             return tuple(shared.setdefault(row, row) for row in b)
 
-        # the quotient search: reps maps each representative reached to its
-        # rows, blocks each one popped to its (target representative,
-        # target's tau power) pair per exchange
-        r0, _, w0 = to_representative(start, tops, n)
-        reps = {r0: share(_turn(seed.matrix.entries, w0))}
-        blocks: dict[int, list[tuple[int, int]]] = {}
+        # the quotient search: reps maps each representative reached to its rows
+        r0 = rep[first]
+        reps = {r0: share(_turn(seed.matrix.entries, turn[first]))}
+        popped = bytearray(len(nodes))
         queue = deque([r0])
         while queue:
             r = queue.popleft()
-            b, block = reps[r], []
-            blocks[r] = block
-            for k, (removed, new) in enumerate(exchanges(table.compat, r)):
-                mask2 = r ^ 1 << removed | 1 << new
-                r2, j2, w2 = to_representative(mask2, tops, n)
-                block.append((r2, j2))
-                if r2 in blocks and r2 != r:
+            popped[r] = 1
+            b, mask = reps[r], nodes[r]
+            for k, t in enumerate(self.edges[r * d : r * d + d]):
+                r2, mask2, w2 = rep[t], nodes[t], turn[t]
+                if popped[r2] and r2 != r:
                     continue
-                p = (mask2 & ((1 << new) - 1)).bit_count()
+                p = (mask2 & (mask2 & ~mask) - 1).bit_count()  # the new summand's position
                 b2 = _turn(_mutate_rows(b, k, p), w2)
                 seen = reps.get(r2)
                 if seen is None:
@@ -256,22 +234,9 @@ class ExchangeGraph:
                         f"{_turn(seen, -w2)} vs {_turn(b2, -w2)}"
                     )
 
-        # the expansion: rows turned back by each node's own w
-        orbits, self.edges = expand_orbits(blocks, number, n, "exchange graph")
-        rows: list[Rows] = [()] * len(number)
-        for r, b in reps.items():
-            turned_rows: dict[int, Rows] = {}  # rotations with equal w share a matrix
-            for j, i in enumerate(orbits[r][:n]):
-                w = (r >> (size - j * d)).bit_count()  # bits that wrap below the top
-                if w not in turned_rows:
-                    turned_rows[w] = share(_turn(b, -w))
-                rows[i] = turned_rows[w]
-        self.rows: tuple[Rows, ...] = tuple(rows)
-
         # one plain BFS from the seed, in k order: the pop order, and a
         # check that every node is reached
-        first = number[start]
-        reached = bytearray(len(number))
+        reached = bytearray(len(nodes))
         reached[first] = 1
         self.order = order = array("l", [first])
         for i in order:  # the queue: read as it grows
@@ -279,11 +244,22 @@ class ExchangeGraph:
                 if not reached[j]:
                     reached[j] = 1
                     order.append(j)
-        if len(order) != len(number):
+        if len(order) != len(nodes):
             raise TheoremViolationError(
                 f"exchange graph at rank {n} reaches {len(order)} objects, "
-                f"the enumeration has {len(number)}"
+                f"the enumeration has {len(nodes)}"
             )
+
+        # the expansion: each node's representative's rows turned back by
+        # its own turn, one matrix per representative and turn
+        turned = {r: [b] + [None] * (d - 1) for r, b in reps.items()}
+        rows: list[Rows] = []
+        for r, w in zip(rep, turn):
+            cell = turned[r]
+            if cell[w] is None:
+                cell[w] = share(_turn(cell[0], -w))
+            rows.append(cell[w])
+        self.rows: tuple[Rows, ...] = tuple(rows)
 
     def b_matrix(self, t: MaximalRigid) -> ExchangeMatrix:
         """The matrix of node ``t``, built from its ``rows``."""

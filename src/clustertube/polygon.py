@@ -11,12 +11,14 @@ pair ``i`` is the image of the rigid indecomposable of canonical index
 ``i``, the pairs must be exactly :func:`all_cs_pairs`, and turning the
 2n-gon by one corner rotates pair masks by n-1 bits, as tau does rigid
 masks.  Non-crossing is one bitmask per pair, read off
-:func:`crossing_points` alone, so a triangulation is a mask, a flip is
-:func:`~clustertube.rigid.swap`, and the flip graph is searched on one
-triangulation per turning orbit, as the exchange graph is.  Graph nodes
-are masks and each graph's edges one flat array of node numbers, n-1 per
-node; with one numbering for both models, delta carries the exchange
-graph onto the flip graph exactly when the two graphs are equal.
+:func:`crossing_points` alone, so a triangulation is a mask and a flip is
+:func:`~clustertube.rigid.swap`.  The flip graph's edges come from
+:func:`~clustertube.rigid.orbit_graph`, the builder the exchange graph
+uses, on the non-crossing table.  Graph nodes are masks and each graph's
+edges one flat array of node numbers, n-1 per node; with one numbering
+for both models, delta carries the exchange graph onto the flip graph
+exactly when the two graphs are equal, which checks that the two tables
+agree, not an independent flip.
 
 Corners are labelled clockwise 1..2n; all corner arithmetic is reduced
 into that range.
@@ -24,7 +26,6 @@ into that range.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,12 +34,10 @@ from .rigid import (
     MaximalRigid,
     bit_indices,
     enumerate_rigid_indecs,
-    exchanges,
-    expand_orbits,
     orbit_cliques,
-    rotate,
+    orbit_graph,
     swap,
-    to_representative,
+    tau_swept,
 )
 from .tube import TubeObject, check_coordinates, check_rank, is_rigid_indec
 
@@ -236,7 +235,8 @@ def polygon_table(n: int) -> PolygonTable:
     2n-gon, once each, and pair i+n-1 (mod n(n-1)) must be pair i turned
     by one corner.  Non-crossing is read off :func:`crossing_points`
     alone, never off Ext, for the n-1 pairs of socle 1, and rotated from
-    there, so crossing = 2 Ext and flip = exchange stay two routes.
+    there (:func:`~clustertube.rigid.tau_swept`), so crossing = 2 Ext
+    stays a check between two routes.
     """
     pairs = tuple(delta(x) for x in enumerate_rigid_indecs(n))
     cs_pairs = all_cs_pairs(n)
@@ -249,15 +249,15 @@ def polygon_table(n: int) -> PolygonTable:
             raise TheoremViolationError(
                 f"delta does not commute with turning the {2 * n}-gon at {a}"
             )
-    noncross = [
-        sum(1 << j for j, b in enumerate(pairs) if j != i and crossing_points(a, b) == 0)
-        for i, a in enumerate(pairs[:step])
-    ]
-    for i in range(step, size):
-        noncross.append(rotate(noncross[i - step], step, size))
+    noncross = tau_swept(
+        n,
+        lambda i: sum(
+            1 << j for j, b in enumerate(pairs) if j != i and crossing_points(pairs[i], b) == 0
+        ),
+    )
     index = {p: i for i, p in enumerate(pairs)}
     diameters = sum(1 << i for i, p in enumerate(pairs) if p.degenerate)
-    return PolygonTable(n, pairs, index, tuple(noncross), diameters)
+    return PolygonTable(n, pairs, index, noncross, diameters)
 
 
 def flip(tri: CsTriangulation, p: CsPair) -> CsTriangulation:
@@ -272,25 +272,19 @@ def flip(tri: CsTriangulation, p: CsPair) -> CsTriangulation:
 class FlipGraph:
     """All centrally symmetric triangulations, with flip edges: ``nodes``
     holds each one's pair mask, and ``edges[a*(n-1)+k]`` the node reached
-    by flipping the k-th lowest pair of node ``a``, in one flat array.
-    Only the triangulations through the lowest diameter, one per turning
-    orbit, are flipped, and their blocks expanded as the exchange graph's.
-    A flip of n-1 pairwise non-crossing pairs gives n-1 such pairs again,
-    which is a maximal clique since every maximal clique has n-1 pairs;
-    so every flip lands on a node.
+    by flipping the k-th lowest pair of node ``a``, in one flat array, from
+    :func:`~clustertube.rigid.orbit_graph` with the diameters marked: only
+    the triangulations through the lowest diameter, one per turning orbit,
+    are flipped.  A flip of n-1 pairwise non-crossing pairs gives n-1 such
+    pairs again, which is a maximal clique since every maximal clique has
+    n-1 pairs; so every flip lands on a node.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.nodes: tuple[int, ...] = _all_triangulations(n)
-        adj, dia = polygon_table(n).noncross, polygon_table(n).diameters
-        blocks = {}
-        for r in self.nodes:
-            if r & dia & -dia:
-                moves = exchanges(adj, r)
-                blocks[r] = [to_representative(r ^ 1 << p | 1 << q, dia, n)[:2] for p, q in moves]
-        number = {mask: a for a, mask in enumerate(self.nodes)}
-        self.edges = expand_orbits(blocks, number, n, "flip graph")[1]
+        table = polygon_table(n)
+        self.edges = orbit_graph(table.noncross, table.diameters, n, self.nodes, "flip graph")[0]
 
 
 @lru_cache(maxsize=None)

@@ -10,9 +10,12 @@ through :func:`completions`, :func:`swap`, :func:`exchanges`,
 orbit machinery.
 
 Tau, as turning the 2n-gon, rotates indices by n-1 bits, so both models
-search one clique per orbit (:func:`orbit_cliques`; :func:`maximal_rigid_masks`
-marks the tops) and expand graphs from representatives (:func:`expand_orbits`).
-:class:`MaximalRigid` and :class:`~clustertube.tube.TubeObject` are the boundary types.
+sweep their tables for socle 1 only (:func:`tau_swept`), search one clique
+per orbit (:func:`orbit_cliques`; :func:`maximal_rigid_masks` marks the
+tops), and build their graphs with one builder, :func:`orbit_graph`, which
+exchanges only the orbit representatives and owns every rotation and wrap
+count.  :class:`MaximalRigid` and :class:`~clustertube.tube.TubeObject` are
+the boundary types.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .errors import StructuralError, TheoremViolationError
-from .tube import TubeObject, canonical_key, check_rank, ext_dim_cluster, tau, wing_contains
+from .tube import TubeObject, canonical_key, check_rank, ext_dim_cluster, wing_contains
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -116,37 +119,52 @@ def orbit_cliques(
     return tuple(masks)
 
 
-def to_representative(mask: int, marked: int, n: int) -> tuple[int, int, int]:
-    """The representative of ``mask``'s orbit, the rotation that moves
-    its marked vertex down ``t`` bits onto the lowest one; ``mask``'s
-    power ``j`` of the (n-1)-bit rotation; and ``w``, its bits below ``t``."""
-    t = (mask & marked).bit_length() - (marked & -marked).bit_length()
-    return rotate(mask, -t, n * (n - 1)), t // (n - 1), (mask & ((1 << t) - 1)).bit_count()
+def orbit_graph(
+    adj: Sequence[int], marked: int, n: int, nodes: Sequence[int], name: str
+) -> tuple[array, array, bytearray]:
+    """The flat edge array of graph ``name`` on ``nodes``, the maximal
+    cliques of ``adj`` with one ``marked`` vertex each, and for each node
+    its ``rep``, the number of its orbit's representative (the rotation
+    through the lowest marked vertex), and its ``turn``, the
+    representative's bits that wrap when it is rotated onto the node.
 
-
-def expand_orbits(
-    blocks: dict[int, list[tuple[int, int]]], number: dict[int, int], n: int, name: str
-) -> tuple[dict[int, list[int]], array]:
-    """The flat edge array of graph ``name`` from its representatives'
-    ``blocks``, each exchange's ``(r, j)`` by :func:`to_representative`:
-    node ``j`` of orbit ``r`` gets ``r``'s block turned by ``w``, ``r``'s
-    bits that wrap, and shifted by ``j``.  Also each orbit's numbers in
-    ``number``, twice over so that a power plus ``j`` needs no modulus."""
-    size, d = n * (n - 1), n - 1
-    orbits = {r: [number.get(rotate(r, j * d, size)) for j in range(n)] * 2 for r in blocks}
-    if any(None in nums for nums in orbits.values()):
+    Only the representatives are exchanged, one :func:`exchanges` call
+    each.  Rotating a representative ``j`` steps rotates its targets ``j``
+    steps and turns its block by that node's ``turn``.  The orbits must
+    hold exactly ``nodes``, and every target must be a node.
+    """
+    size, d, low = n * (n - 1), n - 1, (marked & -marked).bit_length()
+    number = {mask: i for i, mask in enumerate(nodes)}
+    rep, turn = array("l", [0]) * len(nodes), bytearray(len(nodes))
+    orbits: dict[int, list[int]] = {}  # representative -> node numbers by power
+    for i, mask in enumerate(nodes):
+        t = (mask & marked).bit_length() - low
+        r = rotate(mask, -t, size)
+        rep[i], turn[i] = number.get(r, -1), (mask & ((1 << t) - 1)).bit_count()
+        orbits.setdefault(r, [-1] * n)[t // d] = i
+    if n * len(orbits) != len(nodes):
         raise TheoremViolationError(
-            f"{name} at rank {n} reaches {n * len(blocks)} objects, "
-            f"the enumeration has {len(number)}"
+            f"{name} at rank {n} reaches {n * len(orbits)} objects, "
+            f"the enumeration has {len(nodes)}"
         )
-    edges = array("l", [0]) * (len(number) * d)
-    for r, block in blocks.items():
-        targets = [(orbits[r2], j2) for r2, j2 in block]
-        for j, i in enumerate(orbits[r][:n]):
-            w = (r >> (size - j * d)).bit_count()
-            turned = targets[-w:] + targets[:-w]
-            edges[i * d : i * d + d] = array("l", [o[j2 + j] for o, j2 in turned])
-    return orbits, edges
+    edges = array("l", [0]) * (len(nodes) * d)
+    for r, nums in orbits.items():
+        targets = []  # each target's orbit, from the target on
+        for p, q in exchanges(adj, r):
+            mask = r ^ 1 << p | 1 << q
+            t = number.get(mask)
+            if t is None:
+                raise TheoremViolationError(
+                    f"{name} at rank {n} reaches {bit_indices(mask)}, "
+                    f"outside the enumeration of {len(nodes)}"
+                )
+            orbit = orbits[nodes[rep[t]]]
+            j = orbit.index(t)
+            targets.append(orbit[j:] + orbit[:j])
+        for j, i in enumerate(nums):
+            w = turn[i]
+            edges[i * d : i * d + d] = array("l", [o[j] for o in targets[-w:] + targets[:-w]])
+    return edges, rep, turn
 
 
 def _two_completions(tbar: int, found: int) -> int:
@@ -256,34 +274,39 @@ class RigidTable:
         return ""
 
 
+def tau_swept(n: int, row: Callable[[int], int]) -> tuple[int, ...]:
+    """The n(n-1) rows of a tau-invariant table of rank ``n``: ``row(i)``
+    for the n-1 items of socle 1, which come first, and every later row
+    the row n-1 indices below it rotated by n-1 bits, since tau shifts
+    every index by n-1."""
+    size, step = n * (n - 1), n - 1
+    rows = [row(i) for i in range(step)]
+    for i in range(step, size):
+        rows.append(rotate(rows[i - step], step, size))
+    return tuple(rows)
+
+
 @lru_cache(maxsize=None)
 def rigid_table(n: int) -> RigidTable:
     """The integer table of rank ``n``.
 
-    Ext is swept once, for the objects of socle 1.  Ext is invariant
-    under tau, which in canonical order shifts every index by n-1, so the
-    row of any other object is the row of its tau rotated by n-1 bits.
+    Ext is swept once, for the objects of socle 1, and rotated from
+    there (:func:`tau_swept`): Ext is invariant under tau.
     """
     objs = enumerate_rigid_indecs(n)
     index = {x: i for i, x in enumerate(objs)}
-    size, step = len(objs), n - 1
-    compat: list[int] = []
-    for i, x in enumerate(objs):
-        if x.a == 1:
-            row = sum(
-                1 << j
-                for j, y in enumerate(objs)
-                if j != i and ext_dim_cluster(x, y) == 0
-            )
-        else:
-            row = rotate(compat[index[tau(x)]], step, size)
-        compat.append(row)
+    compat = tau_swept(
+        n,
+        lambda i: sum(
+            1 << j for j, y in enumerate(objs) if j != i and ext_dim_cluster(objs[i], y) == 0
+        ),
+    )
     tops = {i: x for i, x in enumerate(objs) if x.b == n - 1}
     wings = {
         i: sum(1 << j for j, y in enumerate(objs) if wing_contains(top, y))
         for i, top in tops.items()
     }
-    return RigidTable(n, objs, index, tuple(compat), sum(1 << i for i in tops), wings)
+    return RigidTable(n, objs, index, compat, sum(1 << i for i in tops), wings)
 
 
 @dataclass(frozen=True)

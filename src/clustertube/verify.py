@@ -336,7 +336,7 @@ def suite_polygon(n: int) -> list[CheckResult]:
         CheckResult(
             "triangulation-bijection",
             eg.nodes == fg.nodes,
-            f"{len(set(eg.nodes))} triangulations of {len(eg.nodes)} objects",
+            f"{len(set(fg.nodes))} triangulations of {len(eg.nodes)} objects",
         )
     )
     checks.append(CheckResult("flip-graph-isomorphism", graphs_isomorphic_via_delta(eg, fg)))

@@ -25,10 +25,10 @@ from clustertube import (
     hom_dim_tube,
     hom_dim_oracle,
     initial_seed,
-    is_sign_skew_symmetric,
     wing_contains,
 )
 from clustertube.rigid import maximal_rigid_masks
+from reference import is_sign_skew_symmetric
 
 
 def catalan(m):

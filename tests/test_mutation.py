@@ -1,4 +1,5 @@
 import copy
+from array import array
 from collections import deque
 
 import pytest
@@ -16,10 +17,10 @@ from clustertube import (
     exchange,
     fz_mutate,
     initial_seed,
-    is_sign_skew_symmetric,
 )
 from clustertube import mutation, rigid, verify
 from clustertube.cli import main
+from reference import is_sign_skew_symmetric
 
 
 def obj(a, b, n):
@@ -238,15 +239,15 @@ class TestExchangeGraph:
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_one_exchanges_call_per_node(self, n, monkeypatch):
-        # the search pops tau-orbit representatives only: one per orbit
-        # of n nodes, each with its top at bit 0
-        calls = []
+        # only tau-orbit representatives are exchanged: one per orbit of
+        # n nodes, each with its top at bit 0
+        calls, real = [], rigid.exchanges
 
         def counted(adj, mask):
             calls.append(mask)
-            return rigid.exchanges(adj, mask)
+            return real(adj, mask)
 
-        monkeypatch.setattr(mutation, "exchanges", counted)
+        monkeypatch.setattr(rigid, "exchanges", counted)
         g = mutation.ExchangeGraph(n)
         assert len(calls) == len(set(calls)) == len(g.nodes) // n
         assert all(mask & 1 for mask in calls)
@@ -441,27 +442,46 @@ class TestTauQuotient:
     @pytest.mark.parametrize("n", (2, 4, 6, 8))
     def test_loop_edges_are_compared(self, n, monkeypatch):
         # a step from a representative into its own orbit only compares,
-        # and a wrong result there must fail; such steps occur at even
-        # ranks only (1, 1, 2 and 5 of them at n = 2, 4, 6, 8)
-        table, real = rigid.rigid_table(n), mutation._mutate_rows
-        popped, loops = [], []
+        # and a wrong result at any one of them must fail at once; such
+        # steps occur at even ranks only (1, 1, 2 and 5 of them at n = 2,
+        # 4, 6, 8)
+        count = {2: 1, 4: 1, 6: 2, 8: 5}[n]
+        table, d, nodes = rigid.rigid_table(n), n - 1, rigid.maximal_rigid_masks(n)
+        real_graph, real = mutation.orbit_graph, mutation._mutate_rows
+        popped, loops, bad = [], [], [None]
 
-        def spy(adj, mask):
-            popped.append(mask)
-            return rigid.exchanges(adj, mask)
+        class Spy(array):
+            """The edge array, noting whose block is read: both searches
+            read one node's block at a time."""
+
+            def __getitem__(self, key):
+                if isinstance(key, slice):
+                    popped.append(key.start // d)
+                return super().__getitem__(key)
+
+        def spied(*args):
+            edges, rep, turn = real_graph(*args)
+            return Spy("l", edges), rep, turn
 
         def tampered(b, k, p):
-            b2, r = real(b, k, p), popped[-1]
+            b2, r = real(b, k, p), nodes[popped[-1]]
             if representative(table, rigid.swap(table.compat, r, rigid.bit_indices(r)[k])) != r:
                 return b2
             loops.append(None)
+            if len(loops) - 1 != bad[0]:
+                return b2
             return b2[:-1] + ((b2[-1][0] + 7,) + b2[-1][1:],)
 
-        monkeypatch.setattr(mutation, "exchanges", spy)
+        monkeypatch.setattr(mutation, "orbit_graph", spied)
         monkeypatch.setattr(mutation, "_mutate_rows", tampered)
-        with pytest.raises(TheoremViolationError, match="^path-independence failure at "):
-            mutation.ExchangeGraph(n)
-        assert len(loops) == 1
+        mutation.ExchangeGraph(n)
+        assert len(loops) == count
+        for step in range(count):
+            loops.clear()
+            bad[0] = step
+            with pytest.raises(TheoremViolationError, match="^path-independence failure at "):
+                mutation.ExchangeGraph(n)
+            assert len(loops) == step + 1
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

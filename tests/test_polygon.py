@@ -31,7 +31,7 @@ from clustertube import (
     initial_seed,
     triangulation_of,
 )
-from clustertube import polygon, rigid, verify
+from clustertube import mutation, polygon, rigid, verify
 from clustertube.cli import main
 from clustertube.polygon import CsPair, polygon_table
 from clustertube.rigid import bit_indices, exchanges, maximal_rigid_masks, rigid_table, swap
@@ -236,13 +236,13 @@ class TestFlipGraph:
     def test_one_exchanges_call_per_node(self, monkeypatch):
         # one call per turning orbit, on its triangulation through the
         # lowest diameter (pair 0)
-        calls = []
+        calls, real = [], rigid.exchanges
 
         def counted(adj, mask):
             calls.append(mask)
-            return rigid.exchanges(adj, mask)
+            return real(adj, mask)
 
-        monkeypatch.setattr(polygon, "exchanges", counted)
+        monkeypatch.setattr(rigid, "exchanges", counted)
         for n in range(2, 8):
             calls.clear()
             g = polygon.FlipGraph(n)
@@ -279,6 +279,30 @@ class TestFlipGraph:
 
     def test_polygon_reads_no_rigid_table(self):
         assert not hasattr(polygon, "rigid_table")
+
+    @pytest.mark.parametrize("drop", [0, -1])
+    def test_node_missing_from_the_enumeration_is_a_theorem_violation(self, drop, monkeypatch):
+        # node 0 is a representative, the last node a rotation of one
+        real = polygon._all_triangulations
+
+        def dropped(n):
+            nodes = list(real(n))
+            del nodes[drop]
+            return tuple(nodes)
+
+        monkeypatch.setattr(polygon, "_all_triangulations", dropped)
+        with pytest.raises(
+            TheoremViolationError,
+            match="^flip graph at rank 5 reaches 70 objects, the enumeration has 69$",
+        ):
+            polygon.FlipGraph(5)
+
+    def test_graphs_keep_no_quotient_code(self):
+        # both graphs take their orbits from rigid.orbit_graph alone
+        for module in (polygon, mutation):
+            names = names_in(module)
+            assert "orbit_graph" in names
+            assert not {"exchanges", "rotate", "expand_orbits", "to_representative"} & names
 
     def test_polygon_names_no_ext(self):
         # non-crossing comes from geometry alone, never from Hom or Ext
@@ -591,7 +615,20 @@ class TestDeltaImageMask:
         ]
         assert main(["verify", "--rank", "4", "--suite", "polygon"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL polygon/triangulation-bijection: 20 triangulations" in out
+        assert "FAIL polygon/triangulation-bijection: 19 triangulations of 20 objects" in out
+
+
+def names_in(module):
+    """Every name, attribute and imported name in ``module``'s source."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
 
 
 def turned(p):
