@@ -18,9 +18,9 @@ from .tube import TubeObject, check_rank, ext_dim_cluster, hom_dim_cluster, hom_
 from .verify import SUITES, run_suite
 
 # Largest --rank of the commands that build a rank's tables or its whole
-# exchange graph; at rank 10, exchange-graph --format dot takes 1.4 s and
-# 44 MB peak RSS on 2 vCPU (json 1.8-1.9 s, 37 MB). hom is O(1) and
-# verify keeps its own range.
+# exchange graph; at rank 10, exchange-graph --format dot takes 2.5-3.4 s
+# and 44 MB peak RSS on a loaded 2-vCPU host (json 3.4-3.6 s, 32 MB). hom
+# is O(1) and verify keeps its own range.
 RANK_CEILING = 10
 
 

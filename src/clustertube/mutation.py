@@ -3,11 +3,12 @@
 The B-matrix of the zig-zag initial object is written down explicitly;
 every other B-matrix is defined operationally by mutation along the
 exchange graph.  Tau acts freely on the seeds and mutation commutes
-with permuting positions, so the search mutates on one seed per
-tau-orbit of :func:`~clustertube.rigid.orbit_graph`
-(:class:`ExchangeGraph`); the reverse of each step holds because
-mutation is an involution, so finishing without a mismatch, with every
-node reached, certifies that the assignment is path independent.
+with permuting positions, so :class:`ExchangeGraph` walks the graph of
+:func:`~clustertube.rigid.orbit_graph` once, from the seed, and mutates
+only at each tau-orbit's representative, when the walk first pops a node
+of that orbit; the reverse of each step holds because mutation is an
+involution, so finishing the walk without a mismatch, with every node
+reached, certifies that the assignment is path independent.
 The graph's ``nodes`` are masks, in enumeration order, as the flip
 graph's are, and its ``rows`` the matrices in the same order;
 :meth:`ExchangeGraph.b_matrix` is the one lookup from an object to its
@@ -21,7 +22,6 @@ sign-skew symmetry alone forces a zero diagonal (``b_ii = -b_ii``).
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter, neg
@@ -168,7 +168,7 @@ def exchange(t: MaximalRigid, k: int) -> tuple[MaximalRigid, int]:
 
 class ExchangeGraph:
     """All seeds at rank n, with B-matrices propagated by mutation on the
-    tau-quotient and expanded by rotation.
+    tau-quotient during one BFS from the seed.
 
     ``nodes`` holds each node's mask, in
     :func:`~clustertube.rigid.maximal_rigid_masks` order, as
@@ -180,19 +180,21 @@ class ExchangeGraph:
     :class:`MaximalRigid` to its :class:`ExchangeMatrix`.
 
     The edges, each node's representative (the tau-image with its top at
-    bit 0) and its turn come from :func:`~clustertube.rigid.orbit_graph`,
-    as the flip graph's edges do.  A node's turn moves canonical positions
-    cyclically, so the search, which pops representatives only, turns each
-    mutated matrix by its target's turn before it is stored or compared.
-    A step into another representative already popped was mutated and
-    compared from there; a step into the representative's own orbit is
-    always mutated and compared.  Mutation commutes with rotation, so
-    these comparisons cover every tau-image of every edge.  One plain BFS
-    over the edges must then reach every node: that gives ``order`` and
-    certifies connectivity.  Last, each node gets its representative's
-    rows turned back by its own turn.  Equal rows are one tuple (234 among
-    24 024 at rank 8), and so are the matrices of one representative's
-    rotations with equal turn (1716 among 3432).
+    bit 0), its turn and the node numbering come from
+    :func:`~clustertube.rigid.orbit_graph`, as the flip graph's edges do.
+    A node's turn moves canonical positions cyclically.  The BFS runs in
+    k order; the first node it pops from an orbit mutates the exchanges
+    of the orbit's representative, and each result is turned by its
+    target's turn before it is stored for the target's orbit or compared.
+    A step into an orbit whose representative was already mutated was
+    mutated and compared from there; a step into the representative's own
+    orbit is always mutated and compared.  Mutation commutes with
+    rotation, so these comparisons cover every tau-image of every edge.
+    Every popped node takes its representative's rows turned back by its
+    own turn, and the BFS must reach every node, which certifies
+    connectivity.  Equal rows are one tuple (234 among 24 024 at rank 8),
+    and so are the matrices of one representative's rotations with equal
+    turn (1716 among 3432).
     """
 
     def __init__(self, n: int):
@@ -201,46 +203,49 @@ class ExchangeGraph:
         seed = initial_seed(n)
         self.nodes: tuple[int, ...] = maximal_rigid_masks(n)
         nodes, d = self.nodes, n - 1
-        self.edges, rep, turn = orbit_graph(table.compat, table.tops, n, nodes, "exchange graph")
-        self._number = number = {mask: i for i, mask in enumerate(nodes)}
-        first = number[seed.object.mask]
+        self.edges, rep, turn, self._number = orbit_graph(
+            table.compat, table.tops, n, nodes, "exchange graph"
+        )
+        edges, first = self.edges, self._number[seed.object.mask]
         shared: dict[tuple[int, ...], tuple[int, ...]] = {}
 
         def share(b: Rows) -> Rows:
             return tuple(shared.setdefault(row, row) for row in b)
 
-        # the quotient search: reps maps each representative reached to its rows
-        r0 = rep[first]
-        reps = {r0: share(_turn(seed.matrix.entries, turn[first]))}
-        popped = bytearray(len(nodes))
-        queue = deque([r0])
-        while queue:
-            r = queue.popleft()
-            popped[r] = 1
-            b, mask = reps[r], nodes[r]
-            for k, t in enumerate(self.edges[r * d : r * d + d]):
-                r2, mask2, w2 = rep[t], nodes[t], turn[t]
-                if popped[r2] and r2 != r:
-                    continue
-                p = (mask2 & (mask2 & ~mask) - 1).bit_count()  # the new summand's position
-                b2 = _turn(_mutate_rows(b, k, p), w2)
-                seen = reps.get(r2)
-                if seen is None:
-                    reps[r2] = share(b2)
-                    queue.append(r2)
-                elif seen != b2:
-                    raise TheoremViolationError(
-                        f"path-independence failure at {table.objects_of(mask2)}: "
-                        f"{_turn(seen, -w2)} vs {_turn(b2, -w2)}"
-                    )
-
-        # one plain BFS from the seed, in k order: the pop order, and a
-        # check that every node is reached
-        reached = bytearray(len(nodes))
+        # turned[r]: the rows of representative r's orbit by turn, r's own
+        # at turn 0.  The node that first reaches an orbit was popped
+        # before it, when its own representative's exchanges, which reach
+        # a rotation of every orbit the node's do, were mutated and stored;
+        # so every node's orbit has rows by the time the node is popped.
+        turned = {rep[first]: [share(_turn(seed.matrix.entries, turn[first]))] + [None] * (d - 1)}
+        mutated, reached = bytearray(len(nodes)), bytearray(len(nodes))
         reached[first] = 1
         self.order = order = array("l", [first])
+        rows: list[Rows | None] = [None] * len(nodes)
         for i in order:  # the queue: read as it grows
-            for j in self.edges[i * d : i * d + d]:
+            r, w = rep[i], turn[i]
+            cell = turned[r]
+            if not mutated[r]:
+                mutated[r] = 1
+                b, mask = cell[0], nodes[r]
+                for k, t in enumerate(edges[r * d : r * d + d]):
+                    r2, mask2, w2 = rep[t], nodes[t], turn[t]
+                    if mutated[r2] and r2 != r:
+                        continue
+                    p = (mask2 & (mask2 & ~mask) - 1).bit_count()  # the new summand's position
+                    b2 = _turn(_mutate_rows(b, k, p), w2)
+                    seen = turned.get(r2)
+                    if seen is None:
+                        turned[r2] = [share(b2)] + [None] * (d - 1)
+                    elif seen[0] != b2:
+                        raise TheoremViolationError(
+                            f"path-independence failure at {table.objects_of(mask2)}: "
+                            f"{_turn(seen[0], -w2)} vs {_turn(b2, -w2)}"
+                        )
+            if cell[w] is None:
+                cell[w] = share(_turn(cell[0], -w))
+            rows[i] = cell[w]
+            for j in edges[i * d : i * d + d]:
                 if not reached[j]:
                     reached[j] = 1
                     order.append(j)
@@ -249,16 +254,6 @@ class ExchangeGraph:
                 f"exchange graph at rank {n} reaches {len(order)} objects, "
                 f"the enumeration has {len(nodes)}"
             )
-
-        # the expansion: each node's representative's rows turned back by
-        # its own turn, one matrix per representative and turn
-        turned = {r: [b] + [None] * (d - 1) for r, b in reps.items()}
-        rows: list[Rows] = []
-        for r, w in zip(rep, turn):
-            cell = turned[r]
-            if cell[w] is None:
-                cell[w] = share(_turn(cell[0], -w))
-            rows.append(cell[w])
         self.rows: tuple[Rows, ...] = tuple(rows)
 
     def b_matrix(self, t: MaximalRigid) -> ExchangeMatrix:

@@ -121,12 +121,13 @@ def orbit_cliques(
 
 def orbit_graph(
     adj: Sequence[int], marked: int, n: int, nodes: Sequence[int], name: str
-) -> tuple[array, array, bytearray]:
+) -> tuple[array, array, bytearray, dict[int, int]]:
     """The flat edge array of graph ``name`` on ``nodes``, the maximal
-    cliques of ``adj`` with one ``marked`` vertex each, and for each node
+    cliques of ``adj`` with one ``marked`` vertex each; for each node
     its ``rep``, the number of its orbit's representative (the rotation
     through the lowest marked vertex), and its ``turn``, the
-    representative's bits that wrap when it is rotated onto the node.
+    representative's bits that wrap when it is rotated onto the node;
+    and the ``{mask: number}`` dict the graph was numbered by.
 
     Only the representatives are exchanged, one :func:`exchanges` call
     each.  Rotating a representative ``j`` steps rotates its targets ``j``
@@ -164,7 +165,7 @@ def orbit_graph(
         for j, i in enumerate(nums):
             w = turn[i]
             edges[i * d : i * d + d] = array("l", [o[j] for o in targets[-w:] + targets[:-w]])
-    return edges, rep, turn
+    return edges, rep, turn, number
 
 
 def _two_completions(tbar: int, found: int) -> int:
@@ -325,15 +326,16 @@ class MaximalRigid:
 
     def __post_init__(self) -> None:
         table = rigid_table(self.n)
-        self._hold(table, table.mask_of(self.summands))
+        self._hold(table, table.mask_of(self.summands), StructuralError)
 
-    def _hold(self, table: RigidTable, mask: int) -> None:
+    def _hold(self, table: RigidTable, mask: int, error: type[Exception]) -> None:
         """Keep ``mask`` and its summands, in canonical order, which is
-        bit order, once :meth:`RigidTable.defect` passes it."""
+        bit order, once :meth:`RigidTable.defect` passes it, or raise
+        ``error``."""
         objs = table.objects_of(mask)
         defect = table.defect(mask)
         if defect:
-            raise StructuralError(f"{objs} {defect}")
+            raise error(f"{objs} {defect}")
         object.__setattr__(self, "summands", objs)
         object.__setattr__(self, "mask", mask)
 
@@ -349,10 +351,11 @@ class MaximalRigid:
 
 def _of_mask(table: RigidTable, mask: int) -> MaximalRigid:
     """The :class:`MaximalRigid` of ``mask``, checked as construction
-    checks it, without parsing its summands back into a mask."""
+    checks it, without parsing its summands back into a mask.  The mask
+    was computed, not read, so a defect falsifies the computation."""
     t = object.__new__(MaximalRigid)
     object.__setattr__(t, "n", table.n)
-    t._hold(table, mask)
+    t._hold(table, mask, TheoremViolationError)
     return t
 
 

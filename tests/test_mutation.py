@@ -1,4 +1,5 @@
 import copy
+import re
 from array import array
 from collections import deque
 
@@ -167,6 +168,30 @@ class TestExchange:
             t2, k2 = exchange(t, k)
             back, _ = exchange(t2, k2)
             assert back == t
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_index_out_of_range(self, k):
+        with pytest.raises(IndexError, match=f"^summand index {k} out of range$"):
+            exchange(mr(4, (1, 3), (1, 2), (2, 1)), k)
+
+    def test_falsified_exchange_is_a_theorem_violation(self, monkeypatch, capsys):
+        # the exchanged mask is computed, not read: a non-rigid one
+        # falsifies the computation, so the CLI exits 1, not 2
+        monkeypatch.setattr(mutation, "swap", lambda adj, mask, i: mask & ~(1 << i) | 1 << 3)
+        text = "((1,3)@4, (1,2)@4, (2,3)@4) is not rigid"
+        with pytest.raises(TheoremViolationError, match=f"^{re.escape(text)}$"):
+            exchange(mr(4, (1, 3), (1, 2), (1, 1)), 2)
+        argv = ["mutate", "--rank", "4", "--object", "1,3;1,2;1,1", "--at", "1,1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"verification failure: {text}\n"
+
+
+class TestSeed:
+    def test_order_must_be_the_summand_list(self):
+        s = initial_seed(3)
+        swapped = ExchangeMatrix(s.matrix.order[::-1], s.matrix.entries)
+        with pytest.raises(StructuralError, match="^matrix order differs from the summand list$"):
+            mutation.Seed(s.object, swapped)
 
 
 class TestExchangeMatrix:
@@ -409,6 +434,31 @@ class TestNumberedEdges:
             assert min(popped[j] for j in g.edges[i * d : i * d + d]) < pos
 
 
+class TestConnectivity:
+    @pytest.mark.parametrize("n,reached", [(3, 4), (4, 10), (5, 28)])
+    def test_unreached_node_is_a_theorem_violation(self, n, reached, monkeypatch):
+        # every node outside a representative lists itself as each of its
+        # neighbours: the representatives' mutations still agree, but the
+        # walk reaches only ``reached`` nodes
+        real = mutation.orbit_graph
+
+        def stalled(*args):
+            edges, rep, *rest = real(*args)
+            d = n - 1
+            for i, r in enumerate(rep):
+                if r != i:
+                    edges[i * d : i * d + d] = array("l", [i] * d)
+            return (edges, rep, *rest)
+
+        monkeypatch.setattr(mutation, "orbit_graph", stalled)
+        with pytest.raises(
+            TheoremViolationError,
+            match=f"^exchange graph at rank {n} reaches {reached} objects, "
+            f"the enumeration has {len(rigid.maximal_rigid_masks(n))}$",
+        ):
+            mutation.ExchangeGraph(n)
+
+
 class TestTauQuotient:
     """The search mutates on tau-orbit representatives and expands the
     orbits by rotation; the full BFS is the reference."""
@@ -460,8 +510,8 @@ class TestTauQuotient:
                 return super().__getitem__(key)
 
         def spied(*args):
-            edges, rep, turn = real_graph(*args)
-            return Spy("l", edges), rep, turn
+            edges, rep, turn, number = real_graph(*args)
+            return Spy("l", edges), rep, turn, number
 
         def tampered(b, k, p):
             b2, r = real(b, k, p), nodes[popped[-1]]

@@ -68,6 +68,11 @@ class TestDiagonals:
         with pytest.raises(StructuralError):
             Diagonal(1, 6, 3)
 
+    @pytest.mark.parametrize("q", [1, 7])
+    def test_rejects_a_corner_twice(self, q):
+        with pytest.raises(StructuralError, match=r"^degenerate diagonal \[1,1\]$"):
+            Diagonal(1, q, 3)
+
     @pytest.mark.parametrize(
         "corners",
         [(1, 3, 0), (1, 3, 1), (1.0, 3, 4), (1, 3.0, 4), (True, 3, 4), (1, 3, 4.0)],
@@ -81,12 +86,20 @@ class TestDiagonals:
         assert not diagonals_cross(Diagonal(1, 3, 3), Diagonal(3, 5, 3))
         assert diagonals_cross(Diagonal(1, 4, 3), Diagonal(2, 5, 3))
 
+    def test_crossing_across_two_polygons(self):
+        with pytest.raises(StructuralError, match="^diagonals of different polygons$"):
+            diagonals_cross(Diagonal(1, 3, 3), Diagonal(1, 3, 4))
+
 
 class TestCsPairs:
     def test_rejects_diagonals_of_another_rank(self):
         with pytest.raises(StructuralError, match=r"^\[1,3\] is not a diagonal of the 8-gon$"):
             CsPair(Diagonal(1, 3, 3), Diagonal(4, 6, 3), 4)
         assert CsPair(Diagonal(1, 3, 3), Diagonal(4, 6, 3), 3) == pair(1, 3, 3)
+
+    def test_rejects_a_pair_that_is_no_half_turn(self):
+        with pytest.raises(StructuralError, match=r"^\[2,4\] is not the half-turn of \[1,3\]$"):
+            CsPair(Diagonal(1, 3, 3), Diagonal(2, 4, 3), 3)
 
 
 class TestDelta:
@@ -167,6 +180,17 @@ class TestTriangulations:
 
     def test_invalid_set_rejected(self):
         with pytest.raises(StructuralError):
+            CsTriangulation(3, frozenset({pair(1, 4, 3), pair(2, 5, 3)}))
+
+    def test_wrong_number_of_pairs_rejected(self):
+        with pytest.raises(StructuralError, match="^expected 2 pairs, got 1$"):
+            CsTriangulation(3, frozenset({pair(1, 4, 3)}))
+
+    def test_two_diameters_rejected(self, monkeypatch):
+        # two diameters always cross, so the diameter count is reached
+        # only with crossings switched off
+        monkeypatch.setattr(polygon, "crossing_points", lambda a, b: 0)
+        with pytest.raises(StructuralError, match=r"^2 diameters in \[\[1,4\], \[2,5\]\]$"):
             CsTriangulation(3, frozenset({pair(1, 4, 3), pair(2, 5, 3)}))
 
     def test_pairs_of_another_polygon_rejected(self):
@@ -296,6 +320,22 @@ class TestFlipGraph:
             match="^flip graph at rank 5 reaches 70 objects, the enumeration has 69$",
         ):
             polygon.FlipGraph(5)
+
+    def test_clique_of_the_wrong_size_is_a_theorem_violation(self, monkeypatch):
+        # every pair made compatible with every other: the one maximal
+        # clique holds all six pairs of the hexagon
+        real = polygon.orbit_cliques
+
+        def complete(adj, marked, n, defect):
+            full = (1 << len(adj)) - 1
+            return real([full ^ 1 << i for i in range(len(adj))], marked, n, defect)
+
+        monkeypatch.setattr(polygon, "orbit_cliques", complete)
+        with pytest.raises(
+            TheoremViolationError,
+            match=r"^maximal clique of size 6 at rank 3: \[0, 1, 2, 3, 4, 5\]$",
+        ):
+            polygon._all_triangulations(3)
 
     def test_graphs_keep_no_quotient_code(self):
         # both graphs take their orbits from rigid.orbit_graph alone

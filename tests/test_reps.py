@@ -172,6 +172,19 @@ class TestBuildRep:
         for x in [obj(1, 1, 2), obj(2, 5, 3), obj(3, 8, 4)]:
             assert build_rep(x).cycle_is_nilpotent()
 
+    @pytest.mark.parametrize(
+        "dims,maps", [((1,), (((1,),), ((1,),))), ((1, 1), (((1,),),))]
+    )
+    def test_one_dimension_and_one_map_per_vertex(self, dims, maps):
+        with pytest.raises(
+            ValueError, match="^need one dimension and one arrow map per vertex$"
+        ):
+            NilpotentRep(2, dims, maps)
+
+    def test_arrow_map_shape(self):
+        with pytest.raises(ValueError, match="^arrow map at vertex 1 has wrong shape$"):
+            NilpotentRep(2, (1, 1), (((1, 1),), ((1,),)))
+
     def test_cycle_not_nilpotent(self):
         # a one-dimensional space at each vertex, every arrow the identity
         rep = NilpotentRep(2, (1, 1), (((1,),), ((1,),)))

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 from itertools import combinations
 
 import pytest
@@ -197,6 +198,37 @@ class TestDoctoredTables:
         assert capsys.readouterr().err.startswith("verification failure: ")
 
 
+class TestDoctoredEnumeration:
+    def test_computed_mask_with_a_defect_is_a_theorem_violation(self, monkeypatch):
+        # the last rank-3 mask with one more summand: the enumeration
+        # computed it, so its defect falsifies the computation
+        real = maximal_rigid_masks(3)
+        monkeypatch.setattr(rigid, "maximal_rigid_masks", lambda n: real[:-1] + (real[-1] | 1,))
+        text = "((1,2)@3, (3,2)@3, (3,1)@3) has 3 summands, expected 2"
+        with pytest.raises(TheoremViolationError, match=f"^{re.escape(text)}$"):
+            enumerate_maximal_rigid(3)
+
+    @pytest.mark.parametrize("n,bits", [(3, "1"), (4, "1, 2")])
+    def test_exchange_outside_the_enumeration(self, n, bits, monkeypatch):
+        # the first exchange of each representative drops its vertex for
+        # one the representative already has: n-2 bits, no node
+        real = rigid.exchanges
+
+        def dropping(adj, mask):
+            out = real(adj, mask)
+            out[0] = (out[0][0], out[1][0])
+            return out
+
+        monkeypatch.setattr(rigid, "exchanges", dropping)
+        table, nodes = rigid_table(n), maximal_rigid_masks(n)
+        with pytest.raises(
+            TheoremViolationError,
+            match=rf"^exchange graph at rank {n} reaches \[{bits}\], "
+            rf"outside the enumeration of {len(nodes)}$",
+        ):
+            rigid.orbit_graph(table.compat, table.tops, n, nodes, "exchange graph")
+
+
 class TestMaximalRigidType:
     def test_canonical_order(self):
         t = mr(3, (1, 1), (1, 2))
@@ -304,6 +336,18 @@ class TestComplements:
     def test_almost_complete_not_rigid(self):
         with pytest.raises(StructuralError):
             complements((obj(1, 1, 4), obj(2, 1, 4)), 4)
+
+    def test_wrong_number_of_summands(self):
+        with pytest.raises(
+            StructuralError, match="^almost complete object at rank 4 needs 2 summands, got 1$"
+        ):
+            complements((obj(1, 1, 4),))
+
+    def test_empty_without_rank(self):
+        with pytest.raises(
+            ValueError, match="^rank is required for an empty almost complete object$"
+        ):
+            complements(())
 
     def test_always_exactly_two(self):
         for n in (2, 3, 4):
