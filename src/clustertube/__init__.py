@@ -1,54 +1,41 @@
-"""Combinatorics of cluster tubes and the type B polygon model."""
+"""Combinatorics of cluster tubes and the type B polygon model.
 
-from .errors import RankMismatchError, StructuralError, TheoremViolationError
-from .mutation import (
-    ExchangeGraph,
-    ExchangeMatrix,
-    MiddleTerms,
-    Seed,
-    build_exchange_graph,
-    cartan_counterpart,
-    exchange,
-    fz_mutate,
-    initial_seed,
-)
-from .polygon import (
-    CsPair,
-    CsTriangulation,
-    Diagonal,
-    FlipGraph,
-    all_cs_pairs,
-    crossing_points,
-    delta,
-    delta_inv,
-    diagonals_cross,
-    flip,
-    flip_graph,
-    graphs_isomorphic_via_delta,
-    triangulation_of,
-)
-from .reps import NilpotentRep, build_rep, hom_dim_oracle
-from .rigid import (
-    MaximalRigid,
-    TiltingDatum,
-    cluster_tilting_witness,
-    complements,
-    enumerate_maximal_rigid,
-    enumerate_rigid_indecs,
-    from_tilting_datum,
-    is_rigid_set,
-    to_tilting_datum,
-)
-from .tube import (
-    TubeObject,
-    canonical_key,
-    ext_dim_cluster,
-    hom_dim_cluster,
-    hom_dim_tube,
-    is_rigid_indec,
-    tau,
-    tau_inv,
-    wing_contains,
-)
+``from clustertube import X`` imports only the module that defines ``X``
+(PEP 562), so a cold process compiles only the layers it uses.
+"""
 
+from importlib import import_module
+
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "errors": "RankMismatchError StructuralError TheoremViolationError",
+        "mutation": "ExchangeGraph ExchangeMatrix MiddleTerms Seed build_exchange_graph"
+        " cartan_counterpart exchange fz_mutate initial_seed",
+        "polygon": "CsPair CsTriangulation Diagonal FlipGraph all_cs_pairs crossing_points"
+        " delta delta_inv diagonals_cross flip flip_graph graphs_isomorphic_via_delta"
+        " triangulation_of",
+        "reps": "NilpotentRep build_rep hom_dim_oracle",
+        "rigid": "MaximalRigid TiltingDatum cluster_tilting_witness complements"
+        " enumerate_maximal_rigid enumerate_rigid_indecs from_tilting_datum is_rigid_set"
+        " to_tilting_datum",
+        "tube": "TubeObject canonical_key ext_dim_cluster hom_dim_cluster hom_dim_tube"
+        " is_rigid_indec tau tau_inv wing_contains",
+    }.items()
+    for name in names.split()
+}
+__all__ = list(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # an AttributeError here lets ``from clustertube import rigid`` fall
+    # back to importing the submodule
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -326,18 +326,21 @@ class MaximalRigid:
 
     def __post_init__(self) -> None:
         table = rigid_table(self.n)
-        self._hold(table, table.mask_of(self.summands), StructuralError)
+        defect = self._hold(table, table.mask_of(self.summands))
+        if defect:
+            raise StructuralError(defect)
 
-    def _hold(self, table: RigidTable, mask: int, error: type[Exception]) -> None:
+    def _hold(self, table: RigidTable, mask: int) -> str:
         """Keep ``mask`` and its summands, in canonical order, which is
-        bit order, once :meth:`RigidTable.defect` passes it, or raise
-        ``error``."""
+        bit order, if :meth:`RigidTable.defect` passes it; else return the
+        summands and the defect."""
         objs = table.objects_of(mask)
         defect = table.defect(mask)
         if defect:
-            raise error(f"{objs} {defect}")
+            return f"{objs} {defect}"
         object.__setattr__(self, "summands", objs)
         object.__setattr__(self, "mask", mask)
+        return ""
 
     @property
     def top(self) -> TubeObject:
@@ -349,13 +352,21 @@ class MaximalRigid:
         return f"MaximalRigid[{inner}]@{self.n}"
 
 
-def _of_mask(table: RigidTable, mask: int) -> MaximalRigid:
+def _checked(table: RigidTable, mask: int) -> MaximalRigid | str:
     """The :class:`MaximalRigid` of ``mask``, checked as construction
-    checks it, without parsing its summands back into a mask.  The mask
-    was computed, not read, so a defect falsifies the computation."""
+    checks it, without parsing its summands back into a mask; or, if the
+    check fails, the summands and the defect."""
     t = object.__new__(MaximalRigid)
     object.__setattr__(t, "n", table.n)
-    t._hold(table, mask, TheoremViolationError)
+    return t._hold(table, mask) or t
+
+
+def _of_mask(table: RigidTable, mask: int) -> MaximalRigid:
+    """:func:`_checked`, for a mask that was computed, not read, so a
+    defect falsifies the computation."""
+    t = _checked(table, mask)
+    if isinstance(t, str):
+        raise TheoremViolationError(t)
     return t
 
 

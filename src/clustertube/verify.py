@@ -28,7 +28,7 @@ from .polygon import (
 from .reps import hom_dim_oracle
 from .rigid import (
     RigidTable,
-    _of_mask,
+    _checked,
     bit_indices,
     cluster_of_tilting_datum,
     enumerate_rigid_indecs,
@@ -87,15 +87,8 @@ def _counterexample(name: str, bad, prefix: str = "at") -> CheckResult:
     return CheckResult(name, bad is None, "" if bad is None else f"{prefix} {bad}")
 
 
-def _node(table: RigidTable, mask: int):
-    """A node's counterexample text: its :class:`MaximalRigid`, built only
-    here, or its summands and why they are not one."""
-    defect = table.defect(mask)
-    return f"{table.objects_of(mask)} {defect}" if defect else _of_mask(table, mask)
-
-
 def _bad_node(name: str, table: RigidTable, mask: int | None) -> CheckResult:
-    return _counterexample(name, None if mask is None else _node(table, mask))
+    return _counterexample(name, None if mask is None else _checked(table, mask))
 
 
 def _catalan(m: int) -> int:
@@ -359,12 +352,12 @@ def suite_no_ct(n: int) -> list[CheckResult]:
     for mask in maximal_rigid_masks(n):
         top = mask & table.tops
         if (top, 2) not in witnesses:  # no unique top, so no witness
-            bad = _node(table, mask)
+            bad = _checked(table, mask)
             break
         for k in (2, 3):
             w, orthogonal, summand, rigid = witnesses[top, k]
             if mask & ~orthogonal or mask & summand or rigid:
-                bad = (_node(table, mask), k, w)
+                bad = (_checked(table, mask), k, w)
                 break
         if bad:
             break

@@ -377,6 +377,102 @@ class TestNoRuntimeDependencies:
         assert project["dependencies"] == []
 
 
+def loaded_submodules(code: str, *args: str) -> set:
+    """The ``clustertube.*`` modules a fresh interpreter holds after
+    running ``code``, which may read its arguments from ``sys.argv[1:]``."""
+    report = "print(*(m for m in sys.modules if m.startswith('clustertube.')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\n{report}", *args],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {m.removeprefix("clustertube.") for m in proc.stdout.splitlines()[-1].split()}
+
+
+class TestColdStart:
+    """A cold process compiles only the layers its command runs."""
+
+    QUERY = {"cli", "errors", "tube"}
+
+    def test_package_import_loads_no_submodule(self):
+        assert loaded_submodules("import clustertube") == set()
+
+    @pytest.mark.parametrize(
+        "argv,layers",
+        [
+            (["hom", "--rank", "5", "--from", "1,1", "--to", "2,3"], set()),
+            (["polygon", "--rank", "3", "--object", "1,2;1,1"], {"rigid", "polygon"}),
+            (["bmatrix", "--rank", "4", "--object", "1,3;1,2;2,1"], {"rigid", "mutation"}),
+            (
+                ["mutate", "--rank", "3", "--object", "1,2;1,1", "--at", "1,1"],
+                {"rigid", "mutation"},
+            ),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_command_loads_only_its_layers(self, argv, layers):
+        code = "import clustertube.cli\nassert clustertube.cli.main(sys.argv[1:]) == 0"
+        assert loaded_submodules(code, *argv) == self.QUERY | layers
+
+
+# every name ``clustertube`` exported, with its defining module
+EXPORTS = {
+    "errors": "RankMismatchError StructuralError TheoremViolationError",
+    "mutation": "ExchangeGraph ExchangeMatrix MiddleTerms Seed build_exchange_graph"
+    " cartan_counterpart exchange fz_mutate initial_seed",
+    "polygon": "CsPair CsTriangulation Diagonal FlipGraph all_cs_pairs crossing_points delta"
+    " delta_inv diagonals_cross flip flip_graph graphs_isomorphic_via_delta triangulation_of",
+    "reps": "NilpotentRep build_rep hom_dim_oracle",
+    "rigid": "MaximalRigid TiltingDatum cluster_tilting_witness complements"
+    " enumerate_maximal_rigid enumerate_rigid_indecs from_tilting_datum is_rigid_set"
+    " to_tilting_datum",
+    "tube": "TubeObject canonical_key ext_dim_cluster hom_dim_cluster hom_dim_tube"
+    " is_rigid_indec tau tau_inv wing_contains",
+}
+
+
+class TestLazyExports:
+    NAMES = [(name, module) for module, names in EXPORTS.items() for name in names.split()]
+
+    def test_forty_six_names(self):
+        assert len(self.NAMES) == len(dict(self.NAMES)) == 46
+
+    @pytest.mark.parametrize("name,module", NAMES)
+    def test_name_is_its_modules_object(self, name, module):
+        import importlib
+
+        import clustertube
+
+        defining = importlib.import_module(f"clustertube.{module}")
+        assert getattr(clustertube, name) is getattr(defining, name)
+
+    def test_all_and_dir_list_the_names(self):
+        import clustertube
+
+        names = {name for name, _ in self.NAMES}
+        assert sorted(clustertube.__all__) == sorted(names)
+        assert names <= set(dir(clustertube))
+
+    def test_version(self):
+        import clustertube
+
+        assert clustertube.__version__ == "0.1.0"
+
+    def test_submodules_import_by_name(self):
+        from clustertube import rigid, verify
+
+        assert rigid.__name__ == "clustertube.rigid"
+        assert verify.__name__ == "clustertube.verify"
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import clustertube
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            clustertube.no_such_name
+        assert not hasattr(clustertube, "no_such_name")
+
+
 class TestInProcessEntryPoint:
     def test_main_returns_exit_code(self, capsys):
         assert main(["hom", "--rank", "3", "--from", "1,1", "--to", "1,1"]) == 0

@@ -132,6 +132,20 @@ class TestNoCtFailures:
         assert fail_lines(capsys, "no-ct") == [f"FAIL no-ct/witnesses: at {NOT_RIGID[edit]}"]
 
 
+@pytest.mark.parametrize("edit", [lambda mask: mask, top_swapped_out], ids=["node", "not-one"])
+def test_counterexample_node_is_checked_once(monkeypatch, edit):
+    """A counterexample's text runs ``RigidTable.defect`` once on its
+    mask, whether the mask is a maximal rigid object or not."""
+    table = rigid.rigid_table(N)
+    mask = edit(rigid.maximal_rigid_masks(N)[0])
+    real, checked = rigid.RigidTable.defect, []
+    monkeypatch.setattr(
+        rigid.RigidTable, "defect", lambda self, m: checked.append(m) or real(self, m)
+    )
+    assert not verify._bad_node("node", table, mask).ok
+    assert checked == [mask]
+
+
 @pytest.mark.parametrize("suite", ["counts", "no-ct", "mutation"])
 @pytest.mark.parametrize("n", range(3, 7))
 def test_cold_suite_builds_only_the_seed_object(
