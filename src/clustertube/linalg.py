@@ -1,7 +1,9 @@
 """Exact rank computation for integer matrices.
 
 Sparse, gcd-normalised elimination on Python ints, which are exact and
-cannot overflow.  No floating point is used anywhere.
+cannot overflow.  No floating point is used anywhere.  The Hom oracle in
+:mod:`clustertube.reps` needs only union-find; this general elimination is
+the second route the tests hold that union-find against.
 """
 
 from __future__ import annotations

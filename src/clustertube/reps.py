@@ -4,17 +4,18 @@ An indecomposable ``(a, b)`` is realised as the uniserial representation
 of the cyclic quiver on ``n`` vertices with basis ``v_a, ..., v_{a+b-1}``
 (vertex of ``v_j`` is ``j`` mod ``n``), where the arrow at each vertex
 sends ``v_j`` to ``v_{j-1}`` and kills ``v_a``.  Hom dimensions are then
-solution-space dimensions of the intertwiner equations, computed with
-exact integer arithmetic.  This never consults the closed formula in
+solution-space dimensions of the intertwiner equations.  Every arrow map
+is a 0/1 partial permutation, so every equation reads ``u = w`` or
+``u = 0``, and the dimension is counted exactly by union-find over the
+unknowns.  This never consults the closed formula in
 :mod:`clustertube.tube`, so agreement between the two is a real check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .linalg import integer_rank
 from .tube import TubeObject, _mod_coord, _same_rank
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -45,6 +46,28 @@ class NilpotentRep:
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
+
+    @cached_property
+    def arrow_lines(self) -> tuple[tuple[tuple[int | None, ...], ...], ...]:
+        """Per vertex, the arrow map read as a 0/1 partial permutation:
+        the column of each row's 1 and the row of each column's 1, or
+        ``None`` where a line has no 1.  Built once per representation;
+        any other entry, or two 1s in one line, is a ``ValueError``."""
+        lines = []
+        for v, mat in enumerate(self.arrow_maps, 1):
+            col_of: list[int | None] = [None] * len(mat)
+            row_of: list[int | None] = [None] * self.dims[v - 1]
+            for r, row in enumerate(mat):
+                for c, entry in enumerate(row):
+                    if not entry:
+                        continue
+                    if entry != 1 or col_of[r] is not None or row_of[c] is not None:
+                        raise ValueError(
+                            f"arrow map at vertex {v} is not a 0/1 partial permutation"
+                        )
+                    col_of[r], row_of[c] = c, r
+            lines.append((tuple(col_of), tuple(row_of)))
+        return tuple(lines)
 
     def cycle_is_nilpotent(self) -> bool:
         """Composite of n consecutive arrows, iterated, eventually zero:
@@ -96,36 +119,54 @@ def build_rep(x: TubeObject) -> NilpotentRep:
 def hom_dim_oracle(x: TubeObject, y: TubeObject) -> int:
     """dim Hom in the tube via the intertwiner equations.
 
-    Unknowns are the per-vertex blocks f_v of a morphism build_rep(x) ->
-    build_rep(y); each arrow contributes Y_v f_v - f_{v-1} X_v = 0.
+    Unknowns are the entries of the per-vertex blocks f_v of a morphism
+    build_rep(x) -> build_rep(y); each arrow contributes Y_v f_v = f_{v-1} X_v,
+    one equation per entry.  With partial-permutation arrows each side
+    is a single unknown or zero.
     """
     n = _same_rank(x, y)
     rx, ry = build_rep(x), build_rep(y)
+    dx = rx.dims
 
     offsets = []
     total = 0
     for v in range(n):
         offsets.append(total)
-        total += rx.dims[v] * ry.dims[v]
+        total += dx[v] * ry.dims[v]
 
-    def var(v: int, row: int, col: int) -> int:
-        # entry (row, col) of f_{v+1}: row indexes y's basis, col x's
-        return offsets[v] + row * rx.dims[v] + col
-
-    # {column: entry} rows; blocks f_v and f_{v-1} differ as n >= 2
-    rows: list[dict[int, int]] = []
-    for v in range(1, n + 1):
-        w = _mod_coord(v - 1, n)
-        xa = rx.arrow_maps[v - 1]
-        ya = ry.arrow_maps[v - 1]
-        for i in range(ry.dims[w - 1]):
-            for j in range(rx.dims[v - 1]):
-                eq = {var(v - 1, t, j): e for t, e in enumerate(ya[i]) if e}
-                for s in range(rx.dims[w - 1]):
-                    if xa[s][j]:
-                        eq[var(w - 1, i, s)] = -xa[s][j]
-                if eq:
-                    rows.append(eq)
-    return total - integer_rank(rows)
+    # entry (row, col) of f_{v+1} is unknown offsets[v] + row * dx[v] + col,
+    # row indexing y's basis and col x's; unknown ``total`` stands for 0.
+    # Index -1 is vertex n, and blocks f_v and f_{v-1} differ as n >= 2.
+    equations = []
+    for v in range(n):
+        w = v - 1
+        x_rows = rx.arrow_lines[v][1]
+        for i, t in enumerate(ry.arrow_lines[v][0]):
+            # at (i, j), Y_v f_v is f_v[t][j] and f_{v-1} X_v is f_{v-1}[i][s]
+            left = None if t is None else offsets[v] + t * dx[v]
+            right = offsets[w] + i * dx[w]
+            for j, s in enumerate(x_rows):
+                lhs = total if left is None else left + j
+                rhs = total if s is None else right + s
+                if lhs != rhs:
+                    equations.append((lhs, rhs))
+    return _free_classes(total, equations)
 
 
+def _free_classes(size: int, equations) -> int:
+    """The number of classes of the unknowns ``0 .. size-1`` under the
+    equations ``(u, w)``, each meaning ``u = w``, that hold no unknown
+    equal to the zero unknown ``size``: the dimension of the solution
+    space.  Each union of two classes drops that number by one."""
+    parent = list(range(size + 1))
+    free = size
+    for u, w in equations:
+        # find both roots, halving the path: each step skips a parent
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[w] != w:
+            parent[w] = w = parent[parent[w]]
+        if u != w:
+            parent[u] = w
+            free -= 1
+    return free

@@ -1,8 +1,10 @@
 """Full searches kept as references for the rotation-quotient code, and
 the naive checks the tests hold the package's own against."""
 
-from clustertube import ExchangeMatrix, TheoremViolationError
+from clustertube import ExchangeMatrix, TheoremViolationError, build_rep
+from clustertube.linalg import integer_rank
 from clustertube.rigid import bit_indices, maximal_cliques
+from clustertube.tube import _mod_coord, _same_rank
 
 
 def clusters(adj, n):
@@ -25,3 +27,37 @@ def is_sign_skew_symmetric(rows):
         rows = rows.entries
     signs = [tuple((v > 0) - (v < 0) for v in row) for row in rows]
     return all(row == tuple(-v for v in col) for row, col in zip(signs, zip(*signs)))
+
+
+def oracle_by_elimination(x, y):
+    """dim Hom from the same intertwiner equations as ``hom_dim_oracle``,
+    each written as a ``{column: entry}`` dict of its nonzeros and
+    reduced by the general integer elimination ``integer_rank``: no
+    assumption on the shape of the arrow maps."""
+    n = _same_rank(x, y)
+    rx, ry = build_rep(x), build_rep(y)
+
+    offsets = []
+    total = 0
+    for v in range(n):
+        offsets.append(total)
+        total += rx.dims[v] * ry.dims[v]
+
+    def var(v, row, col):
+        # entry (row, col) of f_{v+1}: row indexes y's basis, col x's
+        return offsets[v] + row * rx.dims[v] + col
+
+    rows = []
+    for v in range(1, n + 1):
+        w = _mod_coord(v - 1, n)
+        xa = rx.arrow_maps[v - 1]
+        ya = ry.arrow_maps[v - 1]
+        for i in range(ry.dims[w - 1]):
+            for j in range(rx.dims[v - 1]):
+                eq = {var(v - 1, t, j): e for t, e in enumerate(ya[i]) if e}
+                for s in range(rx.dims[w - 1]):
+                    if xa[s][j]:
+                        eq[var(w - 1, i, s)] = -xa[s][j]
+                if eq:
+                    rows.append(eq)
+    return total - integer_rank(rows)

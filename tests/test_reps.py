@@ -16,6 +16,7 @@ from clustertube import reps, verify
 from clustertube.cli import main
 from clustertube.errors import RankMismatchError
 from clustertube.linalg import integer_rank
+from reference import oracle_by_elimination
 
 
 def obj(a, b, n):
@@ -109,21 +110,16 @@ class TestIntegerRank:
         full = [dict(enumerate(row)) for row in rows]
         assert integer_rank(full) == fraction_rank(rows)
 
-    def test_oracle_equations_are_sparse(self, monkeypatch):
-        seen = []
-
-        def record(rows):
-            seen.extend(rows)
-            return integer_rank(rows)
-
-        monkeypatch.setattr(reps, "integer_rank", record)
-        assert hom_dim_oracle(obj(1, 4, 3), obj(2, 5, 3)) == hom_dim_tube(
-            obj(1, 4, 3), obj(2, 5, 3)
-        )
-        assert seen and all(
-            type(row) is dict and 0 < len(row) <= 2 and all(row.values())
-            for row in seen
-        )
+    def test_oracle_equations_are_sparse(self):
+        """The union-find oracle's precondition: at ranks 2..8, every
+        arrow map is a 0/1 partial permutation, so each intertwiner
+        equation has at most two nonzeros, both +-1."""
+        for n in range(2, 9):
+            for a in range(1, n + 1):
+                for b in range(1, 2 * n + 1):
+                    for mat in build_rep(obj(a, b, n)).arrow_maps:
+                        assert all(set(line) <= {0, 1} for line in mat)
+                        assert all(sum(line) <= 1 for line in (*mat, *zip(*mat)))
 
     def test_cycle_of_differences(self):
         # x0-x1, x1-x2, ..., x29-x0: the last row is minus the sum of the
@@ -185,6 +181,33 @@ class TestBuildRep:
         with pytest.raises(ValueError, match="^arrow map at vertex 1 has wrong shape$"):
             NilpotentRep(2, (1, 1), (((1, 1),), ((1,),)))
 
+    @pytest.mark.parametrize(
+        "vertex,maps",
+        [
+            (1, (((2,),), ((1,),))),
+            (1, (((1,), (1,)), ((0, 0),))),
+            (2, (((1,), (0,)), ((1, 1),))),
+        ],
+        ids=["entry-2", "two-in-a-column", "two-in-a-row"],
+    )
+    def test_arrow_lines_need_partial_permutations(self, vertex, maps):
+        """An entry other than 0 or 1, or two 1s in one line, is rejected
+        where the index lists are built, never read as a wrong dimension."""
+        rep = NilpotentRep(2, (len(maps[1]), len(maps[0])), maps)
+        with pytest.raises(
+            ValueError,
+            match=f"^arrow map at vertex {vertex} is not a 0/1 partial permutation$",
+        ):
+            rep.arrow_lines
+
+    def test_arrow_lines_are_built_once(self):
+        rep = build_rep(obj(2, 5, 3))
+        assert rep.arrow_lines is rep.arrow_lines
+        # basis v_4 at 1, v_2 v_5 at 2, v_3 v_6 at 3; the arrow 1 -> 3
+        # sends v_4 to v_3, and 2 -> 1 kills the socle v_2, sends v_5 to v_4
+        assert rep.arrow_lines[0] == ((0, None), (0,))
+        assert rep.arrow_lines[1] == ((1,), (None, 0))
+
     def test_cycle_not_nilpotent(self):
         # a one-dimensional space at each vertex, every arrow the identity
         rep = NilpotentRep(2, (1, 1), (((1,),), ((1,),)))
@@ -231,20 +254,34 @@ class TestOracle:
         assert len(built) == len(set(built)) == 2 * n * n
 
     def test_doctored_rank_fails_formula_vs_oracle(self, monkeypatch, capsys):
-        """A rank off by one on the seventh pair, ``(1,1)@3`` against
+        """A dimension off by one on the seventh pair, ``(1,1)@3`` against
         ``(2,1)@3``, is reported as that pair, with exit 1."""
         calls = []
+        count = reps._free_classes
 
-        def off_by_one_once(rows):
-            calls.append(rows)
-            return integer_rank(rows) + (len(calls) == 7)
+        def off_by_one_once(size, equations):
+            calls.append(equations)
+            return count(size, equations) + (len(calls) == 7)
 
-        monkeypatch.setattr(reps, "integer_rank", off_by_one_once)
+        monkeypatch.setattr(reps, "_free_classes", off_by_one_once)
         assert main(["verify", "--suite", "hom", "--rank", "3"]) == 1
         out = capsys.readouterr().out
         pair = (obj(1, 1, 3), obj(2, 1, 3))
         assert f"FAIL hom/formula-vs-oracle: disagree on {pair}\n" in out
         assert out.endswith("FAIL suite=hom rank=3\n")
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_union_find_equals_elimination(self, n):
+        objs = [obj(a, b, n) for a in range(1, n + 1) for b in range(1, 2 * n + 1)]
+        for x in objs:
+            for y in objs:
+                assert hom_dim_oracle(x, y) == oracle_by_elimination(x, y), (x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 12).flatmap(object_pairs))
+    def test_union_find_equals_elimination_beyond_the_exhaustive_ranks(self, pair):
+        x, y = pair
+        assert hom_dim_oracle(x, y) == oracle_by_elimination(x, y)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_exhaustive_small(self, n):
@@ -256,7 +293,8 @@ class TestOracle:
                 assert hom_dim_oracle(x, y) == hom_dim_tube(x, y), (x, y)
 
 
-FORMULAS = {"hom_dim_tube", "hom_dim_cluster", "ext_dim_cluster"}
+# ``_hom`` is the coordinate formula the other three call
+FORMULAS = {"hom_dim_tube", "hom_dim_cluster", "ext_dim_cluster", "_hom"}
 
 
 @pytest.mark.parametrize("module", ["reps.py", "linalg.py"])
