@@ -7,14 +7,14 @@ claim was falsified), 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import StructuralError, TheoremViolationError
 from .tube import TubeObject, check_rank, ext_dim_cluster, hom_dim_cluster, hom_dim_tube
 
 # Each command imports the layers it runs, so a cold query compiles only
-# those: hom needs tube alone, and only verify loads every module.
+# those: hom needs tube alone, and only verify loads every module.  json
+# is imported only by the commands that write it.
 
 # Largest --rank of the commands that build a rank's tables or its whole
 # exchange graph; at rank 10, exchange-graph --format dot takes 2.5-3.4 s
@@ -52,6 +52,8 @@ def _print_matrix(order, rows, out) -> None:
 
 
 def cmd_hom(args, out) -> int:
+    import json
+
     x = parse_object(args.src, args.rank)
     y = parse_object(args.dst, args.rank)
     print(
@@ -68,6 +70,8 @@ def cmd_hom(args, out) -> int:
 
 
 def cmd_enumerate(args, out) -> int:
+    import json
+
     from .rigid import maximal_rigid_masks, rigid_table
 
     table = rigid_table(args.rank)
@@ -104,6 +108,8 @@ def _graph_dot(graph, out) -> None:
 def _graph_json(graph, out) -> None:
     # one json.dumps per node streams the text through the C encoder;
     # json.dump would stream it through the slower pure-Python one
+    import json
+
     from .rigid import rigid_table
 
     table = rigid_table(graph.n)
@@ -176,6 +182,8 @@ def cmd_mutate(args, out) -> int:
 
 
 def cmd_polygon(args, out) -> int:
+    import json
+
     from .polygon import triangulation_of
     from .rigid import MaximalRigid
 

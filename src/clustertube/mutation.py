@@ -22,7 +22,6 @@ sign-skew symmetry alone forces a zero diagonal (``b_ii = -b_ii``).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter, neg
 
@@ -36,17 +35,19 @@ from .rigid import (
     rigid_table,
     swap,
 )
-from .tube import TubeObject
+from .tube import FrozenRecord, TubeObject
 
 Rows = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class ExchangeMatrix:
+class ExchangeMatrix(FrozenRecord):
     """Square integer matrix indexed by an ordered summand list."""
 
-    order: tuple[TubeObject, ...]
-    entries: Rows
+    __slots__ = _fields = ("order", "entries")
+
+    def __init__(self, order: tuple[TubeObject, ...], entries: Rows) -> None:
+        self._set(order, entries)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         k = len(self.order)
@@ -60,24 +61,27 @@ class ExchangeMatrix:
         return self.entries[i][j]
 
 
-@dataclass(frozen=True)
-class Seed:
-    object: MaximalRigid
-    matrix: ExchangeMatrix
+class Seed(FrozenRecord):
+    __slots__ = _fields = ("object", "matrix")
+
+    def __init__(self, object: MaximalRigid, matrix: ExchangeMatrix) -> None:
+        self._set(object, matrix)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.matrix.order != self.object.summands:
             raise StructuralError("matrix order differs from the summand list")
 
 
-@dataclass(frozen=True)
-class MiddleTerms:
+class MiddleTerms(FrozenRecord):
     """Middle-term multiplicities of the two exchange triangles at one
     summand, read off the B-matrix row: U from the negative entries,
     U' from the positive ones, so they never share a summand."""
 
-    u: tuple[TubeObject, ...]
-    u_prime: tuple[TubeObject, ...]
+    __slots__ = _fields = ("u", "u_prime")
+
+    def __init__(self, u: tuple[TubeObject, ...], u_prime: tuple[TubeObject, ...]) -> None:
+        self._set(u, u_prime)
 
 
 def _mutate_rows(b: Rows, k: int, p: int) -> Rows:

@@ -26,7 +26,6 @@ into that range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import StructuralError, TheoremViolationError
@@ -39,20 +38,23 @@ from .rigid import (
     swap,
     tau_swept,
 )
-from .tube import TubeObject, check_coordinates, check_rank, is_rigid_indec
+from .tube import FrozenRecord, TubeObject, check_coordinates, check_rank, is_rigid_indec
 
 
 def _mod_corner(c: int, n: int) -> int:
     return (c - 1) % (2 * n) + 1
 
 
-@dataclass(frozen=True)
-class Diagonal:
+class Diagonal(FrozenRecord):
     """Unordered diagonal [p, q] of the 2n-gon; p < q after reduction."""
 
-    p: int
-    q: int
-    n: int
+    __slots__ = _fields = ("p", "q", "n")
+
+    def __init__(self, p: int, q: int, n: int) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         check_coordinates(self, ("p", "q", "n"))
@@ -69,18 +71,29 @@ class Diagonal:
     def shifted(self) -> "Diagonal":
         return Diagonal(self.p + self.n, self.q + self.n, self.n)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.p == other.p and self.q == other.q and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q, self.n))
+
     def __repr__(self) -> str:
         return f"[{self.p},{self.q}]"
 
 
-@dataclass(frozen=True)
-class CsPair:
+class CsPair(FrozenRecord):
     """Centrally symmetric pair of diagonals; a diameter is degenerate
     (its two representatives coincide and it counts twice in crossings)."""
 
-    d1: Diagonal
-    d2: Diagonal
-    n: int
+    __slots__ = _fields = ("d1", "d2", "n")
+
+    def __init__(self, d1: Diagonal, d2: Diagonal, n: int) -> None:
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "d2", d2)
+        object.__setattr__(self, "n", n)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.d1.n != self.n:
@@ -108,6 +121,14 @@ class CsPair:
         """Both members, a diameter listed twice."""
         return (self.d1, self.d2)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.d1 == other.d1 and self.d2 == other.d2 and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.d1, self.d2, self.n))
+
     def __repr__(self) -> str:
         return f"{self.d1}" if self.degenerate else f"({self.d1},{self.d2})"
 
@@ -130,13 +151,15 @@ def crossing_points(p1: CsPair, p2: CsPair) -> int:
     )
 
 
-@dataclass(frozen=True)
-class CsTriangulation:
+class CsTriangulation(FrozenRecord):
     """Centrally symmetric triangulation: n-1 pairwise non-crossing
     CsPairs, exactly one of them a diameter."""
 
-    n: int
-    pairs: frozenset[CsPair]
+    __slots__ = _fields = ("n", "pairs")
+
+    def __init__(self, n: int, pairs: frozenset[CsPair]) -> None:
+        self._set(n, pairs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pairs", frozenset(self.pairs))
@@ -203,20 +226,25 @@ def triangulation_of(t: MaximalRigid) -> CsTriangulation:
     return CsTriangulation(t.n, frozenset(delta(x) for x in t.summands))
 
 
-@dataclass(frozen=True)
-class PolygonTable:
+class PolygonTable(FrozenRecord):
     """The n(n-1) cs pairs of rank n, numbered by delta: ``pairs[i]`` is
     delta of the rigid indecomposable of canonical index ``i``.  Non-crossing
     is stored as bitmasks, so a set of pairs is a mask, and a rigid mask
     and its image under delta are the same int."""
 
-    n: int
-    pairs: tuple[CsPair, ...]
-    index: dict[CsPair, int]
-    # bit j of noncross[i]: j != i and crossing_points(pairs[i], pairs[j]) = 0
-    noncross: tuple[int, ...]
-    # the n diameters (degenerate pairs)
-    diameters: int
+    __slots__ = _fields = ("n", "pairs", "index", "noncross", "diameters")
+
+    def __init__(
+        self,
+        n: int,
+        pairs: tuple[CsPair, ...],
+        index: dict[CsPair, int],
+        # bit j of noncross[i]: j != i and crossing_points(pairs[i], pairs[j]) = 0
+        noncross: tuple[int, ...],
+        # the n diameters (degenerate pairs)
+        diameters: int,
+    ) -> None:
+        self._set(n, pairs, index, noncross, diameters)
 
     def mask_of(self, tri: CsTriangulation) -> int:
         return sum(1 << self.index[p] for p in tri.pairs)

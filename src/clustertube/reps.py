@@ -13,16 +13,14 @@ unknowns.  This never consults the closed formula in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .tube import TubeObject, _mod_coord, _same_rank
+from .tube import FrozenRecord, TubeObject, _mod_coord, _same_rank
 
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class NilpotentRep:
+class NilpotentRep(FrozenRecord):
     """Representation of the cyclic quiver with nilpotent arrow action.
 
     ``dims[v-1]`` is the dimension at vertex ``v``; ``arrow_maps[v-1]``
@@ -30,9 +28,13 @@ class NilpotentRep:
     column vectors, of shape ``dims[v-2] x dims[v-1]``.
     """
 
-    n: int
-    dims: tuple[int, ...]
-    arrow_maps: tuple[Matrix, ...]
+    _fields = ("n", "dims", "arrow_maps")
+    # an instance dict holds the cached arrow_lines
+    __slots__ = (*_fields, "__dict__")
+
+    def __init__(self, n: int, dims: tuple[int, ...], arrow_maps: tuple[Matrix, ...]) -> None:
+        self._set(n, dims, arrow_maps)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.dims) != self.n or len(self.arrow_maps) != self.n:
@@ -93,8 +95,8 @@ def _compose(a, b, cols: int) -> list[list[int]]:
     ]
 
 
-# one ``suite_hom`` sweep at rank 6 visits 2n² = 72 objects
-@lru_cache(maxsize=72)
+# one ``suite_hom`` sweep visits 2n² objects: 128 at verify's ``_MAX_RANK``, 8
+@lru_cache(maxsize=128)
 def build_rep(x: TubeObject) -> NilpotentRep:
     """Explicit uniserial representation of the indecomposable ``x``;
     cached, since the oracle asks for it once per pair it is in."""

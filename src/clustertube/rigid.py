@@ -21,12 +21,18 @@ the boundary types.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .errors import StructuralError, TheoremViolationError
-from .tube import TubeObject, canonical_key, check_rank, ext_dim_cluster, wing_contains
+from .tube import (
+    FrozenRecord,
+    TubeObject,
+    canonical_key,
+    check_rank,
+    ext_dim_cluster,
+    wing_contains,
+)
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -212,19 +218,24 @@ def exchanges(adj: Sequence[int], mask: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class RigidTable:
+class RigidTable(FrozenRecord):
     """The n(n-1) rigid indecomposables of rank n, indexed in canonical
     order, with Ext-compatibility and wing membership as bitmasks."""
 
-    n: int
-    objects: tuple[TubeObject, ...]
-    index: dict[TubeObject, int]
-    # bit j of compat[i]: j != i and Ext^1(objects[i], objects[j]) = 0
-    compat: tuple[int, ...]
-    # the n tops (quasi-length n-1), and the wing mask of each top index
-    tops: int
-    wings: dict[int, int]
+    __slots__ = _fields = ("n", "objects", "index", "compat", "tops", "wings")
+
+    def __init__(
+        self,
+        n: int,
+        objects: tuple[TubeObject, ...],
+        index: dict[TubeObject, int],
+        # bit j of compat[i]: j != i and Ext^1(objects[i], objects[j]) = 0
+        compat: tuple[int, ...],
+        # the n tops (quasi-length n-1), and the wing mask of each top index
+        tops: int,
+        wings: dict[int, int],
+    ) -> None:
+        self._set(n, objects, index, compat, tops, wings)
 
     def mask_of(self, objs: Iterable[TubeObject]) -> int:
         """The mask of distinct rigid indecomposables of this rank."""
@@ -310,8 +321,7 @@ def rigid_table(n: int) -> RigidTable:
     return RigidTable(n, objs, index, compat, sum(1 << i for i in tops), wings)
 
 
-@dataclass(frozen=True)
-class MaximalRigid:
+class MaximalRigid(FrozenRecord):
     """A maximal rigid object, as its canonically ordered summand list,
     with the mask it was checked on.
 
@@ -320,9 +330,13 @@ class MaximalRigid:
     quasi-length n-1, and containment of all summands in the top's wing.
     """
 
-    n: int
-    summands: tuple[TubeObject, ...]
-    mask: int = field(init=False, repr=False, compare=False)
+    _fields = ("n", "summands")
+    # the mask is neither compared nor hashed
+    __slots__ = (*_fields, "mask")
+
+    def __init__(self, n: int, summands: tuple[TubeObject, ...]) -> None:
+        self._set(n, summands)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         table = rigid_table(self.n)
@@ -370,17 +384,19 @@ def _of_mask(table: RigidTable, mask: int) -> MaximalRigid:
     return t
 
 
-@dataclass(frozen=True)
-class TiltingDatum:
+class TiltingDatum(FrozenRecord):
     """Top coordinate plus positions of the other summands in its wing.
 
     A wing position is ``(offset, quasi_length)`` where ``offset`` is the
     socle distance from the top, taken cyclically.
     """
 
-    n: int
-    top_coordinate: int
-    wing_positions: frozenset[tuple[int, int]]
+    __slots__ = _fields = ("n", "top_coordinate", "wing_positions")
+
+    def __init__(
+        self, n: int, top_coordinate: int, wing_positions: frozenset[tuple[int, int]]
+    ) -> None:
+        self._set(n, top_coordinate, wing_positions)
 
 
 def is_rigid_set(objs: Iterable[TubeObject]) -> bool:

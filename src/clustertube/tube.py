@@ -8,11 +8,17 @@ translate shifts the first coordinate down by one, cyclically.
 All dimension counts here are closed-form, through one formula on
 coordinates; the independent linear-algebra oracle lives in
 :mod:`clustertube.reps`.
+
+The package's records, :class:`TubeObject` among them, derive from
+:class:`Record` and :class:`FrozenRecord`, plain ``__slots__`` classes
+with hand-written methods: generating them at import, through the
+standard library's record decorator, cost a cold process more than most
+``verify`` suites take.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import RankMismatchError
 
@@ -34,13 +40,71 @@ def check_coordinates(obj, names: tuple[str, ...]) -> None:
     check_rank(obj.n)
 
 
-@dataclass(frozen=True)
-class TubeObject:
+class Record:
+    """Base of the package's records.  A subclass names its fields in
+    ``_fields`` and keeps them in ``__slots__``; its ``__init__`` sets
+    them and, if the record validates, calls ``self.__post_init__()``,
+    the hook that tests and the traced benchmark patch to count
+    constructions.  Records compare equal field by field, within one
+    class, and print as ``Name(field=value, ...)``; this base is mutable
+    and unhashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if cls._fields:
+            # the field values as one tuple: attrgetter of two or more names,
+            # which every record has, returns a tuple
+            cls._values = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+
+class FrozenRecord(Record):
+    """An immutable :class:`Record`, hashed as the tuple of its fields.
+    ``__init__`` sets the fields with :meth:`_set`, or with
+    ``object.__setattr__`` where construction is hot; any later
+    assignment or deletion is an ``AttributeError``."""
+
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        """Set the fields, in ``_fields`` order; for ``__init__``."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt, and so checked, by the constructor
+        return type(self), self._values
+
+
+class TubeObject(FrozenRecord):
     """Indecomposable object of the rank-``n`` tube, as coordinates."""
 
-    a: int
-    b: int
-    n: int
+    __slots__ = _fields = ("a", "b", "n")
+
+    def __init__(self, a: int, b: int, n: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "n", n)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         check_coordinates(self, ("a", "b", "n"))
@@ -48,6 +112,14 @@ class TubeObject:
             raise ValueError(f"first coordinate {self.a} not in 1..{self.n}")
         if self.b < 1:
             raise ValueError(f"quasi-length must be >= 1, got {self.b}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.a == other.a and self.b == other.b and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.n))
 
     def __repr__(self) -> str:
         return f"({self.a},{self.b})@{self.n}"

@@ -8,7 +8,6 @@ tests.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from math import comb
 
 from .errors import TheoremViolationError
@@ -37,7 +36,7 @@ from .rigid import (
     tilting_datum_of,
     tilting_witness,
 )
-from .tube import TubeObject, ext_dim_cluster, hom_dim_cluster, hom_dim_tube
+from .tube import Record, TubeObject, ext_dim_cluster, hom_dim_cluster, hom_dim_tube
 
 # Suites that sweep the oracle or the full polygon pairing are kept to
 # desk scale; the rest run up to rank 8.
@@ -49,18 +48,19 @@ _MAX_RANK = 8
 _ENTRY_BOUND = 2
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = _fields = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = "") -> None:
+        self.name, self.ok, self.detail = name, ok, detail
 
 
-@dataclass
-class VerifyReport:
-    suite: str
-    rank: int
-    checks: list[CheckResult] = field(default_factory=list)
+class VerifyReport(Record):
+    __slots__ = _fields = ("suite", "rank", "checks")
+
+    def __init__(self, suite: str, rank: int, checks: list[CheckResult] | None = None) -> None:
+        self.suite, self.rank = suite, rank
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:

@@ -14,7 +14,7 @@ CACHED = {
     "clustertube.mutation.build_exchange_graph": None,
     "clustertube.polygon.polygon_table": None,
     "clustertube.polygon.flip_graph": None,
-    "clustertube.reps.build_rep": 72,
+    "clustertube.reps.build_rep": 128,
 }
 
 

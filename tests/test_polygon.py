@@ -1,6 +1,5 @@
 import ast
 import copy
-import dataclasses
 from array import array
 import hashlib
 from itertools import combinations
@@ -289,7 +288,9 @@ class TestFlipGraph:
         def doctored(n):
             table = real(n)
             low = table.diameters & -table.diameters
-            return dataclasses.replace(table, diameters=table.diameters ^ low)
+            return polygon.PolygonTable(
+                table.n, table.pairs, table.index, table.noncross, table.diameters ^ low
+            )
 
         monkeypatch.setattr(polygon, "polygon_table", doctored)
         polygon.flip_graph.cache_clear()
@@ -729,7 +730,9 @@ class TestFlipQuotient:
         def doctored(n):
             table = real(n)
             high = 1 << table.diameters.bit_length() - 1
-            return dataclasses.replace(table, diameters=table.diameters ^ high)
+            return polygon.PolygonTable(
+                table.n, table.pairs, table.index, table.noncross, table.diameters ^ high
+            )
 
         monkeypatch.setattr(polygon, "polygon_table", doctored)
         polygon.flip_graph.cache_clear()

@@ -239,7 +239,7 @@ class TestOracle:
         x, y = pair
         assert hom_dim_oracle(x, y) == hom_dim_tube(x, y)
 
-    @pytest.mark.parametrize("n", range(3, 6))
+    @pytest.mark.parametrize("n", range(3, 9))
     def test_cold_suite_builds_each_rep_once(self, n, monkeypatch):
         built = []
         validate = NilpotentRep.__post_init__

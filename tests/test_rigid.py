@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import re
 from itertools import combinations
@@ -158,7 +157,8 @@ class TestOrbitEnumeration:
 def top_dropped(table):
     """The highest top, not the lowest, left out of ``tops``: its
     cliques have no top left, which only the completeness check sees."""
-    return dataclasses.replace(table, tops=table.tops ^ 1 << table.tops.bit_length() - 1)
+    tops = table.tops ^ 1 << table.tops.bit_length() - 1
+    return rigid.RigidTable(table.n, table.objects, table.index, table.compat, tops, table.wings)
 
 
 def non_top_added(table):
@@ -166,14 +166,16 @@ def non_top_added(table):
     representatives through both have two tops."""
     t0 = table.tops & -table.tops
     extra = table.compat[t0.bit_length() - 1] & ~table.tops
-    return dataclasses.replace(table, tops=table.tops | extra & -extra)
+    tops = table.tops | extra & -extra
+    return rigid.RigidTable(table.n, table.objects, table.index, table.compat, tops, table.wings)
 
 
 def wing_shrunk(table):
     """The lowest top's wing without its lowest other member."""
     t0 = (table.tops & -table.tops).bit_length() - 1
     rest = table.wings[t0] & ~(1 << t0)
-    return dataclasses.replace(table, wings={**table.wings, t0: table.wings[t0] ^ rest & -rest})
+    wings = {**table.wings, t0: table.wings[t0] ^ rest & -rest}
+    return rigid.RigidTable(table.n, table.objects, table.index, table.compat, table.tops, wings)
 
 
 class TestDoctoredTables:
