@@ -84,16 +84,17 @@ class MiddleTerms(FrozenRecord):
         self._set(u, u_prime)
 
 
-def _mutate_rows(b: Rows, k: int, p: int) -> Rows:
+def _mutate_rows(b: Rows, k: int, p: int, w: int = 0) -> Rows:
     """Fomin-Zelevinsky mutation at ``k`` of a square matrix of rows,
     with index ``k`` written at position ``p`` and the others kept in
-    order around it.
+    order around it, and turned by ``w`` as :func:`_turn` does, in one step.
 
     Row and column k change sign; another row changes only where its
     column-k entry and row k are both nonzero.
     """
     perm = [*range(k), *range(k + 1, len(b))]
     perm.insert(p, k)
+    perm = perm[w:] + perm[:w]
     move = itemgetter(*perm) if len(b) > 1 else lambda row: (row[0],)
     bk = b[k]
     nonzero = [(j, v, abs(v)) for j, v in enumerate(bk) if v]
@@ -104,18 +105,18 @@ def _mutate_rows(b: Rows, k: int, p: int) -> Rows:
             new.append(move(row))
         else:
             row, a = list(row), abs(c)
-            for j, v, w in nonzero:
-                row[j] += (a * v + c * w) // 2
+            for j, v, av in nonzero:
+                row[j] += (a * v + c * av) // 2
             row[k] = -c
             new.append(move(row))
-    new[p] = tuple(map(neg, move(bk)))
+    new[(p - w) % len(b)] = tuple(map(neg, move(bk)))
     return tuple(new)
 
 
 def _turn(b: Rows, w: int) -> Rows:
     """The square matrix ``b`` with every position moved cyclically
     down by ``w``: entry ``(p, q)`` is ``b[p+w][q+w]``, indices mod size."""
-    return tuple(row[w:] + row[:w] for row in b[w:] + b[:w])
+    return tuple([row[w:] + row[:w] for row in b[w:] + b[:w]])
 
 
 def fz_mutate(mat: ExchangeMatrix, k: int) -> ExchangeMatrix:
@@ -214,7 +215,7 @@ class ExchangeGraph:
         shared: dict[tuple[int, ...], tuple[int, ...]] = {}
 
         def share(b: Rows) -> Rows:
-            return tuple(shared.setdefault(row, row) for row in b)
+            return tuple([shared.setdefault(row, row) for row in b])
 
         # turned[r]: the rows of representative r's orbit by turn, r's own
         # at turn 0.  The node that first reaches an orbit was popped
@@ -237,7 +238,7 @@ class ExchangeGraph:
                     if mutated[r2] and r2 != r:
                         continue
                     p = (mask2 & (mask2 & ~mask) - 1).bit_count()  # the new summand's position
-                    b2 = _turn(_mutate_rows(b, k, p), w2)
+                    b2 = _mutate_rows(b, k, p, w2)
                     seen = turned.get(r2)
                     if seen is None:
                         turned[r2] = [share(b2)] + [None] * (d - 1)

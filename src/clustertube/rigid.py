@@ -21,8 +21,8 @@ the boundary types.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
 
 from .errors import StructuralError, TheoremViolationError
 from .tube import (
@@ -137,18 +137,21 @@ def orbit_graph(
 
     Only the representatives are exchanged, one :func:`exchanges` call
     each.  Rotating a representative ``j`` steps rotates its targets ``j``
-    steps and turns its block by that node's ``turn``.  The orbits must
-    hold exactly ``nodes``, and every target must be a node.
+    steps, so the ``j``-th node's block is column ``j`` of the targets'
+    orbits, turned by the node's ``turn``.  The orbits must hold exactly
+    ``nodes``, and every target must be a node.
     """
     size, d, low = n * (n - 1), n - 1, (marked & -marked).bit_length()
+    full = (1 << size) - 1
     number = {mask: i for i, mask in enumerate(nodes)}
     rep, turn = array("l", [0]) * len(nodes), bytearray(len(nodes))
+    power = bytearray(len(nodes))  # each node's place in its orbit
     orbits: dict[int, list[int]] = {}  # representative -> node numbers by power
     for i, mask in enumerate(nodes):
         t = (mask & marked).bit_length() - low
-        r = rotate(mask, -t, size)
-        rep[i], turn[i] = number.get(r, -1), (mask & ((1 << t) - 1)).bit_count()
-        orbits.setdefault(r, [-1] * n)[t // d] = i
+        r = (mask >> t | mask << (size - t)) & full  # rotated down by t
+        rep[i], turn[i], power[i] = number.get(r, -1), (mask & (1 << t) - 1).bit_count(), t // d
+        (orbits.get(r) or orbits.setdefault(r, [-1] * n))[t // d] = i
     if n * len(orbits) != len(nodes):
         raise TheoremViolationError(
             f"{name} at rank {n} reaches {n * len(orbits)} objects, "
@@ -165,12 +168,11 @@ def orbit_graph(
                     f"{name} at rank {n} reaches {bit_indices(mask)}, "
                     f"outside the enumeration of {len(nodes)}"
                 )
-            orbit = orbits[nodes[rep[t]]]
-            j = orbit.index(t)
+            orbit, j = orbits[nodes[rep[t]]], power[t]
             targets.append(orbit[j:] + orbit[:j])
-        for j, i in enumerate(nums):
+        for i, block in zip(nums, zip(*targets)):
             w = turn[i]
-            edges[i * d : i * d + d] = array("l", [o[j] for o in targets[-w:] + targets[:-w]])
+            edges[i * d : i * d + d] = array("l", block[-w:] + block[:-w])
     return edges, rep, turn, number
 
 
@@ -258,32 +260,39 @@ class RigidTable(FrozenRecord):
 
     def is_rigid(self, mask: int) -> bool:
         """Ext^1 vanishes between any two summands of ``mask``."""
-        rest = mask
-        while rest:
-            low = rest & -rest
-            if mask & ~self.compat[low.bit_length() - 1] != low:
-                return False
-            rest ^= low
-        return True
+        return all(mask & ~self.compat[i] == 1 << i for i in bit_indices(mask))
 
     def defect(self, mask: int) -> str:
-        """Why ``mask`` is not a maximal rigid object; empty if it is.
+        """Why ``mask`` is not a maximal rigid object; empty if it is."""
+        return self.check(mask)[1]
+
+    def check(self, mask: int) -> tuple[tuple[TubeObject, ...], str]:
+        """The summands of ``mask`` in canonical order, and :meth:`defect`:
+        one walk over the bits lists the summands and tests that they are
+        pairwise compatible.
 
         A maximal rigid object has n-1 pairwise compatible summands,
         exactly one top, and all summands inside that top's wing.
         """
-        size = mask.bit_count()
-        if size != self.n - 1:
-            return f"has {size} summands, expected {self.n - 1}"
-        if not self.is_rigid(mask):
-            return "is not rigid"
+        objs, rest, rigid = [], mask, True
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            objs.append(self.objects[i])
+            rigid = rigid and mask & ~self.compat[i] == low
+            rest ^= low
+        objs = tuple(objs)
+        if len(objs) != self.n - 1:
+            return objs, f"has {len(objs)} summands, expected {self.n - 1}"
+        if not rigid:
+            return objs, "is not rigid"
         top = mask & self.tops
         if top.bit_count() != 1:
-            return f"has {top.bit_count()} summands of quasi-length {self.n - 1}"
+            return objs, f"has {top.bit_count()} summands of quasi-length {self.n - 1}"
         outside = mask & ~self.wings[top.bit_length() - 1]
         if outside:
-            return f"has {self.objects_of(outside)} outside the wing of its top"
-        return ""
+            return objs, f"has {self.objects_of(outside)} outside the wing of its top"
+        return objs, ""
 
 
 def tau_swept(n: int, row: Callable[[int], int]) -> tuple[int, ...]:
@@ -346,10 +355,9 @@ class MaximalRigid(FrozenRecord):
 
     def _hold(self, table: RigidTable, mask: int) -> str:
         """Keep ``mask`` and its summands, in canonical order, which is
-        bit order, if :meth:`RigidTable.defect` passes it; else return the
+        bit order, if :meth:`RigidTable.check` passes it; else return the
         summands and the defect."""
-        objs = table.objects_of(mask)
-        defect = table.defect(mask)
+        objs, defect = table.check(mask)
         if defect:
             return f"{objs} {defect}"
         object.__setattr__(self, "summands", objs)

@@ -3,7 +3,7 @@ the naive checks the tests hold the package's own against."""
 
 from clustertube import ExchangeMatrix, TheoremViolationError, build_rep
 from clustertube.linalg import integer_rank
-from clustertube.rigid import bit_indices, maximal_cliques
+from clustertube.rigid import bit_indices, maximal_cliques, rotate, swap
 from clustertube.tube import _mod_coord, _same_rank
 
 
@@ -19,6 +19,23 @@ def clusters(adj, n):
                 f"{bit_indices(clique)}"
             )
     return sorted(cliques, key=bit_indices)
+
+
+def orbit_graph_by_swaps(adj, marked, n, nodes):
+    """Reference for ``rigid.orbit_graph``, node by node: each node is
+    rotated down by the distance from the lowest marked vertex to its own
+    lowest marked bit, its bits below that distance are the ones that
+    wrap, and its neighbours are found by ``swap`` at each of its bits.
+    Returns ``edges``, ``rep`` and ``turn`` as lists, and ``number``."""
+    size, low = len(adj), bit_indices(marked)[0]
+    number = {mask: i for i, mask in enumerate(nodes)}
+    edges, rep, turn = [], [], []
+    for mask in nodes:
+        t = bit_indices(mask & marked)[0] - low
+        rep.append(number[rotate(mask, -t, size)])
+        turn.append(len([v for v in bit_indices(mask) if v < t]))
+        edges += [number[swap(adj, mask, v)] for v in bit_indices(mask)]
+    return edges, rep, turn, number
 
 
 def is_sign_skew_symmetric(rows):

@@ -286,8 +286,8 @@ class TestExchangeGraph:
         for bad in range(quotient_steps(build_exchange_graph(n))):
             calls = []
 
-            def tampered(b, k, p):
-                b2 = real(b, k, p)
+            def tampered(b, k, p, w=0):
+                b2 = real(b, k, p, w)
                 calls.append(None)
                 if len(calls) - 1 != bad:
                     return b2
@@ -303,9 +303,9 @@ class TestExchangeGraph:
         calls = []
         real = mutation._mutate_rows
 
-        def counted(b, k, p):
+        def counted(b, k, p, w=0):
             calls.append(None)
-            return real(b, k, p)
+            return real(b, k, p, w)
 
         monkeypatch.setattr(mutation, "_mutate_rows", counted)
         g = mutation.ExchangeGraph(n)
@@ -513,8 +513,8 @@ class TestTauQuotient:
             edges, rep, turn, number = real_graph(*args)
             return Spy("l", edges), rep, turn, number
 
-        def tampered(b, k, p):
-            b2, r = real(b, k, p), nodes[popped[-1]]
+        def tampered(b, k, p, w=0):
+            b2, r = real(b, k, p, w), nodes[popped[-1]]
             if representative(table, rigid.swap(table.compat, r, rigid.bit_indices(r)[k])) != r:
                 return b2
             loops.append(None)
@@ -614,6 +614,17 @@ class TestFoldedMutation:
         for k in range(len(b)):
             for p in range(len(b)):
                 assert mutation._mutate_rows(b, k, p) == mutate_then_move(b, k, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sign_skew_symmetric())
+    def test_turn_is_folded_in(self, b):
+        # the BFS turns each mutated matrix by its target's turn in the
+        # same permutation
+        for k in range(len(b)):
+            for p in range(len(b)):
+                for w in range(len(b)):
+                    moved = mutation._turn(mutate_then_move(b, k, p), w)
+                    assert mutation._mutate_rows(b, k, p, w) == moved
 
     def test_size_one(self):
         # rank 2: one summand, a 1x1 matrix

@@ -68,3 +68,19 @@ def test_verify_process_loads_neither_dataclasses_nor_json():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "\n"
+
+
+def test_cold_process_loads_no_typing():
+    """Annotations name ``collections.abc`` types, which ``from __future__
+    import annotations`` leaves unevaluated, so no layer loads ``typing``."""
+    code = (
+        "import sys\n"
+        "import clustertube.cli, clustertube.verify, clustertube.polygon\n"
+        "print('typing' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
