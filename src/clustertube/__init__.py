@@ -10,17 +10,16 @@ _EXPORTS = {
     name: module
     for module, names in {
         "errors": "RankMismatchError StructuralError TheoremViolationError",
-        "mutation": "ExchangeGraph ExchangeMatrix MiddleTerms Seed build_exchange_graph"
-        " cartan_counterpart exchange fz_mutate initial_seed",
+        "mutation": "ExchangeGraph ExchangeMatrix Seed build_exchange_graph cartan_counterpart"
+        " exchange fz_mutate initial_seed",
         "polygon": "CsPair CsTriangulation Diagonal FlipGraph all_cs_pairs crossing_points"
         " delta delta_inv diagonals_cross flip flip_graph graphs_isomorphic_via_delta"
         " triangulation_of",
         "reps": "NilpotentRep build_rep hom_dim_oracle",
-        "rigid": "MaximalRigid TiltingDatum cluster_tilting_witness complements"
-        " enumerate_maximal_rigid enumerate_rigid_indecs from_tilting_datum is_rigid_set"
-        " to_tilting_datum",
+        "rigid": "MaximalRigid complements enumerate_maximal_rigid enumerate_rigid_indecs"
+        " is_rigid_set",
         "tube": "TubeObject canonical_key ext_dim_cluster hom_dim_cluster hom_dim_tube"
-        " is_rigid_indec tau tau_inv wing_contains",
+        " is_rigid_indec tau wing_contains",
     }.items()
     for name in names.split()
 }

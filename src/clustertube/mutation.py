@@ -56,10 +56,6 @@ class ExchangeMatrix(FrozenRecord):
         if any(self.entries[i][i] != 0 for i in range(k)):
             raise StructuralError("nonzero diagonal entry")
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.entries[i][j]
-
 
 class Seed(FrozenRecord):
     __slots__ = _fields = ("object", "matrix")
@@ -71,17 +67,6 @@ class Seed(FrozenRecord):
     def __post_init__(self) -> None:
         if self.matrix.order != self.object.summands:
             raise StructuralError("matrix order differs from the summand list")
-
-
-class MiddleTerms(FrozenRecord):
-    """Middle-term multiplicities of the two exchange triangles at one
-    summand, read off the B-matrix row: U from the negative entries,
-    U' from the positive ones, so they never share a summand."""
-
-    __slots__ = _fields = ("u", "u_prime")
-
-    def __init__(self, u: tuple[TubeObject, ...], u_prime: tuple[TubeObject, ...]) -> None:
-        self._set(u, u_prime)
 
 
 def _mutate_rows(b: Rows, k: int, p: int, w: int = 0) -> Rows:
@@ -131,12 +116,11 @@ def fz_mutate(mat: ExchangeMatrix, k: int) -> ExchangeMatrix:
     return ExchangeMatrix(mat.order, _mutate_rows(mat.entries, k, k))
 
 
-def cartan_counterpart(mat) -> Rows:
+def cartan_counterpart(mat: ExchangeMatrix) -> Rows:
     """2 on the diagonal, -|b_ij| off it."""
-    rows = mat.entries if isinstance(mat, ExchangeMatrix) else mat
-    k = len(rows)
     return tuple(
-        tuple(2 if i == j else -abs(rows[i][j]) for j in range(k)) for i in range(k)
+        tuple(2 if i == j else -abs(v) for j, v in enumerate(row))
+        for i, row in enumerate(mat.entries)
     )
 
 
@@ -269,18 +253,6 @@ class ExchangeGraph:
         if i is None:
             raise StructuralError(f"unknown node {t}")
         return ExchangeMatrix(t.summands, self.rows[i])
-
-    def middle_terms(self, t: MaximalRigid, i: int) -> MiddleTerms:
-        mat = self.b_matrix(t)
-        if not 0 <= i < len(mat.order):
-            raise IndexError(f"summand index {i} out of range")
-        row = mat.entries[i]
-        u: list[TubeObject] = []
-        u_prime: list[TubeObject] = []
-        for j, v in enumerate(row):
-            u.extend([mat.order[j]] * max(-v, 0))
-            u_prime.extend([mat.order[j]] * max(v, 0))
-        return MiddleTerms(tuple(u), tuple(u_prime))
 
 
 @lru_cache(maxsize=None)

@@ -258,10 +258,6 @@ class RigidTable(FrozenRecord):
         """The summands of ``mask`` in canonical order."""
         return tuple(self.objects[i] for i in bit_indices(mask))
 
-    def is_rigid(self, mask: int) -> bool:
-        """Ext^1 vanishes between any two summands of ``mask``."""
-        return all(mask & ~self.compat[i] == 1 << i for i in bit_indices(mask))
-
     def defect(self, mask: int) -> str:
         """Why ``mask`` is not a maximal rigid object; empty if it is."""
         return self.check(mask)[1]
@@ -392,21 +388,6 @@ def _of_mask(table: RigidTable, mask: int) -> MaximalRigid:
     return t
 
 
-class TiltingDatum(FrozenRecord):
-    """Top coordinate plus positions of the other summands in its wing.
-
-    A wing position is ``(offset, quasi_length)`` where ``offset`` is the
-    socle distance from the top, taken cyclically.
-    """
-
-    __slots__ = _fields = ("n", "top_coordinate", "wing_positions")
-
-    def __init__(
-        self, n: int, top_coordinate: int, wing_positions: frozenset[tuple[int, int]]
-    ) -> None:
-        self._set(n, top_coordinate, wing_positions)
-
-
 def is_rigid_set(objs: Iterable[TubeObject]) -> bool:
     """Ext^1 vanishes on all ordered pairs, self-pairs included."""
     objs = list(objs)
@@ -473,24 +454,6 @@ def cluster_of_tilting_datum(table: RigidTable, t: int, wing: int) -> int:
     return 1 << t | rotate(wing, t, len(table.objects))
 
 
-def to_tilting_datum(t: MaximalRigid) -> TiltingDatum:
-    table = rigid_table(t.n)
-    top, wing = tilting_datum_of(table, t.mask)
-    positions = frozenset((x.a - 1, x.b) for x in table.objects_of(wing))
-    return TiltingDatum(t.n, table.objects[top].a, positions)
-
-
-def from_tilting_datum(d: TiltingDatum) -> MaximalRigid:
-    # positions are arbitrary input, so each is parsed as the object it
-    # names and a bogus datum is rejected as MaximalRigid rejects it
-    n = d.n
-    top = TubeObject(d.top_coordinate, n - 1, n)
-    summands = [top]
-    for offset, b in d.wing_positions:
-        summands.append(TubeObject((d.top_coordinate - 1 + offset) % n + 1, b, n))
-    return MaximalRigid(n, tuple(summands))  # raises StructuralError if bogus
-
-
 def complements(tbar: Sequence[TubeObject], n: int | None = None) -> tuple[TubeObject, TubeObject]:
     """The two indecomposables completing an almost complete object.
 
@@ -510,7 +473,7 @@ def complements(tbar: Sequence[TubeObject], n: int | None = None) -> tuple[TubeO
         )
     table = rigid_table(n)
     mask = table.mask_of(tbar)
-    if not table.is_rigid(mask):
+    if not is_rigid_set(tbar):
         raise StructuralError(f"{tbar} is not rigid")
     first, second = bit_indices(completions(table.compat, mask))
     return table.objects[first], table.objects[second]
@@ -523,10 +486,3 @@ def tilting_witness(table: RigidTable, top: int, k: int) -> TubeObject:
     if k < 2:
         raise ValueError(f"witness index must be >= 2, got {k}")
     return TubeObject(table.objects[top].a, k * table.n - 1, table.n)
-
-
-def cluster_tilting_witness(t: MaximalRigid, k: int) -> TubeObject:
-    """The witness of :func:`tilting_witness` for ``t``, certifying that
-    maximal rigid does not imply cluster-tilting."""
-    table = rigid_table(t.n)
-    return tilting_witness(table, table.index[t.top], k)

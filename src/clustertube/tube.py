@@ -147,11 +147,6 @@ def tau(x: TubeObject) -> TubeObject:
     return TubeObject(_mod_coord(x.a - 1, x.n), x.b, x.n)
 
 
-def tau_inv(x: TubeObject) -> TubeObject:
-    """Inverse AR translate."""
-    return TubeObject(_mod_coord(x.a + 1, x.n), x.b, x.n)
-
-
 def _hom(a: int, b: int, c: int, d: int, n: int) -> int:
     """dim Hom in the tube from ``(a, b)`` to ``(c, d)``, on coordinates.
 

@@ -12,7 +12,6 @@ from clustertube import (
     TubeObject,
     build_exchange_graph,
     cartan_counterpart,
-    cluster_tilting_witness,
     complements,
     crossing_points,
     delta,
@@ -27,7 +26,7 @@ from clustertube import (
     initial_seed,
     wing_contains,
 )
-from clustertube.rigid import maximal_rigid_masks
+from clustertube.rigid import maximal_rigid_masks, rigid_table, tilting_witness
 from reference import is_sign_skew_symmetric
 
 
@@ -171,9 +170,10 @@ def test_criterion_10_flip_graph_isomorphism():
 
 def test_criterion_11_no_cluster_tilting():
     for n in range(3, 7):
+        table = rigid_table(n)
         for t in enumerate_maximal_rigid(n):
             for k in (2, 3):
-                w = cluster_tilting_witness(t, k)
+                w = tilting_witness(table, table.index[t.top], k)
                 assert w == TubeObject(t.top.a, k * n - 1, n)
                 assert all(ext_dim_cluster(s, w) == 0 for s in t.summands)
                 assert w not in t.summands

@@ -636,44 +636,6 @@ class TestFoldedMutation:
         assert fz_mutate(seed, 0) == seed
 
 
-class TestMiddleTerms:
-    def test_top_row(self):
-        g = build_exchange_graph(4)
-        t = initial_seed(4).object
-        m = g.middle_terms(t, 0)
-        assert m.u == (obj(1, 2, 4), obj(1, 2, 4))
-        assert m.u_prime == ()
-
-    def test_even_row(self):
-        g = build_exchange_graph(4)
-        t = initial_seed(4).object
-        m = g.middle_terms(t, 1)
-        assert m.u == ()
-        assert m.u_prime == (obj(1, 3, 4), obj(2, 1, 4))
-
-    def test_odd_row(self):
-        g = build_exchange_graph(5)
-        t = initial_seed(5).object
-        m = g.middle_terms(t, 2)
-        assert m.u == (obj(1, 3, 5), obj(2, 1, 5))
-        assert m.u_prime == ()
-
-    def test_disjoint_and_supported_on_summands(self):
-        g = build_exchange_graph(4)
-        for t in node_objects(g):
-            for i in range(3):
-                m = g.middle_terms(t, i)
-                assert not (set(m.u) & set(m.u_prime))
-                others = set(t.summands) - {t.summands[i]}
-                assert set(m.u) | set(m.u_prime) <= others
-
-    @pytest.mark.parametrize("i", [-1, 3, 4])
-    def test_index_out_of_range(self, i):
-        g = build_exchange_graph(4)
-        with pytest.raises(IndexError, match=f"^summand index {i} out of range$"):
-            g.middle_terms(initial_seed(4).object, i)
-
-
 class TestCartan:
     def test_rank_four(self):
         assert cartan_counterpart(initial_seed(4).matrix) == (
@@ -686,7 +648,7 @@ class TestCartan:
         assert cartan_counterpart(initial_seed(3).matrix) == ((2, -2), (-1, 2))
 
     def test_one_by_one(self):
-        assert cartan_counterpart(((0,),)) == ((2,),)
+        assert cartan_counterpart(ExchangeMatrix((obj(1, 1, 2),), ((0,),))) == ((2,),)
 
 
 class TestSignSkewSymmetry:

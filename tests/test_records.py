@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 from clustertube import rigid
-from clustertube.mutation import ExchangeMatrix, MiddleTerms, Seed
+from clustertube.mutation import ExchangeMatrix, Seed
 from clustertube.polygon import (
     CsPair,
     CsTriangulation,
@@ -18,7 +18,7 @@ from clustertube.polygon import (
     triangulation_of,
 )
 from clustertube.reps import NilpotentRep, build_rep
-from clustertube.rigid import MaximalRigid, RigidTable, TiltingDatum, rigid_table
+from clustertube.rigid import MaximalRigid, RigidTable, rigid_table
 from clustertube.tube import TubeObject
 from clustertube.verify import CheckResult, VerifyReport
 
@@ -39,16 +39,11 @@ B = ((0, -2), (1, 0))
 FROZEN = {
     TubeObject: (dict(a=1, b=2, n=3), dict(a=1, b=1, n=3)),
     MaximalRigid: (dict(n=3, summands=ZIGZAG), dict(n=3, summands=OTHER)),
-    TiltingDatum: (
-        dict(n=3, top_coordinate=1, wing_positions=frozenset({(0, 1)})),
-        dict(n=3, top_coordinate=2, wing_positions=frozenset({(0, 1)})),
-    ),
     ExchangeMatrix: (dict(order=ZIGZAG, entries=B), dict(order=ZIGZAG, entries=((0, -1), (1, 0)))),
     Seed: (
         dict(object=MaximalRigid(3, ZIGZAG), matrix=ExchangeMatrix(ZIGZAG, B)),
         dict(object=MaximalRigid(3, ZIGZAG), matrix=ExchangeMatrix(ZIGZAG, ((0, 1), (-1, 0)))),
     ),
-    MiddleTerms: (dict(u=(x(1, 1),), u_prime=()), dict(u=(x(1, 1),), u_prime=(x(2, 1),))),
     Diagonal: (dict(p=1, q=3, n=3), dict(p=1, q=4, n=3)),
     CsPair: (
         dict(d1=Diagonal(1, 3, 3), d2=Diagonal(4, 6, 3), n=3),
@@ -172,10 +167,6 @@ REPRS = [
     (x(1, 2), "(1,2)@3"),
     (MaximalRigid(3, ZIGZAG), "MaximalRigid[1,2;1,1]@3"),
     (
-        TiltingDatum(3, 1, frozenset({(0, 1)})),
-        "TiltingDatum(n=3, top_coordinate=1, wing_positions=frozenset({(0, 1)}))",
-    ),
-    (
         ExchangeMatrix(ZIGZAG, B),
         "ExchangeMatrix(order=((1,2)@3, (1,1)@3), entries=((0, -2), (1, 0)))",
     ),
@@ -184,7 +175,6 @@ REPRS = [
         "Seed(object=MaximalRigid[1,2;1,1]@3, matrix=ExchangeMatrix("
         "order=((1,2)@3, (1,1)@3), entries=((0, -2), (1, 0))))",
     ),
-    (MiddleTerms((x(1, 1),), ()), "MiddleTerms(u=((1,1)@3,), u_prime=())"),
     (Diagonal(3, 1, 3), "[1,3]"),
     (CsPair(Diagonal(1, 3, 3), Diagonal(4, 6, 3), 3), "([1,3],[4,6])"),
     (CsPair(Diagonal(1, 4, 3), Diagonal(4, 1, 3), 3), "[1,4]"),

@@ -11,14 +11,11 @@ from clustertube import (
     StructuralError,
     TheoremViolationError,
     TubeObject,
-    cluster_tilting_witness,
     complements,
     enumerate_maximal_rigid,
     enumerate_rigid_indecs,
     ext_dim_cluster,
-    from_tilting_datum,
     is_rigid_set,
-    to_tilting_datum,
     wing_contains,
 )
 from clustertube import polygon, rigid
@@ -291,32 +288,37 @@ class TestMaximalRigidType:
             mr(4, (1, 3), (1, 1))
 
 
+def datum(t):
+    """The tilting datum of ``t`` as coordinates, decoded from
+    ``tilting_datum_of``: the top's socle, and ``(offset, quasi_length)``
+    for each wing bit ``j``, where ``table.objects[j]`` is
+    ``(offset + 1, quasi_length)``."""
+    table = rigid.rigid_table(t.n)
+    top, wing = rigid.tilting_datum_of(table, t.mask)
+    return table.objects[top].a, frozenset((x.a - 1, x.b) for x in table.objects_of(wing))
+
+
 class TestTiltingDatum:
     def test_encoding(self):
-        d = to_tilting_datum(mr(3, (1, 2), (1, 1)))
-        assert d.top_coordinate == 1
-        assert d.wing_positions == frozenset({(0, 1)})
+        assert datum(mr(3, (1, 2), (1, 1))) == (1, frozenset({(0, 1)}))
 
     def test_roundtrip(self):
         for n in (2, 3, 4, 5):
+            table = rigid.rigid_table(n)
             for t in enumerate_maximal_rigid(n):
-                assert from_tilting_datum(to_tilting_datum(t)) == t
+                a, positions = datum(t)
+                summands = [obj(a, n - 1, n)]
+                summands += [obj((a - 1 + offset) % n + 1, b, n) for offset, b in positions]
+                assert table.mask_of(summands) == t.mask
 
     def test_per_top_is_catalan(self):
-        tops = [to_tilting_datum(t) for t in enumerate_maximal_rigid(4)]
-        with_top_2 = [d for d in tops if d.top_coordinate == 2]
-        assert len(with_top_2) == 5
-
-    def test_bogus_datum_rejected(self):
-        d = to_tilting_datum(mr(3, (1, 2), (1, 1)))
-        bad = type(d)(d.n, d.top_coordinate, frozenset({(0, 2)}))
-        with pytest.raises(StructuralError):
-            from_tilting_datum(bad)
+        tops = [datum(t)[0] for t in enumerate_maximal_rigid(4)]
+        assert tops.count(2) == 5
 
 
 class TestTiltingDatumOnIndices:
     """``tilting_datum_of`` and ``cluster_of_tilting_datum`` are the maps
-    the ``counts`` suite runs on masks; the object maps wrap them."""
+    the ``counts`` suite runs on masks."""
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_positions_are_socle_distances_from_the_top(self, n):
@@ -324,8 +326,7 @@ class TestTiltingDatumOnIndices:
         for t in enumerate_maximal_rigid(n):
             top = t.top
             want = frozenset(((x.a - top.a) % n, x.b) for x in t.summands if x != top)
-            d = to_tilting_datum(t)
-            assert (d.top_coordinate, d.wing_positions) == (top.a, want)
+            assert datum(t) == (top.a, want)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_index_maps_are_inverse_and_agree_with_the_object_maps(self, n):
@@ -333,16 +334,14 @@ class TestTiltingDatumOnIndices:
         for mask, t in zip(rigid.maximal_rigid_masks(n), enumerate_maximal_rigid(n)):
             top, wing = rigid.tilting_datum_of(table, mask)
             assert table.objects[top] == t.top and not wing & 1
-            assert rigid.cluster_of_tilting_datum(table, top, wing) == mask
-            back = from_tilting_datum(to_tilting_datum(t))
-            assert table.mask_of(back.summands) == mask
+            assert rigid.cluster_of_tilting_datum(table, top, wing) == mask == t.mask
 
     def test_witness_on_indices(self):
         table = rigid.rigid_table(4)
         for t in enumerate_maximal_rigid(4):
             for k in (2, 3, 5):
                 w = rigid.tilting_witness(table, table.index[t.top], k)
-                assert w == cluster_tilting_witness(t, k) == obj(t.top.a, 4 * k - 1, 4)
+                assert w == obj(t.top.a, 4 * k - 1, 4)
         with pytest.raises(ValueError, match="^witness index must be >= 2, got 1$"):
             rigid.tilting_witness(table, 0, 1)
 
@@ -395,19 +394,24 @@ class TestComplements:
                     assert t.summands[k] in pair
 
 
+def witness(t, k):
+    table = rigid.rigid_table(t.n)
+    return rigid.tilting_witness(table, table.index[t.top], k)
+
+
 class TestWitnesses:
     def test_example_rank_three(self):
         t = mr(3, (1, 2), (1, 1))
-        w = cluster_tilting_witness(t, 2)
+        w = witness(t, 2)
         assert w == obj(1, 5, 3)
         assert all(ext_dim_cluster(s, w) == 0 for s in t.summands)
         assert ext_dim_cluster(w, w) > 0
 
     def test_coordinates(self):
         t = mr(4, (2, 3), (2, 2), (3, 1))
-        assert cluster_tilting_witness(t, 2) == obj(2, 7, 4)
-        assert cluster_tilting_witness(mr(3, (1, 2), (1, 1)), 3) == obj(1, 8, 3)
+        assert witness(t, 2) == obj(2, 7, 4)
+        assert witness(mr(3, (1, 2), (1, 1)), 3) == obj(1, 8, 3)
 
     def test_k_must_be_at_least_two(self):
         with pytest.raises(ValueError, match="^witness index must be >= 2, got 1$"):
-            cluster_tilting_witness(mr(3, (1, 2), (1, 1)), 1)
+            witness(mr(3, (1, 2), (1, 1)), 1)

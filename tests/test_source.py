@@ -84,3 +84,67 @@ def test_cold_process_loads_no_typing():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+ROOT = PACKAGE.parent.parent
+# named by tests alone: the reference route by which the tests of cluster
+# Hom and Ext compose tau, as the definitions of both do
+UNCALLED = {"tube.py:tau"}
+
+
+def named(tree, skip=None):
+    """The names a syntax tree uses outside the subtree ``skip``: its
+    variables, attributes and imports, and its strings that are one
+    identifier, as ``bench/tracing.py`` names what it wraps."""
+    out, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                out.add(node.value)
+        todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def definitions(tree):
+    """Each top-level function and class, and each method of a top-level
+    class, with its node; not the dunders, which Python itself calls."""
+    for node in tree.body:
+        methods = node.body if isinstance(node, ast.ClassDef) else ()
+        for item, prefix in [(node, "")] + [(item, f"{node.name}.") for item in methods]:
+            if isinstance(item, (ast.FunctionDef, ast.ClassDef)) and not item.name.endswith("__"):
+                yield prefix + item.name, item
+
+
+def test_every_definition_is_named_by_the_program():
+    """What only tests call is a second path that no command, suite,
+    demo or benchmark runs.  ``_EXPORTS``, the lazy export table, names
+    everything it exports, so it does not count as a use."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    init = trees["__init__.py"]
+    init.body = [
+        node
+        for node in init.body
+        if not (isinstance(node, ast.Assign) and "_EXPORTS" in named(node.targets[0]))
+    ]
+    outside = set()
+    for path in sorted(ROOT.glob("bench/*.py")) + sorted(ROOT.glob("demos/*.py")):
+        outside |= named(ast.parse(path.read_text()))
+    unnamed = []
+    for module, tree in trees.items():
+        others = set(outside)
+        for other, other_tree in trees.items():
+            if other != module:
+                others |= named(other_tree)
+        for qualified, node in definitions(tree):
+            if node.name not in others and node.name not in named(tree, skip=node):
+                unnamed.append(f"{module}:{qualified}")
+    assert set(unnamed) == UNCALLED, unnamed

@@ -11,7 +11,6 @@ from clustertube import (
     hom_dim_tube,
     is_rigid_indec,
     tau,
-    tau_inv,
     wing_contains,
 )
 
@@ -58,11 +57,6 @@ class TestCoordinates:
 
     def test_tau_preserves_quasi_length(self):
         assert tau(obj(2, 5, 3)) == obj(1, 5, 3)
-
-    @given(tube_objects)
-    def test_tau_inverse_pair(self, x):
-        assert tau_inv(tau(x)) == x
-        assert tau(tau_inv(x)) == x
 
 
 class TestHomTube:

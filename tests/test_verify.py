@@ -1,14 +1,18 @@
 """Failure paths of the ``counts`` and ``no-ct`` suites, which run on the
-enumeration's masks, and what a cold run of the mask-native suites builds.
+enumeration's masks, and what a cold run of the mask-native suites builds;
+and a doctoring for each ``hom`` and ``polygon`` check and for the
+``mutation`` suite's ``initial-seed``, so that every check is seen to FAIL.
 
 Where the code before the suites read masks could reach a failure, the
 FAIL lines pinned here are the ones it printed for the same doctoring."""
 
 import pytest
 
-from clustertube import TubeObject, initial_seed, rigid, verify
+from clustertube import TubeObject, initial_seed, mutation, rigid, verify
 from clustertube.cli import main
+from clustertube.mutation import ExchangeMatrix, Seed
 from clustertube.rigid import MaximalRigid
+from clustertube.tube import tau
 
 N = 5
 
@@ -130,6 +134,86 @@ class TestNoCtFailures:
     def test_node_without_one_top_has_no_witness(self, monkeypatch, capsys, edit):
         with_first_mask(monkeypatch, edit)
         assert fail_lines(capsys, "no-ct") == [f"FAIL no-ct/witnesses: at {NOT_RIGID[edit]}"]
+
+
+S1, S2 = TubeObject(1, 1, N), TubeObject(2, 1, N)
+
+
+class TestHomFailures:
+    """Each doctoring breaks one check's claim and leaves the others'."""
+
+    def doctor_ext(self, monkeypatch, extra):
+        real = verify.ext_dim_cluster
+        monkeypatch.setattr(verify, "ext_dim_cluster", lambda x, y: real(x, y) + extra(x, y))
+
+    def test_self_extensions_dropped(self, monkeypatch, capsys):
+        real = verify.ext_dim_cluster
+        monkeypatch.setattr(verify, "ext_dim_cluster", lambda x, y: 0 if x == y else real(x, y))
+        assert fail_lines(capsys, "hom") == ["FAIL hom/rigidity-boundary: at (1,5)@5"]
+
+    def test_extension_added_in_one_order(self, monkeypatch, capsys):
+        self.doctor_ext(monkeypatch, lambda x, y: (x, y) == (S2, S1))
+        assert fail_lines(capsys, "hom") == [
+            "FAIL hom/ext-symmetry: at ((1,1)@5, (2,1)@5)"
+        ]
+
+    def test_extension_added_in_both_orders(self, monkeypatch, capsys):
+        self.doctor_ext(monkeypatch, lambda x, y: {x, y} == {S1, S2})
+        assert fail_lines(capsys, "hom") == [
+            "FAIL hom/hammock-consistency: at ((1,1)@5, (2,1)@5)"
+        ]
+
+    def test_cluster_hom_without_the_tube_maps(self, monkeypatch, capsys):
+        real = verify.hom_dim_cluster
+        monkeypatch.setattr(
+            verify, "hom_dim_cluster", lambda x, y: real(x, y) - verify.hom_dim_tube(x, y)
+        )
+        assert fail_lines(capsys, "hom") == [
+            "FAIL hom/cluster-hom-contains-tube-hom: at ((1,1)@5, (1,1)@5)"
+        ]
+
+
+class TestPolygonFailures:
+    def test_inverse_off_by_tau(self, monkeypatch, capsys):
+        real = verify.delta_inv
+        monkeypatch.setattr(verify, "delta_inv", lambda p: tau(real(p)))
+        assert fail_lines(capsys, "polygon") == [
+            "FAIL polygon/delta-bijection: 20 images of 20 objects, 20 pairs"
+        ]
+
+    def test_each_crossing_counted_once(self, monkeypatch, capsys):
+        real = verify.crossing_points
+        monkeypatch.setattr(verify, "crossing_points", lambda p, q: real(p, q) // 2)
+        assert fail_lines(capsys, "polygon") == [
+            "FAIL polygon/crossing-equals-twice-ext: at ((1,4)@5, (2,4)@5)"
+        ]
+
+
+def type_c_seed(n):
+    """The zig-zag seed with ``-B^T``, the type C matrix, in place of ``B``."""
+    seed = initial_seed(n)
+    rows = tuple(tuple(-v for v in column) for column in zip(*seed.matrix.entries))
+    return Seed(seed.object, ExchangeMatrix(seed.matrix.order, rows))
+
+
+class TestInitialSeedFailures:
+    def test_graph_built_from_a_type_c_seed(self, monkeypatch, capsys):
+        """The graph stores the seed it was built from, so only the
+        Cartan half of the check can tell."""
+        monkeypatch.setattr(mutation, "initial_seed", type_c_seed)
+        monkeypatch.setattr(verify, "initial_seed", mutation.initial_seed)
+        monkeypatch.setattr(verify, "build_exchange_graph", mutation.ExchangeGraph)
+        assert fail_lines(capsys, "mutation") == [
+            "FAIL mutation/initial-seed: stored "
+            "((0, -1, 0, 0), (2, 0, 1, 0), (0, -1, 0, -1), (0, 0, 1, 0))"
+        ]
+
+    def test_stored_matrix_is_not_the_seed(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "initial_seed", type_c_seed)
+        assert fail_lines(capsys, "mutation") == [
+            "FAIL mutation/initial-seed: stored "
+            "((0, -2, 0, 0), (1, 0, 1, 0), (0, -1, 0, -1), (0, 0, 1, 0))"
+        ]
 
 
 @pytest.mark.parametrize("edit", [lambda mask: mask, top_swapped_out], ids=["node", "not-one"])
