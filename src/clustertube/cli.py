@@ -17,9 +17,10 @@ from .tube import TubeObject, check_rank, ext_dim_cluster, hom_dim_cluster, hom_
 # is imported only by the commands that write it.
 
 # Largest --rank of the commands that build a rank's tables or its whole
-# exchange graph; at rank 10, exchange-graph --format dot takes 2.5-3.4 s
-# and 44 MB peak RSS on a loaded 2-vCPU host (json 3.4-3.6 s, 32 MB). hom
-# is O(1) and verify keeps its own range.
+# exchange graph; at rank 10, exchange-graph --format dot takes 1.5-1.9 s
+# and 37 MB peak RSS on a 2-vCPU host (json, the one export that reads
+# every node's rows, 2.6-3.2 s and 28 MB). hom is O(1) and verify keeps
+# its own range.
 RANK_CEILING = 10
 
 

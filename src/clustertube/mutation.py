@@ -10,8 +10,10 @@ of that orbit; the reverse of each step holds because mutation is an
 involution, so finishing the walk without a mismatch, with every node
 reached, certifies that the assignment is path independent.
 The graph's ``nodes`` are masks, in enumeration order, as the flip
-graph's are, and its ``rows`` the matrices in the same order;
-:meth:`ExchangeGraph.b_matrix` is the one lookup from an object to its
+graph's are.  It stores one matrix per tau-orbit, and a node's rows,
+its representative's turned back by the node's turn, are built only when
+read: every node's by ``rows``, on first access, and one node's by
+:meth:`ExchangeGraph.b_matrix`, the one lookup from an object to its
 matrix.
 The entry bound and sign-skew symmetry of every node's matrix are
 checked once, by the ``mutation`` suite of :mod:`clustertube.verify`, on
@@ -22,7 +24,8 @@ sign-skew symmetry alone forces a zero diagonal (``b_ii = -b_ii``).
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache
+from bisect import bisect_left
+from functools import cached_property, lru_cache
 from operator import itemgetter, neg
 
 from .errors import StructuralError, TheoremViolationError
@@ -162,14 +165,14 @@ class ExchangeGraph:
     ``nodes`` holds each node's mask, in
     :func:`~clustertube.rigid.maximal_rigid_masks` order, as
     :attr:`FlipGraph.nodes <clustertube.polygon.FlipGraph.nodes>` does, and
-    ``rows`` each one's canonical-order matrix as a tuple of rows;
-    ``edges[i*(n-1)+k]``, one flat array, is the node reached by exchanging
-    summand ``k`` (bit order) of node ``i``, and ``order`` the BFS pop
-    order from the seed.  :meth:`b_matrix` is the one lookup from a
-    :class:`MaximalRigid` to its :class:`ExchangeMatrix`.
+    ``rows``, built on first access, each one's canonical-order matrix as
+    a tuple of rows; ``edges[i*(n-1)+k]``, one flat array, is the node
+    reached by exchanging summand ``k`` (bit order) of node ``i``, and
+    ``order`` the BFS pop order from the seed.  :meth:`b_matrix` is the
+    one lookup from a :class:`MaximalRigid` to its :class:`ExchangeMatrix`.
 
     The edges, each node's representative (the tau-image with its top at
-    bit 0), its turn and the node numbering come from
+    bit 0) and its turn come from
     :func:`~clustertube.rigid.orbit_graph`, as the flip graph's edges do.
     A node's turn moves canonical positions cyclically.  The BFS runs in
     k order; the first node it pops from an orbit mutates the exchanges
@@ -179,11 +182,12 @@ class ExchangeGraph:
     mutated and compared from there; a step into the representative's own
     orbit is always mutated and compared.  Mutation commutes with
     rotation, so these comparisons cover every tau-image of every edge.
-    Every popped node takes its representative's rows turned back by its
-    own turn, and the BFS must reach every node, which certifies
-    connectivity.  Equal rows are one tuple (234 among 24 024 at rank 8),
-    and so are the matrices of one representative's rotations with equal
-    turn (1716 among 3432).
+    The BFS must reach every node, which certifies connectivity.  Only the
+    representatives' rows are stored; a node's rows are its
+    representative's turned back by its own turn, built when ``rows`` or
+    :meth:`b_matrix` first reads them.  Equal rows are one tuple (234 among
+    24 024 at rank 8), and so are the matrices of one representative's
+    rotations with equal turn (1716 among 3432).
     """
 
     def __init__(self, n: int):
@@ -192,48 +196,42 @@ class ExchangeGraph:
         seed = initial_seed(n)
         self.nodes: tuple[int, ...] = maximal_rigid_masks(n)
         nodes, d = self.nodes, n - 1
-        self.edges, rep, turn, self._number = orbit_graph(
+        self.edges, rep, turn, number = orbit_graph(
             table.compat, table.tops, n, nodes, "exchange graph"
         )
-        edges, first = self.edges, self._number[seed.object.mask]
-        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._reps, self._turns = rep, turn
+        edges, first = self.edges, number[seed.object.mask]
+        self._shared: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-        def share(b: Rows) -> Rows:
-            return tuple([shared.setdefault(row, row) for row in b])
-
-        # turned[r]: the rows of representative r's orbit by turn, r's own
-        # at turn 0.  The node that first reaches an orbit was popped
-        # before it, when its own representative's exchanges, which reach
-        # a rotation of every orbit the node's do, were mutated and stored;
-        # so every node's orbit has rows by the time the node is popped.
-        turned = {rep[first]: [share(_turn(seed.matrix.entries, turn[first]))] + [None] * (d - 1)}
+        # base[r]: representative r's own rows.  The node that first
+        # reaches an orbit was popped before it, when its own
+        # representative's exchanges, which reach a rotation of every orbit
+        # the node's do, were mutated and stored; so every node's orbit has
+        # rows by the time the node is popped.
+        self._base = base = {rep[first]: self._share(_turn(seed.matrix.entries, turn[first]))}
+        self._turned: dict[tuple[int, int], Rows] = {}  # (r, w): base[r] turned back by w
         mutated, reached = bytearray(len(nodes)), bytearray(len(nodes))
         reached[first] = 1
         self.order = order = array("l", [first])
-        rows: list[Rows | None] = [None] * len(nodes)
         for i in order:  # the queue: read as it grows
-            r, w = rep[i], turn[i]
-            cell = turned[r]
+            r = rep[i]
             if not mutated[r]:
                 mutated[r] = 1
-                b, mask = cell[0], nodes[r]
+                b, mask = base[r], nodes[r]
                 for k, t in enumerate(edges[r * d : r * d + d]):
                     r2, mask2, w2 = rep[t], nodes[t], turn[t]
                     if mutated[r2] and r2 != r:
                         continue
                     p = (mask2 & (mask2 & ~mask) - 1).bit_count()  # the new summand's position
                     b2 = _mutate_rows(b, k, p, w2)
-                    seen = turned.get(r2)
+                    seen = base.get(r2)
                     if seen is None:
-                        turned[r2] = [share(b2)] + [None] * (d - 1)
-                    elif seen[0] != b2:
+                        base[r2] = self._share(b2)
+                    elif seen != b2:
                         raise TheoremViolationError(
                             f"path-independence failure at {table.objects_of(mask2)}: "
-                            f"{_turn(seen[0], -w2)} vs {_turn(b2, -w2)}"
+                            f"{_turn(seen, -w2)} vs {_turn(b2, -w2)}"
                         )
-            if cell[w] is None:
-                cell[w] = share(_turn(cell[0], -w))
-            rows[i] = cell[w]
             for j in edges[i * d : i * d + d]:
                 if not reached[j]:
                     reached[j] = 1
@@ -243,16 +241,35 @@ class ExchangeGraph:
                 f"exchange graph at rank {n} reaches {len(order)} objects, "
                 f"the enumeration has {len(nodes)}"
             )
-        self.rows: tuple[Rows, ...] = tuple(rows)
+
+    def _share(self, b: Rows) -> Rows:
+        """``b`` with each row that an earlier matrix has as one tuple."""
+        return tuple([self._shared.setdefault(row, row) for row in b])
+
+    def _rows_of(self, i: int) -> Rows:
+        """Node ``i``'s rows: its representative's turned back by its turn,
+        one tuple per orbit and turn."""
+        r, w = self._reps[i], self._turns[i]
+        if not w:
+            return self._base[r]
+        b = self._turned.get((r, w))
+        if b is None:
+            b = self._turned[r, w] = self._share(_turn(self._base[r], -w))
+        return b
+
+    @cached_property
+    def rows(self) -> tuple[Rows, ...]:
+        """Every node's rows, in ``nodes`` order."""
+        return tuple(map(self._rows_of, range(len(self.nodes))))
 
     def b_matrix(self, t: MaximalRigid) -> ExchangeMatrix:
-        """The matrix of node ``t``, built from its ``rows``."""
-        i = None
-        if isinstance(t, MaximalRigid) and t.n == self.n:
-            i = self._number.get(t.mask)
-        if i is None:
+        """The matrix of node ``t``, built from its rows alone.  Every
+        :class:`MaximalRigid` of rank n is a node, and the nodes are sorted
+        by their bit indices, so ``t``'s number is found by bisection."""
+        if not (isinstance(t, MaximalRigid) and t.n == self.n):
             raise StructuralError(f"unknown node {t}")
-        return ExchangeMatrix(t.summands, self.rows[i])
+        i = bisect_left(self.nodes, bit_indices(t.mask), key=bit_indices)
+        return ExchangeMatrix(t.summands, self._rows_of(i))
 
 
 @lru_cache(maxsize=None)
