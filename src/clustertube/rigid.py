@@ -14,7 +14,8 @@ sweep their tables for socle 1 only (:func:`tau_swept`), search one clique
 per orbit (:func:`orbit_cliques`; :func:`maximal_rigid_masks` marks the
 tops), and build their graphs with one builder, :func:`orbit_graph`, which
 exchanges only the orbit representatives and owns every rotation and wrap
-count.  :class:`MaximalRigid` and :class:`~clustertube.tube.TubeObject` are
+count; :func:`enumerate_maximal_rigid` checks only the representatives
+too.  :class:`MaximalRigid` and :class:`~clustertube.tube.TubeObject` are
 the boundary types.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import StructuralError, TheoremViolationError
 from .tube import (
@@ -43,6 +45,12 @@ def bit_indices(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _getter(bits: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The items at ``bits`` of a sequence, as a tuple: ``itemgetter(*bits)``,
+    which would return one item bare and cannot take none."""
+    return itemgetter(*bits) if len(bits) > 1 else lambda seq: tuple(seq[i] for i in bits)
 
 
 def rotate(mask: int, shift: int, size: int) -> int:
@@ -256,39 +264,35 @@ class RigidTable(FrozenRecord):
 
     def objects_of(self, mask: int) -> tuple[TubeObject, ...]:
         """The summands of ``mask`` in canonical order."""
-        return tuple(self.objects[i] for i in bit_indices(mask))
+        return _getter(bit_indices(mask))(self.objects)
 
     def defect(self, mask: int) -> str:
-        """Why ``mask`` is not a maximal rigid object; empty if it is."""
-        return self.check(mask)[1]
-
-    def check(self, mask: int) -> tuple[tuple[TubeObject, ...], str]:
-        """The summands of ``mask`` in canonical order, and :meth:`defect`:
-        one walk over the bits lists the summands and tests that they are
-        pairwise compatible.
+        """Why ``mask`` is not a maximal rigid object; empty if it is.
 
         A maximal rigid object has n-1 pairwise compatible summands,
-        exactly one top, and all summands inside that top's wing.
+        exactly one top, and all summands inside that top's wing.  The
+        walk reads bits only.
         """
-        objs, rest, rigid = [], mask, True
+        count = mask.bit_count()
+        if count != self.n - 1:
+            return f"has {count} summands, expected {self.n - 1}"
+        rest = mask
         while rest:
             low = rest & -rest
-            i = low.bit_length() - 1
-            objs.append(self.objects[i])
-            rigid = rigid and mask & ~self.compat[i] == low
+            if mask & ~self.compat[low.bit_length() - 1] != low:
+                return "is not rigid"
             rest ^= low
-        objs = tuple(objs)
-        if len(objs) != self.n - 1:
-            return objs, f"has {len(objs)} summands, expected {self.n - 1}"
-        if not rigid:
-            return objs, "is not rigid"
         top = mask & self.tops
         if top.bit_count() != 1:
-            return objs, f"has {top.bit_count()} summands of quasi-length {self.n - 1}"
+            return f"has {top.bit_count()} summands of quasi-length {self.n - 1}"
         outside = mask & ~self.wings[top.bit_length() - 1]
         if outside:
-            return objs, f"has {self.objects_of(outside)} outside the wing of its top"
-        return objs, ""
+            return f"has {self.objects_of(outside)} outside the wing of its top"
+        return ""
+
+    def check(self, mask: int) -> tuple[tuple[TubeObject, ...], str]:
+        """The summands of ``mask`` in canonical order, and its :meth:`defect`."""
+        return self.objects_of(mask), self.defect(mask)
 
 
 def tau_swept(n: int, row: Callable[[int], int]) -> tuple[int, ...]:
@@ -333,6 +337,9 @@ class MaximalRigid(FrozenRecord):
     Construction validates everything (:meth:`RigidTable.defect`): n-1
     distinct pairwise compatible rigid summands, a unique top of
     quasi-length n-1, and containment of all summands in the top's wing.
+    :func:`enumerate_maximal_rigid` validates each tau-orbit's
+    representative so, and builds its rotations unchecked once
+    :func:`_tau_equivariant` shows that they pass too.
     """
 
     _fields = ("n", "summands")
@@ -430,10 +437,53 @@ def maximal_rigid_masks(n: int) -> tuple[int, ...]:
     return orbit_cliques(table.compat, table.tops, n, defect)
 
 
+def _tau_equivariant(table: RigidTable) -> bool:
+    """Rotation by n-1 bits is an automorphism of ``table``: it takes
+    ``compat`` row i to row i+n-1, the tops to themselves, and each
+    top's wing to the next top's.  O(n²) ints."""
+    size, d = len(table.objects), table.n - 1
+    return (
+        all(rotate(table.compat[i - d], d, size) == row for i, row in enumerate(table.compat))
+        and rotate(table.tops, d, size) == table.tops
+        and {(i + d) % size: rotate(w, d, size) for i, w in table.wings.items()} == table.wings
+    )
+
+
 def enumerate_maximal_rigid(n: int) -> tuple[MaximalRigid, ...]:
-    """All maximal rigid objects, in :func:`maximal_rigid_masks` order."""
-    table = rigid_table(n)
-    return tuple(_of_mask(table, mask) for mask in maximal_rigid_masks(n))
+    """All maximal rigid objects, in :func:`maximal_rigid_masks` order.
+
+    Each tau-orbit's representative, through the lowest top, sorts first
+    and is checked (:func:`_of_mask`).  Its rotation tau^j reads its
+    summands from the objects rotated by j(n-1) bits, turned by the bits
+    that wrap, and passes as it does: :func:`_tau_equivariant` holds.
+    Any other node is checked by itself."""
+    table, masks = rigid_table(n), maximal_rigid_masks(n)
+    if not _tau_equivariant(table):
+        raise TheoremViolationError(f"tau is not an automorphism of the rank-{n} table")
+    objs, tops, size = table.objects, table.tops, len(table.objects)
+    full, lowest = (1 << size) - 1, tops & -tops
+    shift = {lowest << s: s for s in range(0, size, n - 1)}  # tau^j's top -> j(n-1)
+    turned = {s: objs[s:] + objs[:s] for s in shift.values()}  # tau^j of the objects
+    reps: dict[int, Callable[[Sequence], tuple]] = {}  # checked -> its summands' getter
+    # the slots' own setters, past FrozenRecord's refusal and the name lookup
+    fields = ("n", "summands", "mask")
+    set_n, set_summands, set_mask = (getattr(MaximalRigid, f).__set__ for f in fields)
+    new, out = object.__new__, []
+    for mask in masks:
+        t = shift.get(mask & tops)  # j(n-1), if the one top is tau^j of the lowest
+        get = t is not None and reps.get((mask >> t | mask << size - t) & full)  # tau^-j
+        if not get:
+            out.append(_of_mask(table, mask))
+            if t == 0:
+                reps[mask] = _getter(bit_indices(mask))
+            continue
+        summands, w = get(turned[t]), (mask & (1 << t) - 1).bit_count()
+        node = new(MaximalRigid)
+        set_n(node, n)
+        set_summands(node, summands[-w:] + summands[:-w])
+        set_mask(node, mask)
+        out.append(node)
+    return tuple(out)
 
 
 def tilting_datum_of(table: RigidTable, mask: int) -> tuple[int, int]:

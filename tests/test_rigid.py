@@ -2,6 +2,7 @@ import gc
 import re
 import tracemalloc
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -209,6 +210,29 @@ def wing_shrunk(table):
     return rigid.RigidTable(table.n, table.objects, table.index, table.compat, table.tops, wings)
 
 
+def other_wing_shrunk(table):
+    """The second top's wing without its lowest other member: no
+    representative has that top, so only a rotated node meets the edit."""
+    rest = table.tops & table.tops - 1
+    t1 = (rest & -rest).bit_length() - 1
+    others = table.wings[t1] & ~(1 << t1)
+    wings = {**table.wings, t1: table.wings[t1] ^ others & -others}
+    return rigid.RigidTable(table.n, table.objects, table.index, table.compat, table.tops, wings)
+
+
+def socle_n_pair_cut(table):
+    """The first compatible pair of socle-n objects made incompatible,
+    both bits: every representative lies in the wing of the lowest top,
+    which holds no object of socle n."""
+    n = table.n
+    block = [i for i, x in enumerate(table.objects) if x.a == n]
+    i, j = next((i, j) for i, j in combinations(block, 2) if table.compat[i] >> j & 1)
+    compat = list(table.compat)
+    compat[i] ^= 1 << j
+    compat[j] ^= 1 << i
+    return rigid.RigidTable(n, table.objects, table.index, tuple(compat), table.tops, table.wings)
+
+
 class TestDoctoredTables:
     """A doctored table makes the enumeration raise, never shrink."""
 
@@ -260,6 +284,44 @@ class TestDoctoredEnumeration:
             rf"outside the enumeration of {len(nodes)}$",
         ):
             rigid.orbit_graph(table.compat, table.tops, n, nodes, "exchange graph")
+
+
+class TestOrbitBuilds:
+    """``enumerate_maximal_rigid`` checks one node per tau-orbit and builds
+    the rotations from it; checking every node is the reference."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_equals_the_check_of_every_node(self, n):
+        table = rigid_table(n)
+        checked = tuple(rigid._of_mask(table, mask) for mask in maximal_rigid_masks(n))
+        built = enumerate_maximal_rigid(n)
+        assert built == checked
+        assert [t.mask for t in built] == [t.mask for t in checked]
+        assert [t.summands for t in built] == [t.summands for t in checked]
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_checks_each_orbit_once(self, n, monkeypatch):
+        masks = maximal_rigid_masks(n)
+        real, checked = rigid.RigidTable.check, []
+        monkeypatch.setattr(
+            rigid.RigidTable, "check", lambda self, m: checked.append(m) or real(self, m)
+        )
+        enumerate_maximal_rigid(n)
+        assert len(checked) == comb(2 * n - 2, n - 1) // n  # Catalan(n-1): 429 at n=8
+        assert checked == [mask for mask in masks if mask & 1]
+
+    @pytest.mark.parametrize("edit", [other_wing_shrunk, socle_n_pair_cut])
+    def test_table_that_tau_does_not_preserve(self, monkeypatch, edit):
+        # the representatives pass, so the rotations must not be taken
+        # on trust from them
+        real = rigid.rigid_table
+        monkeypatch.setattr(rigid, "rigid_table", lambda n: edit(real(n)))
+        maximal_rigid_masks.cache_clear()
+        try:
+            with pytest.raises(TheoremViolationError):
+                enumerate_maximal_rigid(5)
+        finally:
+            maximal_rigid_masks.cache_clear()
 
 
 class TestMaximalRigidType:
