@@ -17,9 +17,9 @@ from .tube import TubeObject, check_rank, ext_dim_cluster, hom_dim_cluster, hom_
 # is imported only by the commands that write it.
 
 # Largest --rank of the commands that build a rank's tables or its whole
-# exchange graph; at rank 10, exchange-graph --format dot takes 1.5-1.9 s
-# and 37 MB peak RSS on a 2-vCPU host (json, the one export that reads
-# every node's rows, 2.6-3.2 s and 28 MB). hom is O(1) and verify keeps
+# exchange graph; at rank 10, exchange-graph --format dot takes 1.3-1.8 s
+# and 36 MB peak RSS on a 2-vCPU host (json, the one export that reads
+# every node's rows, 2.5-3.2 s and 28.5 MB). hom is O(1) and verify keeps
 # its own range.
 RANK_CEILING = 10
 
@@ -93,12 +93,15 @@ def _graph_dot(graph, out) -> None:
     from .rigid import rigid_table
 
     table = rigid_table(graph.n)
+    # the edges and order are expanded on first read: before the objects
+    # are built, so that the expansion's scratch space is free by then
+    popped = {i: pos for pos, i in enumerate(graph.order)}
     objects = [table.objects_of(mask) for mask in graph.nodes]
     out.write("graph exchange {\n")
     for i, summands in enumerate(objects):
         out.write(f'  n{i} [label="{_fmt_objects(summands)}"];\n')
     # each edge once, in search order, from the end popped first
-    d, popped = graph.n - 1, {i: pos for pos, i in enumerate(graph.order)}
+    d = graph.n - 1
     for i in graph.order:
         for k, j in enumerate(graph.edges[i * d : i * d + d]):
             if popped[i] < popped[j]:
@@ -114,6 +117,7 @@ def _graph_json(graph, out) -> None:
     from .rigid import rigid_table
 
     table = rigid_table(graph.n)
+    edges = graph.edges  # expanded before the rows are built, as in _graph_dot
     out.write(f'{{"rank": {graph.n}, "nodes": [')
     sep = ""
     for mask, rows in zip(graph.nodes, graph.rows):
@@ -130,7 +134,7 @@ def _graph_json(graph, out) -> None:
     d, sep = graph.n - 1, ""
     out.write('], "edges": [')
     for i in range(len(graph.nodes)):
-        block = graph.edges[i * d : i * d + d]
+        block = edges[i * d : i * d + d]
         out.write(sep + ", ".join(f"[{i}, {k}, {j}]" for k, j in enumerate(block)))
         sep = ", "
     out.write("]}\n")

@@ -3,18 +3,19 @@
 The B-matrix of the zig-zag initial object is written down explicitly;
 every other B-matrix is defined operationally by mutation along the
 exchange graph.  Tau acts freely on the seeds and mutation commutes
-with permuting positions, so :class:`ExchangeGraph` walks the graph of
-:func:`~clustertube.rigid.orbit_graph` once, from the seed, and mutates
-only at each tau-orbit's representative, when the walk first pops a node
-of that orbit; the reverse of each step holds because mutation is an
+with permuting positions, so :class:`ExchangeGraph` keeps the graph as
+its tau-quotient, from :func:`~clustertube.rigid.orbit_graph`, walks the
+quotient once from the seed's orbit, and mutates only at each orbit's
+representative; the reverse of each step holds because mutation is an
 involution, so finishing the walk without a mismatch, with every node
-reached, certifies that the assignment is path independent.
+reached (every orbit, and voltages that generate Z_n), certifies that the
+assignment is path independent.
 The graph's ``nodes`` are masks, in enumeration order, as the flip
-graph's are.  It stores one matrix per tau-orbit, and a node's rows,
-its representative's turned back by the node's turn, are built only when
-read: every node's by ``rows``, on first access, and one node's by
-:meth:`ExchangeGraph.b_matrix`, the one lookup from an object to its
-matrix.
+graph's are.  It stores one matrix per tau-orbit, and builds its views
+only when they are read: the expanded ``edges`` and ``order``, every
+node's rows by ``rows``, and one node's, its representative's turned back
+by the node's turn, by :meth:`ExchangeGraph.b_matrix`, the one lookup from
+an object to its matrix.
 The entry bound and sign-skew symmetry of every node's matrix are
 checked once, by the ``mutation`` suite of :mod:`clustertube.verify`, on
 the graph's raw ``rows``: no :class:`ExchangeMatrix` is built there, and
@@ -24,15 +25,18 @@ sign-skew symmetry alone forces a zero diagonal (``b_ii = -b_ii``).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from functools import cached_property, lru_cache
+from itertools import starmap
 from operator import itemgetter, neg
+from struct import Struct
 
 from .errors import StructuralError, TheoremViolationError
 from .rigid import (
     MaximalRigid,
+    QuotientGraph,
     _of_mask,
     bit_indices,
+    cover_walk,
     maximal_rigid_masks,
     orbit_graph,
     rigid_table,
@@ -158,36 +162,37 @@ def exchange(t: MaximalRigid, k: int) -> tuple[MaximalRigid, int]:
     return _of_mask(table, mask), (mask & (new - 1)).bit_count()
 
 
-class ExchangeGraph:
+class ExchangeGraph(QuotientGraph):
     """All seeds at rank n, with B-matrices propagated by mutation on the
-    tau-quotient during one BFS from the seed.
+    tau-quotient during one walk from the seed.
 
     ``nodes`` holds each node's mask, in
     :func:`~clustertube.rigid.maximal_rigid_masks` order, as
-    :attr:`FlipGraph.nodes <clustertube.polygon.FlipGraph.nodes>` does, and
-    ``rows``, built on first access, each one's canonical-order matrix as
-    a tuple of rows; ``edges[i*(n-1)+k]``, one flat array, is the node
-    reached by exchanging summand ``k`` (bit order) of node ``i``, and
-    ``order`` the BFS pop order from the seed.  :meth:`b_matrix` is the
-    one lookup from a :class:`MaximalRigid` to its :class:`ExchangeMatrix`.
+    :attr:`FlipGraph.nodes <clustertube.polygon.FlipGraph.nodes>` does; the
+    graph itself is its tau-quotient, ``reps`` and ``blocks`` from
+    :func:`~clustertube.rigid.orbit_graph`, with the tops marked, as the
+    flip graph's is.  Built on first read: ``edges`` (see
+    :class:`~clustertube.rigid.QuotientGraph`), ``order``, the BFS pop order
+    of the nodes from the seed, and ``rows``, each node's canonical-order
+    matrix as a tuple of rows.  :meth:`b_matrix` is the one lookup from a
+    :class:`MaximalRigid` to its :class:`ExchangeMatrix`.
 
-    The edges, each node's representative (the tau-image with its top at
-    bit 0) and its turn come from
-    :func:`~clustertube.rigid.orbit_graph`, as the flip graph's edges do.
-    A node's turn moves canonical positions cyclically.  The BFS runs in
-    k order; the first node it pops from an orbit mutates the exchanges
-    of the orbit's representative, and each result is turned by its
-    target's turn before it is stored for the target's orbit or compared.
-    A step into an orbit whose representative was already mutated was
-    mutated and compared from there; a step into the representative's own
-    orbit is always mutated and compared.  Mutation commutes with
-    rotation, so these comparisons cover every tau-image of every edge.
-    The BFS must reach every node, which certifies connectivity.  Only the
-    representatives' rows are stored; a node's rows are its
-    representative's turned back by its own turn, built when ``rows`` or
-    :meth:`b_matrix` first reads them.  Equal rows are one tuple (234 among
-    24 024 at rank 8), and so are the matrices of one representative's
-    rotations with equal turn (1716 among 3432).
+    The walk is a BFS of the quotient from the seed's orbit
+    (:func:`~clustertube.rigid.cover_walk`), which must reach every node:
+    every orbit, with voltages that generate Z_n.  It is checked first, so
+    a graph that is not connected fails before any mutation.  Each orbit's
+    representative mutates its exchanges, in k order, and each result is
+    turned by its target's turn before it is stored for the target's orbit
+    or compared.  A step into an orbit already popped was mutated and
+    compared from there; a step into the representative's own orbit is
+    always mutated and compared.  A node's turn moves canonical positions
+    cyclically, and mutation commutes with rotation, so these comparisons
+    cover every tau-image of every edge.  Only the representatives' rows
+    are stored; a node's rows are its representative's turned back by its
+    own turn, built when ``rows`` or :meth:`b_matrix` first reads them.
+    Equal rows are one tuple (234 among 24 024 at rank 8), and so are the
+    matrices of one representative's rotations with equal turn (1716 among
+    3432).
     """
 
     def __init__(self, n: int):
@@ -195,81 +200,81 @@ class ExchangeGraph:
         table = rigid_table(n)
         seed = initial_seed(n)
         self.nodes: tuple[int, ...] = maximal_rigid_masks(n)
-        nodes, d = self.nodes, n - 1
-        self.edges, rep, turn, number = orbit_graph(
-            table.compat, table.tops, n, nodes, "exchange graph"
+        self.marked, self._seed = table.tops, seed.object.mask
+        self.reps, self.blocks = orbit_graph(
+            table.compat, table.tops, n, self.nodes, "exchange graph"
         )
-        self._reps, self._turns = rep, turn
-        edges, first = self.edges, number[seed.object.mask]
+        ((first, w),) = self.locate([self._seed])
+        steps, reached = cover_walk(self.blocks, n, first)
+        if reached != len(self.nodes):
+            raise TheoremViolationError(
+                f"exchange graph at rank {n} reaches {reached} objects, "
+                f"the enumeration has {len(self.nodes)}"
+            )
+        masks = list(self.reps)
         self._shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # base[o]: orbit o's representative's rows.  The walk reaches an
+        # orbit by a step from one it popped before, so every orbit has
+        # rows by the time its own steps are taken.
+        self._base = base = {first: self._share(_turn(seed.matrix.entries, w))}
+        self._turned: dict[tuple[int, int], Rows] = {}  # (o, w): base[o] turned back by w
+        for o, k, o2, j2 in steps:
+            mask, mask2, w2 = masks[o], masks[o2], 0
+            if j2:  # the top was swapped: the target is tau^j2 of its representative
+                mask2, w2 = self.tau_power(mask2, j2)
+            p = (mask2 & (mask2 & ~mask) - 1).bit_count()  # the new summand's position
+            b2 = _mutate_rows(base[o], k, p, w2)
+            seen = base.get(o2)
+            if seen is None:
+                base[o2] = self._share(b2)
+            elif seen != b2:
+                raise TheoremViolationError(
+                    f"path-independence failure at {table.objects_of(mask2)}: "
+                    f"{_turn(seen, -w2)} vs {_turn(b2, -w2)}"
+                )
 
-        # base[r]: representative r's own rows.  The node that first
-        # reaches an orbit was popped before it, when its own
-        # representative's exchanges, which reach a rotation of every orbit
-        # the node's do, were mutated and stored; so every node's orbit has
-        # rows by the time the node is popped.
-        self._base = base = {rep[first]: self._share(_turn(seed.matrix.entries, turn[first]))}
-        self._turned: dict[tuple[int, int], Rows] = {}  # (r, w): base[r] turned back by w
-        mutated, reached = bytearray(len(nodes)), bytearray(len(nodes))
+    @cached_property
+    def order(self) -> array:
+        """The BFS pop order of the nodes from the seed, over ``edges``."""
+        edges, d = self.edges, self.n - 1
+        block, step = Struct(f"{d}l").unpack_from, edges.itemsize * d  # node i's, at i*step
+        first = self.nodes.index(self._seed)
+        reached = bytearray(len(self.nodes))
         reached[first] = 1
-        self.order = order = array("l", [first])
+        order = array("l", [first])
         for i in order:  # the queue: read as it grows
-            r = rep[i]
-            if not mutated[r]:
-                mutated[r] = 1
-                b, mask = base[r], nodes[r]
-                for k, t in enumerate(edges[r * d : r * d + d]):
-                    r2, mask2, w2 = rep[t], nodes[t], turn[t]
-                    if mutated[r2] and r2 != r:
-                        continue
-                    p = (mask2 & (mask2 & ~mask) - 1).bit_count()  # the new summand's position
-                    b2 = _mutate_rows(b, k, p, w2)
-                    seen = base.get(r2)
-                    if seen is None:
-                        base[r2] = self._share(b2)
-                    elif seen != b2:
-                        raise TheoremViolationError(
-                            f"path-independence failure at {table.objects_of(mask2)}: "
-                            f"{_turn(seen, -w2)} vs {_turn(b2, -w2)}"
-                        )
-            for j in edges[i * d : i * d + d]:
+            for j in block(edges, i * step):
                 if not reached[j]:
                     reached[j] = 1
                     order.append(j)
-        if len(order) != len(nodes):
-            raise TheoremViolationError(
-                f"exchange graph at rank {n} reaches {len(order)} objects, "
-                f"the enumeration has {len(nodes)}"
-            )
+        return order
 
     def _share(self, b: Rows) -> Rows:
         """``b`` with each row that an earlier matrix has as one tuple."""
         return tuple([self._shared.setdefault(row, row) for row in b])
 
-    def _rows_of(self, i: int) -> Rows:
-        """Node ``i``'s rows: its representative's turned back by its turn,
-        one tuple per orbit and turn."""
-        r, w = self._reps[i], self._turns[i]
+    def _rows_of(self, o: int, w: int) -> Rows:
+        """The rows of the node of orbit ``o`` with turn ``w``: the
+        representative's turned back by ``w``, one tuple per orbit and turn."""
         if not w:
-            return self._base[r]
-        b = self._turned.get((r, w))
+            return self._base[o]
+        b = self._turned.get((o, w))
         if b is None:
-            b = self._turned[r, w] = self._share(_turn(self._base[r], -w))
+            b = self._turned[o, w] = self._share(_turn(self._base[o], -w))
         return b
 
     @cached_property
     def rows(self) -> tuple[Rows, ...]:
         """Every node's rows, in ``nodes`` order."""
-        return tuple(map(self._rows_of, range(len(self.nodes))))
+        return tuple(starmap(self._rows_of, self.locate(self.nodes)))
 
     def b_matrix(self, t: MaximalRigid) -> ExchangeMatrix:
         """The matrix of node ``t``, built from its rows alone.  Every
-        :class:`MaximalRigid` of rank n is a node, and the nodes are sorted
-        by their bit indices, so ``t``'s number is found by bisection."""
+        :class:`MaximalRigid` of rank n is a node, whose orbit and turn
+        its own mask gives (:meth:`locate`)."""
         if not (isinstance(t, MaximalRigid) and t.n == self.n):
             raise StructuralError(f"unknown node {t}")
-        i = bisect_left(self.nodes, bit_indices(t.mask), key=bit_indices)
-        return ExchangeMatrix(t.summands, self._rows_of(i))
+        return ExchangeMatrix(t.summands, self._rows_of(*next(self.locate([t.mask]))))
 
 
 @lru_cache(maxsize=None)

@@ -12,13 +12,14 @@ pair ``i`` is the image of the rigid indecomposable of canonical index
 2n-gon by one corner rotates pair masks by n-1 bits, as tau does rigid
 masks.  Non-crossing is one bitmask per pair, read off
 :func:`crossing_points` alone, so a triangulation is a mask and a flip is
-:func:`~clustertube.rigid.swap`.  The flip graph's edges come from
-:func:`~clustertube.rigid.orbit_graph`, the builder the exchange graph
-uses, on the non-crossing table.  Graph nodes are masks and each graph's
-edges one flat array of node numbers, n-1 per node; with one numbering
-for both models, delta carries the exchange graph onto the flip graph
-exactly when the two graphs are equal, which checks that the two tables
-agree, not an independent flip.
+:func:`~clustertube.rigid.swap`.  The flip graph is kept as its turning
+quotient, from :func:`~clustertube.rigid.orbit_graph`, the builder the
+exchange graph uses, on the non-crossing table, and both expand their
+flat ``edges`` by the one :class:`~clustertube.rigid.QuotientGraph`
+expansion when read.  Graph nodes are masks; with one numbering for both
+models, delta carries the exchange graph onto the flip graph exactly when
+the two have equal nodes, marked vertices (tops, diameters) and quotient
+blocks, which checks that the two tables agree, not an independent flip.
 
 Corners are labelled clockwise 1..2n; all corner arithmetic is reduced
 into that range.
@@ -31,6 +32,7 @@ from functools import lru_cache
 from .errors import StructuralError, TheoremViolationError
 from .rigid import (
     MaximalRigid,
+    QuotientGraph,
     bit_indices,
     enumerate_rigid_indecs,
     orbit_cliques,
@@ -297,13 +299,14 @@ def flip(tri: CsTriangulation, p: CsPair) -> CsTriangulation:
     return table.triangulation(mask)
 
 
-class FlipGraph:
+class FlipGraph(QuotientGraph):
     """All centrally symmetric triangulations, with flip edges: ``nodes``
-    holds each one's pair mask, and ``edges[a*(n-1)+k]`` the node reached
-    by flipping the k-th lowest pair of node ``a``, in one flat array, from
-    :func:`~clustertube.rigid.orbit_graph` with the diameters marked: only
-    the triangulations through the lowest diameter, one per turning orbit,
-    are flipped.  A flip of n-1 pairwise non-crossing pairs gives n-1 such
+    holds each one's pair mask, and the graph is its turning quotient,
+    ``reps`` and ``blocks`` from :func:`~clustertube.rigid.orbit_graph`
+    with the diameters marked: only the triangulations through the lowest
+    diameter, one per orbit, are flipped.  ``edges[a*(n-1)+k]``, built on
+    first read, is the node reached by flipping the k-th lowest pair of
+    node ``a``.  A flip of n-1 pairwise non-crossing pairs gives n-1 such
     pairs again, which is a maximal clique since every maximal clique has
     n-1 pairs; so every flip lands on a node.
     """
@@ -312,7 +315,10 @@ class FlipGraph:
         self.n = n
         self.nodes: tuple[int, ...] = _all_triangulations(n)
         table = polygon_table(n)
-        self.edges = orbit_graph(table.noncross, table.diameters, n, self.nodes, "flip graph")[0]
+        self.marked = table.diameters
+        self.reps, self.blocks = orbit_graph(
+            table.noncross, table.diameters, n, self.nodes, "flip graph"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -341,5 +347,7 @@ def graphs_isomorphic_via_delta(eg, fg: FlipGraph) -> bool:
     """Does T -> triangulation_of(T) carry the exchange graph onto the
     flip graph, edge by edge and label by label?  Both number their
     vertices by delta and sort their nodes and edge labels by bit, so
-    that is plain equality of nodes and of edges."""
-    return eg.nodes == fg.nodes and eg.edges == fg.edges
+    that is equality of the nodes; and both expand their edges from their
+    marked vertices and quotient blocks by one expansion, which equal
+    inputs give equal edges, so of those."""
+    return eg.nodes == fg.nodes and eg.marked == fg.marked and eg.blocks == fg.blocks

@@ -12,19 +12,25 @@ orbit machinery.
 Tau, as turning the 2n-gon, rotates indices by n-1 bits, so both models
 sweep their tables for socle 1 only (:func:`tau_swept`), search one clique
 per orbit (:func:`orbit_cliques`; :func:`maximal_rigid_masks` marks the
-tops), and build their graphs with one builder, :func:`orbit_graph`, which
-exchanges only the orbit representatives and owns every rotation and wrap
-count; :func:`enumerate_maximal_rigid` checks only the representatives
-too.  :class:`MaximalRigid` and :class:`~clustertube.tube.TubeObject` are
-the boundary types.
+tops), and keep their graphs as the tau-quotient that one builder,
+:func:`orbit_graph`, makes by exchanging only the orbit representatives.
+:class:`QuotientGraph` owns every rotation and wrap count: it locates a
+node's orbit from its mask, rotates a representative onto the nodes of
+its orbit, and expands the edges when they are read, and
+:func:`cover_walk` certifies connectivity on the quotient, by voltages.
+:func:`enumerate_maximal_rigid` checks only the representatives too.
+:class:`MaximalRigid` and :class:`~clustertube.tube.TubeObject` are the
+boundary types.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Callable, Iterable, Sequence
-from functools import lru_cache
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import cached_property, lru_cache
+from math import gcd
 from operator import itemgetter
+from struct import Struct
 
 from .errors import StructuralError, TheoremViolationError
 from .tube import (
@@ -135,53 +141,146 @@ def orbit_cliques(
 
 def orbit_graph(
     adj: Sequence[int], marked: int, n: int, nodes: Sequence[int], name: str
-) -> tuple[array, array, bytearray, dict[int, int]]:
-    """The flat edge array of graph ``name`` on ``nodes``, the maximal
-    cliques of ``adj`` with one ``marked`` vertex each; for each node
-    its ``rep``, the number of its orbit's representative (the rotation
-    through the lowest marked vertex), and its ``turn``, the
-    representative's bits that wrap when it is rotated onto the node;
-    and the ``{mask: number}`` dict the graph was numbered by.
+) -> tuple[dict[int, int], array]:
+    """The tau-quotient of graph ``name`` on ``nodes``, the maximal cliques
+    of ``adj`` with one ``marked`` vertex each: ``reps``, each orbit's
+    representative (its node through the lowest marked vertex) mapped to
+    the orbit's number, in node order, and ``blocks``, one flat array with
+    ``blocks[o*(n-1)+k] = o2*n + j2``: swapping the k-th lowest vertex of
+    representative ``o`` gives the representative of orbit ``o2`` rotated
+    by ``j2(n-1)`` bits, its voltage ``j2``.
 
     Only the representatives are exchanged, one :func:`exchanges` call
-    each.  Rotating a representative ``j`` steps rotates its targets ``j``
-    steps, so the ``j``-th node's block is column ``j`` of the targets'
-    orbits, turned by the node's ``turn``.  The orbits must hold exactly
-    ``nodes``, and every target must be a node.
+    each.  Every node must be a rotation of a representative, and every
+    target a node.  The expanded edges are :attr:`QuotientGraph.edges`.
     """
     size, d, low = n * (n - 1), n - 1, (marked & -marked).bit_length()
     full = (1 << size) - 1
-    number = {mask: i for i, mask in enumerate(nodes)}
-    rep, turn = array("l", [0]) * len(nodes), bytearray(len(nodes))
-    power = bytearray(len(nodes))  # each node's place in its orbit
-    orbits: dict[int, list[int]] = {}  # representative -> node numbers by power
-    for i, mask in enumerate(nodes):
-        t = (mask & marked).bit_length() - low
-        r = (mask >> t | mask << (size - t)) & full  # rotated down by t
-        rep[i], turn[i], power[i] = number.get(r, -1), (mask & (1 << t) - 1).bit_count(), t // d
-        (orbits.get(r) or orbits.setdefault(r, [-1] * n))[t // d] = i
-    if n * len(orbits) != len(nodes):
+    # each node rotated down by t bits, onto its marked vertex's lowest place
+    keys = {(m >> (t := (m & marked).bit_length() - low) | m << size - t) & full for m in nodes}
+    if n * len(keys) != len(nodes):
         raise TheoremViolationError(
-            f"{name} at rank {n} reaches {n * len(orbits)} objects, "
+            f"{name} at rank {n} reaches {n * len(keys)} objects, "
             f"the enumeration has {len(nodes)}"
         )
-    edges = array("l", [0]) * (len(nodes) * d)
-    for r, nums in orbits.items():
-        targets = []  # each target's orbit, from the target on
+    order = list(keys)
+    _sort_by_indices(order, size)
+    reps = {r: o for o, r in enumerate(order)}
+    blocks = array("l")
+    for r in order:
         for p, q in exchanges(adj, r):
             mask = r ^ 1 << p | 1 << q
-            t = number.get(mask)
-            if t is None:
+            t = (mask & marked).bit_length() - low  # 0 unless the top was swapped
+            o = reps.get(mask if t <= 0 else (mask >> t | mask << size - t) & full, -1)
+            if o < 0 or t % d:
                 raise TheoremViolationError(
                     f"{name} at rank {n} reaches {bit_indices(mask)}, "
                     f"outside the enumeration of {len(nodes)}"
                 )
-            orbit, j = orbits[nodes[rep[t]]], power[t]
-            targets.append(orbit[j:] + orbit[:j])
-        for i, block in zip(nums, zip(*targets)):
-            w = turn[i]
-            edges[i * d : i * d + d] = array("l", block[-w:] + block[:-w])
-    return edges, rep, turn, number
+            blocks.append(o * n + t // d)
+    return reps, blocks
+
+
+def cover_walk(
+    blocks: Sequence[int], n: int, start: int
+) -> tuple[list[tuple[int, int, int, int]], int]:
+    """A BFS of the tau-quotient ``blocks`` (see :func:`orbit_graph`) from
+    orbit ``start``: its steps, and the number of nodes of the graph
+    reached from a node of that orbit.
+
+    A step ``(o, k, o2, j2)`` is the ``k``-th edge of orbit ``o``, into
+    orbit ``o2`` with voltage ``j2``, taken when ``o`` is popped if ``o2``
+    is not popped yet or is ``o`` itself: so each edge between two orbits
+    once, from the end popped first, and each loop at every end, in the
+    order the BFS pops them.
+
+    Each reached orbit gets a potential mod n, the voltages summed along
+    the BFS tree.  An edge's net voltage is its voltage plus its source's
+    potential minus its target's (0 on the tree), and the net voltages of
+    closed walks generate the subgroup g·Z_n, g the gcd of n with every
+    edge's net voltage.  Each reached orbit then meets the reached nodes
+    n/g times (Gross and Tucker, *Topological Graph Theory*, 2.5), as long
+    as every edge has its reverse, as exchange does.
+    """
+    d = n - 1
+    potential = [-1] * (len(blocks) // d)  # -1: not reached
+    potential[start] = 0
+    popped = bytearray(len(potential))
+    order, steps, g = [start], [], n
+    for o in order:  # the queue: read as it grows
+        popped[o] = 1
+        here = potential[o]
+        for k, x in enumerate(blocks[o * d : o * d + d]):
+            o2, j2 = divmod(x, n)
+            there = potential[o2]
+            if there < 0:
+                potential[o2] = (here + j2) % n
+                order.append(o2)
+            elif g > 1:
+                g = gcd(g, here + j2 - there)
+            if not popped[o2] or o2 == o:
+                steps.append((o, k, o2, j2))
+    return steps, len(order) * n // g
+
+
+class QuotientGraph:
+    """A graph on the maximal cliques ``nodes`` of a rank-``n`` table,
+    each with one ``marked`` vertex, kept as its tau-quotient: ``reps`` and
+    ``blocks``, from :func:`orbit_graph`.
+
+    ``edges[i*(n-1)+k]``, one flat array, is the node reached by swapping
+    the k-th lowest vertex of node ``i``.  It is built on first read:
+    rotating a representative ``j`` steps rotates its targets ``j`` steps,
+    so the ``j``-th node of an orbit has column ``j`` of its targets'
+    orbits, turned by the node's turn, the representative's bits that wrap
+    when it is rotated onto the node.  Equal ``nodes``, ``marked`` and
+    ``blocks`` give equal edges.  A subclass sets ``n``, ``nodes``,
+    ``marked``, ``reps`` and ``blocks``.
+    """
+
+    def locate(self, masks: Iterable[int]) -> Iterator[tuple[int, int]]:
+        """The orbit of each node of ``masks`` and its turn: the node
+        rotated down to its marked vertex is the orbit's representative."""
+        marked, size, reps = self.marked, self.n * (self.n - 1), self.reps
+        low, full = (marked & -marked).bit_length(), (1 << size) - 1
+        for mask in masks:
+            t = (mask & marked).bit_length() - low
+            yield reps[(mask >> t | mask << size - t) & full], (mask & (1 << t) - 1).bit_count()
+
+    def tau_power(self, mask: int, j: int) -> tuple[int, int]:
+        """tau^j of the node ``mask``, its mask rotated up by j(n-1) bits,
+        and the number of its bits that wrap: the node's turn when ``mask``
+        is its representative."""
+        size, shift = self.n * (self.n - 1), j * (self.n - 1)
+        return rotate(mask, shift, size), (mask >> size - shift).bit_count()
+
+    @cached_property
+    def edges(self) -> array:
+        """Every node's block, written one orbit at a time."""
+        n, d, nodes, blocks = self.n, self.n - 1, self.nodes, self.blocks
+        size = n * d
+        full = (1 << size) - 1
+        number = dict(zip(nodes, range(len(nodes))))
+        # each orbit's node numbers, by the power of tau
+        members = [
+            [number[(r << s | r >> size - s) & full] for s in range(0, size, d)]
+            for r in self.reps
+        ]
+        del number  # before the edges are allocated: a lower peak
+        edges = array("l", [0]) * (len(nodes) * d)
+        # each node's block is packed straight into the array's buffer, so
+        # no array is made per node
+        write, step = Struct(f"{d}l").pack_into, edges.itemsize * d
+        for o, r in enumerate(self.reps):
+            targets = []  # each target's orbit, from the target on
+            for x in blocks[o * d : o * d + d]:
+                orbit, j = members[x // n], x % n
+                targets.append(orbit[j:] + orbit[:j] if j else orbit)
+            targets += targets  # so that each turn is one slice
+            for i, block, s in zip(members[o], zip(*targets), range(size, 0, -d)):
+                w = (r >> s).bit_count()  # r's bits that wrap when rotated by size - s
+                write(edges, i * step, *block[d - w : 2 * d - w])
+        return edges
 
 
 def _two_completions(tbar: int, found: int) -> int:
@@ -290,9 +389,10 @@ class RigidTable(FrozenRecord):
             return f"has {self.objects_of(outside)} outside the wing of its top"
         return ""
 
-    def check(self, mask: int) -> tuple[tuple[TubeObject, ...], str]:
-        """The summands of ``mask`` in canonical order, and its :meth:`defect`."""
-        return self.objects_of(mask), self.defect(mask)
+    def check(self, mask: int) -> tuple[list[int], str]:
+        """The bits of ``mask``, its summands' indices in canonical order,
+        and its :meth:`defect`."""
+        return bit_indices(mask), self.defect(mask)
 
 
 def tau_swept(n: int, row: Callable[[int], int]) -> tuple[int, ...]:
@@ -360,7 +460,8 @@ class MaximalRigid(FrozenRecord):
         """Keep ``mask`` and its summands, in canonical order, which is
         bit order, if :meth:`RigidTable.check` passes it; else return the
         summands and the defect."""
-        objs, defect = table.check(mask)
+        bits, defect = table.check(mask)
+        objs = _getter(bits)(table.objects)
         if defect:
             return f"{objs} {defect}"
         object.__setattr__(self, "summands", objs)
@@ -453,10 +554,12 @@ def enumerate_maximal_rigid(n: int) -> tuple[MaximalRigid, ...]:
     """All maximal rigid objects, in :func:`maximal_rigid_masks` order.
 
     Each tau-orbit's representative, through the lowest top, sorts first
-    and is checked (:func:`_of_mask`).  Its rotation tau^j reads its
-    summands from the objects rotated by j(n-1) bits, turned by the bits
-    that wrap, and passes as it does: :func:`_tau_equivariant` holds.
-    Any other node is checked by itself."""
+    and is checked (:meth:`RigidTable.check`), which walks its bits once:
+    they give the getter of its summands.  Its rotation tau^j reads its
+    summands with that getter from the objects rotated by j(n-1) bits,
+    turned by the bits that wrap, and passes as it does:
+    :func:`_tau_equivariant` holds.  Any other node, and a representative
+    that fails, is checked by itself (:func:`_of_mask`)."""
     table, masks = rigid_table(n), maximal_rigid_masks(n)
     if not _tau_equivariant(table):
         raise TheoremViolationError(f"tau is not an automorphism of the rank-{n} table")
@@ -471,11 +574,13 @@ def enumerate_maximal_rigid(n: int) -> tuple[MaximalRigid, ...]:
     new, out = object.__new__, []
     for mask in masks:
         t = shift.get(mask & tops)  # j(n-1), if the one top is tau^j of the lowest
-        get = t is not None and reps.get((mask >> t | mask << size - t) & full)  # tau^-j
+        if t == 0:  # a representative: checked, and its summands' getter kept
+            bits, defect = table.check(mask)
+            get = None if defect else reps.setdefault(mask, _getter(bits))
+        else:
+            get = t is not None and reps.get((mask >> t | mask << size - t) & full)  # tau^-j
         if not get:
-            out.append(_of_mask(table, mask))
-            if t == 0:
-                reps[mask] = _getter(bit_indices(mask))
+            out.append(_of_mask(table, mask))  # checked by itself: a defect raises
             continue
         summands, w = get(turned[t]), (mask & (1 << t) - 1).bit_count()
         node = new(MaximalRigid)

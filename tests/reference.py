@@ -1,6 +1,8 @@
 """Full searches kept as references for the rotation-quotient code, and
 the naive checks the tests hold the package's own against."""
 
+from collections import deque
+
 from clustertube import ExchangeMatrix, TheoremViolationError, build_rep
 from clustertube.linalg import integer_rank
 from clustertube.rigid import bit_indices, maximal_cliques, rotate, swap
@@ -22,7 +24,8 @@ def clusters(adj, n):
 
 
 def orbit_graph_by_swaps(adj, marked, n, nodes):
-    """Reference for ``rigid.orbit_graph``, node by node: each node is
+    """Reference for the graphs' expanded ``edges`` and each node's orbit
+    and turn (``rigid.QuotientGraph``), node by node: each node is
     rotated down by the distance from the lowest marked vertex to its own
     lowest marked bit, its bits below that distance are the ones that
     wrap, and its neighbours are found by ``swap`` at each of its bits.
@@ -36,6 +39,24 @@ def orbit_graph_by_swaps(adj, marked, n, nodes):
         turn.append(len([v for v in bit_indices(mask) if v < t]))
         edges += [number[swap(adj, mask, v)] for v in bit_indices(mask)]
     return edges, rep, turn, number
+
+
+def cover_reach(blocks, n, start):
+    """Reference for the voltage certificate (``rigid.cover_walk``): a BFS
+    over the nodes of the cover of the tau-quotient ``blocks``, where
+    entry ``o2*n + j2`` of orbit ``o``'s block joins node ``(o, j)`` to
+    ``(o2, j + j2 mod n)``; the number of nodes reached from ``(start, 0)``."""
+    d = n - 1
+    seen, queue = {(start, 0)}, deque([(start, 0)])
+    while queue:
+        o, j = queue.popleft()
+        for x in blocks[o * d : o * d + d]:
+            o2, j2 = divmod(x, n)
+            node = (o2, (j + j2) % n)
+            if node not in seen:
+                seen.add(node)
+                queue.append(node)
+    return len(seen)
 
 
 def is_sign_skew_symmetric(rows):

@@ -21,9 +21,9 @@ from clustertube import (
     fz_mutate,
     initial_seed,
 )
-from clustertube import mutation, rigid, verify
+from clustertube import mutation, polygon, rigid, verify
 from clustertube.cli import main
-from reference import is_sign_skew_symmetric
+from reference import cover_reach, is_sign_skew_symmetric
 
 
 def obj(a, b, n):
@@ -431,6 +431,21 @@ class TestRowsOnDemand:
         assert all(c.ok for c in verify.suite_polygon(n))
         assert "rows" not in vars(build_exchange_graph(n))
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_no_build_reads_an_expanded_array(self, n):
+        # the graphs, the polygon suite and b_matrix read the quotient only
+        views = {"edges", "order", "rows"}
+        g = mutation.ExchangeGraph(n)
+        for t in enumerate_maximal_rigid(n):
+            g.b_matrix(t)
+        assert not views & vars(g).keys()
+        assert not views & vars(polygon.FlipGraph(n)).keys()
+        build_exchange_graph.cache_clear()
+        polygon.flip_graph.cache_clear()
+        assert all(c.ok for c in verify.suite_polygon(n))
+        assert not views & vars(build_exchange_graph(n)).keys()
+        assert not views & vars(polygon.flip_graph(n)).keys()
+
     def test_holds_no_rows_per_node(self):
         # calibrated on the rows kept per orbit, which leave 1.47 MiB
         # retained (CPython 3.11); a graph that keeps every node's rows and
@@ -472,29 +487,111 @@ class TestNumberedEdges:
             assert min(popped[j] for j in g.edges[i * d : i * d + d]) < pos
 
 
+def voltages_scaled(by):
+    """The quotient with every voltage multiplied by ``by``: the same
+    orbits, joined as before, but the voltages generate only the
+    subgroup gcd(by, n)·Z_n."""
+
+    def edit(n, blocks, start):
+        return array("l", [x // n * n + x % n * by % n for x in blocks])
+
+    return edit
+
+
+def seed_orbit_closed(n, blocks, start):
+    """The quotient with the seed's orbit joined only to itself, by
+    voltages 1 and -1 in turn: the seed reaches its own orbit, all n
+    nodes of it, and nothing else."""
+    d, blocks = n - 1, array("l", blocks)
+    loops = [start * n + (1, n - 1)[k % 2] for k in range(d)]
+    blocks[start * d : start * d + d] = array("l", loops)
+    return blocks
+
+
 class TestConnectivity:
-    @pytest.mark.parametrize("n,reached", [(3, 4), (4, 10), (5, 28)])
-    def test_unreached_node_is_a_theorem_violation(self, n, reached, monkeypatch):
-        # every node outside a representative lists itself as each of its
-        # neighbours: the representatives' mutations still agree, but the
-        # walk reaches only ``reached`` nodes
-        real = mutation.orbit_graph
+    """The walk certifies connectivity on the quotient: every orbit
+    reached, and voltages that generate Z_n.  A BFS over the nodes of the
+    doctored quotient's cover is the reference for the count."""
 
-        def stalled(*args):
-            edges, rep, *rest = real(*args)
-            d = n - 1
-            for i, r in enumerate(rep):
-                if r != i:
-                    edges[i * d : i * d + d] = array("l", [i] * d)
-            return (edges, rep, *rest)
+    @pytest.mark.parametrize(
+        "n,edit,reached",
+        [
+            pytest.param(n, edit, reached, id=f"{n}-{reached}")
+            for n, edit, reached in [
+                (4, voltages_scaled(2), 10),
+                (6, voltages_scaled(3), 84),
+                (6, voltages_scaled(2), 126),
+                (3, seed_orbit_closed, 3),
+                (5, seed_orbit_closed, 5),
+            ]
+        ],
+    )
+    def test_unreached_node_is_a_theorem_violation(self, n, edit, reached, monkeypatch):
+        real, doctored = mutation.orbit_graph, []
 
-        monkeypatch.setattr(mutation, "orbit_graph", stalled)
+        def edited(*args):
+            reps, blocks = real(*args)
+            # the seed is its orbit's representative
+            start = reps[rigid.rigid_table(n).mask_of(initial_seed(n).object.summands)]
+            doctored.append((edit(n, blocks, start), start))
+            return reps, doctored[-1][0]
+
+        monkeypatch.setattr(mutation, "orbit_graph", edited)
         with pytest.raises(
             TheoremViolationError,
             match=f"^exchange graph at rank {n} reaches {reached} objects, "
             f"the enumeration has {len(rigid.maximal_rigid_masks(n))}$",
         ):
             mutation.ExchangeGraph(n)
+        blocks, start = doctored[0]
+        assert cover_reach(blocks, n, start) == reached
+
+
+def cycle(n, length, step, loop=0, offset=0):
+    """A synthetic quotient on orbits ``offset .. offset+length-1``, in a
+    cycle: each orbit is joined to the next by voltage ``step`` and to the
+    one before by ``-step``, and to itself by ``loop`` and ``-loop``, each
+    edge with its reverse, and its other n-5 edges are loops of voltage 0."""
+    out = []
+    for o in range(offset, offset + length):
+        after, before = offset + (o - offset + 1) % length, offset + (o - offset - 1) % length
+        block = [after * n + step % n, before * n + -step % n, o * n + loop % n, o * n + -loop % n]
+        out += block + [o * n] * (n - 1 - len(block))
+    return array("l", out)
+
+
+class TestVoltageCertificate:
+    """``cover_walk`` on synthetic quotients at rank 6 (five edges per
+    orbit): the nodes it says the seed reaches are the ones a BFS over the
+    cover reaches."""
+
+    @pytest.mark.parametrize(
+        "blocks,reached",
+        [
+            (cycle(6, 4, 2), 12),  # the cycle's voltage sum 8 generates 2·Z_6
+            (cycle(6, 3, 2), 3),  # the sum 6 generates only 0
+            (cycle(6, 4, 2, loop=3), 24),  # 2 and 3 generate Z_6
+            (cycle(6, 5, 1), 30),
+            (cycle(6, 5, 1) + cycle(6, 3, 1, offset=5), 30),  # not connected
+            (cycle(6, 4, 2) + cycle(6, 5, 1, offset=4), 12),  # neither
+        ],
+        ids=["subgroup", "trivial", "loops", "full", "disconnected", "both"],
+    )
+    def test_reach_equals_the_bfs_of_the_cover(self, blocks, reached):
+        steps, count = rigid.cover_walk(blocks, 6, 0)
+        assert count == cover_reach(blocks, 6, 0) == reached
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_steps_take_each_quotient_edge_once(self, n):
+        # each edge between two orbits from the end the BFS pops first,
+        # and every loop at both ends: the steps the graph mutates
+        g = build_exchange_graph(n)
+        ((start, _),) = g.locate([g.nodes[g.order[0]]])
+        steps, reached = rigid.cover_walk(g.blocks, n, start)
+        assert reached == len(g.nodes)
+        assert len(steps) == quotient_steps(g)
+        d = n - 1
+        assert all(g.blocks[o * d + k] == o2 * n + j2 for o, k, o2, j2 in steps)
 
 
 class TestTauQuotient:
@@ -534,25 +631,21 @@ class TestTauQuotient:
         # steps occur at even ranks only (1, 1, 2 and 5 of them at n = 2,
         # 4, 6, 8)
         count = {2: 1, 4: 1, 6: 2, 8: 5}[n]
-        table, d, nodes = rigid.rigid_table(n), n - 1, rigid.maximal_rigid_masks(n)
-        real_graph, real = mutation.orbit_graph, mutation._mutate_rows
-        popped, loops, bad = [], [], [None]
-
-        class Spy(array):
-            """The edge array, noting whose block is read: both searches
-            read one node's block at a time."""
-
-            def __getitem__(self, key):
-                if isinstance(key, slice):
-                    popped.append(key.start // d)
-                return super().__getitem__(key)
+        table = rigid.rigid_table(n)
+        masks = [m for m in rigid.maximal_rigid_masks(n) if m & 1]  # by orbit
+        real_walk, real = mutation.cover_walk, mutation._mutate_rows
+        steps, calls, loops, bad = [], [], [], [None]
 
         def spied(*args):
-            edges, rep, turn, number = real_graph(*args)
-            return Spy("l", edges), rep, turn, number
+            # the walk's steps, which the mutations follow one by one
+            out = real_walk(*args)
+            steps[:] = out[0]
+            calls.clear()
+            return out
 
         def tampered(b, k, p, w=0):
-            b2, r = real(b, k, p, w), nodes[popped[-1]]
+            b2, r = real(b, k, p, w), masks[steps[len(calls)][0]]
+            calls.append(None)
             if representative(table, rigid.swap(table.compat, r, rigid.bit_indices(r)[k])) != r:
                 return b2
             loops.append(None)
@@ -560,7 +653,7 @@ class TestTauQuotient:
                 return b2
             return b2[:-1] + ((b2[-1][0] + 7,) + b2[-1][1:],)
 
-        monkeypatch.setattr(mutation, "orbit_graph", spied)
+        monkeypatch.setattr(mutation, "cover_walk", spied)
         monkeypatch.setattr(mutation, "_mutate_rows", tampered)
         mutation.ExchangeGraph(n)
         assert len(loops) == count

@@ -429,25 +429,27 @@ FLIP_GRAPH_DIGESTS = {
 }
 
 
-def retarget(edges):
-    others = (c for c in range(len(flip_graph(4).nodes)) if c not in (0, edges[0]))
-    edges[0] = next(others)
+def retarget(blocks):
+    # entries o*n + j, like node numbers, run below the node count
+    others = (c for c in range(len(flip_graph(4).nodes)) if c not in (0, blocks[0]))
+    blocks[0] = next(others)
 
 
-def relabel(edges):
-    # node 0's first two flips swap pairs
-    edges[0], edges[1] = edges[1], edges[0]
+def relabel(blocks):
+    # orbit 0's first two flips swap pairs
+    blocks[0], blocks[1] = blocks[1], blocks[0]
 
 
-def drop(edges):
-    edges.pop()
+def drop(blocks):
+    blocks.pop()
 
 
-def extra(edges):
-    edges.append(edges[0])
+def extra(blocks):
+    blocks.append(blocks[0])
 
 
-# edits of flip_graph(4).edges, each of which breaks the isomorphism
+# edits of flip_graph(4).blocks, the quotient the edges are expanded from,
+# each of which breaks the isomorphism
 DOCTORINGS = (retarget, relabel, drop, extra)
 
 
@@ -491,8 +493,20 @@ class TestMaskFlips:
     @pytest.mark.parametrize("edit", DOCTORINGS, ids=lambda f: f.__name__)
     def test_isomorphism_sees_a_doctored_edge_list(self, edit):
         fake = copy.copy(flip_graph(4))
-        fake.edges = copy.copy(fake.edges)
-        edit(fake.edges)
+        fake.blocks = copy.copy(fake.blocks)
+        edit(fake.blocks)
+        assert not graphs_isomorphic_via_delta(build_exchange_graph(4), fake)
+
+    def test_isomorphism_sees_doctored_tops(self):
+        # the marked vertices pick each orbit's representative, which the
+        # expansion rotates from
+        fake = copy.copy(flip_graph(4))
+        fake.marked = fake.marked ^ 1 << fake.marked.bit_length() - 1
+        assert not graphs_isomorphic_via_delta(build_exchange_graph(4), fake)
+
+    def test_isomorphism_sees_a_dropped_node(self):
+        fake = copy.copy(flip_graph(4))
+        fake.nodes = fake.nodes[:-1]
         assert not graphs_isomorphic_via_delta(build_exchange_graph(4), fake)
 
     @settings(max_examples=40, deadline=None)

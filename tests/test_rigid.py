@@ -19,7 +19,7 @@ from clustertube import (
     is_rigid_set,
     wing_contains,
 )
-from clustertube import polygon, rigid
+from clustertube import mutation, polygon, rigid
 from clustertube.cli import main
 from clustertube.rigid import (
     bit_indices,
@@ -154,32 +154,43 @@ class TestOrbitEnumeration:
 
 
 class TestOrbitGraph:
-    """``orbit_graph`` exchanges only the representatives and writes each
-    orbit's blocks by rotation; the node-by-node build is the reference."""
+    """``orbit_graph`` exchanges only the representatives and keeps the
+    quotient; the expanded ``edges`` are written by rotation, one orbit at
+    a time.  The node-by-node build is the reference."""
 
     @pytest.mark.parametrize("model", ["exchange", "flip"])
     @pytest.mark.parametrize("n", range(2, 9))
     def test_equals_the_build_by_swaps(self, n, model):
         if model == "exchange":
-            table = rigid_table(n)
-            args = table.compat, table.tops, n, maximal_rigid_masks(n)
+            g, table = mutation.ExchangeGraph(n), rigid_table(n)
+            adj = table.compat
         else:
-            table = polygon.polygon_table(n)
-            args = table.noncross, table.diameters, n, polygon._all_triangulations(n)
-        edges, rep, turn, number = rigid.orbit_graph(*args, f"{model} graph")
-        assert (list(edges), list(rep), list(turn), number) == orbit_graph_by_swaps(*args)
+            g, table = polygon.FlipGraph(n), polygon.polygon_table(n)
+            adj = table.noncross
+        edges, rep, turn, number = orbit_graph_by_swaps(adj, g.marked, n, g.nodes)
+        assert list(g.edges) == edges
+        reps, d, size = list(g.reps), n - 1, n * (n - 1)
+        located = list(g.locate(g.nodes))
+        assert [number[reps[o]] for o, _ in located] == rep
+        assert [w for _, w in located] == turn
+        # each block entry is its representative's swap, as orbit and power
+        assert len(g.blocks) == len(reps) * d
+        for o, r in enumerate(reps):
+            for k, v in enumerate(bit_indices(r)):
+                o2, j2 = divmod(g.blocks[o * d + k], n)
+                assert rigid.rotate(reps[o2], j2 * d, size) == rigid.swap(adj, r, v), (o, k)
 
     def test_holds_no_block_per_node(self):
         # calibrated on per-node block writes, which peak at 2.43 MiB
-        # (CPython 3.11); the per-orbit writes peak at 2.44 MiB, and a
-        # build that kept every block as a tuple until one array was made
-        # of them all at the end peaks at 3.86 MiB
-        n = 9
-        table, nodes = rigid_table(n), maximal_rigid_masks(n)
+        # (CPython 3.11); the expansion on first read, packing each block
+        # into the array, peaks at 1.44 MiB, and a build that kept every
+        # block as a tuple until one array was made of them all at the end
+        # peaks at 3.86 MiB
+        g = polygon.FlipGraph(9)
         gc.collect()
         tracemalloc.start()
         try:
-            rigid.orbit_graph(table.compat, table.tops, n, nodes, "exchange graph")
+            len(g.edges)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
