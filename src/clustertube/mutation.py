@@ -38,6 +38,7 @@ from .rigid import (
     bit_indices,
     cover_walk,
     maximal_rigid_masks,
+    maximal_rigid_reps,
     orbit_graph,
     rigid_table,
     swap,
@@ -201,9 +202,8 @@ class ExchangeGraph(QuotientGraph):
         seed = initial_seed(n)
         self.nodes: tuple[int, ...] = maximal_rigid_masks(n)
         self.marked, self._seed = table.tops, seed.object.mask
-        self.reps, self.blocks = orbit_graph(
-            table.compat, table.tops, n, self.nodes, "exchange graph"
-        )
+        reps = maximal_rigid_reps(n)
+        self.reps, self.blocks = orbit_graph(table.compat, table.tops, n, reps, "exchange graph")
         ((first, w),) = self.locate([self._seed])
         steps, reached = cover_walk(self.blocks, n, first)
         if reached != len(self.nodes):
@@ -211,7 +211,6 @@ class ExchangeGraph(QuotientGraph):
                 f"exchange graph at rank {n} reaches {reached} objects, "
                 f"the enumeration has {len(self.nodes)}"
             )
-        masks = list(self.reps)
         self._shared: dict[tuple[int, ...], tuple[int, ...]] = {}
         # base[o]: orbit o's representative's rows.  The walk reaches an
         # orbit by a step from one it popped before, so every orbit has
@@ -219,7 +218,7 @@ class ExchangeGraph(QuotientGraph):
         self._base = base = {first: self._share(_turn(seed.matrix.entries, w))}
         self._turned: dict[tuple[int, int], Rows] = {}  # (o, w): base[o] turned back by w
         for o, k, o2, j2 in steps:
-            mask, mask2, w2 = masks[o], masks[o2], 0
+            mask, mask2, w2 = reps[o], reps[o2], 0
             if j2:  # the top was swapped: the target is tau^j2 of its representative
                 mask2, w2 = self.tau_power(mask2, j2)
             p = (mask2 & (mask2 & ~mask) - 1).bit_count()  # the new summand's position

@@ -12,14 +12,14 @@ pair ``i`` is the image of the rigid indecomposable of canonical index
 2n-gon by one corner rotates pair masks by n-1 bits, as tau does rigid
 masks.  Non-crossing is one bitmask per pair, read off
 :func:`crossing_points` alone, so a triangulation is a mask and a flip is
-:func:`~clustertube.rigid.swap`.  The flip graph is kept as its turning
-quotient, from :func:`~clustertube.rigid.orbit_graph`, the builder the
-exchange graph uses, on the non-crossing table, and both expand their
-flat ``edges`` by the one :class:`~clustertube.rigid.QuotientGraph`
-expansion when read.  Graph nodes are masks; with one numbering for both
-models, delta carries the exchange graph onto the flip graph exactly when
-the two have equal nodes, marked vertices (tops, diameters) and quotient
-blocks, which checks that the two tables agree, not an independent flip.
+:func:`~clustertube.rigid.swap`.  The search's turning-orbit
+representatives go to :func:`~clustertube.rigid.orbit_graph`, the builder
+the exchange graph uses, and both graphs expand their ``nodes`` and flat
+``edges`` by the one :class:`~clustertube.rigid.QuotientGraph` expansion
+when read.  Graph nodes are masks; with one numbering for both models,
+delta carries the exchange graph onto the flip graph exactly when the two
+have equal representatives, marked vertices (tops, diameters) and blocks,
+which checks that the two tables agree, not an independent flip.
 
 Corners are labelled clockwise 1..2n; all corner arithmetic is reduced
 into that range.
@@ -300,24 +300,23 @@ def flip(tri: CsTriangulation, p: CsPair) -> CsTriangulation:
 
 
 class FlipGraph(QuotientGraph):
-    """All centrally symmetric triangulations, with flip edges: ``nodes``
-    holds each one's pair mask, and the graph is its turning quotient,
-    ``reps`` and ``blocks`` from :func:`~clustertube.rigid.orbit_graph`
-    with the diameters marked: only the triangulations through the lowest
-    diameter, one per orbit, are flipped.  ``edges[a*(n-1)+k]``, built on
-    first read, is the node reached by flipping the k-th lowest pair of
-    node ``a``.  A flip of n-1 pairwise non-crossing pairs gives n-1 such
-    pairs again, which is a maximal clique since every maximal clique has
-    n-1 pairs; so every flip lands on a node.
+    """All centrally symmetric triangulations, with flip edges, as the
+    turning quotient, ``reps`` and ``blocks`` from
+    :func:`~clustertube.rigid.orbit_graph`, diameters marked: only the
+    triangulations through the lowest diameter are flipped.  Built on
+    first read: ``nodes``, the pair masks, and ``edges[a*(n-1)+k]``, the
+    node reached by flipping the k-th lowest pair of node ``a``.  A flip
+    of n-1 pairwise non-crossing pairs gives n-1 such pairs again, which
+    is a maximal clique since every maximal clique has n-1 pairs; so
+    every flip lands on a node.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.nodes: tuple[int, ...] = _all_triangulations(n)
         table = polygon_table(n)
         self.marked = table.diameters
         self.reps, self.blocks = orbit_graph(
-            table.noncross, table.diameters, n, self.nodes, "flip graph"
+            table.noncross, table.diameters, n, _all_triangulations(n), "flip graph"
         )
 
 
@@ -327,9 +326,10 @@ def flip_graph(n: int) -> FlipGraph:
 
 
 def _all_triangulations(n: int) -> tuple[int, ...]:
-    """The pair masks of all cs triangulations, sorted by bit indices as
-    rigid masks are: :func:`~clustertube.rigid.orbit_cliques` of the
-    non-crossing table, diameters marked; each has n-1 pairs, one diameter."""
+    """The pair masks of the cs triangulations through the lowest
+    diameter, one per turning orbit, sorted by bit indices as rigid masks
+    are: :func:`~clustertube.rigid.orbit_cliques` of the non-crossing
+    table, diameters marked; each has n-1 pairs, one diameter."""
     table = polygon_table(n)
 
     def defect(mask: int) -> str:
@@ -346,8 +346,8 @@ def _all_triangulations(n: int) -> tuple[int, ...]:
 def graphs_isomorphic_via_delta(eg, fg: FlipGraph) -> bool:
     """Does T -> triangulation_of(T) carry the exchange graph onto the
     flip graph, edge by edge and label by label?  Both number their
-    vertices by delta and sort their nodes and edge labels by bit, so
-    that is equality of the nodes; and both expand their edges from their
-    marked vertices and quotient blocks by one expansion, which equal
-    inputs give equal edges, so of those."""
-    return eg.nodes == fg.nodes and eg.marked == fg.marked and eg.blocks == fg.blocks
+    vertices by delta, sort by bit, and expand their nodes and edges
+    from their representatives, marked vertices and quotient blocks by
+    one expansion, which equal inputs give equal outputs; so that is
+    equality of those three."""
+    return eg.reps == fg.reps and eg.marked == fg.marked and eg.blocks == fg.blocks

@@ -10,15 +10,16 @@ through :func:`completions`, :func:`swap`, :func:`exchanges`,
 orbit machinery.
 
 Tau, as turning the 2n-gon, rotates indices by n-1 bits, so both models
-sweep their tables for socle 1 only (:func:`tau_swept`), search one clique
-per orbit (:func:`orbit_cliques`; :func:`maximal_rigid_masks` marks the
-tops), and keep their graphs as the tau-quotient that one builder,
-:func:`orbit_graph`, makes by exchanging only the orbit representatives.
+sweep their tables for socle 1 only (:func:`tau_swept`) and search one
+clique per orbit (:func:`orbit_cliques`; :func:`maximal_rigid_reps` marks
+the tops).  Everything reads these representatives: :func:`orbit_graph`
+exchanges only them to make either graph's tau-quotient,
+:func:`enumerate_maximal_rigid` builds each orbit from its own, and
+:func:`orbit_nodes` expands them into the sorted nodes.
 :class:`QuotientGraph` owns every rotation and wrap count: it locates a
 node's orbit from its mask, rotates a representative onto the nodes of
-its orbit, and expands the edges when they are read, and
+its orbit, and expands the nodes and edges when they are read, and
 :func:`cover_walk` certifies connectivity on the quotient, by voltages.
-:func:`enumerate_maximal_rigid` checks only the representatives too.
 :class:`MaximalRigid` and :class:`~clustertube.tube.TubeObject` are the
 boundary types.
 """
@@ -122,63 +123,60 @@ def _sort_by_indices(masks: list[int], size: int) -> None:
 def orbit_cliques(
     adj: Sequence[int], marked: int, n: int, defect: Callable[[int], str]
 ) -> tuple[int, ...]:
-    """The maximal cliques of the rank-``n`` table ``adj``, built by
-    (n-1)-bit rotation, sorted by bit indices: those through the lowest
-    ``marked`` vertex (top, diameter), one per orbit, rotated.  A second
+    """The maximal cliques of the rank-``n`` table ``adj`` through the
+    lowest ``marked`` vertex (top, diameter), sorted by bit indices: one
+    per orbit under (n-1)-bit rotation, its representative.  A second
     search, all marked vertices excluded, must find none.  ``defect`` is
     the error text for a clique of either search, or ""; its test of
     exactly one marked vertex keeps an orbit from being listed twice."""
-    size, step = len(adj), n - 1
     reps = maximal_cliques(adj, seed=marked & -marked)
     for mask in reps + maximal_cliques(adj, excluded=marked)[:1]:
         text = defect(mask)
         if text:
             raise TheoremViolationError(text)
+    _sort_by_indices(reps, len(adj))
+    return tuple(reps)
+
+
+def orbit_nodes(reps: Iterable[int], n: int) -> tuple[int, ...]:
+    """The nodes of the orbits of ``reps``, sorted by bit indices."""
+    size, step = n * (n - 1), n - 1
     masks = [rotate(mask, shift, size) for mask in reps for shift in range(0, size, step)]
     _sort_by_indices(masks, size)
     return tuple(masks)
 
 
 def orbit_graph(
-    adj: Sequence[int], marked: int, n: int, nodes: Sequence[int], name: str
+    adj: Sequence[int], marked: int, n: int, reps: Sequence[int], name: str
 ) -> tuple[dict[int, int], array]:
-    """The tau-quotient of graph ``name`` on ``nodes``, the maximal cliques
-    of ``adj`` with one ``marked`` vertex each: ``reps``, each orbit's
-    representative (its node through the lowest marked vertex) mapped to
-    the orbit's number, in node order, and ``blocks``, one flat array with
+    """The tau-quotient of graph ``name`` on the orbits of ``reps``, the
+    maximal cliques of ``adj`` through the lowest ``marked`` vertex as
+    :func:`orbit_cliques` sorts them: ``reps`` mapped to the orbit
+    numbers, and ``blocks``, one flat array with
     ``blocks[o*(n-1)+k] = o2*n + j2``: swapping the k-th lowest vertex of
     representative ``o`` gives the representative of orbit ``o2`` rotated
     by ``j2(n-1)`` bits, its voltage ``j2``.
 
     Only the representatives are exchanged, one :func:`exchanges` call
-    each.  Every node must be a rotation of a representative, and every
-    target a node.  The expanded edges are :attr:`QuotientGraph.edges`.
+    each, and every target must be a rotation of one.  The expanded edges
+    are :attr:`QuotientGraph.edges`.
     """
     size, d, low = n * (n - 1), n - 1, (marked & -marked).bit_length()
     full = (1 << size) - 1
-    # each node rotated down by t bits, onto its marked vertex's lowest place
-    keys = {(m >> (t := (m & marked).bit_length() - low) | m << size - t) & full for m in nodes}
-    if n * len(keys) != len(nodes):
-        raise TheoremViolationError(
-            f"{name} at rank {n} reaches {n * len(keys)} objects, "
-            f"the enumeration has {len(nodes)}"
-        )
-    order = list(keys)
-    _sort_by_indices(order, size)
-    reps = {r: o for o, r in enumerate(order)}
+    number = {r: o for o, r in enumerate(reps)}
     blocks = array("l")
-    for r in order:
+    for r in reps:
         for p, q in exchanges(adj, r):
             mask = r ^ 1 << p | 1 << q
             t = (mask & marked).bit_length() - low  # 0 unless the top was swapped
-            o = reps.get(mask if t <= 0 else (mask >> t | mask << size - t) & full, -1)
+            o = number.get(mask if t <= 0 else (mask >> t | mask << size - t) & full, -1)
             if o < 0 or t % d:
                 raise TheoremViolationError(
                     f"{name} at rank {n} reaches {bit_indices(mask)}, "
-                    f"outside the enumeration of {len(nodes)}"
+                    f"outside the enumeration of {n * len(reps)}"
                 )
             blocks.append(o * n + t // d)
-    return reps, blocks
+    return number, blocks
 
 
 def cover_walk(
@@ -224,19 +222,24 @@ def cover_walk(
 
 
 class QuotientGraph:
-    """A graph on the maximal cliques ``nodes`` of a rank-``n`` table,
-    each with one ``marked`` vertex, kept as its tau-quotient: ``reps`` and
-    ``blocks``, from :func:`orbit_graph`.
+    """A graph on the maximal cliques of a rank-``n`` table, each with one
+    ``marked`` vertex, kept as its tau-quotient: ``reps`` and ``blocks``,
+    from :func:`orbit_graph`.
 
     ``edges[i*(n-1)+k]``, one flat array, is the node reached by swapping
     the k-th lowest vertex of node ``i``.  It is built on first read:
     rotating a representative ``j`` steps rotates its targets ``j`` steps,
     so the ``j``-th node of an orbit has column ``j`` of its targets'
     orbits, turned by the node's turn, the representative's bits that wrap
-    when it is rotated onto the node.  Equal ``nodes``, ``marked`` and
-    ``blocks`` give equal edges.  A subclass sets ``n``, ``nodes``,
-    ``marked``, ``reps`` and ``blocks``.
+    when it is rotated onto the node.  Equal ``reps``, ``marked`` and
+    ``blocks`` give equal edges.  A subclass sets ``n``, ``marked``,
+    ``reps`` and ``blocks``.
     """
+
+    @cached_property
+    def nodes(self) -> tuple[int, ...]:
+        """Every node's mask, sorted by bit indices: built on first read."""
+        return orbit_nodes(self.reps, self.n)
 
     def locate(self, masks: Iterable[int]) -> Iterator[tuple[int, int]]:
         """The orbit of each node of ``masks`` and its turn: the node
@@ -389,11 +392,6 @@ class RigidTable(FrozenRecord):
             return f"has {self.objects_of(outside)} outside the wing of its top"
         return ""
 
-    def check(self, mask: int) -> tuple[list[int], str]:
-        """The bits of ``mask``, its summands' indices in canonical order,
-        and its :meth:`defect`."""
-        return bit_indices(mask), self.defect(mask)
-
 
 def tau_swept(n: int, row: Callable[[int], int]) -> tuple[int, ...]:
     """The n(n-1) rows of a tau-invariant table of rank ``n``: ``row(i)``
@@ -437,9 +435,10 @@ class MaximalRigid(FrozenRecord):
     Construction validates everything (:meth:`RigidTable.defect`): n-1
     distinct pairwise compatible rigid summands, a unique top of
     quasi-length n-1, and containment of all summands in the top's wing.
-    :func:`enumerate_maximal_rigid` validates each tau-orbit's
-    representative so, and builds its rotations unchecked once
-    :func:`_tau_equivariant` shows that they pass too.
+    The search validates each tau-orbit's representative so
+    (:func:`maximal_rigid_reps`), and :func:`enumerate_maximal_rigid`
+    builds every orbit from it unchecked once :func:`_tau_equivariant`
+    shows that its rotations pass too.
     """
 
     _fields = ("n", "summands")
@@ -458,10 +457,9 @@ class MaximalRigid(FrozenRecord):
 
     def _hold(self, table: RigidTable, mask: int) -> str:
         """Keep ``mask`` and its summands, in canonical order, which is
-        bit order, if :meth:`RigidTable.check` passes it; else return the
+        bit order, if :meth:`RigidTable.defect` passes it; else return the
         summands and the defect."""
-        bits, defect = table.check(mask)
-        objs = _getter(bits)(table.objects)
+        objs, defect = table.objects_of(mask), table.defect(mask)
         if defect:
             return f"{objs} {defect}"
         object.__setattr__(self, "summands", objs)
@@ -523,10 +521,11 @@ def compatibility(n: int) -> dict[TubeObject, frozenset[TubeObject]]:
 
 
 @lru_cache(maxsize=None)
-def maximal_rigid_masks(n: int) -> tuple[int, ...]:
-    """The masks of all maximal rigid objects, sorted by their bit
-    indices: every one has exactly one top, so :func:`orbit_cliques`
-    with the tops marked, each checked by :meth:`RigidTable.defect`."""
+def maximal_rigid_reps(n: int) -> tuple[int, ...]:
+    """The masks of the maximal rigid objects through the lowest top, one
+    per tau-orbit, sorted by their bit indices: every one has exactly one
+    top, so :func:`orbit_cliques` with the tops marked, each checked by
+    :meth:`RigidTable.defect`."""
     table = rigid_table(n)
 
     def defect(mask: int) -> str:
@@ -536,6 +535,13 @@ def maximal_rigid_masks(n: int) -> tuple[int, ...]:
         return text and f"{table.objects_of(mask)} {text}"
 
     return orbit_cliques(table.compat, table.tops, n, defect)
+
+
+@lru_cache(maxsize=None)
+def maximal_rigid_masks(n: int) -> tuple[int, ...]:
+    """The masks of all maximal rigid objects, sorted by their bit
+    indices: the orbits of :func:`maximal_rigid_reps`."""
+    return orbit_nodes(maximal_rigid_reps(n), n)
 
 
 def _tau_equivariant(table: RigidTable) -> bool:
@@ -553,42 +559,33 @@ def _tau_equivariant(table: RigidTable) -> bool:
 def enumerate_maximal_rigid(n: int) -> tuple[MaximalRigid, ...]:
     """All maximal rigid objects, in :func:`maximal_rigid_masks` order.
 
-    Each tau-orbit's representative, through the lowest top, sorts first
-    and is checked (:meth:`RigidTable.check`), which walks its bits once:
-    they give the getter of its summands.  Its rotation tau^j reads its
-    summands with that getter from the objects rotated by j(n-1) bits,
-    turned by the bits that wrap, and passes as it does:
-    :func:`_tau_equivariant` holds.  Any other node, and a representative
-    that fails, is checked by itself (:func:`_of_mask`)."""
-    table, masks = rigid_table(n), maximal_rigid_masks(n)
+    Each tau-orbit's representative, through the lowest top, was checked
+    by the search (:func:`maximal_rigid_reps`), and its bits give the
+    getter of its summands.  Its rotation tau^j reads its summands with
+    that getter from the objects rotated by j(n-1) bits, turned by the
+    bits that wrap, and passes as it does: :func:`_tau_equivariant`
+    holds."""
+    table = rigid_table(n)
     if not _tau_equivariant(table):
         raise TheoremViolationError(f"tau is not an automorphism of the rank-{n} table")
-    objs, tops, size = table.objects, table.tops, len(table.objects)
-    full, lowest = (1 << size) - 1, tops & -tops
-    shift = {lowest << s: s for s in range(0, size, n - 1)}  # tau^j's top -> j(n-1)
-    turned = {s: objs[s:] + objs[:s] for s in shift.values()}  # tau^j of the objects
-    reps: dict[int, Callable[[Sequence], tuple]] = {}  # checked -> its summands' getter
+    objs, size = table.objects, len(table.objects)
+    full = (1 << size) - 1
+    turned = [(s, objs[s:] + objs[:s]) for s in range(0, size, n - 1)]  # tau^j of the objects
     # the slots' own setters, past FrozenRecord's refusal and the name lookup
     fields = ("n", "summands", "mask")
     set_n, set_summands, set_mask = (getattr(MaximalRigid, f).__set__ for f in fields)
-    new, out = object.__new__, []
-    for mask in masks:
-        t = shift.get(mask & tops)  # j(n-1), if the one top is tau^j of the lowest
-        if t == 0:  # a representative: checked, and its summands' getter kept
-            bits, defect = table.check(mask)
-            get = None if defect else reps.setdefault(mask, _getter(bits))
-        else:
-            get = t is not None and reps.get((mask >> t | mask << size - t) & full)  # tau^-j
-        if not get:
-            out.append(_of_mask(table, mask))  # checked by itself: a defect raises
-            continue
-        summands, w = get(turned[t]), (mask & (1 << t) - 1).bit_count()
-        node = new(MaximalRigid)
-        set_n(node, n)
-        set_summands(node, summands[-w:] + summands[:-w])
-        set_mask(node, mask)
-        out.append(node)
-    return tuple(out)
+    new, built = object.__new__, {}
+    for rep in maximal_rigid_reps(n):
+        get = _getter(bit_indices(rep))
+        for s, objs_s in turned:
+            summands, w = get(objs_s), (rep >> size - s).bit_count()  # w: the bits that wrap
+            node = new(MaximalRigid)
+            set_n(node, n)
+            set_summands(node, summands[-w:] + summands[:-w])
+            mask = (rep << s | rep >> size - s) & full
+            set_mask(node, mask)
+            built[mask] = node
+    return tuple(map(built.__getitem__, maximal_rigid_masks(n)))
 
 
 def tilting_datum_of(table: RigidTable, mask: int) -> tuple[int, int]:

@@ -10,6 +10,7 @@ import clustertube
 
 CACHED = {
     "clustertube.rigid.rigid_table": None,
+    "clustertube.rigid.maximal_rigid_reps": None,
     "clustertube.rigid.maximal_rigid_masks": None,
     "clustertube.mutation.build_exchange_graph": None,
     "clustertube.polygon.polygon_table": None,

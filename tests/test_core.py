@@ -32,6 +32,7 @@ from clustertube.rigid import (
     exchanges,
     maximal_cliques,
     maximal_rigid_masks,
+    orbit_nodes,
     rigid_table,
     swap,
 )
@@ -270,10 +271,11 @@ TRIANGULATION_ORDER = {
 class TestTriangulations:
     @pytest.mark.parametrize("n", sorted(TRIANGULATION_ORDER))
     def test_count_and_order_unchanged(self, n):
-        tris = [polygon_table(n).triangulation(m) for m in _all_triangulations(n)]
+        nodes = orbit_nodes(_all_triangulations(n), n)
+        tris = [polygon_table(n).triangulation(m) for m in nodes]
         keys = sorted([_pair_key(p) for p in t.sorted_pairs()] for t in tris)
         assert len(tris) == comb(2 * n - 2, n - 1)
-        assert _all_triangulations(n) == maximal_rigid_masks(n)
+        assert nodes == maximal_rigid_masks(n)
         assert hashlib.sha256(repr(keys).encode()).hexdigest() == TRIANGULATION_ORDER[n]
         assert set(tris) == {triangulation_of(t) for t in enumerate_maximal_rigid(n)}
         assert {p for t in tris for p in t.pairs} == set(all_cs_pairs(n))

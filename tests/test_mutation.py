@@ -439,12 +439,19 @@ class TestRowsOnDemand:
         for t in enumerate_maximal_rigid(n):
             g.b_matrix(t)
         assert not views & vars(g).keys()
-        assert not views & vars(polygon.FlipGraph(n)).keys()
+        assert not {"nodes", *views} & vars(polygon.FlipGraph(n)).keys()
         build_exchange_graph.cache_clear()
         polygon.flip_graph.cache_clear()
         assert all(c.ok for c in verify.suite_polygon(n))
         assert not views & vars(build_exchange_graph(n)).keys()
-        assert not views & vars(polygon.flip_graph(n)).keys()
+        assert not {"nodes", *views} & vars(polygon.flip_graph(n)).keys()
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_first_read_of_the_flip_graph_nodes(self, n):
+        polygon.flip_graph.cache_clear()
+        g = polygon.flip_graph(n)
+        assert "nodes" not in vars(g)
+        assert g.nodes == rigid.maximal_rigid_masks(n)
 
     def test_holds_no_rows_per_node(self):
         # calibrated on the rows kept per orbit, which leave 1.47 MiB

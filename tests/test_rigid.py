@@ -256,25 +256,39 @@ class TestDoctoredTables:
         }[edit]
         real = rigid.rigid_table
         monkeypatch.setattr(rigid, "rigid_table", lambda n: edit(real(n)))
+        rigid.maximal_rigid_reps.cache_clear()
         maximal_rigid_masks.cache_clear()
         try:
             with pytest.raises(TheoremViolationError, match=text):
                 maximal_rigid_masks(5)
             assert main(["verify", "--rank", "5", "--suite", "counts"]) == 1
         finally:
+            rigid.maximal_rigid_reps.cache_clear()
             maximal_rigid_masks.cache_clear()
         assert capsys.readouterr().err.startswith("verification failure: ")
 
 
 class TestDoctoredEnumeration:
     def test_computed_mask_with_a_defect_is_a_theorem_violation(self, monkeypatch):
-        # the last rank-3 mask with one more summand: the enumeration
-        # computed it, so its defect falsifies the computation
-        real = maximal_rigid_masks(3)
-        monkeypatch.setattr(rigid, "maximal_rigid_masks", lambda n: real[:-1] + (real[-1] | 1,))
-        text = "((1,2)@3, (3,2)@3, (3,1)@3) has 3 summands, expected 2"
-        with pytest.raises(TheoremViolationError, match=f"^{re.escape(text)}$"):
-            enumerate_maximal_rigid(3)
+        # the last rank-3 representative the search finds, with one more
+        # summand: the search computed it, so its defect falsifies the
+        # computation
+        real = rigid.maximal_cliques
+
+        def doctored(adj, seed=0, excluded=0):
+            found = real(adj, seed, excluded)
+            return found[:-1] + [found[-1] | 1 << len(adj) - 1] if seed else found
+
+        monkeypatch.setattr(rigid, "maximal_cliques", doctored)
+        rigid.maximal_rigid_reps.cache_clear()
+        maximal_rigid_masks.cache_clear()
+        text = "((1,2)@3, (2,1)@3, (3,1)@3) has 3 summands, expected 2"
+        try:
+            with pytest.raises(TheoremViolationError, match=f"^{re.escape(text)}$"):
+                enumerate_maximal_rigid(3)
+        finally:
+            rigid.maximal_rigid_reps.cache_clear()
+            maximal_rigid_masks.cache_clear()
 
     @pytest.mark.parametrize("n,bits", [(3, "1"), (4, "1, 2")])
     def test_exchange_outside_the_enumeration(self, n, bits, monkeypatch):
@@ -288,18 +302,19 @@ class TestDoctoredEnumeration:
             return out
 
         monkeypatch.setattr(rigid, "exchanges", dropping)
-        table, nodes = rigid_table(n), maximal_rigid_masks(n)
+        table, reps = rigid_table(n), rigid.maximal_rigid_reps(n)
         with pytest.raises(
             TheoremViolationError,
             match=rf"^exchange graph at rank {n} reaches \[{bits}\], "
-            rf"outside the enumeration of {len(nodes)}$",
+            rf"outside the enumeration of {len(maximal_rigid_masks(n))}$",
         ):
-            rigid.orbit_graph(table.compat, table.tops, n, nodes, "exchange graph")
+            rigid.orbit_graph(table.compat, table.tops, n, reps, "exchange graph")
 
 
 class TestOrbitBuilds:
-    """``enumerate_maximal_rigid`` checks one node per tau-orbit and builds
-    the rotations from it; checking every node is the reference."""
+    """``enumerate_maximal_rigid`` builds each tau-orbit from the
+    representative the search checked; checking every node is the
+    reference."""
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_equals_the_check_of_every_node(self, n):
@@ -311,15 +326,22 @@ class TestOrbitBuilds:
         assert [t.summands for t in built] == [t.summands for t in checked]
 
     @pytest.mark.parametrize("n", range(3, 9))
-    def test_checks_each_orbit_once(self, n, monkeypatch):
-        masks = maximal_rigid_masks(n)
-        real, checked = rigid.RigidTable.check, []
+    def test_checks_each_orbit_once(self, n, monkeypatch, clear_package_caches):
+        # from cold caches, the search checks each representative, and
+        # the seed's own construction its mask; nothing else is checked
+        real, checked = rigid.RigidTable.defect, []
         monkeypatch.setattr(
-            rigid.RigidTable, "check", lambda self, m: checked.append(m) or real(self, m)
+            rigid.RigidTable, "defect", lambda self, m: checked.append(m) or real(self, m)
         )
+        clear_package_caches()
+        maximal_rigid_masks(n)
         enumerate_maximal_rigid(n)
-        assert len(checked) == comb(2 * n - 2, n - 1) // n  # Catalan(n-1): 429 at n=8
-        assert checked == [mask for mask in masks if mask & 1]
+        mutation.build_exchange_graph(n)
+        polygon.flip_graph(n)
+        *reps, seed = checked
+        assert len(reps) == comb(2 * n - 2, n - 1) // n  # Catalan(n-1): 429 at n=8
+        assert sorted(reps) == sorted(rigid.maximal_rigid_reps(n))
+        assert seed == mutation.initial_seed(n).object.mask
 
     @pytest.mark.parametrize("edit", [other_wing_shrunk, socle_n_pair_cut])
     def test_table_that_tau_does_not_preserve(self, monkeypatch, edit):

@@ -218,13 +218,13 @@ class TestInitialSeedFailures:
 
 @pytest.mark.parametrize("edit", [lambda mask: mask, top_swapped_out], ids=["node", "not-one"])
 def test_counterexample_node_is_checked_once(monkeypatch, edit):
-    """A counterexample's text runs ``RigidTable.check`` once on its
+    """A counterexample's text runs ``RigidTable.defect`` once on its
     mask, whether the mask is a maximal rigid object or not."""
     table = rigid.rigid_table(N)
     mask = edit(rigid.maximal_rigid_masks(N)[0])
-    real, checked = rigid.RigidTable.check, []
+    real, checked = rigid.RigidTable.defect, []
     monkeypatch.setattr(
-        rigid.RigidTable, "check", lambda self, m: checked.append(m) or real(self, m)
+        rigid.RigidTable, "defect", lambda self, m: checked.append(m) or real(self, m)
     )
     assert not verify._bad_node("node", table, mask).ok
     assert checked == [mask]
