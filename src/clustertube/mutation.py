@@ -167,16 +167,15 @@ class ExchangeGraph(QuotientGraph):
     """All seeds at rank n, with B-matrices propagated by mutation on the
     tau-quotient during one walk from the seed.
 
-    ``nodes`` holds each node's mask, in
-    :func:`~clustertube.rigid.maximal_rigid_masks` order, as
-    :attr:`FlipGraph.nodes <clustertube.polygon.FlipGraph.nodes>` does; the
-    graph itself is its tau-quotient, ``reps`` and ``blocks`` from
+    The graph is its tau-quotient, ``reps`` and ``blocks`` from
     :func:`~clustertube.rigid.orbit_graph`, with the tops marked, as the
-    flip graph's is.  Built on first read: ``edges`` (see
-    :class:`~clustertube.rigid.QuotientGraph`), ``order``, the BFS pop order
-    of the nodes from the seed, and ``rows``, each node's canonical-order
-    matrix as a tuple of rows.  :meth:`b_matrix` is the one lookup from a
-    :class:`MaximalRigid` to its :class:`ExchangeMatrix`.
+    flip graph's is.  Built on first read: ``nodes``, each node's mask in
+    :func:`~clustertube.rigid.maximal_rigid_masks` order, as
+    :attr:`FlipGraph.nodes <clustertube.polygon.FlipGraph.nodes>` are;
+    ``edges`` (see :class:`~clustertube.rigid.QuotientGraph`); ``order``,
+    the BFS pop order of the nodes from the seed; and ``rows``, each node's
+    canonical-order matrix as a tuple of rows.  :meth:`b_matrix` is the one
+    lookup from a :class:`MaximalRigid` to its :class:`ExchangeMatrix`.
 
     The walk is a BFS of the quotient from the seed's orbit
     (:func:`~clustertube.rigid.cover_walk`), which must reach every node:
@@ -200,16 +199,15 @@ class ExchangeGraph(QuotientGraph):
         self.n = n
         table = rigid_table(n)
         seed = initial_seed(n)
-        self.nodes: tuple[int, ...] = maximal_rigid_masks(n)
         self.marked, self._seed = table.tops, seed.object.mask
         reps = maximal_rigid_reps(n)
         self.reps, self.blocks = orbit_graph(table.compat, table.tops, n, reps, "exchange graph")
         ((first, w),) = self.locate([self._seed])
         steps, reached = cover_walk(self.blocks, n, first)
-        if reached != len(self.nodes):
+        if reached != n * len(reps):
             raise TheoremViolationError(
                 f"exchange graph at rank {n} reaches {reached} objects, "
-                f"the enumeration has {len(self.nodes)}"
+                f"the enumeration has {n * len(reps)}"
             )
         self._shared: dict[tuple[int, ...], tuple[int, ...]] = {}
         # base[o]: orbit o's representative's rows.  The walk reaches an
@@ -231,6 +229,11 @@ class ExchangeGraph(QuotientGraph):
                     f"path-independence failure at {table.objects_of(mask2)}: "
                     f"{_turn(seen, -w2)} vs {_turn(b2, -w2)}"
                 )
+
+    @cached_property
+    def nodes(self) -> tuple[int, ...]:
+        """Every node's mask: the rank's one cached :func:`maximal_rigid_masks`."""
+        return maximal_rigid_masks(self.n)
 
     @cached_property
     def order(self) -> array:

@@ -10,8 +10,8 @@ The pairs of one rank are numbered by delta (:class:`PolygonTable`):
 pair ``i`` is the image of the rigid indecomposable of canonical index
 ``i``, the pairs must be exactly :func:`all_cs_pairs`, and turning the
 2n-gon by one corner rotates pair masks by n-1 bits, as tau does rigid
-masks.  Non-crossing is one bitmask per pair, read off
-:func:`crossing_points` alone, so a triangulation is a mask and a flip is
+masks.  Non-crossing is one bitmask per pair, read off the crossings of
+corners alone, so a triangulation is a mask and a flip is
 :func:`~clustertube.rigid.swap`.  The search's turning-orbit
 representatives go to :func:`~clustertube.rigid.orbit_graph`, the builder
 the exchange graph uses, and both graphs expand their ``nodes`` and flat
@@ -22,7 +22,9 @@ have equal representatives, marked vertices (tops, diameters) and blocks,
 which checks that the two tables agree, not an independent flip.
 
 Corners are labelled clockwise 1..2n; all corner arithmetic is reduced
-into that range.
+into that range.  The records wrap corner ints: a cs pair is keyed by its
+lower member's corners ``(p, q)``, p < q, and one predicate on two such
+tuples, ``_cross``, decides every crossing.
 """
 
 from __future__ import annotations
@@ -43,8 +45,11 @@ from .rigid import (
 from .tube import FrozenRecord, TubeObject, check_coordinates, check_rank, is_rigid_indec
 
 
-def _mod_corner(c: int, n: int) -> int:
-    return (c - 1) % (2 * n) + 1
+def _turned(p: int, q: int, n: int, k: int) -> tuple[int, int]:
+    """The corners of the diagonal [p, q] turned by ``k`` corners, reduced
+    into 1..2n, in order."""
+    p, q = (p + k - 1) % (2 * n) + 1, (q + k - 1) % (2 * n) + 1
+    return (p, q) if p < q else (q, p)
 
 
 class Diagonal(FrozenRecord):
@@ -60,18 +65,13 @@ class Diagonal(FrozenRecord):
 
     def __post_init__(self) -> None:
         check_coordinates(self, ("p", "q", "n"))
-        p, q = _mod_corner(self.p, self.n), _mod_corner(self.q, self.n)
-        if p > q:
-            p, q = q, p
+        p, q = _turned(self.p, self.q, self.n, 0)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         if p == q:
             raise StructuralError(f"degenerate diagonal [{p},{q}]")
         if q - p == 1 or q - p == 2 * self.n - 1:
             raise StructuralError(f"[{p},{q}] is an edge of the {2 * self.n}-gon")
-
-    def shifted(self) -> "Diagonal":
-        return Diagonal(self.p + self.n, self.q + self.n, self.n)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -98,18 +98,18 @@ class CsPair(FrozenRecord):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.d1.n != self.n:
-            raise StructuralError(f"{self.d1} is not a diagonal of the {2 * self.n}-gon")
-        if self.d1.shifted() != self.d2:
-            raise StructuralError(f"{self.d2} is not the half-turn of {self.d1}")
-        if (self.d2.p, self.d2.q) < (self.d1.p, self.d1.q):
-            d1, d2 = self.d2, self.d1
-            object.__setattr__(self, "d1", d1)
-            object.__setattr__(self, "d2", d2)
+        d1, d2, n = self.d1, self.d2, self.n
+        if d1.n != n:
+            raise StructuralError(f"{d1} is not a diagonal of the {2 * n}-gon")
+        if d2.n != n or _turned(d1.p, d1.q, n, n) != (d2.p, d2.q):
+            raise StructuralError(f"{d2} is not the half-turn of {d1}")
+        if (d2.p, d2.q) < (d1.p, d1.q):
+            object.__setattr__(self, "d1", d2)
+            object.__setattr__(self, "d2", d1)
 
     @classmethod
     def of(cls, d: Diagonal) -> "CsPair":
-        return cls(d, d.shifted(), d.n)
+        return cls(d, Diagonal(d.p + d.n, d.q + d.n, d.n), d.n)
 
     @property
     def degenerate(self) -> bool:
@@ -118,10 +118,6 @@ class CsPair(FrozenRecord):
     @property
     def diagonals(self) -> tuple[Diagonal, ...]:
         return (self.d1,) if self.degenerate else (self.d1, self.d2)
-
-    def representatives(self) -> tuple[Diagonal, Diagonal]:
-        """Both members, a diameter listed twice."""
-        return (self.d1, self.d2)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -135,22 +131,22 @@ class CsPair(FrozenRecord):
         return f"{self.d1}" if self.degenerate else f"({self.d1},{self.d2})"
 
 
+def _cross(d: tuple[int, int], e: tuple[int, int]) -> bool:
+    """Do the diagonals of corners d, e, each in order, cross?  Not at a shared corner."""
+    (p, q), (r, s) = d, e
+    return p < r < q < s or r < p < s < q
+
+
 def diagonals_cross(d: Diagonal, e: Diagonal) -> bool:
     """Strict interior crossing; shared endpoints and equality do not count."""
     if d.n != e.n:
         raise StructuralError("diagonals of different polygons")
-    if {d.p, d.q} & {e.p, e.q}:
-        return False
-    return (d.p < e.p < d.q) != (d.p < e.q < d.q)
+    return _cross((d.p, d.q), (e.p, e.q))
 
 
 def crossing_points(p1: CsPair, p2: CsPair) -> int:
     """Crossings over the 2x2 grid of representatives (diameters doubled)."""
-    return sum(
-        diagonals_cross(d, e)
-        for d in p1.representatives()
-        for e in p2.representatives()
-    )
+    return sum(diagonals_cross(d, e) for d in (p1.d1, p1.d2) for e in (p2.d1, p2.d2))
 
 
 class CsTriangulation(FrozenRecord):
@@ -201,7 +197,7 @@ def delta_inv(p: CsPair) -> TubeObject:
     """Inverse of delta, by reading b off an oriented representative."""
     n = p.n
     candidates = set()
-    for d in p.representatives():
+    for d in (p.d1, p.d2):
         for start, end in ((d.p, d.q), (d.q, d.p)):
             b = (end - start - 1) % (2 * n)
             if 1 <= b <= n - 1 and 1 <= start <= n:
@@ -214,13 +210,14 @@ def delta_inv(p: CsPair) -> TubeObject:
 def all_cs_pairs(n: int) -> tuple[CsPair, ...]:
     """All centrally symmetric pairs of the 2n-gon; there are n(n-1)."""
     check_rank(n)
-    pairs = set()
-    for p in range(1, 2 * n + 1):
-        for q in range(p + 2, 2 * n + 1):
-            if q - p == 2 * n - 1:
-                continue
-            pairs.add(CsPair.of(Diagonal(p, q, n)))
-    return tuple(sorted(pairs, key=_pair_key))
+    return tuple(CsPair.of(Diagonal(p, q, n)) for p, q in _cs_keys(n))
+
+
+def _cs_keys(n: int) -> list[tuple[int, int]]:
+    """The corners of each cs pair's lower member, in order: the [p, q],
+    p <= n, that are no edge, and whose half-turn [q-n, p+n] is not lower."""
+    ends = (range(p + 2, 2 * n + 1 - (p == 1)) for p in range(1, n + 1))
+    return [(p, q) for p, qs in enumerate(ends, 1) for q in qs if q <= n or q - p >= n]
 
 
 def triangulation_of(t: MaximalRigid) -> CsTriangulation:
@@ -263,31 +260,37 @@ def polygon_table(n: int) -> PolygonTable:
 
     The pairs are numbered by delta, but must be every cs pair of the
     2n-gon, once each, and pair i+n-1 (mod n(n-1)) must be pair i turned
-    by one corner.  Non-crossing is read off :func:`crossing_points`
-    alone, never off Ext, for the n-1 pairs of socle 1, and rotated from
-    there (:func:`~clustertube.rigid.tau_swept`), so crossing = 2 Ext
-    stays a check between two routes.
+    by one corner, all compared on corners.  Non-crossing is read off the
+    crossing kernel alone, never off Ext, for the n-1 pairs of socle 1, and
+    rotated from there (:func:`~clustertube.rigid.tau_swept`), so crossing
+    = 2 Ext stays a check between two routes.
     """
     pairs = tuple(delta(x) for x in enumerate_rigid_indecs(n))
-    cs_pairs = all_cs_pairs(n)
-    if sorted(pairs, key=_pair_key) != list(cs_pairs):
-        missed = [p for p in cs_pairs if p not in pairs]
+    # an image of another polygon is left out, so that delta misses a pair
+    corners = [((a.d1.p, a.d1.q), (a.d2.p, a.d2.q)) for a in pairs if a.n == n]
+    keys = [d for d, _ in corners]
+    if sorted(keys) != _cs_keys(n):
+        missed = [p for p in all_cs_pairs(n) if p not in pairs]
         raise TheoremViolationError(f"delta misses the cs pairs {missed} of the {2 * n}-gon")
     size, step = len(pairs), n - 1
-    for i, a in enumerate(pairs):
-        if pairs[(i + step) % size] != CsPair.of(Diagonal(a.d1.p + 1, a.d1.q + 1, n)):
+    for i, (p, q) in enumerate(keys):
+        if keys[(i + step) % size] != min(_turned(p, q, n, 1), _turned(p, q, n, n + 1)):
             raise TheoremViolationError(
-                f"delta does not commute with turning the {2 * n}-gon at {a}"
+                f"delta does not commute with turning the {2 * n}-gon at {pairs[i]}"
             )
-    noncross = tau_swept(
-        n,
-        lambda i: sum(
-            1 << j for j, b in enumerate(pairs) if j != i and crossing_points(pairs[i], b) == 0
-        ),
-    )
+
+    def row(i: int) -> int:
+        d1, d2 = corners[i]
+        return sum(
+            1 << j
+            for j, (e1, e2) in enumerate(corners)
+            if j != i
+            and not (_cross(d1, e1) or _cross(d1, e2) or _cross(d2, e1) or _cross(d2, e2))
+        )
+
     index = {p: i for i, p in enumerate(pairs)}
-    diameters = sum(1 << i for i, p in enumerate(pairs) if p.degenerate)
-    return PolygonTable(n, pairs, index, noncross, diameters)
+    diameters = sum(1 << i for i, (p, q) in enumerate(keys) if q - p == n)
+    return PolygonTable(n, pairs, index, tau_swept(n, row), diameters)
 
 
 def flip(tri: CsTriangulation, p: CsPair) -> CsTriangulation:

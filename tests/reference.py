@@ -1,10 +1,20 @@
-"""Full searches kept as references for the rotation-quotient code, and
-the naive checks the tests hold the package's own against."""
+"""Full searches kept as references for the rotation-quotient code, the
+record-built polygon model that the corner-integer one is held against,
+and the naive checks the tests hold the package's own against."""
 
 from collections import deque
 
-from clustertube import ExchangeMatrix, TheoremViolationError, build_rep
+from clustertube import (
+    CsPair,
+    Diagonal,
+    ExchangeMatrix,
+    TheoremViolationError,
+    build_rep,
+    delta,
+    enumerate_rigid_indecs,
+)
 from clustertube.linalg import integer_rank
+from clustertube.polygon import PolygonTable
 from clustertube.rigid import bit_indices, maximal_cliques, rotate, swap
 from clustertube.tube import _mod_coord, _same_rank
 
@@ -99,3 +109,63 @@ def oracle_by_elimination(x, y):
                 if eq:
                     rows.append(eq)
     return total - integer_rank(rows)
+
+
+def crosses_by_sets(d, e):
+    """Strict interior crossing of two ``Diagonal`` records, read off their
+    corner sets: a shared corner is no crossing, and otherwise exactly one
+    corner of ``e`` lies strictly between the corners of ``d``."""
+    if {d.p, d.q} & {e.p, e.q}:
+        return False
+    return (d.p < e.p < d.q) != (d.p < e.q < d.q)
+
+
+def crossings_by_sets(p1, p2):
+    """Crossings of two cs pairs over the 2x2 grid of their members, a
+    diameter counted twice, by :func:`crosses_by_sets`."""
+    return sum(crosses_by_sets(d, e) for d in (p1.d1, p1.d2) for e in (p2.d1, p2.d2))
+
+
+def _lower_corners(pair):
+    return (pair.d1.p, pair.d1.q)
+
+
+def diagonals(n):
+    """Every diagonal of the 2n-gon, as a record."""
+    return [
+        Diagonal(p, q, n)
+        for p in range(1, 2 * n + 1)
+        for q in range(p + 2, 2 * n + 1)
+        if q - p != 2 * n - 1
+    ]
+
+
+def cs_pairs_by_records(n):
+    """Every cs pair of the 2n-gon, one record per diagonal,
+    deduplicated and sorted by the corners of the lower member."""
+    return tuple(sorted({CsPair.of(d) for d in diagonals(n)}, key=_lower_corners))
+
+
+def polygon_table_by_records(n):
+    """The rank-``n`` polygon table built on records: delta's images
+    compared with :func:`cs_pairs_by_records`, each image turned by one
+    corner as a new record, and non-crossing swept over every pair of
+    pairs by :func:`crossings_by_sets`, with no rotation."""
+    pairs = tuple(delta(x) for x in enumerate_rigid_indecs(n))
+    cs_pairs = cs_pairs_by_records(n)
+    if sorted(pairs, key=_lower_corners) != list(cs_pairs):
+        missed = [p for p in cs_pairs if p not in pairs]
+        raise TheoremViolationError(f"delta misses the cs pairs {missed} of the {2 * n}-gon")
+    size, step = len(pairs), n - 1
+    for i, a in enumerate(pairs):
+        if pairs[(i + step) % size] != CsPair.of(Diagonal(a.d1.p + 1, a.d1.q + 1, n)):
+            raise TheoremViolationError(
+                f"delta does not commute with turning the {2 * n}-gon at {a}"
+            )
+    noncross = tuple(
+        sum(1 << j for j, b in enumerate(pairs) if j != i and crossings_by_sets(a, b) == 0)
+        for i, a in enumerate(pairs)
+    )
+    index = {p: i for i, p in enumerate(pairs)}
+    diameters = sum(1 << i for i, p in enumerate(pairs) if p.degenerate)
+    return PolygonTable(n, pairs, index, noncross, diameters)

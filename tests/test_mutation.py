@@ -250,9 +250,11 @@ class TestExchangeGraph:
                 assert is_sign_skew_symmetric(rows)
 
     def test_nodes_must_equal_the_enumeration(self, monkeypatch):
-        real = mutation.maximal_rigid_masks
-        monkeypatch.setattr(mutation, "maximal_rigid_masks", lambda n: real(n)[1:])
-        with pytest.raises(TheoremViolationError, match="reaches 70 objects.* 69"):
+        # the enumeration counts n nodes per representative: one listed
+        # twice is five nodes more than the walk reaches
+        real = mutation.maximal_rigid_reps
+        monkeypatch.setattr(mutation, "maximal_rigid_reps", lambda n: real(n) + real(n)[-1:])
+        with pytest.raises(TheoremViolationError, match="reaches 70 objects.* 75$"):
             mutation.ExchangeGraph(5)
 
     def test_seed_matrix_matches_involution(self):
@@ -434,17 +436,27 @@ class TestRowsOnDemand:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_no_build_reads_an_expanded_array(self, n):
         # the graphs, the polygon suite and b_matrix read the quotient only
-        views = {"edges", "order", "rows"}
+        views = {"nodes", "edges", "order", "rows"}
         g = mutation.ExchangeGraph(n)
         for t in enumerate_maximal_rigid(n):
             g.b_matrix(t)
         assert not views & vars(g).keys()
-        assert not {"nodes", *views} & vars(polygon.FlipGraph(n)).keys()
+        assert not views & vars(polygon.FlipGraph(n)).keys()
         build_exchange_graph.cache_clear()
         polygon.flip_graph.cache_clear()
         assert all(c.ok for c in verify.suite_polygon(n))
         assert not views & vars(build_exchange_graph(n)).keys()
-        assert not {"nodes", *views} & vars(polygon.flip_graph(n)).keys()
+        assert not views & vars(polygon.flip_graph(n)).keys()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_cold_graph_sorts_no_nodes(self, n, clear_package_caches):
+        # bmatrix and mutate read the quotient only, so the sorted node
+        # tuple is built on the first read of nodes, and is the rank's one
+        clear_package_caches()
+        g = build_exchange_graph(n)
+        g.b_matrix(initial_seed(n).object)
+        assert rigid.maximal_rigid_masks.cache_info().currsize == 0
+        assert g.nodes is rigid.maximal_rigid_masks(n)
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_first_read_of_the_flip_graph_nodes(self, n):

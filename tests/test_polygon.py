@@ -34,7 +34,14 @@ from clustertube import mutation, polygon, rigid, verify
 from clustertube.cli import main
 from clustertube.polygon import CsPair, polygon_table
 from clustertube.rigid import bit_indices, exchanges, maximal_rigid_masks, rigid_table, swap
-from reference import clusters
+from reference import (
+    clusters,
+    crosses_by_sets,
+    crossings_by_sets,
+    cs_pairs_by_records,
+    diagonals,
+    polygon_table_by_records,
+)
 
 
 def obj(a, b, n):
@@ -759,3 +766,116 @@ class TestFlipQuotient:
         finally:
             polygon.flip_graph.cache_clear()
         assert capsys.readouterr().err.startswith("verification failure: 0 diameters in ")
+
+
+def touching(d, e):
+    """A doctored crossing kernel: a shared corner counts as a crossing."""
+    (p, q), (r, s) = d, e
+    return d != e and (p <= r <= q <= s or r <= p <= s <= q)
+
+
+@st.composite
+def diagonal_pairs(draw):
+    """Two diagonals of a 2n-gon, n up to 40, from random corners."""
+    n = draw(st.integers(2, 40))
+    corner = st.integers(1, 2 * n)
+    out = []
+    for _ in range(2):
+        p = draw(corner)
+        gap = draw(st.integers(2, 2 * n - 2))
+        out.append(Diagonal(p, p + gap, n))
+    return out
+
+
+class TestCornerKernel:
+    """The polygon model on corner ints: one crossing predicate, one list
+    of cs pairs, and the table built from them, each against the
+    record-built references in ``reference``."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_kernel_equals_the_set_predicate_on_every_pair(self, n):
+        ds = diagonals(n)
+        for d in ds:
+            for e in ds:
+                want = crosses_by_sets(d, e)
+                assert polygon._cross((d.p, d.q), (e.p, e.q)) is want, (d, e)
+                assert diagonals_cross(d, e) is want, (d, e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(diagonal_pairs())
+    def test_kernel_equals_the_set_predicate_up_to_rank_forty(self, pair):
+        d, e = pair
+        assert diagonals_cross(d, e) is crosses_by_sets(d, e)
+        p1, p2 = CsPair.of(d), CsPair.of(e)
+        assert crossing_points(p1, p2) == crossings_by_sets(p1, p2)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_table_equals_the_record_built_reference(self, n):
+        table, want = polygon_table(n), polygon_table_by_records(n)
+        assert all_cs_pairs(n) == cs_pairs_by_records(n)
+        assert table.pairs == want.pairs
+        assert table.index == want.index
+        assert table.noncross == want.noncross
+        assert table.diameters == want.diameters
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_table_equals_the_rigid_table(self, n):
+        # crossing = 2 Ext, on the two tables: pair i is delta of object i
+        table, rigid_ = polygon_table(n), rigid_table(n)
+        assert table.noncross == rigid_.compat
+        assert table.diameters == rigid_.tops
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_cold_table_builds_two_diagonals_per_pair(self, n, monkeypatch):
+        # delta's image and its half-turn, and no other record
+        built, validate = [], Diagonal.__post_init__
+
+        def counted(d):
+            built.append(d)
+            validate(d)
+
+        monkeypatch.setattr(Diagonal, "__post_init__", counted)
+        polygon.polygon_table.cache_clear()
+        polygon_table(n)
+        assert len(built) == 2 * n * (n - 1)
+
+    def test_image_of_another_polygon_is_missed(self, monkeypatch):
+        # its corners are those of a pair of the octagon, but it is a pair
+        # of the decagon
+        def doctored(x):
+            return pair(1, 3, 5) if (x.a, x.b) == (1, 1) else delta(x)
+
+        monkeypatch.setattr(polygon, "delta", doctored)
+        polygon.polygon_table.cache_clear()
+        try:
+            with pytest.raises(
+                TheoremViolationError,
+                match=r"^delta misses the cs pairs \[\(\[1,3\],\[5,7\]\)\] of the 8-gon$",
+            ):
+                polygon_table(4)
+        finally:
+            polygon.polygon_table.cache_clear()
+
+    def test_kernel_counting_a_shared_corner_fails(self, monkeypatch, capsys):
+        # with the graphs built by the true kernel, the crossing check
+        # alone sees the doctored one
+        flip_graph(4), build_exchange_graph(4)
+        monkeypatch.setattr(polygon, "_cross", touching)
+        report = verify.run_suite("polygon", 4)
+        assert [c.name for c in report.checks if not c.ok] == ["crossing-equals-twice-ext"]
+        # built by the doctored kernel, the table has no triangulation of
+        # three pairs, since the sides of every triangle share corners: the
+        # flip graph's search fails before the isomorphism is compared
+        polygon.polygon_table.cache_clear()
+        polygon.flip_graph.cache_clear()
+        try:
+            with pytest.raises(
+                TheoremViolationError, match=r"^maximal clique of size 2 at rank 4: \[0, 5\]$"
+            ):
+                flip_graph(4)
+            assert main(["verify", "--rank", "4", "--suite", "polygon"]) == 1
+        finally:
+            polygon.polygon_table.cache_clear()
+            polygon.flip_graph.cache_clear()
+        err = capsys.readouterr().err
+        assert err == "verification failure: maximal clique of size 2 at rank 4: [0, 5]\n"
