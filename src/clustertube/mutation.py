@@ -18,8 +18,10 @@ by the node's turn, by :meth:`ExchangeGraph.b_matrix`, the one lookup from
 an object to its matrix.
 The entry bound and sign-skew symmetry of every node's matrix are
 checked once, by the ``mutation`` suite of :mod:`clustertube.verify`, on
-the graph's raw ``rows``: no :class:`ExchangeMatrix` is built there, and
-sign-skew symmetry alone forces a zero diagonal (``b_ii = -b_ii``).
+the stored ``rep_rows``, since a node's matrix is its representative's
+turned, a simultaneous permutation: no :class:`ExchangeMatrix` is built
+there, and sign-skew symmetry alone forces a zero diagonal
+(``b_ii = -b_ii``).
 """
 
 from __future__ import annotations
@@ -188,8 +190,9 @@ class ExchangeGraph(QuotientGraph):
     always mutated and compared.  A node's turn moves canonical positions
     cyclically, and mutation commutes with rotation, so these comparisons
     cover every tau-image of every edge.  Only the representatives' rows
-    are stored; a node's rows are its representative's turned back by its
-    own turn, built when ``rows`` or :meth:`b_matrix` first reads them.
+    are stored, as ``rep_rows[o]`` for orbit ``o``; a node's rows are its
+    representative's turned back by its own turn, built when ``rows`` or
+    :meth:`b_matrix` first reads them.
     Equal rows are one tuple (234 among 24 024 at rank 8), and so are the
     matrices of one representative's rotations with equal turn (1716 among
     3432).
@@ -210,11 +213,11 @@ class ExchangeGraph(QuotientGraph):
                 f"the enumeration has {n * len(reps)}"
             )
         self._shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-        # base[o]: orbit o's representative's rows.  The walk reaches an
-        # orbit by a step from one it popped before, so every orbit has
+        # rep_rows[o]: orbit o's representative's rows.  The walk reaches
+        # an orbit by a step from one it popped before, so every orbit has
         # rows by the time its own steps are taken.
-        self._base = base = {first: self._share(_turn(seed.matrix.entries, w))}
-        self._turned: dict[tuple[int, int], Rows] = {}  # (o, w): base[o] turned back by w
+        self.rep_rows = base = {first: self._share(_turn(seed.matrix.entries, w))}
+        self._turned: dict[tuple[int, int], Rows] = {}  # (o, w): rep_rows[o] turned back by w
         for o, k, o2, j2 in steps:
             mask, mask2, w2 = reps[o], reps[o2], 0
             if j2:  # the top was swapped: the target is tau^j2 of its representative
@@ -259,10 +262,10 @@ class ExchangeGraph(QuotientGraph):
         """The rows of the node of orbit ``o`` with turn ``w``: the
         representative's turned back by ``w``, one tuple per orbit and turn."""
         if not w:
-            return self._base[o]
+            return self.rep_rows[o]
         b = self._turned.get((o, w))
         if b is None:
-            b = self._turned[o, w] = self._share(_turn(self._base[o], -w))
+            b = self._turned[o, w] = self._share(_turn(self.rep_rows[o], -w))
         return b
 
     @cached_property

@@ -5,9 +5,8 @@ The rigid indecomposables of one rank are numbered in canonical order
 upwards, list it in canonical summand order.  Complements, the exchange
 graph, tilting data and cluster-tilting witnesses run on these masks,
 through :func:`completions`, :func:`swap`, :func:`exchanges`,
-:func:`tilting_datum_of`, :func:`cluster_of_tilting_datum` and
-:func:`tilting_witness`; the polygon model shares the first three and the
-orbit machinery.
+:func:`tilting_datum_of` and :func:`tilting_witness`; the polygon model
+shares the first three and the orbit machinery.
 
 Tau, as turning the 2n-gon, rotates indices by n-1 bits, so both models
 sweep their tables for socle 1 only (:func:`tau_swept`) and search one
@@ -598,12 +597,6 @@ def tilting_datum_of(table: RigidTable, mask: int) -> tuple[int, int]:
     top = mask & table.tops
     t = top.bit_length() - 1
     return t, rotate(mask ^ top, -t, len(table.objects))
-
-
-def cluster_of_tilting_datum(table: RigidTable, t: int, wing: int) -> int:
-    """The mask whose tilting datum on indices is ``(t, wing)``: the
-    inverse of :func:`tilting_datum_of`."""
-    return 1 << t | rotate(wing, t, len(table.objects))
 
 
 def complements(tbar: Sequence[TubeObject], n: int | None = None) -> tuple[TubeObject, TubeObject]:

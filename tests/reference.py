@@ -1,8 +1,10 @@
 """Full searches kept as references for the rotation-quotient code, the
 record-built polygon model that the corner-integer one is held against,
-and the naive checks the tests hold the package's own against."""
+the naive checks the tests hold the package's own against, and the
+node-by-node ``verify`` suites that the quotient suites are held against."""
 
-from collections import deque
+from collections import Counter, deque
+from math import comb
 
 from clustertube import (
     CsPair,
@@ -14,9 +16,35 @@ from clustertube import (
     enumerate_rigid_indecs,
 )
 from clustertube.linalg import integer_rank
+from clustertube.mutation import ExchangeGraph, cartan_counterpart, initial_seed
 from clustertube.polygon import PolygonTable
-from clustertube.rigid import bit_indices, maximal_cliques, rotate, swap
-from clustertube.tube import _mod_coord, _same_rank
+from clustertube.reps import hom_dim_oracle
+from clustertube.rigid import (
+    _checked,
+    bit_indices,
+    maximal_cliques,
+    maximal_rigid_masks,
+    rigid_table,
+    rotate,
+    swap,
+    tilting_datum_of,
+    tilting_witness,
+)
+from clustertube.tube import (
+    TubeObject,
+    _mod_coord,
+    _same_rank,
+    ext_dim_cluster,
+    hom_dim_cluster,
+    hom_dim_tube,
+)
+from clustertube.verify import _ENTRY_BOUND, CheckResult, _bad_node, _counterexample
+
+
+def cluster_of_tilting_datum(table, t, wing):
+    """The mask whose tilting datum on indices is ``(t, wing)``: the
+    inverse of ``rigid.tilting_datum_of``."""
+    return 1 << t | rotate(wing, t, len(table.objects))
 
 
 def clusters(adj, n):
@@ -169,3 +197,158 @@ def polygon_table_by_records(n):
     index = {p: i for i, p in enumerate(pairs)}
     diameters = sum(1 << i for i, p in enumerate(pairs) if p.degenerate)
     return PolygonTable(n, pairs, index, noncross, diameters)
+
+
+# --- the verify suites, node by node ----------------------------------------
+# Every check runs on every node, edge, matrix and pair of the expanded
+# graph and enumeration, as the suites did before they checked one
+# representative per tau-orbit; the names, verdicts and detail texts are
+# the ones the quotient suites must print.
+
+
+def suite_hom_expanded(n):
+    """The ``hom`` suite with the oracle on every pair."""
+    objs = [TubeObject(a, b, n) for a in range(1, n + 1) for b in range(1, 2 * n + 1)]
+    pairs = [(x, y) for x in objs for y in objs]
+    checks = []
+    bad = next(((x, y) for x, y in pairs if hom_dim_tube(x, y) != hom_dim_oracle(x, y)), None)
+    checks.append(_counterexample("formula-vs-oracle", bad, "disagree on"))
+    bad = next((x for x in objs if (ext_dim_cluster(x, x) == 0) != (x.b <= n - 1)), None)
+    checks.append(_counterexample("rigidity-boundary", bad))
+    bad = next(((x, y) for x, y in pairs if ext_dim_cluster(x, y) != ext_dim_cluster(y, x)), None)
+    checks.append(_counterexample("ext-symmetry", bad))
+    bad = next(((x, y) for x, y in pairs if hom_dim_cluster(x, y) < hom_dim_tube(x, y)), None)
+    checks.append(_counterexample("cluster-hom-contains-tube-hom", bad))
+    bad = next(
+        (
+            (TubeObject(1, b, n), TubeObject(c, d, n))
+            for b in range(1, n)
+            for c in range(1, n + 1)
+            for d in range(1, n)
+            if ext_dim_cluster(TubeObject(1, b, n), TubeObject(c, d, n))
+            != int(1 < c < b + 2 and c + d > b + 1)
+            + int(1 < c + d + 1 - n < b + 2 and 1 < c < n + 1)
+        ),
+        None,
+    )
+    checks.append(_counterexample("hammock-consistency", bad))
+    return checks
+
+
+def suite_counts_expanded(n):
+    """The ``counts`` suite on every node of ``maximal_rigid_masks``, its
+    per-top counts in order of first appearance, and its tilting datum
+    mapped back by ``cluster_of_tilting_datum``."""
+    table, maximal = rigid_table(n), maximal_rigid_masks(n)
+    want = comb(2 * n - 2, n - 1)
+    rigids = len(enumerate_rigid_indecs(n))
+    checks = [
+        CheckResult("rigid-count", rigids == n * (n - 1), f"got {rigids}, want {n * (n - 1)}"),
+        CheckResult("maximal-rigid-count", len(maximal) == want, f"got {len(maximal)}, want {want}"),
+    ]
+    per_top = {}
+    for tops, count in Counter(mask & table.tops for mask in maximal).items():
+        for i in bit_indices(tops):
+            a = table.objects[i].a
+            per_top[a] = per_top.get(a, 0) + count
+    cat = want // n
+    ok = sorted(per_top) == list(range(1, n + 1)) and all(v == cat for v in per_top.values())
+    checks.append(CheckResult("per-top-catalan", ok, f"per-top counts {per_top}, want {cat} each"))
+    bad = next(
+        (
+            mask
+            for mask in maximal
+            if table.defect(mask)
+            or cluster_of_tilting_datum(table, *tilting_datum_of(table, mask)) != mask
+        ),
+        None,
+    )
+    checks.append(_bad_node("tilting-roundtrip", table, bad))
+    loops = {
+        1 << i: hom_dim_cluster(table.objects[i], table.objects[i])
+        for i in bit_indices(table.tops)
+    }
+    bad = next((mask for mask in maximal if loops.get(mask & table.tops) != 2), None)
+    checks.append(_bad_node("top-loop-dimension", table, bad))
+    return checks
+
+
+def suite_mutation_expanded(n):
+    """The ``mutation`` suite on a fresh graph's expanded ``rows`` and
+    ``edges``, and on every almost complete mask of every node."""
+    graph = ExchangeGraph(n)
+    table = rigid_table(n)
+    checks = [CheckResult("path-independence", True)]
+    bad = next(
+        (
+            mask
+            for mask, rows in zip(graph.nodes, graph.rows)
+            if not is_sign_skew_symmetric(rows)
+            or max(abs(v) for row in rows for v in row) > _ENTRY_BOUND
+        ),
+        None,
+    )
+    checks.append(_bad_node("matrix-invariants", table, bad))
+    nodes, edges, d = len(graph.nodes), graph.edges, n - 1
+    blocks = [edges[i * d : i * d + d] for i in range(nodes)]
+    shape_ok = (
+        nodes == comb(2 * n - 2, n - 1)
+        and len(edges) == nodes * d
+        and 0 <= min(edges)
+        and max(edges) < nodes
+        and all(
+            len(set(block)) == d and i not in block and all(i in blocks[j] for j in block)
+            for i, block in enumerate(blocks)
+        )
+    )
+    checks.append(CheckResult("graph-shape", shape_ok, f"{nodes} nodes, {len(edges) // 2} edges"))
+    seed = initial_seed(n)
+    stored = graph.b_matrix(seed.object)
+    cartan_want = tuple(
+        tuple(
+            2 if i == j else (-2 if (i, j) == (0, 1) else -1 if abs(i - j) == 1 else 0)
+            for j in range(n - 1)
+        )
+        for i in range(n - 1)
+    )
+    checks.append(
+        CheckResult(
+            "initial-seed",
+            stored.entries == seed.matrix.entries
+            and cartan_counterpart(stored) == cartan_want,
+            f"stored {stored.entries}",
+        )
+    )
+    found = Counter(c & ~(1 << i) for c in graph.nodes for i in bit_indices(c))
+    bad = next((f"{table.objects_of(m)}: {k}" for m, k in found.items() if k != 2), None)
+    checks.append(_counterexample("unique-exchange", bad, "completions of"))
+    return checks
+
+
+def suite_no_ct_expanded(n):
+    """The ``no-ct`` suite with both witnesses of every top against every
+    node of ``maximal_rigid_masks``."""
+    table = rigid_table(n)
+    witnesses = {}
+    for i in bit_indices(table.tops):
+        for k in (2, 3):
+            w = tilting_witness(table, i, k)
+            orthogonal = sum(
+                1 << j for j, s in enumerate(table.objects) if ext_dim_cluster(s, w) == 0
+            )
+            summand = 1 << table.index[w] if w in table.index else 0
+            witnesses[1 << i, k] = (w, orthogonal, summand, ext_dim_cluster(w, w) == 0)
+    bad = None
+    for mask in maximal_rigid_masks(n):
+        top = mask & table.tops
+        if (top, 2) not in witnesses:
+            bad = _checked(table, mask)
+            break
+        for k in (2, 3):
+            w, orthogonal, summand, rigid = witnesses[top, k]
+            if mask & ~orthogonal or mask & summand or rigid:
+                bad = (_checked(table, mask), k, w)
+                break
+        if bad:
+            break
+    return [_counterexample("witnesses", bad)]

@@ -817,18 +817,20 @@ class TestVerifyFailures:
 
     @staticmethod
     def doctored(monkeypatch, entries):
-        """Make the suite see the rank-5 graph with one node's rows
+        """Make the suite see the rank-5 graph with the stored matrix of
+        one orbit, the first whose representative is not the seed,
         replaced by ``entries``; the cached graph is left untouched.
-        ``matrix-invariants`` reads ``rows`` and builds no matrix, so the
-        rows may be ones ``ExchangeMatrix`` would reject.  Returns the
-        doctored node."""
+        ``matrix-invariants`` reads ``rep_rows`` and builds no matrix, so
+        the rows may be ones ``ExchangeMatrix`` would reject.  Returns the
+        orbit's representative, the first node with that matrix."""
         graph = build_exchange_graph(5)
-        seed = rigid.rigid_table(5).mask_of(initial_seed(5).object.summands)
-        i = next(i for i, mask in enumerate(graph.nodes) if mask != seed)
+        table = rigid.rigid_table(5)
+        seed = table.mask_of(initial_seed(5).object.summands)
+        mask, o = next((mask, o) for mask, o in graph.reps.items() if mask != seed)
         fake = copy.copy(graph)
-        fake.rows = graph.rows[:i] + (entries,) + graph.rows[i + 1 :]
+        fake.rep_rows = {**graph.rep_rows, o: entries}
         monkeypatch.setattr(verify, "build_exchange_graph", lambda n: fake)
-        return node_objects(graph)[i]
+        return MaximalRigid(5, table.objects_of(mask))
 
     def expect_failure(self, capsys, check, detail=""):
         report = verify.run_suite("mutation", 5)
@@ -867,60 +869,79 @@ class TestVerifyFailures:
             in capsys.readouterr().out
         )
 
-    # edits of the rank-5 array, 4 entries per node; node 0's first
-    # neighbour j lists node 0 at position back(edges)
+    # edits of the rank-5 blocks, 4 entries per orbit, entry o2*5 + j for
+    # tau^j of orbit o2; orbit 0's first entry, in block o2, has its
+    # reverse, entry -j mod 5, at position back(blocks)
     @staticmethod
-    def back(edges):
-        return edges[4 * edges[0] : 4 * edges[0] + 4].index(0)
+    def back(blocks):
+        o2, j = divmod(blocks[0], 5)
+        return blocks[4 * o2 : 4 * o2 + 4].index(-j % 5)
 
     @staticmethod
-    def retarget(edges):
+    def retarget(blocks):
         # onto a node that is not a neighbour yet, so only the reverse fails
-        edges[0] = next(c for c in range(1, 70) if c not in edges[:4])
+        blocks[0] = next(c for c in range(1, 70) if c not in blocks[:4])
 
     @staticmethod
-    def drop(edges):
+    def drop(blocks):
         # both directions of one edge, so two blocks are truncated
-        j = edges[0]
-        del edges[4 * j + TestVerifyFailures.back(edges)]
-        del edges[0]
+        j = blocks[0] // 5
+        del blocks[4 * j + TestVerifyFailures.back(blocks)]
+        del blocks[0]
 
     @staticmethod
-    def drop_one_direction(edges):
-        del edges[0]
+    def drop_one_direction(blocks):
+        del blocks[0]
 
     @staticmethod
-    def duplicate(edges):
-        # node 0 and its first neighbour j drop their edge and each list
-        # another neighbour twice, so every neighbour still lists its node back
-        j, back = edges[0], TestVerifyFailures.back(edges)
-        edges[4 * j + back] = edges[4 * j + (back + 1) % 4]
-        edges[0] = edges[1]
+    def duplicate(blocks):
+        # orbit 0 and its first neighbour's orbit drop their edge and each
+        # list another neighbour twice, so every neighbour still lists its
+        # node back
+        j, back = blocks[0] // 5, TestVerifyFailures.back(blocks)
+        blocks[4 * j + back] = blocks[4 * j + (back + 1) % 4]
+        blocks[0] = blocks[1]
 
     @staticmethod
-    def self_loop(edges):
+    def self_loop(blocks):
         # both ends of one edge loop onto themselves, so every neighbour
         # still lists its node back
-        j = edges[0]
-        edges[4 * j + TestVerifyFailures.back(edges)] = j
-        edges[0] = 0
+        j = blocks[0] // 5
+        blocks[4 * j + TestVerifyFailures.back(blocks)] = 5 * j
+        blocks[0] = 0
 
     @staticmethod
-    def out_of_range(edges):
-        edges[0] = 70
+    def out_of_range(blocks):
+        blocks[0] = 70
+
+    @staticmethod
+    def voltage(blocks):
+        # the same orbit, tau of the same node: its reverse is missing
+        o2, j = divmod(blocks[0], 5)
+        blocks[0] = 5 * o2 + (j + 1) % 5
 
     @pytest.mark.parametrize(
         "edit",
-        ["retarget", "drop", "drop_one_direction", "duplicate", "self_loop", "out_of_range"],
+        [
+            "retarget",
+            "drop",
+            "drop_one_direction",
+            "duplicate",
+            "self_loop",
+            "out_of_range",
+            "voltage",
+        ],
     )
     def test_doctored_edges_fail_graph_shape(self, monkeypatch, capsys, edit):
         fake = copy.copy(build_exchange_graph(5))
-        fake.edges = copy.copy(fake.edges)
-        getattr(self, edit)(fake.edges)
+        fake.blocks = copy.copy(fake.blocks)
+        getattr(self, edit)(fake.blocks)
         monkeypatch.setattr(verify, "build_exchange_graph", lambda n: fake)
         self.expect_failure(capsys, "graph-shape")
 
     def test_unique_exchange_counts_enumerated_clusters(self, monkeypatch, capsys):
-        real = verify.maximal_rigid_masks
-        monkeypatch.setattr(verify, "maximal_rigid_masks", lambda n: real(n)[1:])
+        # a representative dropped: its orbit's almost complete objects
+        # are left with one cluster each
+        real = verify.maximal_rigid_reps
+        monkeypatch.setattr(verify, "maximal_rigid_reps", lambda n: real(n)[1:])
         self.expect_failure(capsys, "unique-exchange")

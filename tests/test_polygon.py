@@ -58,6 +58,18 @@ def mr(n, *pairs):
     return MaximalRigid(n, tuple(obj(a, b, n) for a, b in pairs))
 
 
+def graph_failure(out):
+    """The text of a polygon suite run whose graphs could not be built:
+    both graph checks FAIL with the build's error, after the table checks."""
+    lines = out.splitlines()
+    fails = [line for line in lines if line.startswith("FAIL polygon/")]
+    names = [line.partition(":")[0] for line in fails[-2:]]
+    assert names == ["FAIL polygon/triangulation-bijection", "FAIL polygon/flip-graph-isomorphism"]
+    texts = {line.partition(": ")[2] for line in fails[-2:]}
+    assert len(texts) == 1 and lines[-1].startswith("FAIL suite=polygon")
+    return texts.pop()
+
+
 def pair(p, q, n):
     return CsPair.of(Diagonal(p, q, n))
 
@@ -307,7 +319,7 @@ class TestFlipGraph:
             assert main(["verify", "--rank", "4", "--suite", "polygon"]) == 1
         finally:
             polygon.flip_graph.cache_clear()
-        assert capsys.readouterr().err.startswith("verification failure: 0 diameters in ")
+        assert graph_failure(capsys.readouterr().out).startswith("0 diameters in ")
 
     def test_polygon_reads_no_rigid_table(self):
         assert not hasattr(polygon, "rigid_table")
@@ -629,7 +641,7 @@ class TestDeltaImageMask:
         finally:
             polygon.polygon_table.cache_clear()
             polygon.flip_graph.cache_clear()
-        assert capsys.readouterr().err.startswith("verification failure: delta misses ")
+        assert graph_failure(capsys.readouterr().out).startswith("delta misses ")
 
     def test_swapped_images_at_one_socle_fail_the_turn(self, monkeypatch, capsys):
         # every pair is still an image, but pair 3, delta of (2, 3), is no
@@ -645,7 +657,7 @@ class TestDeltaImageMask:
         finally:
             polygon.polygon_table.cache_clear()
             polygon.flip_graph.cache_clear()
-        assert capsys.readouterr().err.startswith("verification failure: delta does not commute")
+        assert graph_failure(capsys.readouterr().out).startswith("delta does not commute")
 
     def test_swapped_images_fail_the_bijection(self, monkeypatch, capsys):
         # swapped at every socle, every pair is still an image and the
@@ -765,7 +777,7 @@ class TestFlipQuotient:
             assert main(["verify", "--rank", "5", "--suite", "polygon"]) == 1
         finally:
             polygon.flip_graph.cache_clear()
-        assert capsys.readouterr().err.startswith("verification failure: 0 diameters in ")
+        assert graph_failure(capsys.readouterr().out).startswith("0 diameters in ")
 
 
 def touching(d, e):
@@ -865,7 +877,8 @@ class TestCornerKernel:
         assert [c.name for c in report.checks if not c.ok] == ["crossing-equals-twice-ext"]
         # built by the doctored kernel, the table has no triangulation of
         # three pairs, since the sides of every triangle share corners: the
-        # flip graph's search fails before the isomorphism is compared
+        # flip graph's search fails, and both graph checks report it after
+        # the crossing check
         polygon.polygon_table.cache_clear()
         polygon.flip_graph.cache_clear()
         try:
@@ -877,5 +890,7 @@ class TestCornerKernel:
         finally:
             polygon.polygon_table.cache_clear()
             polygon.flip_graph.cache_clear()
-        err = capsys.readouterr().err
-        assert err == "verification failure: maximal clique of size 2 at rank 4: [0, 5]\n"
+        out, err = capsys.readouterr()
+        assert "FAIL polygon/crossing-equals-twice-ext: at ((1,3)@4, (1,2)@4)\n" in out
+        assert graph_failure(out) == "maximal clique of size 2 at rank 4: [0, 5]"
+        assert err == ""

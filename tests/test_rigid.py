@@ -27,7 +27,7 @@ from clustertube.rigid import (
     maximal_rigid_masks,
     rigid_table,
 )
-from reference import clusters, orbit_graph_by_swaps
+from reference import cluster_of_tilting_datum, clusters, orbit_graph_by_swaps
 
 
 def obj(a, b, n):
@@ -412,8 +412,8 @@ class TestTiltingDatum:
 
 
 class TestTiltingDatumOnIndices:
-    """``tilting_datum_of`` and ``cluster_of_tilting_datum`` are the maps
-    the ``counts`` suite runs on masks."""
+    """``tilting_datum_of``, the map the ``counts`` suite runs on masks,
+    and its inverse ``cluster_of_tilting_datum``."""
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_positions_are_socle_distances_from_the_top(self, n):
@@ -429,7 +429,7 @@ class TestTiltingDatumOnIndices:
         for mask, t in zip(rigid.maximal_rigid_masks(n), enumerate_maximal_rigid(n)):
             top, wing = rigid.tilting_datum_of(table, mask)
             assert table.objects[top] == t.top and not wing & 1
-            assert rigid.cluster_of_tilting_datum(table, top, wing) == mask == t.mask
+            assert cluster_of_tilting_datum(table, top, wing) == mask == t.mask
 
     def test_witness_on_indices(self):
         table = rigid.rigid_table(4)

@@ -1,16 +1,19 @@
 """Failure paths of the ``counts`` and ``no-ct`` suites, which run on the
-enumeration's masks, and what a cold run of the mask-native suites builds;
-and a doctoring for each ``hom`` and ``polygon`` check and for the
-``mutation`` suite's ``initial-seed``, so that every check is seen to FAIL.
+enumeration's tau-orbit representatives, and what a cold run of the
+quotient suites builds and reads; a doctoring for each ``hom`` and
+``polygon`` check and for the ``mutation`` suite's ``initial-seed``, so
+that every check is seen to FAIL; and the quotient suites' verdicts held
+against the node-by-node suites of ``reference``."""
 
-Where the code before the suites read masks could reach a failure, the
-FAIL lines pinned here are the ones it printed for the same doctoring."""
+from math import comb
 
 import pytest
 
-from clustertube import TubeObject, initial_seed, mutation, rigid, verify
+import reference
+from clustertube import TubeObject, initial_seed, mutation, polygon, rigid, verify
 from clustertube.cli import main
 from clustertube.mutation import ExchangeMatrix, Seed
+from clustertube.reps import hom_dim_oracle
 from clustertube.rigid import MaximalRigid
 from clustertube.tube import tau
 
@@ -25,13 +28,12 @@ def fail_lines(capsys, suite, n=N):
     return [line for line in lines[:-1] if line.startswith("FAIL")]
 
 
-def with_first_mask(monkeypatch, edit):
-    """Make the suites see the enumeration with its first mask edited."""
-    real = verify.maximal_rigid_masks
-    masks = real(N)
-    monkeypatch.setattr(
-        verify, "maximal_rigid_masks", lambda n: (edit(masks[0]),) + real(n)[1:]
-    )
+def with_first_rep(monkeypatch, edit):
+    """Make the suites see the enumeration with its first representative
+    edited."""
+    real = verify.maximal_rigid_reps
+    reps = real(N)
+    monkeypatch.setattr(verify, "maximal_rigid_reps", lambda n: (edit(reps[0]),) + real(n)[1:])
 
 
 def top_swapped_out(mask):
@@ -70,21 +72,23 @@ NOT_RIGID = {
 
 class TestCountsFailures:
     def test_dropped_mask(self, monkeypatch, capsys):
-        real = verify.maximal_rigid_masks
-        monkeypatch.setattr(verify, "maximal_rigid_masks", lambda n: real(n)[1:])
+        """A representative dropped takes its whole orbit, one node per top."""
+        real = verify.maximal_rigid_reps
+        monkeypatch.setattr(verify, "maximal_rigid_reps", lambda n: real(n)[1:])
         assert fail_lines(capsys, "counts") == [
-            "FAIL counts/maximal-rigid-count: got 69, want 70",
+            "FAIL counts/maximal-rigid-count: got 65, want 70",
             "FAIL counts/per-top-catalan: per-top counts "
-            "{1: 13, 5: 14, 4: 14, 3: 14, 2: 14}, want 14 each",
+            "{1: 13, 5: 13, 4: 13, 3: 13, 2: 13}, want 14 each",
         ]
 
     @pytest.mark.parametrize("edit", [top_swapped_out, second_top])
     def test_node_without_one_top(self, monkeypatch, capsys, edit):
-        """Each node is checked against ``RigidTable.defect`` once."""
-        with_first_mask(monkeypatch, edit)
+        """Each representative is checked against ``RigidTable.defect``
+        once; its orbit's nodes carry its tops, so each top counts them."""
+        with_first_rep(monkeypatch, edit)
         per_top = {
-            top_swapped_out: "{1: 13, 5: 14, 4: 14, 3: 14, 2: 14}",
-            second_top: "{1: 14, 2: 15, 5: 14, 4: 14, 3: 14}",
+            top_swapped_out: "{1: 13, 5: 13, 4: 13, 3: 13, 2: 13}",
+            second_top: "{1: 15, 5: 15, 4: 15, 3: 15, 2: 15}",
         }[edit]
         assert fail_lines(capsys, "counts") == [
             f"FAIL counts/per-top-catalan: per-top counts {per_top}, want 14 each",
@@ -93,22 +97,36 @@ class TestCountsFailures:
         ]
 
     def test_node_with_one_top_fails_only_the_defect(self, monkeypatch, capsys):
-        with_first_mask(monkeypatch, non_top_swapped)
+        with_first_rep(monkeypatch, non_top_swapped)
         assert fail_lines(capsys, "counts") == [
             f"FAIL counts/tilting-roundtrip: at {NOT_RIGID[non_top_swapped]}"
         ]
 
     def test_doctored_tilting_datum(self, monkeypatch, capsys):
-        """Node 3 is given node 4's datum."""
-        masks = rigid.maximal_rigid_masks(N)
+        """Representative 3 is given representative 4's datum."""
+        reps = rigid.maximal_rigid_reps(N)
         real = verify.tilting_datum_of
         monkeypatch.setattr(
             verify,
             "tilting_datum_of",
-            lambda table, mask: real(table, masks[4] if mask == masks[3] else mask),
+            lambda table, mask: real(table, reps[4] if mask == reps[3] else mask),
         )
         assert fail_lines(capsys, "counts") == [
             "FAIL counts/tilting-roundtrip: at MaximalRigid[1,4;1,3;2,2;2,1]@5"
+        ]
+
+    def test_datum_rotated_one_bit_short(self, monkeypatch, capsys):
+        """Rotating by t-1 bits, not t, moves every wing bit to the next
+        index, which is not the summand's socle distance from the top."""
+
+        def short(table, mask):
+            top = mask & table.tops
+            t = top.bit_length() - 1
+            return t, rigid.rotate(mask ^ top, 1 - t, len(table.objects))
+
+        monkeypatch.setattr(verify, "tilting_datum_of", short)
+        assert fail_lines(capsys, "counts") == [
+            "FAIL counts/tilting-roundtrip: at MaximalRigid[1,4;1,3;1,2;1,1]@5"
         ]
 
 
@@ -132,8 +150,18 @@ class TestNoCtFailures:
 
     @pytest.mark.parametrize("edit", [top_swapped_out, second_top])
     def test_node_without_one_top_has_no_witness(self, monkeypatch, capsys, edit):
-        with_first_mask(monkeypatch, edit)
+        with_first_rep(monkeypatch, edit)
         assert fail_lines(capsys, "no-ct") == [f"FAIL no-ct/witnesses: at {NOT_RIGID[edit]}"]
+
+    def test_non_equivariant_witness(self, monkeypatch, capsys):
+        """Every top given the lowest top's witnesses: they pass at the
+        representatives, but are not the turns of them that the other
+        nodes need, so the first such node is named with its witness."""
+        real = verify.tilting_witness
+        monkeypatch.setattr(verify, "tilting_witness", lambda table, top, k: real(table, 0, k))
+        assert fail_lines(capsys, "no-ct") == [
+            "FAIL no-ct/witnesses: at (MaximalRigid[2,4;2,3;2,2;2,1]@5, 2, (1,9)@5)"
+        ]
 
 
 S1, S2 = TubeObject(1, 1, N), TubeObject(2, 1, N)
@@ -162,6 +190,13 @@ class TestHomFailures:
         assert fail_lines(capsys, "hom") == [
             "FAIL hom/hammock-consistency: at ((1,1)@5, (2,1)@5)"
         ]
+
+    def test_formula_off_at_a_pair_off_socle_one(self, monkeypatch, capsys):
+        """The oracle runs only for ``x`` of socle 1, yet a formula wrong
+        at one pair of other socles is named as that pair."""
+        real, pair = verify.hom_dim_tube, (TubeObject(3, 2, N), TubeObject(4, 7, N))
+        monkeypatch.setattr(verify, "hom_dim_tube", lambda x, y: real(x, y) + ((x, y) == pair))
+        assert fail_lines(capsys, "hom")[0] == f"FAIL hom/formula-vs-oracle: disagree on {pair}"
 
     def test_cluster_hom_without_the_tube_maps(self, monkeypatch, capsys):
         real = verify.hom_dim_cluster
@@ -249,3 +284,69 @@ def test_cold_suite_builds_only_the_seed_object(
     monkeypatch.setattr(MaximalRigid, "__post_init__", counted)
     assert all(c.ok for c in getattr(verify, "suite_" + suite.replace("-", "_"))(n))
     assert set(built) == ({seed} if suite == "mutation" else set())
+
+
+EXPANDED = {
+    "hom": reference.suite_hom_expanded,
+    "counts": reference.suite_counts_expanded,
+    "mutation": reference.suite_mutation_expanded,
+    "no-ct": reference.suite_no_ct_expanded,
+}
+
+
+@pytest.mark.parametrize(
+    "suite,n",
+    [(s, n) for s in sorted(EXPANDED) for n in range(2, 7 if s == "hom" else 10)],
+)
+def test_quotient_verdicts_equal_the_expanded_ones(suite, n):
+    quotient = getattr(verify, "suite_" + suite.replace("-", "_"))(n)
+    assert [(c.name, c.ok, c.detail) for c in quotient] == [
+        (c.name, c.ok, c.detail) for c in EXPANDED[suite](n)
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cold_run_expands_nothing(n, clear_package_caches):
+    """A passing ``verify --suite all`` reads the representatives and the
+    quotient blocks only: it enumerates no node list, and neither graph
+    builds its nodes, edges, BFS order or per-node rows."""
+    clear_package_caches()
+    assert verify.run_suite("all", n).passed
+    assert rigid.maximal_rigid_masks.cache_info().misses == 0
+    views = {"nodes", "edges", "order", "rows"}
+    assert not views & vars(mutation.build_exchange_graph(n)).keys()
+    if n <= verify._EXHAUSTIVE_MAX:
+        assert polygon.flip_graph.cache_info().currsize == 1
+        assert not views & vars(polygon.flip_graph(n)).keys()
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_per_top_order_is_the_order_of_first_appearance(n):
+    """The ``per-top-catalan`` dict lists the tops by the lowest index in
+    their wing, which is the order in which the sorted nodes first
+    contain them."""
+    table, first = rigid.rigid_table(n), []
+    for mask in rigid.maximal_rigid_masks(n):
+        a = table.objects[(mask & table.tops).bit_length() - 1].a
+        if a not in first:
+            first.append(a)
+    (check,) = [c for c in verify.suite_counts(n) if c.name == "per-top-catalan"]
+    want = {a: comb(2 * n - 2, n - 1) // n for a in first}
+    assert check.detail == f"per-top counts {want}, want {want[1]} each"
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_oracle_is_tau_invariant(n):
+    """What lets ``formula-vs-oracle`` run the oracle on socle 1 only."""
+    objs = [TubeObject(a, b, n) for a in range(1, n + 1) for b in range(1, 2 * n + 1)]
+    for x in objs:
+        for y in objs:
+            assert hom_dim_oracle(tau(x), tau(y)) == hom_dim_oracle(x, y), (x, y)
+
+
+def test_rank_range():
+    """The quotient suites run to rank 13; the exhaustive ones stop at 6."""
+    with pytest.raises(ValueError, match=r"^rank 14 outside the supported range 2\.\.13$"):
+        verify.run_suite("all", 14)
+    with pytest.raises(ValueError, match="^suite 'hom' is exhaustive and only supports ranks 2..6$"):
+        verify.run_suite("hom", 13)
