@@ -13,8 +13,9 @@ from .errors import StructuralError, TheoremViolationError
 from .tube import TubeObject, check_rank, ext_dim_cluster, hom_dim_cluster, hom_dim_tube
 
 # Each command imports the layers it runs, so a cold query compiles only
-# those: hom needs tube alone, and only verify loads every module.  json
-# is imported only by the commands that write it.
+# those: hom needs tube alone, and verify loads only its suite's module
+# and layers, so only --suite all loads every module.  json is imported
+# only by the commands that write it.
 
 # Largest --rank of the commands that build a rank's tables or its whole
 # exchange graph; at rank 10, exchange-graph --format dot takes 1.3-1.8 s

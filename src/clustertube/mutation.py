@@ -220,7 +220,7 @@ class ExchangeGraph(QuotientGraph):
         self._turned: dict[tuple[int, int], Rows] = {}  # (o, w): rep_rows[o] turned back by w
         for o, k, o2, j2 in steps:
             mask, mask2, w2 = reps[o], reps[o2], 0
-            if j2:  # the top was swapped: the target is tau^j2 of its representative
+            if j2:  # the top was swapped: the target is tau^-j2 of its representative
                 mask2, w2 = self.tau_power(mask2, j2)
             p = (mask2 & (mask2 & ~mask) - 1).bit_count()  # the new summand's position
             b2 = _mutate_rows(base[o], k, p, w2)

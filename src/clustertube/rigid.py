@@ -62,8 +62,9 @@ def _getter(bits: Sequence[int]) -> Callable[[Sequence], tuple]:
 def rotate(mask: int, shift: int, size: int) -> int:
     """The ``size``-bit ``mask`` rotated up by ``shift`` bits (mod ``size``).
 
-    In canonical order tau shifts every index by n-1, so rotating a mask
-    of rigid indecomposables by n-1 bits applies tau to each of them.
+    In canonical order tau shifts every index down by n-1, so rotating a
+    mask of rigid indecomposables up by n-1 bits applies tau^-1 to each of
+    them, ``(a, b)`` to ``(a+1, b)``, and rotating it down applies tau.
     """
     shift %= size
     return (mask << shift | mask >> (size - shift)) & ((1 << size) - 1)
@@ -250,7 +251,7 @@ class QuotientGraph:
             yield reps[(mask >> t | mask << size - t) & full], (mask & (1 << t) - 1).bit_count()
 
     def tau_power(self, mask: int, j: int) -> tuple[int, int]:
-        """tau^j of the node ``mask``, its mask rotated up by j(n-1) bits,
+        """tau^-j of the node ``mask``, its mask rotated up by j(n-1) bits,
         and the number of its bits that wrap: the node's turn when ``mask``
         is its representative."""
         size, shift = self.n * (self.n - 1), j * (self.n - 1)
@@ -395,8 +396,8 @@ class RigidTable(FrozenRecord):
 def tau_swept(n: int, row: Callable[[int], int]) -> tuple[int, ...]:
     """The n(n-1) rows of a tau-invariant table of rank ``n``: ``row(i)``
     for the n-1 items of socle 1, which come first, and every later row
-    the row n-1 indices below it rotated by n-1 bits, since tau shifts
-    every index by n-1."""
+    the row n-1 indices below it rotated up by n-1 bits, since tau^-1
+    shifts every index up by n-1."""
     size, step = n * (n - 1), n - 1
     rows = [row(i) for i in range(step)]
     for i in range(step, size):
@@ -560,7 +561,7 @@ def enumerate_maximal_rigid(n: int) -> tuple[MaximalRigid, ...]:
 
     Each tau-orbit's representative, through the lowest top, was checked
     by the search (:func:`maximal_rigid_reps`), and its bits give the
-    getter of its summands.  Its rotation tau^j reads its summands with
+    getter of its summands.  Its rotation tau^-j reads its summands with
     that getter from the objects rotated by j(n-1) bits, turned by the
     bits that wrap, and passes as it does: :func:`_tau_equivariant`
     holds."""
@@ -569,7 +570,7 @@ def enumerate_maximal_rigid(n: int) -> tuple[MaximalRigid, ...]:
         raise TheoremViolationError(f"tau is not an automorphism of the rank-{n} table")
     objs, size = table.objects, len(table.objects)
     full = (1 << size) - 1
-    turned = [(s, objs[s:] + objs[:s]) for s in range(0, size, n - 1)]  # tau^j of the objects
+    turned = [(s, objs[s:] + objs[:s]) for s in range(0, size, n - 1)]  # tau^-j of the objects
     # the slots' own setters, past FrozenRecord's refusal and the name lookup
     fields = ("n", "summands", "mask")
     set_n, set_summands, set_mask = (getattr(MaximalRigid, f).__set__ for f in fields)
@@ -590,7 +591,7 @@ def enumerate_maximal_rigid(n: int) -> tuple[MaximalRigid, ...]:
 def tilting_datum_of(table: RigidTable, mask: int) -> tuple[int, int]:
     """The tilting datum of the maximal rigid ``mask``, on indices: the
     index ``t`` of its top, and its other summands rotated down by ``t``
-    bits.  That rotation is a power of tau taking the top to socle 1, so
+    bits.  That rotation is tau^(t/(n-1)), taking the top to socle 1, so
     bit ``j`` of the second stands for the object ``table.objects[j]``,
     whose coordinates ``(offset + 1, quasi_length)`` give the wing
     position ``(offset, quasi_length)``."""

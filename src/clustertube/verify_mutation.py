@@ -1,0 +1,108 @@
+"""The ``mutation`` suite: the exchange graph of :mod:`.mutation` and its
+stored B-matrices, on the tau-quotient.  Its process compiles ``rigid``
+and ``mutation`` and no other layer beyond the core :mod:`.verify`."""
+
+from __future__ import annotations
+
+from collections import Counter
+from math import comb
+
+from .errors import TheoremViolationError
+from .mutation import build_exchange_graph, cartan_counterpart, initial_seed
+from .rigid import bit_indices, maximal_rigid_reps, rigid_table
+from .verify import _ENTRY_BOUND, CheckResult, _counterexample
+from .verify_rigid import _bad_node
+
+
+def suite_mutation(n: int) -> list[CheckResult]:
+    checks = []
+    try:
+        graph = build_exchange_graph(n)
+    except TheoremViolationError as exc:
+        return [CheckResult("path-independence", False, str(exc))]
+    checks.append(CheckResult("path-independence", True))
+    table = rigid_table(n)
+
+    # each orbit's stored matrix stands for its nodes', which are it turned,
+    # a simultaneous permutation.  Signs and the entry bound once per
+    # distinct row, sign-skew symmetry once per distinct matrix on those
+    # signs: column j must be row j's signs negated (so the diagonal is
+    # zero), and a row out of bound has no negated signs to match.
+    stored = graph.rep_rows
+    matrices = set(stored.values())
+    signs, negated = {}, {}
+    for row in {row for rows in matrices for row in rows}:
+        signs[row] = tuple((v > 0) - (v < 0) for v in row)
+        if max(map(abs, row)) <= _ENTRY_BOUND:
+            negated[row] = tuple(-v for v in signs[row])
+    broken = {
+        rows
+        for rows in matrices
+        if list(zip(*map(signs.get, rows))) != list(map(negated.get, rows))
+    }
+    bad = next((mask for mask, o in graph.reps.items() if stored[o] in broken), None)
+    checks.append(_bad_node("matrix-invariants", table, bad))
+
+    # entry o2*n + j of block o is the edge from orbit o's representative
+    # to tau^-j of orbit o2's, whose reverse is entry o*n + (-j mod n) of
+    # block o2; a node's block is its representative's, turned
+    orbits, blocks, d = len(graph.reps), graph.blocks, n - 1
+    shape_ok = (
+        n * orbits == comb(2 * n - 2, n - 1)
+        and len(blocks) == orbits * d
+        and 0 <= min(blocks) and max(blocks) < orbits * n
+        and all(
+            len(set(block)) == d
+            and o * n not in block
+            and all(o * n + -x % n in blocks[x // n * d : x // n * d + d] for x in block)
+            for o, block in enumerate(blocks[o * d : o * d + d] for o in range(orbits))
+        )
+    )
+    checks.append(
+        CheckResult("graph-shape", shape_ok, f"{n * orbits} nodes, {len(blocks) * n // 2} edges")
+    )
+
+    seed = initial_seed(n)
+    matrix = graph.b_matrix(seed.object)
+    cartan_want = tuple(
+        tuple(
+            2 if i == j else (-2 if (i, j) == (0, 1) else -1 if abs(i - j) == 1 else 0)
+            for j in range(n - 1)
+        )
+        for i in range(n - 1)
+    )
+    checks.append(
+        CheckResult(
+            "initial-seed",
+            matrix.entries == seed.matrix.entries
+            and cartan_counterpart(matrix) == cartan_want,
+            f"stored {matrix.entries}",
+        )
+    )
+
+    # independent of the BFS's exchange step: count the clusters through
+    # each almost complete object, one orbit of them at a time.  The bits
+    # of the representatives meet each orbit of (cluster, bit) pairs once,
+    # so an orbit of s objects counted k times has k*n/s clusters through
+    # each, which must be 2.  An orbit is named by its member whose one top
+    # is the lowest (then s = n), or else by its least member.
+    low, size = table.tops & -table.tops, len(table.objects)
+    full = (1 << size) - 1
+
+    def turns(mask: int) -> set[int]:  # rotate() inlined: its calls cost a fifth of the suite
+        return {(mask >> s | mask << size - s) & full for s in range(0, size, d)}
+
+    found = Counter(r ^ 1 << i for r in maximal_rigid_reps(n) for i in bit_indices(r))
+    for mask in [m for m in found if m & table.tops != low]:  # onto one member
+        top, turned = mask & table.tops, turns(mask)
+        one = top and not top & top - 1
+        k, mask = found.pop(mask), next(t for t in turned if t & low) if one else min(turned)
+        found[mask] += k
+    bad = None
+    for mask, k in found.items():
+        s = n if mask & table.tops == low else len(turns(mask))
+        if k * n != 2 * s:
+            bad = f"{table.objects_of(mask)}: {k * n // s}"
+            break
+    checks.append(_counterexample("unique-exchange", bad, "completions of"))
+    return checks

@@ -1,7 +1,9 @@
 """Full searches kept as references for the rotation-quotient code, the
 record-built polygon model that the corner-integer one is held against,
-the naive checks the tests hold the package's own against, and the
-node-by-node ``verify`` suites that the quotient suites are held against."""
+the naive checks the tests hold the package's own against, the
+node-by-node ``verify`` suites that the quotient suites are held against,
+and Ext in the tube by the Euler form, the second route for cluster Ext
+and Hom."""
 
 from collections import Counter, deque
 from math import comb
@@ -38,7 +40,8 @@ from clustertube.tube import (
     hom_dim_cluster,
     hom_dim_tube,
 )
-from clustertube.verify import _ENTRY_BOUND, CheckResult, _bad_node, _counterexample
+from clustertube.verify import _ENTRY_BOUND, CheckResult, _counterexample
+from clustertube.verify_rigid import _bad_node
 
 
 def cluster_of_tilting_datum(table, t, wing):
@@ -137,6 +140,19 @@ def oracle_by_elimination(x, y):
                 if eq:
                     rows.append(eq)
     return total - integer_rank(rows)
+
+
+def euler_form(x, y):
+    """The Euler form of the cyclic quiver, arrows ``v -> v-1``, on the
+    dimension vectors of ``x`` and ``y``: ``sum d_v e_v - sum d_v e_{v-1}``."""
+    d, e = build_rep(x).dims, build_rep(y).dims
+    return sum(dv * ev for dv, ev in zip(d, e)) - sum(d[v] * e[v - 1] for v in range(len(d)))
+
+
+def ext_tube(x, y):
+    """dim Ext^1 in the tube from the oracle: the tube is hereditary, so
+    it is dim Hom less the Euler form."""
+    return hom_dim_oracle(x, y) - euler_form(x, y)
 
 
 def crosses_by_sets(d, e):

@@ -408,12 +408,38 @@ class TestColdStart:
                 ["mutate", "--rank", "3", "--object", "1,2;1,1", "--at", "1,1"],
                 {"rigid", "mutation"},
             ),
+            # a suite's process loads the core, its suite modules and its layers
+            (["verify", "--rank", "5", "--suite", "hom"], {"verify", "verify_reps", "reps"}),
+            (["verify", "--rank", "5", "--suite", "counts"], {"verify", "verify_rigid", "rigid"}),
+            (
+                ["verify", "--rank", "5", "--suite", "mutation"],
+                {"verify", "verify_rigid", "verify_mutation", "rigid", "mutation"},
+            ),
+            (
+                ["verify", "--rank", "5", "--suite", "polygon"],
+                {"verify", "verify_polygon", "rigid", "mutation", "polygon"},
+            ),
+            (["verify", "--rank", "5", "--suite", "no-ct"], {"verify", "verify_rigid", "rigid"}),
         ],
-        ids=lambda v: v[0] if isinstance(v, list) else None,
+        ids=lambda v: (f"verify-{v[-1]}" if v[0] == "verify" else v[0])
+        if isinstance(v, list)
+        else None,
     )
     def test_command_loads_only_its_layers(self, argv, layers):
         code = "import clustertube.cli\nassert clustertube.cli.main(sys.argv[1:]) == 0"
         assert loaded_submodules(code, *argv) == self.QUERY | layers
+
+    def test_unknown_suite_is_rejected_before_any_suite_loads(self):
+        code = (
+            "from clustertube.verify import run_suite\n"
+            "try:\n"
+            "    run_suite('nope', 5)\n"
+            "except ValueError as exc:\n"
+            "    assert str(exc) == \"unknown suite 'nope'\", exc\n"
+            "else:\n"
+            "    raise AssertionError('no ValueError')"
+        )
+        assert loaded_submodules(code) == {"errors", "tube", "verify"}
 
 
 # every name ``clustertube`` exported, with its defining module

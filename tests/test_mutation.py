@@ -21,7 +21,7 @@ from clustertube import (
     fz_mutate,
     initial_seed,
 )
-from clustertube import mutation, polygon, rigid, verify
+from clustertube import mutation, polygon, rigid, verify, verify_mutation
 from clustertube.cli import main
 from reference import cover_reach, is_sign_skew_symmetric
 
@@ -829,7 +829,7 @@ class TestVerifyFailures:
         mask, o = next((mask, o) for mask, o in graph.reps.items() if mask != seed)
         fake = copy.copy(graph)
         fake.rep_rows = {**graph.rep_rows, o: entries}
-        monkeypatch.setattr(verify, "build_exchange_graph", lambda n: fake)
+        monkeypatch.setattr(verify_mutation, "build_exchange_graph", lambda n: fake)
         return MaximalRigid(5, table.objects_of(mask))
 
     def expect_failure(self, capsys, check, detail=""):
@@ -858,7 +858,7 @@ class TestVerifyFailures:
         def broken(n):
             raise TheoremViolationError("path-independence failure at somewhere")
 
-        monkeypatch.setattr(verify, "build_exchange_graph", broken)
+        monkeypatch.setattr(verify_mutation, "build_exchange_graph", broken)
         report = verify.run_suite("mutation", 5)
         assert [(c.name, c.ok, c.detail) for c in report.checks] == [
             ("path-independence", False, "path-independence failure at somewhere")
@@ -936,12 +936,12 @@ class TestVerifyFailures:
         fake = copy.copy(build_exchange_graph(5))
         fake.blocks = copy.copy(fake.blocks)
         getattr(self, edit)(fake.blocks)
-        monkeypatch.setattr(verify, "build_exchange_graph", lambda n: fake)
+        monkeypatch.setattr(verify_mutation, "build_exchange_graph", lambda n: fake)
         self.expect_failure(capsys, "graph-shape")
 
     def test_unique_exchange_counts_enumerated_clusters(self, monkeypatch, capsys):
         # a representative dropped: its orbit's almost complete objects
         # are left with one cluster each
-        real = verify.maximal_rigid_reps
-        monkeypatch.setattr(verify, "maximal_rigid_reps", lambda n: real(n)[1:])
+        real = verify_mutation.maximal_rigid_reps
+        monkeypatch.setattr(verify_mutation, "maximal_rigid_reps", lambda n: real(n)[1:])
         self.expect_failure(capsys, "unique-exchange")

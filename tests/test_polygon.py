@@ -30,7 +30,7 @@ from clustertube import (
     initial_seed,
     triangulation_of,
 )
-from clustertube import mutation, polygon, rigid, verify
+from clustertube import mutation, polygon, rigid, verify, verify_polygon
 from clustertube.cli import main
 from clustertube.polygon import CsPair, polygon_table
 from clustertube.rigid import bit_indices, exchanges, maximal_rigid_masks, rigid_table, swap
@@ -610,7 +610,7 @@ class TestDeltaImageMask:
             calls.append(n)
             return graphs_isomorphic_via_delta(eg, fg)
 
-        monkeypatch.setattr(verify, "graphs_isomorphic_via_delta", counted)
+        monkeypatch.setattr(verify_polygon, "graphs_isomorphic_via_delta", counted)
         assert all(c.ok for c in verify.suite_polygon(n))
         assert calls == [n]
 
@@ -683,7 +683,7 @@ class TestDeltaImageMask:
     def test_dropped_flip_graph_node_fails_the_bijection(self, monkeypatch, capsys):
         fake = copy.copy(flip_graph(4))
         fake.reps = dict(list(fake.reps.items())[1:])
-        monkeypatch.setattr(verify, "flip_graph", lambda n: fake)
+        monkeypatch.setattr(verify_polygon, "flip_graph", lambda n: fake)
         report = verify.run_suite("polygon", 4)
         assert [c.name for c in report.checks if not c.ok] == [
             "triangulation-bijection",

@@ -12,11 +12,11 @@ from clustertube import (
     hom_dim_oracle,
     hom_dim_tube,
 )
-from clustertube import reps, verify
+from clustertube import reps, tube, verify
 from clustertube.cli import main
 from clustertube.errors import RankMismatchError
 from clustertube.linalg import integer_rank
-from reference import oracle_by_elimination
+from reference import ext_tube, oracle_by_elimination
 
 
 def obj(a, b, n):
@@ -291,6 +291,42 @@ class TestOracle:
         for x in objs:
             for y in objs:
                 assert hom_dim_oracle(x, y) == hom_dim_tube(x, y), (x, y)
+
+
+def second_route_mismatch(n):
+    """The first pair ``(x, y)`` of quasi-length at most 2n, row-major,
+    at which cluster Ext or Hom differs from its route through the oracle
+    and the Euler form, or at which AR duality fails, with the claim."""
+    objs = [obj(a, b, n) for a in range(1, n + 1) for b in range(1, 2 * n + 1)]
+    hom = {(x, y): hom_dim_oracle(x, y) for x in objs for y in objs}
+    ext = {(x, y): ext_tube(x, y) for x in objs for y in objs}
+    for x in objs:
+        tau_x = tube.tau(x)
+        for y in objs:
+            tau_inv_y = obj(y.a % n + 1, y.b, n)
+            if tube.ext_dim_cluster(x, y) != ext[x, y] + ext[y, x]:
+                return "ext", (x, y)
+            if tube.hom_dim_cluster(x, y) != hom[x, y] + ext[x, tau_inv_y]:
+                return "hom", (x, y)
+            if ext[x, y] != hom[y, tau_x]:
+                return "ar-duality", (x, y)
+    return None
+
+
+class TestSecondRoute:
+    """Cluster Ext and Hom against Ext in the tube, the oracle's Hom less
+    the Euler form: ``Ext_C(x, y) = Ext(x, y) + Ext(y, x)`` and
+    ``Hom_C(x, y) = Hom(x, y) + Ext(x, tau^-1 y)``."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_cluster_ext_and_hom_by_the_euler_form(self, n):
+        assert second_route_mismatch(n) is None
+
+    def test_doctored_ext_is_named(self, monkeypatch):
+        pair = (obj(2, 3, 4), obj(4, 1, 4))
+        real = tube.ext_dim_cluster
+        monkeypatch.setattr(tube, "ext_dim_cluster", lambda x, y: real(x, y) + ((x, y) == pair))
+        assert second_route_mismatch(4) == ("ext", pair)
 
 
 # ``_hom`` is the coordinate formula the other three call

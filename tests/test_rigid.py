@@ -17,6 +17,7 @@ from clustertube import (
     enumerate_rigid_indecs,
     ext_dim_cluster,
     is_rigid_set,
+    tau,
     wing_contains,
 )
 from clustertube import mutation, polygon, rigid
@@ -119,6 +120,16 @@ class TestOrbitEnumeration:
         size, masks = case
         rigid._sort_by_indices(masks, size)
         assert masks == sorted(masks, key=bit_indices)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_rotating_up_one_socle_is_tau_inverse(self, n):
+        """Rotating up by n-1 bits takes ``(a, b)`` to ``(a+1, b)``, which
+        is tau^-1; ``tube.tau`` is the rotation down."""
+        table = rigid_table(n)
+        size, index = len(table.objects), table.index
+        for i, x in enumerate(table.objects):
+            assert rigid.rotate(1 << i, n - 1, size) == 1 << index[obj(x.a % n + 1, x.b, n)]
+            assert rigid.rotate(1 << i, 1 - n, size) == 1 << index[tau(x)]
 
     # a 4-cycle 0-1-2-3 with the chord 0-2, and a pendant vertex 4 at 3
     GRAPH = (0b01110, 0b00101, 0b01011, 0b10101, 0b01000)

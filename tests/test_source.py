@@ -22,10 +22,13 @@ def test_lines_fit_in_99_characters():
 
 def test_only_the_cli_imports_inside_functions():
     """Library modules import at module level only; ``cli`` alone imports
-    per command, so that a cold query compiles just its layers.  A lazy
+    per command, so that a cold query compiles just its layers.  The two
+    resolvers that load a module on first use, ``clustertube.__getattr__``
+    for an export and ``verify._suite`` for a suite, call
+    ``importlib.import_module``, which is no import statement.  A lazy
     import inside a library call would move compile time into a timed
-    ``exchange`` or ``polygon`` unit, and would hide from the ``verify``
-    module the attributes that the doctoring tests patch."""
+    ``exchange`` or ``polygon`` unit, and would hide from the suite
+    modules the attributes that the doctoring tests patch."""
     nested = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())

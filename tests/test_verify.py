@@ -10,7 +10,18 @@ from math import comb
 import pytest
 
 import reference
-from clustertube import TubeObject, initial_seed, mutation, polygon, rigid, verify
+from clustertube import (
+    TubeObject,
+    initial_seed,
+    mutation,
+    polygon,
+    rigid,
+    verify,
+    verify_mutation,
+    verify_polygon,
+    verify_reps,
+    verify_rigid,
+)
 from clustertube.cli import main
 from clustertube.mutation import ExchangeMatrix, Seed
 from clustertube.reps import hom_dim_oracle
@@ -31,9 +42,11 @@ def fail_lines(capsys, suite, n=N):
 def with_first_rep(monkeypatch, edit):
     """Make the suites see the enumeration with its first representative
     edited."""
-    real = verify.maximal_rigid_reps
+    real = verify_rigid.maximal_rigid_reps
     reps = real(N)
-    monkeypatch.setattr(verify, "maximal_rigid_reps", lambda n: (edit(reps[0]),) + real(n)[1:])
+    monkeypatch.setattr(
+        verify_rigid, "maximal_rigid_reps", lambda n: (edit(reps[0]),) + real(n)[1:]
+    )
 
 
 def top_swapped_out(mask):
@@ -73,8 +86,8 @@ NOT_RIGID = {
 class TestCountsFailures:
     def test_dropped_mask(self, monkeypatch, capsys):
         """A representative dropped takes its whole orbit, one node per top."""
-        real = verify.maximal_rigid_reps
-        monkeypatch.setattr(verify, "maximal_rigid_reps", lambda n: real(n)[1:])
+        real = verify_rigid.maximal_rigid_reps
+        monkeypatch.setattr(verify_rigid, "maximal_rigid_reps", lambda n: real(n)[1:])
         assert fail_lines(capsys, "counts") == [
             "FAIL counts/maximal-rigid-count: got 65, want 70",
             "FAIL counts/per-top-catalan: per-top counts "
@@ -105,9 +118,9 @@ class TestCountsFailures:
     def test_doctored_tilting_datum(self, monkeypatch, capsys):
         """Representative 3 is given representative 4's datum."""
         reps = rigid.maximal_rigid_reps(N)
-        real = verify.tilting_datum_of
+        real = verify_rigid.tilting_datum_of
         monkeypatch.setattr(
-            verify,
+            verify_rigid,
             "tilting_datum_of",
             lambda table, mask: real(table, reps[4] if mask == reps[3] else mask),
         )
@@ -124,7 +137,7 @@ class TestCountsFailures:
             t = top.bit_length() - 1
             return t, rigid.rotate(mask ^ top, 1 - t, len(table.objects))
 
-        monkeypatch.setattr(verify, "tilting_datum_of", short)
+        monkeypatch.setattr(verify_rigid, "tilting_datum_of", short)
         assert fail_lines(capsys, "counts") == [
             "FAIL counts/tilting-roundtrip: at MaximalRigid[1,4;1,3;1,2;1,1]@5"
         ]
@@ -132,7 +145,9 @@ class TestCountsFailures:
 
 class TestNoCtFailures:
     def test_witness_is_a_summand(self, monkeypatch, capsys):
-        monkeypatch.setattr(verify, "tilting_witness", lambda table, top, k: table.objects[top])
+        monkeypatch.setattr(
+            verify_rigid, "tilting_witness", lambda table, top, k: table.objects[top]
+        )
         assert fail_lines(capsys, "no-ct") == [
             "FAIL no-ct/witnesses: at (MaximalRigid[1,4;1,3;1,2;1,1]@5, 2, (1,4)@5)"
         ]
@@ -143,7 +158,7 @@ class TestNoCtFailures:
         def next_top(table, top, k):
             return TubeObject(table.objects[top].a % N + 1, N - 1, N)
 
-        monkeypatch.setattr(verify, "tilting_witness", next_top)
+        monkeypatch.setattr(verify_rigid, "tilting_witness", next_top)
         assert fail_lines(capsys, "no-ct") == [
             "FAIL no-ct/witnesses: at (MaximalRigid[1,4;1,3;1,2;1,1]@5, 2, (2,4)@5)"
         ]
@@ -157,8 +172,10 @@ class TestNoCtFailures:
         """Every top given the lowest top's witnesses: they pass at the
         representatives, but are not the turns of them that the other
         nodes need, so the first such node is named with its witness."""
-        real = verify.tilting_witness
-        monkeypatch.setattr(verify, "tilting_witness", lambda table, top, k: real(table, 0, k))
+        real = verify_rigid.tilting_witness
+        monkeypatch.setattr(
+            verify_rigid, "tilting_witness", lambda table, top, k: real(table, 0, k)
+        )
         assert fail_lines(capsys, "no-ct") == [
             "FAIL no-ct/witnesses: at (MaximalRigid[2,4;2,3;2,2;2,1]@5, 2, (1,9)@5)"
         ]
@@ -171,12 +188,16 @@ class TestHomFailures:
     """Each doctoring breaks one check's claim and leaves the others'."""
 
     def doctor_ext(self, monkeypatch, extra):
-        real = verify.ext_dim_cluster
-        monkeypatch.setattr(verify, "ext_dim_cluster", lambda x, y: real(x, y) + extra(x, y))
+        real = verify_reps.ext_dim_cluster
+        monkeypatch.setattr(
+            verify_reps, "ext_dim_cluster", lambda x, y: real(x, y) + extra(x, y)
+        )
 
     def test_self_extensions_dropped(self, monkeypatch, capsys):
-        real = verify.ext_dim_cluster
-        monkeypatch.setattr(verify, "ext_dim_cluster", lambda x, y: 0 if x == y else real(x, y))
+        real = verify_reps.ext_dim_cluster
+        monkeypatch.setattr(
+            verify_reps, "ext_dim_cluster", lambda x, y: 0 if x == y else real(x, y)
+        )
         assert fail_lines(capsys, "hom") == ["FAIL hom/rigidity-boundary: at (1,5)@5"]
 
     def test_extension_added_in_one_order(self, monkeypatch, capsys):
@@ -194,14 +215,18 @@ class TestHomFailures:
     def test_formula_off_at_a_pair_off_socle_one(self, monkeypatch, capsys):
         """The oracle runs only for ``x`` of socle 1, yet a formula wrong
         at one pair of other socles is named as that pair."""
-        real, pair = verify.hom_dim_tube, (TubeObject(3, 2, N), TubeObject(4, 7, N))
-        monkeypatch.setattr(verify, "hom_dim_tube", lambda x, y: real(x, y) + ((x, y) == pair))
+        real, pair = verify_reps.hom_dim_tube, (TubeObject(3, 2, N), TubeObject(4, 7, N))
+        monkeypatch.setattr(
+            verify_reps, "hom_dim_tube", lambda x, y: real(x, y) + ((x, y) == pair)
+        )
         assert fail_lines(capsys, "hom")[0] == f"FAIL hom/formula-vs-oracle: disagree on {pair}"
 
     def test_cluster_hom_without_the_tube_maps(self, monkeypatch, capsys):
-        real = verify.hom_dim_cluster
+        real = verify_reps.hom_dim_cluster
         monkeypatch.setattr(
-            verify, "hom_dim_cluster", lambda x, y: real(x, y) - verify.hom_dim_tube(x, y)
+            verify_reps,
+            "hom_dim_cluster",
+            lambda x, y: real(x, y) - verify_reps.hom_dim_tube(x, y),
         )
         assert fail_lines(capsys, "hom") == [
             "FAIL hom/cluster-hom-contains-tube-hom: at ((1,1)@5, (1,1)@5)"
@@ -210,15 +235,15 @@ class TestHomFailures:
 
 class TestPolygonFailures:
     def test_inverse_off_by_tau(self, monkeypatch, capsys):
-        real = verify.delta_inv
-        monkeypatch.setattr(verify, "delta_inv", lambda p: tau(real(p)))
+        real = verify_polygon.delta_inv
+        monkeypatch.setattr(verify_polygon, "delta_inv", lambda p: tau(real(p)))
         assert fail_lines(capsys, "polygon") == [
             "FAIL polygon/delta-bijection: 20 images of 20 objects, 20 pairs"
         ]
 
     def test_each_crossing_counted_once(self, monkeypatch, capsys):
-        real = verify.crossing_points
-        monkeypatch.setattr(verify, "crossing_points", lambda p, q: real(p, q) // 2)
+        real = verify_polygon.crossing_points
+        monkeypatch.setattr(verify_polygon, "crossing_points", lambda p, q: real(p, q) // 2)
         assert fail_lines(capsys, "polygon") == [
             "FAIL polygon/crossing-equals-twice-ext: at ((1,4)@5, (2,4)@5)"
         ]
@@ -236,15 +261,15 @@ class TestInitialSeedFailures:
         """The graph stores the seed it was built from, so only the
         Cartan half of the check can tell."""
         monkeypatch.setattr(mutation, "initial_seed", type_c_seed)
-        monkeypatch.setattr(verify, "initial_seed", mutation.initial_seed)
-        monkeypatch.setattr(verify, "build_exchange_graph", mutation.ExchangeGraph)
+        monkeypatch.setattr(verify_mutation, "initial_seed", mutation.initial_seed)
+        monkeypatch.setattr(verify_mutation, "build_exchange_graph", mutation.ExchangeGraph)
         assert fail_lines(capsys, "mutation") == [
             "FAIL mutation/initial-seed: stored "
             "((0, -1, 0, 0), (2, 0, 1, 0), (0, -1, 0, -1), (0, 0, 1, 0))"
         ]
 
     def test_stored_matrix_is_not_the_seed(self, monkeypatch, capsys):
-        monkeypatch.setattr(verify, "initial_seed", type_c_seed)
+        monkeypatch.setattr(verify_mutation, "initial_seed", type_c_seed)
         assert fail_lines(capsys, "mutation") == [
             "FAIL mutation/initial-seed: stored "
             "((0, -2, 0, 0), (1, 0, 1, 0), (0, -1, 0, -1), (0, 0, 1, 0))"
@@ -261,7 +286,7 @@ def test_counterexample_node_is_checked_once(monkeypatch, edit):
     monkeypatch.setattr(
         rigid.RigidTable, "defect", lambda self, m: checked.append(m) or real(self, m)
     )
-    assert not verify._bad_node("node", table, mask).ok
+    assert not verify_rigid._bad_node("node", table, mask).ok
     assert checked == [mask]
 
 
