@@ -20,8 +20,8 @@ from .tube import TubeObject, check_rank, ext_dim_cluster, hom_dim_cluster, hom_
 # Largest --rank of the commands that build a rank's tables or its whole
 # exchange graph; at rank 10, exchange-graph --format dot takes 1.3-1.8 s
 # and 36 MB peak RSS on a 2-vCPU host (json, the one export that reads
-# every node's rows, 2.5-3.2 s and 28.5 MB). hom is O(1) and verify keeps
-# its own range.
+# every node's rows, 2.5-3.2 s and 28.5 MB). hom is O(1), and verify
+# keeps its own range, 2..13 for every suite.
 RANK_CEILING = 10
 
 

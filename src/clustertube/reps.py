@@ -95,8 +95,7 @@ def _compose(a, b, cols: int) -> list[list[int]]:
     ]
 
 
-# one ``suite_hom`` sweep visits 2n² objects: 72 at verify's ``_EXHAUSTIVE_MAX``, 6; 128 at 8
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=None)
 def build_rep(x: TubeObject) -> NilpotentRep:
     """Explicit uniserial representation of the indecomposable ``x``;
     cached, since the oracle asks for it once per pair it is in."""

@@ -3,8 +3,8 @@
 Each suite runs a batch of exact checks at one rank and reports the
 first counterexample on failure.  The same suites back the acceptance
 tests.  Every claim is tau-equivariant and tau acts freely on the maximal
-rigid objects, so all suites but ``polygon`` check one representative
-per tau-orbit, and read no expanded node, edge or matrix.
+rigid objects, so every suite checks one representative per tau-orbit,
+and reads no expanded node, edge or matrix.
 
 This module holds the reports and :func:`run_suite`, and imports only
 ``tube``.  Each suite lives in a module named after the top layer it
@@ -22,10 +22,8 @@ from operator import ne
 from .tube import Record, TubeObject
 
 
-# Suites that sweep the oracle or the full polygon pairing are kept to
-# desk scale; the rest check the tau-quotient, and a fresh ``--suite all``
-# at rank 13 takes about 28 s and 385 MB peak RSS on 2 vCPU.
-_EXHAUSTIVE_MAX = 6
+# Every suite checks the tau-quotient; a fresh ``--suite all`` at rank 13
+# takes about 40 s and 386 MB peak RSS on 2 vCPU.
 _MAX_RANK = 13
 
 # Mutation-finite type B entries never leave this band; anything outside
@@ -115,27 +113,16 @@ def __getattr__(name: str):
 def run_suite(suite: str, rank: int) -> VerifyReport:
     """Run one named suite (or ``all``) at the given rank.
 
-    Raises ValueError for an unsupported rank or suite name; above
-    ``_EXHAUSTIVE_MAX`` the exhaustive suites are skipped inside ``all``
-    but rejected when requested by name.
+    Raises ValueError for an unknown suite name or a rank outside
+    2..``_MAX_RANK``, the range of every suite.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     if not 2 <= rank <= _MAX_RANK:
         raise ValueError(f"rank {rank} outside the supported range 2..{_MAX_RANK}")
-    exhaustive = {"hom", "polygon"}
-    if suite in exhaustive and rank > _EXHAUSTIVE_MAX:
-        raise ValueError(
-            f"suite {suite!r} is exhaustive and only supports ranks 2..{_EXHAUSTIVE_MAX}"
-        )
     report = VerifyReport(suite, rank)
     names = SUITES if suite == "all" else (suite,)
     for name in names:
-        if name in exhaustive and rank > _EXHAUSTIVE_MAX:
-            report.checks.append(
-                CheckResult(f"{name}-skipped", True, f"rank {rank} > {_EXHAUSTIVE_MAX}")
-            )
-            continue
         for check in _suite(name)(rank):
             if suite == "all":
                 check.name = f"{name}/{check.name}"

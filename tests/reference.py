@@ -18,8 +18,20 @@ from clustertube import (
     enumerate_rigid_indecs,
 )
 from clustertube.linalg import integer_rank
-from clustertube.mutation import ExchangeGraph, cartan_counterpart, initial_seed
-from clustertube.polygon import PolygonTable
+from clustertube.mutation import (
+    ExchangeGraph,
+    build_exchange_graph,
+    cartan_counterpart,
+    initial_seed,
+)
+from clustertube.polygon import (
+    PolygonTable,
+    all_cs_pairs,
+    crossing_points,
+    delta_inv,
+    flip_graph,
+    graphs_isomorphic_via_delta,
+)
 from clustertube.reps import hom_dim_oracle
 from clustertube.rigid import (
     _checked,
@@ -248,6 +260,48 @@ def suite_hom_expanded(n):
         None,
     )
     checks.append(_counterexample("hammock-consistency", bad))
+    return checks
+
+
+def suite_polygon_expanded(n):
+    """The ``polygon`` suite with crossing against Ext on every pair of
+    rigid indecomposables."""
+    checks = []
+    rigids = enumerate_rigid_indecs(n)
+    pair = {x: delta(x) for x in rigids}
+    image = set(pair.values())
+    pairs = set(all_cs_pairs(n))
+    inv_ok = all(delta_inv(p) == x for x, p in pair.items())
+    checks.append(
+        CheckResult(
+            "delta-bijection",
+            len(image) == len(rigids) and image == pairs and inv_ok,
+            f"{len(image)} images of {len(rigids)} objects, {len(pairs)} pairs",
+        )
+    )
+    bad = next(
+        (
+            (x, y)
+            for x in rigids
+            for y in rigids
+            if crossing_points(pair[x], pair[y]) != 2 * ext_dim_cluster(x, y)
+        ),
+        None,
+    )
+    checks.append(_counterexample("crossing-equals-twice-ext", bad))
+    try:
+        eg, fg = build_exchange_graph(n), flip_graph(n)
+    except TheoremViolationError as exc:
+        names = ("triangulation-bijection", "flip-graph-isomorphism")
+        return checks + [CheckResult(name, False, str(exc)) for name in names]
+    checks.append(
+        CheckResult(
+            "triangulation-bijection",
+            eg.reps == fg.reps,
+            f"{n * len(fg.reps)} triangulations of {n * len(eg.reps)} objects",
+        )
+    )
+    checks.append(CheckResult("flip-graph-isomorphism", graphs_isomorphic_via_delta(eg, fg)))
     return checks
 
 

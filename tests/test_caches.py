@@ -1,5 +1,5 @@
 """The cache policy: only facts computed once per rank are memoised, plus
-the oracle's bounded representation cache.  Hom, Ext and crossing counts
+the oracle's representation cache.  Hom, Ext and crossing counts
 are O(1) formulas that cost about as much as a cache lookup."""
 
 import importlib
@@ -15,7 +15,7 @@ CACHED = {
     "clustertube.mutation.build_exchange_graph": None,
     "clustertube.polygon.polygon_table": None,
     "clustertube.polygon.flip_graph": None,
-    "clustertube.reps.build_rep": 128,
+    "clustertube.reps.build_rep": None,
 }
 
 

@@ -3,7 +3,7 @@ enumeration's tau-orbit representatives, and what a cold run of the
 quotient suites builds and reads; a doctoring for each ``hom`` and
 ``polygon`` check and for the ``mutation`` suite's ``initial-seed``, so
 that every check is seen to FAIL; and the quotient suites' verdicts held
-against the node-by-node suites of ``reference``."""
+against the node-by-node and pair-by-pair suites of ``reference``."""
 
 from math import comb
 
@@ -24,6 +24,7 @@ from clustertube import (
 )
 from clustertube.cli import main
 from clustertube.mutation import ExchangeMatrix, Seed
+from clustertube.polygon import crossing_points, delta
 from clustertube.reps import hom_dim_oracle
 from clustertube.rigid import MaximalRigid
 from clustertube.tube import tau
@@ -221,6 +222,17 @@ class TestHomFailures:
         )
         assert fail_lines(capsys, "hom")[0] == f"FAIL hom/formula-vs-oracle: disagree on {pair}"
 
+    def test_oracle_off_at_a_pair_above_rank_six(self, monkeypatch, capsys):
+        """The oracle runs at every rank ``verify`` accepts: one socle-1
+        pair off by one at rank 10 is named as that pair."""
+        real, pair = verify_reps.hom_dim_oracle, (TubeObject(1, 3, 10), TubeObject(4, 12, 10))
+        monkeypatch.setattr(
+            verify_reps, "hom_dim_oracle", lambda x, y: real(x, y) + ((x, y) == pair)
+        )
+        assert fail_lines(capsys, "hom", 10) == [
+            f"FAIL hom/formula-vs-oracle: disagree on {pair}"
+        ]
+
     def test_cluster_hom_without_the_tube_maps(self, monkeypatch, capsys):
         real = verify_reps.hom_dim_cluster
         monkeypatch.setattr(
@@ -246,6 +258,13 @@ class TestPolygonFailures:
         monkeypatch.setattr(verify_polygon, "crossing_points", lambda p, q: real(p, q) // 2)
         assert fail_lines(capsys, "polygon") == [
             "FAIL polygon/crossing-equals-twice-ext: at ((1,4)@5, (2,4)@5)"
+        ]
+
+    def test_each_crossing_counted_once_above_rank_six(self, monkeypatch, capsys):
+        real = verify_polygon.crossing_points
+        monkeypatch.setattr(verify_polygon, "crossing_points", lambda p, q: real(p, q) // 2)
+        assert fail_lines(capsys, "polygon", 10) == [
+            "FAIL polygon/crossing-equals-twice-ext: at ((1,9)@10, (2,9)@10)"
         ]
 
 
@@ -315,6 +334,7 @@ EXPANDED = {
     "hom": reference.suite_hom_expanded,
     "counts": reference.suite_counts_expanded,
     "mutation": reference.suite_mutation_expanded,
+    "polygon": reference.suite_polygon_expanded,
     "no-ct": reference.suite_no_ct_expanded,
 }
 
@@ -340,9 +360,8 @@ def test_cold_run_expands_nothing(n, clear_package_caches):
     assert rigid.maximal_rigid_masks.cache_info().misses == 0
     views = {"nodes", "edges", "order", "rows"}
     assert not views & vars(mutation.build_exchange_graph(n)).keys()
-    if n <= verify._EXHAUSTIVE_MAX:
-        assert polygon.flip_graph.cache_info().currsize == 1
-        assert not views & vars(polygon.flip_graph(n)).keys()
+    assert polygon.flip_graph.cache_info().currsize == 1
+    assert not views & vars(polygon.flip_graph(n)).keys()
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -369,9 +388,20 @@ def test_oracle_is_tau_invariant(n):
             assert hom_dim_oracle(tau(x), tau(y)) == hom_dim_oracle(x, y), (x, y)
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_crossing_is_tau_invariant(n):
+    """What lets ``crossing-equals-twice-ext`` run on socle 1 only."""
+    rigids = rigid.enumerate_rigid_indecs(n)
+    for x in rigids:
+        for y in rigids:
+            assert crossing_points(delta(tau(x)), delta(tau(y))) == crossing_points(
+                delta(x), delta(y)
+            ), (x, y)
+
+
 def test_rank_range():
-    """The quotient suites run to rank 13; the exhaustive ones stop at 6."""
-    with pytest.raises(ValueError, match=r"^rank 14 outside the supported range 2\.\.13$"):
-        verify.run_suite("all", 14)
-    with pytest.raises(ValueError, match="^suite 'hom' is exhaustive and only supports ranks 2..6$"):
-        verify.run_suite("hom", 13)
+    """Every suite runs to rank 13, and rank 14 is rejected for each."""
+    assert verify.run_suite("hom", 13).passed
+    for suite in ("all",) + verify.SUITES:
+        with pytest.raises(ValueError, match=r"^rank 14 outside the supported range 2\.\.13$"):
+            verify.run_suite(suite, 14)
