@@ -11,14 +11,18 @@ involution, so finishing the walk without a mismatch, with every node
 reached (every orbit, and voltages that generate Z_n), certifies that the
 assignment is path independent.
 The graph's ``nodes`` are masks, in enumeration order, as the flip
-graph's are.  It stores one matrix per tau-orbit, and builds its views
-only when they are read: the expanded ``edges`` and ``order``, every
-node's rows by ``rows``, and one node's, its representative's turned back
-by the node's turn, by :meth:`ExchangeGraph.b_matrix`, the one lookup from
-an object to its matrix.
+graph's are.  It stores one matrix per tau-orbit, as a tuple of ids into
+one :class:`RowTable` of distinct rows, and the walk mutates these id
+tuples: few rows are distinct, so a memo per row k and step maps each row
+id to its mutated row's id, and the arithmetic of :func:`_mutate_rows`
+runs once per miss.  The views are built only when they are read: the
+expanded ``edges`` and ``order``, every node's rows by ``rows``, and one
+node's, its representative's turned back by the node's turn, by
+:meth:`ExchangeGraph.b_matrix`, the one lookup from an object to its
+matrix.
 The entry bound and sign-skew symmetry of every node's matrix are
 checked once, by the ``mutation`` suite of :mod:`clustertube.verify`, on
-the stored ``rep_rows``, since a node's matrix is its representative's
+the stored ``rep_ids``, since a node's matrix is its representative's
 turned, a simultaneous permutation: no :class:`ExchangeMatrix` is built
 there, and sign-skew symmetry alone forces a zero diagonal
 (``b_ii = -b_ii``).
@@ -27,15 +31,17 @@ there, and sign-skew symmetry alone forces a zero diagonal
 from __future__ import annotations
 
 from array import array
+from collections.abc import Callable, Iterable
 from functools import cached_property, lru_cache
 from itertools import starmap
-from operator import itemgetter, neg
+from operator import neg
 from struct import Struct
 
 from .errors import StructuralError, TheoremViolationError
 from .rigid import (
     MaximalRigid,
     QuotientGraph,
+    _getter,
     _of_mask,
     bit_indices,
     cover_walk,
@@ -79,33 +85,101 @@ class Seed(FrozenRecord):
             raise StructuralError("matrix order differs from the summand list")
 
 
+def _step(bk: tuple[int, ...], k: int, p: int, w: int) -> tuple:
+    """What mutation at ``k``, with index ``k`` written at position ``p``,
+    the others kept in order around it, and turned by ``w`` as
+    :func:`_turn` does, reads off row k, ``bk``: ``move``, every position
+    in its new order, and ``others``, all but ``k``; row k's nonzero
+    entries as ``(j, b_kj, |b_kj|)``; and row k's new position and row,
+    ``-move(bk)``."""
+    size = len(bk)
+    perm = [*range(k), *range(k + 1, size)]
+    perm.insert(p, k)
+    perm = perm[w:] + perm[:w]
+    move, others = _getter(perm), _getter([i for i in perm if i != k])
+    nonzero = [(j, v, abs(v)) for j, v in enumerate(bk) if v]
+    return move, others, nonzero, (p - w) % size, tuple(map(neg, move(bk)))
+
+
+def _mutate_row(row: tuple[int, ...], k: int, nonzero: list, move: Callable) -> tuple[int, ...]:
+    """A row other than row k of a matrix mutated at ``k``, moved by
+    ``move``; ``nonzero`` is row k's, from :func:`_step`.
+
+    Its column-k entry changes sign, and it changes elsewhere only where
+    that entry and row k are both nonzero.
+    """
+    c = row[k]
+    if c == 0:
+        return move(row)
+    row, a = list(row), abs(c)
+    for j, v, av in nonzero:
+        row[j] += (a * v + c * av) // 2
+    row[k] = -c
+    return move(row)
+
+
 def _mutate_rows(b: Rows, k: int, p: int, w: int = 0) -> Rows:
     """Fomin-Zelevinsky mutation at ``k`` of a square matrix of rows,
     with index ``k`` written at position ``p`` and the others kept in
     order around it, and turned by ``w`` as :func:`_turn` does, in one step.
-
-    Row and column k change sign; another row changes only where its
-    column-k entry and row k are both nonzero.
     """
-    perm = [*range(k), *range(k + 1, len(b))]
-    perm.insert(p, k)
-    perm = perm[w:] + perm[:w]
-    move = itemgetter(*perm) if len(b) > 1 else lambda row: (row[0],)
-    bk = b[k]
-    nonzero = [(j, v, abs(v)) for j, v in enumerate(bk) if v]
-    new = []
-    for row in move(b):
-        c = row[k]
-        if c == 0:
-            new.append(move(row))
-        else:
-            row, a = list(row), abs(c)
-            for j, v, av in nonzero:
-                row[j] += (a * v + c * av) // 2
-            row[k] = -c
-            new.append(move(row))
-    new[(p - w) % len(b)] = tuple(map(neg, move(bk)))
+    move, others, nonzero, slot, k_row = _step(b[k], k, p, w)
+    new = [_mutate_row(row, k, nonzero, move) for row in others(b)]
+    new.insert(slot, k_row)
     return tuple(new)
+
+
+class _RowMemo(dict):
+    """One step of :meth:`RowTable.mutate`, for the matrices whose row k
+    is ``bk``: each row id maps to the id of that row mutated, moved and
+    turned, by :func:`_mutate_row` on first use.  Row k's own position,
+    ``slot``, takes ``k_row``, the id of row k's new row: a row equal to
+    row k at another position has ``b_ik = b_kk = 0``, so it only moves,
+    and is mapped like any other."""
+
+    __slots__ = ("table", "k", "move", "others", "nonzero", "slot", "k_row")
+
+    def __init__(self, table: RowTable, bk: tuple[int, ...], k: int, p: int, w: int):
+        self.table, self.k = table, k
+        self.move, self.others, self.nonzero, self.slot, k_row = _step(bk, k, p, w)
+        self.k_row = table.intern(k_row)
+
+    def __missing__(self, i: int) -> int:
+        row = _mutate_row(self.table.rows[i], self.k, self.nonzero, self.move)
+        new = self[i] = self.table.intern(row)
+        return new
+
+
+class RowTable:
+    """Each distinct row once, in ``rows``, numbered by its id, and
+    mutation on matrices stored as tuples of row ids."""
+
+    def __init__(self) -> None:
+        self.rows: list[tuple[int, ...]] = []
+        self._ids: dict[tuple[int, ...], int] = {}
+        self.memos: dict[tuple[int, int, int, int], _RowMemo] = {}
+
+    def intern(self, row: tuple[int, ...]) -> int:
+        """The id of ``row``, added if it is new."""
+        i = self._ids.get(row)
+        if i is None:
+            i = self._ids[row] = len(self.rows)
+            self.rows.append(row)
+        return i
+
+    def decode(self, ids: Iterable[int]) -> Rows:
+        return tuple(map(self.rows.__getitem__, ids))
+
+    def mutate(self, ids: tuple[int, ...], k: int, p: int, w: int) -> tuple[int, ...]:
+        """:func:`_mutate_rows` on the matrix of row ids ``ids``, through one
+        :class:`_RowMemo` per ``(id of row k, k, p, w)``."""
+        key = (ids[k], k, p, w)
+        memo = self.memos.get(key)
+        if memo is None:
+            memo = self.memos[key] = _RowMemo(self, self.rows[ids[k]], k, p, w)
+        new = list(map(memo.__getitem__, memo.others(ids)))
+        new.insert(memo.slot, memo.k_row)
+        return tuple(new)
 
 
 def _turn(b: Rows, w: int) -> Rows:
@@ -189,13 +263,18 @@ class ExchangeGraph(QuotientGraph):
     compared from there; a step into the representative's own orbit is
     always mutated and compared.  A node's turn moves canonical positions
     cyclically, and mutation commutes with rotation, so these comparisons
-    cover every tau-image of every edge.  Only the representatives' rows
-    are stored, as ``rep_rows[o]`` for orbit ``o``; a node's rows are its
-    representative's turned back by its own turn, built when ``rows`` or
-    :meth:`b_matrix` first reads them.
-    Equal rows are one tuple (234 among 24 024 at rank 8), and so are the
-    matrices of one representative's rotations with equal turn (1716 among
-    3432).
+    cover every tau-image of every edge.
+
+    Only the representatives' matrices are stored, ``rep_ids[o]`` for
+    orbit ``o``, each a tuple of ids into ``row_table``, and the walk
+    compares id tuples.  Each step is one :meth:`RowTable.mutate`, whose
+    memos the walk frees when it ends; at rank 8 its 1504 steps mutate
+    9024 rows other than row k, 2617 of them by the arithmetic.  A node's
+    rows are decoded from its representative's ids and turned back by its
+    own turn when ``rows`` or :meth:`b_matrix` first reads them.  Equal
+    rows are one tuple, the table's (234 among 24 024 at rank 8), and so
+    are the matrices of one representative's rotations with equal turn
+    (1716 among 3432).
     """
 
     def __init__(self, n: int):
@@ -212,26 +291,30 @@ class ExchangeGraph(QuotientGraph):
                 f"exchange graph at rank {n} reaches {reached} objects, "
                 f"the enumeration has {n * len(reps)}"
             )
-        self._shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-        # rep_rows[o]: orbit o's representative's rows.  The walk reaches
+        self.row_table = row_table = RowTable()
+        # rep_ids[o]: orbit o's representative's row ids.  The walk reaches
         # an orbit by a step from one it popped before, so every orbit has
         # rows by the time its own steps are taken.
-        self.rep_rows = base = {first: self._share(_turn(seed.matrix.entries, w))}
-        self._turned: dict[tuple[int, int], Rows] = {}  # (o, w): rep_rows[o] turned back by w
-        for o, k, o2, j2 in steps:
+        self.rep_ids = stored = [None] * len(reps)
+        stored[first] = tuple(map(row_table.intern, _turn(seed.matrix.entries, w)))
+        self._turned: dict[tuple[int, int], Rows] = {}  # (o, w): orbit o's rows turned back by w
+        blocks, d, mutate = self.blocks, n - 1, row_table.mutate
+        for step in steps:
+            (o, k), (o2, j2) = divmod(step, d), divmod(blocks[step], n)
             mask, mask2, w2 = reps[o], reps[o2], 0
             if j2:  # the top was swapped: the target is tau^-j2 of its representative
                 mask2, w2 = self.tau_power(mask2, j2)
             p = (mask2 & (mask2 & ~mask) - 1).bit_count()  # the new summand's position
-            b2 = _mutate_rows(base[o], k, p, w2)
-            seen = base.get(o2)
+            ids = mutate(stored[o], k, p, w2)
+            seen = stored[o2]
             if seen is None:
-                base[o2] = self._share(b2)
-            elif seen != b2:
+                stored[o2] = ids
+            elif seen != ids:
                 raise TheoremViolationError(
                     f"path-independence failure at {table.objects_of(mask2)}: "
-                    f"{_turn(seen, -w2)} vs {_turn(b2, -w2)}"
+                    f"{_turn(row_table.decode(seen), -w2)} vs {_turn(row_table.decode(ids), -w2)}"
                 )
+        row_table.memos.clear()  # they serve the walk only
 
     @cached_property
     def nodes(self) -> tuple[int, ...]:
@@ -254,18 +337,16 @@ class ExchangeGraph(QuotientGraph):
                     order.append(j)
         return order
 
-    def _share(self, b: Rows) -> Rows:
-        """``b`` with each row that an earlier matrix has as one tuple."""
-        return tuple([self._shared.setdefault(row, row) for row in b])
-
     def _rows_of(self, o: int, w: int) -> Rows:
         """The rows of the node of orbit ``o`` with turn ``w``: the
-        representative's turned back by ``w``, one tuple per orbit and turn."""
-        if not w:
-            return self.rep_rows[o]
+        representative's turned back by ``w``, one tuple per orbit and
+        turn, each of its rows the one in ``row_table``."""
         b = self._turned.get((o, w))
         if b is None:
-            b = self._turned[o, w] = self._share(_turn(self.rep_rows[o], -w))
+            b = self.row_table.decode(self.rep_ids[o])
+            if w:
+                b = self.row_table.decode(map(self.row_table.intern, _turn(b, -w)))
+            self._turned[o, w] = b
         return b
 
     @cached_property

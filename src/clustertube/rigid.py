@@ -141,7 +141,8 @@ def orbit_cliques(
 def orbit_nodes(reps: Iterable[int], n: int) -> tuple[int, ...]:
     """The nodes of the orbits of ``reps``, sorted by bit indices."""
     size, step = n * (n - 1), n - 1
-    masks = [rotate(mask, shift, size) for mask in reps for shift in range(0, size, step)]
+    full = (1 << size) - 1
+    masks = [(m << s | m >> size - s) & full for m in reps for s in range(0, size, step)]
     _sort_by_indices(masks, size)
     return tuple(masks)
 
@@ -179,18 +180,17 @@ def orbit_graph(
     return number, blocks
 
 
-def cover_walk(
-    blocks: Sequence[int], n: int, start: int
-) -> tuple[list[tuple[int, int, int, int]], int]:
+def cover_walk(blocks: Sequence[int], n: int, start: int) -> tuple[array, int]:
     """A BFS of the tau-quotient ``blocks`` (see :func:`orbit_graph`) from
     orbit ``start``: its steps, and the number of nodes of the graph
     reached from a node of that orbit.
 
-    A step ``(o, k, o2, j2)`` is the ``k``-th edge of orbit ``o``, into
-    orbit ``o2`` with voltage ``j2``, taken when ``o`` is popped if ``o2``
-    is not popped yet or is ``o`` itself: so each edge between two orbits
-    once, from the end popped first, and each loop at every end, in the
-    order the BFS pops them.
+    A step is an index ``o*(n-1) + k`` of ``blocks``, the ``k``-th edge of
+    orbit ``o``, into orbit ``o2`` with voltage ``j2`` where
+    ``blocks[o*(n-1) + k] = o2*n + j2``.  It is taken when ``o`` is popped
+    if ``o2`` is not popped yet or is ``o`` itself: so each edge between
+    two orbits once, from the end popped first, and each loop at every
+    end, in the order the BFS pops them.
 
     Each reached orbit gets a potential mod n, the voltages summed along
     the BFS tree.  An edge's net voltage is its voltage plus its source's
@@ -204,12 +204,12 @@ def cover_walk(
     potential = [-1] * (len(blocks) // d)  # -1: not reached
     potential[start] = 0
     popped = bytearray(len(potential))
-    order, steps, g = [start], [], n
+    order, steps, g = [start], array("l"), n
     for o in order:  # the queue: read as it grows
         popped[o] = 1
         here = potential[o]
-        for k, x in enumerate(blocks[o * d : o * d + d]):
-            o2, j2 = divmod(x, n)
+        for step in range(o * d, o * d + d):
+            o2, j2 = divmod(blocks[step], n)
             there = potential[o2]
             if there < 0:
                 potential[o2] = (here + j2) % n
@@ -217,7 +217,7 @@ def cover_walk(
             elif g > 1:
                 g = gcd(g, here + j2 - there)
             if not popped[o2] or o2 == o:
-                steps.append((o, k, o2, j2))
+                steps.append(step)
     return steps, len(order) * n // g
 
 

@@ -24,21 +24,19 @@ def suite_mutation(n: int) -> list[CheckResult]:
     table = rigid_table(n)
 
     # each orbit's stored matrix stands for its nodes', which are it turned,
-    # a simultaneous permutation.  Signs and the entry bound once per
-    # distinct row, sign-skew symmetry once per distinct matrix on those
-    # signs: column j must be row j's signs negated (so the diagonal is
-    # zero), and a row out of bound has no negated signs to match.
-    stored = graph.rep_rows
-    matrices = set(stored.values())
-    signs, negated = {}, {}
-    for row in {row for rows in matrices for row in rows}:
-        signs[row] = tuple((v > 0) - (v < 0) for v in row)
-        if max(map(abs, row)) <= _ENTRY_BOUND:
-            negated[row] = tuple(-v for v in signs[row])
+    # a simultaneous permutation.  Signs and the entry bound once per row
+    # id, sign-skew symmetry once per distinct tuple of ids on those signs:
+    # column j must be row j's signs negated (so the diagonal is zero), and
+    # a row out of bound has no negated signs to match.
+    stored, signs, negated = graph.rep_ids, [], []
+    for row in graph.row_table.rows:
+        signs.append(tuple((v > 0) - (v < 0) for v in row))
+        in_bound = max(map(abs, row)) <= _ENTRY_BOUND
+        negated.append(tuple(-v for v in signs[-1]) if in_bound else None)
     broken = {
-        rows
-        for rows in matrices
-        if list(zip(*map(signs.get, rows))) != list(map(negated.get, rows))
+        ids
+        for ids in set(stored)
+        if list(zip(*map(signs.__getitem__, ids))) != list(map(negated.__getitem__, ids))
     }
     bad = next((mask for mask, o in graph.reps.items() if stored[o] in broken), None)
     checks.append(_bad_node("matrix-invariants", table, bad))

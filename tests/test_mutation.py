@@ -74,6 +74,12 @@ def quotient_steps(g):
     return loops + across // 2
 
 
+def doctored_row(table, i):
+    """The id of row ``i`` of ``table`` with 7 added to its first entry."""
+    row = table.rows[i]
+    return table.intern((row[0] + 7,) + row[1:])
+
+
 def full_bfs(n):
     """Reference: the BFS over every node, mutating one direction of each
     undirected edge and comparing on revisits.  Returns ``rows``,
@@ -286,18 +292,45 @@ class TestExchangeGraph:
         # a wrong comparison step fails at once; a wrong discovery matrix
         # spreads, by bijections, over one side of a cut, and each node has
         # n-1 >= 2 edges, so some edge across the cut is compared
-        real = mutation._mutate_rows
+        real = mutation.RowTable.mutate
         for bad in range(quotient_steps(build_exchange_graph(n))):
             calls = []
 
-            def tampered(b, k, p, w=0):
-                b2 = real(b, k, p, w)
+            def tampered(table, ids, k, p, w):
+                ids2 = real(table, ids, k, p, w)
                 calls.append(None)
                 if len(calls) - 1 != bad:
-                    return b2
-                return b2[:-1] + ((b2[-1][0] + 7,) + b2[-1][1:],)
+                    return ids2
+                return ids2[:-1] + (doctored_row(table, ids2[-1]),)
 
-            monkeypatch.setattr(mutation, "_mutate_rows", tampered)
+            monkeypatch.setattr(mutation.RowTable, "mutate", tampered)
+            with pytest.raises(TheoremViolationError, match="^path-independence failure at "):
+                mutation.ExchangeGraph(n)
+            assert bad < len(calls)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_every_memo_entry_is_checked(self, n, monkeypatch):
+        # a memo entry is stored by the step that first needs it, which is
+        # checked as every step is; later steps read the same wrong entry
+        real, stored = mutation._RowMemo.__missing__, []
+
+        def counted(memo, i):
+            stored.append(None)
+            return real(memo, i)
+
+        monkeypatch.setattr(mutation._RowMemo, "__missing__", counted)
+        mutation.ExchangeGraph(n)
+        for bad in range(len(stored)):
+            calls = []
+
+            def tampered(memo, i):
+                new = real(memo, i)
+                calls.append(None)
+                if len(calls) - 1 == bad:
+                    new = memo[i] = doctored_row(memo.table, new)
+                return new
+
+            monkeypatch.setattr(mutation._RowMemo, "__missing__", tampered)
             with pytest.raises(TheoremViolationError, match="^path-independence failure at "):
                 mutation.ExchangeGraph(n)
             assert bad < len(calls)
@@ -305,13 +338,13 @@ class TestExchangeGraph:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_one_mutation_per_undirected_edge(self, n, monkeypatch):
         calls = []
-        real = mutation._mutate_rows
+        real = mutation.RowTable.mutate
 
-        def counted(b, k, p, w=0):
+        def counted(table, ids, k, p, w):
             calls.append(None)
-            return real(b, k, p, w)
+            return real(table, ids, k, p, w)
 
-        monkeypatch.setattr(mutation, "_mutate_rows", counted)
+        monkeypatch.setattr(mutation.RowTable, "mutate", counted)
         g = mutation.ExchangeGraph(n)
         assert len(calls) == quotient_steps(g)
         assert len(undirected(g)) == len(g.nodes) * (n - 1) // 2
@@ -466,9 +499,10 @@ class TestRowsOnDemand:
         assert g.nodes == rigid.maximal_rigid_masks(n)
 
     def test_holds_no_rows_per_node(self):
-        # calibrated on the rows kept per orbit, which leave 1.47 MiB
-        # retained (CPython 3.11); a graph that keeps every node's rows and
-        # a {mask: number} dict for b_matrix retains 2.56 MiB
+        # calibrated on the row ids kept per orbit, which leave 0.47 MiB
+        # retained in a fresh process (CPython 3.11); a tuple of shared rows
+        # per orbit retains 0.81 MiB, and a graph that keeps every node's
+        # rows and a {mask: number} dict for b_matrix 2.56 MiB
         n = 9
         rigid.rigid_table(n), rigid.maximal_rigid_masks(n)
         gc.collect()
@@ -479,7 +513,24 @@ class TestRowsOnDemand:
         finally:
             tracemalloc.stop()
         assert len(g.nodes) == 12870
-        assert retained < 1.1 * 1.47 * 2**20
+        assert retained < 1.25 * 0.47 * 2**20
+
+    def test_walk_keeps_no_step_list(self):
+        # calibrated on the walk over an array of step indices, with the
+        # memos freed after it, which peaks at 6.5 MiB in a fresh process
+        # (CPython 3.11); a list of (o, k, o2, j2) steps and a tuple of
+        # shared rows per orbit peak at 13.9 MiB
+        n = 11
+        rigid.rigid_table(n), rigid.maximal_rigid_reps(n)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g = mutation.ExchangeGraph(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(g.rep_ids) * n == 184756
+        assert peak < 9 * 2**20
 
 
 class TestNumberedEdges:
@@ -608,9 +659,17 @@ class TestVoltageCertificate:
         ((start, _),) = g.locate([g.nodes[g.order[0]]])
         steps, reached = rigid.cover_walk(g.blocks, n, start)
         assert reached == len(g.nodes)
-        assert len(steps) == quotient_steps(g)
-        d = n - 1
-        assert all(g.blocks[o * d + k] == o2 * n + j2 for o, k, o2, j2 in steps)
+        assert type(steps) is array and len(set(steps)) == len(steps) == quotient_steps(g)
+        # each step's target, exchanged from its representative, is
+        # tau^-j2 of orbit o2's, as blocks[step] says
+        table, reps, d = rigid.rigid_table(n), rigid.maximal_rigid_reps(n), n - 1
+        size = len(table.objects)
+        for step in steps:
+            o, k = divmod(step, d)
+            mask2 = rigid.swap(table.compat, reps[o], rigid.bit_indices(reps[o])[k])
+            ((o2, _),) = g.locate([mask2])
+            j2 = next(j for j in range(n) if rigid.rotate(reps[o2], j * d, size) == mask2)
+            assert g.blocks[step] == o2 * n + j2, step
 
 
 class TestTauQuotient:
@@ -652,7 +711,7 @@ class TestTauQuotient:
         count = {2: 1, 4: 1, 6: 2, 8: 5}[n]
         table = rigid.rigid_table(n)
         masks = [m for m in rigid.maximal_rigid_masks(n) if m & 1]  # by orbit
-        real_walk, real = mutation.cover_walk, mutation._mutate_rows
+        real_walk, real = mutation.cover_walk, mutation.RowTable.mutate
         steps, calls, loops, bad = [], [], [], [None]
 
         def spied(*args):
@@ -662,18 +721,18 @@ class TestTauQuotient:
             calls.clear()
             return out
 
-        def tampered(b, k, p, w=0):
-            b2, r = real(b, k, p, w), masks[steps[len(calls)][0]]
+        def tampered(rows, ids, k, p, w):
+            ids2, r = real(rows, ids, k, p, w), masks[steps[len(calls)] // (n - 1)]
             calls.append(None)
             if representative(table, rigid.swap(table.compat, r, rigid.bit_indices(r)[k])) != r:
-                return b2
+                return ids2
             loops.append(None)
             if len(loops) - 1 != bad[0]:
-                return b2
-            return b2[:-1] + ((b2[-1][0] + 7,) + b2[-1][1:],)
+                return ids2
+            return ids2[:-1] + (doctored_row(rows, ids2[-1]),)
 
         monkeypatch.setattr(mutation, "cover_walk", spied)
-        monkeypatch.setattr(mutation, "_mutate_rows", tampered)
+        monkeypatch.setattr(mutation.RowTable, "mutate", tampered)
         mutation.ExchangeGraph(n)
         assert len(loops) == count
         for step in range(count):
@@ -786,6 +845,70 @@ class TestFoldedMutation:
         assert fz_mutate(seed, 0) == seed
 
 
+@st.composite
+def skew_symmetrizable(draw):
+    """Square matrices of size 1..12 of the form S·D, S skew-symmetric
+    with entries up to 3 in size and D a positive diagonal up to 3: D·B
+    is skew-symmetric, so B is sign-skew-symmetric with a zero diagonal."""
+    size = draw(st.integers(1, 12))
+    d = draw(st.lists(st.integers(1, 3), min_size=size, max_size=size))
+    rows = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            v = draw(st.sampled_from([-3, -2, -1, 0, 0, 0, 1, 2, 3]))
+            rows[i][j], rows[j][i] = v * d[j], -v * d[i]
+    return tuple(tuple(r) for r in rows)
+
+
+def kernel_agrees(table, b):
+    """``RowTable.mutate`` on ``b``'s row ids, decoded, against
+    ``_mutate_rows`` at every k, p and w."""
+    ids = tuple(map(table.intern, b))
+    size = len(b)
+    for k in range(size):
+        for p in range(size):
+            for w in range(size):
+                got = table.decode(table.mutate(ids, k, p, w))
+                assert got == mutation._mutate_rows(b, k, p, w), (k, p, w)
+
+
+class TestRowKernel:
+    """The exchange walk mutates matrices of row ids through memos; the
+    reference is ``_mutate_rows`` on the rows themselves."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(skew_symmetrizable())
+    def test_equals_mutate_rows(self, b):
+        assert is_sign_skew_symmetric(b)
+        table = mutation.RowTable()
+        kernel_agrees(table, b)  # cold: each (row k, k, p, w) is new
+        misses = sum(map(len, table.memos.values()))
+        kernel_agrees(table, b)  # warm: every row is a hit
+        assert sum(map(len, table.memos.values())) == misses
+
+    @settings(max_examples=60, deadline=None)
+    @given(skew_symmetrizable())
+    def test_a_warm_memo_serves_a_mutated_matrix(self, b):
+        # the walk's memos fill from one matrix and serve its neighbours
+        table = mutation.RowTable()
+        kernel_agrees(table, b)
+        kernel_agrees(table, mutation._mutate_rows(b, 0, len(b) - 1))
+
+    @pytest.mark.parametrize("k", (0, 2))
+    def test_a_row_equal_to_row_k(self, k):
+        # rows 0 and 2 are one id; at k = 0 row 2 only moves, and row 0
+        # takes row k's slot, and the other way round at k = 2
+        b = ((0, 1, 0), (-1, 0, -1), (0, 1, 0))
+        table = mutation.RowTable()
+        assert len(set(map(table.intern, b))) == 2
+        for _ in range(2):  # cold, then warm
+            for p in range(3):
+                for w in range(3):
+                    got = table.decode(table.mutate(tuple(map(table.intern, b)), k, p, w))
+                    assert got == mutation._mutate_rows(b, k, p, w), (p, w)
+        assert mutation._mutate_rows(b, k, k)[2 - k] == b[2 - k]
+
+
 class TestCartan:
     def test_rank_four(self):
         assert cartan_counterpart(initial_seed(4).matrix) == (
@@ -819,16 +942,21 @@ class TestVerifyFailures:
     def doctored(monkeypatch, entries):
         """Make the suite see the rank-5 graph with the stored matrix of
         one orbit, the first whose representative is not the seed,
-        replaced by ``entries``; the cached graph is left untouched.
-        ``matrix-invariants`` reads ``rep_rows`` and builds no matrix, so
-        the rows may be ones ``ExchangeMatrix`` would reject.  Returns the
-        orbit's representative, the first node with that matrix."""
+        replaced by ``entries``, as row ids into a copy of the row table;
+        the cached graph is left untouched.  ``matrix-invariants`` reads
+        ``rep_ids`` and ``row_table`` and builds no matrix, so the rows may
+        be ones ``ExchangeMatrix`` would reject.  Returns the orbit's
+        representative, the first node with that matrix."""
         graph = build_exchange_graph(5)
         table = rigid.rigid_table(5)
         seed = table.mask_of(initial_seed(5).object.summands)
         mask, o = next((mask, o) for mask, o in graph.reps.items() if mask != seed)
         fake = copy.copy(graph)
-        fake.rep_rows = {**graph.rep_rows, o: entries}
+        fake.row_table = mutation.RowTable()
+        for row in graph.row_table.rows:
+            fake.row_table.intern(row)
+        fake.rep_ids = list(graph.rep_ids)
+        fake.rep_ids[o] = tuple(map(fake.row_table.intern, entries))
         monkeypatch.setattr(verify_mutation, "build_exchange_graph", lambda n: fake)
         return MaximalRigid(5, table.objects_of(mask))
 
