@@ -2,11 +2,11 @@
 
 The rigid indecomposables of one rank are numbered in canonical order
 (:class:`RigidTable`), so a set of them is an int bitmask whose bits, read
-upwards, list it in canonical summand order.  Complements, the exchange
-graph, tilting data and cluster-tilting witnesses run on these masks,
-through :func:`completions`, :func:`swap`, :func:`exchanges`,
-:func:`tilting_datum_of` and :func:`tilting_witness`; the polygon model
-shares the first three and the orbit machinery.
+upwards, list it in canonical summand order.  Two kernels on these masks,
+shared with the polygon model, run under both graphs: the clique search
+:func:`maximal_cliques`, and :func:`exchanges`, a clique's n-1 exchanged
+masks (:func:`swap` gives one, by :func:`completions`).  Tilting data and
+cluster-tilting witnesses are :func:`tilting_datum_of` and :func:`tilting_witness`.
 
 Tau, as turning the 2n-gon, rotates indices by n-1 bits, so both models
 sweep their tables for socle 1 only (:func:`tau_swept`) and search one
@@ -91,19 +91,22 @@ def maximal_cliques(adj: Sequence[int], seed: int = 0, excluded: int = 0) -> lis
 
 
 def _expand(adj: Sequence[int], cliques: list[int], r: int, p: int, x: int) -> None:
-    """One Bron-Kerbosch step: from the candidates ``p`` only the
-    non-neighbours of a pivot that covers most of ``p`` are branched on.
-    A module function, not a closure, so that a search leaves no
-    reference cycle holding ``cliques``."""
+    """One Bron-Kerbosch step: only the candidates ``p`` outside a pivot's
+    neighbours are branched on, the pivot the lowest vertex of ``x``, else
+    of ``p`` (any in P | X is correct: Tomita, Tanaka, Takahashi 2006).  A
+    module function, not a closure, so that a search leaves no reference
+    cycle holding ``cliques``."""
     if not p:
         if not x:
             cliques.append(r)
         return
-    pivot = max(bit_indices(p | x), key=lambda u: (adj[u] & p).bit_count())
-    for v in bit_indices(p & ~adj[pivot]):
-        bit = 1 << v
-        _expand(adj, cliques, r | bit, p & adj[v], x & adj[v])
-        p &= ~bit
+    pivot = x or p
+    outside = ~adj[(pivot & -pivot).bit_length() - 1]
+    while branch := p & outside:
+        bit = branch & -branch
+        row = adj[bit.bit_length() - 1]
+        _expand(adj, cliques, r | bit, p & row, x & row)
+        p ^= bit
         x |= bit
 
 
@@ -166,17 +169,17 @@ def orbit_graph(
     full = (1 << size) - 1
     number = {r: o for o, r in enumerate(reps)}
     blocks = array("l")
+    get, append = number.get, blocks.append
     for r in reps:
-        for p, q in exchanges(adj, r):
-            mask = r ^ 1 << p | 1 << q
+        for mask in exchanges(adj, r):
             t = (mask & marked).bit_length() - low  # 0 unless the top was swapped
-            o = number.get(mask if t <= 0 else (mask >> t | mask << size - t) & full, -1)
+            o = get(mask if t <= 0 else (mask >> t | mask << size - t) & full, -1)
             if o < 0 or t % d:
                 raise TheoremViolationError(
                     f"{name} at rank {n} reaches {bit_indices(mask)}, "
                     f"outside the enumeration of {n * len(reps)}"
                 )
-            blocks.append(o * n + t // d)
+            append(o * n + t // d)
     return number, blocks
 
 
@@ -312,20 +315,24 @@ def swap(adj: Sequence[int], mask: int, i: int) -> int:
     return rest | completions(adj, rest) & ~(1 << i)
 
 
-def exchanges(adj: Sequence[int], mask: int) -> list[tuple[int, int]]:
+def exchanges(adj: Sequence[int], mask: int) -> list[int]:
     """Every exchange of the maximal clique ``mask``, as :func:`swap` gives
-    them: a ``(removed, new)`` vertex pair per bit, lowest first.  Each
-    rest's rows are ANDed from a prefix and a suffix of the clique's rows,
-    so a node costs O(n) row intersections, not O(n²)."""
-    bits = bit_indices(mask)
-    suffix = [(1 << len(adj)) - 1]
-    for v in reversed(bits):
+    them: the exchanged masks, lowest removed bit first.  Each rest's rows
+    are ANDed from a prefix and a suffix of the clique's rows, so a node
+    costs O(n) row intersections, not O(n²)."""
+    bits, suffix, m = [], [(1 << len(adj)) - 1], mask
+    while m:  # highest bit first: suffix[i] ANDs the rows of the i highest
+        v = m.bit_length() - 1
+        bits.append(v)
         suffix.append(suffix[-1] & adj[v])
+        m ^= 1 << v
     prefix, out = suffix[0], []
-    for v, after in zip(bits, reversed(suffix[:-1])):
+    for v, after in zip(reversed(bits), suffix[-2::-1]):
         rest = mask ^ 1 << v
-        found = _two_completions(rest, prefix & after & ~rest)
-        out.append((v, (found & ~(1 << v)).bit_length() - 1))
+        found = prefix & after & ~rest
+        if found.bit_count() != 2:
+            _two_completions(rest, found)
+        out.append(mask ^ found)  # found is v and the other completion
         prefix &= adj[v]
     return out
 

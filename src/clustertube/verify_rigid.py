@@ -73,7 +73,9 @@ def suite_counts(n: int) -> list[CheckResult]:
             ((x.a - a) % n, x.b) for x in table.objects_of(mask ^ top)
         }
 
-    bad = next((mask for mask in reps if table.defect(mask) or wrong_datum(mask)), None)
+    # every representative has t = 0; the first one's turns have every t
+    turns = [rotate(r, j * (n - 1), len(table.objects)) for r in reps[:1] for j in range(1, n)]
+    bad = next((m for m in (*reps, *turns) if table.defect(m) or wrong_datum(m)), None)
     checks.append(_bad_node("tilting-roundtrip", table, bad))
 
     # keyed by the top's bit: a node without exactly one top has no loop;

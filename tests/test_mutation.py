@@ -93,11 +93,10 @@ def full_bfs(n):
         mask = queue.popleft()
         popped.add(mask)
         order.append(number[mask])
-        for k, (removed, new) in enumerate(rigid.exchanges(table.compat, mask)):
-            mask2 = mask ^ 1 << removed | 1 << new
+        for k, mask2 in enumerate(rigid.exchanges(table.compat, mask)):
             found.append(number[mask2])
             if mask2 not in popped:
-                p = (mask2 & ((1 << new) - 1)).bit_count()
+                p = (mask2 & (mask2 & ~mask) - 1).bit_count()  # the new summand's position
                 b2 = mutation._mutate_rows(rows[mask], k, p)
                 if mask2 not in rows:
                     rows[mask2] = b2

@@ -718,7 +718,7 @@ def full_flip_graph(n):
     adj = polygon_table(n).noncross
     nodes = tuple(clusters(adj, n))
     number = {mask: a for a, mask in enumerate(nodes)}
-    edges = [number[m ^ 1 << p | 1 << q] for m in nodes for p, q in exchanges(adj, m)]
+    edges = [number[m2] for m in nodes for m2 in exchanges(adj, m)]
     return nodes, array("l", edges)
 
 

@@ -149,6 +149,47 @@ class TestOrbitEnumeration:
         assert len(found) == len(set(found))
         assert set(found) == {c for c in full_maximal_cliques(self.GRAPH) if not c & excluded}
 
+    @given(st.data())
+    def test_seeded_and_excluded_searches_on_random_graphs(self, data):
+        v = data.draw(st.integers(0, 9))
+        pairs = list(combinations(range(v), 2))
+        edges = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        adj = [0] * v
+        for (i, j), edge in zip(pairs, edges):
+            if edge:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        # a clique from the wanted vertices, taken in a random order
+        wanted, seed = data.draw(st.integers(0, (1 << v) - 1)), 0
+        for i in data.draw(st.permutations(range(v))):
+            if wanted >> i & 1 and not seed & ~adj[i]:
+                seed |= 1 << i
+        excluded = data.draw(st.integers(0, (1 << v) - 1)) & ~seed
+        found = maximal_cliques(adj, seed, excluded)
+        assert len(found) == len(set(found))
+        assert set(found) == {
+            c for c in full_maximal_cliques(adj) if c & seed == seed and not c & excluded
+        }
+
+    @pytest.mark.parametrize("n, seeded, excluded", [(8, 916, 22), (10, 10341, 37)])
+    def test_search_tree_sizes(self, n, seeded, excluded, monkeypatch):
+        """The nodes of both searches' trees, which repeat exactly: a pivot
+        that covers less of the candidates, or an excluded search that
+        does not start from a marked vertex, grows them."""
+        calls, real = [0], rigid._expand
+
+        def counted(*args):
+            calls[0] += 1
+            real(*args)
+
+        monkeypatch.setattr(rigid, "_expand", counted)
+        table, sizes = rigid_table(n), []
+        for search in ({"seed": table.tops & -table.tops}, {"excluded": table.tops}):
+            calls[0] = 0
+            maximal_cliques(table.compat, **search)
+            sizes.append(calls[0])
+        assert sizes == [seeded, excluded]
+
     def test_searches_leave_no_reference_cycle(self):
         # a cycle would keep each search's clique list alive until the
         # cyclic collector runs
@@ -303,13 +344,13 @@ class TestDoctoredEnumeration:
 
     @pytest.mark.parametrize("n,bits", [(3, "1"), (4, "1, 2")])
     def test_exchange_outside_the_enumeration(self, n, bits, monkeypatch):
-        # the first exchange of each representative drops its vertex for
-        # one the representative already has: n-2 bits, no node
+        # the first exchange of each representative drops its vertex and
+        # adds none: n-2 bits, no node
         real = rigid.exchanges
 
         def dropping(adj, mask):
             out = real(adj, mask)
-            out[0] = (out[0][0], out[1][0])
+            out[0] = mask & mask - 1
             return out
 
         monkeypatch.setattr(rigid, "exchanges", dropping)

@@ -143,6 +143,23 @@ class TestCountsFailures:
             "FAIL counts/tilting-roundtrip: at MaximalRigid[1,4;1,3;1,2;1,1]@5"
         ]
 
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_datum_rotated_the_wrong_way(self, n, monkeypatch, capsys):
+        """Rotating up by t bits, not down, agrees wherever t = 0, as at
+        every representative; the first one turned onto the next top
+        tells them apart."""
+
+        def up(table, mask):
+            top = mask & table.tops
+            t = top.bit_length() - 1
+            return t, rigid.rotate(mask ^ top, t, len(table.objects))
+
+        monkeypatch.setattr(verify_rigid, "tilting_datum_of", up)
+        summands = ";".join(f"2,{b}" for b in range(n - 1, 0, -1))
+        assert fail_lines(capsys, "counts", n) == [
+            f"FAIL counts/tilting-roundtrip: at MaximalRigid[{summands}]@{n}"
+        ]
+
 
 class TestNoCtFailures:
     def test_witness_is_a_summand(self, monkeypatch, capsys):
