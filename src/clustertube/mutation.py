@@ -31,17 +31,16 @@ there, and sign-skew symmetry alone forces a zero diagonal
 from __future__ import annotations
 
 from array import array
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property, lru_cache
 from itertools import starmap
-from operator import neg
+from operator import itemgetter, neg
 from struct import Struct
 
 from .errors import StructuralError, TheoremViolationError
 from .rigid import (
     MaximalRigid,
     QuotientGraph,
-    _getter,
     _of_mask,
     bit_indices,
     cover_walk,
@@ -83,6 +82,12 @@ class Seed(FrozenRecord):
     def __post_init__(self) -> None:
         if self.matrix.order != self.object.summands:
             raise StructuralError("matrix order differs from the summand list")
+
+
+def _getter(bits: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The items at ``bits`` of a sequence, as a tuple: ``itemgetter(*bits)``,
+    which would return one item bare and cannot take none."""
+    return itemgetter(*bits) if len(bits) > 1 else lambda seq: tuple(seq[i] for i in bits)
 
 
 def _step(bk: tuple[int, ...], k: int, p: int, w: int) -> tuple:
@@ -231,7 +236,7 @@ def exchange(t: MaximalRigid, k: int) -> tuple[MaximalRigid, int]:
     """Swap summand ``k`` for its unique complement, by
     :func:`~clustertube.rigid.swap` on ``t``'s mask; returns the new
     object and the index the new summand occupies in canonical order."""
-    if not 0 <= k < len(t.summands):
+    if not 0 <= k < t.n - 1:
         raise IndexError(f"summand index {k} out of range")
     table = rigid_table(t.n)
     mask = swap(table.compat, t.mask, bit_indices(t.mask)[k])

@@ -12,9 +12,10 @@ Tau, as turning the 2n-gon, rotates indices by n-1 bits, so both models
 sweep their tables for socle 1 only (:func:`tau_swept`) and search one
 clique per orbit (:func:`orbit_cliques`; :func:`maximal_rigid_reps` marks
 the tops).  Everything reads these representatives: :func:`orbit_graph`
-exchanges only them to make either graph's tau-quotient,
-:func:`enumerate_maximal_rigid` builds each orbit from its own, and
-:func:`orbit_nodes` expands them into the sorted nodes.
+exchanges only them to make either graph's tau-quotient, and
+:func:`orbit_nodes` expands them into the sorted nodes, from which
+:func:`enumerate_maximal_rigid` makes each :class:`MaximalRigid`
+unchecked, as its mask, once tau is shown to preserve the table.
 :class:`QuotientGraph` owns every rotation and wrap count: it locates a
 node's orbit from its mask, rotates a representative onto the nodes of
 its orbit, and expands the nodes and edges when they are read, and
@@ -29,7 +30,6 @@ from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
 from math import gcd
-from operator import itemgetter
 from struct import Struct
 
 from .errors import StructuralError, TheoremViolationError
@@ -51,12 +51,6 @@ def bit_indices(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def _getter(bits: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """The items at ``bits`` of a sequence, as a tuple: ``itemgetter(*bits)``,
-    which would return one item bare and cannot take none."""
-    return itemgetter(*bits) if len(bits) > 1 else lambda seq: tuple(seq[i] for i in bits)
 
 
 def rotate(mask: int, shift: int, size: int) -> int:
@@ -373,7 +367,8 @@ class RigidTable(FrozenRecord):
 
     def objects_of(self, mask: int) -> tuple[TubeObject, ...]:
         """The summands of ``mask`` in canonical order."""
-        return _getter(bit_indices(mask))(self.objects)
+        objs = self.objects
+        return tuple([objs[i] for i in bit_indices(mask)])
 
     def defect(self, mask: int) -> str:
         """Why ``mask`` is not a maximal rigid object; empty if it is.
@@ -436,42 +431,52 @@ def rigid_table(n: int) -> RigidTable:
 
 
 class MaximalRigid(FrozenRecord):
-    """A maximal rigid object, as its canonically ordered summand list,
-    with the mask it was checked on.
+    """A maximal rigid object, as its mask; its canonically ordered
+    summand list is read from the table on first use.
 
     Construction validates everything (:meth:`RigidTable.defect`): n-1
     distinct pairwise compatible rigid summands, a unique top of
     quasi-length n-1, and containment of all summands in the top's wing.
     The search validates each tau-orbit's representative so
     (:func:`maximal_rigid_reps`), and :func:`enumerate_maximal_rigid`
-    builds every orbit from it unchecked once :func:`_tau_equivariant`
-    shows that its rotations pass too.
+    makes every node of its orbit unchecked once :func:`_tau_equivariant`
+    shows that its rotations pass too.  It compares, hashes and pickles
+    by its rank and summands, the constructor's arguments.
     """
 
     _fields = ("n", "summands")
-    # the mask is neither compared nor hashed
-    __slots__ = (*_fields, "mask")
+    # _summands: None until summands is first read
+    __slots__ = ("n", "mask", "_summands")
 
     def __init__(self, n: int, summands: tuple[TubeObject, ...]) -> None:
-        self._set(n, summands)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_summands", summands)  # unchecked, for the hook
         self.__post_init__()
 
     def __post_init__(self) -> None:
         table = rigid_table(self.n)
-        defect = self._hold(table, table.mask_of(self.summands))
+        defect = self._hold(table, table.mask_of(self._summands))
         if defect:
             raise StructuralError(defect)
 
     def _hold(self, table: RigidTable, mask: int) -> str:
-        """Keep ``mask`` and its summands, in canonical order, which is
-        bit order, if :meth:`RigidTable.defect` passes it; else return the
-        summands and the defect."""
-        objs, defect = table.objects_of(mask), table.defect(mask)
+        """Keep ``mask`` if :meth:`RigidTable.defect` passes it; else
+        return its summands and the defect."""
+        defect = table.defect(mask)
         if defect:
-            return f"{objs} {defect}"
-        object.__setattr__(self, "summands", objs)
+            return f"{table.objects_of(mask)} {defect}"
         object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_summands", None)
         return ""
+
+    @property
+    def summands(self) -> tuple[TubeObject, ...]:
+        """The summands in canonical order, which is bit order."""
+        objs = self._summands
+        if objs is None:
+            objs = rigid_table(self.n).objects_of(self.mask)
+            object.__setattr__(self, "_summands", objs)
+        return objs
 
     @property
     def top(self) -> TubeObject:
@@ -567,32 +572,24 @@ def enumerate_maximal_rigid(n: int) -> tuple[MaximalRigid, ...]:
     """All maximal rigid objects, in :func:`maximal_rigid_masks` order.
 
     Each tau-orbit's representative, through the lowest top, was checked
-    by the search (:func:`maximal_rigid_reps`), and its bits give the
-    getter of its summands.  Its rotation tau^-j reads its summands with
-    that getter from the objects rotated by j(n-1) bits, turned by the
-    bits that wrap, and passes as it does: :func:`_tau_equivariant`
-    holds."""
+    by the search (:func:`maximal_rigid_reps`), and its rotations pass as
+    it does: :func:`_tau_equivariant` holds.  So each node is made from
+    its mask unchecked, its summands unread."""
     table = rigid_table(n)
     if not _tau_equivariant(table):
         raise TheoremViolationError(f"tau is not an automorphism of the rank-{n} table")
-    objs, size = table.objects, len(table.objects)
-    full = (1 << size) - 1
-    turned = [(s, objs[s:] + objs[:s]) for s in range(0, size, n - 1)]  # tau^-j of the objects
     # the slots' own setters, past FrozenRecord's refusal and the name lookup
-    fields = ("n", "summands", "mask")
-    set_n, set_summands, set_mask = (getattr(MaximalRigid, f).__set__ for f in fields)
-    new, built = object.__new__, {}
-    for rep in maximal_rigid_reps(n):
-        get = _getter(bit_indices(rep))
-        for s, objs_s in turned:
-            summands, w = get(objs_s), (rep >> size - s).bit_count()  # w: the bits that wrap
-            node = new(MaximalRigid)
-            set_n(node, n)
-            set_summands(node, summands[-w:] + summands[:-w])
-            mask = (rep << s | rep >> size - s) & full
-            set_mask(node, mask)
-            built[mask] = node
-    return tuple(map(built.__getitem__, maximal_rigid_masks(n)))
+    set_n, set_mask, set_summands = (
+        getattr(MaximalRigid, f).__set__ for f in MaximalRigid.__slots__
+    )
+    new, nodes = object.__new__, []
+    for mask in maximal_rigid_masks(n):
+        node = new(MaximalRigid)
+        set_n(node, n)
+        set_mask(node, mask)
+        set_summands(node, None)
+        nodes.append(node)
+    return tuple(nodes)
 
 
 def tilting_datum_of(table: RigidTable, mask: int) -> tuple[int, int]:

@@ -8,6 +8,7 @@ import pickle
 import pytest
 
 from clustertube import rigid
+from clustertube.errors import StructuralError
 from clustertube.mutation import ExchangeMatrix, Seed
 from clustertube.polygon import (
     CsPair,
@@ -139,14 +140,38 @@ def test_construction_runs_the_validation_hook(cls, monkeypatch):
     assert seen == [cls]
 
 
-def test_maximal_rigid_equality_ignores_the_mask():
-    t = MaximalRigid(3, ZIGZAG[::-1])
-    assert t.summands == ZIGZAG
-    u = rigid._checked(rigid_table(3), t.mask)
-    assert type(u) is MaximalRigid and u.mask == t.mask
-    object.__setattr__(u, "mask", 0)
-    assert u == t and hash(u) == hash(t)
-    assert copy.copy(t).mask == t.mask
+def maximal_rigid_three_ways(n):
+    """Each maximal rigid object of rank ``n``, fresh, three ways: from the
+    enumeration, checked from its mask, and constructed from its summands
+    (listed in reverse), none of them with its summands read yet."""
+    table = rigid_table(n)
+    for t in rigid.enumerate_maximal_rigid(n):
+        objs = table.objects_of(t.mask)[::-1]
+        yield t, rigid._checked(table, t.mask), MaximalRigid(n, objs)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_maximal_rigid_from_enumeration_mask_or_summands_is_one_value(n):
+    for nodes in maximal_rigid_three_ways(n):
+        t = nodes[0]
+        for u in nodes:
+            assert type(u) is MaximalRigid and u.mask == t.mask
+            for twin in (u, copy.copy(u), copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
+                assert twin == t and hash(twin) == hash(t) and repr(twin) == repr(t)
+                assert twin.summands == rigid_table(n).objects_of(t.mask)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_maximal_rigid_with_a_tampered_mask_does_not_unpickle(n):
+    full = (1 << n * (n - 1)) - 1
+    # the lowest summand dropped, every rigid indecomposable, or none
+    tampers = (lambda m: m & m - 1, lambda m: full, lambda m: 0)
+    for i, nodes in enumerate(maximal_rigid_three_ways(n)):
+        for u, tamper in zip(nodes, tampers[i % 3 :] + tampers[: i % 3]):
+            object.__setattr__(u, "mask", tamper(u.mask))
+            data = pickle.dumps(u)
+            with pytest.raises(StructuralError):
+                pickle.loads(data)
 
 
 def test_diagonal_and_pair_store_their_normal_form():

@@ -395,6 +395,18 @@ class TestOrbitBuilds:
         assert sorted(reps) == sorted(rigid.maximal_rigid_reps(n))
         assert seed == mutation.initial_seed(n).object.mask
 
+    def test_reads_no_summands(self, monkeypatch, clear_package_caches):
+        # a node is its mask: no summand tuple is built until one is read
+        real, read = rigid.RigidTable.objects_of, []
+        monkeypatch.setattr(
+            rigid.RigidTable, "objects_of", lambda self, m: read.append(m) or real(self, m)
+        )
+        clear_package_caches()
+        nodes = enumerate_maximal_rigid(8)
+        assert len(nodes) == comb(14, 7) and read == []
+        t = nodes[-1]
+        assert t.summands is t.summands and read == [t.mask]  # read once, then kept
+
     @pytest.mark.parametrize("edit", [other_wing_shrunk, socle_n_pair_cut])
     def test_table_that_tau_does_not_preserve(self, monkeypatch, edit):
         # the representatives pass, so the rotations must not be taken
