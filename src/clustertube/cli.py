@@ -1,12 +1,14 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 a verification check failed (a mathematical
-claim was falsified), 2 usage or input error.
+claim was falsified), 2 usage or input error, or output that cannot be
+written (an ``--out`` path, or a standard output its reader closed).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import StructuralError, TheoremViolationError
@@ -272,7 +274,14 @@ def main(argv=None) -> int:
             raise ValueError(
                 f"{args.command} supports ranks 2..{RANK_CEILING}, got {args.rank}"
             )
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()  # here, where a closed pipe is caught, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # the exit flush would fail again: what is left goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return 2
     except TheoremViolationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1

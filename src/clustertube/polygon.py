@@ -73,14 +73,6 @@ class Diagonal(FrozenRecord):
         if q - p == 1 or q - p == 2 * self.n - 1:
             raise StructuralError(f"[{p},{q}] is an edge of the {2 * self.n}-gon")
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.p == other.p and self.q == other.q and self.n == other.n
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q, self.n))
-
     def __repr__(self) -> str:
         return f"[{self.p},{self.q}]"
 
@@ -119,14 +111,6 @@ class CsPair(FrozenRecord):
     def diagonals(self) -> tuple[Diagonal, ...]:
         return (self.d1,) if self.degenerate else (self.d1, self.d2)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.d1 == other.d1 and self.d2 == other.d2 and self.n == other.n
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.d1, self.d2, self.n))
-
     def __repr__(self) -> str:
         return f"{self.d1}" if self.degenerate else f"({self.d1},{self.d2})"
 
@@ -161,6 +145,9 @@ class CsTriangulation(FrozenRecord):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pairs", frozenset(self.pairs))
+        for p in self.pairs:
+            if p.__class__ is not CsPair:
+                raise StructuralError(f"{p!r} is not a cs pair")
         if any(p.n != self.n for p in self.pairs):
             raise StructuralError(
                 f"pairs of another polygon than the {2 * self.n}-gon"
@@ -343,7 +330,7 @@ def _all_triangulations(n: int) -> tuple[int, ...]:
             return f"{found} diameters in {[table.pairs[i] for i in bit_indices(mask)]}"
         return ""
 
-    return orbit_cliques(table.noncross, table.diameters, n, defect)
+    return orbit_cliques(table.noncross, table.diameters, defect)
 
 
 def graphs_isomorphic_via_delta(eg, fg: FlipGraph) -> bool:

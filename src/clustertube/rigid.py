@@ -16,12 +16,11 @@ exchanges only them to make either graph's tau-quotient, and
 :func:`orbit_nodes` expands them into the sorted nodes, from which
 :func:`enumerate_maximal_rigid` makes each :class:`MaximalRigid`
 unchecked, as its mask, once tau is shown to preserve the table.
-:class:`QuotientGraph` owns every rotation and wrap count: it locates a
-node's orbit from its mask, rotates a representative onto the nodes of
-its orbit, and expands the nodes and edges when they are read, and
-:func:`cover_walk` certifies connectivity on the quotient, by voltages.
-:class:`MaximalRigid` and :class:`~clustertube.tube.TubeObject` are the
-boundary types.
+:class:`QuotientGraph` locates a node's orbit and turn from its mask and
+expands the nodes and edges when they are read, and :func:`cover_walk`
+certifies connectivity on the quotient, by voltages.
+:class:`MaximalRigid`, the record ``(n, mask)``, and
+:class:`~clustertube.tube.TubeObject` are the boundary types.
 """
 
 from __future__ import annotations
@@ -118,9 +117,9 @@ def _sort_by_indices(masks: list[int], size: int) -> None:
 
 
 def orbit_cliques(
-    adj: Sequence[int], marked: int, n: int, defect: Callable[[int], str]
+    adj: Sequence[int], marked: int, defect: Callable[[int], str]
 ) -> tuple[int, ...]:
-    """The maximal cliques of the rank-``n`` table ``adj`` through the
+    """The maximal cliques of a rank-n table ``adj`` through the
     lowest ``marked`` vertex (top, diameter), sorted by bit indices: one
     per orbit under (n-1)-bit rotation, its representative.  A second
     search, all marked vertices excluded, must find none.  ``defect`` is
@@ -431,8 +430,8 @@ def rigid_table(n: int) -> RigidTable:
 
 
 class MaximalRigid(FrozenRecord):
-    """A maximal rigid object, as its mask; its canonically ordered
-    summand list is read from the table on first use.
+    """A maximal rigid object, as its rank and mask; its canonically
+    ordered summands are read from the table each time they are asked for.
 
     Construction validates everything (:meth:`RigidTable.defect`): n-1
     distinct pairwise compatible rigid summands, a unique top of
@@ -440,43 +439,30 @@ class MaximalRigid(FrozenRecord):
     The search validates each tau-orbit's representative so
     (:func:`maximal_rigid_reps`), and :func:`enumerate_maximal_rigid`
     makes every node of its orbit unchecked once :func:`_tau_equivariant`
-    shows that its rotations pass too.  It compares, hashes and pickles
-    by its rank and summands, the constructor's arguments.
+    shows that its rotations pass too.  It compares and hashes as the
+    record ``(n, mask)``, and copies and pickles by its rank and
+    summands, through the constructor, which checks them again.
     """
 
-    _fields = ("n", "summands")
-    # _summands: None until summands is first read
-    __slots__ = ("n", "mask", "_summands")
+    __slots__ = _fields = ("n", "mask")
 
     def __init__(self, n: int, summands: tuple[TubeObject, ...]) -> None:
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_summands", summands)  # unchecked, for the hook
+        object.__setattr__(self, "mask", rigid_table(n).mask_of(summands))
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        table = rigid_table(self.n)
-        defect = self._hold(table, table.mask_of(self._summands))
+        defect = _defect(rigid_table(self.n), self.mask)
         if defect:
             raise StructuralError(defect)
 
-    def _hold(self, table: RigidTable, mask: int) -> str:
-        """Keep ``mask`` if :meth:`RigidTable.defect` passes it; else
-        return its summands and the defect."""
-        defect = table.defect(mask)
-        if defect:
-            return f"{table.objects_of(mask)} {defect}"
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "_summands", None)
-        return ""
+    def __reduce__(self):
+        return type(self), (self.n, self.summands)
 
     @property
     def summands(self) -> tuple[TubeObject, ...]:
         """The summands in canonical order, which is bit order."""
-        objs = self._summands
-        if objs is None:
-            objs = rigid_table(self.n).objects_of(self.mask)
-            object.__setattr__(self, "_summands", objs)
-        return objs
+        return rigid_table(self.n).objects_of(self.mask)
 
     @property
     def top(self) -> TubeObject:
@@ -488,13 +474,29 @@ class MaximalRigid(FrozenRecord):
         return f"MaximalRigid[{inner}]@{self.n}"
 
 
+# the slots' own setters, past FrozenRecord's refusal and the name lookup
+_set_n, _set_mask = MaximalRigid.n.__set__, MaximalRigid.mask.__set__
+
+
+def _node(n: int, mask: int) -> MaximalRigid:
+    """The :class:`MaximalRigid` of ``mask``, unchecked."""
+    t = object.__new__(MaximalRigid)
+    _set_n(t, n)
+    _set_mask(t, mask)
+    return t
+
+
+def _defect(table: RigidTable, mask: int) -> str:
+    """:meth:`RigidTable.defect` of ``mask`` after its summands, or ""."""
+    text = table.defect(mask)
+    return text and f"{table.objects_of(mask)} {text}"
+
+
 def _checked(table: RigidTable, mask: int) -> MaximalRigid | str:
     """The :class:`MaximalRigid` of ``mask``, checked as construction
     checks it, without parsing its summands back into a mask; or, if the
     check fails, the summands and the defect."""
-    t = object.__new__(MaximalRigid)
-    object.__setattr__(t, "n", table.n)
-    return t._hold(table, mask) or t
+    return _defect(table, mask) or _node(table.n, mask)
 
 
 def _of_mask(table: RigidTable, mask: int) -> MaximalRigid:
@@ -543,10 +545,9 @@ def maximal_rigid_reps(n: int) -> tuple[int, ...]:
     def defect(mask: int) -> str:
         if not mask & table.tops:
             return f"maximal rigid object without a top: {table.objects_of(mask)}"
-        text = table.defect(mask)
-        return text and f"{table.objects_of(mask)} {text}"
+        return _defect(table, mask)
 
-    return orbit_cliques(table.compat, table.tops, n, defect)
+    return orbit_cliques(table.compat, table.tops, defect)
 
 
 @lru_cache(maxsize=None)
@@ -578,18 +579,7 @@ def enumerate_maximal_rigid(n: int) -> tuple[MaximalRigid, ...]:
     table = rigid_table(n)
     if not _tau_equivariant(table):
         raise TheoremViolationError(f"tau is not an automorphism of the rank-{n} table")
-    # the slots' own setters, past FrozenRecord's refusal and the name lookup
-    set_n, set_mask, set_summands = (
-        getattr(MaximalRigid, f).__set__ for f in MaximalRigid.__slots__
-    )
-    new, nodes = object.__new__, []
-    for mask in maximal_rigid_masks(n):
-        node = new(MaximalRigid)
-        set_n(node, n)
-        set_mask(node, mask)
-        set_summands(node, None)
-        nodes.append(node)
-    return tuple(nodes)
+    return tuple([_node(n, mask) for mask in maximal_rigid_masks(n)])
 
 
 def tilting_datum_of(table: RigidTable, mask: int) -> tuple[int, int]:

@@ -113,14 +113,6 @@ class TubeObject(FrozenRecord):
         if self.b < 1:
             raise ValueError(f"quasi-length must be >= 1, got {self.b}")
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.a == other.a and self.b == other.b and self.n == other.n
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.n))
-
     def __repr__(self) -> str:
         return f"({self.a},{self.b})@{self.n}"
 

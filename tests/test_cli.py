@@ -132,6 +132,26 @@ class TestExchangeGraph:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize(
+        "args",
+        [("enumerate", "--rank", "9", "--format", "table"), ("exchange-graph", "--rank", "7")],
+        ids=["enumerate", "exchange-graph"],
+    )
+    def test_closed_stdout(self, args):
+        # the reader stops after one line, well before the output ends (over
+        # 100 kB, more than a pipe holds): exit 2, as for an unwritable --out
+        with subprocess.Popen(
+            [sys.executable, "-m", "clustertube", *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        ) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 2
+        assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
     @pytest.mark.parametrize("fmt", ["dot", "json"])
     @pytest.mark.parametrize("n", range(2, 7))
     def test_cold_export_builds_only_the_seed(

@@ -216,6 +216,15 @@ class TestTriangulations:
         with pytest.raises(StructuralError):
             CsTriangulation(3, frozenset({pair(1, 5, 4), pair(2, 4, 4)}))
 
+    @pytest.mark.parametrize(
+        "member,text",
+        [(Diagonal(1, 4, 3), r"\[1,4\]"), (TubeObject(1, 2, 3), r"\(1,2\)@3"), (7, "7")],
+        ids=["Diagonal", "TubeObject", "int"],
+    )
+    def test_member_that_is_not_a_pair_rejected(self, member, text):
+        with pytest.raises(StructuralError, match=rf"^{text} is not a cs pair$"):
+            CsTriangulation(3, frozenset({pair(1, 3, 3), member}))
+
     @pytest.mark.parametrize("n", range(2, 6))
     def test_accepts_exactly_the_cliques_with_one_diameter(self, n):
         table = polygon_table(n)
@@ -348,9 +357,9 @@ class TestFlipGraph:
         # clique holds all six pairs of the hexagon
         real = polygon.orbit_cliques
 
-        def complete(adj, marked, n, defect):
+        def complete(adj, marked, defect):
             full = (1 << len(adj)) - 1
-            return real([full ^ 1 << i for i in range(len(adj))], marked, n, defect)
+            return real([full ^ 1 << i for i in range(len(adj))], marked, defect)
 
         monkeypatch.setattr(polygon, "orbit_cliques", complete)
         with pytest.raises(

@@ -90,7 +90,7 @@ def test_hash_is_the_hash_of_the_field_tuple(cls):
         with pytest.raises(TypeError, match="unhashable type: 'dict'"):
             hash(r)
         return
-    assert hash(r) == hash(cls(**fields)) == hash(tuple(getattr(r, f) for f in fields))
+    assert hash(r) == hash(cls(**fields)) == hash(tuple(getattr(r, f) for f in cls._fields))
     assert {r, cls(**fields), cls(**changed)} == {r, cls(**changed)}
 
 

@@ -396,7 +396,8 @@ class TestOrbitBuilds:
         assert seed == mutation.initial_seed(n).object.mask
 
     def test_reads_no_summands(self, monkeypatch, clear_package_caches):
-        # a node is its mask: no summand tuple is built until one is read
+        # a node is its mask: no summand tuple is built until one is read,
+        # and none is kept
         real, read = rigid.RigidTable.objects_of, []
         monkeypatch.setattr(
             rigid.RigidTable, "objects_of", lambda self, m: read.append(m) or real(self, m)
@@ -404,8 +405,22 @@ class TestOrbitBuilds:
         clear_package_caches()
         nodes = enumerate_maximal_rigid(8)
         assert len(nodes) == comb(14, 7) and read == []
+        assert MaximalRigid.__slots__ == ("n", "mask")
         t = nodes[-1]
-        assert t.summands is t.summands and read == [t.mask]  # read once, then kept
+        assert t.summands == t.summands and read == [t.mask, t.mask]  # one call a read
+
+    def test_set_and_equality_read_no_summands(self, monkeypatch, clear_package_caches):
+        # a node compares and hashes as the record (n, mask)
+        real, read = rigid.RigidTable.objects_of, []
+        monkeypatch.setattr(
+            rigid.RigidTable, "objects_of", lambda self, m: read.append(m) or real(self, m)
+        )
+        clear_package_caches()
+        nodes = enumerate_maximal_rigid(8)
+        assert len(set(nodes)) == len(nodes) == comb(14, 7)
+        assert not any(s == t for s, t in zip(nodes, nodes[1:]))
+        assert all(hash(t) == hash((t.n, t.mask)) for t in nodes)
+        assert read == []
 
     @pytest.mark.parametrize("edit", [other_wing_shrunk, socle_n_pair_cut])
     def test_table_that_tau_does_not_preserve(self, monkeypatch, edit):

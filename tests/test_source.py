@@ -151,3 +151,28 @@ def test_every_definition_is_named_by_the_program():
             if node.name not in others and node.name not in named(tree, skip=node):
                 unnamed.append(f"{module}:{qualified}")
     assert set(unnamed) == UNCALLED, unnamed
+
+
+def defined_names(item):
+    """The names a class body statement defines: a method's, or an
+    assignment's plain targets."""
+    if isinstance(item, ast.FunctionDef):
+        return [item.name]
+    targets = item.targets if isinstance(item, ast.Assign) else []
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def test_only_the_record_bases_define_equality_and_hash():
+    """A record's identity is its ``_fields``: ``tube.Record.__eq__``
+    compares them and ``tube.FrozenRecord.__hash__`` hashes them, so no
+    other class keeps a second copy of either."""
+    found = sorted(
+        (name, f"{path.stem}.{node.name}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        for name in defined_names(item)
+        if name in ("__eq__", "__hash__")
+    )
+    assert found == [("__eq__", "tube.Record"), ("__hash__", "tube.FrozenRecord")], found
