@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Callable, Iterable, Sequence
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import starmap
 from operator import itemgetter, neg
 from struct import Struct
@@ -44,6 +44,7 @@ from .rigid import (
     _of_mask,
     bit_indices,
     cover_walk,
+    exchanges,
     maximal_rigid_masks,
     maximal_rigid_reps,
     orbit_graph,
@@ -288,7 +289,9 @@ class ExchangeGraph(QuotientGraph):
         seed = initial_seed(n)
         self.marked, self._seed = table.tops, seed.object.mask
         reps = maximal_rigid_reps(n)
-        self.reps, self.blocks = orbit_graph(table.compat, table.tops, n, reps, "exchange graph")
+        self.reps, self.blocks = orbit_graph(
+            table.tops, n, reps, map(partial(exchanges, table.compat), reps), "exchange graph"
+        )
         ((first, w),) = self.locate([self._seed])
         steps, reached = cover_walk(self.blocks, n, first)
         if reached != n * len(reps):

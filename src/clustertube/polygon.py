@@ -6,20 +6,27 @@ to centrally symmetric triangulations, and exchange corresponds to
 flipping.  Crossing counts here are the geometric side of the Ext
 dimension formula: crossing_points(dX, dY) = 2 dim Ext^1(X, Y).
 
-The pairs of one rank are numbered by delta (:class:`PolygonTable`):
-pair ``i`` is the image of the rigid indecomposable of canonical index
-``i``, the pairs must be exactly :func:`all_cs_pairs`, and turning the
-2n-gon by one corner rotates pair masks by n-1 bits, as tau does rigid
-masks.  Non-crossing is one bitmask per pair, read off the crossings of
-corners alone, so a triangulation is a mask and a flip is
-:func:`~clustertube.rigid.swap`.  The search's turning-orbit
-representatives go to :func:`~clustertube.rigid.orbit_graph`, the builder
-the exchange graph uses, and both graphs expand their ``nodes`` and flat
-``edges`` by the one :class:`~clustertube.rigid.QuotientGraph` expansion
-when read.  Graph nodes are masks; with one numbering for both models,
-delta carries the exchange graph onto the flip graph exactly when the two
-have equal representatives, marked vertices (tops, diameters) and blocks,
-which checks that the two tables agree, not an independent flip.
+The pairs of one rank are numbered by delta (:class:`PolygonTable`, all
+ints): pair ``i`` is the image of the rigid indecomposable of canonical
+index ``i``, the pairs must be exactly :func:`all_cs_pairs`, and turning
+the 2n-gon by one corner rotates pair masks by n-1 bits, as tau does
+rigid masks.  Non-crossing is one bitmask per pair, read off the
+crossings of corners alone, so a triangulation is a mask and
+:func:`flip` is :func:`~clustertube.rigid.swap` on it.
+
+The flip graph is a second route to the exchange graph, from the 2n-gon
+alone: :func:`_all_triangulations` builds the triangulations through the
+lowest diameter from those of sub-polygons, and :func:`_flips` reads each
+flip off the two triangles on the flipped diagonal; the non-crossing
+table only has to show that no maximal set of its avoids every diameter.
+Both graphs hand their turning-orbit representatives and targets to
+:func:`~clustertube.rigid.orbit_graph`, and expand their ``nodes`` and
+flat ``edges`` by the one :class:`~clustertube.rigid.QuotientGraph`
+expansion when read.  Graph nodes are masks; with one numbering for both models, delta carries the
+exchange graph onto the flip graph exactly when the two have equal
+representatives, marked vertices (tops, diameters) and blocks, which
+compares triangulations and flips from geometry with maximal rigid
+objects and exchanges from Ext.
 
 Corners are labelled clockwise 1..2n; all corner arithmetic is reduced
 into that range.  The records wrap corner ints: a cs pair is keyed by its
@@ -29,15 +36,15 @@ tuples, ``_cross``, decides every crossing.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections.abc import Callable
+from functools import cached_property, lru_cache
 
 from .errors import StructuralError, TheoremViolationError
 from .rigid import (
     MaximalRigid,
     QuotientGraph,
     bit_indices,
-    enumerate_rigid_indecs,
-    orbit_cliques,
+    maximal_cliques,
     orbit_graph,
     swap,
     tau_swept,
@@ -213,24 +220,46 @@ def triangulation_of(t: MaximalRigid) -> CsTriangulation:
 
 
 class PolygonTable(FrozenRecord):
-    """The n(n-1) cs pairs of rank n, numbered by delta: ``pairs[i]`` is
-    delta of the rigid indecomposable of canonical index ``i``.  Non-crossing
-    is stored as bitmasks, so a set of pairs is a mask, and a rigid mask
-    and its image under delta are the same int."""
+    """The n(n-1) cs pairs of rank n, numbered by delta: pair ``i`` is
+    delta of the rigid indecomposable of canonical index ``i``.  The
+    fields are ints: each pair's lower member's corners, and non-crossing
+    as bitmasks, so a set of pairs is a mask, and a rigid mask and its
+    image under delta are the same int.  The :class:`CsPair` records and
+    the corner lookup are built on first read."""
 
-    __slots__ = _fields = ("n", "pairs", "index", "noncross", "diameters")
+    _fields = ("n", "keys", "noncross", "diameters")
+    __slots__ = (*_fields, "__dict__")  # __dict__ holds what is built on first read
 
     def __init__(
         self,
         n: int,
-        pairs: tuple[CsPair, ...],
-        index: dict[CsPair, int],
+        # keys[i]: the corners (p, q), p < q, of pair i's lower member
+        keys: tuple[tuple[int, int], ...],
         # bit j of noncross[i]: j != i and crossing_points(pairs[i], pairs[j]) = 0
         noncross: tuple[int, ...],
         # the n diameters (degenerate pairs)
         diameters: int,
     ) -> None:
-        self._set(n, pairs, index, noncross, diameters)
+        self._set(n, keys, noncross, diameters)
+
+    @cached_property
+    def pairs(self) -> tuple[CsPair, ...]:
+        return tuple(CsPair.of(Diagonal(p, q, self.n)) for p, q in self.keys)
+
+    @cached_property
+    def index(self) -> dict[CsPair, int]:
+        return {p: i for i, p in enumerate(self.pairs)}
+
+    @cached_property
+    def pair_at(self) -> list[int]:
+        """``pair_at[p*(2n+1) + q]``: the pair with the diagonal [p, q] of
+        corners ``p`` and ``q`` in either order, or -1 at an edge."""
+        n, w = self.n, 2 * self.n + 1
+        at = [-1] * (w * w)
+        for i, (p, q) in enumerate(self.keys):
+            for r, s in ((p, q), _turned(p, q, n, n)):
+                at[r * w + s] = at[s * w + r] = i
+        return at
 
     def mask_of(self, tri: CsTriangulation) -> int:
         return sum(1 << self.index[p] for p in tri.pairs)
@@ -241,30 +270,39 @@ class PolygonTable(FrozenRecord):
         )
 
 
+def _image(a: int, b: int, n: int) -> tuple[int, int]:
+    """delta of the rigid indecomposable ``(a, b)`` on corners: its lower
+    member's, in order."""
+    return min((a, a + b + 1), _turned(a, a + b + 1, n, n))
+
+
 @lru_cache(maxsize=None)
 def polygon_table(n: int) -> PolygonTable:
-    """The integer table of rank ``n``.
+    """The integer table of rank ``n``, built on corner ints alone.
 
     The pairs are numbered by delta, but must be every cs pair of the
     2n-gon, once each, and pair i+n-1 (mod n(n-1)) must be pair i turned
-    by one corner, all compared on corners.  Non-crossing is read off the
-    crossing kernel alone, never off Ext, for the n-1 pairs of socle 1, and
-    rotated from there (:func:`~clustertube.rigid.tau_swept`), so crossing
-    = 2 Ext stays a check between two routes.
+    by one corner.  Non-crossing is read off the crossing kernel alone,
+    never off Ext, for the n-1 pairs of socle 1, and rotated from there
+    (:func:`~clustertube.rigid.tau_swept`), so crossing = 2 Ext stays a
+    check between two routes.
     """
-    pairs = tuple(delta(x) for x in enumerate_rigid_indecs(n))
-    # an image of another polygon is left out, so that delta misses a pair
-    corners = [((a.d1.p, a.d1.q), (a.d2.p, a.d2.q)) for a in pairs if a.n == n]
-    keys = [d for d, _ in corners]
+    check_rank(n)
+    # the rigid indecomposables (a, b) in canonical order: by socle, then
+    # by decreasing quasi-length
+    keys = tuple(_image(a, b, n) for a in range(1, n + 1) for b in range(n - 1, 0, -1))
     if sorted(keys) != _cs_keys(n):
-        missed = [p for p in all_cs_pairs(n) if p not in pairs]
+        found = set(keys)
+        missed = [p for p, key in zip(all_cs_pairs(n), _cs_keys(n)) if key not in found]
         raise TheoremViolationError(f"delta misses the cs pairs {missed} of the {2 * n}-gon")
-    size, step = len(pairs), n - 1
+    size, step = len(keys), n - 1
     for i, (p, q) in enumerate(keys):
         if keys[(i + step) % size] != min(_turned(p, q, n, 1), _turned(p, q, n, n + 1)):
             raise TheoremViolationError(
-                f"delta does not commute with turning the {2 * n}-gon at {pairs[i]}"
+                f"delta does not commute with turning the {2 * n}-gon at "
+                f"{CsPair.of(Diagonal(p, q, n))}"
             )
+    corners = [(d, _turned(*d, n, n)) for d in keys]
 
     def row(i: int) -> int:
         d1, d2 = corners[i]
@@ -275,9 +313,8 @@ def polygon_table(n: int) -> PolygonTable:
             and not (_cross(d1, e1) or _cross(d1, e2) or _cross(d2, e1) or _cross(d2, e2))
         )
 
-    index = {p: i for i, p in enumerate(pairs)}
     diameters = sum(1 << i for i, (p, q) in enumerate(keys) if q - p == n)
-    return PolygonTable(n, pairs, index, tau_swept(n, row), diameters)
+    return PolygonTable(n, keys, tau_swept(n, row), diameters)
 
 
 def flip(tri: CsTriangulation, p: CsPair) -> CsTriangulation:
@@ -293,20 +330,19 @@ class FlipGraph(QuotientGraph):
     """All centrally symmetric triangulations, with flip edges, as the
     turning quotient, ``reps`` and ``blocks`` from
     :func:`~clustertube.rigid.orbit_graph`, diameters marked: only the
-    triangulations through the lowest diameter are flipped.  Built on
-    first read: ``nodes``, the pair masks, and ``edges[a*(n-1)+k]``, the
-    node reached by flipping the k-th lowest pair of node ``a``.  A flip
-    of n-1 pairwise non-crossing pairs gives n-1 such pairs again, which
-    is a maximal clique since every maximal clique has n-1 pairs; so
-    every flip lands on a node.
+    triangulations through the lowest diameter are flipped, each by
+    :func:`_flips`, on corners.  Built on first read: ``nodes``, the pair
+    masks, and ``edges[a*(n-1)+k]``, the node reached by flipping the k-th
+    lowest pair of node ``a``.  Every flip must land on a node.
     """
 
     def __init__(self, n: int):
         self.n = n
         table = polygon_table(n)
         self.marked = table.diameters
+        reps = _all_triangulations(n)
         self.reps, self.blocks = orbit_graph(
-            table.noncross, table.diameters, n, _all_triangulations(n), "flip graph"
+            table.diameters, n, reps, map(_flips(table), reps), "flip graph"
         )
 
 
@@ -317,10 +353,37 @@ def flip_graph(n: int) -> FlipGraph:
 
 def _all_triangulations(n: int) -> tuple[int, ...]:
     """The pair masks of the cs triangulations through the lowest
-    diameter, one per turning orbit, sorted by bit indices as rigid masks
-    are: :func:`~clustertube.rigid.orbit_cliques` of the non-crossing
-    table, diameters marked; each has n-1 pairs, one diameter."""
+    diameter [1, n+1], pair 0, one per turning orbit, sorted by bit
+    indices as rigid masks are.  Such a triangulation is one of the half
+    polygon on corners 1..n+1, and its half-turn.
+
+    The triangulations of the sub-polygon on corners i..j are built from
+    those of i..k and k..j, for each apex k of the triangle (i, k, j):
+    the diagonals [i, k] and [k, j], where they are no sides, and all of
+    both parts' own.  Pair [p, q] has index (p-1)(n-1) + n-q+p, so all
+    of i..k's diagonals lie below all of k..j's, [i, k] lowest; the
+    apexes, taken downwards, then each part's triangulations in its own
+    order, give every list sorted.
+
+    Each must have n-1 pairs, one of them a diameter, and the
+    non-crossing table must have no maximal set avoiding every diameter.
+    """
     table = polygon_table(n)
+    at, w = table.pair_at, 2 * n + 1
+    inner = {(i, i + 1): [0] for i in range(1, n + 1)}  # a side: no diagonal
+    for length in range(2, n + 1):
+        for i in range(1, n + 2 - length):
+            j, out = i + length, []
+            for k in range(j - 1, i, -1):
+                sides = (1 << at[i * w + k] if k - i > 1 else 0) | (
+                    1 << at[k * w + j] if j - k > 1 else 0
+                )
+                rights = inner[k, j]
+                out += [left | right | sides for left in inner[i, k] for right in rights]
+            inner[i, j] = out
+    diameter = 1 << at[w + n + 1]
+    reps = [mask | diameter for mask in inner.pop((1, n + 1))]
+    del inner
 
     def defect(mask: int) -> str:
         if mask.bit_count() != n - 1:
@@ -330,7 +393,61 @@ def _all_triangulations(n: int) -> tuple[int, ...]:
             return f"{found} diameters in {[table.pairs[i] for i in bit_indices(mask)]}"
         return ""
 
-    return orbit_cliques(table.noncross, table.diameters, defect)
+    for mask in reps + maximal_cliques(table.noncross, excluded=table.diameters)[:1]:
+        text = defect(mask)
+        if text:
+            raise TheoremViolationError(text)
+    return tuple(reps)
+
+
+def _flips(table: PolygonTable) -> Callable[[int], list[int]]:
+    """The flips of a triangulation through the lowest diameter, given
+    its mask: the masks it becomes, lowest flipped pair first.
+
+    Each pair has a member [p, q] in the half polygon on corners 1..n+1,
+    which lies on two triangles, whose apexes are the common neighbours
+    of p and q there; the flip is the diagonal joining them,
+    :func:`_flipped`.  The diameter [1, n+1] has one apex k on the half
+    polygon, the other its half-turn k+n.
+    """
+    n, w = table.n, 2 * table.n + 1
+    at, half = table.pair_at, n + 1
+    # each pair's member on the half polygon, as its corners and their bits
+    ends: list = [None] * len(table.keys)
+    for p in range(1, half + 1):
+        for q in range(p + 2, half + 1):
+            ends[at[p * w + q]] = (p, q, 1 << p, 1 << q)
+    # the common neighbours of a flipped diagonal's corners -> the new pair's bit
+    # (one apex, between the diameter's corners, or two that no side joins)
+    flipped = {}
+    for a, b in [(a, a) for a in range(2, half)] + [
+        (a, b) for a in range(1, half + 1) for b in range(a + 2, half + 1)
+    ]:
+        r, s = _flipped(a, b, n)
+        flipped[1 << a | 1 << b] = 1 << at[r * w + s]
+    # each corner's neighbours along the sides of the half polygon
+    corners = (1 << half + 1) - 2
+    sides = [0] + [(1 << c - 1 | 1 << c + 1) & corners for c in range(1, half + 1)]
+
+    def flips(mask: int) -> list[int]:
+        near, found, m = sides[:], [], mask
+        while m:
+            low = m & -m
+            p, q, bp, bq = ends[low.bit_length() - 1]
+            near[p] |= bq
+            near[q] |= bp
+            found.append((low, p, q))
+            m ^= low
+        return [mask ^ low | flipped[near[p] & near[q]] for low, p, q in found]
+
+    return flips
+
+
+def _flipped(a: int, b: int, n: int) -> tuple[int, int]:
+    """The flip of a diagonal whose two triangles have apexes ``a`` <= ``b``
+    on the half polygon: the diagonal [a, b], or, for the diameter, whose
+    second apex is the half-turn of its first, the diameter [a, a+n]."""
+    return (a, b) if a < b else (a, a + n)
 
 
 def graphs_isomorphic_via_delta(eg, fg: FlipGraph) -> bool:
@@ -339,5 +456,6 @@ def graphs_isomorphic_via_delta(eg, fg: FlipGraph) -> bool:
     vertices by delta, sort by bit, and expand their nodes and edges
     from their representatives, marked vertices and quotient blocks by
     one expansion, which equal inputs give equal outputs; so that is
-    equality of those three."""
+    equality of those three, the one side found by Ext and exchange, the
+    other by triangulating and flipping the 2n-gon."""
     return eg.reps == fg.reps and eg.marked == fg.marked and eg.blocks == fg.blocks

@@ -2,20 +2,23 @@
 
 The rigid indecomposables of one rank are numbered in canonical order
 (:class:`RigidTable`), so a set of them is an int bitmask whose bits, read
-upwards, list it in canonical summand order.  Two kernels on these masks,
-shared with the polygon model, run under both graphs: the clique search
-:func:`maximal_cliques`, and :func:`exchanges`, a clique's n-1 exchanged
-masks (:func:`swap` gives one, by :func:`completions`).  Tilting data and
-cluster-tilting witnesses are :func:`tilting_datum_of` and :func:`tilting_witness`.
+upwards, list it in canonical summand order.  Two kernels on these masks
+run under the exchange graph: the clique search :func:`maximal_cliques`,
+and :func:`exchanges`, a clique's n-1 exchanged masks (:func:`swap` gives
+one, by :func:`completions`); the polygon model flips by :func:`swap` and
+checks its non-crossing table by :func:`maximal_cliques`.  Tilting data
+and cluster-tilting witnesses are :func:`tilting_datum_of` and
+:func:`tilting_witness`.
 
 Tau, as turning the 2n-gon, rotates indices by n-1 bits, so both models
-sweep their tables for socle 1 only (:func:`tau_swept`) and search one
-clique per orbit (:func:`orbit_cliques`; :func:`maximal_rigid_reps` marks
-the tops).  Everything reads these representatives: :func:`orbit_graph`
-exchanges only them to make either graph's tau-quotient, and
-:func:`orbit_nodes` expands them into the sorted nodes, from which
-:func:`enumerate_maximal_rigid` makes each :class:`MaximalRigid`
-unchecked, as its mask, once tau is shown to preserve the table.
+sweep their tables for socle 1 only (:func:`tau_swept`), and
+:func:`maximal_rigid_reps` searches one clique per orbit, through the
+lowest top.  Everything reads these representatives: :func:`orbit_graph`
+makes either graph's tau-quotient from their targets alone, exchanged
+here, flipped in the polygon model, and :func:`orbit_nodes` expands them
+into the sorted nodes, from which :func:`enumerate_maximal_rigid` makes
+each :class:`MaximalRigid` unchecked, as its mask, once tau is shown to
+preserve the table.
 :class:`QuotientGraph` locates a node's orbit and turn from its mask and
 expands the nodes and edges when they are read, and :func:`cover_walk`
 certifies connectivity on the quotient, by voltages.
@@ -116,24 +119,6 @@ def _sort_by_indices(masks: list[int], size: int) -> None:
     masks.sort(key=lambda m: m.to_bytes(width, "little").translate(_LOW_BITS_FIRST))
 
 
-def orbit_cliques(
-    adj: Sequence[int], marked: int, defect: Callable[[int], str]
-) -> tuple[int, ...]:
-    """The maximal cliques of a rank-n table ``adj`` through the
-    lowest ``marked`` vertex (top, diameter), sorted by bit indices: one
-    per orbit under (n-1)-bit rotation, its representative.  A second
-    search, all marked vertices excluded, must find none.  ``defect`` is
-    the error text for a clique of either search, or ""; its test of
-    exactly one marked vertex keeps an orbit from being listed twice."""
-    reps = maximal_cliques(adj, seed=marked & -marked)
-    for mask in reps + maximal_cliques(adj, excluded=marked)[:1]:
-        text = defect(mask)
-        if text:
-            raise TheoremViolationError(text)
-    _sort_by_indices(reps, len(adj))
-    return tuple(reps)
-
-
 def orbit_nodes(reps: Iterable[int], n: int) -> tuple[int, ...]:
     """The nodes of the orbits of ``reps``, sorted by bit indices."""
     size, step = n * (n - 1), n - 1
@@ -144,28 +129,28 @@ def orbit_nodes(reps: Iterable[int], n: int) -> tuple[int, ...]:
 
 
 def orbit_graph(
-    adj: Sequence[int], marked: int, n: int, reps: Sequence[int], name: str
+    marked: int, n: int, reps: Sequence[int], targets: Iterable[Iterable[int]], name: str
 ) -> tuple[dict[int, int], array]:
-    """The tau-quotient of graph ``name`` on the orbits of ``reps``, the
-    maximal cliques of ``adj`` through the lowest ``marked`` vertex as
-    :func:`orbit_cliques` sorts them: ``reps`` mapped to the orbit
-    numbers, and ``blocks``, one flat array with
-    ``blocks[o*(n-1)+k] = o2*n + j2``: swapping the k-th lowest vertex of
-    representative ``o`` gives the representative of orbit ``o2`` rotated
-    by ``j2(n-1)`` bits, its voltage ``j2``.
+    """The tau-quotient of graph ``name`` on the orbits of ``reps``, each
+    through the lowest ``marked`` vertex and sorted by bit indices, given
+    ``targets``, each representative's neighbours in ``reps`` order, the
+    one that swaps its k-th lowest vertex k-th: ``reps`` mapped to the
+    orbit numbers, and ``blocks``, one flat array with
+    ``blocks[o*(n-1)+k] = o2*n + j2``: the k-th target of representative
+    ``o`` is the representative of orbit ``o2`` rotated by ``j2(n-1)``
+    bits, its voltage ``j2``.
 
-    Only the representatives are exchanged, one :func:`exchanges` call
-    each, and every target must be a rotation of one.  The expanded edges
-    are :attr:`QuotientGraph.edges`.
+    Every target must be a rotation of a representative.  The expanded
+    edges are :attr:`QuotientGraph.edges`.
     """
     size, d, low = n * (n - 1), n - 1, (marked & -marked).bit_length()
     full = (1 << size) - 1
     number = {r: o for o, r in enumerate(reps)}
     blocks = array("l")
     get, append = number.get, blocks.append
-    for r in reps:
-        for mask in exchanges(adj, r):
-            t = (mask & marked).bit_length() - low  # 0 unless the top was swapped
+    for masks in targets:
+        for mask in masks:
+            t = (mask & marked).bit_length() - low  # 0 unless the marked vertex was swapped
             o = get(mask if t <= 0 else (mask >> t | mask << size - t) & full, -1)
             if o < 0 or t % d:
                 raise TheoremViolationError(
@@ -464,11 +449,6 @@ class MaximalRigid(FrozenRecord):
         """The summands in canonical order, which is bit order."""
         return rigid_table(self.n).objects_of(self.mask)
 
-    @property
-    def top(self) -> TubeObject:
-        """The unique summand of quasi-length n-1."""
-        return next(x for x in self.summands if x.b == self.n - 1)
-
     def __repr__(self) -> str:
         inner = ";".join(f"{x.a},{x.b}" for x in self.summands)
         return f"MaximalRigid[{inner}]@{self.n}"
@@ -537,17 +517,23 @@ def compatibility(n: int) -> dict[TubeObject, frozenset[TubeObject]]:
 @lru_cache(maxsize=None)
 def maximal_rigid_reps(n: int) -> tuple[int, ...]:
     """The masks of the maximal rigid objects through the lowest top, one
-    per tau-orbit, sorted by their bit indices: every one has exactly one
-    top, so :func:`orbit_cliques` with the tops marked, each checked by
-    :meth:`RigidTable.defect`."""
+    per tau-orbit, sorted by their bit indices: the maximal cliques of
+    ``compat`` through that top, each checked by
+    :meth:`RigidTable.defect`, whose test of exactly one top keeps an
+    orbit from being listed twice.  A second search, every top excluded,
+    must find no maximal clique at all."""
     table = rigid_table(n)
-
-    def defect(mask: int) -> str:
+    reps = maximal_cliques(table.compat, seed=table.tops & -table.tops)
+    for mask in reps + maximal_cliques(table.compat, excluded=table.tops)[:1]:
         if not mask & table.tops:
-            return f"maximal rigid object without a top: {table.objects_of(mask)}"
-        return _defect(table, mask)
-
-    return orbit_cliques(table.compat, table.tops, defect)
+            raise TheoremViolationError(
+                f"maximal rigid object without a top: {table.objects_of(mask)}"
+            )
+        text = _defect(table, mask)
+        if text:
+            raise TheoremViolationError(text)
+    _sort_by_indices(reps, len(table.objects))
+    return tuple(reps)
 
 
 @lru_cache(maxsize=None)

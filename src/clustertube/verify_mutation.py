@@ -4,7 +4,9 @@ and ``mutation`` and no other layer beyond the core :mod:`.verify`."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
+from collections.abc import Sequence
 from math import comb
 
 from .errors import TheoremViolationError
@@ -41,20 +43,12 @@ def suite_mutation(n: int) -> list[CheckResult]:
     bad = next((mask for mask, o in graph.reps.items() if stored[o] in broken), None)
     checks.append(_bad_node("matrix-invariants", table, bad))
 
-    # entry o2*n + j of block o is the edge from orbit o's representative
-    # to tau^-j of orbit o2's, whose reverse is entry o*n + (-j mod n) of
-    # block o2; a node's block is its representative's, turned
     orbits, blocks, d = len(graph.reps), graph.blocks, n - 1
     shape_ok = (
         n * orbits == comb(2 * n - 2, n - 1)
         and len(blocks) == orbits * d
         and 0 <= min(blocks) and max(blocks) < orbits * n
-        and all(
-            len(set(block)) == d
-            and o * n not in block
-            and all(o * n + -x % n in blocks[x // n * d : x // n * d + d] for x in block)
-            for o, block in enumerate(blocks[o * d : o * d + d] for o in range(orbits))
-        )
+        and _symmetric(blocks, n)
     )
     checks.append(
         CheckResult("graph-shape", shape_ok, f"{n * orbits} nodes, {len(blocks) * n // 2} edges")
@@ -104,3 +98,30 @@ def suite_mutation(n: int) -> list[CheckResult]:
             break
     checks.append(_counterexample("unique-exchange", bad, "completions of"))
     return checks
+
+
+def _symmetric(blocks: Sequence[int], n: int) -> bool:
+    """Does every edge of the tau-quotient ``blocks`` have its reverse,
+    with no edge twice and no edge from a node to itself?
+
+    Entry x = o2*n + j of block o is the edge (o, o2, j), from orbit o's
+    representative to tau^-j of orbit o2's, and its reverse (o2, o, -j mod
+    n) is entry o*n + (-j mod n) of block o2; a node's block is its
+    representative's, turned.  One pass looks up the reverse of each edge
+    into orbit o or a later one, and counts the edges into earlier orbits
+    against those into later ones: reversal maps the latter one to one
+    into the former, so equal counts make it onto.
+    """
+    d, earlier, later = n - 1, 0, 0
+    for o, at in enumerate(range(0, len(blocks), d)):
+        block, on = sorted(blocks[at : at + d]), o * n
+        low = bisect_left(block, on)  # block[low:]: the edges into o and later orbits
+        if (
+            len(set(block)) != d
+            or block[low : low + 1] == [on]
+            or not all(on + -x % n in blocks[x // n * d : x // n * d + d] for x in block[low:])
+        ):
+            return False
+        earlier += low
+        later += d - bisect_left(block, on + n)
+    return earlier == later

@@ -222,9 +222,8 @@ def polygon_table_by_records(n):
         sum(1 << j for j, b in enumerate(pairs) if j != i and crossings_by_sets(a, b) == 0)
         for i, a in enumerate(pairs)
     )
-    index = {p: i for i, p in enumerate(pairs)}
     diameters = sum(1 << i for i, p in enumerate(pairs) if p.degenerate)
-    return PolygonTable(n, pairs, index, noncross, diameters)
+    return PolygonTable(n, tuple(_lower_corners(p) for p in pairs), noncross, diameters)
 
 
 # --- the verify suites, node by node ----------------------------------------

@@ -281,7 +281,7 @@ class TestExchangeGraph:
             calls.append(mask)
             return real(adj, mask)
 
-        monkeypatch.setattr(rigid, "exchanges", counted)
+        monkeypatch.setattr(mutation, "exchanges", counted)
         g = mutation.ExchangeGraph(n)
         assert len(calls) == len(set(calls)) == len(g.nodes) // n
         assert all(mask & 1 for mask in calls)
@@ -1065,6 +1065,31 @@ class TestVerifyFailures:
         getattr(self, edit)(fake.blocks)
         monkeypatch.setattr(verify_mutation, "build_exchange_graph", lambda n: fake)
         self.expect_failure(capsys, "graph-shape")
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 55), st.integers(0, 69)), max_size=2),
+        st.lists(st.permutations(range(4)), min_size=14, max_size=14),
+    )
+    def test_graph_shape_equals_the_node_by_node_check(self, edits, orders):
+        # the quotient's one pass against every node's block in the
+        # expanded graph, on the rank-5 blocks with each block reordered
+        # and up to two entries rewritten
+        graph = build_exchange_graph(5)
+        fake = copy.copy(graph)
+        fake.__dict__.pop("edges", None)
+        fake.blocks = array(
+            "l", [graph.blocks[4 * o + k] for o, order in enumerate(orders) for k in order]
+        )
+        for at, value in edits:
+            fake.blocks[at] = value
+        edges = fake.edges
+        blocks = [edges[i * 4 : i * 4 + 4] for i in range(len(fake.nodes))]
+        want = all(
+            len(set(block)) == 4 and i not in block and all(i in blocks[j] for j in block)
+            for i, block in enumerate(blocks)
+        )
+        assert verify_mutation._symmetric(fake.blocks, 5) is want
 
     def test_unique_exchange_counts_enumerated_clusters(self, monkeypatch, capsys):
         # a representative dropped: its orbit's almost complete objects

@@ -284,21 +284,30 @@ class TestFlipGraph:
         for a, p, b in flips(g):
             assert flip(tris[a], table.pairs[p]) == tris[b], (a, p, b)
 
-    def test_one_exchanges_call_per_node(self, monkeypatch):
-        # one call per turning orbit, on its triangulation through the
-        # lowest diameter (pair 0)
-        calls, real = [], rigid.exchanges
+    def test_builds_with_no_exchanges_and_no_search_for_its_nodes(self, monkeypatch):
+        # the triangulations and flips come from corners alone; the one
+        # clique search checks that none avoids every diameter
+        exchanged, searched = [], []
+        real_exchanges, real_search = rigid.exchanges, rigid.maximal_cliques
 
-        def counted(adj, mask):
-            calls.append(mask)
-            return real(adj, mask)
+        def counted_exchanges(adj, mask):
+            exchanged.append(mask)
+            return real_exchanges(adj, mask)
 
-        monkeypatch.setattr(rigid, "exchanges", counted)
+        def counted_search(adj, seed=0, excluded=0):
+            searched.append((adj, seed, excluded))
+            return real_search(adj, seed, excluded)
+
+        monkeypatch.setattr(rigid, "exchanges", counted_exchanges)
+        monkeypatch.setattr(rigid, "maximal_cliques", counted_search)
+        monkeypatch.setattr(polygon, "maximal_cliques", counted_search)
         for n in range(2, 8):
-            calls.clear()
+            searched.clear()
+            table = polygon_table(n)
             g = polygon.FlipGraph(n)
-            assert len(calls) == len(set(calls)) == len(g.nodes) // n, n
-            assert all(mask & 1 for mask in calls), n
+            assert len(g.reps) == len(g.nodes) // n
+            assert searched == [(table.noncross, 0, table.diameters)], n
+        assert exchanged == []
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_every_node_is_a_valid_triangulation(self, n):
@@ -316,9 +325,8 @@ class TestFlipGraph:
         def doctored(n):
             table = real(n)
             low = table.diameters & -table.diameters
-            return polygon.PolygonTable(
-                table.n, table.pairs, table.index, table.noncross, table.diameters ^ low
-            )
+            keys, noncross = table.keys, table.noncross
+            return polygon.PolygonTable(table.n, keys, noncross, table.diameters ^ low)
 
         monkeypatch.setattr(polygon, "polygon_table", doctored)
         polygon.flip_graph.cache_clear()
@@ -353,27 +361,57 @@ class TestFlipGraph:
             polygon.FlipGraph(5)
 
     def test_clique_of_the_wrong_size_is_a_theorem_violation(self, monkeypatch):
-        # every pair made compatible with every other: the one maximal
-        # clique holds all six pairs of the hexagon
-        real = polygon.orbit_cliques
+        # a non-crossing table whose maximal sets can avoid every diameter:
+        # the three non-diameters of the hexagon made compatible with each
+        # other, the three diameters with nothing, so the non-diameters are
+        # one maximal set
+        real = polygon.polygon_table
 
-        def complete(adj, marked, defect):
-            full = (1 << len(adj)) - 1
-            return real([full ^ 1 << i for i in range(len(adj))], marked, defect)
+        def doctored(n):
+            table = real(n)
+            rest = (1 << len(table.keys)) - 1 ^ table.diameters
+            noncross = tuple(
+                0 if table.diameters >> i & 1 else rest ^ 1 << i for i in range(len(table.keys))
+            )
+            return polygon.PolygonTable(n, table.keys, noncross, table.diameters)
 
-        monkeypatch.setattr(polygon, "orbit_cliques", complete)
+        monkeypatch.setattr(polygon, "polygon_table", doctored)
         with pytest.raises(
             TheoremViolationError,
-            match=r"^maximal clique of size 6 at rank 3: \[0, 1, 2, 3, 4, 5\]$",
+            match=r"^maximal clique of size 3 at rank 3: \[1, 3, 5\]$",
         ):
             polygon._all_triangulations(3)
 
     def test_graphs_keep_no_quotient_code(self):
-        # both graphs take their orbits from rigid.orbit_graph alone
+        # both graphs take their orbits from rigid.orbit_graph alone; the
+        # exchange graph hands it exchanges and does nothing else with them
         for module in (polygon, mutation):
             names = names_in(module)
             assert "orbit_graph" in names
-            assert not {"exchanges", "rotate", "expand_orbits", "to_representative"} & names
+            assert not {"rotate", "expand_orbits", "to_representative"} & names
+        assert "exchanges" not in names_in(polygon)
+        tree = ast.parse(Path(mutation.__file__).read_text())
+        (call,) = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "orbit_graph"
+        ]
+        uses = [
+            node for node in ast.walk(tree) if getattr(node, "id", "") == "exchanges"
+        ]
+        assert len(uses) == 1 and uses[0] in list(ast.walk(call))
+
+    def test_polygon_imports_no_exchange_kernel(self):
+        # the flip graph is a second route: none of the exchange graph's
+        # search, exchange or completion kernels
+        imported = {
+            alias.name
+            for node in ast.walk(ast.parse(Path(polygon.__file__).read_text()))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert "swap" in imported
+        assert not {"exchanges", "completions", "orbit_cliques", "maximal_rigid_reps"} & imported
 
     def test_polygon_names_no_ext(self):
         # non-crossing comes from geometry alone, never from Hom or Ext
@@ -625,18 +663,19 @@ class TestDeltaImageMask:
 
     @staticmethod
     def doctor_delta(monkeypatch, images, socles=(1,)):
-        """Make ``polygon`` number its pairs by a delta whose images of
-        the rank-4 objects ``(a, 3)`` and ``(a, 2)``, canonical indices
-        ``3a-3`` and ``3a-2``, are ``images(x, y)`` from their true images
-        ``x`` and ``y``, for each socle ``a`` in ``socles``; caches are
-        emptied."""
+        """Make ``polygon_table`` number its pairs by a delta on corners
+        whose images of the rank-4 objects ``(a, 3)`` and ``(a, 2)``,
+        canonical indices ``3a-3`` and ``3a-2``, are ``images(x, y)`` from
+        their true images ``x`` and ``y``, for each socle ``a`` in
+        ``socles``; caches are emptied."""
+        real = polygon._image
 
-        def doctored(x):
-            if x.a in socles and x.b in (3, 2):
-                return images(delta(obj(x.a, 3, 4)), delta(obj(x.a, 2, 4)))[3 - x.b]
-            return delta(x)
+        def doctored(a, b, n):
+            if a in socles and b in (3, 2):
+                return images(real(a, 3, n), real(a, 2, n))[3 - b]
+            return real(a, b, n)
 
-        monkeypatch.setattr(polygon, "delta", doctored)
+        monkeypatch.setattr(polygon, "_image", doctored)
         polygon.polygon_table.cache_clear()
         polygon.flip_graph.cache_clear()
 
@@ -774,9 +813,8 @@ class TestFlipQuotient:
         def doctored(n):
             table = real(n)
             high = 1 << table.diameters.bit_length() - 1
-            return polygon.PolygonTable(
-                table.n, table.pairs, table.index, table.noncross, table.diameters ^ high
-            )
+            keys, noncross = table.keys, table.noncross
+            return polygon.PolygonTable(table.n, keys, noncross, table.diameters ^ high)
 
         monkeypatch.setattr(polygon, "polygon_table", doctored)
         polygon.flip_graph.cache_clear()
@@ -787,6 +825,68 @@ class TestFlipQuotient:
         finally:
             polygon.flip_graph.cache_clear()
         assert graph_failure(capsys.readouterr().out).startswith("0 diameters in ")
+
+
+def off_by_one_apart(a, b, n):
+    """A doctored apex rule: a flip that is no diameter ends one corner late."""
+    return (a, b + 1) if a < b else (a, a + n)
+
+
+def off_by_one_diameter(a, b, n):
+    """A doctored apex rule: a diameter's flip turned by one corner."""
+    return (a, b) if a < b else polygon._turned(a, a + n, n, 1)
+
+
+class TestSecondRoute:
+    """The flip graph is built from corners, the exchange graph from Ext,
+    so the two graph checks compare two routes: a fault on either side
+    fails them."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_enumeration_is_sorted_and_equals_the_search(self, n):
+        reps = polygon._all_triangulations(n)
+        assert list(reps) == sorted(reps, key=bit_indices)
+        assert reps == rigid.maximal_rigid_reps(n)
+
+    @pytest.mark.parametrize("n", [6, 10])
+    @pytest.mark.parametrize("rule", [off_by_one_apart, off_by_one_diameter])
+    def test_apex_rule_off_by_one_corner_fails(self, n, rule, monkeypatch):
+        monkeypatch.setattr(polygon, "_flipped", rule)
+        polygon.flip_graph.cache_clear()
+        try:
+            report = verify.run_suite("polygon", n)
+        finally:
+            polygon.flip_graph.cache_clear()
+        failed = [c.name for c in report.checks if not c.ok]
+        assert "flip-graph-isomorphism" in failed
+        assert failed[0] in ("triangulation-bijection", "flip-graph-isomorphism")
+
+    def test_cleared_compat_bit_fails(self, monkeypatch, capsys, clear_package_caches):
+        # Ext-compatibility of the rank-5 top (1, 4), object 0, and another
+        # summand of a cluster through it, not both in the initial seed, cut
+        # both ways: the exchange graph changes, the flip graph does not
+        clear_package_caches()
+        table, seed = rigid_table(5), initial_seed(5).object.mask
+        reps = rigid.maximal_rigid_reps(5)
+        j = next(j for r in reps for j in bit_indices(r)[1:] if seed & 1 << j == 0)
+        assert table.compat[0] >> j & 1 and table.compat[j] & 1
+        compat = list(table.compat)
+        compat[0] ^= 1 << j
+        compat[j] ^= 1
+        cut = rigid.RigidTable(
+            5, table.objects, table.index, tuple(compat), table.tops, table.wings
+        )
+        monkeypatch.setattr(rigid, "rigid_table", lambda n: cut if n == 5 else table)
+        monkeypatch.setattr(mutation, "rigid_table", rigid.rigid_table)
+        clear_package_caches()
+        try:
+            report = verify.run_suite("polygon", 5)
+            assert main(["verify", "--rank", "5", "--suite", "polygon"]) == 1
+        finally:
+            clear_package_caches()
+        failed = [c.name for c in report.checks if not c.ok]
+        assert failed == ["triangulation-bijection", "flip-graph-isomorphism"]
+        assert "FAIL polygon/flip-graph-isomorphism" in capsys.readouterr().out
 
 
 def touching(d, e):
@@ -848,7 +948,9 @@ class TestCornerKernel:
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_cold_table_builds_two_diagonals_per_pair(self, n, monkeypatch):
-        # delta's image and its half-turn, and no other record
+        # none for the table and the flip graph, which read corner ints;
+        # delta's image and its half-turn, and no other record, once the
+        # pairs are read
         built, validate = [], Diagonal.__post_init__
 
         def counted(d):
@@ -857,16 +959,21 @@ class TestCornerKernel:
 
         monkeypatch.setattr(Diagonal, "__post_init__", counted)
         polygon.polygon_table.cache_clear()
-        polygon_table(n)
+        polygon.FlipGraph(n)
+        assert built == []
+        pairs = polygon_table(n).pairs
+        assert polygon_table(n).pairs is pairs
         assert len(built) == 2 * n * (n - 1)
 
     def test_image_of_another_polygon_is_missed(self, monkeypatch):
-        # its corners are those of a pair of the octagon, but it is a pair
-        # of the decagon
-        def doctored(x):
-            return pair(1, 3, 5) if (x.a, x.b) == (1, 1) else delta(x)
+        # its corners are those of a diagonal of the decagon, beyond the
+        # octagon's
+        real = polygon._image
 
-        monkeypatch.setattr(polygon, "delta", doctored)
+        def doctored(a, b, n):
+            return (1, 9) if (a, b) == (1, 1) else real(a, b, n)
+
+        monkeypatch.setattr(polygon, "_image", doctored)
         polygon.polygon_table.cache_clear()
         try:
             with pytest.raises(
@@ -885,14 +992,15 @@ class TestCornerKernel:
         report = verify.run_suite("polygon", 4)
         assert [c.name for c in report.checks if not c.ok] == ["crossing-equals-twice-ext"]
         # built by the doctored kernel, the table has no triangulation of
-        # three pairs, since the sides of every triangle share corners: the
-        # flip graph's search fails, and both graph checks report it after
-        # the crossing check
+        # three pairs, since the sides of every triangle share corners: its
+        # maximal sets include one pair that is no diameter, which the flip
+        # graph's check finds, and both graph checks report it after the
+        # crossing check
         polygon.polygon_table.cache_clear()
         polygon.flip_graph.cache_clear()
         try:
             with pytest.raises(
-                TheoremViolationError, match=r"^maximal clique of size 2 at rank 4: \[0, 5\]$"
+                TheoremViolationError, match=r"^maximal clique of size 1 at rank 4: \[1\]$"
             ):
                 flip_graph(4)
             assert main(["verify", "--rank", "4", "--suite", "polygon"]) == 1
@@ -901,5 +1009,5 @@ class TestCornerKernel:
             polygon.flip_graph.cache_clear()
         out, err = capsys.readouterr()
         assert "FAIL polygon/crossing-equals-twice-ext: at ((1,3)@4, (1,2)@4)\n" in out
-        assert graph_failure(out) == "maximal clique of size 2 at rank 4: [0, 5]"
+        assert graph_failure(out) == "maximal clique of size 1 at rank 4: [1]"
         assert err == ""

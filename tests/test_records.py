@@ -64,12 +64,11 @@ FROZEN = {
          "tops": 0},
     ),
     PolygonTable: (
-        fields_of(polygon_table(2), ("n", "pairs", "index", "noncross", "diameters")),
-        {**fields_of(polygon_table(2), ("n", "pairs", "index", "noncross", "diameters")),
-         "diameters": 0},
+        fields_of(polygon_table(2), ("n", "keys", "noncross", "diameters")),
+        {**fields_of(polygon_table(2), ("n", "keys", "noncross", "diameters")), "diameters": 0},
     ),
 }
-UNHASHABLE = (RigidTable, PolygonTable)  # their index and wings are dicts
+UNHASHABLE = (RigidTable,)  # its index and wings are dicts
 CASES = [pytest.param(cls, id=cls.__name__) for cls in FROZEN]
 
 
@@ -216,8 +215,7 @@ REPRS = [
     ),
     (
         polygon_table(2),
-        "PolygonTable(n=2, pairs=([1,3], [2,4]), index={[1,3]: 0, [2,4]: 1},"
-        " noncross=(0, 0), diameters=3)",
+        "PolygonTable(n=2, keys=((1, 3), (2, 4)), noncross=(0, 0), diameters=3)",
     ),
     (CheckResult("x", True), "CheckResult(name='x', ok=True, detail='')"),
     (
