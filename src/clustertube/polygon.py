@@ -11,14 +11,15 @@ ints): pair ``i`` is the image of the rigid indecomposable of canonical
 index ``i``, the pairs must be exactly :func:`all_cs_pairs`, and turning
 the 2n-gon by one corner rotates pair masks by n-1 bits, as tau does
 rigid masks.  Non-crossing is one bitmask per pair, read off the
-crossings of corners alone, so a triangulation is a mask and
-:func:`flip` is :func:`~clustertube.rigid.swap` on it.
+crossings of corners alone, and a triangulation is a mask.
 
 The flip graph is a second route to the exchange graph, from the 2n-gon
 alone: :func:`_all_triangulations` builds the triangulations through the
-lowest diameter from those of sub-polygons, and :func:`_flips` reads each
-flip off the two triangles on the flipped diagonal; the non-crossing
-table only has to show that no maximal set of its avoids every diameter.
+lowest diameter from those of sub-polygons, and
+:attr:`PolygonTable.flips` reads each flip off the two triangles on the
+flipped diagonal; the non-crossing table only has to show that no
+maximal set of its avoids every diameter.  :func:`flip` turns any
+triangulation onto the lowest diameter and flips it by the same kernel.
 Both graphs hand their turning-orbit representatives and targets to
 :func:`~clustertube.rigid.orbit_graph`, and expand their ``nodes`` and
 flat ``edges`` by the one :class:`~clustertube.rigid.QuotientGraph`
@@ -46,7 +47,7 @@ from .rigid import (
     bit_indices,
     maximal_cliques,
     orbit_graph,
-    swap,
+    rotate,
     tau_swept,
 )
 from .tube import FrozenRecord, TubeObject, check_coordinates, check_rank, is_rigid_indec
@@ -261,6 +262,66 @@ class PolygonTable(FrozenRecord):
                 at[r * w + s] = at[s * w + r] = i
         return at
 
+    @cached_property
+    def flips(self) -> Callable[[int], list[int]]:
+        """The flips of a triangulation through the lowest diameter, given
+        its mask: the masks it becomes, lowest flipped pair first.
+
+        Each pair has a member [p, q] in the half polygon on corners
+        1..n+1, which lies on two triangles, whose apexes are the common
+        neighbours of p and q there; the flip is the diagonal joining
+        them, :func:`_flipped`, which must be a diagonal of the 2n-gon.
+        The diameter [1, n+1] has one apex k on the half polygon, the
+        other its half-turn k+n.
+        """
+        n, w = self.n, 2 * self.n + 1
+        at, half = self.pair_at, n + 1
+        # each pair's member on the half polygon, as its corners and their bits
+        ends: list = [None] * len(self.keys)
+        for p in range(1, half + 1):
+            for q in range(p + 2, half + 1):
+                ends[at[p * w + q]] = (p, q, 1 << p, 1 << q)
+        # the common neighbours of a flipped diagonal's corners -> the new pair's bit
+        # (one apex, between the diameter's corners, or two that no side joins)
+        flipped = {}
+        for a, b in [(a, a) for a in range(2, half)] + [
+            (a, b) for a in range(1, half + 1) for b in range(a + 2, half + 1)
+        ]:
+            r, s = _flipped(a, b, n)
+            if not (0 < r <= 2 * n and 0 < s <= 2 * n and at[r * w + s] >= 0):
+                raise TheoremViolationError(
+                    f"the flip with apexes {a} and {b} at rank {n} joins corners "
+                    f"{r} and {s}, no diagonal of the {2 * n}-gon"
+                )
+            flipped[1 << a | 1 << b] = 1 << at[r * w + s]
+        # each corner's neighbours along the sides of the half polygon
+        corners = (1 << half + 1) - 2
+        sides = [0] + [(1 << c - 1 | 1 << c + 1) & corners for c in range(1, half + 1)]
+
+        def flips(mask: int) -> list[int]:
+            near, found, m = sides[:], [], mask
+            while m:
+                low = m & -m
+                p, q, bp, bq = ends[low.bit_length() - 1]
+                near[p] |= bq
+                near[q] |= bp
+                found.append((low, p, q))
+                m ^= low
+            return [mask ^ low | flipped[near[p] & near[q]] for low, p, q in found]
+
+        return flips
+
+    def flip(self, mask: int, i: int) -> int:
+        """The triangulation ``mask`` with pair ``i`` flipped, by
+        :attr:`flips`: turned onto the lowest diameter, flipped there and
+        turned back.  Its diameter [c, c+n] is pair (c-1)(n-1), and turning
+        by one corner rotates masks by n-1 bits."""
+        size = len(self.keys)
+        shift = (mask & self.diameters).bit_length() - 1
+        low = rotate(mask, -shift, size)
+        below = (1 << (i - shift) % size) - 1
+        return rotate(self.flips(low)[(low & below).bit_count()], shift, size)
+
     def mask_of(self, tri: CsTriangulation) -> int:
         return sum(1 << self.index[p] for p in tri.pairs)
 
@@ -305,12 +366,12 @@ def polygon_table(n: int) -> PolygonTable:
     corners = [(d, _turned(*d, n, n)) for d in keys]
 
     def row(i: int) -> int:
-        d1, d2 = corners[i]
+        # the half-turn carries (d2, e2) onto (d, e1) and (d2, e1) onto (d, e2)
+        d = keys[i]
         return sum(
             1 << j
             for j, (e1, e2) in enumerate(corners)
-            if j != i
-            and not (_cross(d1, e1) or _cross(d1, e2) or _cross(d2, e1) or _cross(d2, e2))
+            if j != i and not (_cross(d, e1) or _cross(d, e2))
         )
 
     diameters = sum(1 << i for i, (p, q) in enumerate(keys) if q - p == n)
@@ -318,12 +379,12 @@ def polygon_table(n: int) -> PolygonTable:
 
 
 def flip(tri: CsTriangulation, p: CsPair) -> CsTriangulation:
-    """Replace ``p`` by the unique other pair keeping a triangulation."""
+    """Replace ``p`` by the unique other pair keeping a triangulation,
+    by :meth:`PolygonTable.flip`."""
     if p not in tri.pairs:
         raise ValueError(f"{p} is not in the triangulation")
     table = polygon_table(tri.n)
-    mask = swap(table.noncross, table.mask_of(tri), table.index[p])
-    return table.triangulation(mask)
+    return table.triangulation(table.flip(table.mask_of(tri), table.index[p]))
 
 
 class FlipGraph(QuotientGraph):
@@ -331,9 +392,10 @@ class FlipGraph(QuotientGraph):
     turning quotient, ``reps`` and ``blocks`` from
     :func:`~clustertube.rigid.orbit_graph`, diameters marked: only the
     triangulations through the lowest diameter are flipped, each by
-    :func:`_flips`, on corners.  Built on first read: ``nodes``, the pair
-    masks, and ``edges[a*(n-1)+k]``, the node reached by flipping the k-th
-    lowest pair of node ``a``.  Every flip must land on a node.
+    :attr:`PolygonTable.flips`, on corners.  Built on first read:
+    ``nodes``, the pair masks, and ``edges[a*(n-1)+k]``, the node reached
+    by flipping the k-th lowest pair of node ``a``.  Every flip must land
+    on a node.
     """
 
     def __init__(self, n: int):
@@ -342,7 +404,7 @@ class FlipGraph(QuotientGraph):
         self.marked = table.diameters
         reps = _all_triangulations(n)
         self.reps, self.blocks = orbit_graph(
-            table.diameters, n, reps, map(_flips(table), reps), "flip graph"
+            table.diameters, n, reps, map(table.flips, reps), "flip graph"
         )
 
 
@@ -398,49 +460,6 @@ def _all_triangulations(n: int) -> tuple[int, ...]:
         if text:
             raise TheoremViolationError(text)
     return tuple(reps)
-
-
-def _flips(table: PolygonTable) -> Callable[[int], list[int]]:
-    """The flips of a triangulation through the lowest diameter, given
-    its mask: the masks it becomes, lowest flipped pair first.
-
-    Each pair has a member [p, q] in the half polygon on corners 1..n+1,
-    which lies on two triangles, whose apexes are the common neighbours
-    of p and q there; the flip is the diagonal joining them,
-    :func:`_flipped`.  The diameter [1, n+1] has one apex k on the half
-    polygon, the other its half-turn k+n.
-    """
-    n, w = table.n, 2 * table.n + 1
-    at, half = table.pair_at, n + 1
-    # each pair's member on the half polygon, as its corners and their bits
-    ends: list = [None] * len(table.keys)
-    for p in range(1, half + 1):
-        for q in range(p + 2, half + 1):
-            ends[at[p * w + q]] = (p, q, 1 << p, 1 << q)
-    # the common neighbours of a flipped diagonal's corners -> the new pair's bit
-    # (one apex, between the diameter's corners, or two that no side joins)
-    flipped = {}
-    for a, b in [(a, a) for a in range(2, half)] + [
-        (a, b) for a in range(1, half + 1) for b in range(a + 2, half + 1)
-    ]:
-        r, s = _flipped(a, b, n)
-        flipped[1 << a | 1 << b] = 1 << at[r * w + s]
-    # each corner's neighbours along the sides of the half polygon
-    corners = (1 << half + 1) - 2
-    sides = [0] + [(1 << c - 1 | 1 << c + 1) & corners for c in range(1, half + 1)]
-
-    def flips(mask: int) -> list[int]:
-        near, found, m = sides[:], [], mask
-        while m:
-            low = m & -m
-            p, q, bp, bq = ends[low.bit_length() - 1]
-            near[p] |= bq
-            near[q] |= bp
-            found.append((low, p, q))
-            m ^= low
-        return [mask ^ low | flipped[near[p] & near[q]] for low, p, q in found]
-
-    return flips
 
 
 def _flipped(a: int, b: int, n: int) -> tuple[int, int]:

@@ -5,10 +5,10 @@ The rigid indecomposables of one rank are numbered in canonical order
 upwards, list it in canonical summand order.  Two kernels on these masks
 run under the exchange graph: the clique search :func:`maximal_cliques`,
 and :func:`exchanges`, a clique's n-1 exchanged masks (:func:`swap` gives
-one, by :func:`completions`); the polygon model flips by :func:`swap` and
-checks its non-crossing table by :func:`maximal_cliques`.  Tilting data
-and cluster-tilting witnesses are :func:`tilting_datum_of` and
-:func:`tilting_witness`.
+one, by :func:`completions`); the polygon model flips by its own corner
+kernel, turning masks by :func:`rotate`, and checks its non-crossing
+table by :func:`maximal_cliques`.  Tilting data and cluster-tilting
+witnesses are :func:`tilting_datum_of` and :func:`tilting_witness`.
 
 Tau, as turning the 2n-gon, rotates indices by n-1 bits, so both models
 sweep their tables for socle 1 only (:func:`tau_swept`), and
@@ -288,7 +288,7 @@ def completions(adj: Sequence[int], tbar: int) -> int:
 
 def swap(adj: Sequence[int], mask: int, i: int) -> int:
     """The maximal clique ``mask`` of ``adj`` with vertex ``i`` exchanged
-    for the other completion of the rest: exchange, and flip."""
+    for the other completion of the rest: exchange."""
     rest = mask & ~(1 << i)
     return rest | completions(adj, rest) & ~(1 << i)
 

@@ -388,7 +388,17 @@ class TestFlipGraph:
         for module in (polygon, mutation):
             names = names_in(module)
             assert "orbit_graph" in names
-            assert not {"rotate", "expand_orbits", "to_representative"} & names
+            assert not {"expand_orbits", "to_representative"} & names
+        assert "rotate" not in names_in(mutation)
+        # polygon's one rotate turns a triangulation for PolygonTable.flip
+        polygon_tree = ast.parse(Path(polygon.__file__).read_text())
+        rotating = {
+            f.name
+            for f in ast.walk(polygon_tree)
+            if isinstance(f, ast.FunctionDef)
+            and any(getattr(node, "id", "") == "rotate" for node in ast.walk(f))
+        }
+        assert rotating == {"flip"}
         assert "exchanges" not in names_in(polygon)
         tree = ast.parse(Path(mutation.__file__).read_text())
         (call,) = [
@@ -402,16 +412,16 @@ class TestFlipGraph:
         assert len(uses) == 1 and uses[0] in list(ast.walk(call))
 
     def test_polygon_imports_no_exchange_kernel(self):
-        # the flip graph is a second route: none of the exchange graph's
-        # search, exchange or completion kernels
+        # the flip graph and flip are a second route: none of the exchange
+        # graph's search, exchange or completion kernels
         imported = {
             alias.name
             for node in ast.walk(ast.parse(Path(polygon.__file__).read_text()))
             if isinstance(node, (ast.Import, ast.ImportFrom))
             for alias in node.names
         }
-        assert "swap" in imported
-        assert not {"exchanges", "completions", "orbit_cliques", "maximal_rigid_reps"} & imported
+        forbidden = {"swap", "exchanges", "completions", "orbit_cliques", "maximal_rigid_reps"}
+        assert not forbidden & imported
 
     def test_polygon_names_no_ext(self):
         # non-crossing comes from geometry alone, never from Hom or Ext
@@ -851,11 +861,14 @@ class TestSecondRoute:
     @pytest.mark.parametrize("n", [6, 10])
     @pytest.mark.parametrize("rule", [off_by_one_apart, off_by_one_diameter])
     def test_apex_rule_off_by_one_corner_fails(self, n, rule, monkeypatch):
+        # the flip kernel is built once per table
         monkeypatch.setattr(polygon, "_flipped", rule)
+        polygon.polygon_table.cache_clear()
         polygon.flip_graph.cache_clear()
         try:
             report = verify.run_suite("polygon", n)
         finally:
+            polygon.polygon_table.cache_clear()
             polygon.flip_graph.cache_clear()
         failed = [c.name for c in report.checks if not c.ok]
         assert "flip-graph-isomorphism" in failed
@@ -887,6 +900,91 @@ class TestSecondRoute:
         failed = [c.name for c in report.checks if not c.ok]
         assert failed == ["triangulation-bijection", "flip-graph-isomorphism"]
         assert "FAIL polygon/flip-graph-isomorphism" in capsys.readouterr().out
+
+
+def off_the_polygon(a, b, n):
+    """A doctored apex rule: every flip the diameter one corner past the
+    first apex, which for the apex n ends past corner 2n."""
+    return (a + 1, a + n + 1)
+
+
+def beyond_the_corners(a, b, n):
+    """A doctored apex rule: a second corner past 2n."""
+    return (a, a + 2 * n + 1)
+
+
+def flip_or_none(tri, p):
+    """``flip(tri, p)``, or None where its mask is no triangulation."""
+    try:
+        return flip(tri, p)
+    except StructuralError:
+        return None
+
+
+class TestOneFlipRule:
+    """``flip`` is the flip graph's corner kernel, turned onto the lowest
+    diameter; ``swap`` on ``noncross`` is kept here as a reference route."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_flip_equals_swap_on_noncross(self, n):
+        # every node, through every diameter, and every pair of it
+        table = polygon_table(n)
+        for mask in maximal_rigid_masks(n):
+            for i in bit_indices(mask):
+                assert table.flip(mask, i) == swap(table.noncross, mask, i), (mask, i)
+
+    def test_flip_reads_no_noncross(self, monkeypatch):
+        real = polygon_table(6)
+        want = {
+            (mask, i): flip(real.triangulation(mask), real.pairs[i])
+            for mask in maximal_rigid_masks(6)
+            for i in bit_indices(mask)
+        }
+        zeroed = polygon.PolygonTable(6, real.keys, (0,) * len(real.keys), real.diameters)
+        monkeypatch.setattr(polygon, "polygon_table", lambda n: zeroed)
+        for (mask, i), tri in want.items():
+            assert flip(real.triangulation(mask), real.pairs[i]) == tri, (mask, i)
+
+    @pytest.mark.parametrize("rule", [off_by_one_apart, off_by_one_diameter])
+    def test_apex_rule_off_by_one_corner_changes_flip(self, rule, monkeypatch):
+        table, masks = polygon_table(6), maximal_rigid_masks(6)
+        monkeypatch.setattr(polygon, "_flipped", rule)
+        polygon.polygon_table.cache_clear()
+        try:
+            assert any(
+                flip_or_none(tri, p) != reference_flip(tri, p)
+                for tri in map(table.triangulation, masks)
+                for p in tri.sorted_pairs()
+            )
+        finally:
+            polygon.polygon_table.cache_clear()
+
+    @pytest.mark.parametrize(
+        "rule, corners",
+        [
+            (off_the_polygon, "apexes 6 and 6 at rank 6 joins corners 7 and 13"),
+            (beyond_the_corners, "apexes 2 and 2 at rank 6 joins corners 2 and 15"),
+        ],
+        ids=["off_the_polygon", "beyond_the_corners"],
+    )
+    def test_flip_off_the_polygon_is_a_theorem_violation(
+        self, rule, corners, monkeypatch, capsys
+    ):
+        text = f"the flip with {corners}, no diagonal of the 12-gon"
+        monkeypatch.setattr(polygon, "_flipped", rule)
+        polygon.polygon_table.cache_clear()
+        polygon.flip_graph.cache_clear()
+        try:
+            with pytest.raises(TheoremViolationError, match=f"^{text}$"):
+                polygon_table(6).flips
+            assert main(["verify", "--rank", "6", "--suite", "polygon"]) == 1
+        finally:
+            polygon.polygon_table.cache_clear()
+            polygon.flip_graph.cache_clear()
+        out, err = capsys.readouterr()
+        assert f"FAIL polygon/triangulation-bijection: {text}\n" in out
+        assert f"FAIL polygon/flip-graph-isomorphism: {text}\n" in out
+        assert err == ""
 
 
 def touching(d, e):
@@ -964,6 +1062,22 @@ class TestCornerKernel:
         pairs = polygon_table(n).pairs
         assert polygon_table(n).pairs is pairs
         assert len(built) == 2 * n * (n - 1)
+
+    def test_cold_table_crosses_each_pair_twice(self, monkeypatch):
+        # the half-turn gives the other two crossings of a pair of pairs
+        n, calls, real = 7, [], polygon._cross
+
+        def counted(d, e):
+            calls.append((d, e))
+            return real(d, e)
+
+        monkeypatch.setattr(polygon, "_cross", counted)
+        polygon.polygon_table.cache_clear()
+        try:
+            polygon_table(n)
+        finally:
+            polygon.polygon_table.cache_clear()
+        assert len(calls) <= 2 * (n - 1) * (n * (n - 1) - 1)
 
     def test_image_of_another_polygon_is_missed(self, monkeypatch):
         # its corners are those of a diagonal of the decagon, beyond the
