@@ -91,79 +91,73 @@ def _getter(bits: Sequence[int]) -> Callable[[Sequence], tuple]:
     return itemgetter(*bits) if len(bits) > 1 else lambda seq: tuple(seq[i] for i in bits)
 
 
-def _step(bk: tuple[int, ...], k: int, p: int, w: int) -> tuple:
-    """What mutation at ``k``, with index ``k`` written at position ``p``,
-    the others kept in order around it, and turned by ``w`` as
-    :func:`_turn` does, reads off row k, ``bk``: ``move``, every position
-    in its new order, and ``others``, all but ``k``; row k's nonzero
-    entries as ``(j, b_kj, |b_kj|)``; and row k's new position and row,
-    ``-move(bk)``."""
-    size = len(bk)
+def _getters(size: int, k: int, p: int, w: int) -> tuple:
+    """What mutation at ``k`` of a ``size``-square matrix, with index ``k``
+    written at position ``p``, the others kept in order around it, and
+    turned by ``w`` as :func:`_turn` does, reads off any of its rows:
+    ``move``, all positions in new order, ``others``, all but ``k``, and
+    ``slot``, row k's new position."""
     perm = [*range(k), *range(k + 1, size)]
     perm.insert(p, k)
     perm = perm[w:] + perm[:w]
-    move, others = _getter(perm), _getter([i for i in perm if i != k])
-    nonzero = [(j, v, abs(v)) for j, v in enumerate(bk) if v]
-    return move, others, nonzero, (p - w) % size, tuple(map(neg, move(bk)))
-
-
-def _mutate_row(row: tuple[int, ...], k: int, nonzero: list, move: Callable) -> tuple[int, ...]:
-    """A row other than row k of a matrix mutated at ``k``, moved by
-    ``move``; ``nonzero`` is row k's, from :func:`_step`.
-
-    Its column-k entry changes sign, and it changes elsewhere only where
-    that entry and row k are both nonzero.
-    """
-    c = row[k]
-    if c == 0:
-        return move(row)
-    row, a = list(row), abs(c)
-    for j, v, av in nonzero:
-        row[j] += (a * v + c * av) // 2
-    row[k] = -c
-    return move(row)
+    return _getter(perm), _getter([i for i in perm if i != k]), (p - w) % size
 
 
 def _mutate_rows(b: Rows, k: int, p: int, w: int = 0) -> Rows:
-    """Fomin-Zelevinsky mutation at ``k`` of a square matrix of rows,
-    with index ``k`` written at position ``p`` and the others kept in
-    order around it, and turned by ``w`` as :func:`_turn` does, in one step.
-    """
-    move, others, nonzero, slot, k_row = _step(b[k], k, p, w)
-    new = [_mutate_row(row, k, nonzero, move) for row in others(b)]
-    new.insert(slot, k_row)
+    """Fomin-Zelevinsky mutation at ``k`` of a square matrix of rows, with
+    index ``k`` written at position ``p``, the others kept in order around
+    it, and turned by ``w`` as :func:`_turn` does, in one step."""
+    move, others, slot = _getters(len(b), k, p, w)
+    new = []
+    for row in others(b):
+        c = row[k]
+        row = [v + (abs(c) * x + c * abs(x)) // 2 for v, x in zip(row, b[k])]
+        row[k] = -c
+        new.append(move(row))
+    new.insert(slot, tuple(map(neg, move(b[k]))))
     return tuple(new)
 
 
 class _RowMemo(dict):
-    """One step of :meth:`RowTable.mutate`, for the matrices whose row k
-    is ``bk``: each row id maps to the id of that row mutated, moved and
-    turned, by :func:`_mutate_row` on first use.  Row k's own position,
-    ``slot``, takes ``k_row``, the id of row k's new row: a row equal to
-    row k at another position has ``b_ik = b_kk = 0``, so it only moves,
-    and is mapped like any other."""
+    """The row ids of one memo record of :meth:`RowTable.mutate`, for the
+    matrices whose row k is one row: each maps to the id of that row
+    mutated, moved and turned.  A miss computes it, from row k's
+    ``nonzero`` entries ``(j, b_kj, |b_kj|)``, moves it and interns it in
+    ``table``, in one call.  A row equal to row k at another position
+    has ``b_ik = b_kk = 0``, so it only moves, as any other."""
 
-    __slots__ = ("table", "k", "move", "others", "nonzero", "slot", "k_row")
-
-    def __init__(self, table: RowTable, bk: tuple[int, ...], k: int, p: int, w: int):
-        self.table, self.k = table, k
-        self.move, self.others, self.nonzero, self.slot, k_row = _step(bk, k, p, w)
-        self.k_row = table.intern(k_row)
+    __slots__ = ("table", "k", "nonzero", "move")
 
     def __missing__(self, i: int) -> int:
-        row = _mutate_row(self.table.rows[i], self.k, self.nonzero, self.move)
-        new = self[i] = self.table.intern(row)
+        rows, known, k = self.table.rows, self.table._ids, self.k
+        row = rows[i]
+        c = row[k]
+        if c:
+            row, a = list(row), abs(c)
+            for j, v, av in self.nonzero:
+                row[j] += (a * v + c * av) // 2
+            row[k] = -c
+        row = self.move(row)
+        new = known.get(row)
+        if new is None:
+            new = known[row] = len(rows)
+            rows.append(row)
+        self[i] = new
         return new
 
 
 class RowTable:
     """Each distinct row once, in ``rows``, numbered by its id, and
-    mutation on matrices stored as tuples of row ids."""
+    mutation on matrices stored as tuples of row ids.  :meth:`mutate` keys
+    ``memos`` by ints packed in base ``size``: a step ``s = (k, p, w)``'s
+    :func:`_getters` by ``~s``, and its record ``(get, others, slot,
+    k_row)`` for row-k id ``r`` by ``s + r*size³``, ``get`` reading a
+    :class:`_RowMemo` and ``k_row`` the id of row k's new row."""
 
     def __init__(self) -> None:
         self.rows: list[tuple[int, ...]] = []
         self._ids: dict[tuple[int, ...], int] = {}
-        self.memos: dict[tuple[int, int, int, int], _RowMemo] = {}
+        self.memos: dict[int, tuple] = {}
 
     def intern(self, row: tuple[int, ...]) -> int:
         """The id of ``row``, added if it is new."""
@@ -177,14 +171,21 @@ class RowTable:
         return tuple(map(self.rows.__getitem__, ids))
 
     def mutate(self, ids: tuple[int, ...], k: int, p: int, w: int) -> tuple[int, ...]:
-        """:func:`_mutate_rows` on the matrix of row ids ``ids``, through one
-        :class:`_RowMemo` per ``(id of row k, k, p, w)``."""
-        key = (ids[k], k, p, w)
-        memo = self.memos.get(key)
-        if memo is None:
-            memo = self.memos[key] = _RowMemo(self, self.rows[ids[k]], k, p, w)
-        new = list(map(memo.__getitem__, memo.others(ids)))
-        new.insert(memo.slot, memo.k_row)
+        """:func:`_mutate_rows` on the matrix of row ids ``ids``, through
+        its memo record."""
+        size, memos = len(ids), self.memos
+        key = ((ids[k] * size + k) * size + p) * size + w
+        record = memos.get(key)
+        if record is None:
+            step, memo, bk = ~((k * size + p) * size + w), _RowMemo(), self.rows[ids[k]]
+            move, others, slot = memos.get(step) or memos.setdefault(step, _getters(size, k, p, w))
+            memo.table, memo.k, memo.move = self, k, move
+            memo.nonzero = [(j, v, abs(v)) for j, v in enumerate(bk) if v]
+            k_row = self.intern(tuple(map(neg, move(bk))))
+            record = memos[key] = (memo.__getitem__, others, slot, k_row)
+        get, others, slot, k_row = record
+        new = list(map(get, others(ids)))
+        new.insert(slot, k_row)
         return tuple(new)
 
 
@@ -252,8 +253,9 @@ class ExchangeGraph(QuotientGraph):
     The graph is its tau-quotient, ``reps`` and ``blocks`` from
     :func:`~clustertube.rigid.orbit_graph`, with the tops marked, as the
     flip graph's is.  Built on first read: ``nodes``, each node's mask in
-    :func:`~clustertube.rigid.maximal_rigid_masks` order, as
-    :attr:`FlipGraph.nodes <clustertube.polygon.FlipGraph.nodes>` are;
+    :func:`~clustertube.rigid.maximal_rigid_masks` order, the orbits
+    rotated shift-major and sorted (:func:`~clustertube.rigid.orbit_nodes`),
+    as :attr:`FlipGraph.nodes <clustertube.polygon.FlipGraph.nodes>` are;
     ``edges`` (see :class:`~clustertube.rigid.QuotientGraph`); ``order``,
     the BFS pop order of the nodes from the seed; and ``rows``, each node's
     canonical-order matrix as a tuple of rows.  :meth:`b_matrix` is the one
@@ -273,9 +275,11 @@ class ExchangeGraph(QuotientGraph):
 
     Only the representatives' matrices are stored, ``rep_ids[o]`` for
     orbit ``o``, each a tuple of ids into ``row_table``, and the walk
-    compares id tuples.  Each step is one :meth:`RowTable.mutate`, whose
-    memos the walk frees when it ends; at rank 8 its 1504 steps mutate
-    9024 rows other than row k, 2617 of them by the arithmetic.  A node's
+    compares id tuples.  Each step is one :meth:`RowTable.mutate`, through
+    a memo record per id of row k, k, position and turn, sharing getters
+    per k, position and turn, all in ``memos``, which the walk frees at
+    its end; at rank 8 its 1504 steps mutate 9024 rows other than row k,
+    2617 of them by the arithmetic, one call each.  A node's
     rows are decoded from its representative's ids and turned back by its
     own turn when ``rows`` or :meth:`b_matrix` first reads them.  Equal
     rows are one tuple, the table's (234 among 24 024 at rank 8), and so
@@ -306,12 +310,12 @@ class ExchangeGraph(QuotientGraph):
         self.rep_ids = stored = [None] * len(reps)
         stored[first] = tuple(map(row_table.intern, _turn(seed.matrix.entries, w)))
         self._turned: dict[tuple[int, int], Rows] = {}  # (o, w): orbit o's rows turned back by w
-        blocks, d, mutate = self.blocks, n - 1, row_table.mutate
+        blocks, d, mutate, tau_power = self.blocks, n - 1, row_table.mutate, self.tau_power
         for step in steps:
             (o, k), (o2, j2) = divmod(step, d), divmod(blocks[step], n)
             mask, mask2, w2 = reps[o], reps[o2], 0
             if j2:  # the top was swapped: the target is tau^-j2 of its representative
-                mask2, w2 = self.tau_power(mask2, j2)
+                mask2, w2 = tau_power(mask2, j2)
             p = (mask2 & (mask2 & ~mask) - 1).bit_count()  # the new summand's position
             ids = mutate(stored[o], k, p, w2)
             seen = stored[o2]

@@ -120,10 +120,12 @@ def _sort_by_indices(masks: list[int], size: int) -> None:
 
 
 def orbit_nodes(reps: Iterable[int], n: int) -> tuple[int, ...]:
-    """The nodes of the orbits of ``reps``, sorted by bit indices."""
+    """The nodes of the orbits of ``reps``, sorted by bit indices.  Rotated
+    shift-major, sorted ``reps`` keep much of their order: the sort merges
+    508 ascending runs at rank 8, against 1716 rotating one rep at a time."""
     size, step = n * (n - 1), n - 1
     full = (1 << size) - 1
-    masks = [(m << s | m >> size - s) & full for m in reps for s in range(0, size, step)]
+    masks = [(m << s | m >> size - s) & full for s in range(0, size, step) for m in reps]
     _sort_by_indices(masks, size)
     return tuple(masks)
 
@@ -146,7 +148,7 @@ def orbit_graph(
     size, d, low = n * (n - 1), n - 1, (marked & -marked).bit_length()
     full = (1 << size) - 1
     number = {r: o for o, r in enumerate(reps)}
-    blocks = array("l")
+    blocks = array("i")
     get, append = number.get, blocks.append
     for masks in targets:
         for mask in masks:
@@ -185,18 +187,19 @@ def cover_walk(blocks: Sequence[int], n: int, start: int) -> tuple[array, int]:
     potential = [-1] * (len(blocks) // d)  # -1: not reached
     potential[start] = 0
     popped = bytearray(len(potential))
-    order, steps, g = [start], array("l"), n
+    order, steps, g = [start], array("i"), n
     for o in order:  # the queue: read as it grows
         popped[o] = 1
         here = potential[o]
-        for step in range(o * d, o * d + d):
-            o2, j2 = divmod(blocks[step], n)
+        # x = o2*n + j2, and g divides n, so x stands for j2 mod n and mod g
+        for step, x in enumerate(blocks[o * d : o * d + d], o * d):
+            o2 = x // n
             there = potential[o2]
             if there < 0:
-                potential[o2] = (here + j2) % n
+                potential[o2] = (here + x) % n
                 order.append(o2)
             elif g > 1:
-                g = gcd(g, here + j2 - there)
+                g = gcd(g, here + x - there)
             if not popped[o2] or o2 == o:
                 steps.append(step)
     return steps, len(order) * n // g
@@ -235,8 +238,8 @@ class QuotientGraph:
         """tau^-j of the node ``mask``, its mask rotated up by j(n-1) bits,
         and the number of its bits that wrap: the node's turn when ``mask``
         is its representative."""
-        size, shift = self.n * (self.n - 1), j * (self.n - 1)
-        return rotate(mask, shift, size), (mask >> size - shift).bit_count()
+        size, low = self.n * (self.n - 1), (self.n - j) * (self.n - 1)  # bits from low up wrap
+        return (mask << size - low | mask >> low) & (1 << size) - 1, (mask >> low).bit_count()
 
     @cached_property
     def edges(self) -> array:
@@ -396,16 +399,19 @@ def rigid_table(n: int) -> RigidTable:
     """The integer table of rank ``n``.
 
     Ext is swept once, for the objects of socle 1, and rotated from
-    there (:func:`tau_swept`): Ext is invariant under tau.
+    there (:func:`tau_swept`): Ext is invariant under tau, which the row of
+    index n-1, the top of socle 2, computed from Ext as well, must confirm.
     """
     objs = enumerate_rigid_indecs(n)
     index = {x: i for i, x in enumerate(objs)}
-    compat = tau_swept(
-        n,
-        lambda i: sum(
-            1 << j for j, y in enumerate(objs) if j != i and ext_dim_cluster(objs[i], y) == 0
-        ),
-    )
+
+    def row(i: int) -> int:
+        x = objs[i]
+        return sum(1 << j for j, y in enumerate(objs) if j != i and ext_dim_cluster(x, y) == 0)
+
+    compat = tau_swept(n, row)
+    if row(n - 1) != compat[n - 1]:
+        raise TheoremViolationError(f"Ext is not tau-invariant at rank {n}: {objs[n - 1]}'s row")
     tops = {i: x for i, x in enumerate(objs) if x.b == n - 1}
     wings = {
         i: sum(1 << j for j, y in enumerate(objs) if wing_contains(top, y))
@@ -458,12 +464,16 @@ class MaximalRigid(FrozenRecord):
 _set_n, _set_mask = MaximalRigid.n.__set__, MaximalRigid.mask.__set__
 
 
-def _node(n: int, mask: int) -> MaximalRigid:
-    """The :class:`MaximalRigid` of ``mask``, unchecked."""
-    t = object.__new__(MaximalRigid)
-    _set_n(t, n)
-    _set_mask(t, mask)
-    return t
+def _nodes(n: int, masks: Iterable[int]) -> list[MaximalRigid]:
+    """The :class:`MaximalRigid` of each of ``masks``, unchecked, in one
+    loop with no call per node but the slots' own."""
+    new, nodes = object.__new__, []
+    for mask in masks:
+        t = new(MaximalRigid)
+        _set_n(t, n)
+        _set_mask(t, mask)
+        nodes.append(t)
+    return nodes
 
 
 def _defect(table: RigidTable, mask: int) -> str:
@@ -476,7 +486,7 @@ def _checked(table: RigidTable, mask: int) -> MaximalRigid | str:
     """The :class:`MaximalRigid` of ``mask``, checked as construction
     checks it, without parsing its summands back into a mask; or, if the
     check fails, the summands and the defect."""
-    return _defect(table, mask) or _node(table.n, mask)
+    return _defect(table, mask) or _nodes(table.n, [mask])[0]
 
 
 def _of_mask(table: RigidTable, mask: int) -> MaximalRigid:
@@ -565,7 +575,7 @@ def enumerate_maximal_rigid(n: int) -> tuple[MaximalRigid, ...]:
     table = rigid_table(n)
     if not _tau_equivariant(table):
         raise TheoremViolationError(f"tau is not an automorphism of the rank-{n} table")
-    return tuple([_node(n, mask) for mask in maximal_rigid_masks(n)])
+    return tuple(_nodes(n, maximal_rigid_masks(n)))
 
 
 def tilting_datum_of(table: RigidTable, mask: int) -> tuple[int, int]:

@@ -6,7 +6,7 @@ from array import array
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from clustertube import (
     ExchangeMatrix,
@@ -859,6 +859,19 @@ def skew_symmetrizable(draw):
     return tuple(tuple(r) for r in rows)
 
 
+def memo_key(ids, k, p, w):
+    """The key of the memo record ``RowTable.mutate(ids, k, p, w)`` reads:
+    the id of row k, ``k``, ``p`` and ``w``, packed in base ``len(ids)``."""
+    size = len(ids)
+    return ((ids[k] * size + k) * size + p) * size + w
+
+
+def memo_entries(table):
+    """The row mutations ``table``'s memo records have stored: each
+    record's first item reads its ``_RowMemo``."""
+    return sum(len(record[0].__self__) for key, record in table.memos.items() if key >= 0)
+
+
 def kernel_agrees(table, b):
     """``RowTable.mutate`` on ``b``'s row ids, decoded, against
     ``_mutate_rows`` at every k, p and w."""
@@ -881,9 +894,29 @@ class TestRowKernel:
         assert is_sign_skew_symmetric(b)
         table = mutation.RowTable()
         kernel_agrees(table, b)  # cold: each (row k, k, p, w) is new
-        misses = sum(map(len, table.memos.values()))
+        misses = memo_entries(table)
         kernel_agrees(table, b)  # warm: every row is a hit
-        assert sum(map(len, table.memos.values())) == misses
+        assert memo_entries(table) == misses
+
+    @settings(max_examples=60, deadline=None)
+    @given(skew_symmetrizable(), st.data())
+    def test_other_row_k_shares_the_step_getters(self, b, data):
+        # the getters depend on (k, p, w) only: two matrices whose row k
+        # differs get two memo records and one set of getters
+        size = len(b)
+        k, p, w = (data.draw(st.integers(0, size - 1)) for _ in range(3))
+        assume(any(b[k]))
+        b2 = mutation._mutate_rows(b, k, k)  # row k negated
+        table = mutation.RowTable()
+        records = []
+        for m in (b, b2):
+            ids = tuple(map(table.intern, m))
+            assert table.decode(table.mutate(ids, k, p, w)) == mutation._mutate_rows(m, k, p, w)
+            records.append(table.memos[memo_key(ids, k, p, w)])
+        first, second = records
+        assert first[0].__self__ is not second[0].__self__
+        assert first[0].__self__.move is second[0].__self__.move and first[1] is second[1]
+        assert [key for key in table.memos if key < 0] == [~((k * size + p) * size + w)]
 
     @settings(max_examples=60, deadline=None)
     @given(skew_symmetrizable())

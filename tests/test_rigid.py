@@ -426,18 +426,44 @@ class TestOrbitBuilds:
         assert all(hash(t) == hash((t.n, t.mask)) for t in nodes)
         assert read == []
 
-    @pytest.mark.parametrize("edit", [other_wing_shrunk, socle_n_pair_cut])
+    @pytest.mark.parametrize("edit", [other_wing_shrunk, socle_n_pair_cut, top_dropped])
     def test_table_that_tau_does_not_preserve(self, monkeypatch, edit):
         # the representatives pass, so the rotations must not be taken
-        # on trust from them
+        # on trust from them: the wings, the rows and the tops each fail
         real = rigid.rigid_table
         monkeypatch.setattr(rigid, "rigid_table", lambda n: edit(real(n)))
         maximal_rigid_masks.cache_clear()
         try:
-            with pytest.raises(TheoremViolationError):
+            with pytest.raises(
+                TheoremViolationError, match="^tau is not an automorphism of the rank-5 table$"
+            ):
                 enumerate_maximal_rigid(5)
         finally:
             maximal_rigid_masks.cache_clear()
+
+    @pytest.mark.parametrize("pair", [((1, 4), (3, 1)), ((2, 4), (4, 1)), ((2, 4), (2, 2))])
+    def test_ext_that_tau_does_not_preserve(
+        self, monkeypatch, capsys, clear_package_caches, pair
+    ):
+        # Ext flipped on one ordered pair: of the top of socle 1, whose row
+        # the sweep turns onto the top of socle 2's, or of that top, whose
+        # row is also computed; the table itself must not be built
+        real = rigid.ext_dim_cluster
+        x, y = (obj(a, b, 5) for a, b in pair)
+
+        def flipped(s, t):
+            return int(not real(s, t)) if (s, t) == (x, y) else real(s, t)
+
+        monkeypatch.setattr(rigid, "ext_dim_cluster", flipped)
+        clear_package_caches()
+        text = r"^Ext is not tau-invariant at rank 5: \(2,4\)@5's row$"
+        try:
+            with pytest.raises(TheoremViolationError, match=text):
+                rigid_table(5)
+            assert main(["verify", "--rank", "5", "--suite", "counts"]) == 1
+        finally:
+            clear_package_caches()
+        assert capsys.readouterr().err.startswith("verification failure: ")
 
 
 class TestMaximalRigidType:
