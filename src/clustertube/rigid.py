@@ -11,11 +11,13 @@ table by :func:`maximal_cliques`.  Tilting data and cluster-tilting
 witnesses are :func:`tilting_datum_of` and :func:`tilting_witness`.
 
 Tau, as turning the 2n-gon, rotates indices by n-1 bits, so both models
-sweep their tables for socle 1 only (:func:`tau_swept`), and
-:func:`maximal_rigid_reps` searches one clique per orbit, through the
-lowest top.  Everything reads these representatives: :func:`orbit_graph`
-makes either graph's tau-quotient from their targets alone, exchanged
-here, flipped in the polygon model, and :func:`orbit_nodes` expands them
+sweep their tables for socle 1 only (:func:`tau_swept`).
+:func:`rigid_table` certifies ``compat`` symmetric, so a clique of it is
+rigid, and :func:`maximal_rigid_reps` searches one clique per orbit,
+through the lowest top, checking each by whole-mask tests.  Everything
+reads these representatives: :func:`orbit_graph` makes either graph's
+tau-quotient from their targets alone, exchanged here, flipped in the
+polygon model, and :func:`orbit_nodes` expands them
 into the sorted nodes, from which :func:`enumerate_maximal_rigid` makes
 each :class:`MaximalRigid` unchecked, as its mask, once tau is shown to
 preserve the table.
@@ -401,6 +403,11 @@ def rigid_table(n: int) -> RigidTable:
     Ext is swept once, for the objects of socle 1, and rotated from
     there (:func:`tau_swept`): Ext is invariant under tau, which the row of
     index n-1, the top of socle 2, computed from Ext as well, must confirm.
+    In a 2-Calabi-Yau category Ext-compatibility is symmetric, so each
+    swept row must equal its column, bit i of every row: that also checks
+    every rotated row against Ext, and certifies that a clique of
+    ``compat`` is pairwise compatible, as :func:`maximal_rigid_reps` takes
+    it to be.
     """
     objs = enumerate_rigid_indecs(n)
     index = {x: i for i, x in enumerate(objs)}
@@ -412,6 +419,13 @@ def rigid_table(n: int) -> RigidTable:
     compat = tau_swept(n, row)
     if row(n - 1) != compat[n - 1]:
         raise TheoremViolationError(f"Ext is not tau-invariant at rank {n}: {objs[n - 1]}'s row")
+    for i in range(n - 1):
+        diff = compat[i] ^ sum(1 << j for j, r in enumerate(compat) if r >> i & 1)
+        if diff:
+            j = (diff & -diff).bit_length() - 1
+            raise TheoremViolationError(
+                f"Ext-compatibility is not symmetric at rank {n}: {objs[i]} and {objs[j]}"
+            )
     tops = {i: x for i, x in enumerate(objs) if x.b == n - 1}
     wings = {
         i: sum(1 << j for j, y in enumerate(objs) if wing_contains(top, y))
@@ -427,7 +441,8 @@ class MaximalRigid(FrozenRecord):
     Construction validates everything (:meth:`RigidTable.defect`): n-1
     distinct pairwise compatible rigid summands, a unique top of
     quasi-length n-1, and containment of all summands in the top's wing.
-    The search validates each tau-orbit's representative so
+    The search checks each tau-orbit's representative by whole-mask
+    tests, as a clique of the certified symmetric ``compat``
     (:func:`maximal_rigid_reps`), and :func:`enumerate_maximal_rigid`
     makes every node of its orbit unchecked once :func:`_tau_equivariant`
     shows that its rotations pass too.  It compares and hashes as the
@@ -528,20 +543,28 @@ def compatibility(n: int) -> dict[TubeObject, frozenset[TubeObject]]:
 def maximal_rigid_reps(n: int) -> tuple[int, ...]:
     """The masks of the maximal rigid objects through the lowest top, one
     per tau-orbit, sorted by their bit indices: the maximal cliques of
-    ``compat`` through that top, each checked by
-    :meth:`RigidTable.defect`, whose test of exactly one top keeps an
-    orbit from being listed twice.  A second search, every top excluded,
-    must find no maximal clique at all."""
+    ``compat`` through that top.
+
+    Each is a clique of the symmetric ``compat`` that :func:`rigid_table`
+    certifies, so its summands are pairwise compatible, and it is checked
+    by whole-mask tests alone, in :meth:`RigidTable.defect`'s order: n-1
+    summands, the lowest top its only top, which keeps an orbit from
+    being listed twice, and no summand outside that top's wing.  A mask
+    that fails raises ``defect``'s text.  A second search, every top
+    excluded, must find no maximal clique at all.  A table built by hand
+    with an asymmetric ``compat`` is not checked for rigidity here;
+    ``counts/tilting-roundtrip`` runs the full ``defect``."""
     table = rigid_table(n)
-    reps = maximal_cliques(table.compat, seed=table.tops & -table.tops)
-    for mask in reps + maximal_cliques(table.compat, excluded=table.tops)[:1]:
-        if not mask & table.tops:
+    tops, low = table.tops, table.tops & -table.tops
+    wing = table.wings[low.bit_length() - 1]
+    reps = maximal_cliques(table.compat, seed=low)
+    for mask in reps + maximal_cliques(table.compat, excluded=tops)[:1]:
+        if not mask & tops:
             raise TheoremViolationError(
                 f"maximal rigid object without a top: {table.objects_of(mask)}"
             )
-        text = _defect(table, mask)
-        if text:
-            raise TheoremViolationError(text)
+        if mask.bit_count() != n - 1 or mask & tops != low or mask & ~wing:
+            raise TheoremViolationError(_defect(table, mask))
     _sort_by_indices(reps, len(table.objects))
     return tuple(reps)
 
@@ -569,7 +592,9 @@ def enumerate_maximal_rigid(n: int) -> tuple[MaximalRigid, ...]:
     """All maximal rigid objects, in :func:`maximal_rigid_masks` order.
 
     Each tau-orbit's representative, through the lowest top, was checked
-    by the search (:func:`maximal_rigid_reps`), and its rotations pass as
+    by the search (:func:`maximal_rigid_reps`: a clique of the symmetric
+    ``compat``, of n-1 summands, with one top and inside its wing), and
+    its rotations pass as
     it does: :func:`_tau_equivariant` holds.  So each node is made from
     its mask unchecked, its summands unread."""
     table = rigid_table(n)

@@ -29,8 +29,10 @@ def _bad_node(name: str, table: RigidTable, mask: int | None) -> CheckResult:
 
 def suite_counts(n: int) -> list[CheckResult]:
     """Counts and tilting data on the tau-quotient: each representative is
-    validated once, by :meth:`RigidTable.defect` in ``tilting-roundtrip``,
-    and with its one top its orbit has n nodes, one through each top."""
+    validated in full once, by :meth:`RigidTable.defect` in
+    ``tilting-roundtrip``, the one check that does not take the search's
+    premise, a symmetric ``compat``, on trust; and with its one top its
+    orbit has n nodes, one through each top."""
     checks = []
     rigids = enumerate_rigid_indecs(n)
     checks.append(

@@ -383,8 +383,9 @@ class TestOrbitBuilds:
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_checks_each_orbit_once(self, n, monkeypatch, clear_package_caches):
-        # from cold caches, the search checks each representative, and
-        # the seed's own construction its mask; nothing else is checked
+        # from cold caches, the search checks each representative by its
+        # whole-mask tests, a clique of the certified symmetric compat
+        # being rigid; the seed's own construction is the one defect call
         real, checked = rigid.RigidTable.defect, []
         monkeypatch.setattr(
             rigid.RigidTable, "defect", lambda self, m: checked.append(m) or real(self, m)
@@ -394,10 +395,15 @@ class TestOrbitBuilds:
         enumerate_maximal_rigid(n)
         mutation.build_exchange_graph(n)
         polygon.flip_graph(n)
-        *reps, seed = checked
+        calls = list(checked)  # before initial_seed below checks its mask again
+        assert calls == [mutation.initial_seed(n).object.mask]
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_every_representative_passes_the_full_check(self, n):
+        # the reference route: defect's own walk, pairwise rigidity included
+        table, reps = rigid_table(n), rigid.maximal_rigid_reps(n)
         assert len(reps) == comb(2 * n - 2, n - 1) // n  # Catalan(n-1): 429 at n=8
-        assert sorted(reps) == sorted(rigid.maximal_rigid_reps(n))
-        assert seed == mutation.initial_seed(n).object.mask
+        assert [mask for mask in reps if table.defect(mask)] == []
 
     def test_reads_no_summands(self, monkeypatch, clear_package_caches):
         # a node is its mask: no summand tuple is built until one is read,
@@ -464,6 +470,49 @@ class TestOrbitBuilds:
         finally:
             clear_package_caches()
         assert capsys.readouterr().err.startswith("verification failure: ")
+
+
+class TestSymmetryCertificate:
+    """``rigid_table`` certifies ``compat`` symmetric, on the rows it
+    computes from Ext, so the search may take its cliques as rigid."""
+
+    @staticmethod
+    def flip(monkeypatch, a, b):
+        """Ext flipped on the one ordered pair ``(a, b)`` of rank 5."""
+        real = rigid.ext_dim_cluster
+        x, y = (obj(*c, 5) for c in (a, b))
+
+        def flipped(s, t):
+            return int(not real(s, t)) if (s, t) == (x, y) else real(s, t)
+
+        monkeypatch.setattr(rigid, "ext_dim_cluster", flipped)
+
+    def test_ext_that_is_not_symmetric(self, monkeypatch, capsys, clear_package_caches):
+        # the row of (1,1) is swept from Ext, and its column holds
+        # Ext((3,1),(1,1)) as the rotation of an unflipped row carries it
+        self.flip(monkeypatch, (1, 1), (3, 1))
+        clear_package_caches()
+        text = "Ext-compatibility is not symmetric at rank 5: (1,1)@5 and (3,1)@5"
+        try:
+            with pytest.raises(TheoremViolationError, match=f"^{re.escape(text)}$"):
+                rigid_table(5)
+            assert main(["verify", "--rank", "5", "--suite", "counts"]) == 1
+        finally:
+            clear_package_caches()
+        assert capsys.readouterr().err == f"verification failure: {text}\n"
+
+    def test_ext_read_only_through_rotation(self, monkeypatch, clear_package_caches):
+        # the row of (3,1) is the row of (1,1) turned twice: the flipped
+        # value is never read, and the table is the true one
+        want = rigid_table(5)
+        self.flip(monkeypatch, (3, 1), (1, 1))
+        clear_package_caches()
+        try:
+            table = rigid_table(5)
+            assert table is not want and table == want
+            assert len(rigid.maximal_rigid_reps(5)) == 14  # Catalan(4)
+        finally:
+            clear_package_caches()
 
 
 class TestMaximalRigidType:
