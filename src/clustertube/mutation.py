@@ -42,14 +42,12 @@ from .rigid import (
     MaximalRigid,
     QuotientGraph,
     _of_mask,
-    bit_indices,
     cover_walk,
     exchanges,
     maximal_rigid_masks,
     maximal_rigid_reps,
     orbit_graph,
     rigid_table,
-    swap,
 )
 from .tube import FrozenRecord, TubeObject
 
@@ -222,7 +220,8 @@ def initial_seed(n: int) -> Seed:
     has b_12 = -2, b_21 = 1 and alternating +-1 off-diagonal pairs below.
     """
     summands = tuple(TubeObject((j + 1) // 2, n - j, n) for j in range(1, n))
-    obj = MaximalRigid(n, summands)
+    table = rigid_table(n)
+    obj = _of_mask(table, table.mask_of(summands))  # computed: a defect falsifies a theorem
     size = n - 1
     rows = [[0] * size for _ in range(size)]
     if size >= 2:
@@ -235,13 +234,13 @@ def initial_seed(n: int) -> Seed:
 
 
 def exchange(t: MaximalRigid, k: int) -> tuple[MaximalRigid, int]:
-    """Swap summand ``k`` for its unique complement, by
-    :func:`~clustertube.rigid.swap` on ``t``'s mask; returns the new
+    """Swap summand ``k`` for its unique complement, by the graph's kernel
+    :func:`~clustertube.rigid.exchanges` on ``t``'s mask; returns the new
     object and the index the new summand occupies in canonical order."""
     if not 0 <= k < t.n - 1:
         raise IndexError(f"summand index {k} out of range")
     table = rigid_table(t.n)
-    mask = swap(table.compat, t.mask, bit_indices(t.mask)[k])
+    mask = exchanges(table.compat, t.mask)[k]
     new = mask & ~t.mask
     return _of_mask(table, mask), (mask & (new - 1)).bit_count()
 

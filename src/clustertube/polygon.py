@@ -50,7 +50,14 @@ from .rigid import (
     rotate,
     tau_swept,
 )
-from .tube import FrozenRecord, TubeObject, check_coordinates, check_rank, is_rigid_indec
+from .tube import (
+    FrozenRecord,
+    TubeObject,
+    check_coordinates,
+    check_int,
+    check_rank,
+    is_rigid_indec,
+)
 
 
 def _turned(p: int, q: int, n: int, k: int) -> tuple[int, int]:
@@ -99,6 +106,10 @@ class CsPair(FrozenRecord):
 
     def __post_init__(self) -> None:
         d1, d2, n = self.d1, self.d2, self.n
+        for d in (d1, d2):
+            if d.__class__ is not Diagonal:
+                raise StructuralError(f"{d!r} is not a diagonal")
+        check_int(n, "rank")  # an int below 2 is no diagonal's rank: the next test names it
         if d1.n != n:
             raise StructuralError(f"{d1} is not a diagonal of the {2 * n}-gon")
         if d2.n != n or _turned(d1.p, d1.q, n, n) != (d2.p, d2.q):
@@ -152,6 +163,7 @@ class CsTriangulation(FrozenRecord):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        check_rank(self.n)
         object.__setattr__(self, "pairs", frozenset(self.pairs))
         for p in self.pairs:
             if p.__class__ is not CsPair:

@@ -4,23 +4,24 @@ The rigid indecomposables of one rank are numbered in canonical order
 (:class:`RigidTable`), so a set of them is an int bitmask whose bits, read
 upwards, list it in canonical summand order.  Two kernels on these masks
 run under the exchange graph: the clique search :func:`maximal_cliques`,
-and :func:`exchanges`, a clique's n-1 exchanged masks (:func:`swap` gives
-one, by :func:`completions`); the polygon model flips by its own corner
-kernel, turning masks by :func:`rotate`, and checks its non-crossing
-table by :func:`maximal_cliques`.  Tilting data and cluster-tilting
-witnesses are :func:`tilting_datum_of` and :func:`tilting_witness`.
+and :func:`exchanges`, a clique's n-1 exchanged masks, by
+:func:`completions`, the one exchange kernel; the polygon model flips by
+its own corner kernel, turning masks by :func:`rotate`, and checks its
+non-crossing table by :func:`maximal_cliques`.  Tilting data and
+cluster-tilting witnesses are :func:`tilting_datum_of` and
+:func:`tilting_witness`.
 
 Tau, as turning the 2n-gon, rotates indices by n-1 bits, so both models
 sweep their tables for socle 1 only (:func:`tau_swept`).
 :func:`rigid_table` certifies ``compat`` symmetric, so a clique of it is
-rigid, and :func:`maximal_rigid_reps` searches one clique per orbit,
-through the lowest top, checking each by whole-mask tests.  Everything
-reads these representatives: :func:`orbit_graph` makes either graph's
-tau-quotient from their targets alone, exchanged here, flipped in the
-polygon model, and :func:`orbit_nodes` expands them
-into the sorted nodes, from which :func:`enumerate_maximal_rigid` makes
-each :class:`MaximalRigid` unchecked, as its mask, once tau is shown to
-preserve the table.
+rigid, and tau an automorphism of the table, wings included, so
+:func:`maximal_rigid_reps` searches one clique per orbit, through the
+lowest top, checking each by whole-mask tests.  Everything reads these
+representatives: :func:`orbit_graph` makes either graph's tau-quotient
+from their targets alone, exchanged here, flipped in the polygon model,
+and :func:`orbit_nodes` expands them into the sorted nodes, from which
+:func:`enumerate_maximal_rigid` makes each :class:`MaximalRigid`
+unchecked, as its mask.
 :class:`QuotientGraph` locates a node's orbit and turn from its mask and
 expands the nodes and edges when they are read, and :func:`cover_walk`
 certifies connectivity on the quotient, by voltages.
@@ -291,18 +292,12 @@ def completions(adj: Sequence[int], tbar: int) -> int:
     return _two_completions(tbar, found & ~tbar)
 
 
-def swap(adj: Sequence[int], mask: int, i: int) -> int:
-    """The maximal clique ``mask`` of ``adj`` with vertex ``i`` exchanged
-    for the other completion of the rest: exchange."""
-    rest = mask & ~(1 << i)
-    return rest | completions(adj, rest) & ~(1 << i)
-
-
 def exchanges(adj: Sequence[int], mask: int) -> list[int]:
-    """Every exchange of the maximal clique ``mask``, as :func:`swap` gives
-    them: the exchanged masks, lowest removed bit first.  Each rest's rows
-    are ANDed from a prefix and a suffix of the clique's rows, so a node
-    costs O(n) row intersections, not O(n²)."""
+    """Every exchange of the maximal clique ``mask``, each vertex for the
+    other :func:`completions` of the rest: the exchanged masks, lowest
+    removed bit first.  Each rest's rows are ANDed from a prefix and a
+    suffix of the clique's rows, so a node costs O(n) row intersections,
+    not O(n²).  The exchange graph and :func:`~clustertube.mutation.exchange` call it."""
     bits, suffix, m = [], [(1 << len(adj)) - 1], mask
     while m:  # highest bit first: suffix[i] ANDs the rows of the i highest
         v = m.bit_length() - 1
@@ -407,7 +402,10 @@ def rigid_table(n: int) -> RigidTable:
     swept row must equal its column, bit i of every row: that also checks
     every rotated row against Ext, and certifies that a clique of
     ``compat`` is pairwise compatible, as :func:`maximal_rigid_reps` takes
-    it to be.
+    it to be.  Last, rotating by n-1 bits must carry each top's wing to
+    the next top's, so tau is an automorphism of the table: of ``compat``
+    by the sweep, and of the tops, top ``(a, n-1)`` being index
+    ``(a-1)(n-1)``.  So a rotation of a maximal rigid mask is one.
     """
     objs = enumerate_rigid_indecs(n)
     index = {x: i for i, x in enumerate(objs)}
@@ -431,6 +429,9 @@ def rigid_table(n: int) -> RigidTable:
         i: sum(1 << j for j, y in enumerate(objs) if wing_contains(top, y))
         for i, top in tops.items()
     }
+    size, d = len(objs), n - 1
+    if any(rotate(w, d, size) != wings[(i + d) % size] for i, w in wings.items()):
+        raise TheoremViolationError(f"tau is not an automorphism of the rank-{n} table")
     return RigidTable(n, objs, index, compat, sum(1 << i for i in tops), wings)
 
 
@@ -444,8 +445,8 @@ class MaximalRigid(FrozenRecord):
     The search checks each tau-orbit's representative by whole-mask
     tests, as a clique of the certified symmetric ``compat``
     (:func:`maximal_rigid_reps`), and :func:`enumerate_maximal_rigid`
-    makes every node of its orbit unchecked once :func:`_tau_equivariant`
-    shows that its rotations pass too.  It compares and hashes as the
+    makes every node of its orbit unchecked, since :func:`rigid_table`
+    certifies that its rotations pass too.  It compares and hashes as the
     record ``(n, mask)``, and copies and pickles by its rank and
     summands, through the constructor, which checks them again.
     """
@@ -576,30 +577,15 @@ def maximal_rigid_masks(n: int) -> tuple[int, ...]:
     return orbit_nodes(maximal_rigid_reps(n), n)
 
 
-def _tau_equivariant(table: RigidTable) -> bool:
-    """Rotation by n-1 bits is an automorphism of ``table``: it takes
-    ``compat`` row i to row i+n-1, the tops to themselves, and each
-    top's wing to the next top's.  O(n²) ints."""
-    size, d = len(table.objects), table.n - 1
-    return (
-        all(rotate(table.compat[i - d], d, size) == row for i, row in enumerate(table.compat))
-        and rotate(table.tops, d, size) == table.tops
-        and {(i + d) % size: rotate(w, d, size) for i, w in table.wings.items()} == table.wings
-    )
-
-
 def enumerate_maximal_rigid(n: int) -> tuple[MaximalRigid, ...]:
     """All maximal rigid objects, in :func:`maximal_rigid_masks` order.
 
     Each tau-orbit's representative, through the lowest top, was checked
     by the search (:func:`maximal_rigid_reps`: a clique of the symmetric
     ``compat``, of n-1 summands, with one top and inside its wing), and
-    its rotations pass as
-    it does: :func:`_tau_equivariant` holds.  So each node is made from
-    its mask unchecked, its summands unread."""
-    table = rigid_table(n)
-    if not _tau_equivariant(table):
-        raise TheoremViolationError(f"tau is not an automorphism of the rank-{n} table")
+    its rotations pass as it does, since :func:`rigid_table` certifies
+    tau an automorphism of the table.  So each node is made from its mask
+    unchecked, its summands unread."""
     return tuple(_nodes(n, maximal_rigid_masks(n)))
 
 

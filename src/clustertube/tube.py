@@ -22,8 +22,15 @@ from __future__ import annotations
 from .errors import RankMismatchError
 
 
+def check_int(value, name: str) -> None:
+    """``value`` is an exact int: bool is an int subclass, and floats hash equal to ints."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def check_rank(n: int) -> None:
-    """Ranks start at 2; the rank-1 tube has no rigid indecomposables."""
+    """Ranks are ints from 2; the rank-1 tube has no rigid indecomposables."""
+    check_int(n, "rank")
     if n < 2:
         raise ValueError(f"rank must be >= 2, got {n}")
 
@@ -32,10 +39,7 @@ def check_coordinates(obj, names: tuple[str, ...]) -> None:
     """The fields ``names`` of ``obj`` are exact ints, and its rank
     ``obj.n`` is at least 2."""
     for name in names:
-        value = getattr(obj, name)
-        # exact type: bool is an int subclass, and floats hash equal to ints
-        if type(value) is not int:
-            raise ValueError(f"coordinate {name} must be an int, got {value!r}")
+        check_int(getattr(obj, name), f"coordinate {name}")
     check_rank(obj.n)
 
 

@@ -76,23 +76,21 @@ def suite_mutation(n: int) -> list[CheckResult]:
     # each almost complete object, one orbit of them at a time.  The bits
     # of the representatives meet each orbit of (cluster, bit) pairs once,
     # so an orbit of s objects counted k times has k*n/s clusters through
-    # each, which must be 2.  An orbit is named by its member whose one top
-    # is the lowest (then s = n), or else by its least member.
+    # each, which must be 2.  Each representative's one top is the lowest:
+    # an object that keeps it is its orbit's one member through it (s = n),
+    # and one without a top is named by its least turn.
     low, size = table.tops & -table.tops, len(table.objects)
     full = (1 << size) - 1
 
     def turns(mask: int) -> set[int]:  # rotate() inlined: its calls cost a fifth of the suite
         return {(mask >> s | mask << size - s) & full for s in range(0, size, d)}
 
-    found = Counter(r ^ 1 << i for r in maximal_rigid_reps(n) for i in bit_indices(r))
-    for mask in [m for m in found if m & table.tops != low]:  # onto one member
-        top, turned = mask & table.tops, turns(mask)
-        one = top and not top & top - 1
-        k, mask = found.pop(mask), next(t for t in turned if t & low) if one else min(turned)
-        found[mask] += k
-    bad = None
-    for mask, k in found.items():
-        s = n if mask & table.tops == low else len(turns(mask))
+    reps = maximal_rigid_reps(n)
+    with_top = Counter(r ^ 1 << i for r in reps for i in bit_indices(r ^ low))
+    no_top = Counter(min(turns(r ^ low)) for r in reps)
+    bad = next((f"{table.objects_of(m)}: {k}" for m, k in with_top.items() if k != 2), None)
+    for mask, k in no_top.items() if bad is None else ():
+        s = len(turns(mask))
         if k * n != 2 * s:
             bad = f"{table.objects_of(mask)}: {k * n // s}"
             break

@@ -36,11 +36,11 @@ from clustertube.reps import hom_dim_oracle
 from clustertube.rigid import (
     _checked,
     bit_indices,
+    completions,
     maximal_cliques,
     maximal_rigid_masks,
     rigid_table,
     rotate,
-    swap,
     tilting_datum_of,
     tilting_witness,
 )
@@ -54,6 +54,14 @@ from clustertube.tube import (
 )
 from clustertube.verify import _ENTRY_BOUND, CheckResult, _counterexample
 from clustertube.verify_rigid import _bad_node
+
+
+def swap(adj, mask, i):
+    """Reference for exchange (``rigid.exchanges``), one vertex at a time:
+    the maximal clique ``mask`` of ``adj`` with vertex ``i`` exchanged
+    for the other completion of the rest."""
+    rest = mask & ~(1 << i)
+    return rest | completions(adj, rest) & ~(1 << i)
 
 
 def cluster_of_tilting_datum(table, t, wing):

@@ -9,6 +9,7 @@ import pytest
 
 from clustertube import ExchangeMatrix, MaximalRigid
 from clustertube.cli import RANK_CEILING, build_parser, main
+from clustertube.rigid import RigidTable
 from clustertube.verify import SUITES
 
 
@@ -157,7 +158,8 @@ class TestExchangeGraph:
     def test_cold_export_builds_only_the_seed(
         self, n, fmt, monkeypatch, capsys, clear_package_caches
     ):
-        # nodes are written from their masks and the graph's rows
+        # nodes are written from their masks and the graph's rows; the
+        # seed's object is checked once, from its mask
         built = []
         for cls in (MaximalRigid, ExchangeMatrix):
 
@@ -166,10 +168,14 @@ class TestExchangeGraph:
                 real(self)
 
             monkeypatch.setattr(cls, "__post_init__", counted)
+        real = RigidTable.defect
+        monkeypatch.setattr(
+            RigidTable, "defect", lambda t, m: built.append("defect") or real(t, m)
+        )
         clear_package_caches()
         assert main(["exchange-graph", "--rank", str(n), "--format", fmt]) == 0
         assert capsys.readouterr().out
-        assert built == ["MaximalRigid", "ExchangeMatrix"]
+        assert built == ["defect", "ExchangeMatrix"]
 
 
 class TestBmatrix:

@@ -34,9 +34,8 @@ from clustertube.rigid import (
     maximal_rigid_masks,
     orbit_nodes,
     rigid_table,
-    swap,
 )
-from reference import clusters
+from reference import clusters, swap
 
 
 def wing_tilting_sets(a, m, n):

@@ -23,7 +23,7 @@ from clustertube import (
 )
 from clustertube import mutation, polygon, rigid, verify, verify_mutation
 from clustertube.cli import main
-from reference import cover_reach, is_sign_skew_symmetric
+from reference import cover_reach, is_sign_skew_symmetric, swap
 
 
 def obj(a, b, n):
@@ -183,17 +183,46 @@ class TestExchange:
 
     def test_falsified_exchange_is_a_theorem_violation(self, monkeypatch, capsys):
         # the exchanged mask is computed, not read: a non-rigid one
-        # falsifies the computation, so the CLI exits 1, not 2
-        monkeypatch.setattr(mutation, "swap", lambda adj, mask, i: mask & ~(1 << i) | 1 << 3)
+        # falsifies the computation, so the CLI exits 1, not 2.  The
+        # graph steps by the same kernel, so the CLI fails in its build
+        def doctored(adj, mask):
+            return [mask & ~(1 << i) | 1 << 3 for i in rigid.bit_indices(mask)]
+
+        monkeypatch.setattr(mutation, "exchanges", doctored)
         text = "((1,3)@4, (1,2)@4, (2,3)@4) is not rigid"
         with pytest.raises(TheoremViolationError, match=f"^{re.escape(text)}$"):
             exchange(mr(4, (1, 3), (1, 2), (1, 1)), 2)
         argv = ["mutate", "--rank", "4", "--object", "1,3;1,2;1,1", "--at", "1,1"]
-        assert main(argv) == 1
+        build_exchange_graph.cache_clear()
+        try:
+            assert main(argv) == 1
+        finally:
+            build_exchange_graph.cache_clear()
+        text = "exchange graph at rank 4 reaches [1, 2, 3], outside the enumeration of 20"
         assert capsys.readouterr().err == f"verification failure: {text}\n"
 
 
 class TestSeed:
+    def test_seed_that_fails_its_check_is_a_theorem_violation(
+        self, monkeypatch, capsys, clear_package_caches
+    ):
+        # the seed's mask is computed, not read: a defect falsifies the
+        # table, so verify fails a check and exits 1, not 2 as for bad input
+        seed = initial_seed(5).object.mask
+        real = rigid.RigidTable.defect
+        monkeypatch.setattr(
+            rigid.RigidTable, "defect", lambda t, m: "is doctored" if m == seed else real(t, m)
+        )
+        clear_package_caches()
+        try:
+            assert main(["verify", "--rank", "5", "--suite", "mutation"]) == 1
+        finally:
+            clear_package_caches()
+        text = "((1,4)@5, (1,3)@5, (2,2)@5, (2,1)@5) is doctored"
+        assert f"FAIL mutation/path-independence: {text}\n" in capsys.readouterr().out
+        with pytest.raises(TheoremViolationError, match=f"^{re.escape(text)}$"):
+            initial_seed(5)
+
     def test_order_must_be_the_summand_list(self):
         s = initial_seed(3)
         swapped = ExchangeMatrix(s.matrix.order[::-1], s.matrix.entries)
@@ -392,7 +421,8 @@ class TestExchangeGraph:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_cold_graph_builds_only_the_seed(self, n, monkeypatch):
-        # the object enumeration is not even imported
+        # the object enumeration is not even imported; the seed's object
+        # is checked once, from its mask
         assert not hasattr(mutation, "enumerate_maximal_rigid")
         built = []
         for cls in (rigid.MaximalRigid, ExchangeMatrix):
@@ -402,8 +432,12 @@ class TestExchangeGraph:
                 real(self)
 
             monkeypatch.setattr(cls, "__post_init__", counted)
+        real = rigid.RigidTable.defect
+        monkeypatch.setattr(
+            rigid.RigidTable, "defect", lambda t, m: built.append("defect") or real(t, m)
+        )
         g = mutation.ExchangeGraph(n)
-        assert built == ["MaximalRigid", "ExchangeMatrix"]
+        assert built == ["defect", "ExchangeMatrix"]
         t = MaximalRigid(n, rigid.rigid_table(n).objects_of(g.nodes[-1]))
         built.clear()
         assert g.b_matrix(t).order == t.summands
@@ -665,7 +699,7 @@ class TestVoltageCertificate:
         size = len(table.objects)
         for step in steps:
             o, k = divmod(step, d)
-            mask2 = rigid.swap(table.compat, reps[o], rigid.bit_indices(reps[o])[k])
+            mask2 = swap(table.compat, reps[o], rigid.bit_indices(reps[o])[k])
             ((o2, _),) = g.locate([mask2])
             j2 = next(j for j in range(n) if rigid.rotate(reps[o2], j * d, size) == mask2)
             assert g.blocks[step] == o2 * n + j2, step
@@ -723,7 +757,7 @@ class TestTauQuotient:
         def tampered(rows, ids, k, p, w):
             ids2, r = real(rows, ids, k, p, w), masks[steps[len(calls)] // (n - 1)]
             calls.append(None)
-            if representative(table, rigid.swap(table.compat, r, rigid.bit_indices(r)[k])) != r:
+            if representative(table, swap(table.compat, r, rigid.bit_indices(r)[k])) != r:
                 return ids2
             loops.append(None)
             if len(loops) - 1 != bad[0]:
@@ -751,7 +785,7 @@ class TestTauQuotient:
         k = data.draw(st.integers(0, 8), label="summand")
         j = g.edges[i * 9 + k]
         mask, mask2 = g.nodes[i], g.nodes[j]
-        assert rigid.swap(table.compat, mask, rigid.bit_indices(mask)[k]) == mask2
+        assert swap(table.compat, mask, rigid.bit_indices(mask)[k]) == mask2
         new = (mask2 & ~mask).bit_length() - 1
         p = (mask2 & ((1 << new) - 1)).bit_count()
         assert mutation._mutate_rows(g.rows[i], k, p) == g.rows[j]
@@ -1130,3 +1164,14 @@ class TestVerifyFailures:
         real = verify_mutation.maximal_rigid_reps
         monkeypatch.setattr(verify_mutation, "maximal_rigid_reps", lambda n: real(n)[1:])
         self.expect_failure(capsys, "unique-exchange")
+
+    def test_unique_exchange_counts_a_duplicated_cluster(self, monkeypatch, capsys):
+        # a representative listed twice: the almost complete objects that
+        # keep its top are met in three clusters
+        real = verify_mutation.maximal_rigid_reps
+        monkeypatch.setattr(verify_mutation, "maximal_rigid_reps", lambda n: real(n)[:1] + real(n))
+        self.expect_failure(capsys, "unique-exchange", ": completions of ")
+        r = real(5)[0]
+        text = f"{rigid.rigid_table(5).objects_of(r ^ 1 << rigid.bit_indices(r)[1])}: 3"
+        report = verify.run_suite("mutation", 5)
+        assert report.checks[-1].detail == f"completions of {text}"

@@ -1,5 +1,6 @@
 import ast
 import copy
+import re
 from array import array
 import hashlib
 from itertools import combinations
@@ -33,7 +34,7 @@ from clustertube import (
 from clustertube import mutation, polygon, rigid, verify, verify_polygon
 from clustertube.cli import main
 from clustertube.polygon import CsPair, polygon_table
-from clustertube.rigid import bit_indices, exchanges, maximal_rigid_masks, rigid_table, swap
+from clustertube.rigid import bit_indices, exchanges, maximal_rigid_masks, rigid_table
 from reference import (
     clusters,
     crosses_by_sets,
@@ -41,6 +42,7 @@ from reference import (
     cs_pairs_by_records,
     diagonals,
     polygon_table_by_records,
+    swap,
 )
 
 
@@ -110,6 +112,8 @@ class TestDiagonals:
 
 
 class TestCsPairs:
+    HEXAGON = (Diagonal(1, 3, 3), Diagonal(4, 6, 3))
+
     def test_rejects_diagonals_of_another_rank(self):
         with pytest.raises(StructuralError, match=r"^\[1,3\] is not a diagonal of the 8-gon$"):
             CsPair(Diagonal(1, 3, 3), Diagonal(4, 6, 3), 4)
@@ -118,6 +122,28 @@ class TestCsPairs:
     def test_rejects_a_pair_that_is_no_half_turn(self):
         with pytest.raises(StructuralError, match=r"^\[2,4\] is not the half-turn of \[1,3\]$"):
             CsPair(Diagonal(1, 3, 3), Diagonal(2, 4, 3), 3)
+
+    @pytest.mark.parametrize(
+        "members,n,error,text",
+        [
+            ((1, 2), 3, StructuralError, "1 is not a diagonal"),
+            (
+                (Diagonal(1, 3, 3), TubeObject(1, 2, 3)),
+                3,
+                StructuralError,
+                "(1,2)@3 is not a diagonal",
+            ),
+            (HEXAGON, 3.0, ValueError, "rank must be an int, got 3.0"),
+            (HEXAGON, "3", ValueError, "rank must be an int, got '3'"),
+            # an int rank below 2 keeps its text
+            (HEXAGON, 1, StructuralError, "[1,3] is not a diagonal of the 2-gon"),
+        ],
+        ids=["int-member", "object-member", "float-rank", "str-rank", "rank-1"],
+    )
+    def test_rejects_bad_arguments(self, members, n, error, text):
+        # never a TypeError or an AttributeError
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
+            CsPair(*members, n)
 
 
 class TestDelta:
@@ -224,6 +250,20 @@ class TestTriangulations:
     def test_member_that_is_not_a_pair_rejected(self, member, text):
         with pytest.raises(StructuralError, match=rf"^{text} is not a cs pair$"):
             CsTriangulation(3, frozenset({pair(1, 3, 3), member}))
+
+    @pytest.mark.parametrize(
+        "n,text",
+        [
+            (0, "rank must be >= 2, got 0"),
+            (1, "rank must be >= 2, got 1"),
+            (3.0, "rank must be an int, got 3.0"),
+            ("3", "rank must be an int, got '3'"),
+        ],
+    )
+    def test_rank_is_checked(self, n, text):
+        # rank 0 read "expected -1 pairs", and a float rank passed
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            CsTriangulation(n, frozenset())
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_accepts_exactly_the_cliques_with_one_diameter(self, n):
@@ -384,7 +424,8 @@ class TestFlipGraph:
 
     def test_graphs_keep_no_quotient_code(self):
         # both graphs take their orbits from rigid.orbit_graph alone; the
-        # exchange graph hands it exchanges and does nothing else with them
+        # exchange graph hands it exchanges, and its one step, exchange,
+        # takes one of them: nothing else uses the kernel
         for module in (polygon, mutation):
             names = names_in(module)
             assert "orbit_graph" in names
@@ -406,10 +447,16 @@ class TestFlipGraph:
             for node in ast.walk(tree)
             if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "orbit_graph"
         ]
-        uses = [
-            node for node in ast.walk(tree) if getattr(node, "id", "") == "exchanges"
+        (step,) = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "exchange"
         ]
-        assert len(uses) == 1 and uses[0] in list(ast.walk(call))
+
+        def uses(root):
+            return [node for node in ast.walk(root) if getattr(node, "id", "") == "exchanges"]
+
+        assert len(uses(tree)) == 2 and len(uses(call)) == len(uses(step)) == 1
 
     def test_polygon_imports_no_exchange_kernel(self):
         # the flip graph and flip are a second route: none of the exchange

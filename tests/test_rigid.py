@@ -28,7 +28,7 @@ from clustertube.rigid import (
     maximal_rigid_masks,
     rigid_table,
 )
-from reference import cluster_of_tilting_datum, clusters, orbit_graph_by_swaps
+from reference import cluster_of_tilting_datum, clusters, orbit_graph_by_swaps, swap
 
 
 def obj(a, b, n):
@@ -239,7 +239,7 @@ class TestOrbitGraph:
         for o, r in enumerate(reps):
             for k, v in enumerate(bit_indices(r)):
                 o2, j2 = divmod(g.blocks[o * d + k], n)
-                assert rigid.rotate(reps[o2], j2 * d, size) == rigid.swap(adj, r, v), (o, k)
+                assert rigid.rotate(reps[o2], j2 * d, size) == swap(adj, r, v), (o, k)
 
     def test_holds_no_block_per_node(self):
         # calibrated on per-node block writes, which peak at 2.43 MiB
@@ -280,29 +280,6 @@ def wing_shrunk(table):
     rest = table.wings[t0] & ~(1 << t0)
     wings = {**table.wings, t0: table.wings[t0] ^ rest & -rest}
     return rigid.RigidTable(table.n, table.objects, table.index, table.compat, table.tops, wings)
-
-
-def other_wing_shrunk(table):
-    """The second top's wing without its lowest other member: no
-    representative has that top, so only a rotated node meets the edit."""
-    rest = table.tops & table.tops - 1
-    t1 = (rest & -rest).bit_length() - 1
-    others = table.wings[t1] & ~(1 << t1)
-    wings = {**table.wings, t1: table.wings[t1] ^ others & -others}
-    return rigid.RigidTable(table.n, table.objects, table.index, table.compat, table.tops, wings)
-
-
-def socle_n_pair_cut(table):
-    """The first compatible pair of socle-n objects made incompatible,
-    both bits: every representative lies in the wing of the lowest top,
-    which holds no object of socle n."""
-    n = table.n
-    block = [i for i, x in enumerate(table.objects) if x.a == n]
-    i, j = next((i, j) for i, j in combinations(block, 2) if table.compat[i] >> j & 1)
-    compat = list(table.compat)
-    compat[i] ^= 1 << j
-    compat[j] ^= 1 << i
-    return rigid.RigidTable(n, table.objects, table.index, tuple(compat), table.tops, table.wings)
 
 
 class TestDoctoredTables:
@@ -432,20 +409,33 @@ class TestOrbitBuilds:
         assert all(hash(t) == hash((t.n, t.mask)) for t in nodes)
         assert read == []
 
-    @pytest.mark.parametrize("edit", [other_wing_shrunk, socle_n_pair_cut, top_dropped])
-    def test_table_that_tau_does_not_preserve(self, monkeypatch, edit):
-        # the representatives pass, so the rotations must not be taken
-        # on trust from them: the wings, the rows and the tops each fail
-        real = rigid.rigid_table
-        monkeypatch.setattr(rigid, "rigid_table", lambda n: edit(real(n)))
-        maximal_rigid_masks.cache_clear()
+    @pytest.mark.parametrize("edit", ["other_wing_shrunk", "other_wing_grown"])
+    def test_table_that_tau_does_not_preserve(
+        self, monkeypatch, capsys, clear_package_caches, edit
+    ):
+        # the second top's wing, one member short or one too many: no
+        # representative has that top, so the representatives pass, and
+        # the table itself must refuse to be built.  Its compat rows and
+        # tops cannot be edited so: the sweep makes the rows, and the tops
+        # are fixed by canonical order
+        real, top = rigid.wing_contains, obj(2, 4, 5)
+        edited = obj(2, 3, 5) if edit == "other_wing_shrunk" else obj(1, 1, 5)
+
+        def doctored(t, y):
+            return real(t, y) != (t == top and y == edited)
+
+        monkeypatch.setattr(rigid, "wing_contains", doctored)
+        clear_package_caches()
+        text = "tau is not an automorphism of the rank-5 table"
         try:
-            with pytest.raises(
-                TheoremViolationError, match="^tau is not an automorphism of the rank-5 table$"
-            ):
+            with pytest.raises(TheoremViolationError, match=f"^{text}$"):
+                rigid_table(5)
+            with pytest.raises(TheoremViolationError, match=f"^{text}$"):
                 enumerate_maximal_rigid(5)
+            assert main(["verify", "--rank", "5", "--suite", "all"]) == 1
         finally:
-            maximal_rigid_masks.cache_clear()
+            clear_package_caches()
+        assert capsys.readouterr().err == f"verification failure: {text}\n"
 
     @pytest.mark.parametrize("pair", [((1, 4), (3, 1)), ((2, 4), (4, 1)), ((2, 4), (2, 2))])
     def test_ext_that_tau_does_not_preserve(

@@ -1,8 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from clustertube import (
     Diagonal,
+    MaximalRigid,
     RankMismatchError,
     TubeObject,
     enumerate_rigid_indecs,
@@ -13,6 +16,9 @@ from clustertube import (
     tau,
     wing_contains,
 )
+from clustertube.polygon import polygon_table
+from clustertube.rigid import rigid_table
+from clustertube.tube import check_rank
 
 
 def obj(a, b, n):
@@ -44,6 +50,25 @@ class TestCoordinates:
         ):
             with pytest.raises(ValueError, match="^rank must be >= 2, got 1$"):
                 build()
+
+    @pytest.mark.parametrize("n", [3.0, True, "3", None])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            check_rank,
+            rigid_table,
+            polygon_table,
+            lambda n: MaximalRigid(n, (TubeObject(1, 2, 3), TubeObject(1, 1, 3))),
+        ],
+        ids=["check_rank", "rigid_table", "polygon_table", "MaximalRigid"],
+    )
+    def test_rank_that_is_not_an_int(self, build, n):
+        # a ValueError, not a TypeError from range(), with the rank-3
+        # tables warm: lru_cache keys a lone int argument by the int
+        # itself, so rank 3.0 misses them and reaches check_rank
+        rigid_table(3), polygon_table(3)
+        with pytest.raises(ValueError, match=f"^rank must be an int, got {re.escape(repr(n))}$"):
+            build(n)
 
     @pytest.mark.parametrize(
         "coords", [(True, 2, 3), (1.5, 2, 3), (1, 2.0, 3), (1, 2, True), ("1", 2, 3)]

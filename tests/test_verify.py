@@ -331,20 +331,26 @@ def test_counterexample_node_is_checked_once(monkeypatch, edit):
 def test_cold_suite_builds_only_the_seed_object(
     suite, n, monkeypatch, clear_package_caches
 ):
-    """The suites read masks and rows; a ``MaximalRigid`` is built only
-    for the mutation suite's seed (and for a counterexample's text)."""
-    built = []
-    validate = MaximalRigid.__post_init__
+    """The suites read masks and rows; no ``MaximalRigid`` is constructed,
+    and the mutation suite checks one mask in full, its seed's (and a
+    counterexample's, for its text)."""
+    built, checked = [], []
+    validate, defect = MaximalRigid.__post_init__, rigid.RigidTable.defect
 
     def counted(t):
         validate(t)
         built.append(t.summands)
 
-    seed = initial_seed(n).object.summands
+    seed = initial_seed(n).object.mask
     clear_package_caches()
     monkeypatch.setattr(MaximalRigid, "__post_init__", counted)
+    monkeypatch.setattr(
+        rigid.RigidTable, "defect", lambda t, m: checked.append(m) or defect(t, m)
+    )
     assert all(c.ok for c in getattr(verify, "suite_" + suite.replace("-", "_"))(n))
-    assert set(built) == ({seed} if suite == "mutation" else set())
+    assert built == []
+    if suite == "mutation":  # the graph's seed, and the suite's own to compare
+        assert checked == [seed, seed]
 
 
 EXPANDED = {
