@@ -49,7 +49,7 @@ from .rigid import (
     orbit_graph,
     rigid_table,
 )
-from .tube import FrozenRecord, TubeObject
+from .tube import FrozenRecord, TubeObject, check_rank
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -219,6 +219,7 @@ def initial_seed(n: int) -> Seed:
     Summand j (1-based, quasi-length n-j) is (ceil(j/2), n-j); the matrix
     has b_12 = -2, b_21 = 1 and alternating +-1 off-diagonal pairs below.
     """
+    check_rank(n)
     summands = tuple(TubeObject((j + 1) // 2, n - j, n) for j in range(1, n))
     table = rigid_table(n)
     obj = _of_mask(table, table.mask_of(summands))  # computed: a defect falsifies a theorem

@@ -71,8 +71,11 @@ def rotate(mask: int, shift: int, size: int) -> int:
 
 def maximal_cliques(adj: Sequence[int], seed: int = 0, excluded: int = 0) -> list[int]:
     """Maximal cliques, as masks, of the graph on ``0..len(adj)-1`` whose
-    vertex ``v`` has neighbour mask ``adj[v]`` (no self-loops): those
-    that contain the clique ``seed`` and avoid the vertices ``excluded``.
+    vertex ``v`` has neighbour mask ``adj[v]``: those that contain the
+    clique ``seed`` and avoid the vertices ``excluded``.  No vertex is its
+    own neighbour, which :func:`rigid_table` and
+    :func:`~clustertube.polygon.polygon_table` ensure by building rows
+    with ``j != i``.
 
     Bron-Kerbosch with pivoting, started from R = ``seed``, P = the
     common neighbours of ``seed`` outside ``excluded`` and X = the
@@ -285,11 +288,14 @@ def _two_completions(tbar: int, found: int) -> int:
 
 def completions(adj: Sequence[int], tbar: int) -> int:
     """The mask of the vertices completing the almost complete clique
-    ``tbar`` of ``adj`` (Ext-compatibility or non-crossing)."""
+    ``tbar`` of ``adj`` (Ext-compatibility or non-crossing).  No vertex is
+    its own neighbour (:func:`rigid_table` and
+    :func:`~clustertube.polygon.polygon_table` build rows with ``j !=
+    i``), so the rows of ``tbar`` already exclude it."""
     found = (1 << len(adj)) - 1
     for i in bit_indices(tbar):
         found &= adj[i]
-    return _two_completions(tbar, found & ~tbar)
+    return _two_completions(tbar, found)
 
 
 def exchanges(adj: Sequence[int], mask: int) -> list[int]:
@@ -297,7 +303,11 @@ def exchanges(adj: Sequence[int], mask: int) -> list[int]:
     other :func:`completions` of the rest: the exchanged masks, lowest
     removed bit first.  Each rest's rows are ANDed from a prefix and a
     suffix of the clique's rows, so a node costs O(n) row intersections,
-    not O(n²).  The exchange graph and :func:`~clustertube.mutation.exchange` call it."""
+    not O(n²).  No vertex is its own neighbour (:func:`rigid_table` and
+    :func:`~clustertube.polygon.polygon_table` build rows with ``j !=
+    i``), so that AND excludes the rest, and the rest is formed only for
+    an error's text.  The exchange graph and
+    :func:`~clustertube.mutation.exchange` call it."""
     bits, suffix, m = [], [(1 << len(adj)) - 1], mask
     while m:  # highest bit first: suffix[i] ANDs the rows of the i highest
         v = m.bit_length() - 1
@@ -306,10 +316,9 @@ def exchanges(adj: Sequence[int], mask: int) -> list[int]:
         m ^= 1 << v
     prefix, out = suffix[0], []
     for v, after in zip(reversed(bits), suffix[-2::-1]):
-        rest = mask ^ 1 << v
-        found = prefix & after & ~rest
+        found = prefix & after
         if found.bit_count() != 2:
-            _two_completions(rest, found)
+            _two_completions(mask ^ 1 << v, found)
         out.append(mask ^ found)  # found is v and the other completion
         prefix &= adj[v]
     return out
@@ -367,7 +376,7 @@ class RigidTable(FrozenRecord):
         rest = mask
         while rest:
             low = rest & -rest
-            if mask & ~self.compat[low.bit_length() - 1] != low:
+            if mask & self.compat[low.bit_length() - 1] != mask ^ low:
                 return "is not rigid"
             rest ^= low
         top = mask & self.tops

@@ -19,11 +19,12 @@ from __future__ import annotations
 from importlib import import_module
 from operator import ne
 
-from .tube import Record, TubeObject
+from .tube import Record, TubeObject, check_int
 
 
 # Every suite checks the tau-quotient; a fresh ``--suite all`` at rank 13
-# takes 13.0-13.4 s and 192 MB peak RSS on 2 vCPU (Python 3.11.7).
+# takes 15.7-19.4 s and 192 MB peak RSS on 2 vCPU (Python 3.11.7), and at
+# rank 14 63-77 s and 694 MB, over a 60 s budget.
 _MAX_RANK = 13
 
 # Mutation-finite type B entries never leave this band; anything outside
@@ -113,11 +114,12 @@ def __getattr__(name: str):
 def run_suite(suite: str, rank: int) -> VerifyReport:
     """Run one named suite (or ``all``) at the given rank.
 
-    Raises ValueError for an unknown suite name or a rank outside
-    2..``_MAX_RANK``, the range of every suite.
+    Raises ValueError for an unknown suite name, a rank that is not an
+    int, or one outside 2..``_MAX_RANK``, the range of every suite.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    check_int(rank, "rank")
     if not 2 <= rank <= _MAX_RANK:
         raise ValueError(f"rank {rank} outside the supported range 2..{_MAX_RANK}")
     report = VerifyReport(suite, rank)

@@ -6,6 +6,7 @@ the ``mutation`` suite."""
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb
 
 from .rigid import (
@@ -65,7 +66,9 @@ def suite_counts(n: int) -> list[CheckResult]:
         )
     )
 
-    # the datum's wing bits j, read as (objects[j].a - 1, objects[j].b), are
+    # every representative's only top is the lowest, bit 0, so its datum
+    # is (0, r ^ 1) on indices; the first one's turns have every other t,
+    # and their wing bits j, read as (objects[j].a - 1, objects[j].b), are
     # the node's other summands as socle distances from its top
     def wrong_datum(mask: int) -> bool:
         t, wing = tilting_datum_of(table, mask)
@@ -75,9 +78,10 @@ def suite_counts(n: int) -> list[CheckResult]:
             ((x.a - a) % n, x.b) for x in table.objects_of(mask ^ top)
         }
 
-    # every representative has t = 0; the first one's turns have every t
     turns = [rotate(r, j * (n - 1), len(table.objects)) for r in reps[:1] for j in range(1, n)]
-    bad = next((m for m in (*reps, *turns) if table.defect(m) or wrong_datum(m)), None)
+    on_indices = (r for r in reps if table.defect(r) or tilting_datum_of(table, r) != (0, r ^ 1))
+    on_objects = (m for m in turns if table.defect(m) or wrong_datum(m))
+    bad = next(chain(on_indices, on_objects), None)
     checks.append(_bad_node("tilting-roundtrip", table, bad))
 
     # keyed by the top's bit: a node without exactly one top has no loop;

@@ -64,6 +64,38 @@ def swap(adj, mask, i):
     return rest | completions(adj, rest) & ~(1 << i)
 
 
+def rep_by_picks(table, picks):
+    """A maximal rigid object through the lowest top, grown from it by
+    ``picks``: each pick chooses, modulo their number, one of the vertices
+    compatible with every summand so far, until none is left.  Any maximal
+    clique through that top is a representative, so this draws one
+    without enumerating any."""
+    mask = low = table.tops & -table.tops
+    common = table.compat[low.bit_length() - 1]
+    for pick in picks:
+        if not common:
+            break
+        bits = bit_indices(common)
+        v = bits[pick % len(bits)]
+        mask |= 1 << v
+        common &= table.compat[v]
+    assert not common and mask & table.tops == low
+    return mask
+
+
+def wrong_datum(table, mask, datum=None):
+    """Reference for ``counts/tilting-roundtrip``'s datum test, on objects:
+    is ``datum`` (by default ``rigid.tilting_datum_of`` of ``mask``) not
+    the top of ``mask`` and its other summands' socle distances from that
+    top?  The wing bits ``j`` read as ``(objects[j].a - 1, objects[j].b)``."""
+    t, wing = tilting_datum_of(table, mask) if datum is None else datum
+    n, top = table.n, mask & table.tops
+    a = table.objects[top.bit_length() - 1].a
+    return 1 << t != top or {(x.a - 1, x.b) for x in table.objects_of(wing)} != {
+        ((x.a - a) % n, x.b) for x in table.objects_of(mask ^ top)
+    }
+
+
 def cluster_of_tilting_datum(table, t, wing):
     """The mask whose tilting datum on indices is ``(t, wing)``: the
     inverse of ``rigid.tilting_datum_of``."""

@@ -35,7 +35,7 @@ from clustertube.rigid import (
     orbit_nodes,
     rigid_table,
 )
-from reference import clusters, swap
+from reference import clusters, rep_by_picks, swap
 
 
 def wing_tilting_sets(a, m, n):
@@ -174,6 +174,13 @@ class TestClusterStructure:
             for mask in clusters(adj, n):
                 assert exchanges(adj, mask) == [swap(adj, mask, v) for v in bit_indices(mask)]
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(10, 13), st.lists(st.integers(0, 2**16), min_size=12, max_size=12))
+    def test_exchanges_equal_swap_above_the_exhaustive_ranks(self, n, picks):
+        table = rigid_table(n)
+        r = rep_by_picks(table, picks)
+        assert exchanges(table.compat, r) == [swap(table.compat, r, v) for v in bit_indices(r)]
+
     @pytest.mark.parametrize(
         "adj, mask, text",
         [
@@ -184,6 +191,14 @@ class TestClusterStructure:
                 graph_of(4, [(1, 0), (1, 2), (1, 3)]),
                 0b0011,
                 r"^\[1\] has 3 completions: \[0, 2, 3\]$",
+            ),
+            # the path 0 - 1 - 2 with vertex 1 its own neighbour, which no
+            # table that rigid_table or polygon_table builds has: the rest
+            # {1} keeps 1 among its completions, since no row excludes it
+            (
+                [0b010, 0b111, 0b010],
+                0b011,
+                r"^\[1\] has 3 completions: \[0, 1, 2\]$",
             ),
         ],
     )

@@ -223,6 +223,10 @@ class TestSeed:
         with pytest.raises(TheoremViolationError, match=f"^{re.escape(text)}$"):
             initial_seed(5)
 
+    def test_rank_that_is_not_an_int(self):
+        with pytest.raises(ValueError, match=r"^rank must be an int, got 3\.0$"):
+            initial_seed(3.0)
+
     def test_order_must_be_the_summand_list(self):
         s = initial_seed(3)
         swapped = ExchangeMatrix(s.matrix.order[::-1], s.matrix.entries)

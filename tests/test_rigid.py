@@ -5,7 +5,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from clustertube import (
     MaximalRigid,
@@ -28,7 +28,14 @@ from clustertube.rigid import (
     maximal_rigid_masks,
     rigid_table,
 )
-from reference import cluster_of_tilting_datum, clusters, orbit_graph_by_swaps, swap
+from reference import (
+    cluster_of_tilting_datum,
+    clusters,
+    orbit_graph_by_swaps,
+    rep_by_picks,
+    swap,
+    wrong_datum,
+)
 
 
 def obj(a, b, n):
@@ -578,6 +585,29 @@ class TestTiltingDatumOnIndices:
             top, wing = rigid.tilting_datum_of(table, mask)
             assert top == top_index(t) and not wing & 1
             assert cluster_of_tilting_datum(table, top, wing) == mask == t.mask
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(10, 13),
+        st.lists(st.integers(0, 2**16), min_size=12, max_size=12),
+        st.lists(st.integers(0, 2**16), min_size=12, max_size=12),
+        st.integers(0, 12),
+    )
+    def test_index_datum_agrees_with_the_object_datum(self, n, picks, other_picks, j):
+        """``counts/tilting-roundtrip`` tests each representative's datum
+        on indices, as ``(0, r ^ 1)``, and the first one's turns on
+        objects: both agree with the object-level reference, also on
+        another representative's datum."""
+        table = rigid_table(n)
+        r, other = rep_by_picks(table, picks), rep_by_picks(table, other_picks)
+        assert table.tops & -table.tops == 1
+        assert rigid.tilting_datum_of(table, r) == (0, r ^ 1)
+        assert not wrong_datum(table, r)
+        datum = rigid.tilting_datum_of(table, other)
+        assert (datum != (0, r ^ 1)) == wrong_datum(table, r, datum) == (other != r)
+        turned = rigid.rotate(r, j % n * (n - 1), len(table.objects))
+        assert rigid.tilting_datum_of(table, turned) == (j % n * (n - 1), r ^ 1)
+        assert not wrong_datum(table, turned)
 
     def test_witness_on_indices(self):
         table = rigid.rigid_table(4)

@@ -5,6 +5,7 @@ quotient suites builds and reads; a doctoring for each ``hom`` and
 that every check is seen to FAIL; and the quotient suites' verdicts held
 against the node-by-node and pair-by-pair suites of ``reference``."""
 
+import re
 from math import comb
 
 import pytest
@@ -428,3 +429,11 @@ def test_rank_range():
     for suite in ("all",) + verify.SUITES:
         with pytest.raises(ValueError, match=r"^rank 14 outside the supported range 2\.\.13$"):
             verify.run_suite(suite, 14)
+
+
+@pytest.mark.parametrize("rank", [3.0, "3"])
+def test_rank_that_is_not_an_int(rank):
+    """Checked before the range test, which a float passes and a str
+    cannot be compared in."""
+    with pytest.raises(ValueError, match=f"^rank must be an int, got {re.escape(repr(rank))}$"):
+        verify.run_suite("all", rank)
