@@ -7,17 +7,20 @@ written (an ``--out`` path, or a standard output its reader closed).
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import StructuralError, TheoremViolationError
 from .tube import TubeObject, check_rank, ext_dim_cluster, hom_dim_cluster, hom_dim_tube
 
 # Each command imports the layers it runs, so a cold query compiles only
 # those: hom needs tube alone, and verify loads only its suite's module
-# and layers, so only --suite all loads every module.  json is imported
-# only by the commands that write it.
+# and layers, so only --suite all loads every module.  _read_argv reads a
+# well-formed argv from COMMANDS, so argparse is imported only to print
+# help or an error, or to read an argv in another form; json only by
+# enumerate and exchange-graph, as hom and polygon write their ints with
+# an f-string.
 
 # Largest --rank of the commands that build a rank's tables or its whole
 # exchange graph; at rank 10, exchange-graph --format dot takes 1.3-1.8 s
@@ -56,20 +59,11 @@ def _print_matrix(order, rows, out) -> None:
 
 
 def cmd_hom(args, out) -> int:
-    import json
-
     x = parse_object(args.src, args.rank)
     y = parse_object(args.dst, args.rank)
-    print(
-        json.dumps(
-            {
-                "tube": hom_dim_tube(x, y),
-                "cluster": hom_dim_cluster(x, y),
-                "ext": ext_dim_cluster(x, y),
-            }
-        ),
-        file=out,
-    )
+    # json.dumps of an int, or of a list of int lists, is its str
+    tube, cluster, ext = hom_dim_tube(x, y), hom_dim_cluster(x, y), ext_dim_cluster(x, y)
+    print(f'{{"tube": {tube}, "cluster": {cluster}, "ext": {ext}}}', file=out)
     return 0
 
 
@@ -190,20 +184,12 @@ def cmd_mutate(args, out) -> int:
 
 
 def cmd_polygon(args, out) -> int:
-    import json
-
     from .polygon import triangulation_of
     from .rigid import MaximalRigid
 
     t = MaximalRigid(args.rank, parse_object_list(args.object, args.rank))
-    tri = triangulation_of(t)
-    payload = {
-        "rank": args.rank,
-        "pairs": [
-            [[d.p, d.q] for d in pair.diagonals] for pair in tri.sorted_pairs()
-        ],
-    }
-    print(json.dumps(payload), file=out)
+    pairs = [[[d.p, d.q] for d in pair.diagonals] for pair in triangulation_of(t).sorted_pairs()]
+    print(f'{{"rank": {args.rank}, "pairs": {pairs}}}', file=out)
     return 0
 
 
@@ -216,58 +202,100 @@ def cmd_verify(args, out) -> int:
     return report.exit_code
 
 
-def build_parser() -> argparse.ArgumentParser:
+# One row per command: its function, whether --rank is bounded by
+# RANK_CEILING, its help and its options after --rank.  An option is its
+# flag and argparse's keywords for it, which _read_argv reads too (so
+# --cartan spells out store_true's default).
+_RANK = ("--rank", dict(type=int, required=True, help="tube rank n >= 2"))
+_OBJECT = ("--object", dict(required=True, metavar="A,B;A,B;..."))
+COMMANDS = {
+    "hom": (cmd_hom, False, "Hom/Ext dimensions between two indecomposables", (
+        ("--from", dict(dest="src", required=True, metavar="A,B")),
+        ("--to", dict(dest="dst", required=True, metavar="A,B")),
+    )),
+    "enumerate": (cmd_enumerate, True, "list all maximal rigid objects", (
+        ("--format", dict(choices=("json", "table"), default="json")),
+    )),
+    "exchange-graph": (cmd_exchange_graph, True, "export the exchange graph", (
+        ("--format", dict(choices=("dot", "json"), default="dot")),
+        ("--out", dict(default=None, help="output path (stdout if omitted)")),
+    )),
+    "bmatrix": (cmd_bmatrix, True, "B-matrix of a maximal rigid object", (
+        _OBJECT,
+        ("--cartan", dict(action="store_true", default=False,
+                          help="also print the Cartan counterpart")),
+    )),
+    "mutate": (cmd_mutate, True, "exchange a summand and mutate the matrix", (
+        _OBJECT, ("--at", dict(required=True, metavar="A,B")),
+    )),
+    "polygon": (cmd_polygon, True, "centrally symmetric triangulation of an object", (
+        _OBJECT,
+    )),
+    # verify.SUITES, spelled out so that parsing compiles no verify code
+    "verify": (cmd_verify, False, "run a verification suite", (
+        ("--suite", dict(choices=("all", "hom", "counts", "mutation", "polygon", "no-ct"),
+                         default="all")),
+    )),
+}
+
+
+def build_parser():
+    """The argparse parser of ``COMMANDS``, which alone prints help and errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="clustertube",
         description="Cluster-tube combinatorics and its type B polygon model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, bounded=True, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--rank", type=int, required=True, help="tube rank n >= 2")
+    for name, (func, bounded, text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, kwargs in (_RANK, *options):
+            p.add_argument(flag, **kwargs)
         p.set_defaults(func=func, bounded=bounded)
-        return p
-
-    p = add(
-        "hom", cmd_hom, bounded=False,
-        help="Hom/Ext dimensions between two indecomposables",
-    )
-    p.add_argument("--from", dest="src", required=True, metavar="A,B")
-    p.add_argument("--to", dest="dst", required=True, metavar="A,B")
-
-    p = add("enumerate", cmd_enumerate, help="list all maximal rigid objects")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-
-    p = add("exchange-graph", cmd_exchange_graph, help="export the exchange graph")
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
-    p.add_argument("--out", default=None, help="output path (stdout if omitted)")
-
-    p = add("bmatrix", cmd_bmatrix, help="B-matrix of a maximal rigid object")
-    p.add_argument("--object", required=True, metavar="A,B;A,B;...")
-    p.add_argument("--cartan", action="store_true", help="also print the Cartan counterpart")
-
-    p = add("mutate", cmd_mutate, help="exchange a summand and mutate the matrix")
-    p.add_argument("--object", required=True, metavar="A,B;A,B;...")
-    p.add_argument("--at", required=True, metavar="A,B")
-
-    p = add("polygon", cmd_polygon, help="centrally symmetric triangulation of an object")
-    p.add_argument("--object", required=True, metavar="A,B;A,B;...")
-
-    p = add("verify", cmd_verify, bounded=False, help="run a verification suite")
-    # verify.SUITES, spelled out so that parsing compiles no verify code
-    p.add_argument(
-        "--suite",
-        choices=("all", "hom", "counts", "mutation", "polygon", "no-ct"),
-        default="all",
-    )
-
     return parser
 
 
+def _read_argv(argv):
+    """The namespace ``build_parser()`` would return for ``argv``, read
+    from ``COMMANDS`` without argparse; None unless ``argv`` is the command
+    and then each of its flags at most once, spelled out, with a value that
+    does not start with "-" (bare for ``store_true``), every required flag
+    given and every choice kept.  Any other argv is left to argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, bounded, _, options = COMMANDS[argv[0]]
+    table, given = dict((_RANK, *options)), {}
+    words = iter(argv[1:])
+    for flag in words:
+        kw = table.get(flag)
+        if kw is None or flag in given:
+            return None
+        value = True
+        if kw.get("action") != "store_true":
+            value = next(words, "-")  # a missing value reads as a flag
+            if value.startswith("-"):
+                return None
+            try:
+                value = kw.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in kw.get("choices", (value,)):
+                return None
+        given[flag] = value
+    if any(kw.get("required") and flag not in given for flag, kw in table.items()):
+        return None
+    dests = {
+        kw.get("dest") or flag[2:].replace("-", "_"): given.get(flag, kw.get("default"))
+        for flag, kw in table.items()
+    }
+    return SimpleNamespace(command=argv[0], func=func, bounded=bounded, **dests)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
         check_rank(args.rank)
         if args.bounded and args.rank > RANK_CEILING:

@@ -1,14 +1,17 @@
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustertube import ExchangeMatrix, MaximalRigid
-from clustertube.cli import RANK_CEILING, build_parser, main
+from clustertube.cli import COMMANDS, RANK_CEILING, _read_argv, build_parser, main
 from clustertube.rigid import RigidTable
 from clustertube.verify import SUITES
 
@@ -287,6 +290,121 @@ class TestVerify:
         assert suite.choices == ("all",) + SUITES
 
 
+# argv that _read_argv must read without argparse: the shapes that the
+# benchmark's queries and certify send, and the README's examples
+WELL_FORMED = [
+    ["hom", "--rank", "12", "--from", "3,17", "--to", "12,1"],
+    ["polygon", "--rank", "8", "--object", "1,7;1,6;2,5;2,4;3,3;3,2;4,1"],
+    ["bmatrix", "--rank", "5", "--object", "4,1;3,3;3,2;2,4"],
+    ["mutate", "--rank", "6", "--object", "6,2;1,1;3,1;3,5;3,2", "--at", "3,2"],
+    *(["verify", "--rank", "6", "--suite", s] for s in ("hom", "polygon")),
+    *(["verify", "--rank", "8", "--suite", s] for s in ("counts", "no-ct")),
+    ["verify", "--rank", "7", "--suite", "mutation"],
+    ["hom", "--rank", "3", "--from", "1,2", "--to", "1,2"],
+    ["enumerate", "--rank", "4", "--format", "json"],
+    ["bmatrix", "--rank", "4", "--object", "1,3;1,2;2,1", "--cartan"],
+    ["mutate", "--rank", "3", "--object", "1,2;1,1", "--at", "1,1"],
+    ["polygon", "--rank", "3", "--object", "1,2;1,1"],
+    ["exchange-graph", "--rank", "4", "--format", "dot", "--out", "graph.dot"],
+    ["verify", "--rank", "4", "--suite", "all"],
+    ["enumerate", "--rank", "9", "--format", "table"],
+    # flags in any order, and defaults left out
+    ["hom", "--to", "1,1", "--from", " 1 , 2 ", "--rank", "3"],
+    ["bmatrix", "--cartan", "--object", "1,2;1,1", "--rank", "3"],
+    ["exchange-graph", "--rank", "3"],
+    ["verify", "--rank", "3"],
+]
+
+FLAGS_OF = {name: [flag for flag, _ in command[-1]] for name, command in COMMANDS.items()}
+FLAGS = sorted({flag for flags in FLAGS_OF.values() for flag in flags} | {"--rank"})
+VALUES = ["5", " 5", "+5", "-3", "-", "", "1,2;1,1", "-1,2", "a b", "json", "dot", "counts"]
+# what the property puts into an argv: one word or a flag with its value,
+# among them abbreviations, --flag=value, -h and --
+INSERTS = (
+    [(word,) for word in [*COMMANDS, *FLAGS, "-h", "--", *VALUES]]
+    + [(flag[:k],) for flag in FLAGS for k in range(3, len(flag))]
+    + [(f"{flag}={value}",) for flag in FLAGS for value in VALUES]
+    + [(flag, value) for flag in FLAGS for value in VALUES]
+)
+EDITS = st.lists(
+    st.tuples(st.integers(0, 12), st.integers(0, 2), st.sampled_from([(), *INSERTS])),
+    max_size=3,
+)
+
+
+class TestArgvReader:
+    """``_read_argv`` reads a well-formed argv as argparse would, and
+    leaves every other argv to argparse."""
+
+    @pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+    def test_reads_well_formed_argv(self, argv):
+        args = _read_argv(argv)
+        assert args is not None
+        assert vars(args) == vars(build_parser().parse_args(argv))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.data())
+    def test_reads_only_what_argparse_reads_alike(self, data):
+        # a command's flags in any order, each left out, bare or with a
+        # value; then each edit puts its words in place of up to two words
+        command = data.draw(st.sampled_from(sorted(COMMANDS)))
+        argv = [command]
+        for flag in data.draw(st.permutations(["--rank", *FLAGS_OF[command]])):
+            argv += data.draw(st.sampled_from([(), (flag,), *((flag, v) for v in VALUES)]))
+        for at, drop, words in data.draw(EDITS):
+            argv[at : at + drop] = words
+        args = _read_argv(argv)
+        if args is not None:
+            assert vars(args) == vars(build_parser().parse_args(argv))
+
+    BASE = {
+        "hom": ["hom", "--rank", "3", "--from", "1,1", "--to", "2,1"],
+        "enumerate": ["enumerate", "--rank", "3", "--format", "table"],
+        "exchange-graph": ["exchange-graph", "--rank", "3", "--format", "dot"],
+        "bmatrix": ["bmatrix", "--rank", "3", "--object", "1,2;1,1"],
+        "mutate": ["mutate", "--rank", "3", "--object", "1,2;1,1", "--at", "1,1"],
+        "polygon": ["polygon", "--rank", "3", "--object", "1,2;1,1"],
+        "verify": ["verify", "--rank", "3", "--suite", "hom"],
+    }
+
+    @pytest.mark.parametrize(
+        "fault", ["missing-rank", "unknown-flag", "rank-not-int", "bad-choice", "stray"]
+    )
+    @pytest.mark.parametrize("command", sorted(BASE))
+    def test_bad_flags_exit_two(self, command, fault):
+        argv = list(self.BASE[command])
+        if fault == "missing-rank":
+            del argv[1:3]
+        elif fault == "unknown-flag":
+            argv.append("--bogus")
+        elif fault == "rank-not-int":
+            argv[2] = "three"
+        elif fault == "bad-choice":  # an unknown flag where there is no choice
+            argv += ["--suite" if command == "verify" else "--format", "nope"]
+        else:
+            argv.append("stray")
+        code, out, err = run(*argv)
+        assert code == 2
+        assert not out
+        assert "Traceback" not in err
+        assert "error:" in err.splitlines()[-1]
+
+    def test_usage_and_error_are_argparse_own(self):
+        # taken while build_parser() read every argv
+        proc = subprocess.run(
+            [sys.executable, "-m", "clustertube", "mutate", "--rank", "3", "--object", "1,2;1,1"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, COLUMNS="80"),
+        )
+        assert proc.returncode == 2
+        assert not proc.stdout
+        assert proc.stderr == (
+            "usage: clustertube mutate [-h] --rank RANK --object A,B;A,B;... --at A,B\n"
+            "clustertube mutate: error: the following arguments are required: --at\n"
+        )
+
+
 # sha256 of stdout, captured before the enumeration and the exchange
 # graph moved onto integer masks; the CLI output must stay byte-identical
 GOLDEN = [
@@ -326,6 +444,23 @@ GOLDEN = [
     (
         ["exchange-graph", "--rank", "8", "--format", "json"],
         "798376bf173ad49b23401e3641ecaf64bddeb75d3dbffbb517c49bd0268058cd",
+    ),
+    # taken while hom and polygon still wrote their lines through json.dumps
+    (
+        ["hom", "--rank", "2", "--from", "1,1", "--to", "2,3"],
+        "6ce5084f91874cfcf93ec03c8e4b8c8282afcbc295088082068a0cccf1aefee9",
+    ),
+    (
+        ["hom", "--rank", "12", "--from", "12,23", "--to", "1,13"],
+        "bba8d82c12ea1080e6f607a89aaa66f61f1d972c55c89362da68beea6029e6b8",
+    ),
+    (
+        ["polygon", "--rank", "3", "--object", "1,2;1,1"],
+        "133cd1cdab918a9b57ec405376e9c69eb85be01aeae557855174cdab9ec1593c",
+    ),
+    (
+        ["polygon", "--rank", "8", "--object", "1,7;1,6;2,5;2,4;3,3;3,2;4,1"],
+        "e8de1ba8c2aa7833b95f48de8583896ed44426dfb55e87dde4e474664f071241",
     ),
 ]
 
@@ -412,9 +547,13 @@ class TestNoRuntimeDependencies:
 
 
 def loaded_submodules(code: str, *args: str) -> set:
-    """The ``clustertube.*`` modules a fresh interpreter holds after
-    running ``code``, which may read its arguments from ``sys.argv[1:]``."""
-    report = "print(*(m for m in sys.modules if m.startswith('clustertube.')))"
+    """The ``clustertube.*`` modules, and ``argparse`` and ``json``, that a
+    fresh interpreter holds after running ``code``, which may read its
+    arguments from ``sys.argv[1:]``."""
+    report = (
+        "print(*(m for m in sys.modules"
+        " if m.startswith('clustertube.') or m in ('argparse', 'json')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys\n{code}\n{report}", *args],
         capture_output=True,
@@ -425,7 +564,8 @@ def loaded_submodules(code: str, *args: str) -> set:
 
 
 class TestColdStart:
-    """A cold process compiles only the layers its command runs."""
+    """A cold process compiles only the layers its command runs, and a
+    well-formed argv loads neither ``argparse`` nor ``json``."""
 
     QUERY = {"cli", "errors", "tube"}
 
@@ -462,6 +602,31 @@ class TestColdStart:
     def test_command_loads_only_its_layers(self, argv, layers):
         code = "import clustertube.cli\nassert clustertube.cli.main(sys.argv[1:]) == 0"
         assert loaded_submodules(code, *argv) == self.QUERY | layers
+
+    @pytest.mark.parametrize(
+        "argv,code,loaded",
+        [
+            (["--help"], 0, {"argparse"}),
+            (["hom", "--help"], 0, {"argparse"}),
+            (["hom", "--rank", "5", "--from", "1,1"], 2, {"argparse"}),
+            (["hom", "--rank=5", "--from", "1,1", "--to", "2,3"], 0, {"argparse"}),
+            (["enumerate", "--rank", "3"], 0, {"json"}),
+            (["exchange-graph", "--rank", "3", "--format", "json"], 0, {"json"}),
+        ],
+        ids=["help", "hom-help", "malformed", "flag=value", "enumerate", "exchange-graph"],
+    )
+    def test_argparse_and_json_load_only_when_used(self, argv, code, loaded):
+        # argparse reads only help and the argv that _read_argv leaves
+        run_main = (
+            "import clustertube.cli\n"
+            "try:\n"
+            "    code = clustertube.cli.main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            f"assert code == {code}, code"
+        )
+        got = loaded_submodules(run_main, *argv) & {"argparse", "json"}
+        assert got == loaded
 
     def test_unknown_suite_is_rejected_before_any_suite_loads(self):
         code = (
