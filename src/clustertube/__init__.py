@@ -1,7 +1,8 @@
 """Combinatorics of cluster tubes and the type B polygon model.
 
-``from clustertube import X`` imports only the module that defines ``X``
-(PEP 562), so a cold process compiles only the layers it uses.
+``from clustertube import X`` imports only the module listed for ``X``
+(PEP 562), and what it imports, so a cold process compiles only the
+layers it uses.
 """
 
 from importlib import import_module

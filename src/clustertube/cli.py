@@ -15,19 +15,25 @@ from .errors import StructuralError, TheoremViolationError
 from .tube import TubeObject, check_rank, ext_dim_cluster, hom_dim_cluster, hom_dim_tube
 
 # Each command imports the layers it runs, so a cold query compiles only
-# those: hom needs tube alone, and verify loads only its suite's module
-# and layers, so only --suite all loads every module.  _read_argv reads a
-# well-formed argv from COMMANDS, so argparse is imported only to print
-# help or an error, or to read an argv in another form; json only by
-# enumerate and exchange-graph, as hom and polygon write their ints with
-# an f-string.
+# those: hom needs tube alone; polygon, bmatrix and mutate read one object
+# off the model layer, rigid_model and polygon_model, and build no search
+# or graph; and verify loads only its suite's module and layers, so only
+# --suite all loads every module.  _read_argv reads a well-formed argv
+# from COMMANDS, so argparse is imported only to print help or an error,
+# or to read an argv in another form; json only by enumerate and
+# exchange-graph, as hom and polygon write their ints with an f-string.
 
-# Largest --rank of the commands that build a rank's tables or its whole
-# exchange graph; at rank 10, exchange-graph --format dot takes 1.3-1.8 s
-# and 36 MB peak RSS on a 2-vCPU host (json, the one export that reads
-# every node's rows, 2.5-3.2 s and 28.5 MB). hom is O(1), and verify
-# keeps its own range, 2..13 for every suite.
+# Largest --rank of the commands whose output grows as C(2n-2, n-1), the
+# number of maximal rigid objects; at rank 10, exchange-graph --format
+# dot takes 1.3-1.8 s and 36 MB peak RSS on a 2-vCPU host (json, the one
+# export that reads every node's rows, 2.5-3.2 s and 28.5 MB).
 RANK_CEILING = 10
+
+# Largest --rank of the commands that read one object, which cost about
+# what rigid_table does, O(n^4): 0.08 s at rank 40 and 0.30 s at rank 60
+# on a 2-vCPU host (0.12-0.15 s at rank 40 on another).  hom is O(1), and
+# verify keeps its own range, 2..13 for every suite.
+POINT_CEILING = 40
 
 
 def parse_object(text: str, n: int) -> TubeObject:
@@ -154,11 +160,11 @@ def cmd_exchange_graph(args, out) -> int:
 
 
 def cmd_bmatrix(args, out) -> int:
-    from .mutation import build_exchange_graph, cartan_counterpart
-    from .rigid import MaximalRigid
+    from .polygon_model import local_matrix
+    from .rigid_model import ExchangeMatrix, MaximalRigid, cartan_counterpart
 
     t = MaximalRigid(args.rank, parse_object_list(args.object, args.rank))
-    mat = build_exchange_graph(args.rank).b_matrix(t)
+    mat = ExchangeMatrix(t.summands, local_matrix(t))
     _print_matrix(mat.order, mat.entries, out)
     if args.cartan:
         print("cartan:", file=out)
@@ -168,24 +174,31 @@ def cmd_bmatrix(args, out) -> int:
 
 
 def cmd_mutate(args, out) -> int:
-    from .mutation import build_exchange_graph, exchange
-    from .rigid import MaximalRigid
+    from .polygon_model import local_matrix
+    from .rigid_model import MaximalRigid, _mutate_rows, exchange
 
     t = MaximalRigid(args.rank, parse_object_list(args.object, args.rank))
     at = parse_object(args.at, args.rank)
     if at not in t.summands:
         raise StructuralError(f"{_fmt_object(at)} is not a summand of the object")
-    graph = build_exchange_graph(args.rank)
-    t2, _ = exchange(t, t.summands.index(at))
-    mat2 = graph.b_matrix(t2)
+    k = t.summands.index(at)
+    t2, p = exchange(t, k)
+    # the second route: mutation at k of the object's own local matrix,
+    # the new summand at its canonical position p
+    mutated, rows = _mutate_rows(local_matrix(t), k, p), local_matrix(t2)
+    if mutated != rows:
+        raise TheoremViolationError(
+            f"mutation at {_fmt_object(at)} of the local matrix of {t} is not the "
+            f"local matrix of {t2}: {mutated} vs {rows}"
+        )
     print(f"object: {_fmt_objects(t2.summands)}", file=out)
-    _print_matrix(mat2.order, mat2.entries, out)
+    _print_matrix(t2.summands, rows, out)
     return 0
 
 
 def cmd_polygon(args, out) -> int:
-    from .polygon import triangulation_of
-    from .rigid import MaximalRigid
+    from .polygon_model import triangulation_of
+    from .rigid_model import MaximalRigid
 
     t = MaximalRigid(args.rank, parse_object_list(args.object, args.rank))
     pairs = [[[d.p, d.q] for d in pair.diagonals] for pair in triangulation_of(t).sorted_pairs()]
@@ -202,37 +215,37 @@ def cmd_verify(args, out) -> int:
     return report.exit_code
 
 
-# One row per command: its function, whether --rank is bounded by
-# RANK_CEILING, its help and its options after --rank.  An option is its
+# One row per command: its function, the largest --rank it takes (None:
+# no bound), its help and its options after --rank.  An option is its
 # flag and argparse's keywords for it, which _read_argv reads too (so
 # --cartan spells out store_true's default).
 _RANK = ("--rank", dict(type=int, required=True, help="tube rank n >= 2"))
 _OBJECT = ("--object", dict(required=True, metavar="A,B;A,B;..."))
 COMMANDS = {
-    "hom": (cmd_hom, False, "Hom/Ext dimensions between two indecomposables", (
+    "hom": (cmd_hom, None, "Hom/Ext dimensions between two indecomposables", (
         ("--from", dict(dest="src", required=True, metavar="A,B")),
         ("--to", dict(dest="dst", required=True, metavar="A,B")),
     )),
-    "enumerate": (cmd_enumerate, True, "list all maximal rigid objects", (
+    "enumerate": (cmd_enumerate, RANK_CEILING, "list all maximal rigid objects", (
         ("--format", dict(choices=("json", "table"), default="json")),
     )),
-    "exchange-graph": (cmd_exchange_graph, True, "export the exchange graph", (
+    "exchange-graph": (cmd_exchange_graph, RANK_CEILING, "export the exchange graph", (
         ("--format", dict(choices=("dot", "json"), default="dot")),
         ("--out", dict(default=None, help="output path (stdout if omitted)")),
     )),
-    "bmatrix": (cmd_bmatrix, True, "B-matrix of a maximal rigid object", (
+    "bmatrix": (cmd_bmatrix, POINT_CEILING, "B-matrix of a maximal rigid object", (
         _OBJECT,
         ("--cartan", dict(action="store_true", default=False,
                           help="also print the Cartan counterpart")),
     )),
-    "mutate": (cmd_mutate, True, "exchange a summand and mutate the matrix", (
+    "mutate": (cmd_mutate, POINT_CEILING, "exchange a summand and mutate the matrix", (
         _OBJECT, ("--at", dict(required=True, metavar="A,B")),
     )),
-    "polygon": (cmd_polygon, True, "centrally symmetric triangulation of an object", (
+    "polygon": (cmd_polygon, POINT_CEILING, "centrally symmetric triangulation of an object", (
         _OBJECT,
     )),
     # verify.SUITES, spelled out so that parsing compiles no verify code
-    "verify": (cmd_verify, False, "run a verification suite", (
+    "verify": (cmd_verify, None, "run a verification suite", (
         ("--suite", dict(choices=("all", "hom", "counts", "mutation", "polygon", "no-ct"),
                          default="all")),
     )),
@@ -248,11 +261,11 @@ def build_parser():
         description="Cluster-tube combinatorics and its type B polygon model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, bounded, text, options) in COMMANDS.items():
+    for name, (func, ceiling, text, options) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
         for flag, kwargs in (_RANK, *options):
             p.add_argument(flag, **kwargs)
-        p.set_defaults(func=func, bounded=bounded)
+        p.set_defaults(func=func, ceiling=ceiling)
     return parser
 
 
@@ -264,7 +277,7 @@ def _read_argv(argv):
     given and every choice kept.  Any other argv is left to argparse."""
     if not argv or argv[0] not in COMMANDS:
         return None
-    func, bounded, _, options = COMMANDS[argv[0]]
+    func, ceiling, _, options = COMMANDS[argv[0]]
     table, given = dict((_RANK, *options)), {}
     words = iter(argv[1:])
     for flag in words:
@@ -289,19 +302,22 @@ def _read_argv(argv):
         kw.get("dest") or flag[2:].replace("-", "_"): given.get(flag, kw.get("default"))
         for flag, kw in table.items()
     }
-    return SimpleNamespace(command=argv[0], func=func, bounded=bounded, **dests)
+    return SimpleNamespace(command=argv[0], func=func, ceiling=ceiling, **dests)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _read_argv(argv) or build_parser().parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # help, or a usage error: argparse printed it
+            return exc.code
     try:
         check_rank(args.rank)
-        if args.bounded and args.rank > RANK_CEILING:
-            raise ValueError(
-                f"{args.command} supports ranks 2..{RANK_CEILING}, got {args.rank}"
-            )
+        if args.ceiling is not None and args.rank > args.ceiling:
+            raise ValueError(f"{args.command} supports ranks 2..{args.ceiling}, got {args.rank}")
         code = args.func(args, sys.stdout)
         sys.stdout.flush()  # here, where a closed pipe is caught, not at exit
         return code

@@ -1,4 +1,9 @@
-"""Exchange matrices, Fomin-Zelevinsky mutation, and the exchange graph.
+"""The exchange graph and the B-matrices propagated along it.
+
+This is the walk over the model layer: :class:`ExchangeMatrix`, the
+Fomin-Zelevinsky row step :func:`_mutate_rows`, :func:`cartan_counterpart`
+and one object's :func:`exchange` live in :mod:`.rigid_model`, which a
+point query compiles without this module, and are read here too.
 
 The B-matrix of the zig-zag initial object is written down explicitly;
 every other B-matrix is defined operationally by mutation along the
@@ -31,44 +36,33 @@ there, and sign-skew symmetry alone forces a zero diagonal
 from __future__ import annotations
 
 from array import array
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable
 from functools import cached_property, lru_cache, partial
 from itertools import starmap
-from operator import itemgetter, neg
+from operator import neg
 from struct import Struct
 
 from .errors import StructuralError, TheoremViolationError
 from .rigid import (
-    MaximalRigid,
     QuotientGraph,
-    _of_mask,
     cover_walk,
-    exchanges,
     maximal_rigid_masks,
     maximal_rigid_reps,
     orbit_graph,
+)
+from .rigid_model import (  # the model's names, which callers read here too
+    ExchangeMatrix,
+    MaximalRigid,
+    Rows,
+    _getters,
+    _mutate_rows,
+    _of_mask,
+    cartan_counterpart,
+    exchange,
+    exchanges,
     rigid_table,
 )
 from .tube import FrozenRecord, TubeObject, check_rank
-
-Rows = tuple[tuple[int, ...], ...]
-
-
-class ExchangeMatrix(FrozenRecord):
-    """Square integer matrix indexed by an ordered summand list."""
-
-    __slots__ = _fields = ("order", "entries")
-
-    def __init__(self, order: tuple[TubeObject, ...], entries: Rows) -> None:
-        self._set(order, entries)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        k = len(self.order)
-        if len(self.entries) != k or any(len(r) != k for r in self.entries):
-            raise StructuralError("entries do not match the summand order")
-        if any(self.entries[i][i] != 0 for i in range(k)):
-            raise StructuralError("nonzero diagonal entry")
 
 
 class Seed(FrozenRecord):
@@ -81,39 +75,6 @@ class Seed(FrozenRecord):
     def __post_init__(self) -> None:
         if self.matrix.order != self.object.summands:
             raise StructuralError("matrix order differs from the summand list")
-
-
-def _getter(bits: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """The items at ``bits`` of a sequence, as a tuple: ``itemgetter(*bits)``,
-    which would return one item bare and cannot take none."""
-    return itemgetter(*bits) if len(bits) > 1 else lambda seq: tuple(seq[i] for i in bits)
-
-
-def _getters(size: int, k: int, p: int, w: int) -> tuple:
-    """What mutation at ``k`` of a ``size``-square matrix, with index ``k``
-    written at position ``p``, the others kept in order around it, and
-    turned by ``w`` as :func:`_turn` does, reads off any of its rows:
-    ``move``, all positions in new order, ``others``, all but ``k``, and
-    ``slot``, row k's new position."""
-    perm = [*range(k), *range(k + 1, size)]
-    perm.insert(p, k)
-    perm = perm[w:] + perm[:w]
-    return _getter(perm), _getter([i for i in perm if i != k]), (p - w) % size
-
-
-def _mutate_rows(b: Rows, k: int, p: int, w: int = 0) -> Rows:
-    """Fomin-Zelevinsky mutation at ``k`` of a square matrix of rows, with
-    index ``k`` written at position ``p``, the others kept in order around
-    it, and turned by ``w`` as :func:`_turn` does, in one step."""
-    move, others, slot = _getters(len(b), k, p, w)
-    new = []
-    for row in others(b):
-        c = row[k]
-        row = [v + (abs(c) * x + c * abs(x)) // 2 for v, x in zip(row, b[k])]
-        row[k] = -c
-        new.append(move(row))
-    new.insert(slot, tuple(map(neg, move(b[k]))))
-    return tuple(new)
 
 
 class _RowMemo(dict):
@@ -205,14 +166,6 @@ def fz_mutate(mat: ExchangeMatrix, k: int) -> ExchangeMatrix:
     return ExchangeMatrix(mat.order, _mutate_rows(mat.entries, k, k))
 
 
-def cartan_counterpart(mat: ExchangeMatrix) -> Rows:
-    """2 on the diagonal, -|b_ij| off it."""
-    return tuple(
-        tuple(2 if i == j else -abs(v) for j, v in enumerate(row))
-        for i, row in enumerate(mat.entries)
-    )
-
-
 def initial_seed(n: int) -> Seed:
     """The zig-zag maximal rigid object and its explicitly known matrix.
 
@@ -232,18 +185,6 @@ def initial_seed(n: int) -> Seed:
         rows[j + 1][j] = (-1) ** j
     mat = ExchangeMatrix(summands, tuple(tuple(r) for r in rows))
     return Seed(obj, mat)
-
-
-def exchange(t: MaximalRigid, k: int) -> tuple[MaximalRigid, int]:
-    """Swap summand ``k`` for its unique complement, by the graph's kernel
-    :func:`~clustertube.rigid.exchanges` on ``t``'s mask; returns the new
-    object and the index the new summand occupies in canonical order."""
-    if not 0 <= k < t.n - 1:
-        raise IndexError(f"summand index {k} out of range")
-    table = rigid_table(t.n)
-    mask = exchanges(table.compat, t.mask)[k]
-    new = mask & ~t.mask
-    return _of_mask(table, mask), (mask & (new - 1)).bit_count()
 
 
 class ExchangeGraph(QuotientGraph):

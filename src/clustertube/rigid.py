@@ -1,27 +1,24 @@
-"""Maximal rigid objects: enumeration, structure, complements, witnesses.
+"""Maximal rigid objects all together: the search, the tau-quotient of a
+graph on them, and the structure the suites read.
 
-The rigid indecomposables of one rank are numbered in canonical order
-(:class:`RigidTable`), so a set of them is an int bitmask whose bits, read
-upwards, list it in canonical summand order.  Two kernels on these masks
-run under the exchange graph: the clique search :func:`maximal_cliques`,
-and :func:`exchanges`, a clique's n-1 exchanged masks, by
-:func:`completions`, the one exchange kernel; the polygon model flips by
-its own corner kernel, turning masks by :func:`rotate`, and checks its
-non-crossing table by :func:`maximal_cliques`.  Tilting data and
-cluster-tilting witnesses are :func:`tilting_datum_of` and
-:func:`tilting_witness`.
+This is the graph layer over :mod:`.rigid_model`, which holds one rank's
+integer table (:class:`RigidTable`), the checked record
+:class:`MaximalRigid` and the exchange kernel :func:`exchanges`; this
+module imports them at module level, and its callers read them here
+too.  The clique search :func:`maximal_cliques` runs under the exchange
+graph, and the polygon model checks its non-crossing table by it.
+Tilting data and cluster-tilting witnesses are :func:`tilting_datum_of`
+and :func:`tilting_witness`.
 
-Tau, as turning the 2n-gon, rotates indices by n-1 bits, so both models
-sweep their tables for socle 1 only (:func:`tau_swept`).
-:func:`rigid_table` certifies ``compat`` symmetric, so a clique of it is
-rigid, and tau an automorphism of the table, wings included, so
-:func:`maximal_rigid_reps` searches one clique per orbit, through the
-lowest top, checking each by whole-mask tests.  Everything reads these
-representatives: :func:`orbit_graph` makes either graph's tau-quotient
-from their targets alone, exchanged here, flipped in the polygon model,
-and :func:`orbit_nodes` expands them into the sorted nodes, from which
-:func:`enumerate_maximal_rigid` makes each :class:`MaximalRigid`
-unchecked, as its mask.
+:func:`~clustertube.rigid_model.rigid_table` certifies ``compat``
+symmetric, so a clique of it is rigid, and tau an automorphism of the
+table, wings included, so :func:`maximal_rigid_reps` searches one clique
+per orbit, through the lowest top, checking each by whole-mask tests.
+Everything reads these representatives: :func:`orbit_graph` makes either
+graph's tau-quotient from their targets alone, exchanged in the exchange
+graph, flipped in the polygon model, and :func:`orbit_nodes` expands
+them into the sorted nodes, from which :func:`enumerate_maximal_rigid`
+makes each :class:`MaximalRigid` unchecked, as its mask.
 :class:`QuotientGraph` locates a node's orbit and turn from its mask and
 expands the nodes and edges when they are read, and :func:`cover_walk`
 certifies connectivity on the quotient, by voltages.
@@ -32,41 +29,26 @@ certifies connectivity on the quotient, by voltages.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
 from math import gcd
 from struct import Struct
 
 from .errors import StructuralError, TheoremViolationError
-from .tube import (
-    FrozenRecord,
-    TubeObject,
-    canonical_key,
-    check_rank,
-    ext_dim_cluster,
-    wing_contains,
+from .rigid_model import (  # the model's names, which callers read here too
+    MaximalRigid,
+    RigidTable,
+    _defect,
+    _nodes,
+    _of_mask,
+    bit_indices,
+    completions,
+    enumerate_rigid_indecs,
+    exchanges,
+    rigid_table,
+    rotate,
 )
-
-
-def bit_indices(mask: int) -> list[int]:
-    """The set bits of ``mask``, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def rotate(mask: int, shift: int, size: int) -> int:
-    """The ``size``-bit ``mask`` rotated up by ``shift`` bits (mod ``size``).
-
-    In canonical order tau shifts every index down by n-1, so rotating a
-    mask of rigid indecomposables up by n-1 bits applies tau^-1 to each of
-    them, ``(a, b)`` to ``(a+1, b)``, and rotating it down applies tau.
-    """
-    shift %= size
-    return (mask << shift | mask >> (size - shift)) & ((1 << size) - 1)
+from .tube import TubeObject, ext_dim_cluster
 
 
 def maximal_cliques(adj: Sequence[int], seed: int = 0, excluded: int = 0) -> list[int]:
@@ -276,253 +258,6 @@ class QuotientGraph:
         return edges
 
 
-def _two_completions(tbar: int, found: int) -> int:
-    """``found``, the completions of ``tbar``; not two falsifies unique exchange."""
-    if found.bit_count() != 2:
-        raise TheoremViolationError(
-            f"{bit_indices(tbar)} has {found.bit_count()} completions: "
-            f"{bit_indices(found)}"
-        )
-    return found
-
-
-def completions(adj: Sequence[int], tbar: int) -> int:
-    """The mask of the vertices completing the almost complete clique
-    ``tbar`` of ``adj`` (Ext-compatibility or non-crossing).  No vertex is
-    its own neighbour (:func:`rigid_table` and
-    :func:`~clustertube.polygon.polygon_table` build rows with ``j !=
-    i``), so the rows of ``tbar`` already exclude it."""
-    found = (1 << len(adj)) - 1
-    for i in bit_indices(tbar):
-        found &= adj[i]
-    return _two_completions(tbar, found)
-
-
-def exchanges(adj: Sequence[int], mask: int) -> list[int]:
-    """Every exchange of the maximal clique ``mask``, each vertex for the
-    other :func:`completions` of the rest: the exchanged masks, lowest
-    removed bit first.  Each rest's rows are ANDed from a prefix and a
-    suffix of the clique's rows, so a node costs O(n) row intersections,
-    not O(n²).  No vertex is its own neighbour (:func:`rigid_table` and
-    :func:`~clustertube.polygon.polygon_table` build rows with ``j !=
-    i``), so that AND excludes the rest, and the rest is formed only for
-    an error's text.  The exchange graph and
-    :func:`~clustertube.mutation.exchange` call it."""
-    bits, suffix, m = [], [(1 << len(adj)) - 1], mask
-    while m:  # highest bit first: suffix[i] ANDs the rows of the i highest
-        v = m.bit_length() - 1
-        bits.append(v)
-        suffix.append(suffix[-1] & adj[v])
-        m ^= 1 << v
-    prefix, out = suffix[0], []
-    for v, after in zip(reversed(bits), suffix[-2::-1]):
-        found = prefix & after
-        if found.bit_count() != 2:
-            _two_completions(mask ^ 1 << v, found)
-        out.append(mask ^ found)  # found is v and the other completion
-        prefix &= adj[v]
-    return out
-
-
-class RigidTable(FrozenRecord):
-    """The n(n-1) rigid indecomposables of rank n, indexed in canonical
-    order, with Ext-compatibility and wing membership as bitmasks."""
-
-    __slots__ = _fields = ("n", "objects", "index", "compat", "tops", "wings")
-
-    def __init__(
-        self,
-        n: int,
-        objects: tuple[TubeObject, ...],
-        index: dict[TubeObject, int],
-        # bit j of compat[i]: j != i and Ext^1(objects[i], objects[j]) = 0
-        compat: tuple[int, ...],
-        # the n tops (quasi-length n-1), and the wing mask of each top index
-        tops: int,
-        wings: dict[int, int],
-    ) -> None:
-        self._set(n, objects, index, compat, tops, wings)
-
-    def mask_of(self, objs: Iterable[TubeObject]) -> int:
-        """The mask of distinct rigid indecomposables of this rank."""
-        objs = tuple(objs)
-        mask = 0
-        for x in objs:
-            i = self.index.get(x)
-            if i is None:
-                raise StructuralError(
-                    f"{x} is not a rigid indecomposable of rank {self.n}"
-                )
-            mask |= 1 << i
-        if mask.bit_count() != len(objs):
-            raise StructuralError(f"repeated summands in {objs}")
-        return mask
-
-    def objects_of(self, mask: int) -> tuple[TubeObject, ...]:
-        """The summands of ``mask`` in canonical order."""
-        objs = self.objects
-        return tuple([objs[i] for i in bit_indices(mask)])
-
-    def defect(self, mask: int) -> str:
-        """Why ``mask`` is not a maximal rigid object; empty if it is.
-
-        A maximal rigid object has n-1 pairwise compatible summands,
-        exactly one top, and all summands inside that top's wing.  The
-        walk reads bits only.
-        """
-        count = mask.bit_count()
-        if count != self.n - 1:
-            return f"has {count} summands, expected {self.n - 1}"
-        rest = mask
-        while rest:
-            low = rest & -rest
-            if mask & self.compat[low.bit_length() - 1] != mask ^ low:
-                return "is not rigid"
-            rest ^= low
-        top = mask & self.tops
-        if top.bit_count() != 1:
-            return f"has {top.bit_count()} summands of quasi-length {self.n - 1}"
-        outside = mask & ~self.wings[top.bit_length() - 1]
-        if outside:
-            return f"has {self.objects_of(outside)} outside the wing of its top"
-        return ""
-
-
-def tau_swept(n: int, row: Callable[[int], int]) -> tuple[int, ...]:
-    """The n(n-1) rows of a tau-invariant table of rank ``n``: ``row(i)``
-    for the n-1 items of socle 1, which come first, and every later row
-    the row n-1 indices below it rotated up by n-1 bits, since tau^-1
-    shifts every index up by n-1."""
-    size, step = n * (n - 1), n - 1
-    rows = [row(i) for i in range(step)]
-    for i in range(step, size):
-        rows.append(rotate(rows[i - step], step, size))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def rigid_table(n: int) -> RigidTable:
-    """The integer table of rank ``n``.
-
-    Ext is swept once, for the objects of socle 1, and rotated from
-    there (:func:`tau_swept`): Ext is invariant under tau, which the row of
-    index n-1, the top of socle 2, computed from Ext as well, must confirm.
-    In a 2-Calabi-Yau category Ext-compatibility is symmetric, so each
-    swept row must equal its column, bit i of every row: that also checks
-    every rotated row against Ext, and certifies that a clique of
-    ``compat`` is pairwise compatible, as :func:`maximal_rigid_reps` takes
-    it to be.  Last, rotating by n-1 bits must carry each top's wing to
-    the next top's, so tau is an automorphism of the table: of ``compat``
-    by the sweep, and of the tops, top ``(a, n-1)`` being index
-    ``(a-1)(n-1)``.  So a rotation of a maximal rigid mask is one.
-    """
-    objs = enumerate_rigid_indecs(n)
-    index = {x: i for i, x in enumerate(objs)}
-
-    def row(i: int) -> int:
-        x = objs[i]
-        return sum(1 << j for j, y in enumerate(objs) if j != i and ext_dim_cluster(x, y) == 0)
-
-    compat = tau_swept(n, row)
-    if row(n - 1) != compat[n - 1]:
-        raise TheoremViolationError(f"Ext is not tau-invariant at rank {n}: {objs[n - 1]}'s row")
-    for i in range(n - 1):
-        diff = compat[i] ^ sum(1 << j for j, r in enumerate(compat) if r >> i & 1)
-        if diff:
-            j = (diff & -diff).bit_length() - 1
-            raise TheoremViolationError(
-                f"Ext-compatibility is not symmetric at rank {n}: {objs[i]} and {objs[j]}"
-            )
-    tops = {i: x for i, x in enumerate(objs) if x.b == n - 1}
-    wings = {
-        i: sum(1 << j for j, y in enumerate(objs) if wing_contains(top, y))
-        for i, top in tops.items()
-    }
-    size, d = len(objs), n - 1
-    if any(rotate(w, d, size) != wings[(i + d) % size] for i, w in wings.items()):
-        raise TheoremViolationError(f"tau is not an automorphism of the rank-{n} table")
-    return RigidTable(n, objs, index, compat, sum(1 << i for i in tops), wings)
-
-
-class MaximalRigid(FrozenRecord):
-    """A maximal rigid object, as its rank and mask; its canonically
-    ordered summands are read from the table each time they are asked for.
-
-    Construction validates everything (:meth:`RigidTable.defect`): n-1
-    distinct pairwise compatible rigid summands, a unique top of
-    quasi-length n-1, and containment of all summands in the top's wing.
-    The search checks each tau-orbit's representative by whole-mask
-    tests, as a clique of the certified symmetric ``compat``
-    (:func:`maximal_rigid_reps`), and :func:`enumerate_maximal_rigid`
-    makes every node of its orbit unchecked, since :func:`rigid_table`
-    certifies that its rotations pass too.  It compares and hashes as the
-    record ``(n, mask)``, and copies and pickles by its rank and
-    summands, through the constructor, which checks them again.
-    """
-
-    __slots__ = _fields = ("n", "mask")
-
-    def __init__(self, n: int, summands: tuple[TubeObject, ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mask", rigid_table(n).mask_of(summands))
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        defect = _defect(rigid_table(self.n), self.mask)
-        if defect:
-            raise StructuralError(defect)
-
-    def __reduce__(self):
-        return type(self), (self.n, self.summands)
-
-    @property
-    def summands(self) -> tuple[TubeObject, ...]:
-        """The summands in canonical order, which is bit order."""
-        return rigid_table(self.n).objects_of(self.mask)
-
-    def __repr__(self) -> str:
-        inner = ";".join(f"{x.a},{x.b}" for x in self.summands)
-        return f"MaximalRigid[{inner}]@{self.n}"
-
-
-# the slots' own setters, past FrozenRecord's refusal and the name lookup
-_set_n, _set_mask = MaximalRigid.n.__set__, MaximalRigid.mask.__set__
-
-
-def _nodes(n: int, masks: Iterable[int]) -> list[MaximalRigid]:
-    """The :class:`MaximalRigid` of each of ``masks``, unchecked, in one
-    loop with no call per node but the slots' own."""
-    new, nodes = object.__new__, []
-    for mask in masks:
-        t = new(MaximalRigid)
-        _set_n(t, n)
-        _set_mask(t, mask)
-        nodes.append(t)
-    return nodes
-
-
-def _defect(table: RigidTable, mask: int) -> str:
-    """:meth:`RigidTable.defect` of ``mask`` after its summands, or ""."""
-    text = table.defect(mask)
-    return text and f"{table.objects_of(mask)} {text}"
-
-
-def _checked(table: RigidTable, mask: int) -> MaximalRigid | str:
-    """The :class:`MaximalRigid` of ``mask``, checked as construction
-    checks it, without parsing its summands back into a mask; or, if the
-    check fails, the summands and the defect."""
-    return _defect(table, mask) or _nodes(table.n, [mask])[0]
-
-
-def _of_mask(table: RigidTable, mask: int) -> MaximalRigid:
-    """:func:`_checked`, for a mask that was computed, not read, so a
-    defect falsifies the computation."""
-    t = _checked(table, mask)
-    if isinstance(t, str):
-        raise TheoremViolationError(t)
-    return t
-
-
 def is_rigid_set(objs: Iterable[TubeObject]) -> bool:
     """Ext^1 vanishes on all ordered pairs, self-pairs included."""
     objs = list(objs)
@@ -531,13 +266,6 @@ def is_rigid_set(objs: Iterable[TubeObject]) -> bool:
             if ext_dim_cluster(x, y) != 0:
                 return False
     return True
-
-
-def enumerate_rigid_indecs(n: int) -> tuple[TubeObject, ...]:
-    """All n(n-1) rigid indecomposables, in canonical order."""
-    check_rank(n)
-    objs = [TubeObject(a, b, n) for a in range(1, n + 1) for b in range(1, n)]
-    return tuple(sorted(objs, key=canonical_key))
 
 
 def compatibility(n: int) -> dict[TubeObject, frozenset[TubeObject]]:

@@ -6,12 +6,12 @@ tests.  Every claim is tau-equivariant and tau acts freely on the maximal
 rigid objects, so every suite checks one representative per tau-orbit,
 and reads no expanded node, edge or matrix.
 
-This module holds the reports and :func:`run_suite`, and imports only
-``tube``.  Each suite lives in a module named after the top layer it
-checks (``_SUITE_MODULES``), which imports only the layers that suite
-runs and is imported on the suite's first use: a cold ``verify --suite
-s`` compiles only the layers of ``s``, and only ``--suite all`` compiles
-every one.
+This module holds the reports, :func:`run_suite` and the helpers the
+suites share, and imports only ``tube``.  Each suite lives in a module
+named after the top layer it checks (``_SUITE_MODULES``), which imports
+only the layers that suite runs and is imported on the suite's first
+use: a cold ``verify --suite s`` compiles only the layers of ``s``, and
+only ``--suite all`` compiles every one.
 """
 
 from __future__ import annotations
@@ -69,6 +69,13 @@ class VerifyReport(Record):
 def _counterexample(name: str, bad, prefix: str = "at") -> CheckResult:
     """Passes when no counterexample ``bad`` was found, else names it."""
     return CheckResult(name, bad is None, "" if bad is None else f"{prefix} {bad}")
+
+
+def _bad_node(name: str, table, mask: int | None) -> CheckResult:
+    """Passes when no node ``mask`` of the rigid table ``table`` was found,
+    else names it as :meth:`~clustertube.rigid_model.RigidTable.checked`
+    does: its summands and defect, or the node."""
+    return _counterexample(name, None if mask is None else table.checked(mask))
 
 
 def _first_pair(objs: list[TubeObject], rows, others, differ=ne) -> tuple | None:

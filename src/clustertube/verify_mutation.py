@@ -1,6 +1,7 @@
 """The ``mutation`` suite: the exchange graph of :mod:`.mutation` and its
-stored B-matrices, on the tau-quotient.  Its process compiles ``rigid``
-and ``mutation`` and no other layer beyond the core :mod:`.verify`."""
+stored B-matrices, on the tau-quotient.  Its process compiles ``rigid``,
+``rigid_model`` and ``mutation`` and no other layer beyond the core
+:mod:`.verify`."""
 
 from __future__ import annotations
 
@@ -11,9 +12,9 @@ from math import comb
 
 from .errors import TheoremViolationError
 from .mutation import build_exchange_graph, cartan_counterpart, initial_seed
-from .rigid import bit_indices, maximal_rigid_reps, rigid_table
-from .verify import _ENTRY_BOUND, CheckResult, _counterexample
-from .verify_rigid import _bad_node
+from .rigid import maximal_rigid_reps
+from .rigid_model import bit_indices, rigid_table
+from .verify import _ENTRY_BOUND, CheckResult, _bad_node, _counterexample
 
 
 def suite_mutation(n: int) -> list[CheckResult]:

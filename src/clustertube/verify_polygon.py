@@ -2,8 +2,8 @@
 tube, object by object and graph against graph.  Crossing and Ext are
 tau-invariant, so pairs are checked once per tau-orbit, on ``x`` of
 socle 1, as :func:`.polygon.polygon_table` builds them.  Its process
-compiles ``rigid``, ``mutation`` and ``polygon`` beyond the core
-:mod:`.verify`."""
+compiles ``rigid``, ``mutation`` and ``polygon`` and their model layers,
+``rigid_model`` and ``polygon_model``, beyond the core :mod:`.verify`."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from .polygon import (
     flip_graph,
     graphs_isomorphic_via_delta,
 )
-from .rigid import enumerate_rigid_indecs
+from .rigid_model import enumerate_rigid_indecs
 from .tube import ext_dim_cluster
 from .verify import CheckResult, _counterexample
 

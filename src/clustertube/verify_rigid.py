@@ -1,31 +1,17 @@
 """The ``counts`` and ``no-ct`` suites, on the tau-quotient of the
 maximal rigid objects that :mod:`.rigid` enumerates: each representative
-stands for its orbit.  Their process compiles ``rigid`` and no other
-layer beyond the core :mod:`.verify`; :func:`_bad_node` is shared with
-the ``mutation`` suite."""
+stands for its orbit.  Their process compiles ``rigid`` and
+``rigid_model`` and no other layer beyond the core :mod:`.verify`."""
 
 from __future__ import annotations
 
 from itertools import chain
 from math import comb
 
-from .rigid import (
-    RigidTable,
-    _checked,
-    bit_indices,
-    enumerate_rigid_indecs,
-    maximal_rigid_reps,
-    rigid_table,
-    rotate,
-    tilting_datum_of,
-    tilting_witness,
-)
+from .rigid import maximal_rigid_reps, tilting_datum_of, tilting_witness
+from .rigid_model import bit_indices, enumerate_rigid_indecs, rigid_table, rotate
 from .tube import TubeObject, ext_dim_cluster, hom_dim_cluster
-from .verify import CheckResult, _counterexample
-
-
-def _bad_node(name: str, table: RigidTable, mask: int | None) -> CheckResult:
-    return _counterexample(name, None if mask is None else _checked(table, mask))
+from .verify import CheckResult, _bad_node, _counterexample
 
 
 def suite_counts(n: int) -> list[CheckResult]:
@@ -111,16 +97,16 @@ def suite_no_ct(n: int) -> list[CheckResult]:
     def failures():
         for mask in reps:
             if mask & table.tops != low:  # not exactly the lowest top: no witness
-                yield _checked(table, mask)
+                yield table.checked(mask)
             for k, w, orthogonal, summand, rigid in witnesses:
                 if mask & ~orthogonal or mask & summand or rigid:
-                    yield _checked(table, mask), k, w
+                    yield table.checked(mask), k, w
         # turning by i bits adds i/(n-1) to every socle
         for rep in reps[:1]:
             for i in bit_indices(table.tops & ~low):
                 for k, w, *_ in witnesses:
                     other = tilting_witness(table, i, k)
                     if other != TubeObject((w.a + i // d - 1) % n + 1, w.b, n):
-                        yield _checked(table, rotate(rep, i, len(table.objects))), k, other
+                        yield table.checked(rotate(rep, i, len(table.objects))), k, other
 
     return [_counterexample("witnesses", next(failures(), None))]

@@ -34,7 +34,6 @@ from clustertube.polygon import (
 )
 from clustertube.reps import hom_dim_oracle
 from clustertube.rigid import (
-    _checked,
     bit_indices,
     completions,
     maximal_cliques,
@@ -52,8 +51,7 @@ from clustertube.tube import (
     hom_dim_cluster,
     hom_dim_tube,
 )
-from clustertube.verify import _ENTRY_BOUND, CheckResult, _counterexample
-from clustertube.verify_rigid import _bad_node
+from clustertube.verify import _ENTRY_BOUND, CheckResult, _bad_node, _counterexample
 
 
 def swap(adj, mask, i):
@@ -451,12 +449,12 @@ def suite_no_ct_expanded(n):
     for mask in maximal_rigid_masks(n):
         top = mask & table.tops
         if (top, 2) not in witnesses:
-            bad = _checked(table, mask)
+            bad = table.checked(mask)
             break
         for k in (2, 3):
             w, orthogonal, summand, rigid = witnesses[top, k]
             if mask & ~orthogonal or mask & summand or rigid:
-                bad = (_checked(table, mask), k, w)
+                bad = (table.checked(mask), k, w)
                 break
         if bad:
             break

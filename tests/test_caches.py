@@ -9,7 +9,7 @@ import sys
 import clustertube
 
 CACHED = {
-    "clustertube.rigid.rigid_table": None,
+    "clustertube.rigid_model.rigid_table": None,
     "clustertube.rigid.maximal_rigid_reps": None,
     "clustertube.rigid.maximal_rigid_masks": None,
     "clustertube.mutation.build_exchange_graph": None,

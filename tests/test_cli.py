@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustertube import ExchangeMatrix, MaximalRigid
-from clustertube.cli import COMMANDS, RANK_CEILING, _read_argv, build_parser, main
+from clustertube.cli import COMMANDS, POINT_CEILING, RANK_CEILING, _read_argv, build_parser, main
 from clustertube.rigid import RigidTable
 from clustertube.verify import SUITES
 
@@ -481,9 +482,47 @@ VERIFY_ALL_GOLDEN = {
 }
 
 
+# sha256 of point-query stdout, one random object per rank, taken while
+# bmatrix and mutate still read the matrix off the whole exchange graph
+POINT_GOLDEN = [
+    (['bmatrix', '--rank', '5', '--object', '4,4;1,1;5,2;4,3', '--cartan'],
+     'bf2a91f47f78bbb9b6ff925270ba1d35abc157fcdeed92597de9abafe0445609'),
+    (['mutate', '--rank', '5', '--object', '4,4;1,1;5,2;4,3', '--at', '4,3'],
+     'b86158a053b87a7f5c2f8cc930ff7c8fd878bbbb568d8f6e26b2f0266925b781'),
+    (['bmatrix', '--rank', '6', '--object', '5,1;3,3;3,1;3,5;3,4'],
+     'dc4a94122d973e520c06be43e702c68aa750b8297868b22a95fa8f1f365163f2'),
+    (['mutate', '--rank', '6', '--object', '5,1;3,3;3,1;3,5;3,4', '--at', '3,1'],
+     '3af262d558b8e780fc9156bfabf58dffe90ee4aed0e4d8a804e500294f5e4692'),
+    (['bmatrix', '--rank', '7', '--object', '6,1;4,1;2,3;2,6;3,2;2,5', '--cartan'],
+     'f2b2a36de66bae7e7abaabf952d1f1105dd724da5673c7fc74b7b205750738a1'),
+    (['mutate', '--rank', '7', '--object', '6,1;4,1;2,3;2,6;3,2;2,5', '--at', '6,1'],
+     '5833d78c267350f8e190090f2e67b0a9c66ecaf33612994f889056e571afefa4'),
+    (['bmatrix', '--rank', '8', '--object', '8,5;3,2;8,2;8,1;7,7;7,6;3,1'],
+     'ba9d5ef4cc97458d43a6e3d6aa37ae0061255742fa21f57bc9224d10ee76130a'),
+    (['mutate', '--rank', '8', '--object', '8,5;3,2;8,2;8,1;7,7;7,6;3,1', '--at', '3,1'],
+     'fc724e2af9d92eb12b4a850d5870465862901c84f4b5bc0bedab91d0eb59b017'),
+    (['bmatrix', '--rank', '9', '--object', '3,1;8,1;1,8;2,7;2,3;7,2;2,2;2,4', '--cartan'],
+     '1779900afcfe96d0c120e84414f62351803cc8de4e92ffc32c18d54ed8c5b7bd'),
+    (['mutate', '--rank', '9', '--object', '3,1;8,1;1,8;2,7;2,3;7,2;2,2;2,4', '--at', '3,1'],
+     '973049a8f83131b523af9dfa06eb0511e34177ed74fb25c0309e73c47ed6fdd7'),
+    (['bmatrix', '--rank', '10', '--object', '7,7;10,4;1,3;7,9;8,1;2,2;8,6;2,1;5,1'],
+     'ccfc48e643684abe0db0b89bb72321bd517217d9cd4fa0a385337b9049bc4420'),
+    (['mutate', '--rank', '10', '--object', '7,7;10,4;1,3;7,9;8,1;2,2;8,6;2,1;5,1', '--at', '1,3'],
+     'd0a9cae35eb569ea21b1cdd7c08318d76a66983dffe89acaf7baad2b823072a5'),
+]
+
+
 class TestGoldenOutput:
     @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[g[0][0] + g[0][2] for g in GOLDEN])
     def test_byte_identical(self, argv, digest):
+        code, out, _ = run(*argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv,digest", POINT_GOLDEN, ids=[g[0][0] + g[0][2] for g in POINT_GOLDEN]
+    )
+    def test_point_query_byte_identical(self, argv, digest):
         code, out, _ = run(*argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -495,10 +534,16 @@ class TestGoldenOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_GOLDEN[rank]
 
 
-ZIGZAG_10 = "1,9;1,8;2,7;2,6;3,5;3,4;4,3;4,2;5,1"
+def zigzag(n):
+    """The zig-zag object of rank ``n``, summand j being (ceil(j/2), n-j)."""
+    return ";".join(f"{(j + 1) // 2},{n - j}" for j in range(1, n))
 
 
 class TestRankCeiling:
+    """The commands whose output grows with the graph stop at
+    RANK_CEILING; those that read one object, off the model layer, at
+    POINT_CEILING; hom and verify keep their own ranges."""
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -511,16 +556,34 @@ class TestRankCeiling:
         ids=lambda argv: argv[0],
     )
     def test_above_ceiling_exits_two(self, argv):
-        code, out, err = run(*argv, "--rank", str(RANK_CEILING + 1))
+        ceiling = COMMANDS[argv[0]][1]
+        assert ceiling == (RANK_CEILING if len(argv) == 1 else POINT_CEILING)
+        code, out, err = run(*argv, "--rank", str(ceiling + 1))
         assert code == 2
         assert not out
-        assert f"2..{RANK_CEILING}" in err
+        assert err == f"error: {argv[0]} supports ranks 2..{ceiling}, got {ceiling + 1}\n"
 
     def test_polygon_at_ceiling(self):
-        assert RANK_CEILING == 10
-        code, out, _ = run("polygon", "--rank", "10", "--object", ZIGZAG_10)
+        assert (RANK_CEILING, POINT_CEILING) == (10, 40)
+        code, out, _ = run("polygon", "--rank", "40", "--object", zigzag(40))
         assert code == 0
-        assert json.loads(out)["rank"] == 10
+        assert json.loads(out)["rank"] == 40
+
+    def test_cold_bmatrix_at_ceiling_takes_under_half_a_second(self):
+        # its cost is rigid_table's; the best of three, on a shared host
+        argv = [sys.executable, "-m", "clustertube", "bmatrix", "--rank", "40"]
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            proc = subprocess.run([*argv, "--object", zigzag(40)], capture_output=True)
+            seconds.append(time.perf_counter() - start)
+            assert proc.returncode == 0 and proc.stdout.count(b"\n") == 40
+        assert min(seconds) < 0.5, seconds
+
+    def test_mutate_at_ceiling(self):
+        code, out, _ = run("mutate", "--rank", "40", "--object", zigzag(40), "--at", "1,39")
+        assert code == 0
+        assert out.startswith("object: 1,38;2,37;")
 
     def test_hom_is_unbounded(self):
         code, out, _ = run("hom", "--rank", "2000", "--from", "1,1", "--to", "1,1")
@@ -568,6 +631,7 @@ class TestColdStart:
     well-formed argv loads neither ``argparse`` nor ``json``."""
 
     QUERY = {"cli", "errors", "tube"}
+    MODEL = {"rigid_model", "polygon_model"}
 
     def test_package_import_loads_no_submodule(self):
         assert loaded_submodules("import clustertube") == set()
@@ -576,24 +640,32 @@ class TestColdStart:
         "argv,layers",
         [
             (["hom", "--rank", "5", "--from", "1,1", "--to", "2,3"], set()),
-            (["polygon", "--rank", "3", "--object", "1,2;1,1"], {"rigid", "polygon"}),
-            (["bmatrix", "--rank", "4", "--object", "1,3;1,2;2,1"], {"rigid", "mutation"}),
-            (
-                ["mutate", "--rank", "3", "--object", "1,2;1,1", "--at", "1,1"],
-                {"rigid", "mutation"},
-            ),
+            # a point query reads one object off the model layer alone
+            (["polygon", "--rank", "3", "--object", "1,2;1,1"], MODEL),
+            (["bmatrix", "--rank", "4", "--object", "1,3;1,2;2,1"], MODEL),
+            (["mutate", "--rank", "3", "--object", "1,2;1,1", "--at", "1,1"], MODEL),
             # a suite's process loads the core, its suite modules and its layers
             (["verify", "--rank", "5", "--suite", "hom"], {"verify", "verify_reps", "reps"}),
-            (["verify", "--rank", "5", "--suite", "counts"], {"verify", "verify_rigid", "rigid"}),
+            (
+                ["verify", "--rank", "5", "--suite", "counts"],
+                {"verify", "verify_rigid", "rigid", "rigid_model"},
+            ),
             (
                 ["verify", "--rank", "5", "--suite", "mutation"],
-                {"verify", "verify_rigid", "verify_mutation", "rigid", "mutation"},
+                {"verify", "verify_mutation", "rigid", "rigid_model", "mutation"},
             ),
             (
                 ["verify", "--rank", "5", "--suite", "polygon"],
-                {"verify", "verify_polygon", "rigid", "mutation", "polygon"},
+                {"verify", "verify_polygon", "rigid", "mutation", "polygon"} | MODEL,
             ),
-            (["verify", "--rank", "5", "--suite", "no-ct"], {"verify", "verify_rigid", "rigid"}),
+            (
+                ["verify", "--rank", "5", "--suite", "no-ct"],
+                {"verify", "verify_rigid", "rigid", "rigid_model"},
+            ),
+            # the commands whose output grows with the graph (enumerate
+            # imports json for either format)
+            (["enumerate", "--rank", "4", "--format", "table"], {"rigid", "rigid_model", "json"}),
+            (["exchange-graph", "--rank", "4"], {"rigid", "rigid_model", "mutation"}),
         ],
         ids=lambda v: (f"verify-{v[-1]}" if v[0] == "verify" else v[0])
         if isinstance(v, list)
@@ -617,14 +689,7 @@ class TestColdStart:
     )
     def test_argparse_and_json_load_only_when_used(self, argv, code, loaded):
         # argparse reads only help and the argv that _read_argv leaves
-        run_main = (
-            "import clustertube.cli\n"
-            "try:\n"
-            "    code = clustertube.cli.main(sys.argv[1:])\n"
-            "except SystemExit as exc:\n"
-            "    code = exc.code\n"
-            f"assert code == {code}, code"
-        )
+        run_main = f"import clustertube.cli\nassert clustertube.cli.main(sys.argv[1:]) == {code}"
         got = loaded_submodules(run_main, *argv) & {"argparse", "json"}
         assert got == loaded
 
@@ -641,7 +706,8 @@ class TestColdStart:
         assert loaded_submodules(code) == {"errors", "tube", "verify"}
 
 
-# every name ``clustertube`` exported, with its defining module
+# every name ``clustertube`` exported, with the module it is read on: the
+# model layer's names are read on the graph layer above it
 EXPORTS = {
     "errors": "RankMismatchError StructuralError TheoremViolationError",
     "mutation": "ExchangeGraph ExchangeMatrix Seed build_exchange_graph cartan_counterpart"
@@ -702,3 +768,20 @@ class TestInProcessEntryPoint:
         assert main(["hom", "--rank", "3", "--from", "1,1", "--to", "1,1"]) == 0
         out = capsys.readouterr().out
         assert json.loads(out)["tube"] == 1
+
+    @pytest.mark.parametrize(
+        "argv,code,stream",
+        [(["hom"], 2, "err"), (["--help"], 0, "out"), (["bmatrix", "-h"], 0, "out")],
+        ids=["malformed", "help", "command-help"],
+    )
+    def test_argparse_exits_are_returned(self, argv, code, stream, capsys, monkeypatch):
+        # argparse's own code and bytes, with no SystemExit past main
+        monkeypatch.setenv("COLUMNS", "80")  # the width help wraps to
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "clustertube", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == code
+        assert (out, err) == (proc.stdout, proc.stderr)
+        assert {"out": out, "err": err}[stream]

@@ -4,6 +4,7 @@ import re
 import tracemalloc
 from array import array
 from collections import deque
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,9 +22,18 @@ from clustertube import (
     fz_mutate,
     initial_seed,
 )
-from clustertube import mutation, polygon, rigid, verify, verify_mutation
+from clustertube import (
+    mutation,
+    polygon,
+    polygon_model,
+    rigid,
+    rigid_model,
+    verify,
+    verify_mutation,
+)
 from clustertube.cli import main
-from reference import cover_reach, is_sign_skew_symmetric, swap
+from clustertube.polygon_model import local_matrix
+from reference import cover_reach, is_sign_skew_symmetric, rep_by_picks, swap
 
 
 def obj(a, b, n):
@@ -184,22 +194,26 @@ class TestExchange:
     def test_falsified_exchange_is_a_theorem_violation(self, monkeypatch, capsys):
         # the exchanged mask is computed, not read: a non-rigid one
         # falsifies the computation, so the CLI exits 1, not 2.  The
-        # graph steps by the same kernel, so the CLI fails in its build
+        # graph steps by the same kernel, read on mutation, so its build
+        # fails too
         def doctored(adj, mask):
             return [mask & ~(1 << i) | 1 << 3 for i in rigid.bit_indices(mask)]
 
-        monkeypatch.setattr(mutation, "exchanges", doctored)
+        for module in (rigid_model, mutation):
+            monkeypatch.setattr(module, "exchanges", doctored)
         text = "((1,3)@4, (1,2)@4, (2,3)@4) is not rigid"
         with pytest.raises(TheoremViolationError, match=f"^{re.escape(text)}$"):
             exchange(mr(4, (1, 3), (1, 2), (1, 1)), 2)
         argv = ["mutate", "--rank", "4", "--object", "1,3;1,2;1,1", "--at", "1,1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"verification failure: {text}\n"
         build_exchange_graph.cache_clear()
+        text = "exchange graph at rank 4 reaches [1, 2, 3], outside the enumeration of 20"
         try:
-            assert main(argv) == 1
+            with pytest.raises(TheoremViolationError, match=f"^{re.escape(text)}$"):
+                build_exchange_graph(4)
         finally:
             build_exchange_graph.cache_clear()
-        text = "exchange graph at rank 4 reaches [1, 2, 3], outside the enumeration of 20"
-        assert capsys.readouterr().err == f"verification failure: {text}\n"
 
 
 class TestSeed:
@@ -482,6 +496,58 @@ class TestBMatrix:
         for key in (mr(4, (1, 3), (1, 2), (2, 1)), initial_seed(3).matrix, "x", None, []):
             with pytest.raises(StructuralError, match="^unknown node "):
                 g.b_matrix(key)
+
+
+class TestLocalMatrix:
+    """The B-matrix read off one triangulation (``local_matrix``) is the
+    one the walk propagates, and the one ``bmatrix`` and ``mutate`` print."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_equals_the_propagated_matrix_at_every_node(self, n):
+        graph = build_exchange_graph(n)
+        for t in enumerate_maximal_rigid(n):
+            assert local_matrix(t) == graph.b_matrix(t).entries, t
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(10, 12), st.lists(st.integers(0, 2**16), min_size=11, max_size=11))
+    def test_equals_the_propagated_matrix_above_the_exhaustive_ranks(self, n, picks):
+        table = rigid.rigid_table(n)
+        t = MaximalRigid(n, table.objects_of(rep_by_picks(table, picks)))
+        assert local_matrix(t) == build_exchange_graph(n).b_matrix(t).entries
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_mutation_carries_local_matrices_along_every_exchange(self, n):
+        # the second route mutate checks: mu_k(local(T)) == local(T')
+        for t in enumerate_maximal_rigid(n):
+            b = local_matrix(t)
+            for k in range(n - 1):
+                t2, p = exchange(t, k)
+                assert rigid_model._mutate_rows(b, k, p) == local_matrix(t2)
+
+    def test_a_set_that_is_no_triangulation_is_a_theorem_violation(self):
+        # delta of the diameter alone: the hexagon's [1,4] has no triangle
+        fake = SimpleNamespace(n=3, summands=(obj(1, 2, 3),))
+        with pytest.raises(TheoremViolationError, match=r"^\[1,4\] of delta\(.*\) lies on 0 "):
+            local_matrix(fake)
+
+    def test_doctored_local_sign_makes_mutate_exit_one(self, monkeypatch, capsys):
+        # the signs of the result's local matrix flipped: the exchange and
+        # the object stand, and the two routes to its matrix differ
+        result, real = mr(4, (1, 3), (1, 2), (2, 1)), local_matrix
+
+        def doctored(t):
+            b = real(t)
+            return tuple(tuple(-v for v in row) for row in b) if t == result else b
+
+        monkeypatch.setattr(polygon_model, "local_matrix", doctored)
+        argv = ["mutate", "--rank", "4", "--object", "1,3;1,2;1,1", "--at", "1,1"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert not out
+        assert err.startswith("verification failure: mutation at 1,1 of the local matrix of ")
+        monkeypatch.undo()  # undoctored, the exchange gives that object
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("object: 1,3;1,2;2,1\n")
 
 
 class TestRowsOnDemand:

@@ -31,7 +31,15 @@ from clustertube import (
     initial_seed,
     triangulation_of,
 )
-from clustertube import mutation, polygon, rigid, verify, verify_polygon
+from clustertube import (
+    mutation,
+    polygon,
+    polygon_model,
+    rigid,
+    rigid_model,
+    verify,
+    verify_polygon,
+)
 from clustertube.cli import main
 from clustertube.polygon import CsPair, polygon_table
 from clustertube.rigid import bit_indices, exchanges, maximal_rigid_masks, rigid_table
@@ -233,7 +241,7 @@ class TestTriangulations:
     def test_two_diameters_rejected(self, monkeypatch):
         # two diameters always cross, so the diameter count is reached
         # only with crossings switched off
-        monkeypatch.setattr(polygon, "crossing_points", lambda a, b: 0)
+        monkeypatch.setattr(polygon_model, "crossing_points", lambda a, b: 0)
         with pytest.raises(StructuralError, match=r"^2 diameters in \[\[1,4\], \[2,5\]\]$"):
             CsTriangulation(3, frozenset({pair(1, 4, 3), pair(2, 5, 3)}))
 
@@ -425,7 +433,7 @@ class TestFlipGraph:
     def test_graphs_keep_no_quotient_code(self):
         # both graphs take their orbits from rigid.orbit_graph alone; the
         # exchange graph hands it exchanges, and its one step, exchange,
-        # takes one of them: nothing else uses the kernel
+        # in the model layer, takes one of them: nothing else uses the kernel
         for module in (polygon, mutation):
             names = names_in(module)
             assert "orbit_graph" in names
@@ -440,49 +448,48 @@ class TestFlipGraph:
             and any(getattr(node, "id", "") == "rotate" for node in ast.walk(f))
         }
         assert rotating == {"flip"}
-        assert "exchanges" not in names_in(polygon)
+        assert "exchanges" not in names_in(polygon) | names_in(polygon_model)
         tree = ast.parse(Path(mutation.__file__).read_text())
         (call,) = [
             node
             for node in ast.walk(tree)
             if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "orbit_graph"
         ]
+        model = ast.parse(Path(rigid_model.__file__).read_text())
         (step,) = [
             node
-            for node in ast.walk(tree)
+            for node in ast.walk(model)
             if isinstance(node, ast.FunctionDef) and node.name == "exchange"
         ]
 
         def uses(root):
             return [node for node in ast.walk(root) if getattr(node, "id", "") == "exchanges"]
 
-        assert len(uses(tree)) == 2 and len(uses(call)) == len(uses(step)) == 1
+        assert len(uses(tree)) == len(uses(call)) == len(uses(step)) == 1
 
     def test_polygon_imports_no_exchange_kernel(self):
-        # the flip graph and flip are a second route: none of the exchange
-        # graph's search, exchange or completion kernels
-        imported = {
-            alias.name
-            for node in ast.walk(ast.parse(Path(polygon.__file__).read_text()))
-            if isinstance(node, (ast.Import, ast.ImportFrom))
-            for alias in node.names
+        # the flip graph, flip and the local matrix are a second route:
+        # none of the exchange graph's search, exchange or completion kernels
+        forbidden = {
+            "swap", "exchange", "exchanges", "completions", "orbit_cliques", "maximal_rigid_reps",
         }
-        forbidden = {"swap", "exchanges", "completions", "orbit_cliques", "maximal_rigid_reps"}
-        assert not forbidden & imported
+        for module in (polygon, polygon_model):
+            imported = {
+                alias.name
+                for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names
+            }
+            assert not forbidden & imported, module
 
     def test_polygon_names_no_ext(self):
         # non-crossing comes from geometry alone, never from Hom or Ext
-        names = set()
-        for node in ast.walk(ast.parse(Path(polygon.__file__).read_text())):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
-        assert {"crossing_points", "noncross", "delta"} <= names
-        assert not {"ext_dim_cluster", "compat"} & names
-        assert not [name for name in names if name.startswith("hom_dim_")]
+        assert "noncross" in names_in(polygon)
+        for module in (polygon, polygon_model):
+            names = names_in(module)
+            assert {"crossing_points", "delta"} <= names
+            assert not {"ext_dim_cluster", "compat"} & names
+            assert not [name for name in names if name.startswith("hom_dim_")]
 
     @pytest.mark.parametrize("n", [1, 0])
     def test_rank_below_two(self, n):
@@ -1147,9 +1154,11 @@ class TestCornerKernel:
 
     def test_kernel_counting_a_shared_corner_fails(self, monkeypatch, capsys):
         # with the graphs built by the true kernel, the crossing check
-        # alone sees the doctored one
+        # alone sees the doctored one.  The records cross by the model's
+        # kernel, and the table by the same one, read on polygon
         flip_graph(4), build_exchange_graph(4)
-        monkeypatch.setattr(polygon, "_cross", touching)
+        for module in (polygon_model, polygon):
+            monkeypatch.setattr(module, "_cross", touching)
         report = verify.run_suite("polygon", 4)
         assert [c.name for c in report.checks if not c.ok] == ["crossing-equals-twice-ext"]
         # built by the doctored kernel, the table has no triangulation of

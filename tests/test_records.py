@@ -146,7 +146,7 @@ def maximal_rigid_three_ways(n):
     table = rigid_table(n)
     for t in rigid.enumerate_maximal_rigid(n):
         objs = table.objects_of(t.mask)[::-1]
-        yield t, rigid._checked(table, t.mask), MaximalRigid(n, objs)
+        yield t, table.checked(t.mask), MaximalRigid(n, objs)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

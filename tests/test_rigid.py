@@ -20,7 +20,7 @@ from clustertube import (
     tau,
     wing_contains,
 )
-from clustertube import mutation, polygon, rigid
+from clustertube import mutation, polygon, rigid, rigid_model
 from clustertube.cli import main
 from clustertube.rigid import (
     bit_indices,
@@ -425,13 +425,13 @@ class TestOrbitBuilds:
         # the table itself must refuse to be built.  Its compat rows and
         # tops cannot be edited so: the sweep makes the rows, and the tops
         # are fixed by canonical order
-        real, top = rigid.wing_contains, obj(2, 4, 5)
+        real, top = rigid_model.wing_contains, obj(2, 4, 5)
         edited = obj(2, 3, 5) if edit == "other_wing_shrunk" else obj(1, 1, 5)
 
         def doctored(t, y):
             return real(t, y) != (t == top and y == edited)
 
-        monkeypatch.setattr(rigid, "wing_contains", doctored)
+        monkeypatch.setattr(rigid_model, "wing_contains", doctored)
         clear_package_caches()
         text = "tau is not an automorphism of the rank-5 table"
         try:
@@ -451,13 +451,13 @@ class TestOrbitBuilds:
         # Ext flipped on one ordered pair: of the top of socle 1, whose row
         # the sweep turns onto the top of socle 2's, or of that top, whose
         # row is also computed; the table itself must not be built
-        real = rigid.ext_dim_cluster
+        real = rigid_model.ext_dim_cluster
         x, y = (obj(a, b, 5) for a, b in pair)
 
         def flipped(s, t):
             return int(not real(s, t)) if (s, t) == (x, y) else real(s, t)
 
-        monkeypatch.setattr(rigid, "ext_dim_cluster", flipped)
+        monkeypatch.setattr(rigid_model, "ext_dim_cluster", flipped)
         clear_package_caches()
         text = r"^Ext is not tau-invariant at rank 5: \(2,4\)@5's row$"
         try:
@@ -476,13 +476,13 @@ class TestSymmetryCertificate:
     @staticmethod
     def flip(monkeypatch, a, b):
         """Ext flipped on the one ordered pair ``(a, b)`` of rank 5."""
-        real = rigid.ext_dim_cluster
+        real = rigid_model.ext_dim_cluster
         x, y = (obj(*c, 5) for c in (a, b))
 
         def flipped(s, t):
             return int(not real(s, t)) if (s, t) == (x, y) else real(s, t)
 
-        monkeypatch.setattr(rigid, "ext_dim_cluster", flipped)
+        monkeypatch.setattr(rigid_model, "ext_dim_cluster", flipped)
 
     def test_ext_that_is_not_symmetric(self, monkeypatch, capsys, clear_package_caches):
         # the row of (1,1) is swept from Ext, and its column holds

@@ -41,6 +41,38 @@ def test_only_the_cli_imports_inside_functions():
     assert nested and all(where.startswith("cli.py:") for where in nested), nested
 
 
+# the model layer: what a point query (polygon, bmatrix, mutate) compiles
+MODEL = ("rigid_model", "polygon_model")
+
+
+def package_imports(tree):
+    """The package modules that a syntax tree imports, by any statement."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("clustertube"):
+            found.add(node.module.removeprefix("clustertube").lstrip(".") or "clustertube")
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.split(".")[0] == "clustertube"]
+            found |= {name.removeprefix("clustertube.") for name in names}
+        elif isinstance(node, ast.Name) and node.id in ("import_module", "__import__"):
+            found.add(f"<{node.id}>")
+    return found
+
+
+def test_the_model_layer_imports_no_graph():
+    """The model modules import from the package only ``errors``, ``tube``
+    and each other: never the search or graphs of ``rigid``, ``polygon``
+    or ``mutation``, a suite or ``cli``, so that the cold path of a point
+    query cannot grow back into them unnoticed."""
+    allowed = {"errors", "tube", *MODEL}
+    imports = {
+        name: package_imports(ast.parse((PACKAGE / f"{name}.py").read_text())) for name in MODEL
+    }
+    assert all({"errors", "tube"} <= found <= allowed for found in imports.values()), imports
+
+
 def test_no_module_imports_dataclasses():
     """The records are plain ``__slots__`` classes: ``dataclasses`` and
     the ``inspect`` it loads cost a cold process more than most suites."""
