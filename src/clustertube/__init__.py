@@ -1,6 +1,6 @@
 """Combinatorics of cluster tubes and the type B polygon model.
 
-``from clustertube import X`` imports only the module listed for ``X``
+``from clustertube import X`` imports only the module that defines ``X``
 (PEP 562), and what it imports, so a cold process compiles only the
 layers it uses.
 """
@@ -11,14 +11,14 @@ _EXPORTS = {
     name: module
     for module, names in {
         "errors": "RankMismatchError StructuralError TheoremViolationError",
-        "mutation": "ExchangeGraph ExchangeMatrix Seed build_exchange_graph cartan_counterpart"
-        " exchange fz_mutate initial_seed",
-        "polygon": "CsPair CsTriangulation Diagonal FlipGraph all_cs_pairs crossing_points"
-        " delta delta_inv diagonals_cross flip flip_graph graphs_isomorphic_via_delta"
+        "mutation": "ExchangeGraph Seed build_exchange_graph fz_mutate initial_seed",
+        "polygon": "FlipGraph all_cs_pairs delta_inv flip flip_graph graphs_isomorphic_via_delta",
+        "polygon_model": "CsPair CsTriangulation Diagonal crossing_points delta diagonals_cross"
         " triangulation_of",
         "reps": "NilpotentRep build_rep hom_dim_oracle",
-        "rigid": "MaximalRigid complements enumerate_maximal_rigid enumerate_rigid_indecs"
-        " is_rigid_set",
+        "rigid": "complements enumerate_maximal_rigid is_rigid_set",
+        "rigid_model": "ExchangeMatrix MaximalRigid cartan_counterpart enumerate_rigid_indecs"
+        " exchange",
         "tube": "TubeObject canonical_key ext_dim_cluster hom_dim_cluster hom_dim_tube"
         " is_rigid_indec tau wing_contains",
     }.items()

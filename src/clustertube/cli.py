@@ -76,7 +76,8 @@ def cmd_hom(args, out) -> int:
 def cmd_enumerate(args, out) -> int:
     import json
 
-    from .rigid import maximal_rigid_masks, rigid_table
+    from .rigid import maximal_rigid_masks
+    from .rigid_model import rigid_table
 
     table = rigid_table(args.rank)
     objects = [table.objects_of(mask) for mask in maximal_rigid_masks(args.rank)]
@@ -93,7 +94,7 @@ def cmd_enumerate(args, out) -> int:
 
 
 def _graph_dot(graph, out) -> None:
-    from .rigid import rigid_table
+    from .rigid_model import rigid_table
 
     table = rigid_table(graph.n)
     # the edges and order are expanded on first read: before the objects
@@ -117,7 +118,7 @@ def _graph_json(graph, out) -> None:
     # json.dump would stream it through the slower pure-Python one
     import json
 
-    from .rigid import rigid_table
+    from .rigid_model import rigid_table
 
     table = rigid_table(graph.n)
     edges = graph.edges  # expanded before the rows are built, as in _graph_dot

@@ -1,9 +1,9 @@
 """The exchange graph and the B-matrices propagated along it.
 
 This is the walk over the model layer: :class:`ExchangeMatrix`, the
-Fomin-Zelevinsky row step :func:`_mutate_rows`, :func:`cartan_counterpart`
-and one object's :func:`exchange` live in :mod:`.rigid_model`, which a
-point query compiles without this module, and are read here too.
+Fomin-Zelevinsky row step :func:`_mutate_rows`, the Cartan counterpart
+and one object's exchange live in :mod:`.rigid_model`, which a point
+query compiles without this module, and callers read them there.
 
 The B-matrix of the zig-zag initial object is written down explicitly;
 every other B-matrix is defined operationally by mutation along the
@@ -50,14 +50,15 @@ from .rigid import (
     maximal_rigid_reps,
     orbit_graph,
 )
-from .rigid_model import (  # the model's names, which callers read here too
+from .rigid_model import (
     ExchangeMatrix,
     MaximalRigid,
     Rows,
     _getters,
     _mutate_rows,
     _of_mask,
-    cartan_counterpart,
+    # unused here: bench/tracing.py's SPANS reads it on this module, and
+    # tests/test_traced_names.py pins it
     exchange,
     exchanges,
     rigid_table,

@@ -3,8 +3,8 @@ the triangulations and the flip graph.
 
 This is the graph layer over :mod:`.polygon_model`, which holds the
 records (:class:`Diagonal`, :class:`CsPair`, :class:`CsTriangulation`),
-the crossings, delta and :func:`triangulation_of`; this module imports
-them at module level, and its callers read them here too.
+the crossings, delta and the triangulation of a maximal rigid object,
+and where callers read them.
 
 The pairs of one rank are numbered by delta (:class:`PolygonTable`, all
 ints): pair ``i`` is the image of the rigid indecomposable of canonical
@@ -36,18 +36,7 @@ from collections.abc import Callable
 from functools import cached_property, lru_cache
 
 from .errors import StructuralError, TheoremViolationError
-from .polygon_model import (  # the model's names, which callers read here too
-    CsPair,
-    CsTriangulation,
-    Diagonal,
-    _cross,
-    _pair_key,
-    _turned,
-    crossing_points,
-    delta,
-    diagonals_cross,
-    triangulation_of,
-)
+from .polygon_model import CsPair, CsTriangulation, Diagonal, _cross, _turned
 from .rigid import QuotientGraph, maximal_cliques, orbit_graph
 from .rigid_model import bit_indices, rotate, tau_swept
 from .tube import FrozenRecord, TubeObject, check_rank

@@ -188,8 +188,10 @@ def local_matrix(t: MaximalRigid) -> Rows:
     Each triangle, corners p < q < r, gives +1 from each of its sides
     that is a diagonal to the next, in the order [p, q], [q, r], [p, r],
     and -1 back.  Folded, entry (a, b) sums these from the diagonals of
-    pair b into the lower member e of pair a, so row a reads only e's two
-    triangles: in the order above e runs from its tail to its head, and
+    pair b into one member e of pair a, since the half-turn carries either
+    member's sums onto the other's.  So row a reads only e's two
+    triangles, e the member [x.a, x.a+x.b+1] that delta gives summand a:
+    in the order above e runs from its tail to its head, and
     with apex r the side [r, tail] before it gives +1 and the side
     [head, r] after it -1.  Each diagonal lies on exactly two triangles
     of a triangulation, its apexes, the common neighbours of its corners.
@@ -197,16 +199,16 @@ def local_matrix(t: MaximalRigid) -> Rows:
     n, summands = t.n, t.summands
     size = 2 * n
     near = [0] + [1 << c % size + 1 | 1 << (c - 2) % size + 1 for c in range(1, size + 1)]
-    pair, lower = {}, []  # each diagonal's corners -> its summand's position; e of each
+    pair, members = {}, []  # each diagonal's corners -> its summand's position; e of each
     for a, x in enumerate(summands):
-        e = _turned(x.a, x.a + x.b + 1, n, 0)
-        lower.append(e)
+        e = x.a, x.a + x.b + 1  # in order, within 1..2n, as 1 <= a <= n and b <= n-1
+        members.append(e)
         for p, q in (e, _turned(*e, n, n)):
             pair[p, q] = a
             near[p] |= 1 << q
             near[q] |= 1 << p
     rows = []
-    for x, y in lower:
+    for x, y in members:
         row = [0] * len(summands)
         apexes = bit_indices(near[x] & near[y])
         if len(apexes) != 2:

@@ -3,9 +3,8 @@ graph on them, and the structure the suites read.
 
 This is the graph layer over :mod:`.rigid_model`, which holds one rank's
 integer table (:class:`RigidTable`), the checked record
-:class:`MaximalRigid` and the exchange kernel :func:`exchanges`; this
-module imports them at module level, and its callers read them here
-too.  The clique search :func:`maximal_cliques` runs under the exchange
+:class:`MaximalRigid` and the exchange kernel, and where callers read
+them.  The clique search :func:`maximal_cliques` runs under the exchange
 graph, and the polygon model checks its non-crossing table by it.
 Tilting data and cluster-tilting witnesses are :func:`tilting_datum_of`
 and :func:`tilting_witness`.
@@ -35,20 +34,17 @@ from math import gcd
 from struct import Struct
 
 from .errors import StructuralError, TheoremViolationError
-from .rigid_model import (  # the model's names, which callers read here too
+from .rigid_model import (
     MaximalRigid,
     RigidTable,
     _defect,
     _nodes,
-    _of_mask,
     bit_indices,
     completions,
-    enumerate_rigid_indecs,
-    exchanges,
     rigid_table,
     rotate,
 )
-from .tube import TubeObject, ext_dim_cluster
+from .tube import TubeObject, check_rank, ext_dim_cluster
 
 
 def maximal_cliques(adj: Sequence[int], seed: int = 0, excluded: int = 0) -> list[int]:
@@ -322,7 +318,11 @@ def enumerate_maximal_rigid(n: int) -> tuple[MaximalRigid, ...]:
     ``compat``, of n-1 summands, with one top and inside its wing), and
     its rotations pass as it does, since :func:`rigid_table` certifies
     tau an automorphism of the table.  So each node is made from its mask
-    unchecked, its summands unread."""
+    unchecked, its summands unread.
+
+    No command or suite calls it, as they read masks; it stays as the
+    records' view of the enumeration, which ``clustertube`` exports, both
+    demos read and the benchmark's ``exchange`` workload times."""
     return tuple(_nodes(n, maximal_rigid_masks(n)))
 
 
@@ -351,6 +351,7 @@ def complements(tbar: Sequence[TubeObject], n: int | None = None) -> tuple[TubeO
         if not tbar:
             raise ValueError("rank is required for an empty almost complete object")
         n = tbar[0].n
+    check_rank(n)
     if len(tbar) != n - 2:
         raise StructuralError(
             f"almost complete object at rank {n} needs {n - 2} summands, got {len(tbar)}"

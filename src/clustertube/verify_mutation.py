@@ -1,7 +1,7 @@
 """The ``mutation`` suite: the exchange graph of :mod:`.mutation` and its
 stored B-matrices, on the tau-quotient.  Its process compiles ``rigid``,
-``rigid_model`` and ``mutation`` and no other layer beyond the core
-:mod:`.verify`."""
+``rigid_model`` and ``mutation``, and ``polygon_model`` for the seed's
+local matrix, and no other layer beyond the core :mod:`.verify`."""
 
 from __future__ import annotations
 
@@ -11,9 +11,10 @@ from collections.abc import Sequence
 from math import comb
 
 from .errors import TheoremViolationError
-from .mutation import build_exchange_graph, cartan_counterpart, initial_seed
+from .mutation import build_exchange_graph, initial_seed
+from .polygon_model import local_matrix
 from .rigid import maximal_rigid_reps
-from .rigid_model import bit_indices, rigid_table
+from .rigid_model import bit_indices, cartan_counterpart, rigid_table
 from .verify import _ENTRY_BOUND, CheckResult, _bad_node, _counterexample
 
 
@@ -67,7 +68,7 @@ def suite_mutation(n: int) -> list[CheckResult]:
     checks.append(
         CheckResult(
             "initial-seed",
-            matrix.entries == seed.matrix.entries
+            matrix.entries == seed.matrix.entries == local_matrix(seed.object)
             and cartan_counterpart(matrix) == cartan_want,
             f"stored {matrix.entries}",
         )

@@ -9,14 +9,8 @@ from __future__ import annotations
 
 from .errors import TheoremViolationError
 from .mutation import build_exchange_graph
-from .polygon import (
-    all_cs_pairs,
-    crossing_points,
-    delta,
-    delta_inv,
-    flip_graph,
-    graphs_isomorphic_via_delta,
-)
+from .polygon import all_cs_pairs, delta_inv, flip_graph, graphs_isomorphic_via_delta
+from .polygon_model import crossing_points, delta
 from .rigid_model import enumerate_rigid_indecs
 from .tube import ext_dim_cluster
 from .verify import CheckResult, _counterexample

@@ -18,30 +18,28 @@ from clustertube import (
     enumerate_rigid_indecs,
 )
 from clustertube.linalg import integer_rank
-from clustertube.mutation import (
-    ExchangeGraph,
-    build_exchange_graph,
-    cartan_counterpart,
-    initial_seed,
-)
+from clustertube.mutation import ExchangeGraph, build_exchange_graph, initial_seed
 from clustertube.polygon import (
     PolygonTable,
     all_cs_pairs,
-    crossing_points,
     delta_inv,
     flip_graph,
     graphs_isomorphic_via_delta,
 )
+from clustertube.polygon_model import crossing_points
 from clustertube.reps import hom_dim_oracle
 from clustertube.rigid import (
-    bit_indices,
-    completions,
     maximal_cliques,
     maximal_rigid_masks,
-    rigid_table,
-    rotate,
     tilting_datum_of,
     tilting_witness,
+)
+from clustertube.rigid_model import (
+    bit_indices,
+    cartan_counterpart,
+    completions,
+    rigid_table,
+    rotate,
 )
 from clustertube.tube import (
     TubeObject,

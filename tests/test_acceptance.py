@@ -26,7 +26,8 @@ from clustertube import (
     initial_seed,
     wing_contains,
 )
-from clustertube.rigid import maximal_rigid_masks, rigid_table, tilting_witness
+from clustertube.rigid import maximal_rigid_masks, tilting_witness
+from clustertube.rigid_model import rigid_table
 from reference import is_sign_skew_symmetric
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from clustertube import ExchangeMatrix, MaximalRigid
 from clustertube.cli import COMMANDS, POINT_CEILING, RANK_CEILING, _read_argv, build_parser, main
-from clustertube.rigid import RigidTable
+from clustertube.rigid_model import RigidTable
 from clustertube.verify import SUITES
 
 
@@ -652,7 +652,7 @@ class TestColdStart:
             ),
             (
                 ["verify", "--rank", "5", "--suite", "mutation"],
-                {"verify", "verify_mutation", "rigid", "rigid_model", "mutation"},
+                {"verify", "verify_mutation", "rigid", "mutation"} | MODEL,
             ),
             (
                 ["verify", "--rank", "5", "--suite", "polygon"],
@@ -705,18 +705,26 @@ class TestColdStart:
         )
         assert loaded_submodules(code) == {"errors", "tube", "verify"}
 
+    def test_model_exports_load_only_the_model_layer(self):
+        # each is read on the module that defines it, so none compiles the
+        # search or a graph
+        names = EXPORTS["rigid_model"].split() + EXPORTS["polygon_model"].split()
+        assert len(names) == 12
+        loaded = loaded_submodules(f"from clustertube import {', '.join(names)}")
+        assert loaded == {"errors", "tube"} | self.MODEL
 
-# every name ``clustertube`` exported, with the module it is read on: the
-# model layer's names are read on the graph layer above it
+
+# every name ``clustertube`` exports, with the module that defines it
 EXPORTS = {
     "errors": "RankMismatchError StructuralError TheoremViolationError",
-    "mutation": "ExchangeGraph ExchangeMatrix Seed build_exchange_graph cartan_counterpart"
-    " exchange fz_mutate initial_seed",
-    "polygon": "CsPair CsTriangulation Diagonal FlipGraph all_cs_pairs crossing_points delta"
-    " delta_inv diagonals_cross flip flip_graph graphs_isomorphic_via_delta triangulation_of",
+    "mutation": "ExchangeGraph Seed build_exchange_graph fz_mutate initial_seed",
+    "polygon": "FlipGraph all_cs_pairs delta_inv flip flip_graph graphs_isomorphic_via_delta",
+    "polygon_model": "CsPair CsTriangulation Diagonal crossing_points delta diagonals_cross"
+    " triangulation_of",
     "reps": "NilpotentRep build_rep hom_dim_oracle",
-    "rigid": "MaximalRigid complements enumerate_maximal_rigid enumerate_rigid_indecs"
-    " is_rigid_set",
+    "rigid": "complements enumerate_maximal_rigid is_rigid_set",
+    "rigid_model": "ExchangeMatrix MaximalRigid cartan_counterpart enumerate_rigid_indecs"
+    " exchange",
     "tube": "TubeObject canonical_key ext_dim_cluster hom_dim_cluster hom_dim_tube"
     " is_rigid_indec tau wing_contains",
 }
@@ -736,6 +744,8 @@ class TestLazyExports:
 
         defining = importlib.import_module(f"clustertube.{module}")
         assert getattr(clustertube, name) is getattr(defining, name)
+        # the module that defines the name, not one that imports it
+        assert getattr(clustertube, name).__module__ == f"clustertube.{module}"
 
     def test_all_and_dir_list_the_names(self):
         import clustertube

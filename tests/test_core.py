@@ -25,16 +25,10 @@ from clustertube import (
     triangulation_of,
     wing_contains,
 )
-from clustertube.polygon import _all_triangulations, _pair_key, polygon_table
-from clustertube.rigid import (
-    bit_indices,
-    completions,
-    exchanges,
-    maximal_cliques,
-    maximal_rigid_masks,
-    orbit_nodes,
-    rigid_table,
-)
+from clustertube.polygon import _all_triangulations, polygon_table
+from clustertube.polygon_model import _pair_key
+from clustertube.rigid import maximal_cliques, maximal_rigid_masks, orbit_nodes
+from clustertube.rigid_model import bit_indices, completions, exchanges, rigid_table
 from reference import clusters, rep_by_picks, swap
 
 

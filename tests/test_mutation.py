@@ -103,7 +103,7 @@ def full_bfs(n):
         mask = queue.popleft()
         popped.add(mask)
         order.append(number[mask])
-        for k, mask2 in enumerate(rigid.exchanges(table.compat, mask)):
+        for k, mask2 in enumerate(rigid_model.exchanges(table.compat, mask)):
             found.append(number[mask2])
             if mask2 not in popped:
                 p = (mask2 & (mask2 & ~mask) - 1).bit_count()  # the new summand's position
@@ -322,7 +322,7 @@ class TestExchangeGraph:
     def test_one_exchanges_call_per_node(self, n, monkeypatch):
         # only tau-orbit representatives are exchanged: one per orbit of
         # n nodes, each with its top at bit 0
-        calls, real = [], rigid.exchanges
+        calls, real = [], rigid_model.exchanges
 
         def counted(adj, mask):
             calls.append(mask)

@@ -41,8 +41,10 @@ from clustertube import (
     verify_polygon,
 )
 from clustertube.cli import main
-from clustertube.polygon import CsPair, polygon_table
-from clustertube.rigid import bit_indices, exchanges, maximal_rigid_masks, rigid_table
+from clustertube.polygon import polygon_table
+from clustertube.polygon_model import CsPair
+from clustertube.rigid import maximal_rigid_masks
+from clustertube.rigid_model import bit_indices, exchanges, rigid_table
 from reference import (
     clusters,
     crosses_by_sets,
@@ -336,7 +338,7 @@ class TestFlipGraph:
         # the triangulations and flips come from corners alone; the one
         # clique search checks that none avoids every diameter
         exchanged, searched = [], []
-        real_exchanges, real_search = rigid.exchanges, rigid.maximal_cliques
+        real_exchanges, real_search = rigid_model.exchanges, rigid.maximal_cliques
 
         def counted_exchanges(adj, mask):
             exchanged.append(mask)
@@ -346,7 +348,8 @@ class TestFlipGraph:
             searched.append((adj, seed, excluded))
             return real_search(adj, seed, excluded)
 
-        monkeypatch.setattr(rigid, "exchanges", counted_exchanges)
+        monkeypatch.setattr(rigid_model, "exchanges", counted_exchanges)
+        monkeypatch.setattr(mutation, "exchanges", counted_exchanges)
         monkeypatch.setattr(rigid, "maximal_cliques", counted_search)
         monkeypatch.setattr(polygon, "maximal_cliques", counted_search)
         for n in range(2, 8):
@@ -483,11 +486,12 @@ class TestFlipGraph:
             assert not forbidden & imported, module
 
     def test_polygon_names_no_ext(self):
-        # non-crossing comes from geometry alone, never from Hom or Ext
-        assert "noncross" in names_in(polygon)
+        # non-crossing comes from geometry alone, never from Hom or Ext:
+        # the table by the corner predicate, the records by their crossings
+        assert {"noncross", "_cross"} <= names_in(polygon)
+        assert {"_cross", "crossing_points", "delta"} <= names_in(polygon_model)
         for module in (polygon, polygon_model):
             names = names_in(module)
-            assert {"crossing_points", "delta"} <= names
             assert not {"ext_dim_cluster", "compat"} & names
             assert not [name for name in names if name.startswith("hom_dim_")]
 
@@ -528,7 +532,7 @@ def digests(g):
     """Hashes of the nodes and flips, each re-sorted into the order the
     search produced, when pairs were numbered by ``_pair_key``: nodes by
     their sorted pairs' keys, each node's flips by the flipped pair's key."""
-    table, key = polygon_table(g.n), polygon._pair_key
+    table, key = polygon_table(g.n), polygon_model._pair_key
     tris = [table.triangulation(m).sorted_pairs() for m in g.nodes]
     order = sorted(range(len(tris)), key=lambda a: [key(p) for p in tris[a]])
     number = {a: pos for pos, a in enumerate(order)}
@@ -671,7 +675,7 @@ class TestDeltaImageMask:
     def test_pair_i_is_delta_of_object_i(self, n):
         pairs = polygon_table(n).pairs
         assert pairs == tuple(delta(x) for x in rigid_table(n).objects)
-        assert sorted(pairs, key=polygon._pair_key) == list(all_cs_pairs(n))
+        assert sorted(pairs, key=polygon_model._pair_key) == list(all_cs_pairs(n))
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_equals_the_mask_of_triangulation_of(self, n):

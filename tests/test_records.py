@@ -9,17 +9,11 @@ import pytest
 
 from clustertube import rigid
 from clustertube.errors import StructuralError
-from clustertube.mutation import ExchangeMatrix, Seed
-from clustertube.polygon import (
-    CsPair,
-    CsTriangulation,
-    Diagonal,
-    PolygonTable,
-    polygon_table,
-    triangulation_of,
-)
+from clustertube.mutation import Seed
+from clustertube.polygon import PolygonTable, polygon_table
+from clustertube.polygon_model import CsPair, CsTriangulation, Diagonal, triangulation_of
 from clustertube.reps import NilpotentRep, build_rep
-from clustertube.rigid import MaximalRigid, RigidTable, rigid_table
+from clustertube.rigid_model import ExchangeMatrix, MaximalRigid, RigidTable, rigid_table
 from clustertube.tube import TubeObject
 from clustertube.verify import CheckResult, VerifyReport
 

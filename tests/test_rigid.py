@@ -22,12 +22,8 @@ from clustertube import (
 )
 from clustertube import mutation, polygon, rigid, rigid_model
 from clustertube.cli import main
-from clustertube.rigid import (
-    bit_indices,
-    maximal_cliques,
-    maximal_rigid_masks,
-    rigid_table,
-)
+from clustertube.rigid import maximal_cliques, maximal_rigid_masks
+from clustertube.rigid_model import bit_indices, rigid_table
 from reference import (
     cluster_of_tilting_datum,
     clusters,
@@ -340,7 +336,7 @@ class TestDoctoredEnumeration:
         # the first exchange of each representative drops its vertex and
         # adds none: n-2 bits, no node
         table, reps = rigid_table(n), rigid.maximal_rigid_reps(n)
-        targets = [rigid.exchanges(table.compat, mask) for mask in reps]
+        targets = [rigid_model.exchanges(table.compat, mask) for mask in reps]
         for out, mask in zip(targets, reps):
             out[0] = mask & mask - 1
         with pytest.raises(
@@ -359,7 +355,7 @@ class TestOrbitBuilds:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_equals_the_check_of_every_node(self, n):
         table = rigid_table(n)
-        checked = tuple(rigid._of_mask(table, mask) for mask in maximal_rigid_masks(n))
+        checked = tuple(rigid_model._of_mask(table, mask) for mask in maximal_rigid_masks(n))
         built = enumerate_maximal_rigid(n)
         assert built == checked
         assert [t.mask for t in built] == [t.mask for t in checked]
@@ -656,6 +652,20 @@ class TestComplements:
             ValueError, match="^rank is required for an empty almost complete object$"
         ):
             complements(())
+
+    @pytest.mark.parametrize(
+        "n,text",
+        [
+            (3.0, "rank must be an int, got 3.0"),
+            ("3", "rank must be an int, got '3'"),
+            (True, "rank must be an int, got True"),
+            (1, "rank must be >= 2, got 1"),
+            (0, "rank must be >= 2, got 0"),
+        ],
+    )
+    def test_explicit_rank_is_checked(self, n, text):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            complements((), n)
 
     def test_always_exactly_two(self):
         for n in (2, 3, 4):

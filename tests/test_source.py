@@ -41,6 +41,44 @@ def test_only_the_cli_imports_inside_functions():
     assert nested and all(where.startswith("cli.py:") for where in nested), nested
 
 
+def top_level_names(tree):
+    """The names a module defines at top level: its functions, classes and
+    assigned names, not the names it imports."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return found
+
+
+# the one package name imported and not used: ``bench/tracing.py``'s SPANS
+# wraps ``exchange`` on ``mutation`` by name
+FORWARDED = {"mutation.py:exchange"}
+
+
+def test_each_name_is_read_where_it_is_defined():
+    """Every ``from .m import x`` names an ``x`` that ``m`` defines, so no
+    module is a second home for another's name; and a module imports only
+    the package names it uses, but ``FORWARDED``."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    defined = {name.removesuffix(".py"): top_level_names(tree) for name, tree in trees.items()}
+    forwarded, unused = [], set()
+    for name, tree in trees.items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                for alias in node.names:
+                    if alias.name not in defined[node.module]:
+                        forwarded.append(f"{name}:{node.lineno} {node.module}.{alias.name}")
+                    if (alias.asname or alias.name) not in used:
+                        unused.add(f"{name}:{alias.asname or alias.name}")
+    assert not forwarded, forwarded
+    assert unused == FORWARDED, unused
+
+
 # the model layer: what a point query (polygon, bmatrix, mutate) compiles
 MODEL = ("rigid_model", "polygon_model")
 

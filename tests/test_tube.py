@@ -17,7 +17,7 @@ from clustertube import (
     wing_contains,
 )
 from clustertube.polygon import polygon_table
-from clustertube.rigid import rigid_table
+from clustertube.rigid_model import rigid_table
 from clustertube.tube import check_rank
 
 

@@ -24,10 +24,10 @@ from clustertube import (
     verify_rigid,
 )
 from clustertube.cli import main
-from clustertube.mutation import ExchangeMatrix, Seed
-from clustertube.polygon import crossing_points, delta
+from clustertube.mutation import Seed
+from clustertube.polygon_model import crossing_points, delta
 from clustertube.reps import hom_dim_oracle
-from clustertube.rigid import MaximalRigid
+from clustertube.rigid_model import ExchangeMatrix, MaximalRigid, enumerate_rigid_indecs
 from clustertube.tube import tau
 
 N = 5
@@ -293,6 +293,14 @@ def type_c_seed(n):
     return Seed(seed.object, ExchangeMatrix(seed.matrix.order, rows))
 
 
+def negated_seed(n):
+    """The zig-zag seed with ``-B`` in place of ``B``: sign-skew symmetric,
+    in bound, and with the same Cartan counterpart."""
+    seed = initial_seed(n)
+    rows = tuple(tuple(-v for v in row) for row in seed.matrix.entries)
+    return Seed(seed.object, ExchangeMatrix(seed.matrix.order, rows))
+
+
 class TestInitialSeedFailures:
     def test_graph_built_from_a_type_c_seed(self, monkeypatch, capsys):
         """The graph stores the seed it was built from, so only the
@@ -311,6 +319,17 @@ class TestInitialSeedFailures:
             "FAIL mutation/initial-seed: stored "
             "((0, -2, 0, 0), (1, 0, 1, 0), (0, -1, 0, -1), (0, 0, 1, 0))"
         ]
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_graph_built_from_a_negated_seed(self, n, monkeypatch, capsys):
+        """The graph stores the seed it was built from, and ``-B`` has B's
+        Cartan counterpart, so only the triangles of delta(seed) can tell."""
+        monkeypatch.setattr(mutation, "initial_seed", negated_seed)
+        monkeypatch.setattr(verify_mutation, "initial_seed", mutation.initial_seed)
+        monkeypatch.setattr(verify_mutation, "build_exchange_graph", mutation.ExchangeGraph)
+        stored = negated_seed(n).matrix.entries
+        assert stored != initial_seed(n).matrix.entries
+        assert fail_lines(capsys, "mutation", n) == [f"FAIL mutation/initial-seed: stored {stored}"]
 
 
 @pytest.mark.parametrize("edit", [lambda mask: mask, top_swapped_out], ids=["node", "not-one"])
@@ -415,7 +434,7 @@ def test_oracle_is_tau_invariant(n):
 @pytest.mark.parametrize("n", range(2, 11))
 def test_crossing_is_tau_invariant(n):
     """What lets ``crossing-equals-twice-ext`` run on socle 1 only."""
-    rigids = rigid.enumerate_rigid_indecs(n)
+    rigids = enumerate_rigid_indecs(n)
     for x in rigids:
         for y in rigids:
             assert crossing_points(delta(tau(x)), delta(tau(y))) == crossing_points(
