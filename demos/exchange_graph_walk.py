@@ -14,23 +14,23 @@ from clustertube import (
 )
 
 
-def show(label, obj, mat):
+def show(label, obj, rows):
+    # a B-matrix is its rows, indexed by the object's summands in order
     print(f"{label}: " + " + ".join(f"({x.a},{x.b})" for x in obj.summands))
-    for row in mat.entries:
+    for row in rows:
         print("   " + " ".join(f"{v:3d}" for v in row))
 
 
 N = 4
-seed = initial_seed(N)
+t, b = initial_seed(N)  # the zig-zag object and its B-matrix
 graph = build_exchange_graph(N)
 
-show("initial seed", seed.object, seed.matrix)
+show("initial seed", t, b)
 print("\nCartan counterpart (type B_3):")
-for row in cartan_counterpart(seed.matrix):
+for row in cartan_counterpart(b):
     print("   " + " ".join(f"{v:3d}" for v in row))
 
 print("\nmutate at each summand in turn:")
-t = seed.object
 for k in range(N - 1):
     t2, k2 = exchange(t, k)
     show(f"\nexchange at {t.summands[k]}", t2, graph.b_matrix(t2))

@@ -11,14 +11,13 @@ _EXPORTS = {
     name: module
     for module, names in {
         "errors": "RankMismatchError StructuralError TheoremViolationError",
-        "mutation": "ExchangeGraph Seed build_exchange_graph fz_mutate initial_seed",
+        "mutation": "ExchangeGraph build_exchange_graph fz_mutate initial_seed",
         "polygon": "FlipGraph all_cs_pairs delta_inv flip flip_graph graphs_isomorphic_via_delta",
         "polygon_model": "CsPair CsTriangulation Diagonal crossing_points delta diagonals_cross"
         " triangulation_of",
         "reps": "NilpotentRep build_rep hom_dim_oracle",
         "rigid": "complements enumerate_maximal_rigid is_rigid_set",
-        "rigid_model": "ExchangeMatrix MaximalRigid cartan_counterpart enumerate_rigid_indecs"
-        " exchange",
+        "rigid_model": "MaximalRigid cartan_counterpart enumerate_rigid_indecs exchange",
         "tube": "TubeObject canonical_key ext_dim_cluster hom_dim_cluster hom_dim_tube"
         " is_rigid_indec tau wing_contains",
     }.items()

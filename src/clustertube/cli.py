@@ -162,14 +162,14 @@ def cmd_exchange_graph(args, out) -> int:
 
 def cmd_bmatrix(args, out) -> int:
     from .polygon_model import local_matrix
-    from .rigid_model import ExchangeMatrix, MaximalRigid, cartan_counterpart
+    from .rigid_model import MaximalRigid, cartan_counterpart
 
     t = MaximalRigid(args.rank, parse_object_list(args.object, args.rank))
-    mat = ExchangeMatrix(t.summands, local_matrix(t))
-    _print_matrix(mat.order, mat.entries, out)
+    rows = local_matrix(t)
+    _print_matrix(t.summands, rows, out)
     if args.cartan:
         print("cartan:", file=out)
-        for row in cartan_counterpart(mat):
+        for row in cartan_counterpart(rows):
             print(" ".join(str(v) for v in row), file=out)
     return 0
 

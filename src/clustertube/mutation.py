@@ -1,9 +1,10 @@
 """The exchange graph and the B-matrices propagated along it.
 
-This is the walk over the model layer: :class:`ExchangeMatrix`, the
-Fomin-Zelevinsky row step :func:`_mutate_rows`, the Cartan counterpart
-and one object's exchange live in :mod:`.rigid_model`, which a point
-query compiles without this module, and callers read them there.
+This is the walk over the model layer: the Fomin-Zelevinsky row step
+:func:`_mutate_rows`, the matrix check, the Cartan counterpart and one
+object's exchange live in :mod:`.rigid_model`, which a point query
+compiles without this module, and callers read them there.  A B-matrix
+is a tuple of rows, indexed by its object's summands in canonical order.
 
 The B-matrix of the zig-zag initial object is written down explicitly;
 every other B-matrix is defined operationally by mutation along the
@@ -28,9 +29,8 @@ matrix.
 The entry bound and sign-skew symmetry of every node's matrix are
 checked once, by the ``mutation`` suite of :mod:`clustertube.verify`, on
 the stored ``rep_ids``, since a node's matrix is its representative's
-turned, a simultaneous permutation: no :class:`ExchangeMatrix` is built
-there, and sign-skew symmetry alone forces a zero diagonal
-(``b_ii = -b_ii``).
+turned, a simultaneous permutation, and sign-skew symmetry alone forces
+a zero diagonal (``b_ii = -b_ii``).
 """
 
 from __future__ import annotations
@@ -51,31 +51,19 @@ from .rigid import (
     orbit_graph,
 )
 from .rigid_model import (
-    ExchangeMatrix,
     MaximalRigid,
     Rows,
     _getters,
     _mutate_rows,
     _of_mask,
+    check_matrix,
     # unused here: bench/tracing.py's SPANS reads it on this module, and
     # tests/test_traced_names.py pins it
     exchange,
     exchanges,
     rigid_table,
 )
-from .tube import FrozenRecord, TubeObject, check_rank
-
-
-class Seed(FrozenRecord):
-    __slots__ = _fields = ("object", "matrix")
-
-    def __init__(self, object: MaximalRigid, matrix: ExchangeMatrix) -> None:
-        self._set(object, matrix)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.matrix.order != self.object.summands:
-            raise StructuralError("matrix order differs from the summand list")
+from .tube import TubeObject, check_rank
 
 
 class _RowMemo(dict):
@@ -155,19 +143,19 @@ def _turn(b: Rows, w: int) -> Rows:
     return tuple([row[w:] + row[:w] for row in b[w:] + b[:w]])
 
 
-def fz_mutate(mat: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Fomin-Zelevinsky matrix mutation at index ``k`` (0-based).
+def fz_mutate(b: Rows, k: int) -> Rows:
+    """Fomin-Zelevinsky matrix mutation of ``b`` at index ``k`` (0-based).
 
-    The order list is unchanged; the caller substitutes the exchanged
+    The positions are unchanged; the caller substitutes the exchanged
     summand afterwards.
     """
-    size = len(mat.order)
+    size = len(check_matrix(b))
     if not 0 <= k < size:
         raise IndexError(f"mutation index {k} out of range for size {size}")
-    return ExchangeMatrix(mat.order, _mutate_rows(mat.entries, k, k))
+    return _mutate_rows(b, k, k)
 
 
-def initial_seed(n: int) -> Seed:
+def initial_seed(n: int) -> tuple[MaximalRigid, Rows]:
     """The zig-zag maximal rigid object and its explicitly known matrix.
 
     Summand j (1-based, quasi-length n-j) is (ceil(j/2), n-j); the matrix
@@ -184,8 +172,7 @@ def initial_seed(n: int) -> Seed:
     for j in range(1, size - 1):
         rows[j][j + 1] = (-1) ** (j + 1)
         rows[j + 1][j] = (-1) ** j
-    mat = ExchangeMatrix(summands, tuple(tuple(r) for r in rows))
-    return Seed(obj, mat)
+    return obj, tuple(tuple(r) for r in rows)
 
 
 class ExchangeGraph(QuotientGraph):
@@ -201,7 +188,7 @@ class ExchangeGraph(QuotientGraph):
     ``edges`` (see :class:`~clustertube.rigid.QuotientGraph`); ``order``,
     the BFS pop order of the nodes from the seed; and ``rows``, each node's
     canonical-order matrix as a tuple of rows.  :meth:`b_matrix` is the one
-    lookup from a :class:`MaximalRigid` to its :class:`ExchangeMatrix`.
+    lookup from a :class:`MaximalRigid` to its rows.
 
     The walk is a BFS of the quotient from the seed's orbit
     (:func:`~clustertube.rigid.cover_walk`), which must reach every node:
@@ -232,8 +219,8 @@ class ExchangeGraph(QuotientGraph):
     def __init__(self, n: int):
         self.n = n
         table = rigid_table(n)
-        seed = initial_seed(n)
-        self.marked, self._seed = table.tops, seed.object.mask
+        seed, b = initial_seed(n)
+        self.marked, self._seed = table.tops, seed.mask
         reps = maximal_rigid_reps(n)
         self.reps, self.blocks = orbit_graph(
             table.tops, n, reps, map(partial(exchanges, table.compat), reps), "exchange graph"
@@ -250,7 +237,7 @@ class ExchangeGraph(QuotientGraph):
         # an orbit by a step from one it popped before, so every orbit has
         # rows by the time its own steps are taken.
         self.rep_ids = stored = [None] * len(reps)
-        stored[first] = tuple(map(row_table.intern, _turn(seed.matrix.entries, w)))
+        stored[first] = tuple(map(row_table.intern, _turn(b, w)))
         self._turned: dict[tuple[int, int], Rows] = {}  # (o, w): orbit o's rows turned back by w
         blocks, d, mutate, tau_power = self.blocks, n - 1, row_table.mutate, self.tau_power
         for step in steps:
@@ -308,13 +295,13 @@ class ExchangeGraph(QuotientGraph):
         """Every node's rows, in ``nodes`` order."""
         return tuple(starmap(self._rows_of, self.locate(self.nodes)))
 
-    def b_matrix(self, t: MaximalRigid) -> ExchangeMatrix:
-        """The matrix of node ``t``, built from its rows alone.  Every
+    def b_matrix(self, t: MaximalRigid) -> Rows:
+        """The rows of node ``t``, the tuple ``rows`` shares.  Every
         :class:`MaximalRigid` of rank n is a node, whose orbit and turn
         its own mask gives (:meth:`locate`)."""
         if not (isinstance(t, MaximalRigid) and t.n == self.n):
             raise StructuralError(f"unknown node {t}")
-        return ExchangeMatrix(t.summands, self._rows_of(*next(self.locate([t.mask]))))
+        return self._rows_of(*next(self.locate([t.mask])))
 
 
 @lru_cache(maxsize=None)

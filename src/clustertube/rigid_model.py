@@ -10,7 +10,9 @@ automorphism of the table, wings included.  :class:`MaximalRigid` is the
 record ``(n, mask)``, checked by :meth:`RigidTable.defect`.
 :func:`exchanges`, by :func:`completions`, is the one exchange kernel on
 masks, :func:`exchange` one exchange of an object, and
-:func:`_mutate_rows` mutates a matrix of rows at one index.
+:func:`_mutate_rows` mutates a matrix of rows at one index.  A B-matrix
+is its ``Rows``, indexed by its object's summands in canonical order;
+:func:`check_matrix` checks one that a caller passes in.
 
 This is the model layer: it imports only ``errors`` and ``tube``, so a
 point query compiles it, and :mod:`.polygon_model`, and no search or
@@ -324,28 +326,23 @@ def exchange(t: MaximalRigid, k: int) -> tuple[MaximalRigid, int]:
     return _of_mask(table, mask), (mask & (new - 1)).bit_count()
 
 
-class ExchangeMatrix(FrozenRecord):
-    """Square integer matrix indexed by an ordered summand list."""
-
-    __slots__ = _fields = ("order", "entries")
-
-    def __init__(self, order: tuple[TubeObject, ...], entries: Rows) -> None:
-        self._set(order, entries)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        k = len(self.order)
-        if len(self.entries) != k or any(len(r) != k for r in self.entries):
-            raise StructuralError("entries do not match the summand order")
-        if any(self.entries[i][i] != 0 for i in range(k)):
-            raise StructuralError("nonzero diagonal entry")
+def check_matrix(b: Rows) -> Rows:
+    """``b`` if it is a square matrix of rows with a zero diagonal, as a
+    B-matrix is, else :class:`StructuralError`: the check on a matrix a
+    caller passes in."""
+    size = len(b)
+    if any(len(row) != size for row in b):
+        raise StructuralError(f"{size}-row matrix is not square")
+    if any(b[i][i] != 0 for i in range(size)):
+        raise StructuralError("nonzero diagonal entry")
+    return b
 
 
-def cartan_counterpart(mat: ExchangeMatrix) -> Rows:
+def cartan_counterpart(b: Rows) -> Rows:
     """2 on the diagonal, -|b_ij| off it."""
     return tuple(
         tuple(2 if i == j else -abs(v) for j, v in enumerate(row))
-        for i, row in enumerate(mat.entries)
+        for i, row in enumerate(check_matrix(b))
     )
 
 

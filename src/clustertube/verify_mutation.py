@@ -56,8 +56,8 @@ def suite_mutation(n: int) -> list[CheckResult]:
         CheckResult("graph-shape", shape_ok, f"{n * orbits} nodes, {len(blocks) * n // 2} edges")
     )
 
-    seed = initial_seed(n)
-    matrix = graph.b_matrix(seed.object)
+    seed, rows = initial_seed(n)
+    matrix = graph.b_matrix(seed)
     cartan_want = tuple(
         tuple(
             2 if i == j else (-2 if (i, j) == (0, 1) else -1 if abs(i - j) == 1 else 0)
@@ -68,9 +68,9 @@ def suite_mutation(n: int) -> list[CheckResult]:
     checks.append(
         CheckResult(
             "initial-seed",
-            matrix.entries == seed.matrix.entries == local_matrix(seed.object)
+            matrix == rows == local_matrix(seed)
             and cartan_counterpart(matrix) == cartan_want,
-            f"stored {matrix.entries}",
+            f"stored {matrix}",
         )
     )
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustertube import ExchangeMatrix, MaximalRigid
+from clustertube import MaximalRigid
 from clustertube.cli import COMMANDS, POINT_CEILING, RANK_CEILING, _read_argv, build_parser, main
 from clustertube.rigid_model import RigidTable
 from clustertube.verify import SUITES
@@ -165,13 +165,12 @@ class TestExchangeGraph:
         # nodes are written from their masks and the graph's rows; the
         # seed's object is checked once, from its mask
         built = []
-        for cls in (MaximalRigid, ExchangeMatrix):
 
-            def counted(self, real=cls.__post_init__):
-                built.append(type(self).__name__)
-                real(self)
+        def counted(self, real=MaximalRigid.__post_init__):
+            built.append(type(self).__name__)
+            real(self)
 
-            monkeypatch.setattr(cls, "__post_init__", counted)
+        monkeypatch.setattr(MaximalRigid, "__post_init__", counted)
         real = RigidTable.defect
         monkeypatch.setattr(
             RigidTable, "defect", lambda t, m: built.append("defect") or real(t, m)
@@ -179,7 +178,7 @@ class TestExchangeGraph:
         clear_package_caches()
         assert main(["exchange-graph", "--rank", str(n), "--format", fmt]) == 0
         assert capsys.readouterr().out
-        assert built == ["defect", "ExchangeMatrix"]
+        assert built == ["defect"]
 
 
 class TestBmatrix:
@@ -709,7 +708,7 @@ class TestColdStart:
         # each is read on the module that defines it, so none compiles the
         # search or a graph
         names = EXPORTS["rigid_model"].split() + EXPORTS["polygon_model"].split()
-        assert len(names) == 12
+        assert len(names) == 11
         loaded = loaded_submodules(f"from clustertube import {', '.join(names)}")
         assert loaded == {"errors", "tube"} | self.MODEL
 
@@ -717,14 +716,13 @@ class TestColdStart:
 # every name ``clustertube`` exports, with the module that defines it
 EXPORTS = {
     "errors": "RankMismatchError StructuralError TheoremViolationError",
-    "mutation": "ExchangeGraph Seed build_exchange_graph fz_mutate initial_seed",
+    "mutation": "ExchangeGraph build_exchange_graph fz_mutate initial_seed",
     "polygon": "FlipGraph all_cs_pairs delta_inv flip flip_graph graphs_isomorphic_via_delta",
     "polygon_model": "CsPair CsTriangulation Diagonal crossing_points delta diagonals_cross"
     " triangulation_of",
     "reps": "NilpotentRep build_rep hom_dim_oracle",
     "rigid": "complements enumerate_maximal_rigid is_rigid_set",
-    "rigid_model": "ExchangeMatrix MaximalRigid cartan_counterpart enumerate_rigid_indecs"
-    " exchange",
+    "rigid_model": "MaximalRigid cartan_counterpart enumerate_rigid_indecs exchange",
     "tube": "TubeObject canonical_key ext_dim_cluster hom_dim_cluster hom_dim_tube"
     " is_rigid_indec tau wing_contains",
 }
@@ -733,8 +731,8 @@ EXPORTS = {
 class TestLazyExports:
     NAMES = [(name, module) for module, names in EXPORTS.items() for name in names.split()]
 
-    def test_forty_names(self):
-        assert len(self.NAMES) == len(dict(self.NAMES)) == 40
+    def test_thirty_eight_names(self):
+        assert len(self.NAMES) == len(dict(self.NAMES)) == 38
 
     @pytest.mark.parametrize("name,module", NAMES)
     def test_name_is_its_modules_object(self, name, module):

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from clustertube import (
-    ExchangeMatrix,
     MaximalRigid,
     StructuralError,
     TheoremViolationError,
@@ -94,10 +93,10 @@ def full_bfs(n):
     """Reference: the BFS over every node, mutating one direction of each
     undirected edge and comparing on revisits.  Returns ``rows``,
     ``edges`` and ``order`` as :class:`ExchangeGraph` stores them."""
-    table, seed = rigid.rigid_table(n), initial_seed(n)
-    start = table.mask_of(seed.object.summands)
+    table, (seed, b) = rigid.rigid_table(n), initial_seed(n)
+    start = table.mask_of(seed.summands)
     number = {mask: i for i, mask in enumerate(rigid.maximal_rigid_masks(n))}
-    rows, popped, order, found = {start: seed.matrix.entries}, set(), [], []
+    rows, popped, order, found = {start: b}, set(), [], []
     queue = deque([start])
     while queue:
         mask = queue.popleft()
@@ -123,38 +122,32 @@ INITIAL_N4 = ((0, -2, 0), (1, 0, 1), (0, -1, 0))
 
 class TestFzMutate:
     def test_mutate_middle(self):
-        b = initial_seed(4).matrix
-        assert fz_mutate(b, 1).entries == ((0, 2, 0), (-1, 0, -1), (0, 1, 0))
+        _, b = initial_seed(4)
+        assert fz_mutate(b, 1) == ((0, 2, 0), (-1, 0, -1), (0, 1, 0))
 
     def test_mutate_first(self):
-        b = initial_seed(4).matrix
-        assert fz_mutate(b, 0).entries == ((0, 2, 0), (-1, 0, 1), (0, -1, 0))
+        _, b = initial_seed(4)
+        assert fz_mutate(b, 0) == ((0, 2, 0), (-1, 0, 1), (0, -1, 0))
 
     def test_involution(self):
-        b = initial_seed(5).matrix
+        _, b = initial_seed(5)
         for k in range(4):
-            assert fz_mutate(fz_mutate(b, k), k).entries == b.entries
+            assert fz_mutate(fz_mutate(b, k), k) == b
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            fz_mutate(initial_seed(3).matrix, 2)
+            fz_mutate(initial_seed(3)[1], 2)
 
 
 class TestInitialSeed:
     def test_rank_three(self):
-        s = initial_seed(3)
-        assert s.object == mr(3, (1, 2), (1, 1))
-        assert s.matrix.entries == ((0, -2), (1, 0))
+        assert initial_seed(3) == (mr(3, (1, 2), (1, 1)), ((0, -2), (1, 0)))
 
     def test_rank_four(self):
-        s = initial_seed(4)
-        assert s.object == mr(4, (1, 3), (1, 2), (2, 1))
-        assert s.matrix.entries == INITIAL_N4
+        assert initial_seed(4) == (mr(4, (1, 3), (1, 2), (2, 1)), INITIAL_N4)
 
     def test_rank_two(self):
-        s = initial_seed(2)
-        assert s.object == mr(2, (1, 1))
-        assert s.matrix.entries == ((0,),)
+        assert initial_seed(2) == (mr(2, (1, 1)), ((0,),))
 
     @pytest.mark.parametrize("n", [1, 0, -1])
     def test_rank_below_two(self, n):
@@ -163,7 +156,7 @@ class TestInitialSeed:
 
     def test_quasi_lengths_decrease_along_order(self):
         for n in range(2, 9):
-            qls = [x.b for x in initial_seed(n).object.summands]
+            qls = [x.b for x in initial_seed(n)[0].summands]
             assert qls == list(range(n - 1, 0, -1))
 
 
@@ -222,7 +215,7 @@ class TestSeed:
     ):
         # the seed's mask is computed, not read: a defect falsifies the
         # table, so verify fails a check and exits 1, not 2 as for bad input
-        seed = initial_seed(5).object.mask
+        seed = initial_seed(5)[0].mask
         real = rigid.RigidTable.defect
         monkeypatch.setattr(
             rigid.RigidTable, "defect", lambda t, m: "is doctored" if m == seed else real(t, m)
@@ -241,29 +234,41 @@ class TestSeed:
         with pytest.raises(ValueError, match=r"^rank must be an int, got 3\.0$"):
             initial_seed(3.0)
 
-    def test_order_must_be_the_summand_list(self):
-        s = initial_seed(3)
-        swapped = ExchangeMatrix(s.matrix.order[::-1], s.matrix.entries)
-        with pytest.raises(StructuralError, match="^matrix order differs from the summand list$"):
-            mutation.Seed(s.object, swapped)
+
+# the exports that take a matrix from a caller, and so check it
+TAKE_A_MATRIX = [
+    pytest.param(lambda b: fz_mutate(b, 0), id="fz_mutate"),
+    pytest.param(cartan_counterpart, id="cartan_counterpart"),
+]
 
 
-class TestExchangeMatrix:
-    """The constructor is the one home of the shape and zero-diagonal
-    checks; no graph node can carry a matrix that fails them."""
+class TestMatrixCheck:
+    """``fz_mutate`` and ``cartan_counterpart`` run the one shape and
+    zero-diagonal check, ``check_matrix``, on the matrix a caller passes;
+    a matrix the graph or ``local_matrix`` computes is left to the
+    ``mutation`` suite's ``matrix-invariants``."""
 
-    ORDER = (obj(1, 2, 3), obj(1, 1, 3))
+    @pytest.mark.parametrize("take", TAKE_A_MATRIX)
+    def test_nonzero_diagonal(self, take):
+        with pytest.raises(StructuralError, match="^nonzero diagonal entry$"):
+            take(((1, 1), (-1, 0)))
 
-    def test_nonzero_diagonal(self):
-        with pytest.raises(StructuralError, match="diagonal"):
-            ExchangeMatrix(self.ORDER, ((1, 1), (-1, 0)))
-
+    @pytest.mark.parametrize("take", TAKE_A_MATRIX)
     @pytest.mark.parametrize(
-        "entries", [((0, 1),), ((0, 1), (-1, 0), (0, 0)), ((0, 1), (-1,))]
+        "entries",
+        [
+            pytest.param(((0, 1),), id="too-few-rows"),
+            pytest.param(((0, 1), (-1, 0), (0, 0)), id="too-many-rows"),
+            pytest.param(((0, 1), (-1,)), id="ragged"),
+        ],
     )
-    def test_mismatched_shape(self, entries):
-        with pytest.raises(StructuralError, match="order"):
-            ExchangeMatrix(self.ORDER, entries)
+    def test_not_square(self, take, entries):
+        with pytest.raises(StructuralError, match=f"^{len(entries)}-row matrix is not square$"):
+            take(entries)
+
+    def test_shape_is_checked_before_the_index(self):
+        with pytest.raises(StructuralError, match="not square"):
+            fz_mutate(((0, 1),), 5)
 
 
 class TestExchangeGraph:
@@ -284,9 +289,9 @@ class TestExchangeGraph:
 
     def test_one_mutation_step(self):
         g = build_exchange_graph(3)
-        mat = g.b_matrix(mr(3, (1, 2), (2, 1)))
-        assert mat.order == (obj(1, 2, 3), obj(2, 1, 3))
-        assert mat.entries == ((0, 2), (-1, 0))
+        t = mr(3, (1, 2), (2, 1))
+        assert t.summands == (obj(1, 2, 3), obj(2, 1, 3))  # the matrix's indices
+        assert g.b_matrix(t) == ((0, 2), (-1, 0))
 
     def test_unknown_node(self):
         g = build_exchange_graph(3)
@@ -311,12 +316,12 @@ class TestExchangeGraph:
 
     def test_seed_matrix_matches_involution(self):
         g = build_exchange_graph(4)
-        t = initial_seed(4).object
+        t, _ = initial_seed(4)
         for k in range(3):
             t2, k2 = exchange(t, k)
             back, _ = exchange(t2, k2)
             assert back == t
-            assert g.b_matrix(back).entries == g.b_matrix(t).entries
+            assert g.b_matrix(back) == g.b_matrix(t)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_one_exchanges_call_per_node(self, n, monkeypatch):
@@ -426,8 +431,7 @@ class TestExchangeGraph:
     def test_rows_are_the_node_matrices_in_mask_order(self, n):
         g = build_exchange_graph(n)
         assert len(g.rows) == len(g.nodes)
-        matrices = [g.b_matrix(t) for t in enumerate_maximal_rigid(n)]
-        assert [mat.entries for mat in matrices] == list(g.rows)
+        assert [g.b_matrix(t) for t in enumerate_maximal_rigid(n)] == list(g.rows)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_masks_are_the_enumeration_masks(self, n):
@@ -440,31 +444,30 @@ class TestExchangeGraph:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_cold_graph_builds_only_the_seed(self, n, monkeypatch):
         # the object enumeration is not even imported; the seed's object
-        # is checked once, from its mask
+        # is checked once, from its mask, and b_matrix builds nothing
         assert not hasattr(mutation, "enumerate_maximal_rigid")
         built = []
-        for cls in (rigid.MaximalRigid, ExchangeMatrix):
 
-            def counted(self, real=cls.__post_init__):
-                built.append(type(self).__name__)
-                real(self)
+        def counted(self, real=MaximalRigid.__post_init__):
+            built.append(type(self).__name__)
+            real(self)
 
-            monkeypatch.setattr(cls, "__post_init__", counted)
+        monkeypatch.setattr(MaximalRigid, "__post_init__", counted)
         real = rigid.RigidTable.defect
         monkeypatch.setattr(
             rigid.RigidTable, "defect", lambda t, m: built.append("defect") or real(t, m)
         )
         g = mutation.ExchangeGraph(n)
-        assert built == ["defect", "ExchangeMatrix"]
+        assert built == ["defect"]
         t = MaximalRigid(n, rigid.rigid_table(n).objects_of(g.nodes[-1]))
         built.clear()
-        assert g.b_matrix(t).order == t.summands
-        assert built == ["ExchangeMatrix"]
+        assert len(g.b_matrix(t)) == len(t.summands)
+        assert built == []
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_one_mask_of_call_for_the_seed(self, n, monkeypatch):
         # the seed's own construction; the graph reads the mask it kept
-        summands = mutation.initial_seed(n).object.summands
+        summands = mutation.initial_seed(n)[0].summands
         enumerate_maximal_rigid(n)
         calls = []
         real = rigid.RigidTable.mask_of
@@ -487,13 +490,11 @@ class TestBMatrix:
         g, table = build_exchange_graph(n), rigid.rigid_table(n)
         for i, mask in enumerate(g.nodes):
             summands = table.objects_of(mask)
-            mat = g.b_matrix(MaximalRigid(n, summands))
-            assert mat.order == summands
-            assert mat.entries == g.rows[i]
+            assert g.b_matrix(MaximalRigid(n, summands)) is g.rows[i]
 
     def test_foreign_keys_are_unknown_nodes(self):
         g = build_exchange_graph(3)
-        for key in (mr(4, (1, 3), (1, 2), (2, 1)), initial_seed(3).matrix, "x", None, []):
+        for key in (mr(4, (1, 3), (1, 2), (2, 1)), initial_seed(3)[1], "x", None, []):
             with pytest.raises(StructuralError, match="^unknown node "):
                 g.b_matrix(key)
 
@@ -506,14 +507,14 @@ class TestLocalMatrix:
     def test_equals_the_propagated_matrix_at_every_node(self, n):
         graph = build_exchange_graph(n)
         for t in enumerate_maximal_rigid(n):
-            assert local_matrix(t) == graph.b_matrix(t).entries, t
+            assert local_matrix(t) == graph.b_matrix(t), t
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(10, 12), st.lists(st.integers(0, 2**16), min_size=11, max_size=11))
     def test_equals_the_propagated_matrix_above_the_exhaustive_ranks(self, n, picks):
         table = rigid.rigid_table(n)
         t = MaximalRigid(n, table.objects_of(rep_by_picks(table, picks)))
-        assert local_matrix(t) == build_exchange_graph(n).b_matrix(t).entries
+        assert local_matrix(t) == build_exchange_graph(n).b_matrix(t)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_mutation_carries_local_matrices_along_every_exchange(self, n):
@@ -558,7 +559,7 @@ class TestRowsOnDemand:
     def test_b_matrix_reads_one_node(self, n):
         g = mutation.ExchangeGraph(n)
         objects = enumerate_maximal_rigid(n)
-        entries = [g.b_matrix(t).entries for t in objects]
+        entries = [g.b_matrix(t) for t in objects]
         assert "rows" not in vars(g)
         assert all(b is rows for b, rows in zip(entries, g.rows))
 
@@ -590,7 +591,7 @@ class TestRowsOnDemand:
         # tuple is built on the first read of nodes, and is the rank's one
         clear_package_caches()
         g = build_exchange_graph(n)
-        g.b_matrix(initial_seed(n).object)
+        g.b_matrix(initial_seed(n)[0])
         assert rigid.maximal_rigid_masks.cache_info().currsize == 0
         assert g.nodes is rigid.maximal_rigid_masks(n)
 
@@ -651,7 +652,7 @@ class TestNumberedEdges:
         # a BFS from the seed: each node is popped once, and after the
         # first every node has a neighbour popped before it
         g = build_exchange_graph(n)
-        seed = rigid.rigid_table(n).mask_of(initial_seed(n).object.summands)
+        seed = rigid.rigid_table(n).mask_of(initial_seed(n)[0].summands)
         assert sorted(g.order) == list(range(len(g.nodes)))
         assert g.nodes[g.order[0]] == seed
         popped = {i: pos for pos, i in enumerate(g.order)}
@@ -705,7 +706,7 @@ class TestConnectivity:
         def edited(*args):
             reps, blocks = real(*args)
             # the seed is its orbit's representative
-            start = reps[rigid.rigid_table(n).mask_of(initial_seed(n).object.summands)]
+            start = reps[rigid.rigid_table(n).mask_of(initial_seed(n)[0].summands)]
             doctored.append((edit(n, blocks, start), start))
             return reps, doctored[-1][0]
 
@@ -943,8 +944,8 @@ class TestFoldedMutation:
         assert mutation._mutate_rows(((0,),), 0, 0) == ((0,),)
         b = ((3,),)
         assert mutation._mutate_rows(b, 0, 0) == ((-3,),) == mutate_then_move(b, 0, 0)
-        seed = initial_seed(2).matrix
-        assert seed.entries == ((0,),)
+        _, seed = initial_seed(2)
+        assert seed == ((0,),)
         assert fz_mutate(seed, 0) == seed
 
 
@@ -1047,23 +1048,23 @@ class TestRowKernel:
 
 class TestCartan:
     def test_rank_four(self):
-        assert cartan_counterpart(initial_seed(4).matrix) == (
+        assert cartan_counterpart(initial_seed(4)[1]) == (
             (2, -2, 0),
             (-1, 2, -1),
             (0, -1, 2),
         )
 
     def test_rank_three(self):
-        assert cartan_counterpart(initial_seed(3).matrix) == ((2, -2), (-1, 2))
+        assert cartan_counterpart(initial_seed(3)[1]) == ((2, -2), (-1, 2))
 
     def test_one_by_one(self):
-        assert cartan_counterpart(ExchangeMatrix((obj(1, 1, 2),), ((0,),))) == ((2,),)
+        assert cartan_counterpart(((0,),)) == ((2,),)
 
 
 class TestSignSkewSymmetry:
     def test_initial_matrices(self):
         for n in range(2, 9):
-            assert is_sign_skew_symmetric(initial_seed(n).matrix)
+            assert is_sign_skew_symmetric(initial_seed(n)[1])
 
     def test_counterexamples(self):
         assert not is_sign_skew_symmetric([[0, 1], [1, 0]])
@@ -1081,11 +1082,11 @@ class TestVerifyFailures:
         replaced by ``entries``, as row ids into a copy of the row table;
         the cached graph is left untouched.  ``matrix-invariants`` reads
         ``rep_ids`` and ``row_table`` and builds no matrix, so the rows may
-        be ones ``ExchangeMatrix`` would reject.  Returns the orbit's
+        be ones ``check_matrix`` would reject.  Returns the orbit's
         representative, the first node with that matrix."""
         graph = build_exchange_graph(5)
         table = rigid.rigid_table(5)
-        seed = table.mask_of(initial_seed(5).object.summands)
+        seed = table.mask_of(initial_seed(5)[0].summands)
         mask, o = next((mask, o) for mask, o in graph.reps.items() if mask != seed)
         fake = copy.copy(graph)
         fake.row_table = mutation.RowTable()
@@ -1113,7 +1114,7 @@ class TestVerifyFailures:
         self.expect_failure(capsys, "matrix-invariants", f": at {t}\n")
 
     def test_nonzero_diagonal(self, monkeypatch, capsys):
-        # no ExchangeMatrix rejects it any more: sign-skew symmetry does
+        # no constructor rejects it: sign-skew symmetry does
         zero = (0, 0, 0, 0)
         t = self.doctored(monkeypatch, ((1, 0, 0, 0), zero, zero, zero))
         self.expect_failure(capsys, "matrix-invariants", f": at {t}\n")

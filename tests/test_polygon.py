@@ -648,7 +648,7 @@ class TestMaskFlips:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(8, 14), st.lists(st.integers(0, 12), min_size=1, max_size=10))
     def test_random_walk_flip_is_exchange(self, n, steps):
-        t = initial_seed(n).object
+        t, _ = initial_seed(n)
         for step in steps:
             k = step % (n - 1)
             tri = triangulation_of(t)
@@ -937,7 +937,7 @@ class TestSecondRoute:
         # summand of a cluster through it, not both in the initial seed, cut
         # both ways: the exchange graph changes, the flip graph does not
         clear_package_caches()
-        table, seed = rigid_table(5), initial_seed(5).object.mask
+        table, seed = rigid_table(5), initial_seed(5)[0].mask
         reps = rigid.maximal_rigid_reps(5)
         j = next(j for r in reps for j in bit_indices(r)[1:] if seed & 1 << j == 0)
         assert table.compat[0] >> j & 1 and table.compat[j] & 1

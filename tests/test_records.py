@@ -9,11 +9,10 @@ import pytest
 
 from clustertube import rigid
 from clustertube.errors import StructuralError
-from clustertube.mutation import Seed
 from clustertube.polygon import PolygonTable, polygon_table
 from clustertube.polygon_model import CsPair, CsTriangulation, Diagonal, triangulation_of
 from clustertube.reps import NilpotentRep, build_rep
-from clustertube.rigid_model import ExchangeMatrix, MaximalRigid, RigidTable, rigid_table
+from clustertube.rigid_model import MaximalRigid, RigidTable, rigid_table
 from clustertube.tube import TubeObject
 from clustertube.verify import CheckResult, VerifyReport
 
@@ -28,17 +27,11 @@ def fields_of(record, names):
 
 ZIGZAG = (x(1, 2), x(1, 1))
 OTHER = (x(1, 2), x(2, 1))
-B = ((0, -2), (1, 0))
 
 # class -> (its fields as keywords, the same fields with one or more changed)
 FROZEN = {
     TubeObject: (dict(a=1, b=2, n=3), dict(a=1, b=1, n=3)),
     MaximalRigid: (dict(n=3, summands=ZIGZAG), dict(n=3, summands=OTHER)),
-    ExchangeMatrix: (dict(order=ZIGZAG, entries=B), dict(order=ZIGZAG, entries=((0, -1), (1, 0)))),
-    Seed: (
-        dict(object=MaximalRigid(3, ZIGZAG), matrix=ExchangeMatrix(ZIGZAG, B)),
-        dict(object=MaximalRigid(3, ZIGZAG), matrix=ExchangeMatrix(ZIGZAG, ((0, 1), (-1, 0)))),
-    ),
     Diagonal: (dict(p=1, q=3, n=3), dict(p=1, q=4, n=3)),
     CsPair: (
         dict(d1=Diagonal(1, 3, 3), d2=Diagonal(4, 6, 3), n=3),
@@ -112,8 +105,7 @@ def test_copies_and_pickles_equal(cls):
 VALIDATED = [
     pytest.param(cls, id=cls.__name__)
     for cls in (
-        TubeObject, MaximalRigid, ExchangeMatrix, Seed,
-        Diagonal, CsPair, CsTriangulation, NilpotentRep,
+        TubeObject, MaximalRigid, Diagonal, CsPair, CsTriangulation, NilpotentRep,
     )
 ]
 
@@ -184,15 +176,6 @@ def test_nilpotent_rep_caches_its_arrow_lines_on_the_instance():
 REPRS = [
     (x(1, 2), "(1,2)@3"),
     (MaximalRigid(3, ZIGZAG), "MaximalRigid[1,2;1,1]@3"),
-    (
-        ExchangeMatrix(ZIGZAG, B),
-        "ExchangeMatrix(order=((1,2)@3, (1,1)@3), entries=((0, -2), (1, 0)))",
-    ),
-    (
-        Seed(MaximalRigid(3, ZIGZAG), ExchangeMatrix(ZIGZAG, B)),
-        "Seed(object=MaximalRigid[1,2;1,1]@3, matrix=ExchangeMatrix("
-        "order=((1,2)@3, (1,1)@3), entries=((0, -2), (1, 0))))",
-    ),
     (Diagonal(3, 1, 3), "[1,3]"),
     (CsPair(Diagonal(1, 3, 3), Diagonal(4, 6, 3), 3), "([1,3],[4,6])"),
     (CsPair(Diagonal(1, 4, 3), Diagonal(4, 1, 3), 3), "[1,4]"),

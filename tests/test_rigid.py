@@ -376,7 +376,7 @@ class TestOrbitBuilds:
         mutation.build_exchange_graph(n)
         polygon.flip_graph(n)
         calls = list(checked)  # before initial_seed below checks its mask again
-        assert calls == [mutation.initial_seed(n).object.mask]
+        assert calls == [mutation.initial_seed(n)[0].mask]
 
     @pytest.mark.parametrize("n", range(2, 12))
     def test_every_representative_passes_the_full_check(self, n):

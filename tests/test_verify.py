@@ -24,10 +24,9 @@ from clustertube import (
     verify_rigid,
 )
 from clustertube.cli import main
-from clustertube.mutation import Seed
 from clustertube.polygon_model import crossing_points, delta
 from clustertube.reps import hom_dim_oracle
-from clustertube.rigid_model import ExchangeMatrix, MaximalRigid, enumerate_rigid_indecs
+from clustertube.rigid_model import MaximalRigid, enumerate_rigid_indecs
 from clustertube.tube import tau
 
 N = 5
@@ -288,23 +287,22 @@ class TestPolygonFailures:
 
 def type_c_seed(n):
     """The zig-zag seed with ``-B^T``, the type C matrix, in place of ``B``."""
-    seed = initial_seed(n)
-    rows = tuple(tuple(-v for v in column) for column in zip(*seed.matrix.entries))
-    return Seed(seed.object, ExchangeMatrix(seed.matrix.order, rows))
+    t, b = initial_seed(n)
+    return t, tuple(tuple(-v for v in column) for column in zip(*b))
 
 
 def negated_seed(n):
     """The zig-zag seed with ``-B`` in place of ``B``: sign-skew symmetric,
     in bound, and with the same Cartan counterpart."""
-    seed = initial_seed(n)
-    rows = tuple(tuple(-v for v in row) for row in seed.matrix.entries)
-    return Seed(seed.object, ExchangeMatrix(seed.matrix.order, rows))
+    t, b = initial_seed(n)
+    return t, tuple(tuple(-v for v in row) for row in b)
 
 
 class TestInitialSeedFailures:
     def test_graph_built_from_a_type_c_seed(self, monkeypatch, capsys):
-        """The graph stores the seed it was built from, so only the
-        Cartan half of the check can tell."""
+        """The graph stores the seed it was built from, so the stored
+        matrix is the seed's; the local matrix of delta(seed) tells, and
+        so would the Cartan half, which -B^T fails too."""
         monkeypatch.setattr(mutation, "initial_seed", type_c_seed)
         monkeypatch.setattr(verify_mutation, "initial_seed", mutation.initial_seed)
         monkeypatch.setattr(verify_mutation, "build_exchange_graph", mutation.ExchangeGraph)
@@ -327,8 +325,8 @@ class TestInitialSeedFailures:
         monkeypatch.setattr(mutation, "initial_seed", negated_seed)
         monkeypatch.setattr(verify_mutation, "initial_seed", mutation.initial_seed)
         monkeypatch.setattr(verify_mutation, "build_exchange_graph", mutation.ExchangeGraph)
-        stored = negated_seed(n).matrix.entries
-        assert stored != initial_seed(n).matrix.entries
+        stored = negated_seed(n)[1]
+        assert stored != initial_seed(n)[1]
         assert fail_lines(capsys, "mutation", n) == [f"FAIL mutation/initial-seed: stored {stored}"]
 
 
@@ -361,7 +359,7 @@ def test_cold_suite_builds_only_the_seed_object(
         validate(t)
         built.append(t.summands)
 
-    seed = initial_seed(n).object.mask
+    seed = initial_seed(n)[0].mask
     clear_package_caches()
     monkeypatch.setattr(MaximalRigid, "__post_init__", counted)
     monkeypatch.setattr(
